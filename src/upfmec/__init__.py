@@ -7,7 +7,6 @@ from .delay import (
     net_delay,
     transit_epochs,
     upf_capacity,
-    upf_headroom,
     upf_projected_delay,
     worst_case_batch_delay,
 )
@@ -44,7 +43,6 @@ from .schemes import (
     assign_bestfit_no_pe,
     assign_bestfit_pe,
     assign_bestfit_upf_mec,
-    find_bestfit_mec,
     find_bestfit_upf,
 )
 

@@ -45,11 +45,19 @@ def _parse_int_list(text: str) -> List[int]:
     out: List[int] = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+        try:
+            if "-" in part[1:]:
+                lo, hi = (int(x) for x in part.split("-", 1))
+            elif part:
+                lo = hi = int(part)
+            else:
+                continue
+        except ValueError:
+            msg = f"{text!r} is not a list of integers and ranges like 1,3,5-10"
+            raise ValueError(msg) from None
+        if hi < lo:
+            raise ValueError(f"range {part!r} is empty")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"empty list: {text!r}")
     return out
@@ -67,11 +75,7 @@ def cmd_run(args) -> int:
     if args.scheme:
         scenario = replace(scenario, scheme=Scheme(args.scheme))
     seed = args.seed if args.seed is not None else scenario.seed
-    try:
-        result = run_to_completion(scenario, seed=seed, drain_cap=args.drain_cap)
-    except ScenarioError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 2
+    result = run_to_completion(scenario, seed=seed, drain_cap=args.drain_cap)
     report = metrics.summarize(result)
     out = _ensure_out(args.out)
     name, scheme = scenario.name, scenario.scheme.value
@@ -125,11 +129,7 @@ def cmd_compare(args) -> int:
         pooled_e2e: List[float] = []
         maxima, means = [], []
         for seed in seeds:
-            try:
-                result = run_to_completion(variant, seed=seed, drain_cap=args.drain_cap)
-            except ScenarioError as exc:
-                print(f"invalid scenario: {exc}", file=sys.stderr)
-                return 2
+            result = run_to_completion(variant, seed=seed, drain_cap=args.drain_cap)
             rep = metrics.summarize(result)
             d = rep.e2e_overall
             rows.append([
@@ -181,11 +181,7 @@ def cmd_capex(args) -> int:
     pairs = _parse_int_list(args.pairs)
     seeds = _parse_int_list(args.seeds)
     out = _ensure_out(args.out)
-    try:
-        points = metrics.capex_sweep(scenario, pairs, seeds)
-    except ScenarioError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 2
+    points = metrics.capex_sweep(scenario, pairs, seeds)
     csv_path = f"{out}/{scenario.name}.capex.csv"
     metrics.write_capex_csv(points, csv_path)
     print(f"wrote {csv_path}")
@@ -298,6 +294,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # malformed --seeds/--pairs lists and pair counts below 1
+        print(f"upfmec: error: {exc}", file=sys.stderr)
         return 2
 
 

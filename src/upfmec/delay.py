@@ -45,20 +45,6 @@ def mec_capacity(etpb: float, bytes_per_ue: float, delta: float) -> float:
     return upf_capacity(etpb, bytes_per_ue, 1.0, delta)
 
 
-def upf_headroom(capacity: float, in_service: float) -> float:
-    """Free service slots this epoch: capacity minus requests in service.
-
-    The same arithmetic gives MEC headroom.
-    """
-    if in_service < 0.0:
-        raise ValueError(f"in_service must be >= 0, got {in_service}")
-    if in_service > capacity:
-        raise ValueError(
-            f"in_service {in_service} exceeds capacity {capacity}"
-        )
-    return capacity - in_service
-
-
 def _projected(queue_len: float, headroom: float, capacity: float, delta: float) -> float:
     if capacity <= 0.0:
         raise ValueError(f"capacity must be > 0, got {capacity}")
@@ -86,16 +72,17 @@ def mec_projected_delay(queue_len: float, headroom: float, capacity: float, delt
     return _projected(queue_len, headroom, capacity, delta)
 
 
-def net_delay(n_share: int, bytes_per_ue: float, bandwidth: float, delta: float) -> float:
+def net_delay(n_share: int, bytes_per_ue: float, bandwidth: float) -> float:
     """Transfer delay on a UPF->MEC link shared by n_share requests, ms.
 
     bandwidth is in bits per ms; every sharer moves bytes_per_ue bytes.
+    The result is in ms whatever the epoch length; transit_epochs converts.
     """
     if n_share < 0:
         raise ValueError(f"n_share must be >= 0, got {n_share}")
-    if bytes_per_ue <= 0.0 or bandwidth <= 0.0 or delta <= 0.0:
-        raise ValueError("bytes_per_ue, bandwidth and delta must be > 0")
-    return n_share * bytes_per_ue * 8.0 / (bandwidth * delta)
+    if bytes_per_ue <= 0.0 or bandwidth <= 0.0:
+        raise ValueError("bytes_per_ue and bandwidth must be > 0")
+    return n_share * bytes_per_ue * 8.0 / bandwidth
 
 
 def worst_case_batch_delay(

@@ -7,17 +7,32 @@ serve the UPF buckets, move served traffic across the links, deliver
 finished transfers to their MEC queues, serve the MECs, then advance the
 clock.  After the arrival horizon the run keeps stepping without new
 traffic until every admitted request has completed or a drain cap is hit.
+
+The run keeps the cost vectors the schemes read: ``upf_cost[q][i]`` is
+the projected delay of joining UPF i+1's bucket of class q now and
+``mec_cost[j]`` that of joining MEC j+1.  They are rebuilt from the
+queues at the start of every admission phase, and each admission rewrites
+the entries it changed.  Code that edits queues or ``pending`` outside
+``step_epoch``, or calls a scheme between epochs, must call
+``refresh_costs()`` first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .delay import mec_capacity, net_delay, transit_epochs, upf_capacity
+from .delay import (
+    mec_capacity,
+    mec_projected_delay,
+    net_delay,
+    transit_epochs,
+    upf_capacity,
+    upf_projected_delay,
+)
 from .model import (
     EpochClock,
     Link,
@@ -31,7 +46,7 @@ from .model import (
     UpfState,
     validate_scenario,
 )
-from .schemes import SCHEME_FUNCS
+from .schemes import SCHEME_FUNCS, mec_bucket, mec_snapshot, upf_bucket, upf_bucket_snapshot
 
 DEFAULT_DRAIN_FACTOR = 10  # drain cap defaults to this many horizons
 
@@ -194,7 +209,8 @@ class SimulationRun:
                 # Mbps -> bits per ms
                 bw = scenario.link_bandwidth_mbps[i - 1][j - 1] * 1e3
                 self.links[(i, j)] = Link(upf_id=i, mec_id=j, bandwidth=bw)
-        self._link_order = sorted(self.links)
+        # keys of the links with requests in transit; requests enter links only via _enter_link
+        self._busy_links: Set[Tuple[int, int]] = set()
         self.clock = EpochClock(0, self.delta)
         if drain_cap is not None:
             self.drain_cap = drain_cap
@@ -212,6 +228,11 @@ class SimulationRun:
         self._next_id = 0
         self._upf_credit = {(u.id, q): 0.0 for u in self.upfs for q in QosClass}
         self._mec_credit = {m.id: 0.0 for m in self.mecs}
+        self.upf_cost: Dict[QosClass, np.ndarray] = {
+            q: np.empty(len(self.upfs)) for q in QosClass
+        }
+        self.mec_cost = np.empty(len(self.mecs))
+        self.refresh_costs()
 
     def link(self, upf_id: int, mec_id: int) -> Link:
         return self.links[(upf_id, mec_id)]
@@ -220,15 +241,18 @@ class SimulationRun:
     def in_flight(self) -> int:
         return self.generated - self.completed - self.dropped
 
+    def refresh_costs(self) -> None:
+        """Recompute every entry of the cost vectors from the current queues."""
+        for q in _QOS_LIST:
+            self.upf_cost[q][:] = [
+                upf_projected_delay(*b, self.delta) for b in upf_bucket_snapshot(self.upfs, q)
+            ]
+        self.mec_cost[:] = [mec_projected_delay(*b, self.delta) for b in mec_snapshot(self.mecs)]
+
     # ------------------------------------------------------------- stepping
 
     def step_epoch(self, generate: bool = True) -> EpochReport:
         epoch = self.clock.epoch_index
-        for u in self.upfs:
-            u.reset_in_service()
-        for m in self.mecs:
-            m.reset_in_service()
-
         arrivals: List[UeRequest] = []
         if generate:
             arrivals = generate_arrivals(
@@ -239,6 +263,7 @@ class SimulationRun:
             self.generated += len(arrivals)
 
         admitted = dropped_now = 0
+        self.refresh_costs()
         for req in arrivals:
             decision = self._assign(req, self)
             req.assigned_upf = decision.upf_id
@@ -252,9 +277,16 @@ class SimulationRun:
             else:
                 req.advance_status(RequestStatus.IN_UPF_QUEUE)
                 upf.queue[req.qos].append(req)
+                self.upf_cost[req.qos][decision.upf_id - 1] = upf_projected_delay(
+                    *upf_bucket(upf, req.qos), self.delta
+                )
                 admitted += 1
                 if decision.mec_id is not None:
-                    self.mecs[decision.mec_id - 1].pending += 1
+                    mec = self.mecs[decision.mec_id - 1]
+                    mec.pending += 1
+                    self.mec_cost[decision.mec_id - 1] = mec_projected_delay(
+                        *mec_bucket(mec), self.delta
+                    )
         if admitted + dropped_now != len(arrivals):
             raise InvariantError(
                 f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(arrivals)}"
@@ -274,7 +306,6 @@ class SimulationRun:
                         self._enter_link(req, epoch)
                     else:
                         self._complete(req)
-                u.in_service[q] = n
                 served_upf += n
                 self._upf_credit[(u.id, q)] = credit - n if queue else 0.0
                 if n > math.ceil(u.capacity[q]):
@@ -283,10 +314,8 @@ class SimulationRun:
                         f"over capacity {u.capacity[q]}"
                     )
 
-        for key in self._link_order:
+        for key in sorted(self._busy_links):
             link = self.links[key]
-            if not link.in_transit:
-                continue
             still: List[UeRequest] = []
             mec = self.mecs[link.mec_id - 1]
             for req in link.in_transit:
@@ -303,6 +332,8 @@ class SimulationRun:
                 else:
                     still.append(req)
             link.in_transit = still
+            if not still:
+                self._busy_links.discard(key)
 
         served_mec = completed_now = 0
         for m in self.mecs:
@@ -314,7 +345,6 @@ class SimulationRun:
                 req.d_mec = (epoch + 1 - req.mec_arrival_epoch) * self.delta
                 self._complete(req)
                 completed_now += 1
-            m.in_service = n
             served_mec += n
             self._mec_credit[m.id] = credit - n if m.queue else 0.0
             if n > math.ceil(m.capacity):
@@ -343,11 +373,13 @@ class SimulationRun:
         return report
 
     def _enter_link(self, req: UeRequest, epoch: int) -> None:
-        link = self.links[(req.assigned_upf, req.assigned_mec)]
+        key = (req.assigned_upf, req.assigned_mec)
+        link = self.links[key]
         link.in_transit.append(req)
+        self._busy_links.add(key)
         mec = self.mecs[req.assigned_mec - 1]
         # the entering request shares the link with everything already on it
-        req.d_net = net_delay(link.n_share, mec.bytes_per_ue, link.bandwidth, self.delta)
+        req.d_net = net_delay(link.n_share, mec.bytes_per_ue, link.bandwidth)
         req.mec_due_epoch = epoch + transit_epochs(req.d_net, self.delta)
         req.advance_status(RequestStatus.IN_TRANSIT)
 

@@ -36,6 +36,12 @@ class QosClass(enum.Enum):
     MMTC = "mmtc"
     REGULAR = "regular"
 
+    # Enum.__hash__ is a Python-level function hashing the member name, and
+    # the engine looks buckets up by class on every admission and service
+    # step.  Members are singletons compared by identity, so the C identity
+    # hash agrees with ==; no output iterates a set of classes unsorted.
+    __hash__ = object.__hash__
+
     @property
     def uses_mec(self) -> bool:
         return self is not QosClass.REGULAR
@@ -182,15 +188,9 @@ class UpfState:
     queue_cap: Dict[QosClass, int]
     bytes_per_ue: float
     queue: Dict[QosClass, Deque[UeRequest]] = field(init=False)
-    in_service: Dict[QosClass, int] = field(init=False)
 
     def __post_init__(self) -> None:
         self.queue = {q: deque() for q in QosClass}
-        self.in_service = {q: 0 for q in QosClass}
-
-    def reset_in_service(self) -> None:
-        for q in QosClass:
-            self.in_service[q] = 0
 
 
 @dataclass
@@ -202,7 +202,6 @@ class MecState:
     queue_cap: int
     bytes_per_ue: float
     queue: Deque[UeRequest] = field(init=False)
-    in_service: int = field(init=False)
     # requests assigned here and admitted upstream but not yet in this queue
     # (waiting at a UPF or crossing a link); counted so later assignment
     # decisions see commitments that have not physically arrived yet
@@ -210,11 +209,7 @@ class MecState:
 
     def __post_init__(self) -> None:
         self.queue = deque()
-        self.in_service = 0
         self.pending = 0
-
-    def reset_in_service(self) -> None:
-        self.in_service = 0
 
 
 @dataclass
@@ -237,9 +232,19 @@ _QOS_ORDER = [q.value for q in QosClass]
 _SUM_TOL = 1e-9
 
 
+def _positive(x: float) -> bool:
+    """x is a finite number > 0; NaN and +-inf fail."""
+    return 0.0 < x < math.inf
+
+
+def _non_negative(x: float) -> bool:
+    """x is a finite number >= 0; NaN and +-inf fail."""
+    return 0.0 <= x < math.inf
+
+
 def _check_dist(values: List[float], what: str, out: List[str]) -> None:
-    if any(v < 0.0 for v in values):
-        out.append(f"{what} has negative entries")
+    if not all(_non_negative(v) for v in values):
+        out.append(f"{what} has negative or non-finite entries")
     total = sum(values)
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
         out.append(f"{what} sums to {total:g}, expected 1.0")
@@ -252,18 +257,18 @@ def validate_scenario(s: Scenario) -> List[str]:
         v.append("num_upfs must be >= 1")
     if s.num_mecs < 1:
         v.append("num_mecs must be >= 1")
-    if s.delta_ms <= 0.0:
-        v.append("delta_ms must be > 0")
+    if not _positive(s.delta_ms):
+        v.append("delta_ms must be > 0 and finite")
     if s.horizon_epochs < 0:
         v.append("horizon_epochs must be >= 0")
-    if s.headroom_factor <= 0.0:
-        v.append("headroom_factor must be > 0")
+    if not _positive(s.headroom_factor):
+        v.append("headroom_factor must be > 0 and finite")
     if s.drain_cap_epochs is not None and s.drain_cap_epochs < 0:
         v.append("drain_cap_epochs must be >= 0")
 
     t = s.traffic
-    if t.mean_arrivals_per_epoch < 0.0:
-        v.append("traffic.mean_arrivals_per_epoch must be >= 0")
+    if not _non_negative(t.mean_arrivals_per_epoch):
+        v.append("traffic.mean_arrivals_per_epoch must be >= 0 and finite")
     if t.process not in ("poisson", "deterministic"):
         v.append(f"traffic.process {t.process!r} unknown (poisson|deterministic)")
     if len(t.skew) != s.num_upfs:
@@ -283,8 +288,8 @@ def validate_scenario(s: Scenario) -> List[str]:
         if u.capacity is not None:
             if set(u.capacity) != set(QosClass):
                 v.append(f"upf {u.id}: capacity must cover all four QoS classes")
-            elif any(c <= 0.0 for c in u.capacity.values()):
-                v.append(f"upf {u.id}: capacity entries must be > 0")
+            elif not all(_positive(c) for c in u.capacity.values()):
+                v.append(f"upf {u.id}: capacity entries must be > 0 and finite")
         if u.alpha is not None:
             if set(u.alpha) != set(QosClass):
                 v.append(f"upf {u.id}: alpha must cover all four QoS classes")
@@ -295,10 +300,10 @@ def validate_scenario(s: Scenario) -> List[str]:
                 total = sum(u.alpha.values())
                 if total > 1.0 + _SUM_TOL:
                     v.append(f"upf {u.id}: alpha sums to {total:g}, expected <= 1.0")
-        if u.etpb is not None and u.etpb <= 0.0:
-            v.append(f"upf {u.id}: etpb must be > 0")
-        if u.bytes_per_ue <= 0.0:
-            v.append(f"upf {u.id}: bytes_per_ue must be > 0")
+        if u.etpb is not None and not _positive(u.etpb):
+            v.append(f"upf {u.id}: etpb must be > 0 and finite")
+        if not _positive(u.bytes_per_ue):
+            v.append(f"upf {u.id}: bytes_per_ue must be > 0 and finite")
         if u.queue_cap is not None and any(c < 1 for c in u.queue_cap.values()):
             v.append(f"upf {u.id}: queue_cap entries must be >= 1")
 
@@ -307,12 +312,12 @@ def validate_scenario(s: Scenario) -> List[str]:
     for m in s.mecs:
         if m.capacity is None and m.etpb is None:
             v.append(f"mec {m.id}: needs capacity or etpb to derive it")
-        if m.capacity is not None and m.capacity <= 0.0:
-            v.append(f"mec {m.id}: capacity must be > 0")
-        if m.etpb is not None and m.etpb <= 0.0:
-            v.append(f"mec {m.id}: etpb must be > 0")
-        if m.bytes_per_ue <= 0.0:
-            v.append(f"mec {m.id}: bytes_per_ue must be > 0")
+        if m.capacity is not None and not _positive(m.capacity):
+            v.append(f"mec {m.id}: capacity must be > 0 and finite")
+        if m.etpb is not None and not _positive(m.etpb):
+            v.append(f"mec {m.id}: etpb must be > 0 and finite")
+        if not _positive(m.bytes_per_ue):
+            v.append(f"mec {m.id}: bytes_per_ue must be > 0 and finite")
         if m.queue_cap is not None and m.queue_cap < 1:
             v.append(f"mec {m.id}: queue_cap must be >= 1")
 
@@ -322,12 +327,12 @@ def validate_scenario(s: Scenario) -> List[str]:
             f"link_bandwidth_mbps must be a {s.num_upfs}x{s.num_mecs} matrix "
             "(row per UPF, column per MEC)"
         )
-    elif any(b <= 0.0 for row in bw for b in row):
-        v.append("link bandwidths must be > 0")
+    elif not all(_positive(b) for row in bw for b in row):
+        v.append("link bandwidths must be > 0 and finite")
 
     for q, thr in s.thresholds_ms.items():
-        if thr <= 0.0:
-            v.append(f"thresholds_ms[{q.value}] must be > 0")
+        if not _positive(thr):
+            v.append(f"thresholds_ms[{q.value}] must be > 0 and finite")
 
     if s.scheme in CO_LOCATED_SCHEMES and s.num_upfs != s.num_mecs:
         v.append(

@@ -128,9 +128,7 @@ def pair_enumeration_optimum(
     best = float("inf")
     for i in range(nu):
         for j in range(nm):
-            total = pc_upf[i] + net_delay(
-                n_share[i][j], bytes_mec[j], bandwidth[i][j], delta
-            ) + pc_mec[j]
+            total = pc_upf[i] + net_delay(n_share[i][j], bytes_mec[j], bandwidth[i][j]) + pc_mec[j]
             if total < best:
                 best, best_i, best_j = total, i, j
     return best_i, best_j, best

@@ -1,10 +1,15 @@
 """Request-to-resource assignment policies.
 
-Each scheme inspects a read-only snapshot of the current queue state and
-returns an AssignmentDecision; the engine applies it.  Decisions never
-mutate state.  The bestfit search is a plain argmin over projected
-delays with ties broken toward the lowest index, so results are
-deterministic for identical snapshots.
+Each scheme reads the run's cost vectors (the projected delay of joining
+every UPF bucket of the request's class, and every MEC, now) and returns
+an AssignmentDecision; the engine applies it and keeps the vectors
+current.  Decisions never mutate state.  The bestfit choice is the
+vector's argmin, which takes the first minimum, so ties break toward the
+lowest index and results are deterministic for identical states.
+
+The snapshot functions and ``find_bestfit_upf`` are the same choice made
+with a Python loop over a list of buckets; the oracles and the tests use
+them as the reference.
 """
 
 from __future__ import annotations
@@ -12,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .delay import (
-    DelayBreakdown,
-    mec_projected_delay,
-    net_delay,
-    upf_headroom,
-    upf_projected_delay,
-)
+from .delay import DelayBreakdown, net_delay, upf_projected_delay
 
 # a bucket snapshot is (queue_len, headroom, capacity)
 Bucket = Tuple[float, float, float]
@@ -33,33 +32,34 @@ class AssignmentDecision:
     projected: DelayBreakdown
 
 
-def upf_bucket_snapshot(upfs, qos) -> List[Bucket]:
-    """Per-UPF (queue_len, headroom, capacity) for one QoS class, id order."""
-    return [
-        (
-            float(len(u.queue[qos])),
-            upf_headroom(u.capacity[qos], u.in_service[qos]),
-            u.capacity[qos],
-        )
-        for u in upfs
-    ]
+def upf_bucket(upf, qos) -> Bucket:
+    """(queue_len, headroom, capacity) of one UPF's bucket for a QoS class.
+
+    Headroom is the full capacity: service runs after admission in every
+    epoch, so no request is in service while decisions are made.
+    """
+    capacity = upf.capacity[qos]
+    return (float(len(upf.queue[qos])), capacity, capacity)
 
 
-def mec_snapshot(mecs) -> List[Bucket]:
-    """Per-MEC (queue_len, headroom, capacity), id order.
+def mec_bucket(mec) -> Bucket:
+    """(queue_len, headroom, capacity) of one MEC host.
 
     The effective queue length counts pending commitments: requests already
     assigned to the MEC but still upstream.  Without them every decision in
     an epoch would see the same stale queue and pile onto one host.
     """
-    return [
-        (
-            float(len(m.queue) + m.pending),
-            upf_headroom(m.capacity, m.in_service),
-            m.capacity,
-        )
-        for m in mecs
-    ]
+    return (float(len(mec.queue) + mec.pending), mec.capacity, mec.capacity)
+
+
+def upf_bucket_snapshot(upfs, qos) -> List[Bucket]:
+    """Per-UPF buckets for one QoS class, id order."""
+    return [upf_bucket(u, qos) for u in upfs]
+
+
+def mec_snapshot(mecs) -> List[Bucket]:
+    """Per-MEC buckets, id order."""
+    return [mec_bucket(m) for m in mecs]
 
 
 def find_bestfit_upf(buckets: Sequence[Bucket], delta: float) -> Tuple[int, float]:
@@ -75,11 +75,10 @@ def find_bestfit_upf(buckets: Sequence[Bucket], delta: float) -> Tuple[int, floa
     return best_idx, best
 
 
-def find_bestfit_mec(buckets: Sequence[Bucket], delta: float) -> Tuple[int, float]:
-    """Same argmin over MEC hosts; the delay law is shared with the UPF tier."""
-    if not buckets:
-        raise ValueError("no MECs to choose from")
-    return find_bestfit_upf(buckets, delta)
+def _bestfit(cost) -> Tuple[int, float]:
+    """Index of the lowest entry of a cost vector (the first on ties), and the entry."""
+    idx = int(cost.argmin())
+    return idx, float(cost[idx])
 
 
 def _projected_for(run, req, upf_id: int, mec_id: Optional[int], pc_upf: float) -> DelayBreakdown:
@@ -87,32 +86,21 @@ def _projected_for(run, req, upf_id: int, mec_id: Optional[int], pc_upf: float) 
         return DelayBreakdown.compose(pc_upf, 0.0, 0.0)
     mec = run.mecs[mec_id - 1]
     link = run.link(upf_id, mec_id)
-    d_net = net_delay(link.n_share, mec.bytes_per_ue, link.bandwidth, run.delta)
-    pc_mec = mec_projected_delay(
-        float(len(mec.queue) + mec.pending),
-        upf_headroom(mec.capacity, mec.in_service),
-        mec.capacity,
-        run.delta,
-    )
-    return DelayBreakdown.compose(pc_upf, d_net, pc_mec)
+    d_net = net_delay(link.n_share, mec.bytes_per_ue, link.bandwidth)
+    return DelayBreakdown.compose(pc_upf, d_net, float(run.mec_cost[mec_id - 1]))
 
 
 def assign_baseline(req, run) -> AssignmentDecision:
     """SMF default: origin UPF and its co-located MEC, no load awareness."""
-    upf = run.upfs[req.origin_upf - 1]
-    pc_upf = upf_projected_delay(
-        float(len(upf.queue[req.qos])),
-        upf_headroom(upf.capacity[req.qos], upf.in_service[req.qos]),
-        upf.capacity[req.qos],
-        run.delta,
-    )
-    mec_id = req.origin_upf if req.qos.uses_mec else None
-    return AssignmentDecision(upf.id, mec_id, _projected_for(run, req, upf.id, mec_id, pc_upf))
+    upf_id = req.origin_upf
+    pc_upf = float(run.upf_cost[req.qos][upf_id - 1])
+    mec_id = upf_id if req.qos.uses_mec else None
+    return AssignmentDecision(upf_id, mec_id, _projected_for(run, req, upf_id, mec_id, pc_upf))
 
 
 def assign_bestfit_no_pe(req, run) -> AssignmentDecision:
     """Bestfit UPF, but the data path still ends at the origin's MEC."""
-    idx, pc_upf = find_bestfit_upf(upf_bucket_snapshot(run.upfs, req.qos), run.delta)
+    idx, pc_upf = _bestfit(run.upf_cost[req.qos])
     upf_id = run.upfs[idx].id
     mec_id = req.origin_upf if req.qos.uses_mec else None
     return AssignmentDecision(upf_id, mec_id, _projected_for(run, req, upf_id, mec_id, pc_upf))
@@ -120,7 +108,7 @@ def assign_bestfit_no_pe(req, run) -> AssignmentDecision:
 
 def assign_bestfit_pe(req, run) -> AssignmentDecision:
     """Bestfit UPF with path extension to that UPF's co-located MEC."""
-    idx, pc_upf = find_bestfit_upf(upf_bucket_snapshot(run.upfs, req.qos), run.delta)
+    idx, pc_upf = _bestfit(run.upf_cost[req.qos])
     upf_id = run.upfs[idx].id
     mec_id = None
     if req.qos.uses_mec:
@@ -135,12 +123,11 @@ def assign_bestfit_pe(req, run) -> AssignmentDecision:
 
 def assign_bestfit_upf_mec(req, run) -> AssignmentDecision:
     """Bestfit UPF and bestfit MEC, each chosen on its own tier's state."""
-    idx, pc_upf = find_bestfit_upf(upf_bucket_snapshot(run.upfs, req.qos), run.delta)
+    idx, pc_upf = _bestfit(run.upf_cost[req.qos])
     upf_id = run.upfs[idx].id
     mec_id = None
     if req.qos.uses_mec:
-        midx, _ = find_bestfit_mec(mec_snapshot(run.mecs), run.delta)
-        mec_id = run.mecs[midx].id
+        mec_id = run.mecs[int(run.mec_cost.argmin())].id
     return AssignmentDecision(upf_id, mec_id, _projected_for(run, req, upf_id, mec_id, pc_upf))
 
 

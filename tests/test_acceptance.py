@@ -200,6 +200,7 @@ def test_criterion_06_pair_oracle():
     gap_run.links[(1, 2)].in_transit.append(
         UeRequest(id=1, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
     )
+    gap_run.refresh_costs()
     req = UeRequest(id=2, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
     decision = assign_bestfit_upf_mec(req, gap_run)
     i, j, value = pair_enumeration_optimum(*_oracle_inputs(gap_run, QosClass.URLLC), gap_run.delta)
@@ -219,7 +220,7 @@ def test_criterion_07_delay_model_values():
         upf_projected_delay(7.0, 0.0, 4.0, 1.0),
         upf_projected_delay(2.0, 2.0, 4.0, 1.0),
         mec_projected_delay(5.0, 0.0, 2.0, 1.0),
-        net_delay(10, 1500.0, 150_000.0, 1.0),
+        net_delay(10, 1500.0, 150_000.0),
         worst_case_batch_delay(3.0, 5, 0.0, 4.0),
         upf_capacity(0.25, 2.0, 1.0, 1.0),
     )

@@ -61,6 +61,23 @@ def test_invalid_scenario_is_a_usage_error(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--seeds", "5-1"],
+        ["compare", "--seeds", "x"],
+        ["capex", "--scenario", "metro", "--pairs", "0"],
+        ["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "3,y"],
+    ],
+)
+def test_malformed_lists_are_usage_errors(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_compare_rejects_unknown_scheme(tmp_path, capsys):
     rc = main([
         "compare", "--scenario", "campus5", "--schemes", "bestfit_upf_mec,warp",

@@ -11,7 +11,6 @@ from upfmec.delay import (
     net_delay,
     transit_epochs,
     upf_capacity,
-    upf_headroom,
     upf_projected_delay,
     worst_case_batch_delay,
 )
@@ -45,11 +44,11 @@ def test_mec_projected_delay_values():
 
 def test_net_delay_shared_link():
     # 10 sharers x 1500 B x 8 over 150 Mbps = 150e3 bits/ms
-    assert net_delay(10, 1500.0, 150e3, 1.0) == 0.8
+    assert net_delay(10, 1500.0, 150e3) == 0.8
 
 
 def test_net_delay_empty_link_is_free():
-    assert net_delay(0, 1500.0, 150e3, 1.0) == 0.0
+    assert net_delay(0, 1500.0, 150e3) == 0.0
 
 
 def test_worst_case_batch_delay_values():
@@ -69,12 +68,6 @@ def test_transit_epochs_rounds_up():
     assert transit_epochs(2.1, 1.0) == 3
 
 
-def test_headroom_arithmetic():
-    assert upf_headroom(4.0, 4.0) == 0.0
-    assert upf_headroom(4.0, 1.0) == 3.0
-    assert upf_headroom(6.0, 0.0) == 6.0
-
-
 def test_compose_sums_components():
     b = DelayBreakdown.compose(1.0, 0.5, 2.0)
     assert b.d_e2e == 3.5
@@ -91,13 +84,6 @@ def test_capacity_rejects_disabled_bucket():
         upf_capacity(0.0, 2.0, 0.5, 1.0)
 
 
-def test_headroom_rejects_overcommit():
-    with pytest.raises(ValueError):
-        upf_headroom(4.0, 5.0)
-    with pytest.raises(ValueError):
-        upf_headroom(4.0, -1.0)
-
-
 def test_projected_delay_rejects_bad_inputs():
     with pytest.raises(ValueError):
         upf_projected_delay(1.0, 0.0, 0.0, 1.0)
@@ -109,9 +95,9 @@ def test_projected_delay_rejects_bad_inputs():
 
 def test_net_delay_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        net_delay(-1, 1500.0, 150e3, 1.0)
+        net_delay(-1, 1500.0, 150e3)
     with pytest.raises(ValueError):
-        net_delay(1, 1500.0, 0.0, 1.0)
+        net_delay(1, 1500.0, 0.0)
 
 
 def test_transit_epochs_rejects_negative():
@@ -155,8 +141,8 @@ def test_mec_delay_shares_the_upf_law(q, h, c, delta):
 @settings(max_examples=200, deadline=None)
 @given(a=st.integers(0, 1000), b=st.integers(0, 1000), bw=pos)
 def test_net_delay_linear_in_share(a, b, bw):
-    total = net_delay(a + b, 1500.0, bw, 1.0)
-    assert total == pytest.approx(net_delay(a, 1500.0, bw, 1.0) + net_delay(b, 1500.0, bw, 1.0))
+    total = net_delay(a + b, 1500.0, bw)
+    assert total == pytest.approx(net_delay(a, 1500.0, bw) + net_delay(b, 1500.0, bw))
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,8 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from upfmec.delay import upf_projected_delay
 from upfmec.engine import SimulationRun, generate_arrivals, run_to_completion
+from upfmec.metrics import build_pair_scenario
 from upfmec.model import QosClass, RequestStatus, Scheme, TrafficSpec
+from upfmec.schemes import find_bestfit_upf, mec_snapshot, upf_bucket_snapshot
 
 from conftest import make_scenario
 
@@ -86,6 +89,17 @@ def test_regular_traffic_never_touches_the_mec():
         assert r.d_e2e == r.d_upf
     assert all(not series or max(series) == 0 for series in res.mec_queue_series.values())
     assert all(link.n_share == 0 for link in run.links.values())
+
+
+def test_d_net_is_in_ms_for_any_epoch_length():
+    # 12 Mbps = 12000 bits/ms: one 1500 B transfer takes 1 ms however long an epoch is
+    d_net = {}
+    for delta in (0.5, 1.0, 2.0):
+        s = make_scenario(
+            num_upfs=1, lam=1.0, horizon=1, qos_mix=ALL_URLLC, bandwidth_mbps=12.0, delta=delta
+        )
+        d_net[delta] = run_to_completion(s).requests[0].d_net
+    assert d_net == {0.5: 1.0, 1.0: 1.0, 2.0: 1.0}
 
 
 def test_burst_leaves_excess_queued():
@@ -209,6 +223,36 @@ def test_completed_delays_respect_stage_minimums(campus5):
             assert r.d_e2e >= 2 * delta
         else:
             assert r.d_e2e >= delta
+
+
+def _check_costs_at_every_decision(run: SimulationRun) -> list:
+    """Make every decision of the run first check the cost vectors against fresh snapshots."""
+    decisions = []
+    assign = run._assign
+
+    def checked(req, run_):
+        snap = upf_bucket_snapshot(run.upfs, req.qos)
+        cost = run.upf_cost[req.qos]
+        assert cost.tolist() == [upf_projected_delay(*b, run.delta) for b in snap]
+        assert int(cost.argmin()) == find_bestfit_upf(snap, run.delta)[0]
+        snap = mec_snapshot(run.mecs)
+        assert run.mec_cost.tolist() == [upf_projected_delay(*b, run.delta) for b in snap]
+        assert int(run.mec_cost.argmin()) == find_bestfit_upf(snap, run.delta)[0]
+        decisions.append(req.id)
+        return assign(req, run_)
+
+    run._assign = checked
+    return decisions
+
+
+@pytest.mark.parametrize("pairs", [None, 1, 10])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_cost_vectors_match_fresh_snapshots(campus5, metro, pairs, scheme):
+    base = campus5 if pairs is None else build_pair_scenario(metro, pairs)
+    run = SimulationRun(replace(base, scheme=scheme), seed=2)
+    decisions = _check_costs_at_every_decision(run)
+    res = run.run()
+    assert len(decisions) == res.generated > 0
 
 
 def test_pending_commitments_fully_drain(metro):

@@ -90,6 +90,43 @@ def test_threshold_must_be_positive():
     assert any("thresholds_ms[urllc]" in m for m in validate_scenario(s))
 
 
+def _set_alpha(s, x):
+    s.upfs[0].alpha = {q: 0.25 for q in QosClass}
+    s.upfs[0].alpha[QosClass.URLLC] = x
+
+
+# message prefix -> how to put a value into that float field
+FLOAT_FIELDS = {
+    "delta_ms": lambda s, x: setattr(s, "delta_ms", x),
+    "headroom_factor": lambda s, x: setattr(s, "headroom_factor", x),
+    "traffic.mean_arrivals_per_epoch": (
+        lambda s, x: setattr(s.traffic, "mean_arrivals_per_epoch", x)
+    ),
+    "traffic.skew": lambda s, x: s.traffic.skew.__setitem__(0, x),
+    "traffic.qos_mix": lambda s, x: s.traffic.qos_mix.__setitem__(QosClass.EMBB, x),
+    "upf 1: capacity": lambda s, x: s.upfs[0].capacity.__setitem__(QosClass.URLLC, x),
+    "upf 1: etpb": lambda s, x: setattr(s.upfs[0], "etpb", x),
+    "upf 1: alpha": _set_alpha,
+    "upf 1: bytes_per_ue": lambda s, x: setattr(s.upfs[0], "bytes_per_ue", x),
+    "mec 1: capacity": lambda s, x: setattr(s.mecs[0], "capacity", x),
+    "mec 1: etpb": lambda s, x: setattr(s.mecs[0], "etpb", x),
+    "mec 1: bytes_per_ue": lambda s, x: setattr(s.mecs[0], "bytes_per_ue", x),
+    "link bandwidths": lambda s, x: s.link_bandwidth_mbps[0].__setitem__(1, x),
+    "thresholds_ms[urllc]": lambda s, x: s.thresholds_ms.__setitem__(QosClass.URLLC, x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_non_finite_values_are_rejected(field, value):
+    # a NaN cost would also be the argmin the schemes pick: np.argmin returns the first NaN
+    s = make_scenario(thresholds={QosClass.URLLC: 5.0})
+    assert validate_scenario(s) == []
+    FLOAT_FIELDS[field](s, value)
+    msgs = validate_scenario(s)
+    assert any(m.startswith(field) for m in msgs), msgs
+
+
 # --------------------------------------------------------------- serialization
 
 

@@ -137,6 +137,7 @@ def _stuffed_run(rng: np.random.Generator) -> SimulationRun:
             UeRequest(id=0, qos=QosClass.EMBB, origin_upf=uid, arrival_epoch=0)
             for _ in range(int(rng.integers(0, 15)))
         )
+    run.refresh_costs()
     return run
 
 
@@ -177,6 +178,7 @@ def test_congested_link_exposes_the_independence_gap():
     run.links[(1, 2)].in_transit.append(
         UeRequest(id=1, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
     )
+    run.refresh_costs()
     req = UeRequest(id=2, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
     decision = assign_bestfit_upf_mec(req, run)
     assert decision.mec_id == 2

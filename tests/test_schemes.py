@@ -14,7 +14,6 @@ from upfmec.schemes import (
     assign_bestfit_no_pe,
     assign_bestfit_pe,
     assign_bestfit_upf_mec,
-    find_bestfit_mec,
     find_bestfit_upf,
     mec_snapshot,
     upf_bucket_snapshot,
@@ -34,10 +33,12 @@ def dummy(qos=QosClass.URLLC, origin=1) -> UeRequest:
 
 def stuff_upf(run: SimulationRun, upf_id: int, qos: QosClass, n: int) -> None:
     run.upfs[upf_id - 1].queue[qos].extend(dummy(qos) for _ in range(n))
+    run.refresh_costs()
 
 
 def stuff_mec(run: SimulationRun, mec_id: int, n: int) -> None:
     run.mecs[mec_id - 1].queue.extend(dummy() for _ in range(n))
+    run.refresh_costs()
 
 
 bucket = st.tuples(
@@ -53,7 +54,6 @@ bucket = st.tuples(
 def test_tie_breaks_to_lowest_index():
     idle = [(0.0, 2.0, 2.0)] * 3
     assert find_bestfit_upf(idle, 1.0) == (0, 1.0)
-    assert find_bestfit_mec(idle, 1.0) == (0, 1.0)
 
 
 def test_empty_bucket_beats_saturated_peers():
@@ -63,14 +63,12 @@ def test_empty_bucket_beats_saturated_peers():
 
 
 def test_singleton_is_always_chosen():
-    assert find_bestfit_mec([(99.0, 0.0, 1.0)], 1.0)[0] == 0
+    assert find_bestfit_upf([(99.0, 0.0, 1.0)], 1.0)[0] == 0
 
 
 def test_empty_snapshot_rejected():
     with pytest.raises(ValueError):
         find_bestfit_upf([], 1.0)
-    with pytest.raises(ValueError):
-        find_bestfit_mec([], 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,6 +171,7 @@ def test_pending_commitments_steer_later_decisions():
     assert first.mec_id == 1
     # mirror the engine's bookkeeping for an admitted request still upstream
     run.mecs[0].pending = int(run.mecs[0].capacity)
+    run.refresh_costs()
     second = assign_bestfit_upf_mec(dummy(), run)
     assert second.mec_id == 2
 
