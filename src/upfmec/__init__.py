@@ -3,16 +3,14 @@
 from .delay import (
     DelayBreakdown,
     mec_capacity,
-    mec_projected_delay,
     net_delay,
+    projected_delay,
     transit_epochs,
     upf_capacity,
-    upf_projected_delay,
     worst_case_batch_delay,
 )
 from .engine import EpochReport, InvariantError, RunResult, SimulationRun, run_to_completion
 from .model import (
-    EpochClock,
     Link,
     MecSpec,
     MecState,

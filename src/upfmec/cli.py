@@ -144,7 +144,7 @@ def cmd_compare(args) -> int:
                 r.d_e2e for r in result.requests if r.status is RequestStatus.COMPLETED
             )
         cdf_path = metrics.report_path(out, scenario.name, scheme, "pooled", "cdf", "csv")
-        metrics.write_cdf_csv(metrics.build_cdf(sorted(pooled_e2e)), cdf_path)
+        metrics.write_cdf_csv(metrics.build_cdf(pooled_e2e), cdf_path)
         agg[scheme] = {
             "mean_of_max": float(np.mean(maxima)) if maxima else None,
             "mean_of_mean": float(np.mean(means)) if means else None,

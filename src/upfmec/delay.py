@@ -45,7 +45,14 @@ def mec_capacity(etpb: float, bytes_per_ue: float, delta: float) -> float:
     return upf_capacity(etpb, bytes_per_ue, 1.0, delta)
 
 
-def _projected(queue_len: float, headroom: float, capacity: float, delta: float) -> float:
+def projected_delay(queue_len: float, headroom: float, capacity: float, delta: float) -> float:
+    """Expected completion delay for a request joining a bucket now, ms.
+
+    One law prices a UPF QoS bucket and a MEC host alike.  If the queue
+    fits into the headroom the request completes this epoch (delta);
+    otherwise the excess ahead of it drains at the service rate and its own
+    epoch of service is added on top.
+    """
     if capacity <= 0.0:
         raise ValueError(f"capacity must be > 0, got {capacity}")
     if delta <= 0.0:
@@ -55,21 +62,6 @@ def _projected(queue_len: float, headroom: float, capacity: float, delta: float)
     if queue_len < headroom:
         return delta
     return ((queue_len + 1.0 - headroom) / capacity) * delta + delta
-
-
-def upf_projected_delay(queue_len: float, headroom: float, capacity: float, delta: float) -> float:
-    """Expected completion delay for a request joining a UPF QoS bucket now.
-
-    If the queue fits into the headroom the request completes this epoch
-    (delta); otherwise the excess ahead of it drains at the service rate
-    and its own epoch of service is added on top.
-    """
-    return _projected(queue_len, headroom, capacity, delta)
-
-
-def mec_projected_delay(queue_len: float, headroom: float, capacity: float, delta: float) -> float:
-    """Expected completion delay at a MEC host; same law as the UPF bucket."""
-    return _projected(queue_len, headroom, capacity, delta)
 
 
 def net_delay(n_share: int, bytes_per_ue: float, bandwidth: float) -> float:

@@ -25,16 +25,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .delay import (
-    mec_capacity,
-    mec_projected_delay,
-    net_delay,
-    transit_epochs,
-    upf_capacity,
-    upf_projected_delay,
-)
+from .delay import mec_capacity, net_delay, projected_delay, transit_epochs, upf_capacity
 from .model import (
-    EpochClock,
     Link,
     MecState,
     QosClass,
@@ -139,11 +131,6 @@ def _build_upf(spec, scenario: Scenario) -> UpfState:
             q: upf_capacity(spec.etpb, spec.bytes_per_ue, spec.alpha[q], delta)
             for q in QosClass
         }
-    if spec.alpha is not None:
-        alpha = dict(spec.alpha)
-    else:
-        total = sum(capacity.values())
-        alpha = {q: capacity[q] / total for q in QosClass}
     lam = scenario.traffic.mean_arrivals_per_epoch
     skew = scenario.traffic.skew[spec.id - 1]
     mix = scenario.traffic.qos_mix
@@ -156,11 +143,7 @@ def _build_upf(spec, scenario: Scenario) -> UpfState:
             for q in QosClass
         }
     return UpfState(
-        id=spec.id,
-        capacity=capacity,
-        alpha=alpha,
-        queue_cap=queue_cap,
-        bytes_per_ue=spec.bytes_per_ue,
+        id=spec.id, capacity=capacity, queue_cap=queue_cap, bytes_per_ue=spec.bytes_per_ue
     )
 
 
@@ -196,6 +179,8 @@ class SimulationRun:
         violations = validate_scenario(scenario)
         if violations:
             raise ScenarioError("; ".join(violations))
+        if drain_cap is not None and drain_cap < 0:
+            raise ValueError(f"drain cap must be >= 0, got {drain_cap}")
         self.scenario = scenario
         self.delta = scenario.delta_ms
         self.seed = scenario.seed if seed is None else seed
@@ -211,7 +196,7 @@ class SimulationRun:
                 self.links[(i, j)] = Link(upf_id=i, mec_id=j, bandwidth=bw)
         # keys of the links with requests in transit; requests enter links only via _enter_link
         self._busy_links: Set[Tuple[int, int]] = set()
-        self.clock = EpochClock(0, self.delta)
+        self.epoch = 0
         if drain_cap is not None:
             self.drain_cap = drain_cap
         elif scenario.drain_cap_epochs is not None:
@@ -226,16 +211,11 @@ class SimulationRun:
         self.completed = 0
         self.dropped = 0
         self._next_id = 0
-        self._upf_credit = {(u.id, q): 0.0 for u in self.upfs for q in QosClass}
-        self._mec_credit = {m.id: 0.0 for m in self.mecs}
         self.upf_cost: Dict[QosClass, np.ndarray] = {
             q: np.empty(len(self.upfs)) for q in QosClass
         }
         self.mec_cost = np.empty(len(self.mecs))
         self.refresh_costs()
-
-    def link(self, upf_id: int, mec_id: int) -> Link:
-        return self.links[(upf_id, mec_id)]
 
     @property
     def in_flight(self) -> int:
@@ -245,14 +225,14 @@ class SimulationRun:
         """Recompute every entry of the cost vectors from the current queues."""
         for q in _QOS_LIST:
             self.upf_cost[q][:] = [
-                upf_projected_delay(*b, self.delta) for b in upf_bucket_snapshot(self.upfs, q)
+                projected_delay(*b, self.delta) for b in upf_bucket_snapshot(self.upfs, q)
             ]
-        self.mec_cost[:] = [mec_projected_delay(*b, self.delta) for b in mec_snapshot(self.mecs)]
+        self.mec_cost[:] = [projected_delay(*b, self.delta) for b in mec_snapshot(self.mecs)]
 
     # ------------------------------------------------------------- stepping
 
     def step_epoch(self, generate: bool = True) -> EpochReport:
-        epoch = self.clock.epoch_index
+        epoch = self.epoch
         arrivals: List[UeRequest] = []
         if generate:
             arrivals = generate_arrivals(
@@ -277,14 +257,14 @@ class SimulationRun:
             else:
                 req.advance_status(RequestStatus.IN_UPF_QUEUE)
                 upf.queue[req.qos].append(req)
-                self.upf_cost[req.qos][decision.upf_id - 1] = upf_projected_delay(
+                self.upf_cost[req.qos][decision.upf_id - 1] = projected_delay(
                     *upf_bucket(upf, req.qos), self.delta
                 )
                 admitted += 1
                 if decision.mec_id is not None:
                     mec = self.mecs[decision.mec_id - 1]
                     mec.pending += 1
-                    self.mec_cost[decision.mec_id - 1] = mec_projected_delay(
+                    self.mec_cost[decision.mec_id - 1] = projected_delay(
                         *mec_bucket(mec), self.delta
                     )
         if admitted + dropped_now != len(arrivals):
@@ -296,7 +276,7 @@ class SimulationRun:
         for u in self.upfs:
             for q in _QOS_LIST:
                 queue = u.queue[q]
-                credit = self._upf_credit[(u.id, q)] + u.capacity[q]
+                credit = u.credit[q] + u.capacity[q]
                 n = min(len(queue), int(credit))
                 for _ in range(n):
                     req = queue.popleft()
@@ -307,7 +287,7 @@ class SimulationRun:
                     else:
                         self._complete(req)
                 served_upf += n
-                self._upf_credit[(u.id, q)] = credit - n if queue else 0.0
+                u.credit[q] = credit - n if queue else 0.0
                 if n > math.ceil(u.capacity[q]):
                     raise InvariantError(
                         f"epoch {epoch}: upf {u.id} {q.value} served {n} "
@@ -337,16 +317,15 @@ class SimulationRun:
 
         served_mec = completed_now = 0
         for m in self.mecs:
-            credit = self._mec_credit[m.id] + m.capacity
+            credit = m.credit + m.capacity
             n = min(len(m.queue), int(credit))
             for _ in range(n):
                 req = m.queue.popleft()
-                req.mec_serve_epoch = epoch
                 req.d_mec = (epoch + 1 - req.mec_arrival_epoch) * self.delta
                 self._complete(req)
                 completed_now += 1
             served_mec += n
-            self._mec_credit[m.id] = credit - n if m.queue else 0.0
+            m.credit = credit - n if m.queue else 0.0
             if n > math.ceil(m.capacity):
                 raise InvariantError(
                     f"epoch {epoch}: mec {m.id} served {n} over capacity {m.capacity}"
@@ -369,7 +348,7 @@ class SimulationRun:
             in_flight=self.in_flight,
         )
         self.epoch_reports.append(report)
-        self.clock.advance()
+        self.epoch += 1
         return report
 
     def _enter_link(self, req: UeRequest, epoch: int) -> None:
@@ -391,7 +370,7 @@ class SimulationRun:
     # ------------------------------------------------------------- full run
 
     def run(self) -> RunResult:
-        while self.clock.epoch_index < self.scenario.horizon_epochs:
+        while self.epoch < self.scenario.horizon_epochs:
             self.step_epoch(generate=True)
         drained = 0
         while self.in_flight > 0 and drained < self.drain_cap:
@@ -405,7 +384,7 @@ class SimulationRun:
             scenario=self.scenario,
             scheme=self.scenario.scheme.value,
             seed=self.seed,
-            epochs_run=self.clock.epoch_index,
+            epochs_run=self.epoch,
             truncated=self.in_flight > 0,
             requests=self.requests,
             epoch_reports=self.epoch_reports,

@@ -166,64 +166,27 @@ def build_pair_scenario(base: Scenario, pairs: int) -> Scenario:
 
     Capacities, bandwidths and the traffic skew repeat the base vectors;
     the skew is renormalized to sum to one.  Total offered traffic stays
-    unchanged, so smaller deployments are proportionally more loaded.
+    unchanged, so smaller deployments are proportionally more loaded.  The
+    copied specs share their per-QoS maps with the base scenario's.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
-    doc_upfs = []
-    doc_mecs = []
     u0, m0 = base.num_upfs, base.num_mecs
-    for i in range(pairs):
-        src = base.upfs[i % u0]
-        doc_upfs.append(
-            type(src)(
-                id=i + 1,
-                capacity=dict(src.capacity) if src.capacity is not None else None,
-                etpb=src.etpb,
-                bytes_per_ue=src.bytes_per_ue,
-                alpha=dict(src.alpha) if src.alpha is not None else None,
-                queue_cap=dict(src.queue_cap) if src.queue_cap is not None else None,
-            )
-        )
-    for j in range(pairs):
-        src = base.mecs[j % m0]
-        doc_mecs.append(
-            type(src)(
-                id=j + 1,
-                capacity=src.capacity,
-                etpb=src.etpb,
-                bytes_per_ue=src.bytes_per_ue,
-                queue_cap=src.queue_cap,
-            )
-        )
     raw_skew = [base.traffic.skew[i % u0] for i in range(pairs)]
     total = sum(raw_skew)
-    skew = [s / total for s in raw_skew]
     bw = [
         [base.link_bandwidth_mbps[i % u0][j % m0] for j in range(pairs)]
         for i in range(pairs)
     ]
-    traffic = type(base.traffic)(
-        mean_arrivals_per_epoch=base.traffic.mean_arrivals_per_epoch,
-        skew=skew,
-        qos_mix=dict(base.traffic.qos_mix),
-        process=base.traffic.process,
-    )
-    return Scenario(
+    return replace(
+        base,
         name=f"{base.name}-p{pairs}",
         num_upfs=pairs,
         num_mecs=pairs,
-        delta_ms=base.delta_ms,
-        horizon_epochs=base.horizon_epochs,
-        seed=base.seed,
-        scheme=base.scheme,
-        traffic=traffic,
-        upfs=doc_upfs,
-        mecs=doc_mecs,
+        traffic=replace(base.traffic, skew=[s / total for s in raw_skew]),
+        upfs=[replace(base.upfs[i % u0], id=i + 1) for i in range(pairs)],
+        mecs=[replace(base.mecs[j % m0], id=j + 1) for j in range(pairs)],
         link_bandwidth_mbps=bw,
-        thresholds_ms=dict(base.thresholds_ms),
-        headroom_factor=base.headroom_factor,
-        drain_cap_epochs=base.drain_cap_epochs,
     )
 
 

@@ -72,21 +72,6 @@ class RequestStatus(enum.IntEnum):
     DROPPED = 5
 
 
-@dataclass
-class EpochClock:
-    """Discrete simulation clock; delta is the epoch length in ms."""
-
-    epoch_index: int = 0
-    delta: float = 1.0
-
-    def advance(self) -> None:
-        self.epoch_index += 1
-
-    @property
-    def now_ms(self) -> float:
-        return self.epoch_index * self.delta
-
-
 @dataclass(slots=True)
 class UeRequest:
     """One UE connection request flowing through UPF, link and MEC."""
@@ -101,7 +86,6 @@ class UeRequest:
     upf_serve_epoch: Optional[int] = None
     mec_due_epoch: Optional[int] = None
     mec_arrival_epoch: Optional[int] = None
-    mec_serve_epoch: Optional[int] = None
     # measured delay components, ms
     d_upf: float = 0.0
     d_net: float = 0.0
@@ -184,13 +168,16 @@ class UpfState:
 
     id: int
     capacity: Dict[QosClass, float]
-    alpha: Dict[QosClass, float]
     queue_cap: Dict[QosClass, int]
     bytes_per_ue: float
     queue: Dict[QosClass, Deque[UeRequest]] = field(init=False)
+    # service slots carried over per bucket: a fractional capacity accrues
+    # across epochs while the queue stays non-empty
+    credit: Dict[QosClass, float] = field(init=False)
 
     def __post_init__(self) -> None:
         self.queue = {q: deque() for q in QosClass}
+        self.credit = {q: 0.0 for q in QosClass}
 
 
 @dataclass
@@ -206,10 +193,13 @@ class MecState:
     # (waiting at a UPF or crossing a link); counted so later assignment
     # decisions see commitments that have not physically arrived yet
     pending: int = field(init=False)
+    # service slots carried over, as for a UPF bucket
+    credit: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.queue = deque()
         self.pending = 0
+        self.credit = 0.0
 
 
 @dataclass
@@ -228,7 +218,6 @@ class Link:
 
 # ---------------------------------------------------------------- validation
 
-_QOS_ORDER = [q.value for q in QosClass]
 _SUM_TOL = 1e-9
 
 
@@ -240,6 +229,11 @@ def _positive(x: float) -> bool:
 def _non_negative(x: float) -> bool:
     """x is a finite number >= 0; NaN and +-inf fail."""
     return 0.0 <= x < math.inf
+
+
+def _whole(x: float) -> bool:
+    """x is a finite whole number >= 1, as a queue capacity must be."""
+    return 1 <= x < math.inf and x == math.floor(x)
 
 
 def _check_dist(values: List[float], what: str, out: List[str]) -> None:
@@ -304,8 +298,11 @@ def validate_scenario(s: Scenario) -> List[str]:
             v.append(f"upf {u.id}: etpb must be > 0 and finite")
         if not _positive(u.bytes_per_ue):
             v.append(f"upf {u.id}: bytes_per_ue must be > 0 and finite")
-        if u.queue_cap is not None and any(c < 1 for c in u.queue_cap.values()):
-            v.append(f"upf {u.id}: queue_cap entries must be >= 1")
+        if u.queue_cap is not None:
+            if set(u.queue_cap) != set(QosClass):
+                v.append(f"upf {u.id}: queue_cap must cover all four QoS classes")
+            elif not all(_whole(c) for c in u.queue_cap.values()):
+                v.append(f"upf {u.id}: queue_cap entries must be whole numbers >= 1")
 
     if [m.id for m in s.mecs] != list(range(1, s.num_mecs + 1)):
         v.append("mecs must carry ids 1..num_mecs in order")
@@ -318,11 +315,11 @@ def validate_scenario(s: Scenario) -> List[str]:
             v.append(f"mec {m.id}: etpb must be > 0 and finite")
         if not _positive(m.bytes_per_ue):
             v.append(f"mec {m.id}: bytes_per_ue must be > 0 and finite")
-        if m.queue_cap is not None and m.queue_cap < 1:
-            v.append(f"mec {m.id}: queue_cap must be >= 1")
+        if m.queue_cap is not None and not _whole(m.queue_cap):
+            v.append(f"mec {m.id}: queue_cap must be a whole number >= 1")
 
     bw = s.link_bandwidth_mbps
-    if len(bw) != s.num_upfs or any(len(row) != s.num_mecs for row in bw):
+    if bw is None or len(bw) != s.num_upfs or any(len(row) != s.num_mecs for row in bw):
         v.append(
             f"link_bandwidth_mbps must be a {s.num_upfs}x{s.num_mecs} matrix "
             "(row per UPF, column per MEC)"

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Tuple
 
-from .delay import (
-    mec_projected_delay,
-    net_delay,
-    upf_projected_delay,
-    worst_case_batch_delay,
-)
+from .delay import net_delay, projected_delay, worst_case_batch_delay
 from .schemes import Bucket, find_bestfit_upf
 
 MAX_BATCH = 12
@@ -122,8 +117,8 @@ def pair_enumeration_optimum(
         raise ValueError("need at least one UPF and one MEC")
     if nu * nm > MAX_PAIRS:
         raise OracleBoundError(f"{nu}x{nm} pairs exceed enumeration bound {MAX_PAIRS}")
-    pc_upf = [upf_projected_delay(q, h, c, delta) for (q, h, c) in upf_buckets]
-    pc_mec = [mec_projected_delay(q, h, c, delta) for (q, h, c) in mec_buckets]
+    pc_upf = [projected_delay(*b, delta) for b in upf_buckets]
+    pc_mec = [projected_delay(*b, delta) for b in mec_buckets]
     best_i = best_j = 0
     best = float("inf")
     for i in range(nu):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .delay import DelayBreakdown, net_delay, upf_projected_delay
+from .delay import DelayBreakdown, net_delay, projected_delay
 
 # a bucket snapshot is (queue_len, headroom, capacity)
 Bucket = Tuple[float, float, float]
@@ -67,9 +67,9 @@ def find_bestfit_upf(buckets: Sequence[Bucket], delta: float) -> Tuple[int, floa
     if not buckets:
         raise ValueError("no UPF buckets to choose from")
     best_idx = 0
-    best = upf_projected_delay(*buckets[0], delta)
+    best = projected_delay(*buckets[0], delta)
     for idx in range(1, len(buckets)):
-        cost = upf_projected_delay(*buckets[idx], delta)
+        cost = projected_delay(*buckets[idx], delta)
         if cost < best:
             best, best_idx = cost, idx
     return best_idx, best
@@ -81,11 +81,11 @@ def _bestfit(cost) -> Tuple[int, float]:
     return idx, float(cost[idx])
 
 
-def _projected_for(run, req, upf_id: int, mec_id: Optional[int], pc_upf: float) -> DelayBreakdown:
+def _projected_for(run, upf_id: int, mec_id: Optional[int], pc_upf: float) -> DelayBreakdown:
     if mec_id is None:
         return DelayBreakdown.compose(pc_upf, 0.0, 0.0)
     mec = run.mecs[mec_id - 1]
-    link = run.link(upf_id, mec_id)
+    link = run.links[(upf_id, mec_id)]
     d_net = net_delay(link.n_share, mec.bytes_per_ue, link.bandwidth)
     return DelayBreakdown.compose(pc_upf, d_net, float(run.mec_cost[mec_id - 1]))
 
@@ -95,7 +95,7 @@ def assign_baseline(req, run) -> AssignmentDecision:
     upf_id = req.origin_upf
     pc_upf = float(run.upf_cost[req.qos][upf_id - 1])
     mec_id = upf_id if req.qos.uses_mec else None
-    return AssignmentDecision(upf_id, mec_id, _projected_for(run, req, upf_id, mec_id, pc_upf))
+    return AssignmentDecision(upf_id, mec_id, _projected_for(run, upf_id, mec_id, pc_upf))
 
 
 def assign_bestfit_no_pe(req, run) -> AssignmentDecision:
@@ -103,7 +103,7 @@ def assign_bestfit_no_pe(req, run) -> AssignmentDecision:
     idx, pc_upf = _bestfit(run.upf_cost[req.qos])
     upf_id = run.upfs[idx].id
     mec_id = req.origin_upf if req.qos.uses_mec else None
-    return AssignmentDecision(upf_id, mec_id, _projected_for(run, req, upf_id, mec_id, pc_upf))
+    return AssignmentDecision(upf_id, mec_id, _projected_for(run, upf_id, mec_id, pc_upf))
 
 
 def assign_bestfit_pe(req, run) -> AssignmentDecision:
@@ -118,7 +118,7 @@ def assign_bestfit_pe(req, run) -> AssignmentDecision:
                 f"but only {len(run.mecs)} MECs exist"
             )
         mec_id = upf_id
-    return AssignmentDecision(upf_id, mec_id, _projected_for(run, req, upf_id, mec_id, pc_upf))
+    return AssignmentDecision(upf_id, mec_id, _projected_for(run, upf_id, mec_id, pc_upf))
 
 
 def assign_bestfit_upf_mec(req, run) -> AssignmentDecision:
@@ -128,7 +128,7 @@ def assign_bestfit_upf_mec(req, run) -> AssignmentDecision:
     mec_id = None
     if req.qos.uses_mec:
         mec_id = run.mecs[int(run.mec_cost.argmin())].id
-    return AssignmentDecision(upf_id, mec_id, _projected_for(run, req, upf_id, mec_id, pc_upf))
+    return AssignmentDecision(upf_id, mec_id, _projected_for(run, upf_id, mec_id, pc_upf))
 
 
 SCHEME_FUNCS = {

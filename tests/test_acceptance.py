@@ -16,10 +16,9 @@ import pytest
 
 from upfmec.cli import main
 from upfmec.delay import (
-    mec_projected_delay,
     net_delay,
+    projected_delay,
     upf_capacity,
-    upf_projected_delay,
     worst_case_batch_delay,
 )
 from upfmec.engine import RunResult, SimulationRun, run_to_completion
@@ -217,9 +216,9 @@ def test_criterion_06_pair_oracle():
 
 def test_criterion_07_delay_model_values():
     got = (
-        upf_projected_delay(7.0, 0.0, 4.0, 1.0),
-        upf_projected_delay(2.0, 2.0, 4.0, 1.0),
-        mec_projected_delay(5.0, 0.0, 2.0, 1.0),
+        projected_delay(7.0, 0.0, 4.0, 1.0),
+        projected_delay(2.0, 2.0, 4.0, 1.0),
+        projected_delay(5.0, 0.0, 2.0, 1.0),
         net_delay(10, 1500.0, 150_000.0),
         worst_case_batch_delay(3.0, 5, 0.0, 4.0),
         upf_capacity(0.25, 2.0, 1.0, 1.0),

@@ -4,6 +4,7 @@ import csv
 import os
 
 import pytest
+import yaml
 
 from upfmec.cli import _parse_int_list, main
 from upfmec.model import load_scenario, save_scenario
@@ -61,6 +62,38 @@ def test_invalid_scenario_is_a_usage_error(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+def _drop_mmtc_queue_cap(doc):
+    del doc["upfs"][0]["queue_cap"]["mmtc"]
+
+
+def _nan_queue_cap(doc):
+    doc["upfs"][0]["queue_cap"]["urllc"] = float("nan")
+
+
+def _inf_mec_queue_cap(doc):
+    doc["mecs"][0]["queue_cap"] = float("inf")
+
+
+def _no_bandwidths(doc):
+    doc["links"] = {}
+
+
+@pytest.mark.parametrize(
+    "breaks", [_drop_mmtc_queue_cap, _nan_queue_cap, _inf_mec_queue_cap, _no_bandwidths]
+)
+def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
+    path = tmp_path / "bad.yaml"
+    save_scenario(make_scenario(upf_queue_cap=4, mec_queue_cap=4), str(path))
+    doc = yaml.safe_load(path.read_text())
+    breaks(doc)
+    path.write_text(yaml.safe_dump(doc))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -68,6 +101,7 @@ def test_invalid_scenario_is_a_usage_error(tmp_path, capsys):
         ["compare", "--seeds", "x"],
         ["capex", "--scenario", "metro", "--pairs", "0"],
         ["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "3,y"],
+        ["run", "--scenario", "campus5", "--drain-cap", "-5"],
     ],
 )
 def test_malformed_lists_are_usage_errors(tmp_path, capsys, argv):

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from upfmec.delay import (
     DelayBreakdown,
     mec_capacity,
-    mec_projected_delay,
     net_delay,
+    projected_delay,
     transit_epochs,
     upf_capacity,
-    upf_projected_delay,
     worst_case_batch_delay,
 )
 
@@ -25,21 +24,21 @@ nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 def test_projected_delay_saturated_queue():
     # 7 queued, no free slots, rate 4/epoch: (7+1-0)/4 + 1 epoch of service
-    assert upf_projected_delay(7.0, 0.0, 4.0, 1.0) == 3.0
+    assert projected_delay(7.0, 0.0, 4.0, 1.0) == 3.0
 
 
 def test_projected_delay_fast_path():
-    assert upf_projected_delay(0.0, 2.0, 4.0, 1.0) == 1.0
+    assert projected_delay(0.0, 2.0, 4.0, 1.0) == 1.0
 
 
 def test_projected_delay_boundary_takes_slow_branch():
     # q == headroom is not strictly less, so the queueing branch applies
-    assert upf_projected_delay(2.0, 2.0, 4.0, 1.0) == (1.0 / 4.0) * 1.0 + 1.0
+    assert projected_delay(2.0, 2.0, 4.0, 1.0) == (1.0 / 4.0) * 1.0 + 1.0
 
 
 def test_mec_projected_delay_values():
-    assert mec_projected_delay(5.0, 0.0, 2.0, 1.0) == 4.0
-    assert mec_projected_delay(0.0, 1.0, 2.0, 1.0) == 1.0
+    assert projected_delay(5.0, 0.0, 2.0, 1.0) == 4.0
+    assert projected_delay(0.0, 1.0, 2.0, 1.0) == 1.0
 
 
 def test_net_delay_shared_link():
@@ -86,11 +85,11 @@ def test_capacity_rejects_disabled_bucket():
 
 def test_projected_delay_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        upf_projected_delay(1.0, 0.0, 0.0, 1.0)
+        projected_delay(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        upf_projected_delay(1.0, 0.0, 4.0, 0.0)
+        projected_delay(1.0, 0.0, 4.0, 0.0)
     with pytest.raises(ValueError):
-        upf_projected_delay(-1.0, 0.0, 4.0, 1.0)
+        projected_delay(-1.0, 0.0, 4.0, 1.0)
 
 
 def test_net_delay_rejects_bad_inputs():
@@ -111,31 +110,25 @@ def test_transit_epochs_rejects_negative():
 @settings(max_examples=200, deadline=None)
 @given(q=nonneg, h=nonneg, c=pos, delta=pos)
 def test_projected_delay_never_below_delta(q, h, c, delta):
-    assert upf_projected_delay(q, h, c, delta) >= delta
+    assert projected_delay(q, h, c, delta) >= delta
 
 
 @settings(max_examples=200, deadline=None)
 @given(q=nonneg, dq=nonneg, h=nonneg, c=pos)
 def test_projected_delay_monotone_in_queue(q, dq, h, c):
-    assert upf_projected_delay(q + dq, h, c, 1.0) >= upf_projected_delay(q, h, c, 1.0)
+    assert projected_delay(q + dq, h, c, 1.0) >= projected_delay(q, h, c, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(q=nonneg, h=nonneg, dh=nonneg, c=pos)
 def test_projected_delay_antitone_in_headroom(q, h, dh, c):
-    assert upf_projected_delay(q, h + dh, c, 1.0) <= upf_projected_delay(q, h, c, 1.0)
+    assert projected_delay(q, h + dh, c, 1.0) <= projected_delay(q, h, c, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(q=nonneg, h=nonneg, c=pos, dc=pos)
 def test_projected_delay_antitone_in_capacity(q, h, c, dc):
-    assert upf_projected_delay(q, h, c + dc, 1.0) <= upf_projected_delay(q, h, c, 1.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(q=nonneg, h=nonneg, c=pos, delta=pos)
-def test_mec_delay_shares_the_upf_law(q, h, c, delta):
-    assert mec_projected_delay(q, h, c, delta) == upf_projected_delay(q, h, c, delta)
+    assert projected_delay(q, h, c + dc, 1.0) <= projected_delay(q, h, c, 1.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from upfmec.delay import upf_projected_delay
+from upfmec.delay import projected_delay
 from upfmec.engine import SimulationRun, generate_arrivals, run_to_completion
 from upfmec.metrics import build_pair_scenario
 from upfmec.model import QosClass, RequestStatus, Scheme, TrafficSpec
@@ -233,10 +236,10 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
     def checked(req, run_):
         snap = upf_bucket_snapshot(run.upfs, req.qos)
         cost = run.upf_cost[req.qos]
-        assert cost.tolist() == [upf_projected_delay(*b, run.delta) for b in snap]
+        assert cost.tolist() == [projected_delay(*b, run.delta) for b in snap]
         assert int(cost.argmin()) == find_bestfit_upf(snap, run.delta)[0]
         snap = mec_snapshot(run.mecs)
-        assert run.mec_cost.tolist() == [upf_projected_delay(*b, run.delta) for b in snap]
+        assert run.mec_cost.tolist() == [projected_delay(*b, run.delta) for b in snap]
         assert int(run.mec_cost.argmin()) == find_bestfit_upf(snap, run.delta)[0]
         decisions.append(req.id)
         return assign(req, run_)
@@ -260,6 +263,73 @@ def test_pending_commitments_fully_drain(metro):
     res = run.run()
     assert res.residual == 0
     assert all(m.pending == 0 for m in run.mecs)
+
+
+@st.composite
+def small_scenarios(draw):
+    """Valid scenarios of 1-3 UPF-MEC pairs with short horizons and random sizing."""
+    n = draw(st.integers(1, 3))
+
+    def dist(k):
+        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        return [w / sum(weights) for w in weights]
+
+    s = make_scenario(
+        num_upfs=n,
+        lam=draw(st.floats(0.0, 6.0)),
+        process=draw(st.sampled_from(["poisson", "deterministic"])),
+        skew=dist(n),
+        qos_mix=dict(zip(QosClass, dist(4))),
+        horizon=draw(st.integers(1, 8)),
+        headroom_factor=draw(st.floats(0.1, 10.0)),
+        delta=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    for u in s.upfs:
+        u.capacity = {q: draw(st.floats(0.5, 6.0)) for q in QosClass}
+        if draw(st.booleans()):
+            u.queue_cap = {q: draw(st.integers(1, 8)) for q in QosClass}
+    for m in s.mecs:
+        m.capacity = draw(st.floats(0.5, 8.0))
+        m.queue_cap = draw(st.none() | st.integers(1, 8))
+    s.link_bandwidth_mbps = [[draw(st.floats(5.0, 50.0)) for _ in range(n)] for _ in range(n)]
+    return s
+
+
+@settings(max_examples=50, deadline=None)
+@given(base=small_scenarios())
+def test_invariants_hold_on_random_scenarios(base):
+    delta = base.delta_ms
+    for scheme in Scheme:
+        run = SimulationRun(replace(base, scheme=scheme), drain_cap=100_000)
+        res = run.run()
+        status = Counter(r.status for r in res.requests)
+        assert res.generated == len(res.requests)
+        assert res.completed == status[RequestStatus.COMPLETED]
+        assert res.dropped == status[RequestStatus.DROPPED]
+        assert res.residual == 0 and not res.truncated
+        assert all(m.pending == 0 for m in run.mecs)
+
+        upf_served = Counter(
+            (r.assigned_upf, r.qos, r.upf_serve_epoch)
+            for r in res.requests
+            if r.upf_serve_epoch is not None
+        )
+        for (uid, qos, _), n in upf_served.items():
+            assert n <= math.ceil(run.upfs[uid - 1].capacity[qos])
+        # d_mec counts the serving epoch itself
+        mec_served = Counter(
+            (r.assigned_mec, r.mec_arrival_epoch + round(r.d_mec / delta) - 1)
+            for r in res.requests
+            if r.status is RequestStatus.COMPLETED and r.assigned_mec is not None
+        )
+        for (mid, _), n in mec_served.items():
+            assert n <= math.ceil(run.mecs[mid - 1].capacity)
+
+        for (uid, qos), series in res.upf_queue_series.items():
+            assert max(series) <= run.upfs[uid - 1].queue_cap[qos]
+        for mid, series in res.mec_queue_series.items():
+            assert max(series) <= run.mecs[mid - 1].queue_cap
 
 
 # ------------------------------------------------------------- derived sizing

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec.model import (
-    EpochClock,
     Link,
     QosClass,
     RequestStatus,
@@ -95,6 +94,11 @@ def _set_alpha(s, x):
     s.upfs[0].alpha[QosClass.URLLC] = x
 
 
+def _set_upf_queue_cap(s, x):
+    s.upfs[0].queue_cap = {q: 5 for q in QosClass}
+    s.upfs[0].queue_cap[QosClass.URLLC] = x
+
+
 # message prefix -> how to put a value into that float field
 FLOAT_FIELDS = {
     "delta_ms": lambda s, x: setattr(s, "delta_ms", x),
@@ -108,9 +112,11 @@ FLOAT_FIELDS = {
     "upf 1: etpb": lambda s, x: setattr(s.upfs[0], "etpb", x),
     "upf 1: alpha": _set_alpha,
     "upf 1: bytes_per_ue": lambda s, x: setattr(s.upfs[0], "bytes_per_ue", x),
+    "upf 1: queue_cap": _set_upf_queue_cap,
     "mec 1: capacity": lambda s, x: setattr(s.mecs[0], "capacity", x),
     "mec 1: etpb": lambda s, x: setattr(s.mecs[0], "etpb", x),
     "mec 1: bytes_per_ue": lambda s, x: setattr(s.mecs[0], "bytes_per_ue", x),
+    "mec 1: queue_cap": lambda s, x: setattr(s.mecs[0], "queue_cap", x),
     "link bandwidths": lambda s, x: s.link_bandwidth_mbps[0].__setitem__(1, x),
     "thresholds_ms[urllc]": lambda s, x: s.thresholds_ms.__setitem__(QosClass.URLLC, x),
 }
@@ -123,6 +129,33 @@ def test_non_finite_values_are_rejected(field, value):
     s = make_scenario(thresholds={QosClass.URLLC: 5.0})
     assert validate_scenario(s) == []
     FLOAT_FIELDS[field](s, value)
+    msgs = validate_scenario(s)
+    assert any(m.startswith(field) for m in msgs), msgs
+
+
+def _drop_upf_queue_class(s):
+    s.upfs[0].queue_cap = {q: 5 for q in QosClass if q is not QosClass.MMTC}
+
+
+# case -> (message prefix, how to break the scenario)
+MALFORMED = {
+    "upf queue_cap misses a class": ("upf 1: queue_cap", _drop_upf_queue_class),
+    "upf queue_cap fractional": ("upf 1: queue_cap", lambda s: _set_upf_queue_cap(s, 1.5)),
+    "mec queue_cap fractional": (
+        "mec 1: queue_cap", lambda s: setattr(s.mecs[0], "queue_cap", 1.5)
+    ),
+    "no bandwidth matrix": (
+        "link_bandwidth_mbps", lambda s: setattr(s, "link_bandwidth_mbps", None)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_values_are_rejected(case):
+    field, breaks = MALFORMED[case]
+    s = make_scenario()
+    assert validate_scenario(s) == []
+    breaks(s)
     msgs = validate_scenario(s)
     assert any(m.startswith(field) for m in msgs), msgs
 
@@ -195,14 +228,6 @@ def test_request_status_advances_monotone():
 def test_regular_is_the_only_class_bypassing_mec():
     assert not QosClass.REGULAR.uses_mec
     assert all(q.uses_mec for q in QosClass if q is not QosClass.REGULAR)
-
-
-def test_epoch_clock_advance_and_time():
-    clock = EpochClock(0, 0.5)
-    clock.advance()
-    clock.advance()
-    assert clock.epoch_index == 2
-    assert math.isclose(clock.now_ms, 1.0)
 
 
 def test_link_share_counts_in_transit():

@@ -145,8 +145,8 @@ def _oracle_inputs(run: SimulationRun, qos: QosClass):
     upf_buckets = upf_bucket_snapshot(run.upfs, qos)
     mec_buckets = mec_snapshot(run.mecs)
     nu, nm = len(run.upfs), len(run.mecs)
-    n_share = [[run.link(i + 1, j + 1).n_share for j in range(nm)] for i in range(nu)]
-    bw = [[run.link(i + 1, j + 1).bandwidth for j in range(nm)] for i in range(nu)]
+    n_share = [[run.links[(i + 1, j + 1)].n_share for j in range(nm)] for i in range(nu)]
+    bw = [[run.links[(i + 1, j + 1)].bandwidth for j in range(nm)] for i in range(nu)]
     bytes_mec = [m.bytes_per_ue for m in run.mecs]
     return upf_buckets, mec_buckets, n_share, bw, bytes_mec
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfmec.delay import upf_projected_delay
+from upfmec.delay import projected_delay
 from upfmec.engine import SimulationRun
 from upfmec.model import QosClass, Scheme, UeRequest
 from upfmec.schemes import (
@@ -75,11 +75,11 @@ def test_empty_snapshot_rejected():
 @given(buckets=st.lists(bucket, min_size=1, max_size=6))
 def test_bestfit_matches_exhaustive_min(buckets):
     idx, cost = find_bestfit_upf(buckets, 1.0)
-    costs = [upf_projected_delay(*b, 1.0) for b in buckets]
+    costs = [projected_delay(*b, 1.0) for b in buckets]
     assert cost == min(costs)
     assert idx == costs.index(min(costs))
     # internal consistency: the returned value is the chosen bucket's delay
-    assert cost == upf_projected_delay(*buckets[idx], 1.0)
+    assert cost == projected_delay(*buckets[idx], 1.0)
 
 
 @settings(max_examples=100, deadline=None)
