@@ -19,6 +19,7 @@ from .model import (
     Scenario,
     ScenarioError,
     Scheme,
+    ServiceQueue,
     TrafficSpec,
     UeRequest,
     UpfSpec,

@@ -8,45 +8,47 @@ finished transfers to their MEC queues, serve the MECs, then advance the
 clock.  After the arrival horizon the run keeps stepping without new
 traffic until every admitted request has completed or a drain cap is hit.
 
+Both tiers are ``model.ServiceQueue``s: a UPF holds one per QoS class and
+a MEC is one.  Admission and MEC arrival drop a request when its queue is
+``full()``, service pops ``serve()``, and a queue's cost is its
+``price()``; the tiers differ only in what happens to a served request.
+
 The run keeps the cost vectors the schemes read: ``upf_cost[q][i]`` is
-the projected delay of joining UPF i+1's bucket of class q now and
-``mec_cost[j]`` that of joining MEC j+1.  They are rebuilt from the
-queues at the start of every admission phase, and each admission rewrites
-the entries it changed.  Code that edits queues or ``pending`` outside
-``step_epoch``, or calls a scheme between epochs, must call
-``refresh_costs()`` first.
+the price of UPF i+1's bucket of class q and ``mec_cost[j]`` that of
+MEC j+1.  They are rebuilt from the queues at the start of every
+admission phase, and each admission rewrites the entries it changed.
+Code that edits queues or ``pending`` outside ``step_epoch``, or calls a
+scheme between epochs, must call ``refresh_costs()`` first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .delay import mec_capacity, net_delay, projected_delay, transit_epochs, upf_capacity
+from .delay import mec_capacity, net_delay, transit_epochs, upf_capacity
 from .model import (
+    InvariantError,
     Link,
     MecState,
     QosClass,
     RequestStatus,
     Scenario,
     ScenarioError,
+    ServiceQueue,
     TrafficSpec,
     UeRequest,
     UpfState,
     validate_scenario,
 )
-from .schemes import SCHEME_FUNCS, mec_bucket, mec_snapshot, upf_bucket, upf_bucket_snapshot
+from .schemes import SCHEME_FUNCS
 
 DEFAULT_DRAIN_FACTOR = 10  # drain cap defaults to this many horizons
 
 _QOS_LIST = list(QosClass)
-
-
-class InvariantError(RuntimeError):
-    """A structural invariant broke mid-run; the run is aborted."""
 
 
 def generate_arrivals(
@@ -143,7 +145,7 @@ def _build_upf(spec, scenario: Scenario) -> UpfState:
             for q in QosClass
         }
     return UpfState(
-        id=spec.id, capacity=capacity, queue_cap=queue_cap, bytes_per_ue=spec.bytes_per_ue
+        id=spec.id, buckets={q: ServiceQueue(capacity[q], queue_cap[q]) for q in QosClass}
     )
 
 
@@ -215,6 +217,11 @@ class SimulationRun:
             q: np.empty(len(self.upfs)) for q in QosClass
         }
         self.mec_cost = np.empty(len(self.mecs))
+        # each cost vector with the queues it prices, in index order
+        self._priced: List[Tuple[np.ndarray, List[ServiceQueue]]] = [
+            (self.upf_cost[q], [u.buckets[q] for u in self.upfs]) for q in QosClass
+        ]
+        self._priced.append((self.mec_cost, self.mecs))
         self.refresh_costs()
 
     @property
@@ -223,11 +230,8 @@ class SimulationRun:
 
     def refresh_costs(self) -> None:
         """Recompute every entry of the cost vectors from the current queues."""
-        for q in _QOS_LIST:
-            self.upf_cost[q][:] = [
-                projected_delay(*b, self.delta) for b in upf_bucket_snapshot(self.upfs, q)
-            ]
-        self.mec_cost[:] = [projected_delay(*b, self.delta) for b in mec_snapshot(self.mecs)]
+        for cost, queues in self._priced:
+            cost[:] = [sq.price(self.delta) for sq in queues]
 
     # ------------------------------------------------------------- stepping
 
@@ -249,24 +253,20 @@ class SimulationRun:
             req.assigned_upf = decision.upf_id
             req.assigned_mec = decision.mec_id
             req.projected = decision.projected
-            upf = self.upfs[decision.upf_id - 1]
-            if len(upf.queue[req.qos]) >= upf.queue_cap[req.qos]:
+            bucket = self.upfs[decision.upf_id - 1].buckets[req.qos]
+            if bucket.full():
                 req.advance_status(RequestStatus.DROPPED)
                 self.dropped += 1
                 dropped_now += 1
             else:
                 req.advance_status(RequestStatus.IN_UPF_QUEUE)
-                upf.queue[req.qos].append(req)
-                self.upf_cost[req.qos][decision.upf_id - 1] = projected_delay(
-                    *upf_bucket(upf, req.qos), self.delta
-                )
+                bucket.queue.append(req)
+                self.upf_cost[req.qos][decision.upf_id - 1] = bucket.price(self.delta)
                 admitted += 1
                 if decision.mec_id is not None:
                     mec = self.mecs[decision.mec_id - 1]
                     mec.pending += 1
-                    self.mec_cost[decision.mec_id - 1] = projected_delay(
-                        *mec_bucket(mec), self.delta
-                    )
+                    self.mec_cost[decision.mec_id - 1] = mec.price(self.delta)
         if admitted + dropped_now != len(arrivals):
             raise InvariantError(
                 f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(arrivals)}"
@@ -274,25 +274,16 @@ class SimulationRun:
 
         served_upf = 0
         for u in self.upfs:
-            for q in _QOS_LIST:
-                queue = u.queue[q]
-                credit = u.credit[q] + u.capacity[q]
-                n = min(len(queue), int(credit))
-                for _ in range(n):
-                    req = queue.popleft()
+            for bucket in u.buckets.values():
+                served = bucket.serve()
+                for req in served:
                     req.upf_serve_epoch = epoch
                     req.d_upf = (epoch + 1 - req.arrival_epoch) * self.delta
                     if req.qos.uses_mec:
                         self._enter_link(req, epoch)
                     else:
                         self._complete(req)
-                served_upf += n
-                u.credit[q] = credit - n if queue else 0.0
-                if n > math.ceil(u.capacity[q]):
-                    raise InvariantError(
-                        f"epoch {epoch}: upf {u.id} {q.value} served {n} "
-                        f"over capacity {u.capacity[q]}"
-                    )
+                served_upf += len(served)
 
         for key in sorted(self._busy_links):
             link = self.links[key]
@@ -301,7 +292,7 @@ class SimulationRun:
             for req in link.in_transit:
                 if req.mec_due_epoch <= epoch:
                     mec.pending -= 1
-                    if len(mec.queue) >= mec.queue_cap:
+                    if mec.full():
                         req.advance_status(RequestStatus.DROPPED)
                         self.dropped += 1
                         dropped_now += 1
@@ -317,23 +308,16 @@ class SimulationRun:
 
         served_mec = completed_now = 0
         for m in self.mecs:
-            credit = m.credit + m.capacity
-            n = min(len(m.queue), int(credit))
-            for _ in range(n):
-                req = m.queue.popleft()
+            served = m.serve()
+            for req in served:
                 req.d_mec = (epoch + 1 - req.mec_arrival_epoch) * self.delta
                 self._complete(req)
                 completed_now += 1
-            served_mec += n
-            m.credit = credit - n if m.queue else 0.0
-            if n > math.ceil(m.capacity):
-                raise InvariantError(
-                    f"epoch {epoch}: mec {m.id} served {n} over capacity {m.capacity}"
-                )
+            served_mec += len(served)
 
         for u in self.upfs:
-            for q in _QOS_LIST:
-                self.upf_queue_series[(u.id, q)].append(len(u.queue[q]))
+            for q, bucket in u.buckets.items():
+                self.upf_queue_series[(u.id, q)].append(len(bucket.queue))
         for m in self.mecs:
             self.mec_queue_series[m.id].append(len(m.queue))
 

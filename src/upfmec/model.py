@@ -4,8 +4,10 @@ A deployment is a set of user plane functions (UPFs) and co-located edge
 compute hosts (MECs) joined by a full mesh of links.  Each UPF partitions
 its packet-processing capacity into per-QoS buckets; each MEC serves a
 single FCFS queue.  A Scenario is the static description (topology,
-capacities, traffic law); the *State classes carry the mutable queue
-state that the engine evolves epoch by epoch.
+capacities, traffic law); the mutable state that the engine evolves epoch
+by epoch is one ServiceQueue per UPF bucket (UpfState) and per MEC
+(MecState), so one admission test, one service law and one price cover
+both tiers.
 
 Scenario files are single YAML documents.  ``load_scenario`` and
 ``save_scenario`` round-trip a Scenario losslessly.
@@ -17,11 +19,11 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import yaml
 
-from .delay import DelayBreakdown
+from .delay import DelayBreakdown, projected_delay
 
 
 class ScenarioError(ValueError):
@@ -162,44 +164,80 @@ class Scenario:
 # ---------------------------------------------------------------- runtime state
 
 
-@dataclass
-class UpfState:
-    """Mutable per-UPF state: one FCFS queue per QoS bucket."""
-
-    id: int
-    capacity: Dict[QosClass, float]
-    queue_cap: Dict[QosClass, int]
-    bytes_per_ue: float
-    queue: Dict[QosClass, Deque[UeRequest]] = field(init=False)
-    # service slots carried over per bucket: a fractional capacity accrues
-    # across epochs while the queue stays non-empty
-    credit: Dict[QosClass, float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.queue = {q: deque() for q in QosClass}
-        self.credit = {q: 0.0 for q in QosClass}
+class InvariantError(RuntimeError):
+    """A structural invariant broke mid-run; the run is aborted."""
 
 
-@dataclass
-class MecState:
-    """Mutable per-MEC state: a single FCFS queue shared by all classes."""
+_NOTHING: Tuple[UeRequest, ...] = ()
 
-    id: int
+
+@dataclass(slots=True)
+class ServiceQueue:
+    """One FCFS queue served at `capacity` requests per epoch: a UPF QoS
+    bucket or a MEC host.
+
+    A fractional capacity accrues as `credit` across epochs while the queue
+    stays non-empty.  `pending` counts requests assigned here and admitted
+    upstream but not yet in the queue (waiting at a UPF or crossing a link);
+    it is only ever non-zero for a MEC, and is counted so that later
+    assignment decisions see commitments that have not arrived yet.
+    """
+
     capacity: float
     queue_cap: int
-    bytes_per_ue: float
-    queue: Deque[UeRequest] = field(init=False)
-    # requests assigned here and admitted upstream but not yet in this queue
-    # (waiting at a UPF or crossing a link); counted so later assignment
-    # decisions see commitments that have not physically arrived yet
-    pending: int = field(init=False)
-    # service slots carried over, as for a UPF bucket
-    credit: float = field(init=False)
+    queue: Deque[UeRequest] = field(init=False, default_factory=deque)
+    credit: float = field(init=False, default=0.0)
+    pending: int = field(init=False, default=0)
 
-    def __post_init__(self) -> None:
-        self.queue = deque()
-        self.pending = 0
-        self.credit = 0.0
+    def full(self) -> bool:
+        """A request arriving now would be dropped."""
+        return len(self.queue) >= self.queue_cap
+
+    def snapshot(self) -> Tuple[float, float, float]:
+        """(queue_len, headroom, capacity) as a request joining now sees it.
+
+        Headroom is the full capacity: service runs after admission in every
+        epoch, so no request is in service while decisions are made.
+        """
+        return (float(len(self.queue) + self.pending), self.capacity, self.capacity)
+
+    def price(self, delta: float) -> float:
+        """Projected delay of joining this queue now, ms."""
+        return projected_delay(*self.snapshot(), delta)
+
+    def serve(self) -> Sequence[UeRequest]:
+        """Pop this epoch's service: up to int(credit + capacity) requests.
+
+        What the queue cannot use now carries over only while it stays
+        non-empty; an idle queue starts the next epoch from zero.
+        """
+        queue = self.queue
+        if not queue:
+            self.credit = 0.0
+            return _NOTHING
+        credit = self.credit + self.capacity
+        n = min(len(queue), int(credit))
+        if n > math.ceil(self.capacity):
+            raise InvariantError(f"served {n} over capacity {self.capacity}")
+        served = [queue.popleft() for _ in range(n)]
+        self.credit = credit - n if queue else 0.0
+        return served
+
+
+@dataclass(slots=True)
+class UpfState:
+    """Mutable per-UPF state: one service queue per QoS bucket."""
+
+    id: int
+    buckets: Dict[QosClass, ServiceQueue]
+
+
+@dataclass(slots=True)
+class MecState(ServiceQueue):
+    """Mutable per-MEC state: a single service queue shared by all classes."""
+
+    id: int
+    bytes_per_ue: float
 
 
 @dataclass

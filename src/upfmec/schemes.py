@@ -32,34 +32,14 @@ class AssignmentDecision:
     projected: DelayBreakdown
 
 
-def upf_bucket(upf, qos) -> Bucket:
-    """(queue_len, headroom, capacity) of one UPF's bucket for a QoS class.
-
-    Headroom is the full capacity: service runs after admission in every
-    epoch, so no request is in service while decisions are made.
-    """
-    capacity = upf.capacity[qos]
-    return (float(len(upf.queue[qos])), capacity, capacity)
-
-
-def mec_bucket(mec) -> Bucket:
-    """(queue_len, headroom, capacity) of one MEC host.
-
-    The effective queue length counts pending commitments: requests already
-    assigned to the MEC but still upstream.  Without them every decision in
-    an epoch would see the same stale queue and pile onto one host.
-    """
-    return (float(len(mec.queue) + mec.pending), mec.capacity, mec.capacity)
-
-
 def upf_bucket_snapshot(upfs, qos) -> List[Bucket]:
     """Per-UPF buckets for one QoS class, id order."""
-    return [upf_bucket(u, qos) for u in upfs]
+    return [u.buckets[qos].snapshot() for u in upfs]
 
 
 def mec_snapshot(mecs) -> List[Bucket]:
-    """Per-MEC buckets, id order."""
-    return [mec_bucket(m) for m in mecs]
+    """Per-MEC buckets, id order; a MEC's queue length counts its pending commitments."""
+    return [m.snapshot() for m in mecs]
 
 
 def find_bestfit_upf(buckets: Sequence[Bucket], delta: float) -> Tuple[int, float]:

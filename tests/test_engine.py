@@ -171,7 +171,7 @@ def test_queues_never_exceed_their_caps(metro):
     run = SimulationRun(replace(metro, scheme=Scheme.BESTFIT_UPF_MEC), seed=2)
     run.run()
     for (uid, qos), series in run.upf_queue_series.items():
-        assert max(series) <= run.upfs[uid - 1].queue_cap[qos]
+        assert max(series) <= run.upfs[uid - 1].buckets[qos].queue_cap
     for mid, series in run.mec_queue_series.items():
         assert max(series) <= run.mecs[mid - 1].queue_cap
 
@@ -316,7 +316,7 @@ def test_invariants_hold_on_random_scenarios(base):
             if r.upf_serve_epoch is not None
         )
         for (uid, qos, _), n in upf_served.items():
-            assert n <= math.ceil(run.upfs[uid - 1].capacity[qos])
+            assert n <= math.ceil(run.upfs[uid - 1].buckets[qos].capacity)
         # d_mec counts the serving epoch itself
         mec_served = Counter(
             (r.assigned_mec, r.mec_arrival_epoch + round(r.d_mec / delta) - 1)
@@ -327,7 +327,7 @@ def test_invariants_hold_on_random_scenarios(base):
             assert n <= math.ceil(run.mecs[mid - 1].capacity)
 
         for (uid, qos), series in res.upf_queue_series.items():
-            assert max(series) <= run.upfs[uid - 1].queue_cap[qos]
+            assert max(series) <= run.upfs[uid - 1].buckets[qos].queue_cap
         for mid, series in res.mec_queue_series.items():
             assert max(series) <= run.mecs[mid - 1].queue_cap
 
@@ -337,8 +337,8 @@ def test_invariants_hold_on_random_scenarios(base):
 
 def test_explicit_queue_caps_are_honored(metro):
     run = SimulationRun(metro)
-    assert run.upfs[0].queue_cap[QosClass.URLLC] == 45
-    assert run.upfs[3].queue_cap[QosClass.EMBB] == 8
+    assert run.upfs[0].buckets[QosClass.URLLC].queue_cap == 45
+    assert run.upfs[3].buckets[QosClass.EMBB].queue_cap == 8
     assert all(m.queue_cap == 70 for m in run.mecs)
 
 
@@ -357,7 +357,7 @@ def test_derived_upf_queue_cap_formula(campus5):
                     / spec.capacity[q]
                 ),
             )
-            assert u.queue_cap[q] == expected
+            assert u.buckets[q].queue_cap == expected
 
 
 def test_derived_mec_queue_cap_uses_skew_when_co_located(campus5):

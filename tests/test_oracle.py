@@ -129,7 +129,7 @@ def _stuffed_run(rng: np.random.Generator) -> SimulationRun:
     run = SimulationRun(make_scenario(num_upfs=3, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     for uid in (1, 2, 3):
         for qos in QosClass:
-            run.upfs[uid - 1].queue[qos].extend(
+            run.upfs[uid - 1].buckets[qos].queue.extend(
                 UeRequest(id=0, qos=qos, origin_upf=uid, arrival_epoch=0)
                 for _ in range(int(rng.integers(0, 15)))
             )
@@ -167,7 +167,7 @@ def test_congested_link_exposes_the_independence_gap():
     run = SimulationRun(make_scenario(num_upfs=2, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     # UPF 2 busy, MEC 1 busy: the per-tier argmins are UPF 1 and MEC 2
     for _ in range(9):
-        run.upfs[1].queue[QosClass.URLLC].append(
+        run.upfs[1].buckets[QosClass.URLLC].queue.append(
             UeRequest(id=0, qos=QosClass.URLLC, origin_upf=2, arrival_epoch=0)
         )
         run.mecs[0].queue.append(

@@ -32,7 +32,7 @@ def dummy(qos=QosClass.URLLC, origin=1) -> UeRequest:
 
 
 def stuff_upf(run: SimulationRun, upf_id: int, qos: QosClass, n: int) -> None:
-    run.upfs[upf_id - 1].queue[qos].extend(dummy(qos) for _ in range(n))
+    run.upfs[upf_id - 1].buckets[qos].queue.extend(dummy(qos) for _ in range(n))
     run.refresh_costs()
 
 
