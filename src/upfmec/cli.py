@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics
 from .engine import run_to_completion
-from .model import QosClass, RequestStatus, Scenario, ScenarioError, Scheme, load_scenario
+from .model import Scenario, ScenarioError, Scheme, load_scenario
 from .oracle import MAX_UPFS, minmax_batch_optimum, sequential_heuristic_batch
 
 ALL_SCHEMES = [s.value for s in Scheme]
@@ -86,7 +86,7 @@ def cmd_run(args) -> int:
     p = metrics.report_path(out, name, scheme, seed, "summary", "json")
     metrics.write_summary_json(report, p)
     paths.append(p)
-    e2e = [r.d_e2e for r in result.requests if r.status is RequestStatus.COMPLETED]
+    e2e = [d for ds in metrics.completed_e2e(result).values() for d in ds]
     p = metrics.report_path(out, name, scheme, seed, "cdf", "csv")
     metrics.write_cdf_csv(metrics.build_cdf(e2e), p)
     paths.append(p)
@@ -140,9 +140,7 @@ def cmd_compare(args) -> int:
             if d:
                 maxima.append(d.max)
                 means.append(d.mean)
-            pooled_e2e.extend(
-                r.d_e2e for r in result.requests if r.status is RequestStatus.COMPLETED
-            )
+            pooled_e2e.extend(d for ds in metrics.completed_e2e(result).values() for d in ds)
         cdf_path = metrics.report_path(out, scenario.name, scheme, "pooled", "cdf", "csv")
         metrics.write_cdf_csv(metrics.build_cdf(pooled_e2e), cdf_path)
         agg[scheme] = {

@@ -8,10 +8,8 @@ finished transfers to their MEC queues, serve the MECs, then advance the
 clock.  After the arrival horizon the run keeps stepping without new
 traffic until every admitted request has completed or a drain cap is hit.
 
-Both tiers are ``model.ServiceQueue``s: a UPF holds one per QoS class and
-a MEC is one.  Admission and MEC arrival drop a request when its queue is
-``full()``, service pops ``serve()``, and a queue's cost is its
-``price()``; the tiers differ only in what happens to a served request.
+A UPF holds one ``model.ServiceQueue`` per QoS class and a MEC is one, so
+both tiers share the drop test, the service law and the price.
 
 The run keeps the cost vectors the schemes read: ``upf_cost[q][i]`` is
 the price of UPF i+1's bucket of class q and ``mec_cost[j]`` that of
@@ -237,6 +235,7 @@ class SimulationRun:
 
     def step_epoch(self, generate: bool = True) -> EpochReport:
         epoch = self.epoch
+        completed_before = self.completed
         arrivals: List[UeRequest] = []
         if generate:
             arrivals = generate_arrivals(
@@ -306,13 +305,12 @@ class SimulationRun:
             if not still:
                 self._busy_links.discard(key)
 
-        served_mec = completed_now = 0
+        served_mec = 0
         for m in self.mecs:
             served = m.serve()
             for req in served:
                 req.d_mec = (epoch + 1 - req.mec_arrival_epoch) * self.delta
                 self._complete(req)
-                completed_now += 1
             served_mec += len(served)
 
         for u in self.upfs:
@@ -328,7 +326,7 @@ class SimulationRun:
             dropped=dropped_now,
             served_upf=served_upf,
             served_mec=served_mec,
-            completed=completed_now,
+            completed=self.completed - completed_before,
             in_flight=self.in_flight,
         )
         self.epoch_reports.append(report)

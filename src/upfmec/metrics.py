@@ -129,6 +129,15 @@ def summarize(result: RunResult) -> SummaryReport:
     return report
 
 
+def completed_e2e(result: RunResult) -> Dict[QosClass, List[float]]:
+    """End-to-end delays of the completed requests by QoS class, in one pass."""
+    by_qos: Dict[QosClass, List[float]] = {q: [] for q in QosClass}
+    for r in result.requests:
+        if r.status is RequestStatus.COMPLETED:
+            by_qos[r.qos].append(r.d_e2e)
+    return by_qos
+
+
 @dataclass(frozen=True)
 class CdfTable:
     """Empirical CDF: unique sorted values and cumulative probabilities."""
@@ -194,14 +203,10 @@ def _sweep_task(args: Tuple[Scenario, int]) -> Tuple[Dict[QosClass, Tuple[int, i
     """Run one (scenario, seed) cell; count threshold hits per QoS."""
     scenario, seed = args
     result = run_to_completion(scenario, seed=seed)
+    e2e = completed_e2e(result)
     hits: Dict[QosClass, Tuple[int, int]] = {}
     for q, thr in scenario.thresholds_ms.items():
-        done = [
-            r.d_e2e
-            for r in result.requests
-            if r.status is RequestStatus.COMPLETED and r.qos is q
-        ]
-        hits[q] = (sum(1 for d in done if d < thr), len(done))
+        hits[q] = (sum(1 for d in e2e[q] if d < thr), len(e2e[q]))
     return hits, result.completed, result.dropped
 
 

@@ -168,19 +168,14 @@ class InvariantError(RuntimeError):
     """A structural invariant broke mid-run; the run is aborted."""
 
 
-_NOTHING: Tuple[UeRequest, ...] = ()
-
-
 @dataclass(slots=True)
 class ServiceQueue:
-    """One FCFS queue served at `capacity` requests per epoch: a UPF QoS
-    bucket or a MEC host.
+    """FCFS queue served at `capacity` requests per epoch: a UPF QoS bucket or a MEC.
 
-    A fractional capacity accrues as `credit` across epochs while the queue
-    stays non-empty.  `pending` counts requests assigned here and admitted
-    upstream but not yet in the queue (waiting at a UPF or crossing a link);
-    it is only ever non-zero for a MEC, and is counted so that later
-    assignment decisions see commitments that have not arrived yet.
+    `credit` carries a fractional capacity across epochs while the queue
+    stays non-empty.  `pending` (non-zero only for a MEC) counts requests
+    assigned here and admitted upstream but not yet arrived, so later
+    assignment decisions see those commitments.
     """
 
     capacity: float
@@ -206,15 +201,11 @@ class ServiceQueue:
         return projected_delay(*self.snapshot(), delta)
 
     def serve(self) -> Sequence[UeRequest]:
-        """Pop this epoch's service: up to int(credit + capacity) requests.
-
-        What the queue cannot use now carries over only while it stays
-        non-empty; an idle queue starts the next epoch from zero.
-        """
+        """Pop this epoch's service, up to int(credit + capacity) requests."""
         queue = self.queue
         if not queue:
             self.credit = 0.0
-            return _NOTHING
+            return ()
         credit = self.credit + self.capacity
         n = min(len(queue), int(credit))
         if n > math.ceil(self.capacity):
@@ -269,6 +260,16 @@ def _non_negative(x: float) -> bool:
     return 0.0 <= x < math.inf
 
 
+def _integer(x) -> bool:
+    """x is an int; bools and whole floats such as 5.0 are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _ids_in_order(ids: list) -> bool:
+    """ids are the ints 1..len(ids) in order ([1.0] == [1], so check types too)."""
+    return all(_integer(i) for i in ids) and ids == list(range(1, len(ids) + 1))
+
+
 def _whole(x: float) -> bool:
     """x is a finite whole number >= 1, as a queue capacity must be."""
     return 1 <= x < math.inf and x == math.floor(x)
@@ -285,18 +286,22 @@ def _check_dist(values: List[float], what: str, out: List[str]) -> None:
 def validate_scenario(s: Scenario) -> List[str]:
     """Return the full list of violated invariants; empty means valid."""
     v: List[str] = []
-    if s.num_upfs < 1:
-        v.append("num_upfs must be >= 1")
-    if s.num_mecs < 1:
-        v.append("num_mecs must be >= 1")
+    if not _integer(s.num_upfs) or s.num_upfs < 1:
+        v.append("num_upfs must be an integer >= 1")
+    if not _integer(s.num_mecs) or s.num_mecs < 1:
+        v.append("num_mecs must be an integer >= 1")
     if not _positive(s.delta_ms):
         v.append("delta_ms must be > 0 and finite")
-    if s.horizon_epochs < 0:
-        v.append("horizon_epochs must be >= 0")
+    if not _integer(s.horizon_epochs) or s.horizon_epochs < 0:
+        v.append("horizon_epochs must be an integer >= 0")
+    if not _integer(s.seed) or s.seed < 0:
+        v.append("seed must be an integer >= 0")
     if not _positive(s.headroom_factor):
         v.append("headroom_factor must be > 0 and finite")
-    if s.drain_cap_epochs is not None and s.drain_cap_epochs < 0:
-        v.append("drain_cap_epochs must be >= 0")
+    if s.drain_cap_epochs is not None and (
+        not _integer(s.drain_cap_epochs) or s.drain_cap_epochs < 0
+    ):
+        v.append("drain_cap_epochs must be an integer >= 0")
 
     t = s.traffic
     if not _non_negative(t.mean_arrivals_per_epoch):
@@ -312,7 +317,7 @@ def validate_scenario(s: Scenario) -> List[str]:
     else:
         _check_dist([t.qos_mix[q] for q in QosClass], "traffic.qos_mix", v)
 
-    if [u.id for u in s.upfs] != list(range(1, s.num_upfs + 1)):
+    if len(s.upfs) != s.num_upfs or not _ids_in_order([u.id for u in s.upfs]):
         v.append("upfs must carry ids 1..num_upfs in order")
     for u in s.upfs:
         if u.capacity is None and (u.etpb is None or u.alpha is None):
@@ -342,7 +347,7 @@ def validate_scenario(s: Scenario) -> List[str]:
             elif not all(_whole(c) for c in u.queue_cap.values()):
                 v.append(f"upf {u.id}: queue_cap entries must be whole numbers >= 1")
 
-    if [m.id for m in s.mecs] != list(range(1, s.num_mecs + 1)):
+    if len(s.mecs) != s.num_mecs or not _ids_in_order([m.id for m in s.mecs]):
         v.append("mecs must carry ids 1..num_mecs in order")
     for m in s.mecs:
         if m.capacity is None and m.etpb is None:

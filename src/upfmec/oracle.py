@@ -9,7 +9,7 @@ bestfit rule has, so the two agree exactly on single-request instances.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .delay import net_delay, projected_delay, worst_case_batch_delay
 from .schemes import Bucket, find_bestfit_upf

@@ -78,8 +78,41 @@ def _no_bandwidths(doc):
     doc["links"] = {}
 
 
+def _float_num_upfs(doc):
+    doc["num_upfs"] = 2.0
+
+
+def _float_num_mecs(doc):
+    doc["num_mecs"] = 2.0
+
+
+def _fractional_horizon(doc):
+    doc["horizon_epochs"] = 2.5
+
+
+def _fractional_drain_cap(doc):
+    doc["drain_cap_epochs"] = 1.5
+
+
+def _fractional_seed(doc):
+    doc["seed"] = 1.5
+
+
+def _float_upf_id(doc):
+    doc["upfs"][0]["id"] = 1.0
+
+
+def _float_mec_id(doc):
+    doc["mecs"][0]["id"] = 1.0
+
+
 @pytest.mark.parametrize(
-    "breaks", [_drop_mmtc_queue_cap, _nan_queue_cap, _inf_mec_queue_cap, _no_bandwidths]
+    "breaks",
+    [
+        _drop_mmtc_queue_cap, _nan_queue_cap, _inf_mec_queue_cap, _no_bandwidths,
+        _float_num_upfs, _float_num_mecs, _fractional_horizon, _fractional_drain_cap,
+        _fractional_seed, _float_upf_id, _float_mec_id,
+    ],
 )
 def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
     path = tmp_path / "bad.yaml"

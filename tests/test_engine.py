@@ -116,14 +116,31 @@ def test_burst_leaves_excess_queued():
     assert run.upf_queue_series[(1, QosClass.URLLC)][0] == 3
 
 
-def test_fractional_capacity_accrues_credit():
+@pytest.mark.parametrize(
+    "tier, lag, knobs",
+    [
+        ("served_upf", 0, dict(upf_capacity=1.5)),
+        # the UPF passes all three on at once and a fast link delivers them
+        # one epoch later, so the MEC serves from the second epoch on
+        ("served_mec", 1, dict(upf_capacity=3.0, mec_capacity=1.5, bandwidth_mbps=1e6)),
+    ],
+    ids=["upf", "mec"],
+)
+def test_fractional_capacity_accrues_credit(tier, lag, knobs):
     s = make_scenario(
         num_upfs=1, lam=3.0, horizon=4, qos_mix=ALL_URLLC,
-        upf_capacity=1.5, upf_queue_cap=100, mec_queue_cap=100,
+        upf_queue_cap=100, mec_queue_cap=100, **knobs,
     )
     run = SimulationRun(s)
-    served = [run.step_epoch().served_upf for _ in range(4)]
-    assert served == [1, 2, 1, 2]
+    served = [getattr(run.step_epoch(), tier) for _ in range(lag + 4)]
+    assert served[lag:] == [1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["campus5", "metro"])
+def test_epoch_completions_add_up_to_the_run(name, request):
+    # regular requests complete at the UPF, every other class at a MEC
+    res = run_to_completion(request.getfixturevalue(name), seed=1)
+    assert sum(rep.completed for rep in res.epoch_reports) == res.completed
 
 
 def test_zero_load_all_schemes_agree():

@@ -147,6 +147,17 @@ MALFORMED = {
     "no bandwidth matrix": (
         "link_bandwidth_mbps", lambda s: setattr(s, "link_bandwidth_mbps", None)
     ),
+    # integer fields: a whole float or a bool is not an int
+    "num_upfs float": ("num_upfs", lambda s: setattr(s, "num_upfs", 2.0)),
+    "num_mecs float": ("num_mecs", lambda s: setattr(s, "num_mecs", 2.0)),
+    "horizon_epochs fractional": ("horizon_epochs", lambda s: setattr(s, "horizon_epochs", 2.5)),
+    "horizon_epochs bool": ("horizon_epochs", lambda s: setattr(s, "horizon_epochs", True)),
+    "drain_cap_epochs fractional": (
+        "drain_cap_epochs", lambda s: setattr(s, "drain_cap_epochs", 1.5)
+    ),
+    "seed fractional": ("seed", lambda s: setattr(s, "seed", 1.5)),
+    "upf id float": ("upfs must carry ids", lambda s: setattr(s.upfs[0], "id", 1.0)),
+    "mec id float": ("mecs must carry ids", lambda s: setattr(s.mecs[0], "id", 1.0)),
 }
 
 
