@@ -17,6 +17,7 @@ import csv
 import sys
 from dataclasses import replace
 from importlib import resources
+from itertools import chain
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ def cmd_run(args) -> int:
     p = metrics.report_path(out, name, scheme, seed, "summary", "json")
     metrics.write_summary_json(report, p)
     paths.append(p)
-    e2e = [d for ds in metrics.completed_e2e(result).values() for d in ds]
+    e2e = list(chain.from_iterable(metrics.completed_e2e(result).values()))
     p = metrics.report_path(out, name, scheme, seed, "cdf", "csv")
     metrics.write_cdf_csv(metrics.build_cdf(e2e), p)
     paths.append(p)
@@ -140,7 +141,7 @@ def cmd_compare(args) -> int:
             if d:
                 maxima.append(d.max)
                 means.append(d.mean)
-            pooled_e2e.extend(d for ds in metrics.completed_e2e(result).values() for d in ds)
+            pooled_e2e.extend(chain.from_iterable(metrics.completed_e2e(result).values()))
         cdf_path = metrics.report_path(out, scenario.name, scheme, "pooled", "cdf", "csv")
         metrics.write_cdf_csv(metrics.build_cdf(pooled_e2e), cdf_path)
         agg[scheme] = {

@@ -188,17 +188,18 @@ class ServiceQueue:
         """A request arriving now would be dropped."""
         return len(self.queue) >= self.queue_cap
 
-    def snapshot(self) -> Tuple[float, float, float]:
-        """(queue_len, headroom, capacity) as a request joining now sees it.
+    def price(self, delta: float) -> float:
+        """Projected delay of joining this queue now, ms.
 
         Headroom is the full capacity: service runs after admission in every
         epoch, so no request is in service while decisions are made.
         """
-        return (float(len(self.queue) + self.pending), self.capacity, self.capacity)
+        c = self.capacity
+        return projected_delay(len(self.queue) + self.pending, c, c, delta)
 
-    def price(self, delta: float) -> float:
-        """Projected delay of joining this queue now, ms."""
-        return projected_delay(*self.snapshot(), delta)
+    def snapshot(self) -> Tuple[float, float, float]:
+        """The (queue_len, headroom, capacity) bucket `price` prices, for the reference solvers."""
+        return (float(len(self.queue) + self.pending), self.capacity, self.capacity)
 
     def serve(self) -> Sequence[UeRequest]:
         """Pop this epoch's service, up to int(credit + capacity) requests."""
