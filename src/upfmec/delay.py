@@ -10,12 +10,15 @@ ahead of it to drain at the bucket's service rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DelayBreakdown:
-    """End-to-end delay split into its three stages, ms."""
+class DelayBreakdown(NamedTuple):
+    """End-to-end delay split into its three stages, ms.
+
+    A named tuple rather than a frozen dataclass: every admitted request
+    keeps one, and a tuple is cheaper to build and to hold.
+    """
 
     d_upf: float
     d_net: float

@@ -13,10 +13,20 @@ both tiers share the drop test, the service law and the price.
 
 The run keeps the cost vectors the schemes read: ``upf_cost[q][i]`` is
 the price of UPF i+1's bucket of class q and ``mec_cost[j]`` that of
-MEC j+1.  They are rebuilt from the queues at the start of every
-admission phase, and each admission rewrites the entries it changed.
-Code that edits queues or ``pending`` outside ``step_epoch``, or calls a
-scheme between epochs, must call ``refresh_costs()`` first.
+MEC j+1.  They are priced once when the run is built and then repriced
+only where a queue changes: an admission rewrites the entries it
+touched, a UPF bucket is repriced after its service, and a MEC after its
+own service, which follows every change the link phase makes to it (a
+drop at its door lowers ``pending``, but only when its queue is full).
+A price depends only on the queue length, ``pending`` and the capacity,
+so the vectors always equal a fresh pricing.  Code that edits queues or
+``pending`` outside ``step_epoch`` must call ``refresh_costs()`` before
+the next decision.
+
+Idle queues are skipped: an empty queue holds no credit (``serve`` would
+only reset it to zero) and its price cannot change, so service passes it
+after one emptiness test.  The per-queue work left in an epoch is that
+test and one row of queue lengths, from which the queue series are built.
 """
 
 from __future__ import annotations
@@ -71,17 +81,12 @@ def generate_arrivals(
     if count == 0:
         return []
     skew = np.asarray(traffic.skew, dtype=float)
-    origins = rng.choice(num_upfs, size=count, p=skew / skew.sum())
+    origins = rng.choice(num_upfs, size=count, p=skew / skew.sum()).tolist()
     mix = np.asarray([traffic.qos_mix[q] for q in _QOS_LIST], dtype=float)
-    classes = rng.choice(len(_QOS_LIST), size=count, p=mix / mix.sum())
+    classes = rng.choice(len(_QOS_LIST), size=count, p=mix / mix.sum()).tolist()
     return [
-        UeRequest(
-            id=start_id + k,
-            qos=_QOS_LIST[classes[k]],
-            origin_upf=int(origins[k]) + 1,
-            arrival_epoch=epoch,
-        )
-        for k in range(count)
+        UeRequest(start_id + k, _QOS_LIST[c], o + 1, epoch)
+        for k, (o, c) in enumerate(zip(origins, classes))
     ]
 
 
@@ -205,8 +210,6 @@ class SimulationRun:
             self.drain_cap = DEFAULT_DRAIN_FACTOR * max(1, scenario.horizon_epochs)
         self.requests: List[UeRequest] = []
         self.epoch_reports: List[EpochReport] = []
-        self.upf_queue_series = {(u.id, q): [] for u in self.upfs for q in QosClass}
-        self.mec_queue_series = {m.id: [] for m in self.mecs}
         self.generated = 0
         self.completed = 0
         self.dropped = 0
@@ -215,12 +218,22 @@ class SimulationRun:
             q: np.empty(len(self.upfs)) for q in QosClass
         }
         self.mec_cost = np.empty(len(self.mecs))
-        # each cost vector with the queues it prices, in index order
-        self._priced: List[Tuple[np.ndarray, List[ServiceQueue]]] = [
-            (self.upf_cost[q], [u.buckets[q] for u in self.upfs]) for q in QosClass
+        # UPF buckets in service order (UPF-major, class-minor), each with
+        # the cost vector entry that prices it and whether its class goes on
+        # to a MEC; link-entry order sets link sharing and MEC FCFS order
+        self._upf_slots: List[Tuple[ServiceQueue, np.ndarray, int, bool]] = [
+            (u.buckets[q], self.upf_cost[q], i, q.uses_mec)
+            for i, u in enumerate(self.upfs)
+            for q in QosClass
         ]
-        self._priced.append((self.mec_cost, self.mecs))
         self.refresh_costs()
+        # the queue-series keys, and the deques (a ServiceQueue keeps its own
+        # for life) whose lengths make one row per epoch in the same order:
+        # every UPF bucket, then every MEC
+        self._upf_series_keys = [(u.id, q) for u in self.upfs for q in QosClass]
+        self._series_queues = [slot[0].queue for slot in self._upf_slots]
+        self._series_queues += [m.queue for m in self.mecs]
+        self._queue_rows: List[List[int]] = []
 
     @property
     def in_flight(self) -> int:
@@ -228,8 +241,30 @@ class SimulationRun:
 
     def refresh_costs(self) -> None:
         """Recompute every entry of the cost vectors from the current queues."""
-        for cost, queues in self._priced:
-            cost[:] = [sq.price(self.delta) for sq in queues]
+        for bucket, cost, idx, _ in self._upf_slots:
+            cost[idx] = bucket.price(self.delta)
+        self.mec_cost[:] = [m.price(self.delta) for m in self.mecs]
+
+    def _queue_series(
+        self,
+    ) -> Tuple[Dict[Tuple[int, QosClass], List[int]], Dict[int, List[int]]]:
+        """Queue length at the end of each epoch, per UPF bucket and per MEC."""
+        if self._queue_rows:
+            columns = [list(col) for col in zip(*self._queue_rows)]
+        else:
+            columns = [[] for _ in self._series_queues]
+        n_upf = len(self._upf_series_keys)
+        upf = dict(zip(self._upf_series_keys, columns[:n_upf]))
+        mec = dict(zip((m.id for m in self.mecs), columns[n_upf:]))
+        return upf, mec
+
+    @property
+    def upf_queue_series(self) -> Dict[Tuple[int, QosClass], List[int]]:
+        return self._queue_series()[0]
+
+    @property
+    def mec_queue_series(self) -> Dict[int, List[int]]:
+        return self._queue_series()[1]
 
     # ------------------------------------------------------------- stepping
 
@@ -246,13 +281,16 @@ class SimulationRun:
             self.generated += len(arrivals)
 
         admitted = dropped_now = 0
-        self.refresh_costs()
+        delta = self.delta
+        assign = self._assign
+        upfs, mecs = self.upfs, self.mecs
+        upf_cost, mec_cost = self.upf_cost, self.mec_cost
         for req in arrivals:
-            decision = self._assign(req, self)
-            req.assigned_upf = decision.upf_id
-            req.assigned_mec = decision.mec_id
-            req.projected = decision.projected
-            bucket = self.upfs[decision.upf_id - 1].buckets[req.qos]
+            upf_id, mec_id, projected = assign(req, self)
+            req.assigned_upf = upf_id
+            req.assigned_mec = mec_id
+            req.projected = projected
+            bucket = upfs[upf_id - 1].buckets[req.qos]
             if bucket.full():
                 req.advance_status(RequestStatus.DROPPED)
                 self.dropped += 1
@@ -260,34 +298,36 @@ class SimulationRun:
             else:
                 req.advance_status(RequestStatus.IN_UPF_QUEUE)
                 bucket.queue.append(req)
-                self.upf_cost[req.qos][decision.upf_id - 1] = bucket.price(self.delta)
+                upf_cost[req.qos][upf_id - 1] = bucket.price(delta)
                 admitted += 1
-                if decision.mec_id is not None:
-                    mec = self.mecs[decision.mec_id - 1]
+                if mec_id is not None:
+                    mec = mecs[mec_id - 1]
                     mec.pending += 1
-                    self.mec_cost[decision.mec_id - 1] = mec.price(self.delta)
+                    mec_cost[mec_id - 1] = mec.price(delta)
         if admitted + dropped_now != len(arrivals):
             raise InvariantError(
                 f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(arrivals)}"
             )
 
         served_upf = 0
-        for u in self.upfs:
-            for bucket in u.buckets.values():
-                served = bucket.serve()
-                for req in served:
-                    req.upf_serve_epoch = epoch
-                    req.d_upf = (epoch + 1 - req.arrival_epoch) * self.delta
-                    if req.qos.uses_mec:
-                        self._enter_link(req, epoch)
-                    else:
-                        self._complete(req)
-                served_upf += len(served)
+        for bucket, cost, idx, to_mec in self._upf_slots:
+            if not bucket.queue:
+                continue
+            served = bucket.serve()
+            cost[idx] = bucket.price(delta)
+            for req in served:
+                req.upf_serve_epoch = epoch
+                req.d_upf = (epoch + 1 - req.arrival_epoch) * delta
+                if to_mec:
+                    self._enter_link(req, epoch)
+                else:
+                    self._complete(req)
+            served_upf += len(served)
 
         for key in sorted(self._busy_links):
             link = self.links[key]
             still: List[UeRequest] = []
-            mec = self.mecs[link.mec_id - 1]
+            mec = mecs[link.mec_id - 1]
             for req in link.in_transit:
                 if req.mec_due_epoch <= epoch:
                     mec.pending -= 1
@@ -305,19 +345,21 @@ class SimulationRun:
             if not still:
                 self._busy_links.discard(key)
 
+        # a MEC the link phase changed holds a queue now: a delivery joined it,
+        # or a drop found it full (queue_cap >= 1); so repricing each served
+        # MEC also covers the drops, which lower pending without queueing
         served_mec = 0
-        for m in self.mecs:
+        for j, m in enumerate(mecs):
+            if not m.queue:
+                continue
             served = m.serve()
+            mec_cost[j] = m.price(delta)
             for req in served:
-                req.d_mec = (epoch + 1 - req.mec_arrival_epoch) * self.delta
+                req.d_mec = (epoch + 1 - req.mec_arrival_epoch) * delta
                 self._complete(req)
             served_mec += len(served)
 
-        for u in self.upfs:
-            for q, bucket in u.buckets.items():
-                self.upf_queue_series[(u.id, q)].append(len(bucket.queue))
-        for m in self.mecs:
-            self.mec_queue_series[m.id].append(len(m.queue))
+        self._queue_rows.append(list(map(len, self._series_queues)))
 
         report = EpochReport(
             epoch=epoch,
@@ -362,6 +404,7 @@ class SimulationRun:
             raise InvariantError("request conservation broken at end of run")
         if self.in_flight == 0 and any(m.pending for m in self.mecs):
             raise InvariantError("pending MEC commitments left after full drain")
+        upf_series, mec_series = self._queue_series()
         return RunResult(
             scenario=self.scenario,
             scheme=self.scenario.scheme.value,
@@ -370,8 +413,8 @@ class SimulationRun:
             truncated=self.in_flight > 0,
             requests=self.requests,
             epoch_reports=self.epoch_reports,
-            upf_queue_series=self.upf_queue_series,
-            mec_queue_series=self.mec_queue_series,
+            upf_queue_series=upf_series,
+            mec_queue_series=mec_series,
             generated=self.generated,
             completed=self.completed,
             dropped=self.dropped,

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -106,16 +107,18 @@ def summarize(result: RunResult) -> SummaryReport:
         epochs_run=result.epochs_run,
         truncated=result.truncated,
     )
-    done = [r for r in result.requests if r.status is RequestStatus.COMPLETED]
-    by_upf_qos: Dict[Tuple[int, QosClass], List[float]] = {}
-    by_mec: Dict[int, List[float]] = {}
-    by_qos: Dict[QosClass, List[float]] = {}
+    by_upf_qos: Dict[Tuple[int, QosClass], List[float]] = defaultdict(list)
+    by_mec: Dict[int, List[float]] = defaultdict(list)
+    by_qos: Dict[QosClass, List[float]] = defaultdict(list)
     e2e: List[float] = []
-    for r in done:
-        by_upf_qos.setdefault((r.assigned_upf, r.qos), []).append(r.d_upf)
+    completed = RequestStatus.COMPLETED
+    for r in result.requests:
+        if r.status is not completed:
+            continue
+        by_upf_qos[(r.assigned_upf, r.qos)].append(r.d_upf)
         if r.assigned_mec is not None:
-            by_mec.setdefault(r.assigned_mec, []).append(r.d_mec)
-        by_qos.setdefault(r.qos, []).append(r.d_e2e)
+            by_mec[r.assigned_mec].append(r.d_mec)
+        by_qos[r.qos].append(r.d_e2e)
         e2e.append(r.d_e2e)
     report.per_upf_qos = {k: _stats(v) for k, v in sorted(by_upf_qos.items(), key=lambda kv: (kv[0][0], kv[0][1].value))}
     report.per_mec = {k: _stats(v) for k, v in sorted(by_mec.items())}

@@ -251,14 +251,19 @@ class Link:
 _SUM_TOL = 1e-9
 
 
-def _positive(x: float) -> bool:
-    """x is a finite number > 0; NaN and +-inf fail."""
-    return 0.0 < x < math.inf
+def _number(x) -> bool:
+    """x is an int or a float; bools, strings such as "1" and None are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _non_negative(x: float) -> bool:
-    """x is a finite number >= 0; NaN and +-inf fail."""
-    return 0.0 <= x < math.inf
+def _positive(x) -> bool:
+    """x is a finite number > 0; NaN, +-inf and non-numbers fail."""
+    return _number(x) and 0.0 < x < math.inf
+
+
+def _non_negative(x) -> bool:
+    """x is a finite number >= 0; NaN, +-inf and non-numbers fail."""
+    return _number(x) and 0.0 <= x < math.inf
 
 
 def _integer(x) -> bool:
@@ -271,14 +276,16 @@ def _ids_in_order(ids: list) -> bool:
     return all(_integer(i) for i in ids) and ids == list(range(1, len(ids) + 1))
 
 
-def _whole(x: float) -> bool:
+def _whole(x) -> bool:
     """x is a finite whole number >= 1, as a queue capacity must be."""
-    return 1 <= x < math.inf and x == math.floor(x)
+    return _number(x) and 1 <= x < math.inf and x == math.floor(x)
 
 
 def _check_dist(values: List[float], what: str, out: List[str]) -> None:
     if not all(_non_negative(v) for v in values):
-        out.append(f"{what} has negative or non-finite entries")
+        out.append(f"{what} has negative, non-finite or non-numeric entries")
+        if not all(_number(v) for v in values):
+            return
     total = sum(values)
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
         out.append(f"{what} sums to {total:g}, expected 1.0")
@@ -332,12 +339,15 @@ def validate_scenario(s: Scenario) -> List[str]:
             if set(u.alpha) != set(QosClass):
                 v.append(f"upf {u.id}: alpha must cover all four QoS classes")
             else:
-                bad = [q.value for q in QosClass if not 0.0 < u.alpha[q] <= 1.0]
+                bad = [
+                    q.value for q in QosClass if not (_positive(u.alpha[q]) and u.alpha[q] <= 1.0)
+                ]
                 if bad:
                     v.append(f"upf {u.id}: alpha entries out of (0, 1]: {', '.join(bad)}")
-                total = sum(u.alpha.values())
-                if total > 1.0 + _SUM_TOL:
-                    v.append(f"upf {u.id}: alpha sums to {total:g}, expected <= 1.0")
+                if all(_number(a) for a in u.alpha.values()):
+                    total = sum(u.alpha.values())
+                    if total > 1.0 + _SUM_TOL:
+                        v.append(f"upf {u.id}: alpha sums to {total:g}, expected <= 1.0")
         if u.etpb is not None and not _positive(u.etpb):
             v.append(f"upf {u.id}: etpb must be > 0 and finite")
         if not _positive(u.bytes_per_ue):

@@ -14,8 +14,7 @@ them as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .delay import DelayBreakdown, net_delay, projected_delay
 
@@ -23,8 +22,7 @@ from .delay import DelayBreakdown, net_delay, projected_delay
 Bucket = Tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class AssignmentDecision:
+class AssignmentDecision(NamedTuple):
     """Where a request should go, with the delay the scheme expects."""
 
     upf_id: int

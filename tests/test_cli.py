@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -45,6 +48,16 @@ def test_run_accepts_scenario_files(tmp_path):
     assert load_scenario(str(path)).name == "tiny"
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert rc == 0
+
+
+def test_python_m_upfmec_runs_from_a_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "upfmec", "--help"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: upfmec")
 
 
 def test_missing_scenario_is_a_usage_error(tmp_path, capsys):
@@ -106,12 +119,25 @@ def _float_mec_id(doc):
     doc["mecs"][0]["id"] = 1.0
 
 
+def _quoted_delta(doc):
+    doc["delta_ms"] = "1"
+
+
+def _quoted_skew_entry(doc):
+    doc["traffic"]["skew"][0] = "0.5"
+
+
+def _null_headroom_factor(doc):
+    doc["headroom_factor"] = None
+
+
 @pytest.mark.parametrize(
     "breaks",
     [
         _drop_mmtc_queue_cap, _nan_queue_cap, _inf_mec_queue_cap, _no_bandwidths,
         _float_num_upfs, _float_num_mecs, _fractional_horizon, _fractional_drain_cap,
-        _fractional_seed, _float_upf_id, _float_mec_id,
+        _fractional_seed, _float_upf_id, _float_mec_id, _quoted_delta, _quoted_skew_entry,
+        _null_headroom_factor,
     ],
 )
 def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):

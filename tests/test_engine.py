@@ -275,6 +275,26 @@ def test_cost_vectors_match_fresh_snapshots(campus5, metro, pairs, scheme):
     assert len(decisions) == res.generated > 0
 
 
+@pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC])
+def test_queue_series_hold_one_entry_per_epoch(metro, scheme):
+    run = SimulationRun(replace(build_pair_scenario(metro, 3), scheme=scheme), seed=1)
+    assert all(s == [] for s in run.upf_queue_series.values())
+    assert all(s == [] for s in run.mec_queue_series.values())
+    for k in range(1, 6):
+        run.step_epoch(generate=k < 4)
+        upf_series, mec_series = run.upf_queue_series, run.mec_queue_series
+        assert set(upf_series) == {(u.id, q) for u in run.upfs for q in QosClass}
+        assert set(mec_series) == {m.id for m in run.mecs}
+        for (uid, qos), series in upf_series.items():
+            assert len(series) == k
+            assert series[-1] == len(run.upfs[uid - 1].buckets[qos].queue)
+        for mid, series in mec_series.items():
+            assert len(series) == k
+            assert series[-1] == len(run.mecs[mid - 1].queue)
+    # the lengths compared were not all zero
+    assert any(any(series) for series in upf_series.values())
+
+
 def test_pending_commitments_fully_drain(metro):
     run = SimulationRun(replace(metro, scheme=Scheme.BESTFIT_UPF_MEC), seed=1)
     res = run.run()
@@ -313,13 +333,36 @@ def small_scenarios(draw):
     return s
 
 
+def _check_idle_credit_at_every_epoch(run: SimulationRun) -> list:
+    """Make every epoch of the run end by checking that no empty queue holds credit."""
+    epochs = []
+    step = run.step_epoch
+    queues = [b for u in run.upfs for b in u.buckets.values()] + run.mecs
+
+    def checked(generate=True):
+        report = step(generate)
+        # service skips empty queues, which is exact only while they hold no credit
+        assert all(sq.credit == 0.0 for sq in queues if not sq.queue)
+        epochs.append(report.epoch)
+        return report
+
+    run.step_epoch = checked
+    return epochs
+
+
 @settings(max_examples=50, deadline=None)
 @given(base=small_scenarios())
 def test_invariants_hold_on_random_scenarios(base):
     delta = base.delta_ms
     for scheme in Scheme:
         run = SimulationRun(replace(base, scheme=scheme), drain_cap=100_000)
+        # the incrementally repriced cost vectors equal a fresh pricing at every
+        # decision, also after drops at a MEC's door and with fractional capacities
+        decisions = _check_costs_at_every_decision(run)
+        epochs = _check_idle_credit_at_every_epoch(run)
         res = run.run()
+        assert len(decisions) == res.generated
+        assert epochs == list(range(res.epochs_run))
         status = Counter(r.status for r in res.requests)
         assert res.generated == len(res.requests)
         assert res.completed == status[RequestStatus.COMPLETED]

@@ -133,6 +133,15 @@ def test_non_finite_values_are_rejected(field, value):
     assert any(m.startswith(field) for m in msgs), msgs
 
 
+@pytest.mark.parametrize("value", ["1", True], ids=["quoted", "bool"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_non_numbers_are_rejected(field, value):
+    s = make_scenario(thresholds={QosClass.URLLC: 5.0})
+    FLOAT_FIELDS[field](s, value)
+    msgs = validate_scenario(s)
+    assert any(m.startswith(field) for m in msgs), msgs
+
+
 def _drop_upf_queue_class(s):
     s.upfs[0].queue_cap = {q: 5 for q in QosClass if q is not QosClass.MMTC}
 
@@ -158,6 +167,16 @@ MALFORMED = {
     "seed fractional": ("seed", lambda s: setattr(s, "seed", 1.5)),
     "upf id float": ("upfs must carry ids", lambda s: setattr(s.upfs[0], "id", 1.0)),
     "mec id float": ("mecs must carry ids", lambda s: setattr(s.mecs[0], "id", 1.0)),
+    # number fields: a quoted number, a null or a bool is not a number
+    "delta_ms quoted": ("delta_ms", lambda s: setattr(s, "delta_ms", "1")),
+    "skew entry quoted": ("traffic.skew", lambda s: s.traffic.skew.__setitem__(0, "0.5")),
+    "headroom_factor null": ("headroom_factor", lambda s: setattr(s, "headroom_factor", None)),
+    "qos_mix entry null": (
+        "traffic.qos_mix", lambda s: s.traffic.qos_mix.__setitem__(QosClass.EMBB, None)
+    ),
+    "alpha entry quoted": ("upf 1: alpha", lambda s: _set_alpha(s, "0.25")),
+    "upf queue_cap quoted": ("upf 1: queue_cap", lambda s: _set_upf_queue_cap(s, "5")),
+    "mec capacity bool": ("mec 1: capacity", lambda s: setattr(s.mecs[0], "capacity", True)),
 }
 
 
