@@ -9,8 +9,16 @@ from .delay import (
     upf_capacity,
     worst_case_batch_delay,
 )
-from .engine import EpochReport, InvariantError, RunResult, SimulationRun, run_to_completion
+from .engine import (
+    EpochReport,
+    InvariantError,
+    RunResult,
+    SimulationRun,
+    projection,
+    run_to_completion,
+)
 from .model import (
+    CostVector,
     Link,
     MecSpec,
     MecState,
@@ -37,7 +45,6 @@ from .oracle import (
     sequential_heuristic_batch,
 )
 from .schemes import (
-    AssignmentDecision,
     assign_baseline,
     assign_bestfit_no_pe,
     assign_bestfit_pe,

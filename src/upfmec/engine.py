@@ -11,17 +11,26 @@ traffic until every admitted request has completed or a drain cap is hit.
 A UPF holds one ``model.ServiceQueue`` per QoS class and a MEC is one, so
 both tiers share the drop test, the service law and the price.
 
-The run keeps the cost vectors the schemes read: ``upf_cost[q][i]`` is
-the price of UPF i+1's bucket of class q and ``mec_cost[j]`` that of
-MEC j+1.  They are priced once when the run is built and then repriced
-only where a queue changes: an admission rewrites the entries it
-touched, a UPF bucket is repriced after its service, and a MEC after its
-own service, which follows every change the link phase makes to it (a
-drop at its door lowers ``pending``, but only when its queue is full).
-A price depends only on the queue length, ``pending`` and the capacity,
-so the vectors always equal a fresh pricing.  Code that edits queues or
-``pending`` outside ``step_epoch`` must call ``refresh_costs()`` before
-the next decision.
+The run keeps the cost vectors the schemes read, each a
+``model.CostVector``: ``upf_cost[q].prices[i]`` is the price of UPF i+1's
+bucket of class q and ``mec_cost.prices[j]`` that of MEC j+1, and every
+vector keeps ``best``, the index of its first minimum, through its own
+writes.  A scheme only chooses: bestfit reads ``best``, with no search
+per decision.  The vectors are priced once when the run is built and then
+repriced only where a queue changes: an admission rewrites the entries
+it touched, a UPF bucket is repriced after its service, and a MEC after
+its own service, which follows every change the link phase makes to it
+(a drop at its door lowers ``pending``, but only when its queue is
+full).  A price depends only on the queue length, ``pending`` and the
+capacity, so the vectors always equal a fresh pricing.  Code that edits
+queues or ``pending`` outside ``step_epoch`` must call ``refresh_costs()``
+before the next decision.
+
+Admission records what the scheme's projection is made of, not the
+projection: the UPF price, the chosen link's sharers and the MEC price
+at decision time (``UeRequest.decision_inputs``).  ``projection`` composes
+the delay breakdown from them when something reads it; only the event
+log does.
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
 only reset it to zero) and its price cannot change, so service passes it
@@ -32,13 +41,15 @@ test and one row of queue lengths, from which the queue series are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .delay import mec_capacity, net_delay, transit_epochs, upf_capacity
+from . import delay
+from .delay import DelayBreakdown, mec_capacity, net_delay, transit_epochs, upf_capacity
 from .model import (
+    CostVector,
     InvariantError,
     Link,
     MecState,
@@ -57,6 +68,14 @@ from .schemes import SCHEME_FUNCS
 DEFAULT_DRAIN_FACTOR = 10  # drain cap defaults to this many horizons
 
 _QOS_LIST = list(QosClass)
+
+# the members the engine advances requests to, bound once: a class
+# attribute read on an enum is a descriptor call
+_IN_UPF_QUEUE = RequestStatus.IN_UPF_QUEUE
+_IN_TRANSIT = RequestStatus.IN_TRANSIT
+_IN_MEC_QUEUE = RequestStatus.IN_MEC_QUEUE
+_COMPLETED = RequestStatus.COMPLETED
+_DROPPED = RequestStatus.DROPPED
 
 
 def generate_arrivals(
@@ -121,10 +140,34 @@ class RunResult:
     generated: int = 0
     completed: int = 0
     dropped: int = 0
+    # the run's links and MECs, which the projections are composed on
+    links: Dict[Tuple[int, int], Link] = field(default_factory=dict)
+    mecs: List[MecState] = field(default_factory=list)
 
     @property
     def residual(self) -> int:
         return self.generated - self.completed - self.dropped
+
+
+def projection(req: UeRequest, links, mecs) -> Optional[DelayBreakdown]:
+    """The delay breakdown the scheme projected for req, None before its decision.
+
+    Composed from the inputs admission recorded, with ``net_delay`` (and its
+    checks) on the link's sharers at decision time and the link's and MEC's
+    bandwidth and bytes now; a request that ends at the UPF has no link and
+    no MEC stage.  ``links`` and ``mecs`` are a run's or a result's.
+    """
+    if req.decision_inputs is None:
+        return None
+    pc_upf, n_share, pc_mec = req.decision_inputs
+    mec_id = req.assigned_mec
+    if mec_id is None:
+        return DelayBreakdown.compose(pc_upf, 0.0, pc_mec)
+    link = links[(req.assigned_upf, mec_id)]
+    # through the module: this module's own net_delay name is called once per
+    # link entry and nowhere else
+    d_net = delay.net_delay(n_share, mecs[mec_id - 1].bytes_per_ue, link.bandwidth)
+    return DelayBreakdown.compose(pc_upf, d_net, pc_mec)
 
 
 def _build_upf(spec, scenario: Scenario) -> UpfState:
@@ -188,6 +231,9 @@ class SimulationRun:
             raise ValueError(f"drain cap must be >= 0, got {drain_cap}")
         self.scenario = scenario
         self.delta = scenario.delta_ms
+        # prices are floats whatever the type of delta_ms: a float delta
+        # prices every queue with the same values and never an int
+        self._price_delta = float(self.delta)
         self.seed = scenario.seed if seed is None else seed
         self.rng = np.random.default_rng(self.seed)
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
@@ -214,19 +260,19 @@ class SimulationRun:
         self.completed = 0
         self.dropped = 0
         self._next_id = 0
-        self.upf_cost: Dict[QosClass, np.ndarray] = {
-            q: np.empty(len(self.upfs)) for q in QosClass
+        pd = self._price_delta
+        self.upf_cost: Dict[QosClass, CostVector] = {
+            q: CostVector([u.buckets[q].price(pd) for u in self.upfs]) for q in QosClass
         }
-        self.mec_cost = np.empty(len(self.mecs))
+        self.mec_cost = CostVector([m.price(pd) for m in self.mecs])
         # UPF buckets in service order (UPF-major, class-minor), each with
         # the cost vector entry that prices it and whether its class goes on
         # to a MEC; link-entry order sets link sharing and MEC FCFS order
-        self._upf_slots: List[Tuple[ServiceQueue, np.ndarray, int, bool]] = [
+        self._upf_slots: List[Tuple[ServiceQueue, CostVector, int, bool]] = [
             (u.buckets[q], self.upf_cost[q], i, q.uses_mec)
             for i, u in enumerate(self.upfs)
             for q in QosClass
         ]
-        self.refresh_costs()
         # the queue-series keys, and the deques (a ServiceQueue keeps its own
         # for life) whose lengths make one row per epoch in the same order:
         # every UPF bucket, then every MEC
@@ -241,9 +287,11 @@ class SimulationRun:
 
     def refresh_costs(self) -> None:
         """Recompute every entry of the cost vectors from the current queues."""
+        pd = self._price_delta
         for bucket, cost, idx, _ in self._upf_slots:
-            cost[idx] = bucket.price(self.delta)
-        self.mec_cost[:] = [m.price(self.delta) for m in self.mecs]
+            cost.set(idx, bucket.price(pd))
+        for j, m in enumerate(self.mecs):
+            self.mec_cost.set(j, m.price(pd))
 
     def _queue_series(
         self,
@@ -282,28 +330,40 @@ class SimulationRun:
 
         admitted = dropped_now = 0
         delta = self.delta
+        pd = self._price_delta
         assign = self._assign
-        upfs, mecs = self.upfs, self.mecs
+        upfs, mecs, links = self.upfs, self.mecs, self.links
         upf_cost, mec_cost = self.upf_cost, self.mec_cost
+        mec_prices = mec_cost.prices
         for req in arrivals:
-            upf_id, mec_id, projected = assign(req, self)
+            upf_id, mec_id = assign(req, self)
             req.assigned_upf = upf_id
             req.assigned_mec = mec_id
-            req.projected = projected
-            bucket = upfs[upf_id - 1].buckets[req.qos]
+            qos = req.qos
+            cost = upf_cost[qos]
+            # the projection's inputs, recorded for dropped requests too
+            if mec_id is None:
+                req.decision_inputs = (cost.prices[upf_id - 1], 0, 0.0)
+            else:
+                req.decision_inputs = (
+                    cost.prices[upf_id - 1],
+                    len(links[(upf_id, mec_id)].in_transit),
+                    mec_prices[mec_id - 1],
+                )
+            bucket = upfs[upf_id - 1].buckets[qos]
             if bucket.full():
-                req.advance_status(RequestStatus.DROPPED)
+                req.advance_status(_DROPPED)
                 self.dropped += 1
                 dropped_now += 1
             else:
-                req.advance_status(RequestStatus.IN_UPF_QUEUE)
+                req.advance_status(_IN_UPF_QUEUE)
                 bucket.queue.append(req)
-                upf_cost[req.qos][upf_id - 1] = bucket.price(delta)
+                cost.set(upf_id - 1, bucket.price(pd))
                 admitted += 1
                 if mec_id is not None:
                     mec = mecs[mec_id - 1]
                     mec.pending += 1
-                    mec_cost[mec_id - 1] = mec.price(delta)
+                    mec_cost.set(mec_id - 1, mec.price(pd))
         if admitted + dropped_now != len(arrivals):
             raise InvariantError(
                 f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(arrivals)}"
@@ -314,7 +374,7 @@ class SimulationRun:
             if not bucket.queue:
                 continue
             served = bucket.serve()
-            cost[idx] = bucket.price(delta)
+            cost.set(idx, bucket.price(pd))
             for req in served:
                 req.upf_serve_epoch = epoch
                 req.d_upf = (epoch + 1 - req.arrival_epoch) * delta
@@ -332,12 +392,12 @@ class SimulationRun:
                 if req.mec_due_epoch <= epoch:
                     mec.pending -= 1
                     if mec.full():
-                        req.advance_status(RequestStatus.DROPPED)
+                        req.advance_status(_DROPPED)
                         self.dropped += 1
                         dropped_now += 1
                     else:
                         req.mec_arrival_epoch = epoch
-                        req.advance_status(RequestStatus.IN_MEC_QUEUE)
+                        req.advance_status(_IN_MEC_QUEUE)
                         mec.queue.append(req)
                 else:
                     still.append(req)
@@ -353,7 +413,7 @@ class SimulationRun:
             if not m.queue:
                 continue
             served = m.serve()
-            mec_cost[j] = m.price(delta)
+            mec_cost.set(j, m.price(pd))
             for req in served:
                 req.d_mec = (epoch + 1 - req.mec_arrival_epoch) * delta
                 self._complete(req)
@@ -384,11 +444,11 @@ class SimulationRun:
         # the entering request shares the link with everything already on it
         req.d_net = net_delay(link.n_share, mec.bytes_per_ue, link.bandwidth)
         req.mec_due_epoch = epoch + transit_epochs(req.d_net, self.delta)
-        req.advance_status(RequestStatus.IN_TRANSIT)
+        req.advance_status(_IN_TRANSIT)
 
     def _complete(self, req: UeRequest) -> None:
         req.d_e2e = req.d_upf + req.d_net + req.d_mec
-        req.advance_status(RequestStatus.COMPLETED)
+        req.advance_status(_COMPLETED)
         self.completed += 1
 
     # ------------------------------------------------------------- full run
@@ -418,6 +478,8 @@ class SimulationRun:
             generated=self.generated,
             completed=self.completed,
             dropped=self.dropped,
+            links=self.links,
+            mecs=self.mecs,
         )
 
 

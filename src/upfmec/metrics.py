@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import RunResult, run_to_completion
-from .model import QosClass, RequestStatus, Scenario, Scheme
+from .engine import RunResult, projection, run_to_completion
+from .model import QosClass, RequestStatus, Scenario, ScenarioError, Scheme, validate_scenario
 
 PERCENTILES = (50.0, 80.0, 95.0, 99.0, 99.9)
 
@@ -135,8 +135,9 @@ def summarize(result: RunResult) -> SummaryReport:
 def completed_e2e(result: RunResult) -> Dict[QosClass, List[float]]:
     """End-to-end delays of the completed requests by QoS class, in one pass."""
     by_qos: Dict[QosClass, List[float]] = {q: [] for q in QosClass}
+    completed = RequestStatus.COMPLETED
     for r in result.requests:
-        if r.status is RequestStatus.COMPLETED:
+        if r.status is completed:
             by_qos[r.qos].append(r.d_e2e)
     return by_qos
 
@@ -230,8 +231,13 @@ def capex_sweep(
     """Run every (pairs, scheme) cell over the seeds and pool the results.
 
     Results are independent of worker count; UPFMEC_MAX_WORKERS > 1
-    parallelizes the runs across processes.
+    parallelizes the runs across processes.  The base is validated before
+    it is scaled, under the one scheme that needs no co-located MECs: the
+    scaled deployments always pair them, and each run validates its own.
     """
+    violations = validate_scenario(replace(base, scheme=Scheme.BESTFIT_UPF_MEC))
+    if violations:
+        raise ScenarioError("; ".join(violations))
     tasks: List[Tuple[Scenario, int]] = []
     cells: List[Tuple[int, Scheme]] = []
     for pairs in pair_counts:
@@ -412,8 +418,9 @@ def write_events_csv(result: RunResult, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
+        links, mecs = result.links, result.mecs
         for r in result.requests:
-            proj = r.projected
+            proj = projection(r, links, mecs)
             done = r.status is RequestStatus.COMPLETED
             w.writerow([
                 r.id, r.qos.value, r.origin_upf, r.arrival_epoch,

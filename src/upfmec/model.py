@@ -23,7 +23,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import yaml
 
-from .delay import DelayBreakdown, projected_delay
+from .delay import projected_delay
 
 
 class ScenarioError(ValueError):
@@ -44,9 +44,10 @@ class QosClass(enum.Enum):
     # hash agrees with ==; no output iterates a set of classes unsorted.
     __hash__ = object.__hash__
 
-    @property
-    def uses_mec(self) -> bool:
-        return self is not QosClass.REGULAR
+    def __init__(self, value: str) -> None:
+        # a plain member attribute: every admission reads it, and a property
+        # on an enum costs a descriptor call per read
+        self.uses_mec = value != "regular"
 
 
 class Scheme(enum.Enum):
@@ -93,8 +94,9 @@ class UeRequest:
     d_net: float = 0.0
     d_mec: float = 0.0
     d_e2e: Optional[float] = None
-    # what the assignment scheme predicted at admission time
-    projected: Optional[DelayBreakdown] = None
+    # what the scheme's projection is composed from, recorded at admission:
+    # (pc_upf, n_share of the link, pc_mec); see engine.projection
+    decision_inputs: Optional[Tuple[float, int, float]] = None
 
     def advance_status(self, new: RequestStatus) -> None:
         if new < self.status:
@@ -166,6 +168,37 @@ class Scenario:
 
 class InvariantError(RuntimeError):
     """A structural invariant broke mid-run; the run is aborted."""
+
+
+class CostVector:
+    """Prices of a row of queues that keeps the index of its first minimum.
+
+    ``best`` is always ``prices.index(min(prices))``, the index numpy's
+    ``argmin`` would return: the lowest index wins a tie.  Every write goes
+    through ``set``, which keeps ``best`` exact for any sequence of point
+    updates and rescans only when the best entry's price rises.  A bucket's
+    price stays at one epoch until the bucket fills, so rescans are rare.
+    """
+
+    __slots__ = ("prices", "best")
+
+    def __init__(self, prices: Sequence[float]) -> None:
+        self.prices: List[float] = list(prices)
+        self.best = self.prices.index(min(self.prices))
+
+    def set(self, i: int, price: float) -> None:
+        prices = self.prices
+        best = self.best
+        if i == best:
+            rose = price > prices[i]
+            prices[i] = price
+            if rose:
+                self.best = prices.index(min(prices))
+        else:
+            prices[i] = price
+            low = prices[best]
+            if price < low or (price == low and i < best):
+                self.best = i
 
 
 @dataclass(slots=True)
@@ -281,6 +314,11 @@ def _whole(x) -> bool:
     return _number(x) and 1 <= x < math.inf and x == math.floor(x)
 
 
+def _covers_qos(m) -> bool:
+    """m is a map with exactly the four QoS classes as keys; a scalar is not."""
+    return isinstance(m, dict) and set(m) == set(QosClass)
+
+
 def _check_dist(values: List[float], what: str, out: List[str]) -> None:
     if not all(_non_negative(v) for v in values):
         out.append(f"{what} has negative, non-finite or non-numeric entries")
@@ -312,18 +350,10 @@ def validate_scenario(s: Scenario) -> List[str]:
         v.append("drain_cap_epochs must be an integer >= 0")
 
     t = s.traffic
-    if not _non_negative(t.mean_arrivals_per_epoch):
-        v.append("traffic.mean_arrivals_per_epoch must be >= 0 and finite")
-    if t.process not in ("poisson", "deterministic"):
-        v.append(f"traffic.process {t.process!r} unknown (poisson|deterministic)")
-    if len(t.skew) != s.num_upfs:
-        v.append(f"traffic.skew has {len(t.skew)} entries, expected num_upfs={s.num_upfs}")
+    if not isinstance(t, TrafficSpec):
+        v.append("traffic must be a map of the arrival law")
     else:
-        _check_dist(t.skew, "traffic.skew", v)
-    if set(t.qos_mix) != set(QosClass):
-        v.append("traffic.qos_mix must cover exactly the four QoS classes")
-    else:
-        _check_dist([t.qos_mix[q] for q in QosClass], "traffic.qos_mix", v)
+        _check_traffic(t, s.num_upfs, v)
 
     if len(s.upfs) != s.num_upfs or not _ids_in_order([u.id for u in s.upfs]):
         v.append("upfs must carry ids 1..num_upfs in order")
@@ -331,12 +361,12 @@ def validate_scenario(s: Scenario) -> List[str]:
         if u.capacity is None and (u.etpb is None or u.alpha is None):
             v.append(f"upf {u.id}: needs capacity or (etpb, alpha) to derive it")
         if u.capacity is not None:
-            if set(u.capacity) != set(QosClass):
+            if not _covers_qos(u.capacity):
                 v.append(f"upf {u.id}: capacity must cover all four QoS classes")
             elif not all(_positive(c) for c in u.capacity.values()):
                 v.append(f"upf {u.id}: capacity entries must be > 0 and finite")
         if u.alpha is not None:
-            if set(u.alpha) != set(QosClass):
+            if not _covers_qos(u.alpha):
                 v.append(f"upf {u.id}: alpha must cover all four QoS classes")
             else:
                 bad = [
@@ -353,7 +383,7 @@ def validate_scenario(s: Scenario) -> List[str]:
         if not _positive(u.bytes_per_ue):
             v.append(f"upf {u.id}: bytes_per_ue must be > 0 and finite")
         if u.queue_cap is not None:
-            if set(u.queue_cap) != set(QosClass):
+            if not _covers_qos(u.queue_cap):
                 v.append(f"upf {u.id}: queue_cap must cover all four QoS classes")
             elif not all(_whole(c) for c in u.queue_cap.values()):
                 v.append(f"upf {u.id}: queue_cap entries must be whole numbers >= 1")
@@ -373,7 +403,11 @@ def validate_scenario(s: Scenario) -> List[str]:
             v.append(f"mec {m.id}: queue_cap must be a whole number >= 1")
 
     bw = s.link_bandwidth_mbps
-    if bw is None or len(bw) != s.num_upfs or any(len(row) != s.num_mecs for row in bw):
+    if (
+        not isinstance(bw, list)
+        or len(bw) != s.num_upfs
+        or any(not isinstance(row, list) or len(row) != s.num_mecs for row in bw)
+    ):
         v.append(
             f"link_bandwidth_mbps must be a {s.num_upfs}x{s.num_mecs} matrix "
             "(row per UPF, column per MEC)"
@@ -381,9 +415,12 @@ def validate_scenario(s: Scenario) -> List[str]:
     elif not all(_positive(b) for row in bw for b in row):
         v.append("link bandwidths must be > 0 and finite")
 
-    for q, thr in s.thresholds_ms.items():
-        if not _positive(thr):
-            v.append(f"thresholds_ms[{q.value}] must be > 0 and finite")
+    if not isinstance(s.thresholds_ms, dict):
+        v.append("thresholds_ms must be a map of QoS classes to thresholds")
+    else:
+        for q, thr in s.thresholds_ms.items():
+            if not _positive(thr):
+                v.append(f"thresholds_ms[{q.value}] must be > 0 and finite")
 
     if s.scheme in CO_LOCATED_SCHEMES and s.num_upfs != s.num_mecs:
         v.append(
@@ -391,6 +428,21 @@ def validate_scenario(s: Scenario) -> List[str]:
             f"requires num_upfs == num_mecs (got {s.num_upfs} != {s.num_mecs})"
         )
     return v
+
+
+def _check_traffic(t: TrafficSpec, num_upfs, v: List[str]) -> None:
+    if not _non_negative(t.mean_arrivals_per_epoch):
+        v.append("traffic.mean_arrivals_per_epoch must be >= 0 and finite")
+    if t.process not in ("poisson", "deterministic"):
+        v.append(f"traffic.process {t.process!r} unknown (poisson|deterministic)")
+    if len(t.skew) != num_upfs:
+        v.append(f"traffic.skew has {len(t.skew)} entries, expected num_upfs={num_upfs}")
+    else:
+        _check_dist(t.skew, "traffic.skew", v)
+    if not _covers_qos(t.qos_mix):
+        v.append("traffic.qos_mix must cover exactly the four QoS classes")
+    else:
+        _check_dist([t.qos_mix[q] for q in QosClass], "traffic.qos_mix", v)
 
 
 # ---------------------------------------------------------------- serialization
@@ -402,9 +454,10 @@ def _qos_map_to_dict(m: Optional[Dict[QosClass, float]]) -> Optional[dict]:
     return {q.value: m[q] for q in QosClass if q in m}
 
 
-def _qos_map_from_dict(d: Optional[dict]) -> Optional[dict]:
-    if d is None:
-        return None
+def _qos_map_from_dict(d):
+    """A per-QoS map keyed by class; anything but a map is kept for validation to list."""
+    if not isinstance(d, dict):
+        return d
     return {QosClass(k): v for k, v in d.items()}
 
 
@@ -455,11 +508,22 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Inverse of scenario_to_dict; tolerates omitted optional keys."""
+    """Inverse of scenario_to_dict; tolerates omitted optional keys.
+
+    A scalar where a map or a row is expected is kept as read, for
+    validate_scenario to list.
+    """
     traffic = doc["traffic"]
-    mix = _qos_map_from_dict(traffic.get("qos_mix"))
-    if mix is None:
-        mix = {q: 0.25 for q in QosClass}
+    if isinstance(traffic, dict):
+        mix = _qos_map_from_dict(traffic.get("qos_mix"))
+        if mix is None:
+            mix = {q: 0.25 for q in QosClass}
+        traffic = TrafficSpec(
+            mean_arrivals_per_epoch=traffic["mean_arrivals_per_epoch"],
+            skew=list(traffic["skew"]),
+            qos_mix=mix,
+            process=traffic.get("process", "poisson"),
+        )
     upfs = [
         UpfSpec(
             id=u["id"],
@@ -494,12 +558,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         horizon_epochs=doc["horizon_epochs"],
         seed=doc.get("seed", 0),
         scheme=Scheme(doc.get("scheme", "baseline")),
-        traffic=TrafficSpec(
-            mean_arrivals_per_epoch=traffic["mean_arrivals_per_epoch"],
-            skew=list(traffic["skew"]),
-            qos_mix=mix,
-            process=traffic.get("process", "poisson"),
-        ),
+        traffic=traffic,
         upfs=upfs,
         mecs=mecs,
         link_bandwidth_mbps=bw,

@@ -5,6 +5,7 @@ from typing import Dict, List, Optional
 import pytest
 
 from upfmec.cli import _resolve_scenario
+from upfmec.engine import projection
 from upfmec.model import (
     MecSpec,
     QosClass,
@@ -74,6 +75,23 @@ def make_scenario(
         thresholds_ms=thresholds or {},
         headroom_factor=headroom_factor,
     )
+
+
+def decide(run, req, scheme):
+    """Apply a scheme to req as admission does, without changing the run.
+
+    Records the choice and the projection's inputs on req, and returns
+    (upf_id, mec_id, the composed projection).
+    """
+    upf_id, mec_id = scheme(req, run)
+    req.assigned_upf, req.assigned_mec = upf_id, mec_id
+    pc_upf = run.upf_cost[req.qos].prices[upf_id - 1]
+    if mec_id is None:
+        req.decision_inputs = (pc_upf, 0, 0.0)
+    else:
+        n_share = run.links[(upf_id, mec_id)].n_share
+        req.decision_inputs = (pc_upf, n_share, run.mec_cost.prices[mec_id - 1])
+    return upf_id, mec_id, projection(req, run.links, run.mecs)
 
 
 @pytest.fixture

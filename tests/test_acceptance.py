@@ -31,7 +31,7 @@ from upfmec.oracle import (
 )
 from upfmec.schemes import assign_bestfit_upf_mec, find_bestfit_upf
 
-from conftest import make_scenario
+from conftest import decide, make_scenario
 from test_oracle import _oracle_inputs, _stuffed_run, random_buckets
 
 SEEDS = tuple(range(1, 11))
@@ -180,10 +180,10 @@ def test_criterion_06_pair_oracle():
         run = _stuffed_run(rng)
         qos = [QosClass.URLLC, QosClass.EMBB, QosClass.MMTC][int(rng.integers(0, 3))]
         req = UeRequest(id=0, qos=qos, origin_upf=int(rng.integers(1, 4)), arrival_epoch=0)
-        decision = assign_bestfit_upf_mec(req, run)
+        upf_id, mec_id, projected = decide(run, req, assign_bestfit_upf_mec)
         i, j, value = pair_enumeration_optimum(*_oracle_inputs(run, qos), run.delta)
-        assert (decision.upf_id - 1, decision.mec_id - 1) == (i, j)
-        assert decision.projected.d_e2e == value
+        assert (upf_id - 1, mec_id - 1) == (i, j)
+        assert projected.d_e2e == value
         exact += 1
 
     # non-uniform links: independent per-tier argmins miss the joint optimum
@@ -201,16 +201,16 @@ def test_criterion_06_pair_oracle():
     )
     gap_run.refresh_costs()
     req = UeRequest(id=2, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
-    decision = assign_bestfit_upf_mec(req, gap_run)
+    _, mec_id, projected = decide(gap_run, req, assign_bestfit_upf_mec)
     i, j, value = pair_enumeration_optimum(*_oracle_inputs(gap_run, QosClass.URLLC), gap_run.delta)
-    gap = decision.projected.d_e2e - value
-    ok = decision.mec_id != j + 1 and gap > 0.0
+    gap = projected.d_e2e - value
+    ok = mec_id != j + 1 and gap > 0.0
     check(
         "criterion 06 pair oracle",
         ok,
         f"{exact}/{trials} uniform-link states match the joint optimum exactly; "
         f"constructed non-uniform instance shows a {gap:.2f} ms gap "
-        f"(scheme {decision.projected.d_e2e:.2f} ms vs optimum {value:.2f} ms)",
+        f"(scheme {projected.d_e2e:.2f} ms vs optimum {value:.2f} ms)",
     )
 
 

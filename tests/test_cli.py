@@ -131,13 +131,34 @@ def _null_headroom_factor(doc):
     doc["headroom_factor"] = None
 
 
+def _scalar_upf_capacity(doc):
+    doc["upfs"][0]["capacity"] = 5
+
+
+def _scalar_qos_mix(doc):
+    doc["traffic"]["qos_mix"] = 3
+
+
+def _scalar_traffic(doc):
+    doc["traffic"] = 7
+
+
+def _scalar_bandwidth_row(doc):
+    doc["links"]["bandwidth_mbps"][1] = 3
+
+
+def _scalar_thresholds(doc):
+    doc["thresholds_ms"] = 5
+
+
 @pytest.mark.parametrize(
     "breaks",
     [
         _drop_mmtc_queue_cap, _nan_queue_cap, _inf_mec_queue_cap, _no_bandwidths,
         _float_num_upfs, _float_num_mecs, _fractional_horizon, _fractional_drain_cap,
         _fractional_seed, _float_upf_id, _float_mec_id, _quoted_delta, _quoted_skew_entry,
-        _null_headroom_factor,
+        _null_headroom_factor, _scalar_upf_capacity, _scalar_qos_mix, _scalar_traffic,
+        _scalar_bandwidth_row, _scalar_thresholds,
     ],
 )
 def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
@@ -147,6 +168,20 @@ def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
     breaks(doc)
     path.write_text(yaml.safe_dump(doc))
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("breaks", [_scalar_traffic, _scalar_bandwidth_row])
+def test_capex_rejects_a_malformed_base_before_scaling_it(tmp_path, capsys, breaks):
+    path = tmp_path / "bad.yaml"
+    save_scenario(make_scenario(upf_queue_cap=4, mec_queue_cap=4), str(path))
+    doc = yaml.safe_load(path.read_text())
+    breaks(doc)
+    path.write_text(yaml.safe_dump(doc))
+    rc = main(["capex", "--scenario", str(path), "--pairs", "1-2", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid scenario: ")

@@ -253,11 +253,11 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
     def checked(req, run_):
         snap = upf_bucket_snapshot(run.upfs, req.qos)
         cost = run.upf_cost[req.qos]
-        assert cost.tolist() == [projected_delay(*b, run.delta) for b in snap]
-        assert int(cost.argmin()) == find_bestfit_upf(snap, run.delta)[0]
+        assert cost.prices == [projected_delay(*b, run.delta) for b in snap]
+        assert cost.best == find_bestfit_upf(snap, run.delta)[0]
         snap = mec_snapshot(run.mecs)
-        assert run.mec_cost.tolist() == [projected_delay(*b, run.delta) for b in snap]
-        assert int(run.mec_cost.argmin()) == find_bestfit_upf(snap, run.delta)[0]
+        assert run.mec_cost.prices == [projected_delay(*b, run.delta) for b in snap]
+        assert run.mec_cost.best == find_bestfit_upf(snap, run.delta)[0]
         decisions.append(req.id)
         return assign(req, run_)
 

@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec.model import (
+    CostVector,
     Link,
     QosClass,
     RequestStatus,
@@ -177,6 +179,14 @@ MALFORMED = {
     "alpha entry quoted": ("upf 1: alpha", lambda s: _set_alpha(s, "0.25")),
     "upf queue_cap quoted": ("upf 1: queue_cap", lambda s: _set_upf_queue_cap(s, "5")),
     "mec capacity bool": ("mec 1: capacity", lambda s: setattr(s.mecs[0], "capacity", True)),
+    # shapes: a scalar where a map or a matrix row is expected
+    "upf capacity scalar": ("upf 1: capacity", lambda s: setattr(s.upfs[0], "capacity", 5)),
+    "qos_mix scalar": ("traffic.qos_mix", lambda s: setattr(s.traffic, "qos_mix", 3)),
+    "traffic scalar": ("traffic", lambda s: setattr(s, "traffic", 7)),
+    "bandwidth row scalar": (
+        "link_bandwidth_mbps", lambda s: s.link_bandwidth_mbps.__setitem__(1, 3)
+    ),
+    "thresholds_ms scalar": ("thresholds_ms", lambda s: setattr(s, "thresholds_ms", 5)),
 }
 
 
@@ -266,3 +276,50 @@ def test_link_share_counts_in_transit():
     req = UeRequest(id=0, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
     link.in_transit.append(req)
     assert link.n_share == 1
+
+
+# ------------------------------------------------------------------ cost vector
+
+# few distinct prices, so that exact ties are common
+PRICE = st.integers(0, 6).map(float)
+
+
+@settings(max_examples=120, deadline=None)
+@given(initial=st.lists(PRICE, min_size=1, max_size=60), data=st.data())
+def test_cost_vector_keeps_its_first_minimum(initial, data):
+    cost = CostVector(initial)
+    prices = list(initial)
+    assert cost.best == prices.index(min(prices))
+    for _ in range(data.draw(st.integers(1, 40), label="updates")):
+        n, best = len(prices), cost.best
+        where = data.draw(st.sampled_from(["best", "below", "above", "any"]), label="where")
+        if where == "best":
+            i = best
+        elif where == "below" and best > 0:
+            i = data.draw(st.integers(0, best - 1), label="i")
+        elif where == "above" and best < n - 1:
+            i = data.draw(st.integers(best + 1, n - 1), label="i")
+        else:
+            i = data.draw(st.integers(0, n - 1), label="i")
+        how = data.draw(st.sampled_from(["rise", "fall", "tie", "copy", "any"]), label="how")
+        if how == "rise":
+            price = prices[i] + data.draw(PRICE.filter(bool), label="by")
+        elif how == "fall":
+            price = prices[i] - data.draw(PRICE.filter(bool), label="by")
+        elif how == "tie":
+            price = min(prices)
+        elif how == "copy":
+            price = prices[data.draw(st.integers(0, n - 1), label="from")]
+        else:
+            price = data.draw(PRICE, label="price")
+        cost.set(i, price)
+        prices[i] = price
+        assert cost.prices == prices
+        assert cost.best == prices.index(min(prices)) == int(np.argmin(prices))
+
+
+def test_cost_vector_has_no_write_that_skips_best():
+    cost = CostVector([2.0, 1.0])
+    with pytest.raises(TypeError):
+        cost[0] = 0.0
+    assert not hasattr(cost, "__dict__")

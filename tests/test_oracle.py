@@ -18,7 +18,7 @@ from upfmec.oracle import (
 )
 from upfmec.schemes import assign_bestfit_upf_mec, mec_snapshot, upf_bucket_snapshot
 
-from conftest import make_scenario
+from conftest import decide, make_scenario
 
 
 def random_buckets(rng: np.random.Generator, u: int):
@@ -157,10 +157,10 @@ def test_pair_scheme_matches_joint_optimum_on_uniform_links():
         run = _stuffed_run(rng)
         qos = [QosClass.URLLC, QosClass.EMBB, QosClass.MMTC][int(rng.integers(0, 3))]
         req = UeRequest(id=0, qos=qos, origin_upf=int(rng.integers(1, 4)), arrival_epoch=0)
-        decision = assign_bestfit_upf_mec(req, run)
+        upf_id, mec_id, projected = decide(run, req, assign_bestfit_upf_mec)
         i, j, value = pair_enumeration_optimum(*_oracle_inputs(run, qos), run.delta)
-        assert (decision.upf_id - 1, decision.mec_id - 1) == (i, j)
-        assert decision.projected.d_e2e == value
+        assert (upf_id - 1, mec_id - 1) == (i, j)
+        assert projected.d_e2e == value
 
 
 def test_congested_link_exposes_the_independence_gap():
@@ -180,11 +180,11 @@ def test_congested_link_exposes_the_independence_gap():
     )
     run.refresh_costs()
     req = UeRequest(id=2, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
-    decision = assign_bestfit_upf_mec(req, run)
-    assert decision.mec_id == 2
+    _, mec_id, projected = decide(run, req, assign_bestfit_upf_mec)
+    assert mec_id == 2
     i, j, value = pair_enumeration_optimum(*_oracle_inputs(run, QosClass.URLLC), run.delta)
     assert (i, j) == (0, 0)
-    assert value < decision.projected.d_e2e
+    assert value < projected.d_e2e
 
 
 def test_joint_optimum_never_exceeds_the_scheme_projection():
@@ -194,6 +194,6 @@ def test_joint_optimum_never_exceeds_the_scheme_projection():
         # perturb one link so the instances are not all uniform
         run.links[(1, 2)].bandwidth = float(rng.integers(50, 20000))
         req = UeRequest(id=0, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
-        decision = assign_bestfit_upf_mec(req, run)
+        _, _, projected = decide(run, req, assign_bestfit_upf_mec)
         _, _, value = pair_enumeration_optimum(*_oracle_inputs(run, QosClass.URLLC), run.delta)
-        assert value <= decision.projected.d_e2e + 1e-12
+        assert value <= projected.d_e2e + 1e-12

@@ -19,7 +19,7 @@ from upfmec.schemes import (
     upf_bucket_snapshot,
 )
 
-from conftest import make_scenario
+from conftest import decide, make_scenario
 
 
 def make_run(**kwargs) -> SimulationRun:
@@ -112,39 +112,37 @@ def test_mec_snapshot_counts_pending_commitments():
 
 def test_baseline_pins_to_origin():
     run = make_run(num_upfs=3, scheme=Scheme.BASELINE)
-    d = assign_baseline(dummy(origin=3), run)
-    assert (d.upf_id, d.mec_id) == (3, 3)
+    assert assign_baseline(dummy(origin=3), run) == (3, 3)
 
 
 def test_baseline_ignores_load():
     run = make_run(num_upfs=3, scheme=Scheme.BASELINE)
     stuff_upf(run, 3, QosClass.URLLC, 50)
-    d = assign_baseline(dummy(origin=3), run)
-    assert d.upf_id == 3
+    upf_id, _ = assign_baseline(dummy(origin=3), run)
+    assert upf_id == 3
 
 
 def test_regular_requests_carry_no_mec():
     run = make_run(num_upfs=3)
     for fn in SCHEME_FUNCS.values():
-        d = fn(dummy(qos=QosClass.REGULAR, origin=2), run)
-        assert d.mec_id is None
-        assert d.projected.d_net == 0.0 and d.projected.d_mec == 0.0
-        assert d.projected.d_e2e == d.projected.d_upf
+        _, mec_id, projected = decide(run, dummy(qos=QosClass.REGULAR, origin=2), fn)
+        assert mec_id is None
+        assert projected.d_net == 0.0 and projected.d_mec == 0.0
+        assert projected.d_e2e == projected.d_upf
 
 
 def test_no_pe_moves_upf_but_keeps_origin_mec():
     run = make_run(num_upfs=3)
     stuff_upf(run, 3, QosClass.URLLC, 20)
-    d = assign_bestfit_no_pe(dummy(origin=3), run)
-    assert (d.upf_id, d.mec_id) == (1, 3)
+    assert assign_bestfit_no_pe(dummy(origin=3), run) == (1, 3)
 
 
 def test_pe_extends_path_to_co_located_mec():
     run = make_run(num_upfs=3)
     stuff_upf(run, 1, QosClass.URLLC, 20)
-    d = assign_bestfit_pe(dummy(origin=1), run)
-    assert d.upf_id == 2
-    assert d.mec_id == 2
+    upf_id, mec_id = assign_bestfit_pe(dummy(origin=1), run)
+    assert upf_id == 2
+    assert mec_id == 2
 
 
 def test_pe_requires_co_located_mec():
@@ -157,29 +155,26 @@ def test_pe_requires_co_located_mec():
 
 def test_pair_scheme_chooses_both_tiers_independently():
     run = make_run(num_upfs=3)
-    d = assign_bestfit_upf_mec(dummy(origin=2), run)
-    assert (d.upf_id, d.mec_id) == (1, 1)
+    assert assign_bestfit_upf_mec(dummy(origin=2), run) == (1, 1)
     stuff_upf(run, 1, QosClass.URLLC, 20)
     stuff_mec(run, 1, 30)
-    d = assign_bestfit_upf_mec(dummy(origin=2), run)
-    assert (d.upf_id, d.mec_id) == (2, 2)
+    assert assign_bestfit_upf_mec(dummy(origin=2), run) == (2, 2)
 
 
 def test_pending_commitments_steer_later_decisions():
     run = make_run(num_upfs=2)
-    first = assign_bestfit_upf_mec(dummy(), run)
-    assert first.mec_id == 1
+    _, first_mec = assign_bestfit_upf_mec(dummy(), run)
+    assert first_mec == 1
     # mirror the engine's bookkeeping for an admitted request still upstream
     run.mecs[0].pending = int(run.mecs[0].capacity)
     run.refresh_costs()
-    second = assign_bestfit_upf_mec(dummy(), run)
-    assert second.mec_id == 2
+    _, second_mec = assign_bestfit_upf_mec(dummy(), run)
+    assert second_mec == 2
 
 
 def test_projection_composes_three_stages():
     run = make_run(num_upfs=2)
-    d = assign_bestfit_pe(dummy(origin=2), run)
-    p = d.projected
+    _, _, p = decide(run, dummy(origin=2), assign_bestfit_pe)
     assert p.d_e2e == p.d_upf + p.d_net + p.d_mec
     assert p.d_upf >= run.delta and p.d_mec >= run.delta
 
@@ -202,8 +197,8 @@ def test_pair_scheme_dominates_pe_under_uniform_links():
             stuff_upf(run, uid, QosClass.URLLC, int(rng.integers(0, 12)))
             stuff_mec(run, uid, int(rng.integers(0, 12)))
         req = dummy(origin=int(rng.integers(1, 4)))
-        pair = assign_bestfit_upf_mec(req, run).projected.d_e2e
-        pe = assign_bestfit_pe(req, run).projected.d_e2e
+        pair = decide(run, req, assign_bestfit_upf_mec)[2].d_e2e
+        pe = decide(run, req, assign_bestfit_pe)[2].d_e2e
         assert pair <= pe + 1e-12
 
 
