@@ -28,8 +28,8 @@ before the next decision.
 
 Admission records what the scheme's projection is made of, not the
 projection: the UPF price, the chosen link's sharers and the MEC price
-at decision time (``UeRequest.decision_inputs``).  ``projection`` composes
-the delay breakdown from them when something reads it; only the event
+at decision time (``UeRequest.decision_inputs``).  ``metrics.projection``
+composes the delay breakdown from them when something reads it; only the event
 log does.
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
@@ -46,8 +46,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from . import delay
-from .delay import DelayBreakdown, mec_capacity, net_delay, transit_epochs, upf_capacity
+from .delay import mec_capacity, net_delay, transit_epochs, upf_capacity
 from .model import (
     CostVector,
     InvariantError,
@@ -147,27 +146,6 @@ class RunResult:
     @property
     def residual(self) -> int:
         return self.generated - self.completed - self.dropped
-
-
-def projection(req: UeRequest, links, mecs) -> Optional[DelayBreakdown]:
-    """The delay breakdown the scheme projected for req, None before its decision.
-
-    Composed from the inputs admission recorded, with ``net_delay`` (and its
-    checks) on the link's sharers at decision time and the link's and MEC's
-    bandwidth and bytes now; a request that ends at the UPF has no link and
-    no MEC stage.  ``links`` and ``mecs`` are a run's or a result's.
-    """
-    if req.decision_inputs is None:
-        return None
-    pc_upf, n_share, pc_mec = req.decision_inputs
-    mec_id = req.assigned_mec
-    if mec_id is None:
-        return DelayBreakdown.compose(pc_upf, 0.0, pc_mec)
-    link = links[(req.assigned_upf, mec_id)]
-    # through the module: this module's own net_delay name is called once per
-    # link entry and nowhere else
-    d_net = delay.net_delay(n_share, mecs[mec_id - 1].bytes_per_ue, link.bandwidth)
-    return DelayBreakdown.compose(pc_upf, d_net, pc_mec)
 
 
 def _build_upf(spec, scenario: Scenario) -> UpfState:

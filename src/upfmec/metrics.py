@@ -20,8 +20,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import RunResult, projection, run_to_completion
-from .model import QosClass, RequestStatus, Scenario, ScenarioError, Scheme, validate_scenario
+from .delay import DelayBreakdown, net_delay
+from .engine import RunResult, run_to_completion
+from .model import (
+    QosClass,
+    RequestStatus,
+    Scenario,
+    ScenarioError,
+    Scheme,
+    UeRequest,
+    validate_scenario,
+)
 
 PERCENTILES = (50.0, 80.0, 95.0, 99.0, 99.9)
 
@@ -393,6 +402,26 @@ def summary_to_dict(report: SummaryReport) -> dict:
         "e2e": dist_d(report.e2e_overall) if report.e2e_overall else None,
         "e2e_per_qos": {q.value: dist_d(d) for q, d in report.e2e_per_qos.items()},
     }
+
+
+def projection(req: UeRequest, links, mecs) -> Optional[DelayBreakdown]:
+    """The delay breakdown the scheme projected for req, None before its decision.
+
+    Composed from the inputs admission recorded: ``net_delay`` (and its
+    checks) on the link's sharers at decision time, with the link's
+    bandwidth and the MEC's bytes per request.  A request that ends at the
+    UPF has no link and no MEC stage.  ``links`` and ``mecs`` are those of
+    a ``SimulationRun`` or a ``RunResult``.
+    """
+    if req.decision_inputs is None:
+        return None
+    pc_upf, n_share, pc_mec = req.decision_inputs
+    mec_id = req.assigned_mec
+    if mec_id is None:
+        return DelayBreakdown.compose(pc_upf, 0.0, pc_mec)
+    link = links[(req.assigned_upf, mec_id)]
+    d_net = net_delay(n_share, mecs[mec_id - 1].bytes_per_ue, link.bandwidth)
+    return DelayBreakdown.compose(pc_upf, d_net, pc_mec)
 
 
 def write_summary_json(report: SummaryReport, path: str) -> None:

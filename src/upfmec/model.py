@@ -95,7 +95,7 @@ class UeRequest:
     d_mec: float = 0.0
     d_e2e: Optional[float] = None
     # what the scheme's projection is composed from, recorded at admission:
-    # (pc_upf, n_share of the link, pc_mec); see engine.projection
+    # (pc_upf, n_share of the link, pc_mec); see metrics.projection
     decision_inputs: Optional[Tuple[float, int, float]] = None
 
     def advance_status(self, new: RequestStatus) -> None:
@@ -353,7 +353,18 @@ def validate_scenario(s: Scenario) -> List[str]:
     if not isinstance(t, TrafficSpec):
         v.append("traffic must be a map of the arrival law")
     else:
-        _check_traffic(t, s.num_upfs, v)
+        if not _non_negative(t.mean_arrivals_per_epoch):
+            v.append("traffic.mean_arrivals_per_epoch must be >= 0 and finite")
+        if t.process not in ("poisson", "deterministic"):
+            v.append(f"traffic.process {t.process!r} unknown (poisson|deterministic)")
+        if len(t.skew) != s.num_upfs:
+            v.append(f"traffic.skew has {len(t.skew)} entries, expected num_upfs={s.num_upfs}")
+        else:
+            _check_dist(t.skew, "traffic.skew", v)
+        if not _covers_qos(t.qos_mix):
+            v.append("traffic.qos_mix must cover exactly the four QoS classes")
+        else:
+            _check_dist([t.qos_mix[q] for q in QosClass], "traffic.qos_mix", v)
 
     if len(s.upfs) != s.num_upfs or not _ids_in_order([u.id for u in s.upfs]):
         v.append("upfs must carry ids 1..num_upfs in order")
@@ -428,21 +439,6 @@ def validate_scenario(s: Scenario) -> List[str]:
             f"requires num_upfs == num_mecs (got {s.num_upfs} != {s.num_mecs})"
         )
     return v
-
-
-def _check_traffic(t: TrafficSpec, num_upfs, v: List[str]) -> None:
-    if not _non_negative(t.mean_arrivals_per_epoch):
-        v.append("traffic.mean_arrivals_per_epoch must be >= 0 and finite")
-    if t.process not in ("poisson", "deterministic"):
-        v.append(f"traffic.process {t.process!r} unknown (poisson|deterministic)")
-    if len(t.skew) != num_upfs:
-        v.append(f"traffic.skew has {len(t.skew)} entries, expected num_upfs={num_upfs}")
-    else:
-        _check_dist(t.skew, "traffic.skew", v)
-    if not _covers_qos(t.qos_mix):
-        v.append("traffic.qos_mix must cover exactly the four QoS classes")
-    else:
-        _check_dist([t.qos_mix[q] for q in QosClass], "traffic.qos_mix", v)
 
 
 # ---------------------------------------------------------------- serialization
@@ -546,7 +542,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         for m in doc["mecs"]
     ]
     links = doc["links"]
-    bw = links.get("bandwidth_mbps")
+    bw = links.get("bandwidth_mbps") if isinstance(links, dict) else None
     if bw is not None and bw and not isinstance(bw[0], list):
         # per-MEC list shorthand: same bandwidth from every UPF
         bw = [list(bw) for _ in range(doc["num_upfs"])]

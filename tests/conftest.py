@@ -5,7 +5,7 @@ from typing import Dict, List, Optional
 import pytest
 
 from upfmec.cli import _resolve_scenario
-from upfmec.engine import projection
+from upfmec.metrics import projection
 from upfmec.model import (
     MecSpec,
     QosClass,

@@ -151,6 +151,10 @@ def _scalar_thresholds(doc):
     doc["thresholds_ms"] = 5
 
 
+def _scalar_links(doc):
+    doc["links"] = 3
+
+
 @pytest.mark.parametrize(
     "breaks",
     [
@@ -158,7 +162,7 @@ def _scalar_thresholds(doc):
         _float_num_upfs, _float_num_mecs, _fractional_horizon, _fractional_drain_cap,
         _fractional_seed, _float_upf_id, _float_mec_id, _quoted_delta, _quoted_skew_entry,
         _null_headroom_factor, _scalar_upf_capacity, _scalar_qos_mix, _scalar_traffic,
-        _scalar_bandwidth_row, _scalar_thresholds,
+        _scalar_bandwidth_row, _scalar_thresholds, _scalar_links,
     ],
 )
 def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):

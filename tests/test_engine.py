@@ -275,6 +275,15 @@ def test_cost_vectors_match_fresh_snapshots(campus5, metro, pairs, scheme):
     assert len(decisions) == res.generated > 0
 
 
+def test_recorded_prices_are_floats_for_an_integer_delta():
+    # events.csv prints a projection with repr: 1.0, never 1, whatever delta_ms's type
+    s = make_scenario(scheme=Scheme.BESTFIT_UPF_MEC, lam=6.0, horizon=4, delta=1)
+    res = run_to_completion(s)
+    inputs = [r.decision_inputs for r in res.requests]
+    assert inputs and all(type(pc_upf) is float for pc_upf, _, _ in inputs)
+    assert all(type(pc_mec) is float for _, _, pc_mec in inputs)
+
+
 @pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC])
 def test_queue_series_hold_one_entry_per_epoch(metro, scheme):
     run = SimulationRun(replace(build_pair_scenario(metro, 3), scheme=scheme), seed=1)
