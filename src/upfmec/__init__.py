@@ -42,7 +42,6 @@ from .schemes import (
     assign_bestfit_no_pe,
     assign_bestfit_pe,
     assign_bestfit_upf_mec,
-    find_bestfit_upf,
 )
 
 __version__ = "0.1.0"

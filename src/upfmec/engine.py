@@ -34,8 +34,13 @@ log does.
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
 only reset it to zero) and its price cannot change, so service passes it
-after one emptiness test.  The per-queue work left in an epoch is that
-test and one row of queue lengths, from which the queue series are built.
+after one emptiness test and never calls ``serve`` on it.  The per-queue
+work left in an epoch is that test and one row of queue lengths, from
+which the queue series are built.
+
+A finished run counts where its requests are: those in UPF and MEC queues
+and on links must number exactly the in-flight count that generation,
+completions and drops leave, or the run raises ``InvariantError``.
 """
 
 from __future__ import annotations
@@ -208,10 +213,9 @@ class SimulationRun:
         if drain_cap is not None and drain_cap < 0:
             raise ValueError(f"drain cap must be >= 0, got {drain_cap}")
         self.scenario = scenario
-        self.delta = scenario.delta_ms
-        # prices are floats whatever the type of delta_ms: a float delta
-        # prices every queue with the same values and never an int
-        self._price_delta = float(self.delta)
+        # prices and measured delays are floats whatever the type of
+        # delta_ms: a float delta gives the same values and never an int
+        self.delta = float(scenario.delta_ms)
         self.seed = scenario.seed if seed is None else seed
         self.rng = np.random.default_rng(self.seed)
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
@@ -222,7 +226,7 @@ class SimulationRun:
             for j in range(1, scenario.num_mecs + 1):
                 # Mbps -> bits per ms
                 bw = scenario.link_bandwidth_mbps[i - 1][j - 1] * 1e3
-                self.links[(i, j)] = Link(upf_id=i, mec_id=j, bandwidth=bw)
+                self.links[(i, j)] = Link(bandwidth=bw)
         # keys of the links with requests in transit; requests enter links only via _enter_link
         self._busy_links: Set[Tuple[int, int]] = set()
         self.epoch = 0
@@ -237,12 +241,10 @@ class SimulationRun:
         self.generated = 0
         self.completed = 0
         self.dropped = 0
-        self._next_id = 0
-        pd = self._price_delta
         self.upf_cost: Dict[QosClass, CostVector] = {
-            q: CostVector([u.buckets[q].price(pd) for u in self.upfs]) for q in QosClass
+            q: CostVector([u.buckets[q].price(self.delta) for u in self.upfs]) for q in QosClass
         }
-        self.mec_cost = CostVector([m.price(pd) for m in self.mecs])
+        self.mec_cost = CostVector([m.price(self.delta) for m in self.mecs])
         # UPF buckets in service order (UPF-major, class-minor), each with
         # the cost vector entry that prices it and whether its class goes on
         # to a MEC; link-entry order sets link sharing and MEC FCFS order
@@ -265,11 +267,11 @@ class SimulationRun:
 
     def refresh_costs(self) -> None:
         """Recompute every entry of the cost vectors from the current queues."""
-        pd = self._price_delta
+        delta = self.delta
         for bucket, cost, idx, _ in self._upf_slots:
-            cost.set(idx, bucket.price(pd))
+            cost.set(idx, bucket.price(delta))
         for j, m in enumerate(self.mecs):
-            self.mec_cost.set(j, m.price(pd))
+            self.mec_cost.set(j, m.price(delta))
 
     def _queue_series(
         self,
@@ -300,15 +302,13 @@ class SimulationRun:
         arrivals: List[UeRequest] = []
         if generate:
             arrivals = generate_arrivals(
-                self.scenario.traffic, self.rng, epoch, self.scenario.num_upfs, self._next_id
+                self.scenario.traffic, self.rng, epoch, self.scenario.num_upfs, self.generated
             )
-            self._next_id += len(arrivals)
             self.requests.extend(arrivals)
             self.generated += len(arrivals)
 
         admitted = dropped_now = 0
         delta = self.delta
-        pd = self._price_delta
         assign = self._assign
         upfs, mecs, links = self.upfs, self.mecs, self.links
         upf_cost, mec_cost = self.upf_cost, self.mec_cost
@@ -336,12 +336,12 @@ class SimulationRun:
             else:
                 req.advance_status(_IN_UPF_QUEUE)
                 bucket.queue.append(req)
-                cost.set(upf_id - 1, bucket.price(pd))
+                cost.set(upf_id - 1, bucket.price(delta))
                 admitted += 1
                 if mec_id is not None:
                     mec = mecs[mec_id - 1]
                     mec.pending += 1
-                    mec_cost.set(mec_id - 1, mec.price(pd))
+                    mec_cost.set(mec_id - 1, mec.price(delta))
         if admitted + dropped_now != len(arrivals):
             raise InvariantError(
                 f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(arrivals)}"
@@ -352,7 +352,7 @@ class SimulationRun:
             if not bucket.queue:
                 continue
             served = bucket.serve()
-            cost.set(idx, bucket.price(pd))
+            cost.set(idx, bucket.price(delta))
             for req in served:
                 req.upf_serve_epoch = epoch
                 req.d_upf = (epoch + 1 - req.arrival_epoch) * delta
@@ -365,7 +365,7 @@ class SimulationRun:
         for key in sorted(self._busy_links):
             link = self.links[key]
             still: List[UeRequest] = []
-            mec = mecs[link.mec_id - 1]
+            mec = mecs[key[1] - 1]
             for req in link.in_transit:
                 if req.mec_due_epoch <= epoch:
                     mec.pending -= 1
@@ -391,7 +391,7 @@ class SimulationRun:
             if not m.queue:
                 continue
             served = m.serve()
-            mec_cost.set(j, m.price(pd))
+            mec_cost.set(j, m.price(delta))
             for req in served:
                 req.d_mec = (epoch + 1 - req.mec_arrival_epoch) * delta
                 self._complete(req)
@@ -438,8 +438,14 @@ class SimulationRun:
         while self.in_flight > 0 and drained < self.drain_cap:
             self.step_epoch(generate=False)
             drained += 1
-        if self.generated != self.completed + self.dropped + self.in_flight:
-            raise InvariantError("request conservation broken at end of run")
+        # in_flight is what the counters leave; count where the requests are
+        located = sum(map(len, self._series_queues))
+        located += sum(len(link.in_transit) for link in self.links.values())
+        if located != self.in_flight:
+            raise InvariantError(
+                f"request conservation broken at end of run: {located} requests "
+                f"in queues and links, {self.in_flight} in flight"
+            )
         if self.in_flight == 0 and any(m.pending for m in self.mecs):
             raise InvariantError("pending MEC commitments left after full drain")
         upf_series, mec_series = self._queue_series()

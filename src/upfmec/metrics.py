@@ -231,13 +231,15 @@ def _max_workers() -> int:
         return 1
 
 
+# the CapEx comparison: the location-pinned baseline against the MEC-IA scheme
+CAPEX_BASELINE = Scheme.BASELINE
+CAPEX_MECIA = Scheme.BESTFIT_UPF_MEC
+
+
 def capex_sweep(
-    base: Scenario,
-    pair_counts: Sequence[int],
-    seeds: Sequence[int],
-    schemes: Sequence[Scheme] = (Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC),
+    base: Scenario, pair_counts: Sequence[int], seeds: Sequence[int]
 ) -> List[CapexPoint]:
-    """Run every (pairs, scheme) cell over the seeds and pool the results.
+    """Run both CapEx schemes at every pair count over the seeds and pool the results.
 
     Results are independent of worker count; UPFMEC_MAX_WORKERS > 1
     parallelizes the runs across processes.  The base is validated before
@@ -251,7 +253,7 @@ def capex_sweep(
     cells: List[Tuple[int, Scheme]] = []
     for pairs in pair_counts:
         scaled = build_pair_scenario(base, pairs)
-        for scheme in schemes:
+        for scheme in (CAPEX_BASELINE, CAPEX_MECIA):
             cells.append((pairs, scheme))
             variant = replace(scaled, scheme=scheme)
             for seed in seeds:
@@ -284,19 +286,14 @@ def capex_sweep(
     return points
 
 
-def capex_analysis(
-    points: Sequence[CapexPoint],
-    qos: QosClass = QosClass.URLLC,
-    baseline: str = Scheme.BASELINE.value,
-    mecia: str = Scheme.BESTFIT_UPF_MEC.value,
-) -> dict:
+def capex_analysis(points: Sequence[CapexPoint], qos: QosClass = QosClass.URLLC) -> dict:
     """Connectivity gain per deployment size and the CapEx break-even size.
 
     The break-even is the smallest pair count at which the load-aware
     scheme matches what the baseline only reaches at the largest size.
     """
-    base_pts = {p.pairs: p for p in points if p.scheme == baseline}
-    mec_pts = {p.pairs: p for p in points if p.scheme == mecia}
+    base_pts = {p.pairs: p for p in points if p.scheme == CAPEX_BASELINE.value}
+    mec_pts = {p.pairs: p for p in points if p.scheme == CAPEX_MECIA.value}
     sizes = sorted(set(base_pts) & set(mec_pts))
     if not sizes:
         raise ValueError("no common pair counts between the two schemes")

@@ -230,16 +230,9 @@ class ServiceQueue:
         c = self.capacity
         return projected_delay(len(self.queue) + self.pending, c, c, delta)
 
-    def snapshot(self) -> Tuple[float, float, float]:
-        """The (queue_len, headroom, capacity) bucket `price` prices, for the reference solvers."""
-        return (float(len(self.queue) + self.pending), self.capacity, self.capacity)
-
     def serve(self) -> Sequence[UeRequest]:
         """Pop this epoch's service, up to int(credit + capacity) requests."""
         queue = self.queue
-        if not queue:
-            self.credit = 0.0
-            return ()
         credit = self.credit + self.capacity
         n = min(len(queue), int(credit))
         if n > math.ceil(self.capacity):
@@ -267,10 +260,8 @@ class MecState(ServiceQueue):
 
 @dataclass
 class Link:
-    """Directed UPF->MEC link; bandwidth in bits per ms."""
+    """Directed UPF->MEC link, keyed (upf_id, mec_id) by the run; bandwidth in bits per ms."""
 
-    upf_id: int
-    mec_id: int
     bandwidth: float
     in_transit: List[UeRequest] = field(default_factory=list)
 

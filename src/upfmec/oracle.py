@@ -5,6 +5,10 @@ placement walks every composition of n requests over the UPF buckets and
 the pair search walks every (UPF, MEC) combination.  Both break ties
 toward the lowest-indexed buckets, the same preference the sequential
 bestfit rule has, so the two agree exactly on single-request instances.
+
+The sequential heuristic places through ``model.CostVector``, the vector
+the engine's bestfit schemes read, so ``oracle-gap`` scores the engine's
+own first-minimum choice.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ from __future__ import annotations
 from typing import Iterator, Sequence, Tuple
 
 from .delay import net_delay, projected_delay, worst_case_batch_delay
-from .schemes import Bucket, find_bestfit_upf
+from .model import CostVector
+
+# a bucket is (queue_len, headroom, capacity)
+Bucket = Tuple[float, float, float]
 
 MAX_BATCH = 12
 MAX_UPFS = 5
@@ -81,20 +88,23 @@ def sequential_heuristic_batch(
 ) -> Tuple[Tuple[int, ...], float]:
     """Place n requests one at a time with the bestfit rule, then score.
 
-    Each placement joins the projected queue of its bucket, exactly like
+    Each placement goes to the cost vector's ``best`` and joins the
+    projected queue of its bucket, which is repriced, exactly like
     sequential admission in the engine.  The score is the same worst-case
-    objective the optimum uses, evaluated on the original snapshot.
+    objective the optimum uses, evaluated on the original buckets.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not buckets:
         raise ValueError("no buckets to place on")
     working = [list(b) for b in buckets]
+    cost = CostVector([projected_delay(*b, 1.0) for b in working])
     counts = [0] * len(buckets)
     for _ in range(n):
-        idx, _cost = find_bestfit_upf([tuple(b) for b in working], 1.0)
+        idx = cost.best
         counts[idx] += 1
         working[idx][0] += 1.0
+        cost.set(idx, projected_delay(*working[idx], 1.0))
     return tuple(counts), _batch_worst_case(counts, buckets)
 
 

@@ -8,46 +8,16 @@ the inputs of the scheme's projection and keeps the vectors current.
 Decisions never mutate state.  A bestfit choice is the vector's ``best``,
 the first minimum the vector keeps itself, so ties break toward the lowest
 index and results are deterministic for identical states.
-
-The snapshot functions and ``find_bestfit_upf`` are the same choice made
-with a Python loop over a list of buckets; the oracles and the tests use
-them as the reference.
+``oracle.sequential_heuristic_batch`` places through a ``CostVector`` of
+its own, so ``oracle-gap`` scores this same choice.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-from .delay import projected_delay
-
-# a bucket snapshot is (queue_len, headroom, capacity)
-Bucket = Tuple[float, float, float]
+from typing import Optional, Tuple
 
 # UPF and MEC ids are 1..n in index order (validate_scenario checks it), so a
 # cost vector index i is the id i + 1
-
-
-def upf_bucket_snapshot(upfs, qos) -> List[Bucket]:
-    """Per-UPF buckets for one QoS class, id order."""
-    return [u.buckets[qos].snapshot() for u in upfs]
-
-
-def mec_snapshot(mecs) -> List[Bucket]:
-    """Per-MEC buckets, id order; a MEC's queue length counts its pending commitments."""
-    return [m.snapshot() for m in mecs]
-
-
-def find_bestfit_upf(buckets: Sequence[Bucket], delta: float) -> Tuple[int, float]:
-    """Index of the bucket with the lowest projected delay, and that delay."""
-    if not buckets:
-        raise ValueError("no UPF buckets to choose from")
-    best_idx = 0
-    best = projected_delay(*buckets[0], delta)
-    for idx in range(1, len(buckets)):
-        cost = projected_delay(*buckets[idx], delta)
-        if cost < best:
-            best, best_idx = cost, idx
-    return best_idx, best
 
 
 def assign_baseline(req, run) -> Tuple[int, Optional[int]]:

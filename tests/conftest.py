@@ -77,6 +77,11 @@ def make_scenario(
     )
 
 
+def bucket(sq):
+    """The (queue_len, headroom, capacity) a queue's price is computed from, for the oracles."""
+    return (len(sq.queue) + sq.pending, sq.capacity, sq.capacity)
+
+
 def decide(run, req, scheme):
     """Apply a scheme to req as admission does, without changing the run.
 

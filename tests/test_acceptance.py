@@ -29,7 +29,7 @@ from upfmec.oracle import (
     pair_enumeration_optimum,
     sequential_heuristic_batch,
 )
-from upfmec.schemes import assign_bestfit_upf_mec, find_bestfit_upf
+from upfmec.schemes import assign_bestfit_upf_mec
 
 from conftest import decide, make_scenario
 from test_oracle import _oracle_inputs, _stuffed_run, random_buckets
@@ -151,8 +151,8 @@ def test_criterion_05_oracle_agreement():
         opt = minmax_batch_optimum(1, buckets)
         heur = sequential_heuristic_batch(1, buckets)
         assert opt == heur
-        idx, _ = find_bestfit_upf(buckets, 1.0)
-        assert opt[0][idx] == 1
+        costs = [projected_delay(*b, 1.0) for b in buckets]
+        assert opt[0][costs.index(min(costs))] == 1
     worst_ratio = 1.0
     for _ in range(1000):
         buckets = random_buckets(rng, 3)

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upfmec.cli import _parse_int_list, main
 from upfmec.model import load_scenario, save_scenario
@@ -176,6 +184,49 @@ def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
     err = capsys.readouterr().err
     assert err.startswith("invalid scenario: ")
     assert len(err.splitlines()) == 1
+
+
+def _field_paths(node, prefix=()):
+    """Key path of every field nested in a loaded YAML document, maps and lists alike."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+CAMPUS5_DOC = yaml.safe_load(
+    resources.files("upfmec").joinpath("scenarios/campus5.yaml").read_text(encoding="utf-8")
+)
+CAMPUS5_DOC["horizon_epochs"] = 3
+DELETE = object()
+FIELD_VALUES = [None, True, 0, -1, 2.5, "x", "1", [], [1], {}, {"a": 1}, math.nan, DELETE]
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(list(_field_paths(CAMPUS5_DOC))), value=st.sampled_from(FIELD_VALUES))
+def test_any_one_field_mutation_runs_or_is_a_usage_error(path, value):
+    doc = copy.deepcopy(CAMPUS5_DOC)
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = os.path.join(tmp, "mutated.yaml")
+        with open(scenario, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh)
+        quiet = io.StringIO()
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            rc = main(["run", "--scenario", scenario, "--out", tmp])
+    assert rc in (0, 2)
 
 
 @pytest.mark.parametrize("breaks", [_scalar_traffic, _scalar_bandwidth_row])

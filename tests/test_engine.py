@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfmec.delay import projected_delay
-from upfmec.engine import SimulationRun, generate_arrivals, run_to_completion
+from upfmec.engine import InvariantError, SimulationRun, generate_arrivals, run_to_completion
 from upfmec.metrics import build_pair_scenario
 from upfmec.model import QosClass, RequestStatus, Scheme, TrafficSpec
-from upfmec.schemes import find_bestfit_upf, mec_snapshot, upf_bucket_snapshot
 
 from conftest import make_scenario
 
@@ -204,6 +202,19 @@ def test_truncated_run_reports_residual():
     assert res.generated == res.completed + res.dropped + res.residual
 
 
+def test_a_request_lost_behind_the_engine_breaks_conservation():
+    s = make_scenario(
+        num_upfs=1, lam=6.0, horizon=3, qos_mix=ALL_URLLC,
+        upf_capacity=1.0, upf_queue_cap=100, mec_queue_cap=100,
+    )
+    run = SimulationRun(s)
+    run.step_epoch()
+    # the request is gone from every queue and link, but still in flight
+    run.upfs[0].buckets[QosClass.URLLC].queue.pop()
+    with pytest.raises(InvariantError, match="conservation"):
+        run.run()
+
+
 def test_horizon_zero_is_an_empty_run():
     res = run_to_completion(make_scenario(lam=5.0, horizon=0))
     assert res.generated == 0 and res.epochs_run == 0 and not res.truncated
@@ -246,18 +257,18 @@ def test_completed_delays_respect_stage_minimums(campus5):
 
 
 def _check_costs_at_every_decision(run: SimulationRun) -> list:
-    """Make every decision of the run first check the cost vectors against fresh snapshots."""
+    """Make every decision of the run first check the cost vectors against a fresh pricing."""
     decisions = []
     assign = run._assign
 
     def checked(req, run_):
-        snap = upf_bucket_snapshot(run.upfs, req.qos)
-        cost = run.upf_cost[req.qos]
-        assert cost.prices == [projected_delay(*b, run.delta) for b in snap]
-        assert cost.best == find_bestfit_upf(snap, run.delta)[0]
-        snap = mec_snapshot(run.mecs)
-        assert run.mec_cost.prices == [projected_delay(*b, run.delta) for b in snap]
-        assert run.mec_cost.best == find_bestfit_upf(snap, run.delta)[0]
+        for cost, queues in (
+            (run.upf_cost[req.qos], [u.buckets[req.qos] for u in run.upfs]),
+            (run.mec_cost, run.mecs),
+        ):
+            prices = [sq.price(run.delta) for sq in queues]
+            assert cost.prices == prices
+            assert cost.best == prices.index(min(prices))
         decisions.append(req.id)
         return assign(req, run_)
 
@@ -276,12 +287,15 @@ def test_cost_vectors_match_fresh_snapshots(campus5, metro, pairs, scheme):
 
 
 def test_recorded_prices_are_floats_for_an_integer_delta():
-    # events.csv prints a projection with repr: 1.0, never 1, whatever delta_ms's type
+    # events.csv prints projections and measured delays with repr: 1.0, never 1,
+    # whatever delta_ms's type
     s = make_scenario(scheme=Scheme.BESTFIT_UPF_MEC, lam=6.0, horizon=4, delta=1)
     res = run_to_completion(s)
     inputs = [r.decision_inputs for r in res.requests]
     assert inputs and all(type(pc_upf) is float for pc_upf, _, _ in inputs)
     assert all(type(pc_mec) is float for _, _, pc_mec in inputs)
+    done = [r for r in res.requests if r.status is RequestStatus.COMPLETED and r.qos.uses_mec]
+    assert done and all(type(r.d_upf) is float and type(r.d_mec) is float for r in done)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC])

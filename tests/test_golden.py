@@ -1,4 +1,4 @@
-"""Golden output digests: ``run --trace`` writes the same bytes as the recorded commit.
+"""Golden output digests: the commands write the same bytes as the recorded commit.
 
 Criterion 09 compares two runs of one commit, and the benchmark hashes only
 summaries and CDFs; these digests also cover ``trace.csv`` and
@@ -6,6 +6,10 @@ summaries and CDFs; these digests also cover ``trace.csv`` and
 They were recorded before the per-request projection was stored as its
 inputs and composed on read, and a change that moves any byte of these
 files must say why and re-record them.
+
+``COMMAND_GOLDEN`` pins the pooled ``compare`` reports, the ``capex`` sweep
+and its analyses, and the ``oracle-gap`` table, recorded before the
+sequential heuristic placed through the engine's cost vector.
 """
 
 from __future__ import annotations
@@ -86,15 +90,55 @@ GOLDEN = {
 }
 
 
+def _digests(argv, out):
+    """Run one command writing into out; the sha256 of every file it wrote."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in os.listdir(out)}
+
+
 @pytest.mark.parametrize("scenario,scheme", CELLS)
 def test_run_trace_outputs_match_golden_digests(tmp_path, scenario, scheme):
-    argv = ["run", "--scenario", scenario, "--scheme", scheme, "--seed", "1", "--trace",
-            "--out", str(tmp_path)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    written = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in sorted(os.listdir(tmp_path))
-    }
+    argv = ["run", "--scenario", scenario, "--scheme", scheme, "--seed", "1", "--trace"]
     prefix = f"{scenario}.{scheme}.1."
-    assert written == {k: v for k, v in GOLDEN.items() if k.startswith(prefix)}
+    assert _digests(argv, tmp_path) == {k: v for k, v in GOLDEN.items() if k.startswith(prefix)}
+
+
+COMMANDS = {
+    "compare": ["compare", "--scenario", "campus5", "--seeds", "1-2"],
+    "capex": ["capex", "--scenario", "metro", "--pairs", "1-3", "--seeds", "1"],
+    "oracle-gap": ["oracle-gap", "--upfs", "5", "--n-max", "12", "--trials", "100", "--seed", "1"],
+}
+
+COMMAND_GOLDEN = {
+    "compare": {
+        "campus5.baseline.pooled.cdf.csv":
+            "15074ce92444670e8118b3f70101184ccdf9a23a55057f26ff1f6160141acd5c",
+        "campus5.bestfit_upf_mec.pooled.cdf.csv":
+            "4a941b841d037780f2d16ee3f4c6b99b83abeebc0d459ac4002705775c968e16",
+        "campus5.bestfit_upf_no_pe.pooled.cdf.csv":
+            "c9b6be328b275c24bc9ac3013a0792da1c7db1052f1f52c59e6c3769fe4343af",
+        "campus5.bestfit_upf_pe.pooled.cdf.csv":
+            "4870aade4506459ec6388145e8229b765bd6b844bb11346663b19a8957f78b13",
+        "campus5.compare.pooled.summary.csv":
+            "a9beef5fac6cdd2c53a555269a3cda339528aa64266d071b4fc57eba3ee8e72f",
+    },
+    "capex": {
+        "metro.capex.csv":
+            "d27f36ba369f7c0256defd099f4d6bc440aacd826c4fa3f984be1a549d8649a6",
+        "metro.capex_analysis.embb.json":
+            "c930f7c56bf3c07866513185fec32c9e5150d27725501fd05c9893b5634c1045",
+        "metro.capex_analysis.urllc.json":
+            "c7e17451bf81cfff0e2ed1e08dbe8b614868ae9f2bf0bab4098059708450c509",
+    },
+    "oracle-gap": {
+        "oracle_gap.u5.n12.seed1.csv":
+            "d8ed545f1bb9babc714beb74c11805f08ba2f62d0c611fdfd99c3be7a361d554",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_outputs_match_golden_digests(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("UPFMEC_MAX_WORKERS", raising=False)  # capex runs serially
+    assert _digests(COMMANDS[command], tmp_path) == COMMAND_GOLDEN[command]

@@ -271,7 +271,7 @@ def test_regular_is_the_only_class_bypassing_mec():
 
 
 def test_link_share_counts_in_transit():
-    link = Link(upf_id=1, mec_id=1, bandwidth=1000.0)
+    link = Link(bandwidth=1000.0)
     assert link.n_share == 0
     req = UeRequest(id=0, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
     link.in_transit.append(req)

@@ -16,9 +16,9 @@ from upfmec.oracle import (
     pair_enumeration_optimum,
     sequential_heuristic_batch,
 )
-from upfmec.schemes import assign_bestfit_upf_mec, mec_snapshot, upf_bucket_snapshot
+from upfmec.schemes import assign_bestfit_upf_mec
 
-from conftest import decide, make_scenario
+from conftest import bucket, decide, make_scenario
 
 
 def random_buckets(rng: np.random.Generator, u: int):
@@ -142,8 +142,8 @@ def _stuffed_run(rng: np.random.Generator) -> SimulationRun:
 
 
 def _oracle_inputs(run: SimulationRun, qos: QosClass):
-    upf_buckets = upf_bucket_snapshot(run.upfs, qos)
-    mec_buckets = mec_snapshot(run.mecs)
+    upf_buckets = [bucket(u.buckets[qos]) for u in run.upfs]
+    mec_buckets = [bucket(m) for m in run.mecs]
     nu, nm = len(run.upfs), len(run.mecs)
     n_share = [[run.links[(i + 1, j + 1)].n_share for j in range(nm)] for i in range(nu)]
     bw = [[run.links[(i + 1, j + 1)].bandwidth for j in range(nm)] for i in range(nu)]

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from upfmec.delay import projected_delay
 from upfmec.engine import SimulationRun
-from upfmec.model import QosClass, Scheme, UeRequest
+from upfmec.model import CostVector, QosClass, Scheme, UeRequest
+from upfmec.oracle import sequential_heuristic_batch
 from upfmec.schemes import (
     SCHEME_FUNCS,
     assign_baseline,
     assign_bestfit_no_pe,
     assign_bestfit_pe,
     assign_bestfit_upf_mec,
-    find_bestfit_upf,
-    mec_snapshot,
-    upf_bucket_snapshot,
 )
 
 from conftest import decide, make_scenario
@@ -48,63 +46,82 @@ bucket = st.tuples(
 )
 
 
+def first_choice(buckets) -> int:
+    """Index where the sequential heuristic places one request."""
+    return sequential_heuristic_batch(1, buckets)[0].index(1)
+
+
 # ------------------------------------------------------------------ bestfit
 
 
 def test_tie_breaks_to_lowest_index():
-    idle = [(0.0, 2.0, 2.0)] * 3
-    assert find_bestfit_upf(idle, 1.0) == (0, 1.0)
+    run = make_run(num_upfs=3)
+    assert assign_bestfit_upf_mec(dummy(origin=3), run) == (1, 1)
+    assert run.upf_cost[QosClass.URLLC].prices[0] == run.delta
+    assert first_choice([(0.0, 2.0, 2.0)] * 3) == 0
 
 
 def test_empty_bucket_beats_saturated_peers():
-    buckets = [(5.0, 0.0, 2.0), (0.0, 4.0, 4.0), (6.0, 0.0, 3.0)]
-    idx, cost = find_bestfit_upf(buckets, 1.0)
-    assert idx == 1 and cost == 1.0
+    run = make_run(num_upfs=3)
+    stuff_upf(run, 1, QosClass.URLLC, 5)
+    stuff_upf(run, 3, QosClass.URLLC, 6)
+    upf_id, _ = assign_bestfit_upf_mec(dummy(origin=1), run)
+    assert upf_id == 2 and run.upf_cost[QosClass.URLLC].prices[1] == run.delta
+    assert first_choice([(5.0, 0.0, 2.0), (0.0, 4.0, 4.0), (6.0, 0.0, 3.0)]) == 1
 
 
 def test_singleton_is_always_chosen():
-    assert find_bestfit_upf([(99.0, 0.0, 1.0)], 1.0)[0] == 0
+    run = make_run(num_upfs=1)
+    stuff_upf(run, 1, QosClass.URLLC, 99)
+    stuff_mec(run, 1, 99)
+    assert assign_bestfit_upf_mec(dummy(), run) == (1, 1)
+    assert first_choice([(99.0, 0.0, 1.0)]) == 0
 
 
 def test_empty_snapshot_rejected():
     with pytest.raises(ValueError):
-        find_bestfit_upf([], 1.0)
+        CostVector([])
+    with pytest.raises(ValueError):
+        sequential_heuristic_batch(1, [])
 
 
 @settings(max_examples=200, deadline=None)
 @given(buckets=st.lists(bucket, min_size=1, max_size=6))
 def test_bestfit_matches_exhaustive_min(buckets):
-    idx, cost = find_bestfit_upf(buckets, 1.0)
     costs = [projected_delay(*b, 1.0) for b in buckets]
-    assert cost == min(costs)
-    assert idx == costs.index(min(costs))
-    # internal consistency: the returned value is the chosen bucket's delay
-    assert cost == projected_delay(*buckets[idx], 1.0)
+    cost = CostVector(costs)
+    assert cost.best == costs.index(min(costs))
+    assert first_choice(buckets) == cost.best
 
 
 @settings(max_examples=100, deadline=None)
 @given(buckets=st.lists(bucket, min_size=1, max_size=6), k=st.floats(0.1, 100.0))
 def test_argmin_invariant_under_common_scaling(buckets, k):
     # both branches scale linearly with delta, so the chosen index cannot move
-    assert find_bestfit_upf(buckets, 1.0)[0] == find_bestfit_upf(buckets, k)[0]
+    scaled = CostVector([projected_delay(*b, k) for b in buckets])
+    assert first_choice(buckets) == scaled.best
 
 
 def test_snapshots_reflect_state_in_id_order():
     run = make_run(num_upfs=3)
     stuff_upf(run, 2, QosClass.EMBB, 4)
-    snap = upf_bucket_snapshot(run.upfs, QosClass.EMBB)
-    assert [s[0] for s in snap] == [0.0, 4.0, 0.0]
+    embb = [u.buckets[QosClass.EMBB] for u in run.upfs]
+    assert [len(b.queue) for b in embb] == [0, 4, 0]
+    assert run.upf_cost[QosClass.EMBB].prices == [b.price(run.delta) for b in embb]
+    assert run.upf_cost[QosClass.EMBB].prices[1] > run.delta
     # other classes unaffected
-    assert [s[0] for s in upf_bucket_snapshot(run.upfs, QosClass.URLLC)] == [0.0, 0.0, 0.0]
+    assert run.upf_cost[QosClass.URLLC].prices == [run.delta] * 3
 
 
 def test_mec_snapshot_counts_pending_commitments():
     run = make_run(num_upfs=2)
-    stuff_mec(run, 1, 2)
+    stuff_mec(run, 1, 6)
     run.mecs[0].pending = 3
-    snap = mec_snapshot(run.mecs)
-    assert snap[0][0] == 5.0
-    assert snap[1][0] == 0.0
+    run.refresh_costs()
+    c = run.mecs[0].capacity
+    # 6 queued alone fit the capacity of 8; with the 3 pending they do not
+    assert run.mec_cost.prices == [projected_delay(9, c, c, run.delta), run.delta]
+    assert run.mec_cost.prices[0] > run.delta
 
 
 # ------------------------------------------------------------------ policies
