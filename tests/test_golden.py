@@ -10,6 +10,12 @@ files must say why and re-record them.
 ``COMMAND_GOLDEN`` pins the pooled ``compare`` reports, the ``capex`` sweep
 and its analyses, and the ``oracle-gap`` table, recorded before the
 sequential heuristic placed through the engine's cost vector.
+
+``SCENARIO_GOLDEN`` pins two scenarios the bundled files never reach:
+campus5 with 0.5 ms epochs and every capacity scaled by 0.7 (fractional
+capacities at ``delta_ms`` != 1), and a rectangular 3 UPF x 2 MEC
+deployment over 2 ms epochs.  They were recorded before per-run
+constants were checked once at build time instead of on every price.
 """
 
 from __future__ import annotations
@@ -18,10 +24,15 @@ import contextlib
 import hashlib
 import io
 import os
+from dataclasses import replace
 
 import pytest
+import yaml
 
 from upfmec.cli import main
+from upfmec.model import scenario_to_dict
+
+from conftest import make_scenario
 
 SCHEMES = ("baseline", "bestfit_upf_no_pe", "bestfit_upf_pe", "bestfit_upf_mec")
 CELLS = [("campus5", k) for k in SCHEMES] + [("metro", "baseline"), ("metro", "bestfit_upf_mec")]
@@ -142,3 +153,61 @@ COMMAND_GOLDEN = {
 def test_command_outputs_match_golden_digests(tmp_path, monkeypatch, command):
     monkeypatch.delenv("UPFMEC_MAX_WORKERS", raising=False)  # capex runs serially
     assert _digests(COMMANDS[command], tmp_path) == COMMAND_GOLDEN[command]
+
+
+def _campus5_fractional(campus5):
+    """campus5 at half-ms epochs with every capacity scaled by 0.7."""
+    s = replace(campus5, name="campus5_fractional", delta_ms=0.5)
+    s.upfs = [
+        replace(u, capacity={q: c * 0.7 for q, c in u.capacity.items()}) for u in campus5.upfs
+    ]
+    s.mecs = [replace(m, capacity=m.capacity * 0.7) for m in campus5.mecs]
+    return s
+
+
+def _rectangular(_campus5):
+    """Three UPFs feeding two MECs over 2 ms epochs at fractional UPF capacity."""
+    return make_scenario(
+        name="rect3x2", num_upfs=3, num_mecs=2, delta=2.0, upf_capacity=1.5, lam=9.0, horizon=30
+    )
+
+
+SCENARIO_GOLDEN = {
+    "campus5_fractional": (_campus5_fractional, {
+        "campus5_fractional.bestfit_upf_mec.1.cdf.csv":
+            "874507cb0770e0c0a4e6b6ce8fe9190f5f372d83bb390a06c79d45dc6d1e4b4b",
+        "campus5_fractional.bestfit_upf_mec.1.events.csv":
+            "8ade6c643eefd05b01ec64aba6e0998c250c97dd0fcd97ee53bedd6088988939",
+        "campus5_fractional.bestfit_upf_mec.1.summary.csv":
+            "e8f496f89111688d98678bee9a8ff36340735e68fed8f89c1588d106a0a49d21",
+        "campus5_fractional.bestfit_upf_mec.1.summary.json":
+            "88c1179786751079b0efdf114bb166ce8cfae109311edddb2c15a7ec485588b1",
+        "campus5_fractional.bestfit_upf_mec.1.trace.csv":
+            "9e90c27e70bc3eed5030c96264eec69f5243de76e7eb3469ac17e82de22e8cd5",
+    }),
+    "rect3x2": (_rectangular, {
+        "rect3x2.bestfit_upf_mec.1.cdf.csv":
+            "e428cb0b3023e01cbbedfde8d73def304c3a1da85aef2d663b9e0514897a1b7f",
+        "rect3x2.bestfit_upf_mec.1.events.csv":
+            "5d5f38f644d7080e27a542edd78676c9f0d98d34753cda37b9109d2067bb67a8",
+        "rect3x2.bestfit_upf_mec.1.summary.csv":
+            "b0957e5cfd5c88a90f4cf6a169a265297b888b6bc16951a5c958bc8bf52ade17",
+        "rect3x2.bestfit_upf_mec.1.summary.json":
+            "678d1622e91edba3889d8055a055d94631fc694a77357770cb76e3e6cdb7f2dc",
+        "rect3x2.bestfit_upf_mec.1.trace.csv":
+            "768896dfa29f27208ef1b4a83ea6a6b359c1fa0490795e6df251ff0611086b61",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_GOLDEN))
+def test_unbundled_scenario_outputs_match_golden_digests(tmp_path, campus5, name):
+    # epochs other than 1 ms, fractional capacities and a rectangular
+    # deployment, which neither bundled scenario reaches
+    build, golden = SCENARIO_GOLDEN[name]
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(scenario_to_dict(build(campus5)), sort_keys=False))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["run", "--scenario", str(path), "--scheme", "bestfit_upf_mec", "--seed", "1", "--trace"]
+    assert _digests(argv, out) == golden
