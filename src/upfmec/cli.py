@@ -295,7 +295,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # malformed --seeds/--pairs lists and pair counts below 1
+        # malformed --seeds/--pairs lists, pair counts below 1 and a
+        # UPFMEC_MAX_WORKERS that is not an integer >= 1
         print(f"upfmec: error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,6 +38,16 @@ after one emptiness test and never calls ``serve`` on it.  The per-queue
 work left in an epoch is that test and one row of queue lengths, from
 which the queue series are built.
 
+Values that cannot change after the run is built are checked once, not
+per request.  When the run is built, ``validate_scenario`` checks the
+epoch length and both arrival distributions, the run builds the origin
+and QoS-class CDFs each epoch draws from (``arrival_cdfs``), and each
+``ServiceQueue`` checks its capacity.  Every call still
+checks what changes: a price its queue length, ``net_delay`` the link's
+sharers (counted after the entering request joins), ``transit_epochs``
+the transfer delay, ``advance_status`` each status step and ``serve``
+the requests it pops.
+
 A finished run counts where its requests are: those in UPF and MEC queues
 and on links must number exactly the in-flight count that generation,
 completions and drops leave, or the run raises ``InvariantError``.
@@ -82,17 +92,39 @@ _COMPLETED = RequestStatus.COMPLETED
 _DROPPED = RequestStatus.DROPPED
 
 
+def _cdf(weights) -> np.ndarray:
+    """Cumulative distribution of the weights, built as ``Generator.choice`` builds it."""
+    w = np.asarray(weights, dtype=float)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def arrival_cdfs(traffic: TrafficSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """The origin CDF (over UPFs) and the QoS-class CDF of the arrivals.
+
+    ``cdf.searchsorted(rng.random(count), side="right")`` on one of them
+    draws exactly what ``rng.choice(len(w), size=count, p=w / w.sum())``
+    draws, from the same stream, without re-checking and re-normalising
+    the weights on every call.  ``validate_scenario`` checks both weight
+    vectors.
+    """
+    return _cdf(traffic.skew), _cdf([traffic.qos_mix[q] for q in _QOS_LIST])
+
+
 def generate_arrivals(
     traffic: TrafficSpec,
     rng: np.random.Generator,
     epoch: int,
-    num_upfs: int,
+    origin_cdf: np.ndarray,
+    class_cdf: np.ndarray,
     start_id: int = 0,
 ) -> List[UeRequest]:
     """Draw one epoch of requests: count, then origin and QoS per request.
 
-    The deterministic process emits floor((epoch+1)*rate) - floor(epoch*rate)
-    requests so the long-run rate is exact even for fractional rates.
+    The CDFs are ``arrival_cdfs(traffic)``.  The deterministic process
+    emits floor((epoch+1)*rate) - floor(epoch*rate) requests so the
+    long-run rate is exact even for fractional rates.
     """
     lam = traffic.mean_arrivals_per_epoch
     if traffic.process == "poisson":
@@ -103,10 +135,8 @@ def generate_arrivals(
         raise ValueError(f"unknown arrival process {traffic.process!r}")
     if count == 0:
         return []
-    skew = np.asarray(traffic.skew, dtype=float)
-    origins = rng.choice(num_upfs, size=count, p=skew / skew.sum()).tolist()
-    mix = np.asarray([traffic.qos_mix[q] for q in _QOS_LIST], dtype=float)
-    classes = rng.choice(len(_QOS_LIST), size=count, p=mix / mix.sum()).tolist()
+    origins = origin_cdf.searchsorted(rng.random(count), side="right").tolist()
+    classes = class_cdf.searchsorted(rng.random(count), side="right").tolist()
     return [
         UeRequest(start_id + k, _QOS_LIST[c], o + 1, epoch)
         for k, (o, c) in enumerate(zip(origins, classes))
@@ -218,6 +248,7 @@ class SimulationRun:
         self.delta = float(scenario.delta_ms)
         self.seed = scenario.seed if seed is None else seed
         self.rng = np.random.default_rng(self.seed)
+        self._origin_cdf, self._class_cdf = arrival_cdfs(scenario.traffic)
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
         self.upfs = [_build_upf(u, scenario) for u in scenario.upfs]
         self.mecs = [_build_mec(m, scenario) for m in scenario.mecs]
@@ -227,7 +258,8 @@ class SimulationRun:
                 # Mbps -> bits per ms
                 bw = scenario.link_bandwidth_mbps[i - 1][j - 1] * 1e3
                 self.links[(i, j)] = Link(bandwidth=bw)
-        # keys of the links with requests in transit; requests enter links only via _enter_link
+        # keys of the links with requests in transit; requests enter links only
+        # in the UPF service loop of step_epoch
         self._busy_links: Set[Tuple[int, int]] = set()
         self.epoch = 0
         if drain_cap is not None:
@@ -302,7 +334,12 @@ class SimulationRun:
         arrivals: List[UeRequest] = []
         if generate:
             arrivals = generate_arrivals(
-                self.scenario.traffic, self.rng, epoch, self.scenario.num_upfs, self.generated
+                self.scenario.traffic,
+                self.rng,
+                epoch,
+                self._origin_cdf,
+                self._class_cdf,
+                self.generated,
             )
             self.requests.extend(arrivals)
             self.generated += len(arrivals)
@@ -348,6 +385,7 @@ class SimulationRun:
             )
 
         served_upf = 0
+        busy_links = self._busy_links
         for bucket, cost, idx, to_mec in self._upf_slots:
             if not bucket.queue:
                 continue
@@ -357,7 +395,18 @@ class SimulationRun:
                 req.upf_serve_epoch = epoch
                 req.d_upf = (epoch + 1 - req.arrival_epoch) * delta
                 if to_mec:
-                    self._enter_link(req, epoch)
+                    key = (req.assigned_upf, req.assigned_mec)
+                    link = links[key]
+                    in_transit = link.in_transit
+                    in_transit.append(req)
+                    busy_links.add(key)
+                    # the entering request shares the link with everything
+                    # already on it: its sharers are counted after the append
+                    req.d_net = d_net = net_delay(
+                        len(in_transit), mecs[key[1] - 1].bytes_per_ue, link.bandwidth
+                    )
+                    req.mec_due_epoch = epoch + transit_epochs(d_net, delta)
+                    req.advance_status(_IN_TRANSIT)
                 else:
                     self._complete(req)
             served_upf += len(served)
@@ -412,17 +461,6 @@ class SimulationRun:
         self.epoch_reports.append(report)
         self.epoch += 1
         return report
-
-    def _enter_link(self, req: UeRequest, epoch: int) -> None:
-        key = (req.assigned_upf, req.assigned_mec)
-        link = self.links[key]
-        link.in_transit.append(req)
-        self._busy_links.add(key)
-        mec = self.mecs[req.assigned_mec - 1]
-        # the entering request shares the link with everything already on it
-        req.d_net = net_delay(link.n_share, mec.bytes_per_ue, link.bandwidth)
-        req.mec_due_epoch = epoch + transit_epochs(req.d_net, self.delta)
-        req.advance_status(_IN_TRANSIT)
 
     def _complete(self, req: UeRequest) -> None:
         req.d_e2e = req.d_upf + req.d_net + req.d_mec

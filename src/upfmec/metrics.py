@@ -224,11 +224,15 @@ def _sweep_task(args: Tuple[Scenario, int]) -> Tuple[Dict[QosClass, Tuple[int, i
 
 
 def _max_workers() -> int:
+    """UPFMEC_MAX_WORKERS (default 1): an integer >= 1, or a ValueError naming it."""
     raw = os.environ.get("UPFMEC_MAX_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"UPFMEC_MAX_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 # the CapEx comparison: the location-pinned baseline against the MEC-IA scheme
@@ -242,13 +246,17 @@ def capex_sweep(
     """Run both CapEx schemes at every pair count over the seeds and pool the results.
 
     Results are independent of worker count; UPFMEC_MAX_WORKERS > 1
-    parallelizes the runs across processes.  The base is validated before
-    it is scaled, under the one scheme that needs no co-located MECs: the
-    scaled deployments always pair them, and each run validates its own.
+    parallelizes the runs across at most that many processes, and never
+    more than there are runs (the pool forks all its workers at the first
+    submit).  A value that is not an integer >= 1 is a ValueError, raised
+    before any run.  The base is validated before it is scaled, under the
+    one scheme that needs no co-located MECs: the scaled deployments
+    always pair them, and each run validates its own.
     """
     violations = validate_scenario(replace(base, scheme=Scheme.BESTFIT_UPF_MEC))
     if violations:
         raise ScenarioError("; ".join(violations))
+    max_workers = _max_workers()
     tasks: List[Tuple[Scenario, int]] = []
     cells: List[Tuple[int, Scheme]] = []
     for pairs in pair_counts:
@@ -258,7 +266,7 @@ def capex_sweep(
             variant = replace(scaled, scheme=scheme)
             for seed in seeds:
                 tasks.append((variant, seed))
-    workers = _max_workers()
+    workers = min(max_workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))

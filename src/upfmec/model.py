@@ -23,8 +23,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import yaml
 
-from .delay import projected_delay
-
 
 class ScenarioError(ValueError):
     """Raised when a scenario fails validation."""
@@ -209,6 +207,10 @@ class ServiceQueue:
     stays non-empty.  `pending` (non-zero only for a MEC) counts requests
     assigned here and admitted upstream but not yet arrived, so later
     assignment decisions see those commitments.
+
+    The capacity is checked once, when the queue is built: it must be
+    > 0 and finite.  No code changes it afterwards, so `price` does not
+    check it again.
     """
 
     capacity: float
@@ -217,6 +219,10 @@ class ServiceQueue:
     credit: float = field(init=False, default=0.0)
     pending: int = field(init=False, default=0)
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.capacity < math.inf:
+            raise ValueError(f"capacity must be > 0 and finite, got {self.capacity}")
+
     def full(self) -> bool:
         """A request arriving now would be dropped."""
         return len(self.queue) >= self.queue_cap
@@ -224,11 +230,20 @@ class ServiceQueue:
     def price(self, delta: float) -> float:
         """Projected delay of joining this queue now, ms.
 
-        Headroom is the full capacity: service runs after admission in every
-        epoch, so no request is in service while decisions are made.
+        ``delay.projected_delay`` with headroom = capacity: service runs
+        after admission in every epoch, so no request is in service while
+        decisions are made.  The same IEEE operations in the same order;
+        the capacity was checked when the queue was built and delta is the
+        run's validated epoch length, so only the queue length, which
+        changes, is checked here.
         """
+        q = len(self.queue) + self.pending
+        if q < 0:
+            raise ValueError(f"queue_len must be >= 0, got {q}")
         c = self.capacity
-        return projected_delay(len(self.queue) + self.pending, c, c, delta)
+        if q < c:
+            return delta
+        return ((q + 1.0 - c) / c) * delta + delta
 
     def serve(self) -> Sequence[UeRequest]:
         """Pop this epoch's service, up to int(credit + capacity) requests."""

@@ -17,8 +17,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upfmec import metrics
 from upfmec.cli import _parse_int_list, main
-from upfmec.model import load_scenario, save_scenario
+from upfmec.model import QosClass, load_scenario, save_scenario
 
 from conftest import make_scenario
 
@@ -186,6 +187,23 @@ def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_derived_capacity_out_of_range_is_a_usage_error(tmp_path, capsys, scale):
+    # finite, valid etpb and bytes_per_ue whose product overflows to inf or
+    # underflows to 0: the queue built from it refuses the capacity
+    s = make_scenario(lam=4.0, horizon=3, upf_queue_cap=4, mec_queue_cap=4)
+    for u in s.upfs:
+        u.capacity, u.etpb, u.bytes_per_ue = None, scale, scale
+        u.alpha = {q: 0.25 for q in QosClass}
+    path = tmp_path / "derived.yaml"
+    save_scenario(s, str(path))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("upfmec: error: capacity must be > 0 and finite, got ")
+    assert len(err.splitlines()) == 1
+
+
 def _field_paths(node, prefix=()):
     """Key path of every field nested in a loaded YAML document, maps and lists alike."""
     if isinstance(node, dict):
@@ -295,6 +313,52 @@ def test_capex_writes_sweep_and_analysis(tmp_path):
     assert (tmp_path / "metro.capex.csv").is_file()
     assert (tmp_path / "metro.capex_analysis.urllc.json").is_file()
     assert (tmp_path / "metro.capex_analysis.embb.json").is_file()
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in this process."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("value,workers", [("1", []), ("2", [2]), ("5000", [4])])
+def test_capex_workers_are_capped_at_the_number_of_runs(tmp_path, monkeypatch, value, workers):
+    # a real pool forks all its workers at the first submit, so no process
+    # is started here: the fake only records how many were asked for
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "made", [])
+    monkeypatch.setenv("UPFMEC_MAX_WORKERS", value)
+    # 2 pair counts x 2 schemes x 1 seed = 4 runs
+    argv = ["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "1"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert _SerialPool.made == workers
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+def test_malformed_max_workers_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "made", [])
+    monkeypatch.setenv("UPFMEC_MAX_WORKERS", value)
+    rc = main(["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("upfmec: error: UPFMEC_MAX_WORKERS ")
+    assert len(err.splitlines()) == 1
+    assert _SerialPool.made == []
 
 
 def test_oracle_gap_reports_exact_singleton_ratios(tmp_path, capsys):

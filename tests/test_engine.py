@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfmec.engine import InvariantError, SimulationRun, generate_arrivals, run_to_completion
+from upfmec import engine
+from upfmec.delay import net_delay, projected_delay, transit_epochs
+from upfmec.engine import (
+    InvariantError,
+    SimulationRun,
+    arrival_cdfs,
+    generate_arrivals,
+    run_to_completion,
+)
 from upfmec.metrics import build_pair_scenario
 from upfmec.model import QosClass, RequestStatus, Scheme, TrafficSpec
 
@@ -24,21 +32,21 @@ ALL_REGULAR = {QosClass.URLLC: 0.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosC
 
 def test_zero_rate_generates_nothing():
     t = TrafficSpec(0.0, [1.0], {q: 0.25 for q in QosClass})
-    assert generate_arrivals(t, np.random.default_rng(1), 0, 1) == []
+    assert generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t)) == []
 
 
 def test_deterministic_process_hits_rate_exactly():
     t = TrafficSpec(1.5, [1.0], {q: 0.25 for q in QosClass}, process="deterministic")
     rng = np.random.default_rng(1)
-    counts = [len(generate_arrivals(t, rng, e, 1)) for e in range(100)]
+    counts = [len(generate_arrivals(t, rng, e, *arrival_cdfs(t))) for e in range(100)]
     assert sum(counts) == 150
     assert counts[:4] == [1, 2, 1, 2]
 
 
 def test_same_seed_same_stream():
     t = TrafficSpec(5.0, [0.3, 0.7], {q: 0.25 for q in QosClass})
-    a = generate_arrivals(t, np.random.default_rng(3), 0, 2)
-    b = generate_arrivals(t, np.random.default_rng(3), 0, 2)
+    a = generate_arrivals(t, np.random.default_rng(3), 0, *arrival_cdfs(t))
+    b = generate_arrivals(t, np.random.default_rng(3), 0, *arrival_cdfs(t))
     assert [(r.id, r.qos, r.origin_upf) for r in a] == [(r.id, r.qos, r.origin_upf) for r in b]
 
 
@@ -48,7 +56,7 @@ def test_origin_frequencies_follow_skew():
     rng = np.random.default_rng(7)
     origins = []
     for e in range(400):
-        origins.extend(r.origin_upf for r in generate_arrivals(t, rng, e, 5))
+        origins.extend(r.origin_upf for r in generate_arrivals(t, rng, e, *arrival_cdfs(t)))
     freq = np.bincount(origins, minlength=6)[1:] / len(origins)
     assert np.allclose(freq, skew, atol=0.02)
 
@@ -56,12 +64,44 @@ def test_origin_frequencies_follow_skew():
 def test_unknown_process_rejected():
     t = TrafficSpec(1.0, [1.0], {q: 0.25 for q in QosClass}, process="burst")
     with pytest.raises(ValueError):
-        generate_arrivals(t, np.random.default_rng(1), 0, 1)
+        generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t))
+
+
+weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=60
+).filter(lambda w: sum(w) > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    skew=weights,
+    mix=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=4, max_size=4).filter(
+        lambda w: sum(w) > 0.0
+    ),
+    count=st.integers(0, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_arrival_draws_equal_numpy_choice(skew, mix, count, seed):
+    # the per-run CDFs draw what rng.choice draws, origins first, from the
+    # same stream; a numpy whose choice changes fails here instead of
+    # silently moving every output
+    t = TrafficSpec(float(count), skew, dict(zip(QosClass, mix)), process="deterministic")
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    reqs = generate_arrivals(t, rng, 0, *arrival_cdfs(t))
+    w, m = np.asarray(skew), np.asarray(mix)
+    if count:
+        origins = twin.choice(len(w), size=count, p=w / w.sum()) + 1
+        classes = [list(QosClass)[c] for c in twin.choice(4, size=count, p=m / m.sum())]
+    else:
+        origins = classes = []
+    assert [r.origin_upf for r in reqs] == list(origins)
+    assert [r.qos for r in reqs] == classes
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_request_ids_continue_from_start_id():
     t = TrafficSpec(3.0, [1.0], {q: 0.25 for q in QosClass}, process="deterministic")
-    reqs = generate_arrivals(t, np.random.default_rng(1), 0, 1, start_id=10)
+    reqs = generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t), start_id=10)
     assert [r.id for r in reqs] == [10, 11, 12]
 
 
@@ -257,7 +297,12 @@ def test_completed_delays_respect_stage_minimums(campus5):
 
 
 def _check_costs_at_every_decision(run: SimulationRun) -> list:
-    """Make every decision of the run first check the cost vectors against a fresh pricing."""
+    """Make every decision of the run first check the cost vectors against a fresh pricing.
+
+    The fresh prices come from the checked law ``projected_delay`` with
+    headroom = capacity, not from ``ServiceQueue.price``, which is the
+    code under test.
+    """
     decisions = []
     assign = run._assign
 
@@ -266,7 +311,10 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
             (run.upf_cost[req.qos], [u.buckets[req.qos] for u in run.upfs]),
             (run.mec_cost, run.mecs),
         ):
-            prices = [sq.price(run.delta) for sq in queues]
+            prices = [
+                projected_delay(len(q.queue) + q.pending, q.capacity, q.capacity, run.delta)
+                for q in queues
+            ]
             assert cost.prices == prices
             assert cost.best == prices.index(min(prices))
         decisions.append(req.id)
@@ -377,13 +425,27 @@ def _check_idle_credit_at_every_epoch(run: SimulationRun) -> list:
 @given(base=small_scenarios())
 def test_invariants_hold_on_random_scenarios(base):
     delta = base.delta_ms
+    shares = []
+
+    def counted_net_delay(n_share, bytes_per_ue, bandwidth):
+        shares.append(n_share)
+        return net_delay(n_share, bytes_per_ue, bandwidth)
+
     for scheme in Scheme:
         run = SimulationRun(replace(base, scheme=scheme), drain_cap=100_000)
         # the incrementally repriced cost vectors equal a fresh pricing at every
         # decision, also after drops at a MEC's door and with fractional capacities
         decisions = _check_costs_at_every_decision(run)
         epochs = _check_idle_credit_at_every_epoch(run)
-        res = run.run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "net_delay", counted_net_delay)
+            res = run.run()
+        # a request entering a link shares it with itself at least
+        assert all(n >= 1 for n in shares)
+        # a transfer is due the whole epochs its d_net takes after UPF service
+        for r in res.requests:
+            if r.qos.uses_mec and r.upf_serve_epoch is not None:
+                assert r.mec_due_epoch == r.upf_serve_epoch + transit_epochs(r.d_net, delta)
         assert len(decisions) == res.generated
         assert epochs == list(range(res.epochs_run))
         status = Counter(r.status for r in res.requests)

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upfmec.delay import projected_delay
 from upfmec.model import (
     CostVector,
     Link,
+    MecState,
     QosClass,
     RequestStatus,
     ScenarioError,
     Scheme,
+    ServiceQueue,
     UeRequest,
     load_scenario,
     save_scenario,
@@ -276,6 +279,41 @@ def test_link_share_counts_in_transit():
     req = UeRequest(id=0, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
     link.in_transit.append(req)
     assert link.n_share == 1
+
+
+# ------------------------------------------------------------------ service queue
+
+
+@pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan, math.inf])
+def test_queue_capacity_is_checked_once_at_build(capacity):
+    with pytest.raises(ValueError, match="capacity must be > 0 and finite"):
+        ServiceQueue(capacity, 4)
+    with pytest.raises(ValueError, match="capacity must be > 0 and finite"):
+        MecState(capacity, 4, id=1, bytes_per_ue=1500.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    queued=st.integers(0, 60),
+    pending=st.integers(0, 60),
+    capacity=st.floats(1e-3, 1e3) | st.integers(1, 40).map(float),
+    delta=st.floats(1e-3, 1e3) | st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+)
+def test_price_is_the_checked_law_at_full_headroom(queued, pending, capacity, delta):
+    # price skips the checks on values fixed at build, and computes the same bits
+    sq = ServiceQueue(capacity, 1000)
+    sq.queue.extend([None] * queued)
+    sq.pending = pending
+    expected = projected_delay(queued + pending, capacity, capacity, delta)
+    assert sq.price(delta) == expected
+    assert type(sq.price(delta)) is type(expected)
+
+
+def test_price_still_checks_the_queue_length():
+    sq = ServiceQueue(2.0, 4)
+    sq.pending = -1
+    with pytest.raises(ValueError, match="queue_len must be >= 0"):
+        sq.price(1.0)
 
 
 # ------------------------------------------------------------------ cost vector
