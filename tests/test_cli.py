@@ -315,50 +315,54 @@ def test_capex_writes_sweep_and_analysis(tmp_path):
     assert (tmp_path / "metro.capex_analysis.embb.json").is_file()
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in this process."""
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap capex's process pool for one that records max_workers and maps in this process.
 
-    made: list = []
+    A real pool forks all its workers at the first submit, so no process is
+    started here: the fake only records how many were asked for.
+    """
+    sizes = []
 
-    def __init__(self, max_workers):
-        self.made.append(max_workers)
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+        def __enter__(self):
+            return self
 
-    def __exit__(self, *exc):
-        return False
+        def __exit__(self, *exc):
+            return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
-@pytest.mark.parametrize("value,workers", [("1", []), ("2", [2]), ("5000", [4])])
-def test_capex_workers_are_capped_at_the_number_of_runs(tmp_path, monkeypatch, value, workers):
-    # a real pool forks all its workers at the first submit, so no process
-    # is started here: the fake only records how many were asked for
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "made", [])
+# 2 pair counts x 2 schemes x 1 seed = 4 runs
+CAPEX_4_RUNS = ["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "1"]
+
+
+@pytest.mark.parametrize("value,sizes", [("1", []), ("2", [2]), ("5000", [4])])
+def test_capex_workers_are_capped_at_the_number_of_runs(
+    tmp_path, monkeypatch, pool_sizes, value, sizes
+):
     monkeypatch.setenv("UPFMEC_MAX_WORKERS", value)
-    # 2 pair counts x 2 schemes x 1 seed = 4 runs
-    argv = ["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "1"]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert _SerialPool.made == workers
+        assert main(CAPEX_4_RUNS + ["--out", str(tmp_path)]) == 0
+    assert pool_sizes == sizes
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
-def test_malformed_max_workers_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "made", [])
+def test_malformed_max_workers_is_a_usage_error(tmp_path, capsys, monkeypatch, pool_sizes, value):
     monkeypatch.setenv("UPFMEC_MAX_WORKERS", value)
-    rc = main(["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "1",
-               "--out", str(tmp_path)])
-    assert rc == 2
+    assert main(CAPEX_4_RUNS + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("upfmec: error: UPFMEC_MAX_WORKERS ")
     assert len(err.splitlines()) == 1
-    assert _SerialPool.made == []
+    assert pool_sizes == []
 
 
 def test_oracle_gap_reports_exact_singleton_ratios(tmp_path, capsys):

@@ -67,17 +67,16 @@ def test_unknown_process_rejected():
         generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t))
 
 
-weights = st.lists(
-    st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=60
-).filter(lambda w: sum(w) > 0.0)
+def weights(min_size, max_size):
+    """Non-negative weight vectors, zeros allowed, with a positive sum."""
+    entry = st.just(0.0) | st.floats(1e-6, 1e6)
+    return st.lists(entry, min_size=min_size, max_size=max_size).filter(lambda w: sum(w) > 0.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    skew=weights,
-    mix=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=4, max_size=4).filter(
-        lambda w: sum(w) > 0.0
-    ),
+    skew=weights(1, 60),
+    mix=weights(4, 4),
     count=st.integers(0, 300),
     seed=st.integers(0, 2**64 - 1),
 )
@@ -89,13 +88,10 @@ def test_arrival_draws_equal_numpy_choice(skew, mix, count, seed):
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     reqs = generate_arrivals(t, rng, 0, *arrival_cdfs(t))
     w, m = np.asarray(skew), np.asarray(mix)
-    if count:
-        origins = twin.choice(len(w), size=count, p=w / w.sum()) + 1
-        classes = [list(QosClass)[c] for c in twin.choice(4, size=count, p=m / m.sum())]
-    else:
-        origins = classes = []
-    assert [r.origin_upf for r in reqs] == list(origins)
-    assert [r.qos for r in reqs] == classes
+    origins = twin.choice(len(w), size=count, p=w / w.sum())
+    classes = twin.choice(len(m), size=count, p=m / m.sum())
+    assert [r.origin_upf for r in reqs] == [o + 1 for o in origins]
+    assert [r.qos for r in reqs] == [list(QosClass)[c] for c in classes]
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
