@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -64,21 +66,15 @@ def _parse_int_list(text: str) -> List[int]:
     return out
 
 
-def _ensure_out(path: str) -> str:
-    import os
-
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     if args.scheme:
         scenario = replace(scenario, scheme=Scheme(args.scheme))
     seed = args.seed if args.seed is not None else scenario.seed
-    result = run_to_completion(scenario, seed=seed, drain_cap=args.drain_cap)
-    report = metrics.summarize(result)
-    out = _ensure_out(args.out)
+    run = run_to_completion(scenario, seed=seed, drain_cap=args.drain_cap)
+    report = metrics.summarize(run)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     name, scheme = scenario.name, scenario.scheme.value
     paths = []
     p = metrics.report_path(out, name, scheme, seed, "summary", "csv")
@@ -87,21 +83,21 @@ def cmd_run(args) -> int:
     p = metrics.report_path(out, name, scheme, seed, "summary", "json")
     metrics.write_summary_json(report, p)
     paths.append(p)
-    e2e = list(chain.from_iterable(metrics.completed_e2e(result).values()))
+    e2e = list(chain.from_iterable(metrics.completed_e2e(run).values()))
     p = metrics.report_path(out, name, scheme, seed, "cdf", "csv")
     metrics.write_cdf_csv(metrics.build_cdf(e2e), p)
     paths.append(p)
     if args.trace:
         p = metrics.report_path(out, name, scheme, seed, "trace", "csv")
-        metrics.write_trace_csv(result, p)
+        metrics.write_trace_csv(run, p)
         paths.append(p)
         p = metrics.report_path(out, name, scheme, seed, "events", "csv")
-        metrics.write_events_csv(result, p)
+        metrics.write_events_csv(run, p)
         paths.append(p)
     print(
-        f"{name} scheme={scheme} seed={seed}: generated={result.generated} "
-        f"completed={result.completed} dropped={result.dropped} "
-        f"epochs={result.epochs_run} truncated={result.truncated}"
+        f"{name} scheme={scheme} seed={seed}: generated={run.generated} "
+        f"completed={run.completed} dropped={run.dropped} "
+        f"epochs={run.epoch} truncated={run.truncated}"
     )
     if report.e2e_overall:
         d = report.e2e_overall
@@ -122,7 +118,8 @@ def cmd_compare(args) -> int:
             print(f"unknown scheme {s!r}; valid: {', '.join(ALL_SCHEMES)}", file=sys.stderr)
             return 2
     seeds = _parse_int_list(args.seeds)
-    out = _ensure_out(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     rows = []
     agg = {}
     for scheme in schemes:
@@ -130,8 +127,8 @@ def cmd_compare(args) -> int:
         pooled_e2e: List[float] = []
         maxima, means = [], []
         for seed in seeds:
-            result = run_to_completion(variant, seed=seed, drain_cap=args.drain_cap)
-            rep = metrics.summarize(result)
+            run = run_to_completion(variant, seed=seed, drain_cap=args.drain_cap)
+            rep = metrics.summarize(run)
             d = rep.e2e_overall
             rows.append([
                 scheme, seed, rep.generated, rep.completed, rep.dropped,
@@ -141,7 +138,7 @@ def cmd_compare(args) -> int:
             if d:
                 maxima.append(d.max)
                 means.append(d.mean)
-            pooled_e2e.extend(chain.from_iterable(metrics.completed_e2e(result).values()))
+            pooled_e2e.extend(chain.from_iterable(metrics.completed_e2e(run).values()))
         cdf_path = metrics.report_path(out, scenario.name, scheme, "pooled", "cdf", "csv")
         metrics.write_cdf_csv(metrics.build_cdf(pooled_e2e), cdf_path)
         agg[scheme] = {
@@ -179,13 +176,12 @@ def cmd_capex(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     pairs = _parse_int_list(args.pairs)
     seeds = _parse_int_list(args.seeds)
-    out = _ensure_out(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     points = metrics.capex_sweep(scenario, pairs, seeds)
     csv_path = f"{out}/{scenario.name}.capex.csv"
     metrics.write_capex_csv(points, csv_path)
     print(f"wrote {csv_path}")
-    import json
-
     for qos in sorted(scenario.thresholds_ms, key=lambda q: q.value):
         analysis = metrics.capex_analysis(points, qos=qos)
         a_path = f"{out}/{scenario.name}.capex_analysis.{qos.value}.json"
@@ -207,7 +203,8 @@ def cmd_oracle_gap(args) -> int:
         print(f"--upfs must be <= {MAX_UPFS} for exhaustive search", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
-    out = _ensure_out(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     path = f"{out}/oracle_gap.u{args.upfs}.n{args.n_max}.seed{args.seed}.csv"
     exact = 0
     worst_ratio = 1.0

@@ -49,14 +49,21 @@ the transfer delay, ``advance_status`` each status step and ``serve``
 the requests it pops.
 
 A finished run counts where its requests are: those in UPF and MEC queues
-and on links must number exactly the in-flight count that generation,
+and on links must number exactly the ``residual`` that generation,
 completions and drops leave, or the run raises ``InvariantError``.
+
+A finished run is its own record: ``run()`` and ``run_to_completion``
+return the ``SimulationRun``, and the reports read its requests, epoch
+reports, counters, links and MECs where the run keeps them.  Each fact has
+one name: ``epoch`` is the number of epochs run, ``residual`` the requests
+still in flight and ``truncated`` whether any are; the queue series are
+transposed from the per-epoch rows when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -75,6 +82,7 @@ from .model import (
     TrafficSpec,
     UeRequest,
     UpfState,
+    check_capacity,
     validate_scenario,
 )
 from .schemes import SCHEME_FUNCS
@@ -157,30 +165,18 @@ class EpochReport:
     in_flight: int
 
 
-@dataclass
-class RunResult:
-    """Everything a finished run produced."""
+def _derived_queue_cap(scenario: Scenario, capacity: float, *offered: float) -> int:
+    """A buffer of headroom_factor x the offered load over the service rate, at least 1.
 
-    scenario: Scenario
-    scheme: str
-    seed: int
-    epochs_run: int
-    truncated: bool
-    requests: List[UeRequest]
-    epoch_reports: List[EpochReport]
-    # queue length at the end of each epoch, per UPF bucket / per MEC
-    upf_queue_series: Dict[Tuple[int, QosClass], List[int]]
-    mec_queue_series: Dict[int, List[int]]
-    generated: int = 0
-    completed: int = 0
-    dropped: int = 0
-    # the run's links and MECs, which the projections are composed on
-    links: Dict[Tuple[int, int], Link] = field(default_factory=dict)
-    mecs: List[MecState] = field(default_factory=list)
-
-    @property
-    def residual(self) -> int:
-        return self.generated - self.completed - self.dropped
+    The offered load (requests per epoch) is the product of ``offered``,
+    multiplied in after the headroom factor, left to right.  The capacity
+    is checked before it divides.
+    """
+    check_capacity(capacity)
+    load = scenario.headroom_factor
+    for factor in offered:
+        load *= factor
+    return max(1, math.ceil(load / capacity))
 
 
 def _build_upf(spec, scenario: Scenario) -> UpfState:
@@ -192,16 +188,14 @@ def _build_upf(spec, scenario: Scenario) -> UpfState:
             q: upf_capacity(spec.etpb, spec.bytes_per_ue, spec.alpha[q], delta)
             for q in QosClass
         }
-    lam = scenario.traffic.mean_arrivals_per_epoch
-    skew = scenario.traffic.skew[spec.id - 1]
-    mix = scenario.traffic.qos_mix
     if spec.queue_cap is not None:
         queue_cap = {q: int(spec.queue_cap[q]) for q in QosClass}
     else:
-        # buffer sized proportionally to this bucket's offered load / service rate
+        lam = scenario.traffic.mean_arrivals_per_epoch
+        skew = scenario.traffic.skew[spec.id - 1]
+        mix = scenario.traffic.qos_mix
         queue_cap = {
-            q: max(1, math.ceil(scenario.headroom_factor * lam * mix[q] * skew / capacity[q]))
-            for q in QosClass
+            q: _derived_queue_cap(scenario, capacity[q], lam, mix[q], skew) for q in QosClass
         }
     return UpfState(
         id=spec.id, buckets={q: ServiceQueue(capacity[q], queue_cap[q]) for q in QosClass}
@@ -222,7 +216,7 @@ def _build_mec(spec, scenario: Scenario) -> MecState:
             weight = scenario.traffic.skew[spec.id - 1]
         else:
             weight = 1.0 / scenario.num_mecs
-        queue_cap = max(1, math.ceil(scenario.headroom_factor * nonreg * weight / capacity))
+        queue_cap = _derived_queue_cap(scenario, capacity, nonreg, weight)
     return MecState(
         id=spec.id, capacity=capacity, queue_cap=queue_cap, bytes_per_ue=spec.bytes_per_ue
     )
@@ -294,8 +288,14 @@ class SimulationRun:
         self._queue_rows: List[List[int]] = []
 
     @property
-    def in_flight(self) -> int:
+    def residual(self) -> int:
+        """Requests generated and neither completed nor dropped: still in flight."""
         return self.generated - self.completed - self.dropped
+
+    @property
+    def truncated(self) -> bool:
+        """The drain cap ended the run with requests still in flight."""
+        return self.residual > 0
 
     def refresh_costs(self) -> None:
         """Recompute every entry of the cost vectors from the current queues."""
@@ -305,26 +305,22 @@ class SimulationRun:
         for j, m in enumerate(self.mecs):
             self.mec_cost.set(j, m.price(delta))
 
-    def _queue_series(
-        self,
-    ) -> Tuple[Dict[Tuple[int, QosClass], List[int]], Dict[int, List[int]]]:
-        """Queue length at the end of each epoch, per UPF bucket and per MEC."""
+    def _series_columns(self) -> List[List[int]]:
+        """The per-epoch rows of queue lengths, transposed: one list per queue."""
         if self._queue_rows:
-            columns = [list(col) for col in zip(*self._queue_rows)]
-        else:
-            columns = [[] for _ in self._series_queues]
-        n_upf = len(self._upf_series_keys)
-        upf = dict(zip(self._upf_series_keys, columns[:n_upf]))
-        mec = dict(zip((m.id for m in self.mecs), columns[n_upf:]))
-        return upf, mec
+            return [list(col) for col in zip(*self._queue_rows)]
+        return [[] for _ in self._series_queues]
 
     @property
     def upf_queue_series(self) -> Dict[Tuple[int, QosClass], List[int]]:
-        return self._queue_series()[0]
+        """Queue length at the end of each epoch, per UPF bucket; built on each read."""
+        return dict(zip(self._upf_series_keys, self._series_columns()))
 
     @property
     def mec_queue_series(self) -> Dict[int, List[int]]:
-        return self._queue_series()[1]
+        """Queue length at the end of each epoch, per MEC; built on each read."""
+        columns = self._series_columns()[len(self._upf_series_keys):]
+        return dict(zip((m.id for m in self.mecs), columns))
 
     # ------------------------------------------------------------- stepping
 
@@ -423,7 +419,6 @@ class SimulationRun:
                         self.dropped += 1
                         dropped_now += 1
                     else:
-                        req.mec_arrival_epoch = epoch
                         req.advance_status(_IN_MEC_QUEUE)
                         mec.queue.append(req)
                 else:
@@ -442,7 +437,8 @@ class SimulationRun:
             served = m.serve()
             mec_cost.set(j, m.price(delta))
             for req in served:
-                req.d_mec = (epoch + 1 - req.mec_arrival_epoch) * delta
+                # a transfer joins its MEC's queue exactly at its due epoch
+                req.d_mec = (epoch + 1 - req.mec_due_epoch) * delta
                 self._complete(req)
             served_mec += len(served)
 
@@ -456,7 +452,7 @@ class SimulationRun:
             served_upf=served_upf,
             served_mec=served_mec,
             completed=self.completed - completed_before,
-            in_flight=self.in_flight,
+            in_flight=self.residual,
         )
         self.epoch_reports.append(report)
         self.epoch += 1
@@ -469,44 +465,29 @@ class SimulationRun:
 
     # ------------------------------------------------------------- full run
 
-    def run(self) -> RunResult:
+    def run(self) -> SimulationRun:
+        """Step through the horizon, then drain; the finished run is its own record."""
         while self.epoch < self.scenario.horizon_epochs:
             self.step_epoch(generate=True)
         drained = 0
-        while self.in_flight > 0 and drained < self.drain_cap:
+        while self.residual > 0 and drained < self.drain_cap:
             self.step_epoch(generate=False)
             drained += 1
-        # in_flight is what the counters leave; count where the requests are
+        # residual is what the counters leave; count where the requests are
         located = sum(map(len, self._series_queues))
         located += sum(len(link.in_transit) for link in self.links.values())
-        if located != self.in_flight:
+        if located != self.residual:
             raise InvariantError(
                 f"request conservation broken at end of run: {located} requests "
-                f"in queues and links, {self.in_flight} in flight"
+                f"in queues and links, {self.residual} in flight"
             )
-        if self.in_flight == 0 and any(m.pending for m in self.mecs):
+        if self.residual == 0 and any(m.pending for m in self.mecs):
             raise InvariantError("pending MEC commitments left after full drain")
-        upf_series, mec_series = self._queue_series()
-        return RunResult(
-            scenario=self.scenario,
-            scheme=self.scenario.scheme.value,
-            seed=self.seed,
-            epochs_run=self.epoch,
-            truncated=self.in_flight > 0,
-            requests=self.requests,
-            epoch_reports=self.epoch_reports,
-            upf_queue_series=upf_series,
-            mec_queue_series=mec_series,
-            generated=self.generated,
-            completed=self.completed,
-            dropped=self.dropped,
-            links=self.links,
-            mecs=self.mecs,
-        )
+        return self
 
 
 def run_to_completion(
     scenario: Scenario, seed: Optional[int] = None, drain_cap: Optional[int] = None
-) -> RunResult:
-    """Simulate the scenario through its horizon plus drain and return the result."""
+) -> SimulationRun:
+    """Simulate the scenario through its horizon plus drain and return the finished run."""
     return SimulationRun(scenario, seed=seed, drain_cap=drain_cap).run()

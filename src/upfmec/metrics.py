@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .delay import DelayBreakdown, net_delay
-from .engine import RunResult, run_to_completion
+from .engine import SimulationRun, run_to_completion
 from .model import (
     QosClass,
     RequestStatus,
@@ -103,25 +103,25 @@ def _dist(values: Sequence[float]) -> DistSummary:
     )
 
 
-def summarize(result: RunResult) -> SummaryReport:
-    """Reduce a run to its delay statistics (measured delays, completed requests)."""
+def summarize(run: SimulationRun) -> SummaryReport:
+    """Reduce a finished run to its delay statistics (measured delays, completed requests)."""
     report = SummaryReport(
-        scenario_name=result.scenario.name,
-        scheme=result.scheme,
-        seed=result.seed,
-        generated=result.generated,
-        completed=result.completed,
-        dropped=result.dropped,
-        residual=result.residual,
-        epochs_run=result.epochs_run,
-        truncated=result.truncated,
+        scenario_name=run.scenario.name,
+        scheme=run.scenario.scheme.value,
+        seed=run.seed,
+        generated=run.generated,
+        completed=run.completed,
+        dropped=run.dropped,
+        residual=run.residual,
+        epochs_run=run.epoch,
+        truncated=run.truncated,
     )
     by_upf_qos: Dict[Tuple[int, QosClass], List[float]] = defaultdict(list)
     by_mec: Dict[int, List[float]] = defaultdict(list)
     by_qos: Dict[QosClass, List[float]] = defaultdict(list)
     e2e: List[float] = []
     completed = RequestStatus.COMPLETED
-    for r in result.requests:
+    for r in run.requests:
         if r.status is not completed:
             continue
         by_upf_qos[(r.assigned_upf, r.qos)].append(r.d_upf)
@@ -134,18 +134,18 @@ def summarize(result: RunResult) -> SummaryReport:
     report.e2e_per_qos = {q: _dist(by_qos[q]) for q in QosClass if q in by_qos}
     if e2e:
         report.e2e_overall = _dist(e2e)
-    series_peaks = [max(s) for s in result.upf_queue_series.values() if s]
+    series_peaks = [max(s) for s in run.upf_queue_series.values() if s]
     report.peak_upf_queue = max(series_peaks, default=0)
-    mec_peaks = [max(s) for s in result.mec_queue_series.values() if s]
+    mec_peaks = [max(s) for s in run.mec_queue_series.values() if s]
     report.peak_mec_queue = max(mec_peaks, default=0)
     return report
 
 
-def completed_e2e(result: RunResult) -> Dict[QosClass, List[float]]:
+def completed_e2e(run: SimulationRun) -> Dict[QosClass, List[float]]:
     """End-to-end delays of the completed requests by QoS class, in one pass."""
     by_qos: Dict[QosClass, List[float]] = {q: [] for q in QosClass}
     completed = RequestStatus.COMPLETED
-    for r in result.requests:
+    for r in run.requests:
         if r.status is completed:
             by_qos[r.qos].append(r.d_e2e)
     return by_qos
@@ -215,12 +215,12 @@ def build_pair_scenario(base: Scenario, pairs: int) -> Scenario:
 def _sweep_task(args: Tuple[Scenario, int]) -> Tuple[Dict[QosClass, Tuple[int, int]], int, int]:
     """Run one (scenario, seed) cell; count threshold hits per QoS."""
     scenario, seed = args
-    result = run_to_completion(scenario, seed=seed)
-    e2e = completed_e2e(result)
+    run = run_to_completion(scenario, seed=seed)
+    e2e = completed_e2e(run)
     hits: Dict[QosClass, Tuple[int, int]] = {}
     for q, thr in scenario.thresholds_ms.items():
         hits[q] = (sum(1 for d in e2e[q] if d < thr), len(e2e[q]))
-    return hits, result.completed, result.dropped
+    return hits, run.completed, run.dropped
 
 
 def _max_workers() -> int:
@@ -416,7 +416,7 @@ def projection(req: UeRequest, links, mecs) -> Optional[DelayBreakdown]:
     checks) on the link's sharers at decision time, with the link's
     bandwidth and the MEC's bytes per request.  A request that ends at the
     UPF has no link and no MEC stage.  ``links`` and ``mecs`` are those of
-    a ``SimulationRun`` or a ``RunResult``.
+    the ``SimulationRun`` that admitted req.
     """
     if req.decision_inputs is None:
         return None
@@ -443,7 +443,7 @@ def write_cdf_csv(cdf: CdfTable, path: str) -> None:
             w.writerow([_fmt(v), _fmt(p)])
 
 
-def write_events_csv(result: RunResult, path: str) -> None:
+def write_events_csv(run: SimulationRun, path: str) -> None:
     cols = [
         "id", "qos", "origin_upf", "arrival_epoch", "assigned_upf", "assigned_mec",
         "status", "d_upf_ms", "d_net_ms", "d_mec_ms", "d_e2e_ms",
@@ -452,8 +452,8 @@ def write_events_csv(result: RunResult, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        links, mecs = result.links, result.mecs
-        for r in result.requests:
+        links, mecs = run.links, run.mecs
+        for r in run.requests:
             proj = projection(r, links, mecs)
             done = r.status is RequestStatus.COMPLETED
             w.writerow([
@@ -470,10 +470,12 @@ def write_events_csv(result: RunResult, path: str) -> None:
             ])
 
 
-def write_trace_csv(result: RunResult, path: str) -> None:
+def write_trace_csv(run: SimulationRun, path: str) -> None:
     """Per-epoch counters and end-of-epoch queue lengths."""
-    upf_keys = sorted(result.upf_queue_series, key=lambda k: (k[0], k[1].value))
-    mec_keys = sorted(result.mec_queue_series)
+    # each read of a series property transposes every row: read each once
+    upf_series, mec_series = run.upf_queue_series, run.mec_queue_series
+    upf_keys = sorted(upf_series, key=lambda k: (k[0], k[1].value))
+    mec_keys = sorted(mec_series)
     cols = (
         ["epoch", "arrivals", "admitted", "dropped", "served_upf", "served_mec",
          "completed", "in_flight"]
@@ -483,12 +485,12 @@ def write_trace_csv(result: RunResult, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        for rep in result.epoch_reports:
+        for rep in run.epoch_reports:
             e = rep.epoch
             row = [rep.epoch, rep.arrivals, rep.admitted, rep.dropped,
                    rep.served_upf, rep.served_mec, rep.completed, rep.in_flight]
-            row += [result.upf_queue_series[k][e] for k in upf_keys]
-            row += [result.mec_queue_series[k][e] for k in mec_keys]
+            row += [upf_series[k][e] for k in upf_keys]
+            row += [mec_series[k][e] for k in mec_keys]
             w.writerow(row)
 
 

@@ -86,7 +86,6 @@ class UeRequest:
     assigned_mec: Optional[int] = None
     upf_serve_epoch: Optional[int] = None
     mec_due_epoch: Optional[int] = None
-    mec_arrival_epoch: Optional[int] = None
     # measured delay components, ms
     d_upf: float = 0.0
     d_net: float = 0.0
@@ -199,6 +198,12 @@ class CostVector:
                 self.best = i
 
 
+def check_capacity(capacity: float) -> None:
+    """A service rate in requests per epoch must be > 0 and finite."""
+    if not 0.0 < capacity < math.inf:
+        raise ValueError(f"capacity must be > 0 and finite, got {capacity}")
+
+
 @dataclass(slots=True)
 class ServiceQueue:
     """FCFS queue served at `capacity` requests per epoch: a UPF QoS bucket or a MEC.
@@ -208,8 +213,8 @@ class ServiceQueue:
     assigned here and admitted upstream but not yet arrived, so later
     assignment decisions see those commitments.
 
-    The capacity is checked once, when the queue is built: it must be
-    > 0 and finite.  No code changes it afterwards, so `price` does not
+    The capacity is checked once, when the queue is built
+    (`check_capacity`).  No code changes it afterwards, so `price` does not
     check it again.
     """
 
@@ -220,8 +225,7 @@ class ServiceQueue:
     pending: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.capacity < math.inf:
-            raise ValueError(f"capacity must be > 0 and finite, got {self.capacity}")
+        check_capacity(self.capacity)
 
     def full(self) -> bool:
         """A request arriving now would be dropped."""

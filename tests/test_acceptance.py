@@ -21,7 +21,7 @@ from upfmec.delay import (
     upf_capacity,
     worst_case_batch_delay,
 )
-from upfmec.engine import RunResult, SimulationRun, run_to_completion
+from upfmec.engine import SimulationRun, run_to_completion
 from upfmec.metrics import capex_analysis, capex_sweep, summarize
 from upfmec.model import QosClass, RequestStatus, Scheme, UeRequest
 from upfmec.oracle import (
@@ -49,7 +49,7 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def campus_results(campus5) -> Tuple[Dict[Scheme, List[RunResult]], float]:
+def campus_results(campus5) -> Tuple[Dict[Scheme, List[SimulationRun]], float]:
     t0 = time.perf_counter()
     results = {
         scheme: [run_to_completion(replace(campus5, scheme=scheme), seed=s) for s in SEEDS]
@@ -104,7 +104,7 @@ def test_criterion_02_intermediate_scheme_reductions(campus_reports):
     )
 
 
-def _pooled_upf_qos_means(results: List[RunResult]) -> Dict[Tuple[int, QosClass], float]:
+def _pooled_upf_qos_means(results: List[SimulationRun]) -> Dict[Tuple[int, QosClass], float]:
     sums: Dict[Tuple[int, QosClass], List[float]] = {}
     for res in results:
         for req in res.requests:

@@ -187,14 +187,31 @@ def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("scale", [1e300, 1e-300])
-def test_derived_capacity_out_of_range_is_a_usage_error(tmp_path, capsys, scale):
+@pytest.mark.parametrize(
+    "scale, tier, queue_cap",
+    [
+        pytest.param(1e300, "upf", 4, id="1e+300"),
+        pytest.param(1e-300, "upf", 4, id="1e-300"),
+        pytest.param(1e300, "upf", None, id="1e+300-upf-derived-queue-cap"),
+        pytest.param(1e-300, "upf", None, id="1e-300-upf-derived-queue-cap"),
+        pytest.param(1e300, "mec", None, id="1e+300-mec-derived-queue-cap"),
+        pytest.param(1e-300, "mec", None, id="1e-300-mec-derived-queue-cap"),
+    ],
+)
+def test_derived_capacity_out_of_range_is_a_usage_error(tmp_path, capsys, scale, tier, queue_cap):
     # finite, valid etpb and bytes_per_ue whose product overflows to inf or
-    # underflows to 0: the queue built from it refuses the capacity
+    # underflows to 0: the queue built from it refuses the capacity, and so
+    # does the queue cap derived from it, before dividing by it
     s = make_scenario(lam=4.0, horizon=3, upf_queue_cap=4, mec_queue_cap=4)
-    for u in s.upfs:
-        u.capacity, u.etpb, u.bytes_per_ue = None, scale, scale
-        u.alpha = {q: 0.25 for q in QosClass}
+    if tier == "upf":
+        for u in s.upfs:
+            u.capacity, u.etpb, u.bytes_per_ue = None, scale, scale
+            u.alpha = {q: 0.25 for q in QosClass}
+            u.queue_cap = None if queue_cap is None else {q: queue_cap for q in QosClass}
+    else:
+        for m in s.mecs:
+            m.capacity, m.etpb, m.bytes_per_ue = None, scale, scale
+            m.queue_cap = queue_cap
     path = tmp_path / "derived.yaml"
     save_scenario(s, str(path))
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path)])

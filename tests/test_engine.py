@@ -201,8 +201,8 @@ def test_mec_overflow_drops_in_transit_requests():
     assert res.generated == res.completed + res.dropped
     assert res.residual == 0
     dropped = [r for r in res.requests if r.status is RequestStatus.DROPPED]
-    # these were dropped at the MEC door, after UPF service
-    assert any(r.upf_serve_epoch is not None and r.mec_arrival_epoch is None for r in dropped)
+    # these were dropped at the MEC door, after crossing the link
+    assert any(r.mec_due_epoch is not None for r in dropped)
 
 
 def test_admission_drops_when_bucket_full():
@@ -253,7 +253,7 @@ def test_a_request_lost_behind_the_engine_breaks_conservation():
 
 def test_horizon_zero_is_an_empty_run():
     res = run_to_completion(make_scenario(lam=5.0, horizon=0))
-    assert res.generated == 0 and res.epochs_run == 0 and not res.truncated
+    assert res.generated == 0 and res.epoch == 0 and not res.truncated
 
 
 def test_identical_seed_identical_run(campus5):
@@ -443,7 +443,7 @@ def test_invariants_hold_on_random_scenarios(base):
             if r.qos.uses_mec and r.upf_serve_epoch is not None:
                 assert r.mec_due_epoch == r.upf_serve_epoch + transit_epochs(r.d_net, delta)
         assert len(decisions) == res.generated
-        assert epochs == list(range(res.epochs_run))
+        assert epochs == list(range(res.epoch))
         status = Counter(r.status for r in res.requests)
         assert res.generated == len(res.requests)
         assert res.completed == status[RequestStatus.COMPLETED]
@@ -460,7 +460,7 @@ def test_invariants_hold_on_random_scenarios(base):
             assert n <= math.ceil(run.upfs[uid - 1].buckets[qos].capacity)
         # d_mec counts the serving epoch itself
         mec_served = Counter(
-            (r.assigned_mec, r.mec_arrival_epoch + round(r.d_mec / delta) - 1)
+            (r.assigned_mec, r.mec_due_epoch + round(r.d_mec / delta) - 1)
             for r in res.requests
             if r.status is RequestStatus.COMPLETED and r.assigned_mec is not None
         )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfmec.engine import RunResult, run_to_completion
+from upfmec.engine import SimulationRun, run_to_completion
 from upfmec.metrics import (
     CapexPoint,
     build_cdf,
@@ -44,21 +44,13 @@ def completed_request(rid: int, d_upf: float, d_mec: float = 0.0, d_net: float =
     return r
 
 
-def make_result(requests) -> RunResult:
-    return RunResult(
-        scenario=make_scenario(num_upfs=1),
-        scheme="baseline",
-        seed=1,
-        epochs_run=1,
-        truncated=False,
-        requests=list(requests),
-        epoch_reports=[],
-        upf_queue_series={},
-        mec_queue_series={},
-        generated=len(requests),
-        completed=len(requests),
-        dropped=0,
-    )
+def make_result(requests) -> SimulationRun:
+    """A finished one-epoch run whose record holds exactly these requests."""
+    run = SimulationRun(make_scenario(num_upfs=1), seed=1)
+    run.requests = list(requests)
+    run.epoch = 1
+    run.generated = run.completed = len(requests)
+    return run
 
 
 # ----------------------------------------------------------------- statistics
