@@ -14,7 +14,6 @@ from .model import (
     CostVector,
     Link,
     MecSpec,
-    MecState,
     QosClass,
     RequestStatus,
     Scenario,
@@ -24,7 +23,6 @@ from .model import (
     TrafficSpec,
     UeRequest,
     UpfSpec,
-    UpfState,
     load_scenario,
     save_scenario,
     scenario_from_dict,

@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics
 from .engine import run_to_completion
 from .model import Scenario, ScenarioError, Scheme, load_scenario
-from .oracle import MAX_UPFS, minmax_batch_optimum, sequential_heuristic_batch
+from .oracle import MAX_BATCH, MAX_UPFS, minmax_batch_optimum, sequential_heuristic_batch
 
 ALL_SCHEMES = [s.value for s in Scheme]
 
@@ -115,8 +115,9 @@ def cmd_compare(args) -> int:
     schemes = ALL_SCHEMES if args.schemes == "all" else [s.strip() for s in args.schemes.split(",")]
     for s in schemes:
         if s not in ALL_SCHEMES:
-            print(f"unknown scheme {s!r}; valid: {', '.join(ALL_SCHEMES)}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown scheme {s!r}; valid: {', '.join(ALL_SCHEMES)}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"--schemes names a scheme twice: {args.schemes!r}")
     seeds = _parse_int_list(args.seeds)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -199,9 +200,17 @@ def cmd_capex(args) -> int:
 
 
 def cmd_oracle_gap(args) -> int:
-    if args.upfs > MAX_UPFS:
-        print(f"--upfs must be <= {MAX_UPFS} for exhaustive search", file=sys.stderr)
-        return 2
+    # the exhaustive search's bounds, checked before the output file exists
+    if not 1 <= args.upfs <= MAX_UPFS:
+        raise ValueError(
+            f"--upfs must be in 1..{MAX_UPFS} for exhaustive search, got {args.upfs}"
+        )
+    if not 1 <= args.n_max <= MAX_BATCH:
+        raise ValueError(
+            f"--n-max must be in 1..{MAX_BATCH} for exhaustive search, got {args.n_max}"
+        )
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -292,7 +301,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # malformed --seeds/--pairs lists, pair counts below 1 and a
+        # malformed --seeds/--pairs lists, pair counts below 1, unknown or
+        # repeated --schemes, oracle-gap sizes out of bounds and a
         # UPFMEC_MAX_WORKERS that is not an integer >= 1
         print(f"upfmec: error: {exc}", file=sys.stderr)
         return 2

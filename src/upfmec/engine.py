@@ -8,8 +8,9 @@ finished transfers to their MEC queues, serve the MECs, then advance the
 clock.  After the arrival horizon the run keeps stepping without new
 traffic until every admitted request has completed or a drain cap is hit.
 
-A UPF holds one ``model.ServiceQueue`` per QoS class and a MEC is one, so
-both tiers share the drop test, the service law and the price.
+A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
+``run.upfs[i][q]``) and a MEC is one (``run.mecs[j]``), so both tiers
+share the drop test, the service law and the price.
 
 The run keeps the cost vectors the schemes read, each a
 ``model.CostVector``: ``upf_cost[q].prices[i]`` is the price of UPF i+1's
@@ -35,8 +36,8 @@ log does.
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
 only reset it to zero) and its price cannot change, so service passes it
 after one emptiness test and never calls ``serve`` on it.  The per-queue
-work left in an epoch is that test and one row of queue lengths, from
-which the queue series are built.
+work left in an epoch is that test and the queue's length, which the
+epoch's report records.
 
 Values that cannot change after the run is built are checked once, not
 per request.  When the run is built, ``validate_scenario`` checks the
@@ -54,10 +55,11 @@ completions and drops leave, or the run raises ``InvariantError``.
 
 A finished run is its own record: ``run()`` and ``run_to_completion``
 return the ``SimulationRun``, and the reports read its requests, epoch
-reports, counters, links and MECs where the run keeps them.  Each fact has
-one name: ``epoch`` is the number of epochs run, ``residual`` the requests
-still in flight and ``truncated`` whether any are; the queue series are
-transposed from the per-epoch rows when read.
+reports, counters and links where the run keeps them.  Each fact has one
+name: ``epoch`` is the number of epochs run, ``residual`` the requests
+still in flight and ``truncated`` whether any are.  Each ``EpochReport``
+holds its epoch's counters and the length of every queue at the epoch's
+end, UPF buckets in ``REPORT_CLASSES`` order within each UPF, then MECs.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from .model import (
     CostVector,
     InvariantError,
     Link,
-    MecState,
     QosClass,
     RequestStatus,
     Scenario,
@@ -81,7 +82,6 @@ from .model import (
     ServiceQueue,
     TrafficSpec,
     UeRequest,
-    UpfState,
     check_capacity,
     validate_scenario,
 )
@@ -90,6 +90,10 @@ from .schemes import SCHEME_FUNCS
 DEFAULT_DRAIN_FACTOR = 10  # drain cap defaults to this many horizons
 
 _QOS_LIST = list(QosClass)
+
+# the order of each UPF's bucket lengths in EpochReport.upf_queues, and so of
+# trace.csv's queue columns: by class name, which is not the service order
+REPORT_CLASSES = sorted(QosClass, key=lambda q: q.value)
 
 # the members the engine advances requests to, bound once: a class
 # attribute read on an enum is a descriptor call
@@ -153,7 +157,11 @@ def generate_arrivals(
 
 @dataclass
 class EpochReport:
-    """Counters for one simulated epoch."""
+    """Counters for one simulated epoch and its queue lengths at the epoch's end.
+
+    ``upf_queues`` is UPF-major, each UPF's buckets in ``REPORT_CLASSES``
+    order; ``mec_queues`` is in MEC id order.
+    """
 
     epoch: int
     arrivals: int
@@ -163,6 +171,8 @@ class EpochReport:
     served_mec: int
     completed: int
     in_flight: int
+    upf_queues: Tuple[int, ...]
+    mec_queues: Tuple[int, ...]
 
 
 def _derived_queue_cap(scenario: Scenario, capacity: float, *offered: float) -> int:
@@ -179,7 +189,7 @@ def _derived_queue_cap(scenario: Scenario, capacity: float, *offered: float) -> 
     return max(1, math.ceil(load / capacity))
 
 
-def _build_upf(spec, scenario: Scenario) -> UpfState:
+def _build_upf(spec, scenario: Scenario) -> Dict[QosClass, ServiceQueue]:
     delta = scenario.delta_ms
     if spec.capacity is not None:
         capacity = dict(spec.capacity)
@@ -197,12 +207,10 @@ def _build_upf(spec, scenario: Scenario) -> UpfState:
         queue_cap = {
             q: _derived_queue_cap(scenario, capacity[q], lam, mix[q], skew) for q in QosClass
         }
-    return UpfState(
-        id=spec.id, buckets={q: ServiceQueue(capacity[q], queue_cap[q]) for q in QosClass}
-    )
+    return {q: ServiceQueue(capacity[q], queue_cap[q]) for q in QosClass}
 
 
-def _build_mec(spec, scenario: Scenario) -> MecState:
+def _build_mec(spec, scenario: Scenario) -> ServiceQueue:
     if spec.capacity is not None:
         capacity = float(spec.capacity)
     else:
@@ -217,9 +225,7 @@ def _build_mec(spec, scenario: Scenario) -> MecState:
         else:
             weight = 1.0 / scenario.num_mecs
         queue_cap = _derived_queue_cap(scenario, capacity, nonreg, weight)
-    return MecState(
-        id=spec.id, capacity=capacity, queue_cap=queue_cap, bytes_per_ue=spec.bytes_per_ue
-    )
+    return ServiceQueue(capacity, queue_cap)
 
 
 class SimulationRun:
@@ -248,10 +254,10 @@ class SimulationRun:
         self.mecs = [_build_mec(m, scenario) for m in scenario.mecs]
         self.links: Dict[Tuple[int, int], Link] = {}
         for i in range(1, scenario.num_upfs + 1):
-            for j in range(1, scenario.num_mecs + 1):
+            for j, mec in enumerate(scenario.mecs, 1):
                 # Mbps -> bits per ms
                 bw = scenario.link_bandwidth_mbps[i - 1][j - 1] * 1e3
-                self.links[(i, j)] = Link(bandwidth=bw)
+                self.links[(i, j)] = Link(bandwidth=bw, bytes_per_ue=mec.bytes_per_ue)
         # keys of the links with requests in transit; requests enter links only
         # in the UPF service loop of step_epoch
         self._busy_links: Set[Tuple[int, int]] = set()
@@ -268,24 +274,21 @@ class SimulationRun:
         self.completed = 0
         self.dropped = 0
         self.upf_cost: Dict[QosClass, CostVector] = {
-            q: CostVector([u.buckets[q].price(self.delta) for u in self.upfs]) for q in QosClass
+            q: CostVector([u[q].price(self.delta) for u in self.upfs]) for q in QosClass
         }
         self.mec_cost = CostVector([m.price(self.delta) for m in self.mecs])
         # UPF buckets in service order (UPF-major, class-minor), each with
         # the cost vector entry that prices it and whether its class goes on
         # to a MEC; link-entry order sets link sharing and MEC FCFS order
         self._upf_slots: List[Tuple[ServiceQueue, CostVector, int, bool]] = [
-            (u.buckets[q], self.upf_cost[q], i, q.uses_mec)
+            (u[q], self.upf_cost[q], i, q.uses_mec)
             for i, u in enumerate(self.upfs)
             for q in QosClass
         ]
-        # the queue-series keys, and the deques (a ServiceQueue keeps its own
-        # for life) whose lengths make one row per epoch in the same order:
-        # every UPF bucket, then every MEC
-        self._upf_series_keys = [(u.id, q) for u in self.upfs for q in QosClass]
-        self._series_queues = [slot[0].queue for slot in self._upf_slots]
-        self._series_queues += [m.queue for m in self.mecs]
-        self._queue_rows: List[List[int]] = []
+        # the deques (a ServiceQueue keeps its own for life) whose lengths each
+        # epoch's report records, in the report's order
+        self._upf_deques = [u[q].queue for u in self.upfs for q in REPORT_CLASSES]
+        self._mec_deques = [m.queue for m in self.mecs]
 
     @property
     def residual(self) -> int:
@@ -304,23 +307,6 @@ class SimulationRun:
             cost.set(idx, bucket.price(delta))
         for j, m in enumerate(self.mecs):
             self.mec_cost.set(j, m.price(delta))
-
-    def _series_columns(self) -> List[List[int]]:
-        """The per-epoch rows of queue lengths, transposed: one list per queue."""
-        if self._queue_rows:
-            return [list(col) for col in zip(*self._queue_rows)]
-        return [[] for _ in self._series_queues]
-
-    @property
-    def upf_queue_series(self) -> Dict[Tuple[int, QosClass], List[int]]:
-        """Queue length at the end of each epoch, per UPF bucket; built on each read."""
-        return dict(zip(self._upf_series_keys, self._series_columns()))
-
-    @property
-    def mec_queue_series(self) -> Dict[int, List[int]]:
-        """Queue length at the end of each epoch, per MEC; built on each read."""
-        columns = self._series_columns()[len(self._upf_series_keys):]
-        return dict(zip((m.id for m in self.mecs), columns))
 
     # ------------------------------------------------------------- stepping
 
@@ -361,7 +347,7 @@ class SimulationRun:
                     len(links[(upf_id, mec_id)].in_transit),
                     mec_prices[mec_id - 1],
                 )
-            bucket = upfs[upf_id - 1].buckets[qos]
+            bucket = upfs[upf_id - 1][qos]
             if bucket.full():
                 req.advance_status(_DROPPED)
                 self.dropped += 1
@@ -399,7 +385,7 @@ class SimulationRun:
                     # the entering request shares the link with everything
                     # already on it: its sharers are counted after the append
                     req.d_net = d_net = net_delay(
-                        len(in_transit), mecs[key[1] - 1].bytes_per_ue, link.bandwidth
+                        len(in_transit), link.bytes_per_ue, link.bandwidth
                     )
                     req.mec_due_epoch = epoch + transit_epochs(d_net, delta)
                     req.advance_status(_IN_TRANSIT)
@@ -442,8 +428,6 @@ class SimulationRun:
                 self._complete(req)
             served_mec += len(served)
 
-        self._queue_rows.append(list(map(len, self._series_queues)))
-
         report = EpochReport(
             epoch=epoch,
             arrivals=len(arrivals),
@@ -453,6 +437,8 @@ class SimulationRun:
             served_mec=served_mec,
             completed=self.completed - completed_before,
             in_flight=self.residual,
+            upf_queues=tuple(map(len, self._upf_deques)),
+            mec_queues=tuple(map(len, self._mec_deques)),
         )
         self.epoch_reports.append(report)
         self.epoch += 1
@@ -474,7 +460,7 @@ class SimulationRun:
             self.step_epoch(generate=False)
             drained += 1
         # residual is what the counters leave; count where the requests are
-        located = sum(map(len, self._series_queues))
+        located = sum(map(len, self._upf_deques)) + sum(map(len, self._mec_deques))
         located += sum(len(link.in_transit) for link in self.links.values())
         if located != self.residual:
             raise InvariantError(

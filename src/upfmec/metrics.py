@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .delay import DelayBreakdown, net_delay
-from .engine import SimulationRun, run_to_completion
+from .engine import REPORT_CLASSES, SimulationRun, run_to_completion
 from .model import (
     QosClass,
     RequestStatus,
@@ -134,10 +134,9 @@ def summarize(run: SimulationRun) -> SummaryReport:
     report.e2e_per_qos = {q: _dist(by_qos[q]) for q in QosClass if q in by_qos}
     if e2e:
         report.e2e_overall = _dist(e2e)
-    series_peaks = [max(s) for s in run.upf_queue_series.values() if s]
-    report.peak_upf_queue = max(series_peaks, default=0)
-    mec_peaks = [max(s) for s in run.mec_queue_series.values() if s]
-    report.peak_mec_queue = max(mec_peaks, default=0)
+    epochs = run.epoch_reports
+    report.peak_upf_queue = max((max(e.upf_queues) for e in epochs), default=0)
+    report.peak_mec_queue = max((max(e.mec_queues) for e in epochs), default=0)
     return report
 
 
@@ -409,14 +408,14 @@ def summary_to_dict(report: SummaryReport) -> dict:
     }
 
 
-def projection(req: UeRequest, links, mecs) -> Optional[DelayBreakdown]:
+def projection(req: UeRequest, links) -> Optional[DelayBreakdown]:
     """The delay breakdown the scheme projected for req, None before its decision.
 
     Composed from the inputs admission recorded: ``net_delay`` (and its
     checks) on the link's sharers at decision time, with the link's
-    bandwidth and the MEC's bytes per request.  A request that ends at the
-    UPF has no link and no MEC stage.  ``links`` and ``mecs`` are those of
-    the ``SimulationRun`` that admitted req.
+    bandwidth and bytes per request.  A request that ends at the UPF has no
+    link and no MEC stage.  ``links`` are those of the ``SimulationRun``
+    that admitted req.
     """
     if req.decision_inputs is None:
         return None
@@ -425,7 +424,7 @@ def projection(req: UeRequest, links, mecs) -> Optional[DelayBreakdown]:
     if mec_id is None:
         return DelayBreakdown.compose(pc_upf, 0.0, pc_mec)
     link = links[(req.assigned_upf, mec_id)]
-    d_net = net_delay(n_share, mecs[mec_id - 1].bytes_per_ue, link.bandwidth)
+    d_net = net_delay(n_share, link.bytes_per_ue, link.bandwidth)
     return DelayBreakdown.compose(pc_upf, d_net, pc_mec)
 
 
@@ -452,9 +451,9 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        links, mecs = run.links, run.mecs
+        links = run.links
         for r in run.requests:
-            proj = projection(r, links, mecs)
+            proj = projection(r, links)
             done = r.status is RequestStatus.COMPLETED
             w.writerow([
                 r.id, r.qos.value, r.origin_upf, r.arrival_epoch,
@@ -471,27 +470,20 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
 
 
 def write_trace_csv(run: SimulationRun, path: str) -> None:
-    """Per-epoch counters and end-of-epoch queue lengths."""
-    # each read of a series property transposes every row: read each once
-    upf_series, mec_series = run.upf_queue_series, run.mec_queue_series
-    upf_keys = sorted(upf_series, key=lambda k: (k[0], k[1].value))
-    mec_keys = sorted(mec_series)
+    """Per-epoch counters and end-of-epoch queue lengths, one row per EpochReport."""
     cols = (
         ["epoch", "arrivals", "admitted", "dropped", "served_upf", "served_mec",
          "completed", "in_flight"]
-        + [f"upf{i}.{q.value}.queue" for i, q in upf_keys]
-        + [f"mec{j}.queue" for j in mec_keys]
+        + [f"upf{i}.{q.value}.queue" for i in range(1, len(run.upfs) + 1) for q in REPORT_CLASSES]
+        + [f"mec{j}.queue" for j in range(1, len(run.mecs) + 1)]
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
         for rep in run.epoch_reports:
-            e = rep.epoch
-            row = [rep.epoch, rep.arrivals, rep.admitted, rep.dropped,
-                   rep.served_upf, rep.served_mec, rep.completed, rep.in_flight]
-            row += [upf_series[k][e] for k in upf_keys]
-            row += [mec_series[k][e] for k in mec_keys]
-            w.writerow(row)
+            w.writerow([rep.epoch, rep.arrivals, rep.admitted, rep.dropped,
+                        rep.served_upf, rep.served_mec, rep.completed, rep.in_flight,
+                        *rep.upf_queues, *rep.mec_queues])
 
 
 def write_capex_csv(points: Sequence[CapexPoint], path: str) -> None:

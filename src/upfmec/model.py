@@ -5,9 +5,8 @@ compute hosts (MECs) joined by a full mesh of links.  Each UPF partitions
 its packet-processing capacity into per-QoS buckets; each MEC serves a
 single FCFS queue.  A Scenario is the static description (topology,
 capacities, traffic law); the mutable state that the engine evolves epoch
-by epoch is one ServiceQueue per UPF bucket (UpfState) and per MEC
-(MecState), so one admission test, one service law and one price cover
-both tiers.
+by epoch is one ServiceQueue per UPF bucket and per MEC, so one admission
+test, one service law and one price cover both tiers.
 
 Scenario files are single YAML documents.  ``load_scenario`` and
 ``save_scenario`` round-trip a Scenario losslessly.
@@ -261,32 +260,17 @@ class ServiceQueue:
         return served
 
 
-@dataclass(slots=True)
-class UpfState:
-    """Mutable per-UPF state: one service queue per QoS bucket."""
-
-    id: int
-    buckets: Dict[QosClass, ServiceQueue]
-
-
-@dataclass(slots=True)
-class MecState(ServiceQueue):
-    """Mutable per-MEC state: a single service queue shared by all classes."""
-
-    id: int
-    bytes_per_ue: float
-
-
 @dataclass
 class Link:
-    """Directed UPF->MEC link, keyed (upf_id, mec_id) by the run; bandwidth in bits per ms."""
+    """Directed UPF->MEC link, keyed (upf_id, mec_id) by the run.
+
+    Bandwidth is in bits per ms.  Every transfer on it carries its MEC's
+    ``bytes_per_ue``; its sharers are the requests in ``in_transit``.
+    """
 
     bandwidth: float
+    bytes_per_ue: float
     in_transit: List[UeRequest] = field(default_factory=list)
-
-    @property
-    def n_share(self) -> int:
-        return len(self.in_transit)
 
 
 # ---------------------------------------------------------------- validation

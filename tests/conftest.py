@@ -94,9 +94,9 @@ def decide(run, req, scheme):
     if mec_id is None:
         req.decision_inputs = (pc_upf, 0, 0.0)
     else:
-        n_share = run.links[(upf_id, mec_id)].n_share
+        n_share = len(run.links[(upf_id, mec_id)].in_transit)
         req.decision_inputs = (pc_upf, n_share, run.mec_cost.prices[mec_id - 1])
-    return upf_id, mec_id, projection(req, run.links, run.mecs)
+    return upf_id, mec_id, projection(req, run.links)
 
 
 @pytest.fixture

@@ -189,7 +189,7 @@ def test_criterion_06_pair_oracle():
     # non-uniform links: independent per-tier argmins miss the joint optimum
     gap_run = SimulationRun(make_scenario(num_upfs=2, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     for _ in range(9):
-        gap_run.upfs[1].buckets[QosClass.URLLC].queue.append(
+        gap_run.upfs[1][QosClass.URLLC].queue.append(
             UeRequest(id=0, qos=QosClass.URLLC, origin_upf=2, arrival_epoch=0)
         )
         gap_run.mecs[0].queue.append(

@@ -286,6 +286,7 @@ def test_capex_rejects_a_malformed_base_before_scaling_it(tmp_path, capsys, brea
         ["capex", "--scenario", "metro", "--pairs", "0"],
         ["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "3,y"],
         ["run", "--scenario", "campus5", "--drain-cap", "-5"],
+        ["compare", "--schemes", "baseline,baseline", "--seeds", "1"],
     ],
 )
 def test_malformed_lists_are_usage_errors(tmp_path, capsys, argv):
@@ -398,9 +399,16 @@ def test_oracle_gap_reports_exact_singleton_ratios(tmp_path, capsys):
 
 
 def test_oracle_gap_refuses_oversized_search(tmp_path, capsys):
-    rc = main(["oracle-gap", "--upfs", "6", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "--upfs" in capsys.readouterr().err
+    # each size out of the search's bounds is refused before any output exists
+    for flag, value in [
+        ("--upfs", "6"), ("--upfs", "0"), ("--upfs", "-1"),
+        ("--n-max", "0"), ("--n-max", "13"), ("--trials", "-3"),
+    ]:
+        rc = main(["oracle-gap", flag, value, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and flag in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_run_outputs_are_reproducible(tmp_path):

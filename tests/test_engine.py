@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from upfmec import engine
 from upfmec.delay import net_delay, projected_delay, transit_epochs
 from upfmec.engine import (
+    REPORT_CLASSES,
     InvariantError,
     SimulationRun,
     arrival_cdfs,
@@ -124,8 +125,8 @@ def test_regular_traffic_never_touches_the_mec():
         assert r.assigned_mec is None
         assert r.d_net == 0.0 and r.d_mec == 0.0
         assert r.d_e2e == r.d_upf
-    assert all(not series or max(series) == 0 for series in res.mec_queue_series.values())
-    assert all(link.n_share == 0 for link in run.links.values())
+    assert all(not any(rep.mec_queues) for rep in res.epoch_reports)
+    assert all(not link.in_transit for link in run.links.values())
 
 
 def test_d_net_is_in_ms_for_any_epoch_length():
@@ -147,7 +148,7 @@ def test_burst_leaves_excess_queued():
     report = run.step_epoch()
     assert report.arrivals == 7 and report.admitted == 7
     assert report.served_upf == 4
-    assert run.upf_queue_series[(1, QosClass.URLLC)][0] == 3
+    assert report.upf_queues[REPORT_CLASSES.index(QosClass.URLLC)] == 3
 
 
 @pytest.mark.parametrize(
@@ -221,10 +222,7 @@ def test_admission_drops_when_bucket_full():
 def test_queues_never_exceed_their_caps(metro):
     run = SimulationRun(replace(metro, scheme=Scheme.BESTFIT_UPF_MEC), seed=2)
     run.run()
-    for (uid, qos), series in run.upf_queue_series.items():
-        assert max(series) <= run.upfs[uid - 1].buckets[qos].queue_cap
-    for mid, series in run.mec_queue_series.items():
-        assert max(series) <= run.mecs[mid - 1].queue_cap
+    _assert_reports_within_caps(run)
 
 
 def test_truncated_run_reports_residual():
@@ -246,7 +244,7 @@ def test_a_request_lost_behind_the_engine_breaks_conservation():
     run = SimulationRun(s)
     run.step_epoch()
     # the request is gone from every queue and link, but still in flight
-    run.upfs[0].buckets[QosClass.URLLC].queue.pop()
+    run.upfs[0][QosClass.URLLC].queue.pop()
     with pytest.raises(InvariantError, match="conservation"):
         run.run()
 
@@ -271,8 +269,9 @@ def test_identical_seed_identical_run(campus5):
 
 def test_baseline_hotspot_sits_on_high_skew_upfs(campus5):
     res = run_to_completion(campus5, seed=1)
+    k = len(REPORT_CLASSES)
     peak_by_upf = {
-        uid: max(max(series) for (u, _), series in res.upf_queue_series.items() if u == uid)
+        uid: max(max(rep.upf_queues[(uid - 1) * k : uid * k]) for rep in res.epoch_reports)
         for uid in range(1, 6)
     }
     hottest = max(peak_by_upf, key=peak_by_upf.get)
@@ -304,7 +303,7 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
 
     def checked(req, run_):
         for cost, queues in (
-            (run.upf_cost[req.qos], [u.buckets[req.qos] for u in run.upfs]),
+            (run.upf_cost[req.qos], [u[req.qos] for u in run.upfs]),
             (run.mec_cost, run.mecs),
         ):
             prices = [
@@ -345,21 +344,14 @@ def test_recorded_prices_are_floats_for_an_integer_delta():
 @pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC])
 def test_queue_series_hold_one_entry_per_epoch(metro, scheme):
     run = SimulationRun(replace(build_pair_scenario(metro, 3), scheme=scheme), seed=1)
-    assert all(s == [] for s in run.upf_queue_series.values())
-    assert all(s == [] for s in run.mec_queue_series.values())
+    assert run.epoch_reports == []
     for k in range(1, 6):
-        run.step_epoch(generate=k < 4)
-        upf_series, mec_series = run.upf_queue_series, run.mec_queue_series
-        assert set(upf_series) == {(u.id, q) for u in run.upfs for q in QosClass}
-        assert set(mec_series) == {m.id for m in run.mecs}
-        for (uid, qos), series in upf_series.items():
-            assert len(series) == k
-            assert series[-1] == len(run.upfs[uid - 1].buckets[qos].queue)
-        for mid, series in mec_series.items():
-            assert len(series) == k
-            assert series[-1] == len(run.mecs[mid - 1].queue)
+        report = run.step_epoch(generate=k < 4)
+        assert len(run.epoch_reports) == k and run.epoch_reports[-1] is report
+        assert report.upf_queues == live_upf_queues(run)
+        assert report.mec_queues == tuple(len(m.queue) for m in run.mecs)
     # the lengths compared were not all zero
-    assert any(any(series) for series in upf_series.values())
+    assert any(any(rep.upf_queues) for rep in run.epoch_reports)
 
 
 def test_pending_commitments_fully_drain(metro):
@@ -400,16 +392,38 @@ def small_scenarios(draw):
     return s
 
 
+def live_upf_queues(run: SimulationRun) -> tuple:
+    """The UPF bucket lengths now, UPF-major with each UPF's classes sorted by name."""
+    names = sorted(QosClass, key=lambda q: q.value)
+    return tuple(len(u[q].queue) for u in run.upfs for q in names)
+
+
+def _assert_reports_within_caps(run: SimulationRun) -> None:
+    caps = [u[q].queue_cap for u in run.upfs for q in REPORT_CLASSES]
+    for rep in run.epoch_reports:
+        assert all(n <= cap for n, cap in zip(rep.upf_queues, caps, strict=True))
+        assert all(n <= m.queue_cap for n, m in zip(rep.mec_queues, run.mecs, strict=True))
+
+
 def _check_idle_credit_at_every_epoch(run: SimulationRun) -> list:
-    """Make every epoch of the run end by checking that no empty queue holds credit."""
+    """Make every epoch of the run end by checking its report and the credit of empty queues.
+
+    The report's queue lengths must be the live ones, and its ``in_flight``
+    exactly the requests those queues and the links hold.
+    """
     epochs = []
     step = run.step_epoch
-    queues = [b for u in run.upfs for b in u.buckets.values()] + run.mecs
+    queues = [b for u in run.upfs for b in u.values()] + run.mecs
 
     def checked(generate=True):
         report = step(generate)
         # service skips empty queues, which is exact only while they hold no credit
         assert all(sq.credit == 0.0 for sq in queues if not sq.queue)
+        assert report.upf_queues == live_upf_queues(run)
+        assert report.mec_queues == tuple(len(m.queue) for m in run.mecs)
+        on_links = sum(len(link.in_transit) for link in run.links.values())
+        located = sum(report.upf_queues) + sum(report.mec_queues) + on_links
+        assert report.in_flight == located
         epochs.append(report.epoch)
         return report
 
@@ -457,7 +471,7 @@ def test_invariants_hold_on_random_scenarios(base):
             if r.upf_serve_epoch is not None
         )
         for (uid, qos, _), n in upf_served.items():
-            assert n <= math.ceil(run.upfs[uid - 1].buckets[qos].capacity)
+            assert n <= math.ceil(run.upfs[uid - 1][qos].capacity)
         # d_mec counts the serving epoch itself
         mec_served = Counter(
             (r.assigned_mec, r.mec_due_epoch + round(r.d_mec / delta) - 1)
@@ -467,10 +481,7 @@ def test_invariants_hold_on_random_scenarios(base):
         for (mid, _), n in mec_served.items():
             assert n <= math.ceil(run.mecs[mid - 1].capacity)
 
-        for (uid, qos), series in res.upf_queue_series.items():
-            assert max(series) <= run.upfs[uid - 1].buckets[qos].queue_cap
-        for mid, series in res.mec_queue_series.items():
-            assert max(series) <= run.mecs[mid - 1].queue_cap
+        _assert_reports_within_caps(run)
 
 
 # ------------------------------------------------------------- derived sizing
@@ -478,8 +489,8 @@ def test_invariants_hold_on_random_scenarios(base):
 
 def test_explicit_queue_caps_are_honored(metro):
     run = SimulationRun(metro)
-    assert run.upfs[0].buckets[QosClass.URLLC].queue_cap == 45
-    assert run.upfs[3].buckets[QosClass.EMBB].queue_cap == 8
+    assert run.upfs[0][QosClass.URLLC].queue_cap == 45
+    assert run.upfs[3][QosClass.EMBB].queue_cap == 8
     assert all(m.queue_cap == 70 for m in run.mecs)
 
 
@@ -494,11 +505,11 @@ def test_derived_upf_queue_cap_formula(campus5):
                     campus5.headroom_factor
                     * t.mean_arrivals_per_epoch
                     * t.qos_mix[q]
-                    * t.skew[u.id - 1]
+                    * t.skew[spec.id - 1]
                     / spec.capacity[q]
                 ),
             )
-            assert u.buckets[q].queue_cap == expected
+            assert u[q].queue_cap == expected
 
 
 def test_derived_mec_queue_cap_uses_skew_when_co_located(campus5):
@@ -507,7 +518,7 @@ def test_derived_mec_queue_cap_uses_skew_when_co_located(campus5):
     nonreg = t.mean_arrivals_per_epoch * (1.0 - t.qos_mix[QosClass.REGULAR])
     for m, spec in zip(run.mecs, campus5.mecs):
         expected = max(
-            1, math.ceil(campus5.headroom_factor * nonreg * t.skew[m.id - 1] / spec.capacity)
+            1, math.ceil(campus5.headroom_factor * nonreg * t.skew[spec.id - 1] / spec.capacity)
         )
         assert m.queue_cap == expected
 

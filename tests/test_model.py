@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from upfmec.delay import projected_delay
 from upfmec.model import (
     CostVector,
-    Link,
-    MecState,
     QosClass,
     RequestStatus,
     ScenarioError,
@@ -273,14 +271,6 @@ def test_regular_is_the_only_class_bypassing_mec():
     assert all(q.uses_mec for q in QosClass if q is not QosClass.REGULAR)
 
 
-def test_link_share_counts_in_transit():
-    link = Link(bandwidth=1000.0)
-    assert link.n_share == 0
-    req = UeRequest(id=0, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
-    link.in_transit.append(req)
-    assert link.n_share == 1
-
-
 # ------------------------------------------------------------------ service queue
 
 
@@ -288,8 +278,6 @@ def test_link_share_counts_in_transit():
 def test_queue_capacity_is_checked_once_at_build(capacity):
     with pytest.raises(ValueError, match="capacity must be > 0 and finite"):
         ServiceQueue(capacity, 4)
-    with pytest.raises(ValueError, match="capacity must be > 0 and finite"):
-        MecState(capacity, 4, id=1, bytes_per_ue=1500.0)
 
 
 @settings(max_examples=300, deadline=None)

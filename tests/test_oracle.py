@@ -129,7 +129,7 @@ def _stuffed_run(rng: np.random.Generator) -> SimulationRun:
     run = SimulationRun(make_scenario(num_upfs=3, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     for uid in (1, 2, 3):
         for qos in QosClass:
-            run.upfs[uid - 1].buckets[qos].queue.extend(
+            run.upfs[uid - 1][qos].queue.extend(
                 UeRequest(id=0, qos=qos, origin_upf=uid, arrival_epoch=0)
                 for _ in range(int(rng.integers(0, 15)))
             )
@@ -142,12 +142,12 @@ def _stuffed_run(rng: np.random.Generator) -> SimulationRun:
 
 
 def _oracle_inputs(run: SimulationRun, qos: QosClass):
-    upf_buckets = [bucket(u.buckets[qos]) for u in run.upfs]
+    upf_buckets = [bucket(u[qos]) for u in run.upfs]
     mec_buckets = [bucket(m) for m in run.mecs]
     nu, nm = len(run.upfs), len(run.mecs)
-    n_share = [[run.links[(i + 1, j + 1)].n_share for j in range(nm)] for i in range(nu)]
+    n_share = [[len(run.links[(i + 1, j + 1)].in_transit) for j in range(nm)] for i in range(nu)]
     bw = [[run.links[(i + 1, j + 1)].bandwidth for j in range(nm)] for i in range(nu)]
-    bytes_mec = [m.bytes_per_ue for m in run.mecs]
+    bytes_mec = [run.links[(1, j + 1)].bytes_per_ue for j in range(nm)]
     return upf_buckets, mec_buckets, n_share, bw, bytes_mec
 
 
@@ -167,7 +167,7 @@ def test_congested_link_exposes_the_independence_gap():
     run = SimulationRun(make_scenario(num_upfs=2, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     # UPF 2 busy, MEC 1 busy: the per-tier argmins are UPF 1 and MEC 2
     for _ in range(9):
-        run.upfs[1].buckets[QosClass.URLLC].queue.append(
+        run.upfs[1][QosClass.URLLC].queue.append(
             UeRequest(id=0, qos=QosClass.URLLC, origin_upf=2, arrival_epoch=0)
         )
         run.mecs[0].queue.append(

@@ -30,7 +30,7 @@ def dummy(qos=QosClass.URLLC, origin=1) -> UeRequest:
 
 
 def stuff_upf(run: SimulationRun, upf_id: int, qos: QosClass, n: int) -> None:
-    run.upfs[upf_id - 1].buckets[qos].queue.extend(dummy(qos) for _ in range(n))
+    run.upfs[upf_id - 1][qos].queue.extend(dummy(qos) for _ in range(n))
     run.refresh_costs()
 
 
@@ -105,7 +105,7 @@ def test_argmin_invariant_under_common_scaling(buckets, k):
 def test_snapshots_reflect_state_in_id_order():
     run = make_run(num_upfs=3)
     stuff_upf(run, 2, QosClass.EMBB, 4)
-    embb = [u.buckets[QosClass.EMBB] for u in run.upfs]
+    embb = [u[QosClass.EMBB] for u in run.upfs]
     assert [len(b.queue) for b in embb] == [0, 4, 0]
     assert run.upf_cost[QosClass.EMBB].prices == [b.price(run.delta) for b in embb]
     assert run.upf_cost[QosClass.EMBB].prices[1] > run.delta
