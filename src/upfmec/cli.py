@@ -19,7 +19,6 @@ import os
 import sys
 from dataclasses import replace
 from importlib import resources
-from itertools import chain
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -44,7 +43,7 @@ def _resolve_scenario(ref: str) -> Scenario:
 
 
 def _parse_int_list(text: str) -> List[int]:
-    """Accept '1,2,5' and '1-10' (inclusive range), or a mix."""
+    """Accept '1,2,5' and '1-10' (inclusive range), or a mix, naming each value once."""
     out: List[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -63,6 +62,8 @@ def _parse_int_list(text: str) -> List[int]:
         out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"empty list: {text!r}")
+    if len(set(out)) != len(out):
+        raise ValueError(f"{text!r} names a value twice")
     return out
 
 
@@ -83,7 +84,7 @@ def cmd_run(args) -> int:
     p = metrics.report_path(out, name, scheme, seed, "summary", "json")
     metrics.write_summary_json(report, p)
     paths.append(p)
-    e2e = list(chain.from_iterable(metrics.completed_e2e(run).values()))
+    e2e = np.concatenate(list(metrics.completed_e2e(run).values()))
     p = metrics.report_path(out, name, scheme, seed, "cdf", "csv")
     metrics.write_cdf_csv(metrics.build_cdf(e2e), p)
     paths.append(p)
@@ -125,7 +126,7 @@ def cmd_compare(args) -> int:
     agg = {}
     for scheme in schemes:
         variant = replace(scenario, scheme=Scheme(scheme))
-        pooled_e2e: List[float] = []
+        pooled_e2e: List[np.ndarray] = []
         maxima, means = [], []
         for seed in seeds:
             run = run_to_completion(variant, seed=seed, drain_cap=args.drain_cap)
@@ -139,9 +140,9 @@ def cmd_compare(args) -> int:
             if d:
                 maxima.append(d.max)
                 means.append(d.mean)
-            pooled_e2e.extend(chain.from_iterable(metrics.completed_e2e(run).values()))
+            pooled_e2e.extend(metrics.completed_e2e(run).values())
         cdf_path = metrics.report_path(out, scenario.name, scheme, "pooled", "cdf", "csv")
-        metrics.write_cdf_csv(metrics.build_cdf(pooled_e2e), cdf_path)
+        metrics.write_cdf_csv(metrics.build_cdf(np.concatenate(pooled_e2e)), cdf_path)
         agg[scheme] = {
             "mean_of_max": float(np.mean(maxima)) if maxima else None,
             "mean_of_mean": float(np.mean(means)) if means else None,

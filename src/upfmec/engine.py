@@ -12,6 +12,19 @@ A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
 ``run.upfs[i][q]``) and a MEC is one (``run.mecs[j]``), so both tiers
 share the drop test, the service law and the price.
 
+A request is an id, its row in the run's record: list columns on the run
+named after the fields they hold (``run.qos[i]``, ``run.d_upf[i]``, ...),
+extended once per epoch with the epoch's arrivals.  Queues hold ids, and
+a scheme chooses from ``(qos, origin_upf, run)``.  Each stage pops ids and
+stamps their columns in one loop; no per-request object is built.
+``run.requests`` reads the columns as ``RequestRow`` tuples when asked.
+
+A link keeps only its sharer count.  The ids in transit sit in a delivery
+calendar keyed by due epoch, each epoch's entries grouped by link in
+entry order.  The link phase of an epoch takes that epoch's entries and
+delivers them in link-key order, then entry order on each link, which is
+the order in which a capped MEC fills and drops.
+
 The run keeps the cost vectors the schemes read, each a
 ``model.CostVector``: ``upf_cost[q].prices[i]`` is the price of UPF i+1's
 bucket of class q and ``mec_cost.prices[j]`` that of MEC j+1, and every
@@ -29,9 +42,9 @@ before the next decision.
 
 Admission records what the scheme's projection is made of, not the
 projection: the UPF price, the chosen link's sharers and the MEC price
-at decision time (``UeRequest.decision_inputs``).  ``metrics.projection``
-composes the delay breakdown from them when something reads it; only the event
-log does.
+at decision time (columns ``pc_upf``, ``n_share`` and ``pc_mec``).
+``metrics.projection`` composes the delay breakdown from them when
+something reads it; only the event log does.
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
 only reset it to zero) and its price cannot change, so service passes it
@@ -46,18 +59,21 @@ and QoS-class CDFs each epoch draws from (``arrival_cdfs``), and each
 ``ServiceQueue`` checks its capacity.  Every call still
 checks what changes: a price its queue length, ``net_delay`` the link's
 sharers (counted after the entering request joins), ``transit_epochs``
-the transfer delay, ``advance_status`` each status step and ``serve``
-the requests it pops.
+the transfer delay and ``serve`` the count it serves.  Each stage checks
+that an id it pops has the status of that stage, so status only moves
+forward, and raises ``InvariantError`` otherwise.
 
 A finished run counts where its requests are: those in UPF and MEC queues
-and on links must number exactly the ``residual`` that generation,
-completions and drops leave, or the run raises ``InvariantError``.
+and in the delivery calendar must number exactly the ``residual`` that
+generation, completions and drops leave, or the run raises
+``InvariantError``.
 
 A finished run is its own record: ``run()`` and ``run_to_completion``
-return the ``SimulationRun``, and the reports read its requests, epoch
-reports, counters and links where the run keeps them.  Each fact has one
-name: ``epoch`` is the number of epochs run, ``residual`` the requests
-still in flight and ``truncated`` whether any are.  Each ``EpochReport``
+return the ``SimulationRun``, and the reports read its request columns,
+epoch reports, counters and links where the run keeps them.  Each fact
+has one name: ``generated`` is the number of rows, ``epoch`` the number
+of epochs run, ``residual`` the requests still in flight and
+``truncated`` whether any are.  Each ``EpochReport``
 holds its epoch's counters and the length of every queue at the epoch's
 end, UPF buckets in ``REPORT_CLASSES`` order within each UPF, then MECs.
 """
@@ -65,8 +81,9 @@ end, UPF buckets in ``REPORT_CLASSES`` order within each UPF, then MECs.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +98,6 @@ from .model import (
     ScenarioError,
     ServiceQueue,
     TrafficSpec,
-    UeRequest,
     check_capacity,
     validate_scenario,
 )
@@ -95,8 +111,9 @@ _QOS_LIST = list(QosClass)
 # trace.csv's queue columns: by class name, which is not the service order
 REPORT_CLASSES = sorted(QosClass, key=lambda q: q.value)
 
-# the members the engine advances requests to, bound once: a class
-# attribute read on an enum is a descriptor call
+# the statuses the engine sets, bound once: a class attribute read on an
+# enum is a descriptor call
+_PENDING = RequestStatus.PENDING
 _IN_UPF_QUEUE = RequestStatus.IN_UPF_QUEUE
 _IN_TRANSIT = RequestStatus.IN_TRANSIT
 _IN_MEC_QUEUE = RequestStatus.IN_MEC_QUEUE
@@ -130,13 +147,13 @@ def generate_arrivals(
     epoch: int,
     origin_cdf: np.ndarray,
     class_cdf: np.ndarray,
-    start_id: int = 0,
-) -> List[UeRequest]:
-    """Draw one epoch of requests: count, then origin and QoS per request.
+) -> Tuple[List[int], List[QosClass]]:
+    """Draw one epoch of requests: their origin UPF ids, then their QoS classes.
 
-    The CDFs are ``arrival_cdfs(traffic)``.  The deterministic process
-    emits floor((epoch+1)*rate) - floor(epoch*rate) requests so the
-    long-run rate is exact even for fractional rates.
+    The count comes first, then every origin, then every class.  The CDFs
+    are ``arrival_cdfs(traffic)``.  The deterministic process emits
+    floor((epoch+1)*rate) - floor(epoch*rate) requests so the long-run rate
+    is exact even for fractional rates.
     """
     lam = traffic.mean_arrivals_per_epoch
     if traffic.process == "poisson":
@@ -146,13 +163,70 @@ def generate_arrivals(
     else:
         raise ValueError(f"unknown arrival process {traffic.process!r}")
     if count == 0:
-        return []
-    origins = origin_cdf.searchsorted(rng.random(count), side="right").tolist()
+        return [], []
+    origins = (origin_cdf.searchsorted(rng.random(count), side="right") + 1).tolist()
     classes = class_cdf.searchsorted(rng.random(count), side="right").tolist()
-    return [
-        UeRequest(start_id + k, _QOS_LIST[c], o + 1, epoch)
-        for k, (o, c) in enumerate(zip(origins, classes))
-    ]
+    return origins, list(map(_QOS_LIST.__getitem__, classes))
+
+
+class RequestRow(NamedTuple):
+    """One request of a run, read from the run's columns.
+
+    ``decision_inputs`` is ``(pc_upf, n_share, pc_mec)``, what the scheme's
+    projection is composed from (see ``metrics.projection``), or None
+    before the decision.
+    """
+
+    id: int
+    qos: QosClass
+    origin_upf: int
+    arrival_epoch: int
+    status: RequestStatus
+    assigned_upf: Optional[int]
+    assigned_mec: Optional[int]
+    upf_serve_epoch: Optional[int]
+    mec_due_epoch: Optional[int]
+    d_upf: float
+    d_net: float
+    d_mec: float
+    d_e2e: Optional[float]
+    decision_inputs: Optional[Tuple[float, int, float]]
+
+
+class RequestRows(Sequence):
+    """A run's requests as read-only rows, each built from the columns when read."""
+
+    __slots__ = ("_run",)
+
+    def __init__(self, run: "SimulationRun") -> None:
+        self._run = run
+
+    def __len__(self) -> int:
+        return len(self._run.qos)
+
+    def __getitem__(self, i: int) -> RequestRow:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"request id {i} out of range for {n} requests")
+        r = self._run
+        pc_upf = r.pc_upf[i]
+        return RequestRow(
+            i, r.qos[i], r.origin_upf[i], r.arrival_epoch[i], r.status[i],
+            r.assigned_upf[i], r.assigned_mec[i], r.upf_serve_epoch[i], r.mec_due_epoch[i],
+            r.d_upf[i], r.d_net[i], r.d_mec[i], r.d_e2e[i],
+            None if pc_upf is None else (pc_upf, r.n_share[i], r.pc_mec[i]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _stage_error(rid: int, found: RequestStatus, stage: RequestStatus) -> InvariantError:
+    return InvariantError(
+        f"request {rid}: status {found.name} where the run holds it {stage.name}"
+    )
 
 
 @dataclass
@@ -229,7 +303,17 @@ def _build_mec(spec, scenario: Scenario) -> ServiceQueue:
 
 
 class SimulationRun:
-    """Mutable state of one simulation run."""
+    """Mutable state of one simulation run, and its record once finished.
+
+    The record keeps one row per request id (ids are 0, 1, ... in arrival
+    order) in list columns named after the fields they hold: ``qos``,
+    ``origin_upf``, ``arrival_epoch``, ``status``, ``assigned_upf``,
+    ``assigned_mec`` (None for a class that ends at the UPF),
+    ``upf_serve_epoch``, ``mec_due_epoch`` (None until stamped), the
+    measured delays ``d_upf``, ``d_net``, ``d_mec`` and ``d_e2e`` (None until
+    completed), and the projection's inputs ``pc_upf`` (None before the
+    decision), ``n_share`` and ``pc_mec``.  ``requests`` reads them as rows.
+    """
 
     def __init__(
         self,
@@ -258,9 +342,10 @@ class SimulationRun:
                 # Mbps -> bits per ms
                 bw = scenario.link_bandwidth_mbps[i - 1][j - 1] * 1e3
                 self.links[(i, j)] = Link(bandwidth=bw, bytes_per_ue=mec.bytes_per_ue)
-        # keys of the links with requests in transit; requests enter links only
-        # in the UPF service loop of step_epoch
-        self._busy_links: Set[Tuple[int, int]] = set()
+        # the delivery calendar: due epoch -> link key -> the ids on that link
+        # due then, in link-entry order; requests enter links only in the UPF
+        # service loop of step_epoch
+        self._calendar: Dict[int, Dict[Tuple[int, int], List[int]]] = defaultdict(dict)
         self.epoch = 0
         if drain_cap is not None:
             self.drain_cap = drain_cap
@@ -268,9 +353,22 @@ class SimulationRun:
             self.drain_cap = scenario.drain_cap_epochs
         else:
             self.drain_cap = DEFAULT_DRAIN_FACTOR * max(1, scenario.horizon_epochs)
-        self.requests: List[UeRequest] = []
+        self.qos: List[QosClass] = []
+        self.origin_upf: List[int] = []
+        self.arrival_epoch: List[int] = []
+        self.status: List[RequestStatus] = []
+        self.assigned_upf: List[Optional[int]] = []
+        self.assigned_mec: List[Optional[int]] = []
+        self.upf_serve_epoch: List[Optional[int]] = []
+        self.mec_due_epoch: List[Optional[int]] = []
+        self.d_upf: List[float] = []
+        self.d_net: List[float] = []
+        self.d_mec: List[float] = []
+        self.d_e2e: List[Optional[float]] = []
+        self.pc_upf: List[Optional[float]] = []
+        self.n_share: List[int] = []
+        self.pc_mec: List[float] = []
         self.epoch_reports: List[EpochReport] = []
-        self.generated = 0
         self.completed = 0
         self.dropped = 0
         self.upf_cost: Dict[QosClass, CostVector] = {
@@ -278,10 +376,11 @@ class SimulationRun:
         }
         self.mec_cost = CostVector([m.price(self.delta) for m in self.mecs])
         # UPF buckets in service order (UPF-major, class-minor), each with
-        # the cost vector entry that prices it and whether its class goes on
-        # to a MEC; link-entry order sets link sharing and MEC FCFS order
-        self._upf_slots: List[Tuple[ServiceQueue, CostVector, int, bool]] = [
-            (u[q], self.upf_cost[q], i, q.uses_mec)
+        # the cost vector entry that prices it, its UPF's id and whether its
+        # class goes on to a MEC; link-entry order sets link sharing and MEC
+        # FCFS order
+        self._upf_slots: List[Tuple[ServiceQueue, CostVector, int, int, bool]] = [
+            (u[q], self.upf_cost[q], i, i + 1, q.uses_mec)
             for i, u in enumerate(self.upfs)
             for q in QosClass
         ]
@@ -291,19 +390,47 @@ class SimulationRun:
         self._mec_deques = [m.queue for m in self.mecs]
 
     @property
+    def generated(self) -> int:
+        """Requests generated so far: the rows of the record."""
+        return len(self.qos)
+
+    @property
     def residual(self) -> int:
         """Requests generated and neither completed nor dropped: still in flight."""
-        return self.generated - self.completed - self.dropped
+        return len(self.qos) - self.completed - self.dropped
 
     @property
     def truncated(self) -> bool:
         """The drain cap ended the run with requests still in flight."""
         return self.residual > 0
 
+    @property
+    def requests(self) -> RequestRows:
+        """The requests as read-only rows in id order, built from the columns when read."""
+        return RequestRows(self)
+
+    def add_requests(self, origins: List[int], classes: List[QosClass]) -> int:
+        """Append one undecided row per new request, arriving now; the first new id."""
+        first = len(self.qos)
+        n = len(origins)
+        self.qos.extend(classes)
+        self.origin_upf.extend(origins)
+        self.arrival_epoch.extend([self.epoch] * n)
+        self.status.extend([_PENDING] * n)
+        unset = [None] * n
+        zeros = [0.0] * n
+        for column in (self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
+                       self.mec_due_epoch, self.d_e2e, self.pc_upf):
+            column.extend(unset)
+        for column in (self.d_upf, self.d_net, self.d_mec, self.pc_mec):
+            column.extend(zeros)
+        self.n_share.extend([0] * n)
+        return first
+
     def refresh_costs(self) -> None:
         """Recompute every entry of the cost vectors from the current queues."""
         delta = self.delta
-        for bucket, cost, idx, _ in self._upf_slots:
+        for bucket, cost, idx, _, _ in self._upf_slots:
             cost.set(idx, bucket.price(delta))
         for j, m in enumerate(self.mecs):
             self.mec_cost.set(j, m.price(delta))
@@ -312,130 +439,144 @@ class SimulationRun:
 
     def step_epoch(self, generate: bool = True) -> EpochReport:
         epoch = self.epoch
-        completed_before = self.completed
-        arrivals: List[UeRequest] = []
+        origins: List[int] = []
+        classes: List[QosClass] = []
         if generate:
-            arrivals = generate_arrivals(
-                self.scenario.traffic,
-                self.rng,
-                epoch,
-                self._origin_cdf,
-                self._class_cdf,
-                self.generated,
+            origins, classes = generate_arrivals(
+                self.scenario.traffic, self.rng, epoch, self._origin_cdf, self._class_cdf
             )
-            self.requests.extend(arrivals)
-            self.generated += len(arrivals)
+        first = self.add_requests(origins, classes)
 
-        admitted = dropped_now = 0
+        status = self.status
+        assigned_upf, assigned_mec = self.assigned_upf, self.assigned_mec
         delta = self.delta
         assign = self._assign
         upfs, mecs, links = self.upfs, self.mecs, self.links
         upf_cost, mec_cost = self.upf_cost, self.mec_cost
         mec_prices = mec_cost.prices
-        for req in arrivals:
-            upf_id, mec_id = assign(req, self)
-            req.assigned_upf = upf_id
-            req.assigned_mec = mec_id
-            qos = req.qos
+        pc_upf, n_share, pc_mec = self.pc_upf, self.n_share, self.pc_mec
+        admitted = dropped_now = 0
+        for rid, qos, origin in zip(range(first, first + len(origins)), classes, origins):
+            upf_id, mec_id = assign(qos, origin, self)
+            assigned_upf[rid] = upf_id
             cost = upf_cost[qos]
-            # the projection's inputs, recorded for dropped requests too
-            if mec_id is None:
-                req.decision_inputs = (cost.prices[upf_id - 1], 0, 0.0)
-            else:
-                req.decision_inputs = (
-                    cost.prices[upf_id - 1],
-                    len(links[(upf_id, mec_id)].in_transit),
-                    mec_prices[mec_id - 1],
-                )
+            # the projection's inputs, recorded for dropped requests too; a
+            # class that ends at the UPF keeps n_share 0 and pc_mec 0.0
+            pc_upf[rid] = cost.prices[upf_id - 1]
+            if mec_id is not None:
+                assigned_mec[rid] = mec_id
+                n_share[rid] = links[(upf_id, mec_id)].sharers
+                pc_mec[rid] = mec_prices[mec_id - 1]
             bucket = upfs[upf_id - 1][qos]
             if bucket.full():
-                req.advance_status(_DROPPED)
-                self.dropped += 1
+                status[rid] = _DROPPED
                 dropped_now += 1
             else:
-                req.advance_status(_IN_UPF_QUEUE)
-                bucket.queue.append(req)
+                status[rid] = _IN_UPF_QUEUE
+                bucket.queue.append(rid)
                 cost.set(upf_id - 1, bucket.price(delta))
                 admitted += 1
                 if mec_id is not None:
                     mec = mecs[mec_id - 1]
                     mec.pending += 1
                     mec_cost.set(mec_id - 1, mec.price(delta))
-        if admitted + dropped_now != len(arrivals):
+        if admitted + dropped_now != len(origins):
             raise InvariantError(
-                f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(arrivals)}"
+                f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(origins)}"
             )
 
-        served_upf = 0
-        busy_links = self._busy_links
-        for bucket, cost, idx, to_mec in self._upf_slots:
-            if not bucket.queue:
+        # each stage pops its ids and checks that each is where the stage
+        # holds it before stamping it: status only moves forward
+        arrival_epoch, upf_serve_epoch = self.arrival_epoch, self.upf_serve_epoch
+        mec_due_epoch, calendar = self.mec_due_epoch, self._calendar
+        d_upf, d_net, d_mec, d_e2e = self.d_upf, self.d_net, self.d_mec, self.d_e2e
+        completed_now = served_upf = 0
+        for bucket, cost, idx, upf_id, to_mec in self._upf_slots:
+            queue = bucket.queue
+            if not queue:
                 continue
-            served = bucket.serve()
-            cost.set(idx, bucket.price(delta))
-            for req in served:
-                req.upf_serve_epoch = epoch
-                req.d_upf = (epoch + 1 - req.arrival_epoch) * delta
+            n = bucket.serve()
+            popleft = queue.popleft
+            for _ in range(n):
+                rid = popleft()
+                if status[rid] is not _IN_UPF_QUEUE:
+                    raise _stage_error(rid, status[rid], _IN_UPF_QUEUE)
+                upf_serve_epoch[rid] = epoch
+                d_upf[rid] = du = (epoch + 1 - arrival_epoch[rid]) * delta
                 if to_mec:
-                    key = (req.assigned_upf, req.assigned_mec)
+                    key = (upf_id, assigned_mec[rid])
                     link = links[key]
-                    in_transit = link.in_transit
-                    in_transit.append(req)
-                    busy_links.add(key)
                     # the entering request shares the link with everything
-                    # already on it: its sharers are counted after the append
-                    req.d_net = d_net = net_delay(
-                        len(in_transit), link.bytes_per_ue, link.bandwidth
-                    )
-                    req.mec_due_epoch = epoch + transit_epochs(d_net, delta)
-                    req.advance_status(_IN_TRANSIT)
+                    # already on it: its sharers are counted after it joins
+                    link.sharers = sharers = link.sharers + 1
+                    d_net[rid] = dn = net_delay(sharers, link.bytes_per_ue, link.bandwidth)
+                    mec_due_epoch[rid] = due = epoch + transit_epochs(dn, delta)
+                    status[rid] = _IN_TRANSIT
+                    day = calendar[due]
+                    on_link = day.get(key)
+                    if on_link is None:
+                        day[key] = [rid]
+                    else:
+                        on_link.append(rid)
                 else:
-                    self._complete(req)
-            served_upf += len(served)
+                    # d_net and d_mec stay 0.0: d_upf + 0.0 + 0.0 is d_upf
+                    d_e2e[rid] = du
+                    status[rid] = _COMPLETED
+            cost.set(idx, bucket.price(delta))
+            served_upf += n
+            if not to_mec:
+                completed_now += n
 
-        for key in sorted(self._busy_links):
-            link = self.links[key]
-            still: List[UeRequest] = []
-            mec = mecs[key[1] - 1]
-            for req in link.in_transit:
-                if req.mec_due_epoch <= epoch:
-                    mec.pending -= 1
+        # a transfer reaches its MEC exactly at its due epoch; deliveries go
+        # in link-key order, and in entry order on each link
+        day = calendar.pop(epoch, None)
+        if day is not None:
+            for key in sorted(day):
+                rids = day[key]
+                links[key].sharers -= len(rids)
+                mec = mecs[key[1] - 1]
+                mec.pending -= len(rids)
+                for rid in rids:
+                    if status[rid] is not _IN_TRANSIT:
+                        raise _stage_error(rid, status[rid], _IN_TRANSIT)
                     if mec.full():
-                        req.advance_status(_DROPPED)
-                        self.dropped += 1
+                        status[rid] = _DROPPED
                         dropped_now += 1
                     else:
-                        req.advance_status(_IN_MEC_QUEUE)
-                        mec.queue.append(req)
-                else:
-                    still.append(req)
-            link.in_transit = still
-            if not still:
-                self._busy_links.discard(key)
+                        status[rid] = _IN_MEC_QUEUE
+                        mec.queue.append(rid)
 
         # a MEC the link phase changed holds a queue now: a delivery joined it,
         # or a drop found it full (queue_cap >= 1); so repricing each served
         # MEC also covers the drops, which lower pending without queueing
         served_mec = 0
         for j, m in enumerate(mecs):
-            if not m.queue:
+            queue = m.queue
+            if not queue:
                 continue
-            served = m.serve()
+            n = m.serve()
+            popleft = queue.popleft
+            for _ in range(n):
+                rid = popleft()
+                if status[rid] is not _IN_MEC_QUEUE:
+                    raise _stage_error(rid, status[rid], _IN_MEC_QUEUE)
+                d_mec[rid] = dm = (epoch + 1 - mec_due_epoch[rid]) * delta
+                d_e2e[rid] = d_upf[rid] + d_net[rid] + dm
+                status[rid] = _COMPLETED
             mec_cost.set(j, m.price(delta))
-            for req in served:
-                # a transfer joins its MEC's queue exactly at its due epoch
-                req.d_mec = (epoch + 1 - req.mec_due_epoch) * delta
-                self._complete(req)
-            served_mec += len(served)
+            served_mec += n
+        completed_now += served_mec
 
+        self.completed += completed_now
+        self.dropped += dropped_now
         report = EpochReport(
             epoch=epoch,
-            arrivals=len(arrivals),
+            arrivals=len(origins),
             admitted=admitted,
             dropped=dropped_now,
             served_upf=served_upf,
             served_mec=served_mec,
-            completed=self.completed - completed_before,
+            completed=completed_now,
             in_flight=self.residual,
             upf_queues=tuple(map(len, self._upf_deques)),
             mec_queues=tuple(map(len, self._mec_deques)),
@@ -443,11 +584,6 @@ class SimulationRun:
         self.epoch_reports.append(report)
         self.epoch += 1
         return report
-
-    def _complete(self, req: UeRequest) -> None:
-        req.d_e2e = req.d_upf + req.d_net + req.d_mec
-        req.advance_status(_COMPLETED)
-        self.completed += 1
 
     # ------------------------------------------------------------- full run
 
@@ -461,7 +597,7 @@ class SimulationRun:
             drained += 1
         # residual is what the counters leave; count where the requests are
         located = sum(map(len, self._upf_deques)) + sum(map(len, self._mec_deques))
-        located += sum(len(link.in_transit) for link in self.links.values())
+        located += sum(len(rids) for day in self._calendar.values() for rids in day.values())
         if located != self.residual:
             raise InvariantError(
                 f"request conservation broken at end of run: {located} requests "

@@ -3,7 +3,10 @@
 Percentiles use the nearest-rank convention on the sorted sample (the
 p-th percentile is the value at index ceil(p/100 * n) - 1), so every
 reported figure is an observed delay.  Standard deviations are
-population standard deviations.  Emitted files follow the naming scheme
+population standard deviations.  Summaries read the run's request
+columns into typed arrays of the completed requests and reduce every
+slice in request-id order: a float mean or std depends on the order of
+its sample.  Emitted files follow the naming scheme
 <scenario>.<scheme>.<seed>.<report>.<ext> with stable column layouts.
 """
 
@@ -13,9 +16,10 @@ import csv
 import json
 import math
 import os
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import compress, repeat
+from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +32,6 @@ from .model import (
     Scenario,
     ScenarioError,
     Scheme,
-    UeRequest,
     validate_scenario,
 )
 
@@ -78,7 +81,7 @@ class SummaryReport:
 
 def percentile_nearest_rank(sorted_samples: Sequence[float], p: float) -> float:
     """Nearest-rank percentile of an ascending sample."""
-    if not sorted_samples:
+    if len(sorted_samples) == 0:
         raise ValueError("empty sample")
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {p}")
@@ -86,21 +89,82 @@ def percentile_nearest_rank(sorted_samples: Sequence[float], p: float) -> float:
     return sorted_samples[idx]
 
 
-def _stats(values: Sequence[float]) -> Stats:
-    arr = np.asarray(values, dtype=float)
-    return Stats(mean=float(arr.mean()), std=float(arr.std()), count=int(arr.size))
+def _stats(values: np.ndarray) -> Stats:
+    return Stats(mean=float(values.mean()), std=float(values.std()), count=int(values.size))
 
 
-def _dist(values: Sequence[float]) -> DistSummary:
-    arr = np.sort(np.asarray(values, dtype=float))
-    samples = arr.tolist()
+def _dist(values: np.ndarray) -> DistSummary:
+    arr = np.sort(values)
     return DistSummary(
-        count=len(samples),
+        count=int(arr.size),
         mean=float(arr.mean()),
         std=float(arr.std()),
-        percentiles={p: percentile_nearest_rank(samples, p) for p in PERCENTILES},
-        max=samples[-1],
+        percentiles={p: float(percentile_nearest_rank(arr, p)) for p in PERCENTILES},
+        max=float(arr[-1]),
     )
+
+
+# a class's code in the completed-row arrays: its rank by name, so that
+# (UPF id, code) sorts as the summary's (UPF id, class name) slices do
+_CODE = {q: k for k, q in enumerate(REPORT_CLASSES)}
+_USES_MEC = np.array([q.uses_mec for q in REPORT_CLASSES])
+
+
+@dataclass(frozen=True)
+class _Completed:
+    """Typed arrays of a run's completed requests, in request-id order.
+
+    ``qos`` holds class codes (``_CODE``); the MEC arrays hold only the
+    requests of the classes that use a MEC, also in id order.
+    """
+
+    qos: np.ndarray
+    upf: np.ndarray
+    d_upf: np.ndarray
+    d_e2e: np.ndarray
+    mec: np.ndarray
+    d_mec: np.ndarray
+
+
+def _done(run: SimulationRun) -> Tuple[bytes, int]:
+    """A 0/1 byte per request, 1 where it completed, and the number of ones."""
+    done = bytes(map(is_, run.status, repeat(RequestStatus.COMPLETED)))
+    return done, done.count(1)
+
+
+def _codes(run: SimulationRun, done: bytes, k: int) -> np.ndarray:
+    return np.fromiter(map(_CODE.__getitem__, compress(run.qos, done)), np.int64, k)
+
+
+def _completed(run: SimulationRun) -> _Completed:
+    done, k = _done(run)
+    qos = _codes(run, done, k)
+    # a completed request of a class that uses a MEC was served by one
+    at_mec = _USES_MEC[qos].tobytes()
+    m = at_mec.count(1)
+    return _Completed(
+        qos=qos,
+        upf=np.fromiter(compress(run.assigned_upf, done), np.int64, k),
+        d_upf=np.fromiter(compress(run.d_upf, done), float, k),
+        d_e2e=np.fromiter(compress(run.d_e2e, done), float, k),
+        mec=np.fromiter(compress(compress(run.assigned_mec, done), at_mec), np.int64, m),
+        d_mec=np.fromiter(compress(compress(run.d_mec, done), at_mec), float, m),
+    )
+
+
+def _slices(keys: np.ndarray, values: np.ndarray) -> List[Tuple[int, Stats]]:
+    """Stats of the values of each distinct key, in ascending key order.
+
+    A stable sort keeps each slice in request-id order, the order its mean
+    and std are reduced in: both depend on the order of the sample.
+    """
+    if keys.size == 0:
+        return []
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    bounds = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    starts, ends = [0, *bounds], [*bounds, int(keys.size)]
+    return [(int(keys[a]), _stats(values[a:b])) for a, b in zip(starts, ends)]
 
 
 def summarize(run: SimulationRun) -> SummaryReport:
@@ -116,38 +180,31 @@ def summarize(run: SimulationRun) -> SummaryReport:
         epochs_run=run.epoch,
         truncated=run.truncated,
     )
-    by_upf_qos: Dict[Tuple[int, QosClass], List[float]] = defaultdict(list)
-    by_mec: Dict[int, List[float]] = defaultdict(list)
-    by_qos: Dict[QosClass, List[float]] = defaultdict(list)
-    e2e: List[float] = []
-    completed = RequestStatus.COMPLETED
-    for r in run.requests:
-        if r.status is not completed:
-            continue
-        by_upf_qos[(r.assigned_upf, r.qos)].append(r.d_upf)
-        if r.assigned_mec is not None:
-            by_mec[r.assigned_mec].append(r.d_mec)
-        by_qos[r.qos].append(r.d_e2e)
-        e2e.append(r.d_e2e)
-    report.per_upf_qos = {k: _stats(v) for k, v in sorted(by_upf_qos.items(), key=lambda kv: (kv[0][0], kv[0][1].value))}
-    report.per_mec = {k: _stats(v) for k, v in sorted(by_mec.items())}
-    report.e2e_per_qos = {q: _dist(by_qos[q]) for q in QosClass if q in by_qos}
-    if e2e:
-        report.e2e_overall = _dist(e2e)
+    c = _completed(run)
+    width = len(REPORT_CLASSES)
+    report.per_upf_qos = {
+        (key // width, REPORT_CLASSES[key % width]): st
+        for key, st in _slices(c.upf * width + c.qos, c.d_upf)
+    }
+    report.per_mec = dict(_slices(c.mec, c.d_mec))
+    for q in QosClass:
+        sample = c.d_e2e[c.qos == _CODE[q]]
+        if sample.size:
+            report.e2e_per_qos[q] = _dist(sample)
+    if c.d_e2e.size:
+        report.e2e_overall = _dist(c.d_e2e)
     epochs = run.epoch_reports
     report.peak_upf_queue = max((max(e.upf_queues) for e in epochs), default=0)
     report.peak_mec_queue = max((max(e.mec_queues) for e in epochs), default=0)
     return report
 
 
-def completed_e2e(run: SimulationRun) -> Dict[QosClass, List[float]]:
-    """End-to-end delays of the completed requests by QoS class, in one pass."""
-    by_qos: Dict[QosClass, List[float]] = {q: [] for q in QosClass}
-    completed = RequestStatus.COMPLETED
-    for r in run.requests:
-        if r.status is completed:
-            by_qos[r.qos].append(r.d_e2e)
-    return by_qos
+def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
+    """End-to-end delays of the completed requests by QoS class, each in id order."""
+    done, k = _done(run)
+    qos = _codes(run, done, k)
+    d_e2e = np.fromiter(compress(run.d_e2e, done), float, k)
+    return {q: d_e2e[qos == _CODE[q]] for q in QosClass}
 
 
 @dataclass(frozen=True)
@@ -218,7 +275,7 @@ def _sweep_task(args: Tuple[Scenario, int]) -> Tuple[Dict[QosClass, Tuple[int, i
     e2e = completed_e2e(run)
     hits: Dict[QosClass, Tuple[int, int]] = {}
     for q, thr in scenario.thresholds_ms.items():
-        hits[q] = (sum(1 for d in e2e[q] if d < thr), len(e2e[q]))
+        hits[q] = (int(np.count_nonzero(e2e[q] < thr)), int(e2e[q].size))
     return hits, run.completed, run.dropped
 
 
@@ -408,24 +465,23 @@ def summary_to_dict(report: SummaryReport) -> dict:
     }
 
 
-def projection(req: UeRequest, links) -> Optional[DelayBreakdown]:
-    """The delay breakdown the scheme projected for req, None before its decision.
+def projection(run: SimulationRun, rid: int) -> Optional[DelayBreakdown]:
+    """The delay breakdown the scheme projected for request rid, None before its decision.
 
-    Composed from the inputs admission recorded: ``net_delay`` (and its
-    checks) on the link's sharers at decision time, with the link's
-    bandwidth and bytes per request.  A request that ends at the UPF has no
-    link and no MEC stage.  ``links`` are those of the ``SimulationRun``
-    that admitted req.
+    Composed from the inputs admission recorded in the run's columns:
+    ``net_delay`` (and its checks) on the link's sharers at decision time,
+    with the link's bandwidth and bytes per request.  A request that ends
+    at the UPF has no link and no MEC stage.
     """
-    if req.decision_inputs is None:
+    pc_upf = run.pc_upf[rid]
+    if pc_upf is None:
         return None
-    pc_upf, n_share, pc_mec = req.decision_inputs
-    mec_id = req.assigned_mec
+    mec_id = run.assigned_mec[rid]
     if mec_id is None:
-        return DelayBreakdown.compose(pc_upf, 0.0, pc_mec)
-    link = links[(req.assigned_upf, mec_id)]
-    d_net = net_delay(n_share, link.bytes_per_ue, link.bandwidth)
-    return DelayBreakdown.compose(pc_upf, d_net, pc_mec)
+        return DelayBreakdown.compose(pc_upf, 0.0, run.pc_mec[rid])
+    link = run.links[(run.assigned_upf[rid], mec_id)]
+    d_net = net_delay(run.n_share[rid], link.bytes_per_ue, link.bandwidth)
+    return DelayBreakdown.compose(pc_upf, d_net, run.pc_mec[rid])
 
 
 def write_summary_json(report: SummaryReport, path: str) -> None:
@@ -443,18 +499,19 @@ def write_cdf_csv(cdf: CdfTable, path: str) -> None:
 
 
 def write_events_csv(run: SimulationRun, path: str) -> None:
+    """One row per request in id order: its record and the scheme's projection."""
     cols = [
         "id", "qos", "origin_upf", "arrival_epoch", "assigned_upf", "assigned_mec",
         "status", "d_upf_ms", "d_net_ms", "d_mec_ms", "d_e2e_ms",
         "proj_upf_ms", "proj_net_ms", "proj_mec_ms", "proj_e2e_ms",
     ]
+    completed = RequestStatus.COMPLETED
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        links = run.links
         for r in run.requests:
-            proj = projection(r, links)
-            done = r.status is RequestStatus.COMPLETED
+            proj = projection(run, r.id)
+            done = r.status is completed
             w.writerow([
                 r.id, r.qos.value, r.origin_upf, r.arrival_epoch,
                 _fmt(r.assigned_upf), _fmt(r.assigned_mec), r.status.name.lower(),

@@ -18,7 +18,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence
 
 import yaml
 
@@ -62,7 +62,12 @@ CO_LOCATED_SCHEMES = (Scheme.BASELINE, Scheme.BESTFIT_UPF_NO_PE, Scheme.BESTFIT_
 
 
 class RequestStatus(enum.IntEnum):
-    """Lifecycle of a request; transitions are monotone."""
+    """Lifecycle of a request; transitions are monotone.
+
+    A request moves one stage at a time, PENDING to IN_UPF_QUEUE to
+    IN_TRANSIT to IN_MEC_QUEUE to COMPLETED (a ``regular`` request completes
+    at the UPF), and can end as DROPPED at admission or at the MEC's door.
+    """
 
     PENDING = 0
     IN_UPF_QUEUE = 1
@@ -70,37 +75,6 @@ class RequestStatus(enum.IntEnum):
     IN_MEC_QUEUE = 3
     COMPLETED = 4
     DROPPED = 5
-
-
-@dataclass(slots=True)
-class UeRequest:
-    """One UE connection request flowing through UPF, link and MEC."""
-
-    id: int
-    qos: QosClass
-    origin_upf: int
-    arrival_epoch: int
-    status: RequestStatus = RequestStatus.PENDING
-    assigned_upf: Optional[int] = None
-    assigned_mec: Optional[int] = None
-    upf_serve_epoch: Optional[int] = None
-    mec_due_epoch: Optional[int] = None
-    # measured delay components, ms
-    d_upf: float = 0.0
-    d_net: float = 0.0
-    d_mec: float = 0.0
-    d_e2e: Optional[float] = None
-    # what the scheme's projection is composed from, recorded at admission:
-    # (pc_upf, n_share of the link, pc_mec); see metrics.projection
-    decision_inputs: Optional[Tuple[float, int, float]] = None
-
-    def advance_status(self, new: RequestStatus) -> None:
-        if new < self.status:
-            raise ValueError(
-                f"request {self.id}: illegal status transition "
-                f"{self.status.name} -> {new.name}"
-            )
-        self.status = new
 
 
 @dataclass
@@ -207,8 +181,9 @@ def check_capacity(capacity: float) -> None:
 class ServiceQueue:
     """FCFS queue served at `capacity` requests per epoch: a UPF QoS bucket or a MEC.
 
-    `credit` carries a fractional capacity across epochs while the queue
-    stays non-empty.  `pending` (non-zero only for a MEC) counts requests
+    `queue` holds request ids, the rows of the run's record.  `credit`
+    carries a fractional capacity across epochs while the queue stays
+    non-empty.  `pending` (non-zero only for a MEC) counts requests
     assigned here and admitted upstream but not yet arrived, so later
     assignment decisions see those commitments.
 
@@ -219,7 +194,7 @@ class ServiceQueue:
 
     capacity: float
     queue_cap: int
-    queue: Deque[UeRequest] = field(init=False, default_factory=deque)
+    queue: Deque[int] = field(init=False, default_factory=deque)
     credit: float = field(init=False, default=0.0)
     pending: int = field(init=False, default=0)
 
@@ -248,29 +223,34 @@ class ServiceQueue:
             return delta
         return ((q + 1.0 - c) / c) * delta + delta
 
-    def serve(self) -> Sequence[UeRequest]:
-        """Pop this epoch's service, up to int(credit + capacity) requests."""
-        queue = self.queue
+    def serve(self) -> int:
+        """This epoch's service, up to int(credit + capacity) requests: how many to pop.
+
+        The caller pops that many ids from the head of ``queue``.  The
+        credit left over carries to the next epoch only if the queue stays
+        non-empty after those pops.
+        """
+        queue_len = len(self.queue)
         credit = self.credit + self.capacity
-        n = min(len(queue), int(credit))
+        n = min(queue_len, int(credit))
         if n > math.ceil(self.capacity):
             raise InvariantError(f"served {n} over capacity {self.capacity}")
-        served = [queue.popleft() for _ in range(n)]
-        self.credit = credit - n if queue else 0.0
-        return served
+        self.credit = credit - n if queue_len > n else 0.0
+        return n
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     """Directed UPF->MEC link, keyed (upf_id, mec_id) by the run.
 
     Bandwidth is in bits per ms.  Every transfer on it carries its MEC's
-    ``bytes_per_ue``; its sharers are the requests in ``in_transit``.
+    ``bytes_per_ue``; ``sharers`` counts the transfers on it now, which the
+    run's delivery calendar holds.
     """
 
     bandwidth: float
     bytes_per_ue: float
-    in_transit: List[UeRequest] = field(default_factory=list)
+    sharers: int = 0
 
 
 # ---------------------------------------------------------------- validation

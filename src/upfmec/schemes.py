@@ -1,6 +1,7 @@
 """Request-to-resource assignment policies.
 
-Each scheme reads the run's cost vectors (the projected delay of joining
+Each scheme is called with a request's QoS class, its origin UPF id and
+the run.  It reads the run's cost vectors (the projected delay of joining
 every UPF bucket of the request's class, and every MEC, now) and only
 chooses: it returns a plain ``(upf_id, mec_id)`` tuple, ``mec_id`` None
 for a class that ends at the UPF.  The engine applies the choice, records
@@ -20,22 +21,21 @@ from typing import Optional, Tuple
 # cost vector index i is the id i + 1
 
 
-def assign_baseline(req, run) -> Tuple[int, Optional[int]]:
+def assign_baseline(qos, origin_upf, run) -> Tuple[int, Optional[int]]:
     """SMF default: origin UPF and its co-located MEC, no load awareness."""
-    upf_id = req.origin_upf
-    return upf_id, (upf_id if req.qos.uses_mec else None)
+    return origin_upf, (origin_upf if qos.uses_mec else None)
 
 
-def assign_bestfit_no_pe(req, run) -> Tuple[int, Optional[int]]:
+def assign_bestfit_no_pe(qos, origin_upf, run) -> Tuple[int, Optional[int]]:
     """Bestfit UPF, but the data path still ends at the origin's MEC."""
-    upf_id = run.upf_cost[req.qos].best + 1
-    return upf_id, (req.origin_upf if req.qos.uses_mec else None)
+    upf_id = run.upf_cost[qos].best + 1
+    return upf_id, (origin_upf if qos.uses_mec else None)
 
 
-def assign_bestfit_pe(req, run) -> Tuple[int, Optional[int]]:
+def assign_bestfit_pe(qos, origin_upf, run) -> Tuple[int, Optional[int]]:
     """Bestfit UPF with path extension to that UPF's co-located MEC."""
-    upf_id = run.upf_cost[req.qos].best + 1
-    if not req.qos.uses_mec:
+    upf_id = run.upf_cost[qos].best + 1
+    if not qos.uses_mec:
         return upf_id, None
     if upf_id > len(run.mecs):
         raise ValueError(
@@ -45,9 +45,8 @@ def assign_bestfit_pe(req, run) -> Tuple[int, Optional[int]]:
     return upf_id, upf_id
 
 
-def assign_bestfit_upf_mec(req, run) -> Tuple[int, Optional[int]]:
+def assign_bestfit_upf_mec(qos, origin_upf, run) -> Tuple[int, Optional[int]]:
     """Bestfit UPF and bestfit MEC, each chosen on its own tier's state."""
-    qos = req.qos
     return run.upf_cost[qos].best + 1, (run.mec_cost.best + 1 if qos.uses_mec else None)
 
 

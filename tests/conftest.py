@@ -82,21 +82,21 @@ def bucket(sq):
     return (len(sq.queue) + sq.pending, sq.capacity, sq.capacity)
 
 
-def decide(run, req, scheme):
-    """Apply a scheme to req as admission does, without changing the run.
+def decide(run, qos, origin_upf, scheme):
+    """Apply a scheme to one new request as admission does, without queueing it.
 
-    Records the choice and the projection's inputs on req, and returns
-    (upf_id, mec_id, the composed projection).
+    The request becomes a row of the run's record, which holds the choice
+    and the projection's inputs as admission records them; queues and
+    prices do not change.  Returns (upf_id, mec_id, the composed projection).
     """
-    upf_id, mec_id = scheme(req, run)
-    req.assigned_upf, req.assigned_mec = upf_id, mec_id
-    pc_upf = run.upf_cost[req.qos].prices[upf_id - 1]
-    if mec_id is None:
-        req.decision_inputs = (pc_upf, 0, 0.0)
-    else:
-        n_share = len(run.links[(upf_id, mec_id)].in_transit)
-        req.decision_inputs = (pc_upf, n_share, run.mec_cost.prices[mec_id - 1])
-    return upf_id, mec_id, projection(req, run.links)
+    rid = run.add_requests([origin_upf], [qos])
+    upf_id, mec_id = scheme(qos, origin_upf, run)
+    run.assigned_upf[rid], run.assigned_mec[rid] = upf_id, mec_id
+    run.pc_upf[rid] = run.upf_cost[qos].prices[upf_id - 1]
+    if mec_id is not None:
+        run.n_share[rid] = run.links[(upf_id, mec_id)].sharers
+        run.pc_mec[rid] = run.mec_cost.prices[mec_id - 1]
+    return upf_id, mec_id, projection(run, rid)
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from upfmec.delay import (
 )
 from upfmec.engine import SimulationRun, run_to_completion
 from upfmec.metrics import capex_analysis, capex_sweep, summarize
-from upfmec.model import QosClass, RequestStatus, Scheme, UeRequest
+from upfmec.model import QosClass, RequestStatus, Scheme
 from upfmec.oracle import (
     minmax_batch_optimum,
     pair_enumeration_optimum,
@@ -179,8 +179,8 @@ def test_criterion_06_pair_oracle():
     for _ in range(trials):
         run = _stuffed_run(rng)
         qos = [QosClass.URLLC, QosClass.EMBB, QosClass.MMTC][int(rng.integers(0, 3))]
-        req = UeRequest(id=0, qos=qos, origin_upf=int(rng.integers(1, 4)), arrival_epoch=0)
-        upf_id, mec_id, projected = decide(run, req, assign_bestfit_upf_mec)
+        origin = int(rng.integers(1, 4))
+        upf_id, mec_id, projected = decide(run, qos, origin, assign_bestfit_upf_mec)
         i, j, value = pair_enumeration_optimum(*_oracle_inputs(run, qos), run.delta)
         assert (upf_id - 1, mec_id - 1) == (i, j)
         assert projected.d_e2e == value
@@ -188,20 +188,13 @@ def test_criterion_06_pair_oracle():
 
     # non-uniform links: independent per-tier argmins miss the joint optimum
     gap_run = SimulationRun(make_scenario(num_upfs=2, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
-    for _ in range(9):
-        gap_run.upfs[1][QosClass.URLLC].queue.append(
-            UeRequest(id=0, qos=QosClass.URLLC, origin_upf=2, arrival_epoch=0)
-        )
-        gap_run.mecs[0].queue.append(
-            UeRequest(id=0, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
-        )
+    # occupancy fakes: a queue's price reads only its length
+    gap_run.upfs[1][QosClass.URLLC].queue.extend([0] * 9)
+    gap_run.mecs[0].queue.extend([0] * 9)
     gap_run.links[(1, 2)].bandwidth = 100.0
-    gap_run.links[(1, 2)].in_transit.append(
-        UeRequest(id=1, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
-    )
+    gap_run.links[(1, 2)].sharers += 1
     gap_run.refresh_costs()
-    req = UeRequest(id=2, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
-    _, mec_id, projected = decide(gap_run, req, assign_bestfit_upf_mec)
+    _, mec_id, projected = decide(gap_run, QosClass.URLLC, 1, assign_bestfit_upf_mec)
     i, j, value = pair_enumeration_optimum(*_oracle_inputs(gap_run, QosClass.URLLC), gap_run.delta)
     gap = projected.d_e2e - value
     ok = mec_id != j + 1 and gap > 0.0

@@ -287,14 +287,20 @@ def test_capex_rejects_a_malformed_base_before_scaling_it(tmp_path, capsys, brea
         ["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "3,y"],
         ["run", "--scenario", "campus5", "--drain-cap", "-5"],
         ["compare", "--schemes", "baseline,baseline", "--seeds", "1"],
+        ["compare", "--seeds", "1,1"],
+        ["capex", "--scenario", "metro", "--pairs", "1-3,2"],
     ],
 )
 def test_malformed_lists_are_usage_errors(tmp_path, capsys, argv):
-    rc = main(argv + ["--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
+    assert err.startswith("upfmec: error: ")
     assert "Traceback" not in err
+    # no output file; capex makes the directory before it scales the base
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_compare_rejects_unknown_scheme(tmp_path, capsys):

@@ -33,13 +33,13 @@ ALL_REGULAR = {QosClass.URLLC: 0.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosC
 
 def test_zero_rate_generates_nothing():
     t = TrafficSpec(0.0, [1.0], {q: 0.25 for q in QosClass})
-    assert generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t)) == []
+    assert generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t)) == ([], [])
 
 
 def test_deterministic_process_hits_rate_exactly():
     t = TrafficSpec(1.5, [1.0], {q: 0.25 for q in QosClass}, process="deterministic")
     rng = np.random.default_rng(1)
-    counts = [len(generate_arrivals(t, rng, e, *arrival_cdfs(t))) for e in range(100)]
+    counts = [len(generate_arrivals(t, rng, e, *arrival_cdfs(t))[0]) for e in range(100)]
     assert sum(counts) == 150
     assert counts[:4] == [1, 2, 1, 2]
 
@@ -48,7 +48,7 @@ def test_same_seed_same_stream():
     t = TrafficSpec(5.0, [0.3, 0.7], {q: 0.25 for q in QosClass})
     a = generate_arrivals(t, np.random.default_rng(3), 0, *arrival_cdfs(t))
     b = generate_arrivals(t, np.random.default_rng(3), 0, *arrival_cdfs(t))
-    assert [(r.id, r.qos, r.origin_upf) for r in a] == [(r.id, r.qos, r.origin_upf) for r in b]
+    assert a == b and len(a[0]) > 0
 
 
 def test_origin_frequencies_follow_skew():
@@ -57,7 +57,7 @@ def test_origin_frequencies_follow_skew():
     rng = np.random.default_rng(7)
     origins = []
     for e in range(400):
-        origins.extend(r.origin_upf for r in generate_arrivals(t, rng, e, *arrival_cdfs(t)))
+        origins.extend(generate_arrivals(t, rng, e, *arrival_cdfs(t))[0])
     freq = np.bincount(origins, minlength=6)[1:] / len(origins)
     assert np.allclose(freq, skew, atol=0.02)
 
@@ -87,19 +87,22 @@ def test_arrival_draws_equal_numpy_choice(skew, mix, count, seed):
     # silently moving every output
     t = TrafficSpec(float(count), skew, dict(zip(QosClass, mix)), process="deterministic")
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    reqs = generate_arrivals(t, rng, 0, *arrival_cdfs(t))
+    origins, classes = generate_arrivals(t, rng, 0, *arrival_cdfs(t))
     w, m = np.asarray(skew), np.asarray(mix)
-    origins = twin.choice(len(w), size=count, p=w / w.sum())
-    classes = twin.choice(len(m), size=count, p=m / m.sum())
-    assert [r.origin_upf for r in reqs] == [o + 1 for o in origins]
-    assert [r.qos for r in reqs] == [list(QosClass)[c] for c in classes]
+    twin_origins = twin.choice(len(w), size=count, p=w / w.sum())
+    twin_classes = twin.choice(len(m), size=count, p=m / m.sum())
+    assert origins == [o + 1 for o in twin_origins]
+    assert classes == [list(QosClass)[c] for c in twin_classes]
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def test_request_ids_continue_from_start_id():
-    t = TrafficSpec(3.0, [1.0], {q: 0.25 for q in QosClass}, process="deterministic")
-    reqs = generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t), start_id=10)
-    assert [r.id for r in reqs] == [10, 11, 12]
+def test_request_ids_continue_across_epochs():
+    # a request's id is its row in the run's record, in arrival order
+    run = SimulationRun(make_scenario(num_upfs=1, lam=3.0, horizon=2))
+    run.step_epoch()
+    run.step_epoch()
+    assert [r.id for r in run.requests] == list(range(6))
+    assert run.arrival_epoch == [0, 0, 0, 1, 1, 1]
 
 
 # ------------------------------------------------------------------ stepping
@@ -126,7 +129,7 @@ def test_regular_traffic_never_touches_the_mec():
         assert r.d_net == 0.0 and r.d_mec == 0.0
         assert r.d_e2e == r.d_upf
     assert all(not any(rep.mec_queues) for rep in res.epoch_reports)
-    assert all(not link.in_transit for link in run.links.values())
+    assert all(link.sharers == 0 for link in run.links.values())
 
 
 def test_d_net_is_in_ms_for_any_epoch_length():
@@ -249,6 +252,61 @@ def test_a_request_lost_behind_the_engine_breaks_conservation():
         run.run()
 
 
+@pytest.mark.parametrize("stage", ["upf", "link", "mec"])
+def test_a_status_set_past_its_stage_breaks_the_step(stage):
+    # after two epochs each stage holds ids that the next epoch moves on
+    s = make_scenario(
+        num_upfs=1, lam=6.0, horizon=4, qos_mix=ALL_URLLC, upf_capacity=3.0,
+        mec_capacity=1.0, bandwidth_mbps=1e6, upf_queue_cap=100, mec_queue_cap=100,
+    )
+    run = SimulationRun(s)
+    run.step_epoch()
+    run.step_epoch()
+    rid = {
+        "upf": run.upfs[0][QosClass.URLLC].queue[0],
+        "link": run.status.index(RequestStatus.IN_TRANSIT),
+        "mec": run.mecs[0].queue[0],
+    }[stage]
+    run.status[rid] = RequestStatus.COMPLETED
+    with pytest.raises(InvariantError, match=f"request {rid}: status COMPLETED"):
+        run.step_epoch()
+
+
+def test_deliveries_go_in_link_key_order_then_entry_order(monkeypatch):
+    # MEC 1 holds one request and serves one per epoch; every request starts
+    # at UPF 1, so bestfit_upf_no_pe sends it to MEC 1 over (1, 1), or over
+    # (2, 1) when UPF 1's bucket is busier.  Link (2, 1) takes two 0.5 ms
+    # epochs, the others one.
+    urllc, embb = QosClass.URLLC, QosClass.EMBB
+    script = {
+        # id 0 goes over (1, 1), due 1; id 1 finds UPF 1 busy and goes over (2, 1), due 2
+        0: ([1, 1], [urllc, urllc]),
+        # id 2 goes over (1, 1), due 2: entered after id 1, due with it
+        1: ([1], [urllc]),
+        # UPF 1 serves its URLLC bucket before its EMBB one, so id 4 enters
+        # (1, 1) before id 3, and both are due at epoch 4
+        3: ([1, 1], [embb, urllc]),
+    }
+
+    def scripted(traffic, rng, epoch, origin_cdf, class_cdf):
+        return script.get(epoch, ([], []))
+
+    monkeypatch.setattr(engine, "generate_arrivals", scripted)
+    s = make_scenario(
+        num_upfs=2, scheme=Scheme.BESTFIT_UPF_NO_PE, skew=[1.0, 0.0], horizon=5,
+        delta=0.5, upf_capacity=1.0, upf_queue_cap=10, mec_capacity=1.0, mec_queue_cap=1,
+    )
+    s.link_bandwidth_mbps = [[1000.0, 1000.0], [16.0, 1000.0]]
+    run = run_to_completion(s)
+    assert run.assigned_upf == [1, 2, 1, 1, 1]
+    assert run.mec_due_epoch == [1, 2, 2, 4, 4]
+    # at epoch 2, link (1, 1) delivers id 2 before link (2, 1) delivers id 1,
+    # which entered first; at epoch 4, id 4 goes before id 3 on one link
+    dropped = [rid for rid, st in enumerate(run.status) if st is RequestStatus.DROPPED]
+    assert dropped == [1, 3]
+    assert run.completed == 3
+
+
 def test_horizon_zero_is_an_empty_run():
     res = run_to_completion(make_scenario(lam=5.0, horizon=0))
     assert res.generated == 0 and res.epoch == 0 and not res.truncated
@@ -301,9 +359,9 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
     decisions = []
     assign = run._assign
 
-    def checked(req, run_):
+    def checked(qos, origin_upf, run_):
         for cost, queues in (
-            (run.upf_cost[req.qos], [u[req.qos] for u in run.upfs]),
+            (run.upf_cost[qos], [u[qos] for u in run.upfs]),
             (run.mec_cost, run.mecs),
         ):
             prices = [
@@ -312,8 +370,8 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
             ]
             assert cost.prices == prices
             assert cost.best == prices.index(min(prices))
-        decisions.append(req.id)
-        return assign(req, run_)
+        decisions.append((qos, origin_upf))
+        return assign(qos, origin_upf, run_)
 
     run._assign = checked
     return decisions
@@ -421,7 +479,7 @@ def _check_idle_credit_at_every_epoch(run: SimulationRun) -> list:
         assert all(sq.credit == 0.0 for sq in queues if not sq.queue)
         assert report.upf_queues == live_upf_queues(run)
         assert report.mec_queues == tuple(len(m.queue) for m in run.mecs)
-        on_links = sum(len(link.in_transit) for link in run.links.values())
+        on_links = sum(link.sharers for link in run.links.values())
         located = sum(report.upf_queues) + sum(report.mec_queues) + on_links
         assert report.in_flight == located
         epochs.append(report.epoch)
@@ -482,6 +540,44 @@ def test_invariants_hold_on_random_scenarios(base):
             assert n <= math.ceil(run.mecs[mid - 1].capacity)
 
         _assert_reports_within_caps(run)
+        _assert_little_identities(run)
+
+
+def _assert_little_identities(run: SimulationRun) -> None:
+    """Exact sample-path Little's law for each UPF bucket, each MEC and the links together.
+
+    Over a fully drained run, the sum over epochs of a queue's reported
+    end-of-epoch length equals the sum of the epochs its requests spent
+    in it: d_upf / delta - 1 for a request a UPF bucket served, d_mec /
+    delta - 1 for one a MEC served, and mec_due_epoch - upf_serve_epoch
+    for one that crossed a link (dropped at the MEC's door or not).  The
+    residences come from the run's columns, the lengths from its epoch
+    reports, two records kept apart.
+    """
+    delta = run.delta
+    upf_res, mec_res, link_res = Counter(), Counter(), 0
+    for rid, serve in enumerate(run.upf_serve_epoch):
+        if serve is None:
+            continue
+        upf_res[(run.assigned_upf[rid], run.qos[rid])] += round(run.d_upf[rid] / delta) - 1
+        due = run.mec_due_epoch[rid]
+        if due is not None:
+            link_res += due - serve
+        if run.status[rid] is RequestStatus.COMPLETED and run.assigned_mec[rid] is not None:
+            mec_res[run.assigned_mec[rid]] += round(run.d_mec[rid] / delta) - 1
+    reports = run.epoch_reports
+    # the report's class order, defined here rather than read from the engine
+    names = sorted(QosClass, key=lambda q: q.value)
+    for i in range(len(run.upfs)):
+        for c, qos in enumerate(names):
+            col = i * len(names) + c
+            assert sum(rep.upf_queues[col] for rep in reports) == upf_res[(i + 1, qos)]
+    for j in range(len(run.mecs)):
+        assert sum(rep.mec_queues[j] for rep in reports) == mec_res[j + 1]
+    on_links = sum(
+        rep.in_flight - sum(rep.upf_queues) - sum(rep.mec_queues) for rep in reports
+    )
+    assert on_links == link_res
 
 
 # ------------------------------------------------------------- derived sizing

@@ -26,30 +26,33 @@ from upfmec.metrics import (
     write_summary_json,
     write_trace_csv,
 )
-from upfmec.model import QosClass, RequestStatus, Scheme, UeRequest
+from upfmec.model import QosClass, RequestStatus, Scheme
 
 from conftest import make_scenario
 
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
 
 
-def completed_request(rid: int, d_upf: float, d_mec: float = 0.0, d_net: float = 0.0,
-                      qos: QosClass = QosClass.URLLC, upf: int = 1, mec=None) -> UeRequest:
-    r = UeRequest(id=rid, qos=qos, origin_upf=upf, arrival_epoch=0)
-    r.assigned_upf = upf
-    r.assigned_mec = mec
-    r.d_upf, r.d_net, r.d_mec = d_upf, d_net, d_mec
-    r.d_e2e = d_upf + d_net + d_mec
-    r.status = RequestStatus.COMPLETED
-    return r
+def completed_request(d_upf: float, d_mec: float = 0.0, d_net: float = 0.0,
+                      qos: QosClass = QosClass.URLLC, upf: int = 1, mec: int = 1,
+                      status: RequestStatus = RequestStatus.COMPLETED) -> dict:
+    """The record of one request that make_result writes as a row."""
+    mec = mec if qos.uses_mec else None
+    return dict(qos=qos, upf=upf, mec=mec, d_upf=d_upf, d_net=d_net, d_mec=d_mec, status=status)
 
 
 def make_result(requests) -> SimulationRun:
-    """A finished one-epoch run whose record holds exactly these requests."""
+    """A finished one-epoch run whose record holds exactly these requests, in this order."""
     run = SimulationRun(make_scenario(num_upfs=1), seed=1)
-    run.requests = list(requests)
+    for r in requests:
+        rid = run.add_requests([r["upf"]], [r["qos"]])
+        run.assigned_upf[rid], run.assigned_mec[rid] = r["upf"], r["mec"]
+        run.d_upf[rid], run.d_net[rid], run.d_mec[rid] = r["d_upf"], r["d_net"], r["d_mec"]
+        run.status[rid] = r["status"]
+        if r["status"] is RequestStatus.COMPLETED:
+            run.d_e2e[rid] = r["d_upf"] + r["d_net"] + r["d_mec"]
+            run.completed += 1
     run.epoch = 1
-    run.generated = run.completed = len(requests)
     return run
 
 
@@ -73,14 +76,14 @@ def test_nearest_rank_rejects_bad_inputs():
 
 
 def test_single_request_summary():
-    rep = summarize(make_result([completed_request(0, 2.5)]))
+    rep = summarize(make_result([completed_request(2.5)]))
     st_ = rep.per_upf_qos[(1, QosClass.URLLC)]
     assert st_.mean == 2.5 and st_.std == 0.0 and st_.count == 1
     assert rep.e2e_overall.max == 2.5
 
 
 def test_two_request_summary_uses_population_std():
-    rep = summarize(make_result([completed_request(0, 2.0), completed_request(1, 4.0)]))
+    rep = summarize(make_result([completed_request(2.0), completed_request(4.0)]))
     d = rep.e2e_overall
     assert d.mean == 3.0
     assert d.std == 1.0  # population convention, not the n-1 sample form
@@ -89,24 +92,22 @@ def test_two_request_summary_uses_population_std():
 
 
 def test_summary_is_order_independent():
-    reqs = [completed_request(i, float(i % 7) + 1.0) for i in range(40)]
+    reqs = [completed_request(float(i % 7) + 1.0) for i in range(40)]
     a = summarize(make_result(reqs))
     b = summarize(make_result(list(reversed(reqs))))
     assert a == b
 
 
 def test_summary_skips_unfinished_requests():
-    done = completed_request(0, 2.0)
-    pending = UeRequest(id=1, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
-    res = make_result([done, pending])
-    res.completed = 1
-    rep = summarize(res)
+    done = completed_request(2.0)
+    pending = completed_request(0.0, status=RequestStatus.PENDING)
+    rep = summarize(make_result([done, pending]))
     assert rep.e2e_overall.count == 1
 
 
 def test_percentiles_are_ordered():
     rng = np.random.default_rng(3)
-    reqs = [completed_request(i, float(v)) for i, v in enumerate(rng.gamma(2.0, 3.0, size=200))]
+    reqs = [completed_request(float(v)) for v in rng.gamma(2.0, 3.0, size=200)]
     d = summarize(make_result(reqs)).e2e_overall
     assert d.percentiles[80.0] <= d.percentiles[95.0] <= d.percentiles[99.0] <= d.max
 

@@ -12,11 +12,9 @@ from upfmec.delay import projected_delay
 from upfmec.model import (
     CostVector,
     QosClass,
-    RequestStatus,
     ScenarioError,
     Scheme,
     ServiceQueue,
-    UeRequest,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -255,15 +253,6 @@ def test_dict_round_trip_preserves_floats(lam, cap, hf):
 
 
 # ------------------------------------------------------------------- behaviors
-
-
-def test_request_status_advances_monotone():
-    r = UeRequest(id=0, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
-    r.advance_status(RequestStatus.IN_UPF_QUEUE)
-    r.advance_status(RequestStatus.IN_TRANSIT)
-    r.advance_status(RequestStatus.COMPLETED)
-    with pytest.raises(ValueError):
-        r.advance_status(RequestStatus.IN_MEC_QUEUE)
 
 
 def test_regular_is_the_only_class_bypassing_mec():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec.engine import SimulationRun
-from upfmec.model import QosClass, Scheme, UeRequest
+from upfmec.model import QosClass, Scheme
 from upfmec.oracle import (
     MAX_BATCH,
     MAX_PAIRS,
@@ -129,14 +129,9 @@ def _stuffed_run(rng: np.random.Generator) -> SimulationRun:
     run = SimulationRun(make_scenario(num_upfs=3, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     for uid in (1, 2, 3):
         for qos in QosClass:
-            run.upfs[uid - 1][qos].queue.extend(
-                UeRequest(id=0, qos=qos, origin_upf=uid, arrival_epoch=0)
-                for _ in range(int(rng.integers(0, 15)))
-            )
-        run.mecs[uid - 1].queue.extend(
-            UeRequest(id=0, qos=QosClass.EMBB, origin_upf=uid, arrival_epoch=0)
-            for _ in range(int(rng.integers(0, 15)))
-        )
+            # occupancy fakes: a queue's price reads only its length
+            run.upfs[uid - 1][qos].queue.extend([0] * int(rng.integers(0, 15)))
+        run.mecs[uid - 1].queue.extend([0] * int(rng.integers(0, 15)))
     run.refresh_costs()
     return run
 
@@ -145,7 +140,7 @@ def _oracle_inputs(run: SimulationRun, qos: QosClass):
     upf_buckets = [bucket(u[qos]) for u in run.upfs]
     mec_buckets = [bucket(m) for m in run.mecs]
     nu, nm = len(run.upfs), len(run.mecs)
-    n_share = [[len(run.links[(i + 1, j + 1)].in_transit) for j in range(nm)] for i in range(nu)]
+    n_share = [[run.links[(i + 1, j + 1)].sharers for j in range(nm)] for i in range(nu)]
     bw = [[run.links[(i + 1, j + 1)].bandwidth for j in range(nm)] for i in range(nu)]
     bytes_mec = [run.links[(1, j + 1)].bytes_per_ue for j in range(nm)]
     return upf_buckets, mec_buckets, n_share, bw, bytes_mec
@@ -156,8 +151,8 @@ def test_pair_scheme_matches_joint_optimum_on_uniform_links():
     for _ in range(100):
         run = _stuffed_run(rng)
         qos = [QosClass.URLLC, QosClass.EMBB, QosClass.MMTC][int(rng.integers(0, 3))]
-        req = UeRequest(id=0, qos=qos, origin_upf=int(rng.integers(1, 4)), arrival_epoch=0)
-        upf_id, mec_id, projected = decide(run, req, assign_bestfit_upf_mec)
+        origin = int(rng.integers(1, 4))
+        upf_id, mec_id, projected = decide(run, qos, origin, assign_bestfit_upf_mec)
         i, j, value = pair_enumeration_optimum(*_oracle_inputs(run, qos), run.delta)
         assert (upf_id - 1, mec_id - 1) == (i, j)
         assert projected.d_e2e == value
@@ -166,21 +161,13 @@ def test_pair_scheme_matches_joint_optimum_on_uniform_links():
 def test_congested_link_exposes_the_independence_gap():
     run = SimulationRun(make_scenario(num_upfs=2, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     # UPF 2 busy, MEC 1 busy: the per-tier argmins are UPF 1 and MEC 2
-    for _ in range(9):
-        run.upfs[1][QosClass.URLLC].queue.append(
-            UeRequest(id=0, qos=QosClass.URLLC, origin_upf=2, arrival_epoch=0)
-        )
-        run.mecs[0].queue.append(
-            UeRequest(id=0, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
-        )
+    run.upfs[1][QosClass.URLLC].queue.extend([0] * 9)
+    run.mecs[0].queue.extend([0] * 9)
     # but the link toward MEC 2 is crawling while MEC 1 stays well connected
     run.links[(1, 2)].bandwidth = 100.0
-    run.links[(1, 2)].in_transit.append(
-        UeRequest(id=1, qos=QosClass.EMBB, origin_upf=1, arrival_epoch=0)
-    )
+    run.links[(1, 2)].sharers += 1
     run.refresh_costs()
-    req = UeRequest(id=2, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
-    _, mec_id, projected = decide(run, req, assign_bestfit_upf_mec)
+    _, mec_id, projected = decide(run, QosClass.URLLC, 1, assign_bestfit_upf_mec)
     assert mec_id == 2
     i, j, value = pair_enumeration_optimum(*_oracle_inputs(run, QosClass.URLLC), run.delta)
     assert (i, j) == (0, 0)
@@ -193,7 +180,6 @@ def test_joint_optimum_never_exceeds_the_scheme_projection():
         run = _stuffed_run(rng)
         # perturb one link so the instances are not all uniform
         run.links[(1, 2)].bandwidth = float(rng.integers(50, 20000))
-        req = UeRequest(id=0, qos=QosClass.URLLC, origin_upf=1, arrival_epoch=0)
-        _, _, projected = decide(run, req, assign_bestfit_upf_mec)
+        _, _, projected = decide(run, QosClass.URLLC, 1, assign_bestfit_upf_mec)
         _, _, value = pair_enumeration_optimum(*_oracle_inputs(run, QosClass.URLLC), run.delta)
         assert value <= projected.d_e2e + 1e-12

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from upfmec.delay import projected_delay
 from upfmec.engine import SimulationRun
-from upfmec.model import CostVector, QosClass, Scheme, UeRequest
+from upfmec.model import CostVector, QosClass, Scheme
 from upfmec.oracle import sequential_heuristic_batch
 from upfmec.schemes import (
     SCHEME_FUNCS,
@@ -25,17 +25,21 @@ def make_run(**kwargs) -> SimulationRun:
     return SimulationRun(make_scenario(**kwargs))
 
 
-def dummy(qos=QosClass.URLLC, origin=1) -> UeRequest:
-    return UeRequest(id=0, qos=qos, origin_upf=origin, arrival_epoch=0)
+def dummy(qos=QosClass.URLLC, origin=1):
+    """A request as a scheme sees it: (qos, origin_upf)."""
+    return qos, origin
+
+
+# occupancy fakes: a queue's price reads only its length, never its ids
 
 
 def stuff_upf(run: SimulationRun, upf_id: int, qos: QosClass, n: int) -> None:
-    run.upfs[upf_id - 1][qos].queue.extend(dummy(qos) for _ in range(n))
+    run.upfs[upf_id - 1][qos].queue.extend([0] * n)
     run.refresh_costs()
 
 
 def stuff_mec(run: SimulationRun, mec_id: int, n: int) -> None:
-    run.mecs[mec_id - 1].queue.extend(dummy() for _ in range(n))
+    run.mecs[mec_id - 1].queue.extend([0] * n)
     run.refresh_costs()
 
 
@@ -56,7 +60,7 @@ def first_choice(buckets) -> int:
 
 def test_tie_breaks_to_lowest_index():
     run = make_run(num_upfs=3)
-    assert assign_bestfit_upf_mec(dummy(origin=3), run) == (1, 1)
+    assert assign_bestfit_upf_mec(*dummy(origin=3), run) == (1, 1)
     assert run.upf_cost[QosClass.URLLC].prices[0] == run.delta
     assert first_choice([(0.0, 2.0, 2.0)] * 3) == 0
 
@@ -65,7 +69,7 @@ def test_empty_bucket_beats_saturated_peers():
     run = make_run(num_upfs=3)
     stuff_upf(run, 1, QosClass.URLLC, 5)
     stuff_upf(run, 3, QosClass.URLLC, 6)
-    upf_id, _ = assign_bestfit_upf_mec(dummy(origin=1), run)
+    upf_id, _ = assign_bestfit_upf_mec(*dummy(origin=1), run)
     assert upf_id == 2 and run.upf_cost[QosClass.URLLC].prices[1] == run.delta
     assert first_choice([(5.0, 0.0, 2.0), (0.0, 4.0, 4.0), (6.0, 0.0, 3.0)]) == 1
 
@@ -74,7 +78,7 @@ def test_singleton_is_always_chosen():
     run = make_run(num_upfs=1)
     stuff_upf(run, 1, QosClass.URLLC, 99)
     stuff_mec(run, 1, 99)
-    assert assign_bestfit_upf_mec(dummy(), run) == (1, 1)
+    assert assign_bestfit_upf_mec(*dummy(), run) == (1, 1)
     assert first_choice([(99.0, 0.0, 1.0)]) == 0
 
 
@@ -129,20 +133,20 @@ def test_mec_snapshot_counts_pending_commitments():
 
 def test_baseline_pins_to_origin():
     run = make_run(num_upfs=3, scheme=Scheme.BASELINE)
-    assert assign_baseline(dummy(origin=3), run) == (3, 3)
+    assert assign_baseline(*dummy(origin=3), run) == (3, 3)
 
 
 def test_baseline_ignores_load():
     run = make_run(num_upfs=3, scheme=Scheme.BASELINE)
     stuff_upf(run, 3, QosClass.URLLC, 50)
-    upf_id, _ = assign_baseline(dummy(origin=3), run)
+    upf_id, _ = assign_baseline(*dummy(origin=3), run)
     assert upf_id == 3
 
 
 def test_regular_requests_carry_no_mec():
     run = make_run(num_upfs=3)
     for fn in SCHEME_FUNCS.values():
-        _, mec_id, projected = decide(run, dummy(qos=QosClass.REGULAR, origin=2), fn)
+        _, mec_id, projected = decide(run, *dummy(qos=QosClass.REGULAR, origin=2), fn)
         assert mec_id is None
         assert projected.d_net == 0.0 and projected.d_mec == 0.0
         assert projected.d_e2e == projected.d_upf
@@ -151,13 +155,13 @@ def test_regular_requests_carry_no_mec():
 def test_no_pe_moves_upf_but_keeps_origin_mec():
     run = make_run(num_upfs=3)
     stuff_upf(run, 3, QosClass.URLLC, 20)
-    assert assign_bestfit_no_pe(dummy(origin=3), run) == (1, 3)
+    assert assign_bestfit_no_pe(*dummy(origin=3), run) == (1, 3)
 
 
 def test_pe_extends_path_to_co_located_mec():
     run = make_run(num_upfs=3)
     stuff_upf(run, 1, QosClass.URLLC, 20)
-    upf_id, mec_id = assign_bestfit_pe(dummy(origin=1), run)
+    upf_id, mec_id = assign_bestfit_pe(*dummy(origin=1), run)
     assert upf_id == 2
     assert mec_id == 2
 
@@ -167,31 +171,31 @@ def test_pe_requires_co_located_mec():
     stuff_upf(run, 1, QosClass.URLLC, 20)
     stuff_upf(run, 2, QosClass.URLLC, 20)
     with pytest.raises(ValueError):
-        assign_bestfit_pe(dummy(origin=1), run)
+        assign_bestfit_pe(*dummy(origin=1), run)
 
 
 def test_pair_scheme_chooses_both_tiers_independently():
     run = make_run(num_upfs=3)
-    assert assign_bestfit_upf_mec(dummy(origin=2), run) == (1, 1)
+    assert assign_bestfit_upf_mec(*dummy(origin=2), run) == (1, 1)
     stuff_upf(run, 1, QosClass.URLLC, 20)
     stuff_mec(run, 1, 30)
-    assert assign_bestfit_upf_mec(dummy(origin=2), run) == (2, 2)
+    assert assign_bestfit_upf_mec(*dummy(origin=2), run) == (2, 2)
 
 
 def test_pending_commitments_steer_later_decisions():
     run = make_run(num_upfs=2)
-    _, first_mec = assign_bestfit_upf_mec(dummy(), run)
+    _, first_mec = assign_bestfit_upf_mec(*dummy(), run)
     assert first_mec == 1
     # mirror the engine's bookkeeping for an admitted request still upstream
     run.mecs[0].pending = int(run.mecs[0].capacity)
     run.refresh_costs()
-    _, second_mec = assign_bestfit_upf_mec(dummy(), run)
+    _, second_mec = assign_bestfit_upf_mec(*dummy(), run)
     assert second_mec == 2
 
 
 def test_projection_composes_three_stages():
     run = make_run(num_upfs=2)
-    _, _, p = decide(run, dummy(origin=2), assign_bestfit_pe)
+    _, _, p = decide(run, *dummy(origin=2), assign_bestfit_pe)
     assert p.d_e2e == p.d_upf + p.d_net + p.d_mec
     assert p.d_upf >= run.delta and p.d_mec >= run.delta
 
@@ -201,8 +205,8 @@ def test_decisions_are_deterministic():
     for r in runs:
         stuff_upf(r, 2, QosClass.URLLC, 5)
         stuff_mec(r, 1, 4)
-    a = assign_bestfit_upf_mec(dummy(), runs[0])
-    b = assign_bestfit_upf_mec(dummy(), runs[1])
+    a = assign_bestfit_upf_mec(*dummy(), runs[0])
+    b = assign_bestfit_upf_mec(*dummy(), runs[1])
     assert a == b
 
 
@@ -214,8 +218,8 @@ def test_pair_scheme_dominates_pe_under_uniform_links():
             stuff_upf(run, uid, QosClass.URLLC, int(rng.integers(0, 12)))
             stuff_mec(run, uid, int(rng.integers(0, 12)))
         req = dummy(origin=int(rng.integers(1, 4)))
-        pair = decide(run, req, assign_bestfit_upf_mec)[2].d_e2e
-        pe = decide(run, req, assign_bestfit_pe)[2].d_e2e
+        pair = decide(run, *req, assign_bestfit_upf_mec)[2].d_e2e
+        pe = decide(run, *req, assign_bestfit_pe)[2].d_e2e
         assert pair <= pe + 1e-12
 
 
