@@ -84,9 +84,8 @@ def cmd_run(args) -> int:
     p = metrics.report_path(out, name, scheme, seed, "summary", "json")
     metrics.write_summary_json(report, p)
     paths.append(p)
-    e2e = np.concatenate(list(metrics.completed_e2e(run).values()))
     p = metrics.report_path(out, name, scheme, seed, "cdf", "csv")
-    metrics.write_cdf_csv(metrics.build_cdf(e2e), p)
+    metrics.write_cdf_csv(metrics.build_cdf(report.d_e2e), p)
     paths.append(p)
     if args.trace:
         p = metrics.report_path(out, name, scheme, seed, "trace", "csv")
@@ -120,6 +119,8 @@ def cmd_compare(args) -> int:
     if len(set(schemes)) != len(schemes):
         raise ValueError(f"--schemes names a scheme twice: {args.schemes!r}")
     seeds = _parse_int_list(args.seeds)
+    if args.drain_cap is not None and args.drain_cap < 0:
+        raise ValueError(f"--drain-cap must be >= 0, got {args.drain_cap}")
     out = args.out
     os.makedirs(out, exist_ok=True)
     rows = []
@@ -140,7 +141,7 @@ def cmd_compare(args) -> int:
             if d:
                 maxima.append(d.max)
                 means.append(d.mean)
-            pooled_e2e.extend(metrics.completed_e2e(run).values())
+            pooled_e2e.append(rep.d_e2e)
         cdf_path = metrics.report_path(out, scenario.name, scheme, "pooled", "cdf", "csv")
         metrics.write_cdf_csv(metrics.build_cdf(np.concatenate(pooled_e2e)), cdf_path)
         agg[scheme] = {
@@ -178,9 +179,11 @@ def cmd_capex(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     pairs = _parse_int_list(args.pairs)
     seeds = _parse_int_list(args.seeds)
+    # the sweep checks the pair counts and the scenario before any run, and
+    # writes nothing: a usage error leaves no output directory
+    points = metrics.capex_sweep(scenario, pairs, seeds)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    points = metrics.capex_sweep(scenario, pairs, seeds)
     csv_path = f"{out}/{scenario.name}.capex.csv"
     metrics.write_capex_csv(points, csv_path)
     print(f"wrote {csv_path}")

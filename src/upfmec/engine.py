@@ -19,11 +19,19 @@ a scheme chooses from ``(qos, origin_upf, run)``.  Each stage pops ids and
 stamps their columns in one loop; no per-request object is built.
 ``run.requests`` reads the columns as ``RequestRow`` tuples when asked.
 
-A link keeps only its sharer count.  The ids in transit sit in a delivery
-calendar keyed by due epoch, each epoch's entries grouped by link in
-entry order.  The link phase of an epoch takes that epoch's entries and
-delivers them in link-key order, then entry order on each link, which is
-the order in which a capped MEC fills and drops.
+A link keeps its sharer count and a transit table: entry n holds the
+``d_net`` and the whole transit epochs of a transfer entering as the n-th
+sharer, computed by ``transit_entry`` the first time n is reached.  Both
+depend only on n and on values fixed for the run, so a link entry is a
+count increment and one table read.  Links are addressed by integers:
+link (i, j) of M MECs has the index (i - 1) * M + (j - 1), which sorts as
+the key (i, j) does, and each UPF's service slots carry its row of links,
+indexed by MEC id.  ``run.links`` keeps the same ``Link`` objects keyed
+(i, j) for readers outside the engine.  The ids in transit sit in a
+delivery calendar keyed by due epoch, each epoch's entries grouped by
+link index in entry order.  The link phase of an epoch takes that
+epoch's entries and delivers them in link-index order, then entry order
+on each link, which is the order in which a capped MEC fills and drops.
 
 The run keeps the cost vectors the schemes read, each a
 ``model.CostVector``: ``upf_cost[q].prices[i]`` is the price of UPF i+1's
@@ -57,9 +65,10 @@ per request.  When the run is built, ``validate_scenario`` checks the
 epoch length and both arrival distributions, the run builds the origin
 and QoS-class CDFs each epoch draws from (``arrival_cdfs``), and each
 ``ServiceQueue`` checks its capacity.  Every call still
-checks what changes: a price its queue length, ``net_delay`` the link's
-sharers (counted after the entering request joins), ``transit_epochs``
-the transfer delay and ``serve`` the count it serves.  Each stage checks
+checks what changes: a price its queue length and ``serve`` the count it
+serves.  ``net_delay`` checks the link's sharers (counted after the
+entering request joins) and ``transit_epochs`` the transfer delay once per
+transit table entry, when the entry is made.  Each stage checks
 that an id it pops has the status of that stage, so status only moves
 forward, and raises ``InvariantError`` otherwise.
 
@@ -167,6 +176,28 @@ def generate_arrivals(
     origins = (origin_cdf.searchsorted(rng.random(count), side="right") + 1).tolist()
     classes = class_cdf.searchsorted(rng.random(count), side="right").tolist()
     return origins, list(map(_QOS_LIST.__getitem__, classes))
+
+
+def transit_entry(link: Link, sharers: int, delta: float) -> Tuple[float, int]:
+    """``(d_net, transit epochs)`` of a transfer entering ``link`` as its ``sharers``-th.
+
+    The entry is read from the link's transit table, which this first
+    extends through ``sharers``: each new entry n is ``net_delay`` on n
+    sharers and ``transit_epochs`` of that delay, so each is checked once,
+    when it is made.  Both depend only on n, the link's bandwidth and bytes
+    and the run's epoch length ``delta``, which do not change once a
+    transfer has entered.  Entry 0, an empty link, is a placeholder that
+    no transfer reads.
+    """
+    if sharers < 1:
+        raise ValueError(f"a transfer entering a link makes >= 1 sharers, got {sharers}")
+    table = link.transit
+    if not table:
+        link.transit = table = [None]
+    for n in range(len(table), sharers + 1):
+        d_net = net_delay(n, link.bytes_per_ue, link.bandwidth)
+        table.append((d_net, transit_epochs(d_net, delta)))
+    return table[sharers]
 
 
 class RequestRow(NamedTuple):
@@ -336,16 +367,25 @@ class SimulationRun:
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
         self.upfs = [_build_upf(u, scenario) for u in scenario.upfs]
         self.mecs = [_build_mec(m, scenario) for m in scenario.mecs]
+        # each link keyed (i, j), and in its UPF's row, indexed by MEC id
+        # (entry 0 is unused)
         self.links: Dict[Tuple[int, int], Link] = {}
+        self._link_rows: List[List[Optional[Link]]] = []
         for i in range(1, scenario.num_upfs + 1):
+            row: List[Optional[Link]] = [None]
             for j, mec in enumerate(scenario.mecs, 1):
                 # Mbps -> bits per ms
                 bw = scenario.link_bandwidth_mbps[i - 1][j - 1] * 1e3
-                self.links[(i, j)] = Link(bandwidth=bw, bytes_per_ue=mec.bytes_per_ue)
-        # the delivery calendar: due epoch -> link key -> the ids on that link
-        # due then, in link-entry order; requests enter links only in the UPF
-        # service loop of step_epoch
-        self._calendar: Dict[int, Dict[Tuple[int, int], List[int]]] = defaultdict(dict)
+                self.links[(i, j)] = link = Link(bandwidth=bw, bytes_per_ue=mec.bytes_per_ue)
+                row.append(link)
+            self._link_rows.append(row)
+        # the links in key order, so that link (i, j) has the index
+        # (i - 1) * M + (j - 1): indices sort as the keys do
+        self._link_list = list(self.links.values())
+        # the delivery calendar: due epoch -> link index -> the ids on that
+        # link due then, in link-entry order; requests enter links only in the
+        # UPF service loop of step_epoch
+        self._calendar: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
         self.epoch = 0
         if drain_cap is not None:
             self.drain_cap = drain_cap
@@ -376,11 +416,15 @@ class SimulationRun:
         }
         self.mec_cost = CostVector([m.price(self.delta) for m in self.mecs])
         # UPF buckets in service order (UPF-major, class-minor), each with
-        # the cost vector entry that prices it, its UPF's id and whether its
-        # class goes on to a MEC; link-entry order sets link sharing and MEC
-        # FCFS order
-        self._upf_slots: List[Tuple[ServiceQueue, CostVector, int, int, bool]] = [
-            (u[q], self.upf_cost[q], i, i + 1, q.uses_mec)
+        # the cost vector entry that prices it, its UPF's row of links (None
+        # for a class that ends at the UPF) and the base that a MEC id turns
+        # into a link index; link-entry order sets link sharing and MEC FCFS
+        # order
+        self._upf_slots: List[
+            Tuple[ServiceQueue, CostVector, int, Optional[List[Optional[Link]]], int]
+        ] = [
+            (u[q], self.upf_cost[q], i, self._link_rows[i] if q.uses_mec else None,
+             i * len(self.mecs) - 1)
             for i, u in enumerate(self.upfs)
             for q in QosClass
         ]
@@ -451,7 +495,7 @@ class SimulationRun:
         assigned_upf, assigned_mec = self.assigned_upf, self.assigned_mec
         delta = self.delta
         assign = self._assign
-        upfs, mecs, links = self.upfs, self.mecs, self.links
+        upfs, mecs, link_rows = self.upfs, self.mecs, self._link_rows
         upf_cost, mec_cost = self.upf_cost, self.mec_cost
         mec_prices = mec_cost.prices
         pc_upf, n_share, pc_mec = self.pc_upf, self.n_share, self.pc_mec
@@ -465,7 +509,7 @@ class SimulationRun:
             pc_upf[rid] = cost.prices[upf_id - 1]
             if mec_id is not None:
                 assigned_mec[rid] = mec_id
-                n_share[rid] = links[(upf_id, mec_id)].sharers
+                n_share[rid] = link_rows[upf_id - 1][mec_id].sharers
                 pc_mec[rid] = mec_prices[mec_id - 1]
             bucket = upfs[upf_id - 1][qos]
             if bucket.full():
@@ -491,7 +535,7 @@ class SimulationRun:
         mec_due_epoch, calendar = self.mec_due_epoch, self._calendar
         d_upf, d_net, d_mec, d_e2e = self.d_upf, self.d_net, self.d_mec, self.d_e2e
         completed_now = served_upf = 0
-        for bucket, cost, idx, upf_id, to_mec in self._upf_slots:
+        for bucket, cost, idx, row, base in self._upf_slots:
             queue = bucket.queue
             if not queue:
                 continue
@@ -503,19 +547,24 @@ class SimulationRun:
                     raise _stage_error(rid, status[rid], _IN_UPF_QUEUE)
                 upf_serve_epoch[rid] = epoch
                 d_upf[rid] = du = (epoch + 1 - arrival_epoch[rid]) * delta
-                if to_mec:
-                    key = (upf_id, assigned_mec[rid])
-                    link = links[key]
+                if row is not None:
+                    mec_id = assigned_mec[rid]
+                    link = row[mec_id]
                     # the entering request shares the link with everything
                     # already on it: its sharers are counted after it joins
                     link.sharers = sharers = link.sharers + 1
-                    d_net[rid] = dn = net_delay(sharers, link.bytes_per_ue, link.bandwidth)
-                    mec_due_epoch[rid] = due = epoch + transit_epochs(dn, delta)
+                    table = link.transit
+                    d_net[rid], transit = (
+                        table[sharers] if sharers < len(table)
+                        else transit_entry(link, sharers, delta)
+                    )
+                    mec_due_epoch[rid] = due = epoch + transit
                     status[rid] = _IN_TRANSIT
                     day = calendar[due]
-                    on_link = day.get(key)
+                    k = base + mec_id
+                    on_link = day.get(k)
                     if on_link is None:
-                        day[key] = [rid]
+                        day[k] = [rid]
                     else:
                         on_link.append(rid)
                 else:
@@ -524,17 +573,19 @@ class SimulationRun:
                     status[rid] = _COMPLETED
             cost.set(idx, bucket.price(delta))
             served_upf += n
-            if not to_mec:
+            if row is None:
                 completed_now += n
 
         # a transfer reaches its MEC exactly at its due epoch; deliveries go
-        # in link-key order, and in entry order on each link
+        # in link-index order, which is link-key order, and in entry order on
+        # each link
         day = calendar.pop(epoch, None)
         if day is not None:
-            for key in sorted(day):
-                rids = day[key]
-                links[key].sharers -= len(rids)
-                mec = mecs[key[1] - 1]
+            link_list, num_mecs = self._link_list, len(mecs)
+            for k in sorted(day):
+                rids = day[k]
+                link_list[k].sharers -= len(rids)
+                mec = mecs[k % num_mecs]
                 mec.pending -= len(rids)
                 for rid in rids:
                     if status[rid] is not _IN_TRANSIT:

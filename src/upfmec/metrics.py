@@ -77,6 +77,9 @@ class SummaryReport:
     e2e_per_qos: Dict[QosClass, DistSummary] = field(default_factory=dict)
     peak_upf_queue: int = 0
     peak_mec_queue: int = 0
+    # the completed requests' end-to-end delays in id order, which the CDF
+    # reports read; not a statistic, so not compared, printed or serialized
+    d_e2e: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False, repr=False)
 
 
 def percentile_nearest_rank(sorted_samples: Sequence[float], p: float) -> float:
@@ -193,6 +196,7 @@ def summarize(run: SimulationRun) -> SummaryReport:
             report.e2e_per_qos[q] = _dist(sample)
     if c.d_e2e.size:
         report.e2e_overall = _dist(c.d_e2e)
+    report.d_e2e = c.d_e2e
     epochs = run.epoch_reports
     report.peak_upf_queue = max((max(e.upf_queues) for e in epochs), default=0)
     report.peak_mec_queue = max((max(e.mec_queues) for e in epochs), default=0)
@@ -200,7 +204,11 @@ def summarize(run: SimulationRun) -> SummaryReport:
 
 
 def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
-    """End-to-end delays of the completed requests by QoS class, each in id order."""
+    """End-to-end delays of the completed requests by QoS class, each in id order.
+
+    For a run that is not summarized; ``summarize`` keeps all of them, in
+    id order, as ``SummaryReport.d_e2e``.
+    """
     done, k = _done(run)
     qos = _codes(run, done, k)
     d_e2e = np.fromiter(compress(run.d_e2e, done), float, k)

@@ -18,7 +18,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import yaml
 
@@ -245,12 +245,18 @@ class Link:
 
     Bandwidth is in bits per ms.  Every transfer on it carries its MEC's
     ``bytes_per_ue``; ``sharers`` counts the transfers on it now, which the
-    run's delivery calendar holds.
+    run's delivery calendar holds.  ``transit`` is the link's transit
+    table: entry n is ``(d_net, transit epochs)`` of a transfer that enters
+    as the n-th sharer, made by ``engine.transit_entry`` when n is first
+    reached, so the table stays empty on a link that carries no transfer.
+    Bandwidth and bytes are fixed once a transfer has entered: the table
+    was computed from them.
     """
 
     bandwidth: float
     bytes_per_ue: float
     sharers: int = 0
+    transit: Sequence[Optional[Tuple[float, int]]] = ()
 
 
 # ---------------------------------------------------------------- validation

@@ -289,6 +289,7 @@ def test_capex_rejects_a_malformed_base_before_scaling_it(tmp_path, capsys, brea
         ["compare", "--schemes", "baseline,baseline", "--seeds", "1"],
         ["compare", "--seeds", "1,1"],
         ["capex", "--scenario", "metro", "--pairs", "1-3,2"],
+        ["compare", "--seeds", "1", "--drain-cap", "-5"],
     ],
 )
 def test_malformed_lists_are_usage_errors(tmp_path, capsys, argv):
@@ -299,8 +300,7 @@ def test_malformed_lists_are_usage_errors(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("upfmec: error: ")
     assert "Traceback" not in err
-    # no output file; capex makes the directory before it scales the base
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_compare_rejects_unknown_scheme(tmp_path, capsys):

@@ -307,6 +307,31 @@ def test_deliveries_go_in_link_key_order_then_entry_order(monkeypatch):
     assert run.completed == 3
 
 
+@pytest.mark.parametrize("delta", [0.37, 0.5, 1.0, 2.0])
+def test_transit_tables_equal_fresh_transit_calls(delta):
+    rng = np.random.default_rng(int(delta * 100))
+    s = make_scenario(num_upfs=2, num_mecs=3, scheme=Scheme.BESTFIT_UPF_MEC, delta=delta)
+    for m in s.mecs:
+        m.bytes_per_ue = float(rng.uniform(64.0, 9000.0))
+    s.link_bandwidth_mbps = [[float(rng.uniform(1.0, 500.0)) for _ in range(3)] for _ in range(2)]
+    run = SimulationRun(s)
+    # a link that carries no transfer has no table
+    assert all(link.transit == () for link in run.links.values())
+    top = 12
+    for link in run.links.values():
+        # entries made in an arbitrary order of first use, the first at 5 sharers
+        order = [5, *(int(n) for n in rng.permutation([n for n in range(1, top + 1) if n != 5]))]
+        for n in order:
+            d = net_delay(n, link.bytes_per_ue, link.bandwidth)
+            assert engine.transit_entry(link, n, delta) == (d, transit_epochs(d, delta))
+    for link in run.links.values():
+        for n in range(1, top + 1):
+            d = net_delay(n, link.bytes_per_ue, link.bandwidth)
+            assert link.transit[n] == (d, transit_epochs(d, delta))
+    with pytest.raises(ValueError, match=">= 1 sharers"):
+        engine.transit_entry(run.links[(1, 1)], 0, delta)
+
+
 def test_horizon_zero_is_an_empty_run():
     res = run_to_completion(make_scenario(lam=5.0, horizon=0))
     assert res.generated == 0 and res.epoch == 0 and not res.truncated
@@ -490,8 +515,8 @@ def _check_idle_credit_at_every_epoch(run: SimulationRun) -> list:
 
 
 @settings(max_examples=50, deadline=None)
-@given(base=small_scenarios())
-def test_invariants_hold_on_random_scenarios(base):
+@given(base=small_scenarios(), cap=st.integers(0, 3))
+def test_invariants_hold_on_random_scenarios(base, cap):
     delta = base.delta_ms
     shares = []
 
@@ -542,28 +567,42 @@ def test_invariants_hold_on_random_scenarios(base):
         _assert_reports_within_caps(run)
         _assert_little_identities(run)
 
+        # a drain cap that stops the run with requests in queues and on links
+        truncated = run_to_completion(replace(base, scheme=scheme), drain_cap=cap)
+        _assert_little_identities(truncated)
+
 
 def _assert_little_identities(run: SimulationRun) -> None:
     """Exact sample-path Little's law for each UPF bucket, each MEC and the links together.
 
-    Over a fully drained run, the sum over epochs of a queue's reported
-    end-of-epoch length equals the sum of the epochs its requests spent
-    in it: d_upf / delta - 1 for a request a UPF bucket served, d_mec /
-    delta - 1 for one a MEC served, and mec_due_epoch - upf_serve_epoch
-    for one that crossed a link (dropped at the MEC's door or not).  The
-    residences come from the run's columns, the lengths from its epoch
-    reports, two records kept apart.
+    The sum over epochs of a queue's reported end-of-epoch length equals
+    the sum of the epochs its requests spent in it: d_upf / delta - 1 for
+    a request a UPF bucket served, d_mec / delta - 1 for one a MEC served,
+    and mec_due_epoch - upf_serve_epoch for one that crossed a link
+    (dropped at the MEC's door or not).  A run the drain cap stopped holds
+    requests that have not left: one still in a UPF queue counts
+    epoch - arrival_epoch, one still on a link epoch - upf_serve_epoch and
+    one still in a MEC queue epoch - mec_due_epoch.  The residences come
+    from the run's columns, the lengths from its epoch reports, two
+    records kept apart.
     """
-    delta = run.delta
+    delta, end = run.delta, run.epoch
     upf_res, mec_res, link_res = Counter(), Counter(), 0
     for rid, serve in enumerate(run.upf_serve_epoch):
+        status = run.status[rid]
         if serve is None:
+            if status is RequestStatus.IN_UPF_QUEUE:
+                upf_res[(run.assigned_upf[rid], run.qos[rid])] += end - run.arrival_epoch[rid]
             continue
         upf_res[(run.assigned_upf[rid], run.qos[rid])] += round(run.d_upf[rid] / delta) - 1
         due = run.mec_due_epoch[rid]
-        if due is not None:
+        if status is RequestStatus.IN_TRANSIT:
+            link_res += end - serve
+        elif due is not None:
             link_res += due - serve
-        if run.status[rid] is RequestStatus.COMPLETED and run.assigned_mec[rid] is not None:
+        if status is RequestStatus.IN_MEC_QUEUE:
+            mec_res[run.assigned_mec[rid]] += end - due
+        elif status is RequestStatus.COMPLETED and run.assigned_mec[rid] is not None:
             mec_res[run.assigned_mec[rid]] += round(run.d_mec[rid] / delta) - 1
     reports = run.epoch_reports
     # the report's class order, defined here rather than read from the engine
