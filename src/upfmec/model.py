@@ -9,15 +9,28 @@ by epoch is one ServiceQueue per UPF bucket and per MEC, so one admission
 test, one service law and one price cover both tiers.
 
 Scenario files are single YAML documents.  ``load_scenario`` and
-``save_scenario`` round-trip a Scenario losslessly.
+``save_scenario`` round-trip a Scenario losslessly.  One table per record
+type (``_SCENARIO``, ``_TRAFFIC``, ``_UPF``, ``_MEC``) lists its fields in
+document order, each with its document key, kind and violation messages;
+``scenario_from_dict``, ``validate_scenario`` and ``scenario_to_dict`` all
+walk those tables, and the few rules that join fields follow in
+``validate_scenario``.  Defaults live on the dataclasses and are read
+through ``dataclasses.fields``; a table gives one only for a key the
+dataclass declares none for (``seed``, ``scheme``, ``qos_mix`` and a missing
+bandwidth matrix).  Reading keeps a value of the wrong type or shape for
+validation to name, and refuses only a missing required key.  Validation
+runs when a run is built, not at load time, since ``run --scheme`` replaces
+the scheme after the load.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import yaml
@@ -259,9 +272,14 @@ class Link:
     transit: Sequence[Optional[Tuple[float, int]]] = ()
 
 
-# ---------------------------------------------------------------- validation
+# ---------------------------------------------------------------- scenario schema
+#
+# A table entry is a field kind: it reads its field from a document and
+# names the messages its value violates.  _Schema walks a table to read,
+# check or write a record.
 
-_SUM_TOL = 1e-9
+_QOS_BY_NAME = {q.value: q for q in QosClass}
+_QOS_SET = frozenset(QosClass)
 
 
 def _number(x) -> bool:
@@ -284,135 +302,303 @@ def _integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _ids_in_order(ids: list) -> bool:
-    """ids are the ints 1..len(ids) in order ([1.0] == [1], so check types too)."""
-    return all(_integer(i) for i in ids) and ids == list(range(1, len(ids) + 1))
-
-
 def _whole(x) -> bool:
     """x is a finite whole number >= 1, as a queue capacity must be."""
     return _number(x) and 1 <= x < math.inf and x == math.floor(x)
 
 
-def _covers_qos(m) -> bool:
-    """m is a map with exactly the four QoS classes as keys; a scalar is not."""
-    return isinstance(m, dict) and set(m) == set(QosClass)
+def _listed(v):
+    """A list, string or map as a list (validation refuses characters and keys), else v."""
+    return list(v) if isinstance(v, (list, str, dict)) else v
 
 
-def _check_dist(values: List[float], what: str, out: List[str]) -> None:
-    if not all(_non_negative(v) for v in values):
-        out.append(f"{what} has negative, non-finite or non-numeric entries")
-        if not all(_number(v) for v in values):
-            return
-    total = sum(values)
-    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
-        out.append(f"{what} sums to {total:g}, expected 1.0")
+class _Value:
+    """A field holding a plain value that must pass ``ok``, else message ``bad``.
+
+    ``key`` is the dotted document path where it differs from ``attr``;
+    ``default`` serves a field whose dataclass declares none.  Messages are
+    templates given the label ``f``, the value ``v``, the scenario ``s`` and
+    the problem's arguments.  A kind with entries checks each with ``ok``
+    (message ``bad``, {bad} naming those that fail) and a sum of numbers
+    with ``total`` (message ``sum``, {total}).
+    """
+
+    def __init__(self, attr, ok=None, total=None, key=None, default=MISSING, **messages):
+        self.attr, self.ok, self.total, self.messages = attr, ok, total, messages
+        self.path = (key or attr).split(".")
+        self.default, self.optional = default, False  # bound by _Schema
+
+    def read(self, v, doc, where):
+        """The value held for document value v; MISSING stands for the default."""
+        return v
+
+    def problems(self, v, s):
+        """(message name, format arguments) of each violation of v."""
+        return () if self.ok(v) else (("bad", {}),)
+
+    def entries(self, values, names):
+        """Problems of the entries values, named by names: each passes ok, their sum total."""
+        out = []
+        if not all(map(self.ok, values)):
+            bad = [str(n) for n, x in zip(names, values) if not self.ok(x)]
+            out.append(("bad", {"bad": ", ".join(bad)}))
+        if self.total and all(map(_number, values)) and not self.total(sum(values)):
+            out.append(("sum", {"total": sum(values)}))
+        return out
+
+
+class _Choice(_Value):
+    """One of the values of the map ``ok``, read from its name; else message ``bad`` ({names})."""
+
+    def read(self, v, doc, where):
+        return self.ok.get(v, v) if isinstance(v, str) else v
+
+    def problems(self, v, s):
+        return () if v in self.ok.values() else (("bad", {"names": "|".join(self.ok)}),)
+
+
+class _QosMap(_Value):
+    """Entries keyed by QoS class, all four or, if ``some``, any of them; a null
+    reads as the default.  Another shape is message ``shape``."""
+
+    def __init__(self, attr, ok, total=None, some=False, **kwargs):
+        super().__init__(attr, ok, total, **kwargs)
+        self.some = some
+
+    def read(self, v, doc, where):
+        if v is None:
+            return MISSING
+        return {_QOS_BY_NAME.get(k, k): x for k, x in v.items()} if isinstance(v, dict) else v
+
+    def problems(self, v, s):
+        if not isinstance(v, dict) or not (
+            v.keys() <= _QOS_SET if self.some else v.keys() == _QOS_SET
+        ):
+            return (("shape", {}),)
+        if self.total is None and all(map(self.ok, v.values())):
+            return ()
+        present = [q for q in QosClass if q in v]
+        return self.entries([v[q] for q in present], [q.value for q in present])
+
+
+class _PerUpf(_Value):
+    """A list of one entry per UPF: message ``shape`` if not a list, ``length`` ({n})."""
+
+    def read(self, v, doc, where):
+        return _listed(v)
+
+    def problems(self, v, s):
+        if not isinstance(v, list):
+            return (("shape", {}),)
+        if len(v) != s.num_upfs:
+            return (("length", {"n": len(v)}),)
+        return self.entries(v, range(len(v)))
+
+
+class _UpfByMec(_Value):
+    """A row per UPF of one entry per MEC, each > 0 and finite; a flat list is
+    every UPF's row.  Another shape is message ``shape``."""
+
+    def read(self, v, doc, where):
+        rows, n = _listed(v), doc.get("num_upfs")
+        if isinstance(rows, list) and rows and not isinstance(rows[0], list) and isinstance(n, int):
+            return [list(rows) for _ in range(n)]
+        return rows
+
+    def problems(self, v, s):
+        if not isinstance(v, list) or len(v) != s.num_upfs or any(
+            not isinstance(row, list) or len(row) != s.num_mecs for row in v
+        ):
+            return (("shape", {}),)
+        entries = list(chain.from_iterable(v))
+        # all(map(_positive, entries)) at C speed when every entry is an exact int or float
+        if set(map(type, entries)) <= {int, float}:
+            ok = all(map((0.0).__lt__, entries)) and all(map(math.inf.__gt__, entries))
+        else:
+            ok = all(map(_positive, entries))
+        return () if ok else (("bad", {}),)
+
+
+class _Records(_Value):
+    """Records of ``schema``: one map or, with ``count``, a list whose ids run
+    1..s.<count> in order, else message ``shape``.  A value that is not a map
+    is kept as read.  Record fields are labelled ``label.format(record)``."""
+
+    def __init__(self, attr, schema, label, count=None, **messages):
+        super().__init__(attr, **messages)
+        self.schema, self.label, self.count = schema, label, count
+
+    def read(self, v, doc, where):
+        if self.count is None:
+            return self.schema.read(v, where + ".") if isinstance(v, dict) else v
+        rows = _listed(v)
+        if not isinstance(rows, list):
+            return rows
+        read = self.schema.read
+        return [read(x, f"{where}[{i}].") if isinstance(x, dict) else x for i, x in enumerate(rows)]
+
+    def problems(self, v, s):
+        if self.count is None:
+            return () if isinstance(v, self.schema.cls) else (("shape", {}),)
+        ids = [getattr(x, "id", None) for x in v] if isinstance(v, list) else None
+        ok = ids is not None and len(ids) == getattr(s, self.count) and all(map(_integer, ids))
+        return () if ok and ids == list(range(1, len(ids) + 1)) else (("shape", {}),)
+
+    def records(self, v):
+        """The records in v, whose own fields are checked next."""
+        rows = v if self.count is not None and isinstance(v, list) else [v]
+        return [x for x in rows if isinstance(x, self.schema.cls)]
+
+
+class _Schema:
+    """The table of one dataclass's fields, bound to the defaults the dataclass declares."""
+
+    def __init__(self, cls, *table: _Value) -> None:
+        self.cls, self.table = cls, table
+        declared = {f.name: f for f in fields(cls)}
+        for fd in table:
+            spec = declared[fd.attr]
+            fd.optional = spec.default is None
+            if fd.default is MISSING:
+                factory = spec.default_factory
+                fd.default = spec.default if factory is MISSING else factory()
+
+    def read(self, doc: dict, where: str):
+        """The record a document map describes; a required key it lacks is a ScenarioError."""
+        values = {}
+        for fd in self.table:
+            v = doc
+            for key in fd.path:
+                v = v.get(key, MISSING) if isinstance(v, dict) else MISSING
+            if v is not MISSING:
+                v = fd.read(v, doc, where + fd.attr)
+            if v is MISSING and fd.default is MISSING:
+                raise ScenarioError(f"{where}{'.'.join(fd.path)} is missing")
+            values[fd.attr] = copy.deepcopy(fd.default) if v is MISSING else v
+        return self.cls(**values)
+
+    def check(self, obj, s, prefix: str, out: List[str]) -> None:
+        """Append the violations of obj's fields to out, labelled behind prefix."""
+        for fd in self.table:
+            v = getattr(obj, fd.attr)
+            if v is None and fd.optional:
+                continue
+            for name, args in fd.problems(v, s):
+                out.append(fd.messages[name].format(f=prefix + fd.attr, v=v, s=s, **args))
+            if isinstance(fd, _Records):
+                for r in fd.records(v):
+                    fd.schema.check(r, s, fd.label.format(r), out)
+
+    def write(self, obj) -> dict:
+        """The document map of obj; fields holding None are left out."""
+        doc: dict = {}
+        for fd in self.table:
+            v = getattr(obj, fd.attr)
+            if v is not None:
+                node = doc
+                for key in fd.path[:-1]:
+                    node = node.setdefault(key, {})
+                node[fd.path[-1]] = _plain(v)
+        return doc
+
+
+def _plain(v):
+    """v as a document holds it: records as maps, QoS classes and schemes by name."""
+    if isinstance(v, list):
+        return [_plain(x) for x in v]
+    if isinstance(v, dict):
+        return {q.value: v[q] for q in QosClass if q in v}
+    if isinstance(v, enum.Enum):
+        return v.value
+    return _SCHEMAS[type(v)].write(v) if type(v) in _SCHEMAS else v
+
+
+def _sums_to_one(total) -> bool:
+    """A sum of shares is 1 to within 1e-6."""
+    return math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6)
+
+
+def _int_from(k: int):
+    """The test for an int >= k."""
+    return lambda x: _integer(x) and x >= k
+
+
+_UNKNOWN = "{f} {v!r} unknown ({names})"
+_POSITIVE = "{f} must be > 0 and finite"
+_COVER = "{f} must cover all four QoS classes"
+_SHARES = {"bad": "{f} has negative, non-finite or non-numeric entries",
+           "sum": "{f} sums to {total:g}, expected 1.0"}
+_TRAFFIC = _Schema(
+    TrafficSpec,
+    _Value("mean_arrivals_per_epoch", _non_negative, bad="{f} must be >= 0 and finite"),
+    _Choice("process", {"poisson": "poisson", "deterministic": "deterministic"}, bad=_UNKNOWN),
+    _PerUpf("skew", _non_negative, _sums_to_one, **_SHARES,
+            shape="{f} must be a list of one share per UPF",
+            length="{f} has {n} entries, expected num_upfs={s.num_upfs}"),
+    _QosMap("qos_mix", _non_negative, _sums_to_one, default={q: 0.25 for q in QosClass},
+            shape="{f} must cover exactly the four QoS classes", **_SHARES),
+)
+_UPF = _Schema(
+    UpfSpec,
+    _Value("id", lambda v: True),  # the list of UPFs checks the ids
+    _Value("bytes_per_ue", _positive, bad=_POSITIVE),
+    _QosMap("capacity", _positive, shape=_COVER, bad="{f} entries must be > 0 and finite"),
+    _Value("etpb", _positive, bad=_POSITIVE),
+    _QosMap("alpha", lambda x: _positive(x) and x <= 1.0, lambda t: t <= 1.0 + 1e-9,
+            shape=_COVER, bad="{f} entries out of (0, 1]: {bad}",
+            sum="{f} sums to {total:g}, expected <= 1.0"),
+    _QosMap("queue_cap", _whole, shape=_COVER, bad="{f} entries must be whole numbers >= 1"),
+)
+_MEC = _Schema(
+    MecSpec,
+    _Value("id", lambda v: True),  # the list of MECs checks the ids
+    _Value("bytes_per_ue", _positive, bad=_POSITIVE),
+    _Value("capacity", _positive, bad=_POSITIVE),
+    _Value("etpb", _positive, bad=_POSITIVE),
+    _Value("queue_cap", _whole, bad="{f} must be a whole number >= 1"),
+)
+_UPFS = _Records("upfs", _UPF, "upf {.id}: ", "num_upfs",
+                 shape="{f} must carry ids 1..num_upfs in order")
+_MECS = _Records("mecs", _MEC, "mec {.id}: ", "num_mecs",
+                 shape="{f} must carry ids 1..num_mecs in order")
+_SCENARIO = _Schema(
+    Scenario,
+    # the name stems the output files, which must stay inside --out
+    _Value("name", lambda v: isinstance(v, str) and v not in ("", ".", "..") and "/" not in v,
+           bad="{f} must be a non-empty string without '/', and not '.' or '..'"),
+    _Value("num_upfs", _int_from(1), bad="{f} must be an integer >= 1"),
+    _Value("num_mecs", _int_from(1), bad="{f} must be an integer >= 1"),
+    _Value("delta_ms", _positive, bad=_POSITIVE),
+    _Value("horizon_epochs", _int_from(0), bad="{f} must be an integer >= 0"),
+    _Value("seed", _int_from(0), default=0, bad="{f} must be an integer >= 0"),
+    _Choice("scheme", {m.value: m for m in Scheme}, default=Scheme.BASELINE, bad=_UNKNOWN),
+    _Value("headroom_factor", _positive, bad=_POSITIVE),
+    _Value("drain_cap_epochs", _int_from(0), bad="{f} must be an integer >= 0"),
+    _Records("traffic", _TRAFFIC, "traffic.", shape="{f} must be a map of the arrival law"),
+    _QosMap("thresholds_ms", _positive, some=True, bad="{f}[{bad}] must be > 0 and finite",
+            shape="{f} must be a map of QoS classes to thresholds"),
+    _UPFS,
+    _MECS,
+    _UpfByMec("link_bandwidth_mbps", key="links.bandwidth_mbps", default=None,
+              shape="{f} must be a {s.num_upfs}x{s.num_mecs} matrix (row per UPF, column per MEC)",
+              bad="link bandwidths must be > 0 and finite"),
+)
+_SCHEMAS = {schema.cls: schema for schema in (_TRAFFIC, _UPF, _MEC, _SCENARIO)}
 
 
 def validate_scenario(s: Scenario) -> List[str]:
-    """Return the full list of violated invariants; empty means valid."""
+    """Return the full list of violated invariants; empty means valid.
+
+    The tables give each field's own rules; the rules that join fields follow.
+    """
     v: List[str] = []
-    if not _integer(s.num_upfs) or s.num_upfs < 1:
-        v.append("num_upfs must be an integer >= 1")
-    if not _integer(s.num_mecs) or s.num_mecs < 1:
-        v.append("num_mecs must be an integer >= 1")
-    if not _positive(s.delta_ms):
-        v.append("delta_ms must be > 0 and finite")
-    if not _integer(s.horizon_epochs) or s.horizon_epochs < 0:
-        v.append("horizon_epochs must be an integer >= 0")
-    if not _integer(s.seed) or s.seed < 0:
-        v.append("seed must be an integer >= 0")
-    if not _positive(s.headroom_factor):
-        v.append("headroom_factor must be > 0 and finite")
-    if s.drain_cap_epochs is not None and (
-        not _integer(s.drain_cap_epochs) or s.drain_cap_epochs < 0
-    ):
-        v.append("drain_cap_epochs must be an integer >= 0")
-
-    t = s.traffic
-    if not isinstance(t, TrafficSpec):
-        v.append("traffic must be a map of the arrival law")
-    else:
-        if not _non_negative(t.mean_arrivals_per_epoch):
-            v.append("traffic.mean_arrivals_per_epoch must be >= 0 and finite")
-        if t.process not in ("poisson", "deterministic"):
-            v.append(f"traffic.process {t.process!r} unknown (poisson|deterministic)")
-        if len(t.skew) != s.num_upfs:
-            v.append(f"traffic.skew has {len(t.skew)} entries, expected num_upfs={s.num_upfs}")
-        else:
-            _check_dist(t.skew, "traffic.skew", v)
-        if not _covers_qos(t.qos_mix):
-            v.append("traffic.qos_mix must cover exactly the four QoS classes")
-        else:
-            _check_dist([t.qos_mix[q] for q in QosClass], "traffic.qos_mix", v)
-
-    if len(s.upfs) != s.num_upfs or not _ids_in_order([u.id for u in s.upfs]):
-        v.append("upfs must carry ids 1..num_upfs in order")
-    for u in s.upfs:
+    _SCENARIO.check(s, s, "", v)
+    for u in _UPFS.records(s.upfs):
         if u.capacity is None and (u.etpb is None or u.alpha is None):
             v.append(f"upf {u.id}: needs capacity or (etpb, alpha) to derive it")
-        if u.capacity is not None:
-            if not _covers_qos(u.capacity):
-                v.append(f"upf {u.id}: capacity must cover all four QoS classes")
-            elif not all(_positive(c) for c in u.capacity.values()):
-                v.append(f"upf {u.id}: capacity entries must be > 0 and finite")
-        if u.alpha is not None:
-            if not _covers_qos(u.alpha):
-                v.append(f"upf {u.id}: alpha must cover all four QoS classes")
-            else:
-                bad = [
-                    q.value for q in QosClass if not (_positive(u.alpha[q]) and u.alpha[q] <= 1.0)
-                ]
-                if bad:
-                    v.append(f"upf {u.id}: alpha entries out of (0, 1]: {', '.join(bad)}")
-                if all(_number(a) for a in u.alpha.values()):
-                    total = sum(u.alpha.values())
-                    if total > 1.0 + _SUM_TOL:
-                        v.append(f"upf {u.id}: alpha sums to {total:g}, expected <= 1.0")
-        if u.etpb is not None and not _positive(u.etpb):
-            v.append(f"upf {u.id}: etpb must be > 0 and finite")
-        if not _positive(u.bytes_per_ue):
-            v.append(f"upf {u.id}: bytes_per_ue must be > 0 and finite")
-        if u.queue_cap is not None:
-            if not _covers_qos(u.queue_cap):
-                v.append(f"upf {u.id}: queue_cap must cover all four QoS classes")
-            elif not all(_whole(c) for c in u.queue_cap.values()):
-                v.append(f"upf {u.id}: queue_cap entries must be whole numbers >= 1")
-
-    if len(s.mecs) != s.num_mecs or not _ids_in_order([m.id for m in s.mecs]):
-        v.append("mecs must carry ids 1..num_mecs in order")
-    for m in s.mecs:
+    for m in _MECS.records(s.mecs):
         if m.capacity is None and m.etpb is None:
             v.append(f"mec {m.id}: needs capacity or etpb to derive it")
-        if m.capacity is not None and not _positive(m.capacity):
-            v.append(f"mec {m.id}: capacity must be > 0 and finite")
-        if m.etpb is not None and not _positive(m.etpb):
-            v.append(f"mec {m.id}: etpb must be > 0 and finite")
-        if not _positive(m.bytes_per_ue):
-            v.append(f"mec {m.id}: bytes_per_ue must be > 0 and finite")
-        if m.queue_cap is not None and not _whole(m.queue_cap):
-            v.append(f"mec {m.id}: queue_cap must be a whole number >= 1")
-
-    bw = s.link_bandwidth_mbps
-    if (
-        not isinstance(bw, list)
-        or len(bw) != s.num_upfs
-        or any(not isinstance(row, list) or len(row) != s.num_mecs for row in bw)
-    ):
-        v.append(
-            f"link_bandwidth_mbps must be a {s.num_upfs}x{s.num_mecs} matrix "
-            "(row per UPF, column per MEC)"
-        )
-    elif not all(_positive(b) for row in bw for b in row):
-        v.append("link bandwidths must be > 0 and finite")
-
-    if not isinstance(s.thresholds_ms, dict):
-        v.append("thresholds_ms must be a map of QoS classes to thresholds")
-    else:
-        for q, thr in s.thresholds_ms.items():
-            if not _positive(thr):
-                v.append(f"thresholds_ms[{q.value}] must be > 0 and finite")
-
     if s.scheme in CO_LOCATED_SCHEMES and s.num_upfs != s.num_mecs:
         v.append(
             f"scheme {s.scheme.value} routes through co-located MECs and "
@@ -421,127 +607,18 @@ def validate_scenario(s: Scenario) -> List[str]:
     return v
 
 
-# ---------------------------------------------------------------- serialization
-
-
-def _qos_map_to_dict(m: Optional[Dict[QosClass, float]]) -> Optional[dict]:
-    if m is None:
-        return None
-    return {q.value: m[q] for q in QosClass if q in m}
-
-
-def _qos_map_from_dict(d):
-    """A per-QoS map keyed by class; anything but a map is kept for validation to list."""
-    if not isinstance(d, dict):
-        return d
-    return {QosClass(k): v for k, v in d.items()}
-
-
 def scenario_to_dict(s: Scenario) -> dict:
-    """Plain-dict form of a scenario, ready for YAML emission."""
-    doc = {
-        "name": s.name,
-        "num_upfs": s.num_upfs,
-        "num_mecs": s.num_mecs,
-        "delta_ms": s.delta_ms,
-        "horizon_epochs": s.horizon_epochs,
-        "seed": s.seed,
-        "scheme": s.scheme.value,
-        "headroom_factor": s.headroom_factor,
-        "drain_cap_epochs": s.drain_cap_epochs,
-        "traffic": {
-            "mean_arrivals_per_epoch": s.traffic.mean_arrivals_per_epoch,
-            "process": s.traffic.process,
-            "skew": list(s.traffic.skew),
-            "qos_mix": _qos_map_to_dict(s.traffic.qos_mix),
-        },
-        "thresholds_ms": _qos_map_to_dict(s.thresholds_ms) or {},
-        "upfs": [],
-        "mecs": [],
-        "links": {"bandwidth_mbps": [list(row) for row in s.link_bandwidth_mbps]},
-    }
-    for u in s.upfs:
-        entry: dict = {"id": u.id, "bytes_per_ue": u.bytes_per_ue}
-        if u.capacity is not None:
-            entry["capacity"] = _qos_map_to_dict(u.capacity)
-        if u.etpb is not None:
-            entry["etpb"] = u.etpb
-        if u.alpha is not None:
-            entry["alpha"] = _qos_map_to_dict(u.alpha)
-        if u.queue_cap is not None:
-            entry["queue_cap"] = _qos_map_to_dict(u.queue_cap)
-        doc["upfs"].append(entry)
-    for m in s.mecs:
-        entry = {"id": m.id, "bytes_per_ue": m.bytes_per_ue}
-        if m.capacity is not None:
-            entry["capacity"] = m.capacity
-        if m.etpb is not None:
-            entry["etpb"] = m.etpb
-        if m.queue_cap is not None:
-            entry["queue_cap"] = m.queue_cap
-        doc["mecs"].append(entry)
-    return doc
+    """Plain-dict form of a scenario, ready for YAML emission; None fields are left out."""
+    return _SCENARIO.write(s)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Inverse of scenario_to_dict; tolerates omitted optional keys.
+    """Inverse of scenario_to_dict; omitted optional keys take their defaults.
 
-    A scalar where a map or a row is expected is kept as read, for
-    validate_scenario to list.
+    A value of the wrong shape is kept as read, for validate_scenario to
+    list; a missing required key is a ScenarioError that names it.
     """
-    traffic = doc["traffic"]
-    if isinstance(traffic, dict):
-        mix = _qos_map_from_dict(traffic.get("qos_mix"))
-        if mix is None:
-            mix = {q: 0.25 for q in QosClass}
-        traffic = TrafficSpec(
-            mean_arrivals_per_epoch=traffic["mean_arrivals_per_epoch"],
-            skew=list(traffic["skew"]),
-            qos_mix=mix,
-            process=traffic.get("process", "poisson"),
-        )
-    upfs = [
-        UpfSpec(
-            id=u["id"],
-            capacity=_qos_map_from_dict(u.get("capacity")),
-            etpb=u.get("etpb"),
-            bytes_per_ue=u.get("bytes_per_ue", 256.0),
-            alpha=_qos_map_from_dict(u.get("alpha")),
-            queue_cap=_qos_map_from_dict(u.get("queue_cap")),
-        )
-        for u in doc["upfs"]
-    ]
-    mecs = [
-        MecSpec(
-            id=m["id"],
-            capacity=m.get("capacity"),
-            etpb=m.get("etpb"),
-            bytes_per_ue=m.get("bytes_per_ue", 1500.0),
-            queue_cap=m.get("queue_cap"),
-        )
-        for m in doc["mecs"]
-    ]
-    links = doc["links"]
-    bw = links.get("bandwidth_mbps") if isinstance(links, dict) else None
-    if bw is not None and bw and not isinstance(bw[0], list):
-        # per-MEC list shorthand: same bandwidth from every UPF
-        bw = [list(bw) for _ in range(doc["num_upfs"])]
-    return Scenario(
-        name=doc["name"],
-        num_upfs=doc["num_upfs"],
-        num_mecs=doc["num_mecs"],
-        delta_ms=doc["delta_ms"],
-        horizon_epochs=doc["horizon_epochs"],
-        seed=doc.get("seed", 0),
-        scheme=Scheme(doc.get("scheme", "baseline")),
-        traffic=traffic,
-        upfs=upfs,
-        mecs=mecs,
-        link_bandwidth_mbps=bw,
-        thresholds_ms=_qos_map_from_dict(doc.get("thresholds_ms")) or {},
-        headroom_factor=doc.get("headroom_factor", 10.0),
-        drain_cap_epochs=doc.get("drain_cap_epochs"),
-    )
+    return _SCENARIO.read(doc, "")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -551,8 +628,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: not a scenario document")
     try:
         return scenario_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: malformed scenario ({exc})") from exc
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def save_scenario(s: Scenario, path: str) -> None:

@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -160,6 +161,14 @@ def _scalar_thresholds(doc):
     doc["thresholds_ms"] = 5
 
 
+def _zero_thresholds(doc):
+    doc["thresholds_ms"] = 0
+
+
+def _list_thresholds(doc):
+    doc["thresholds_ms"] = []
+
+
 def _scalar_links(doc):
     doc["links"] = 3
 
@@ -171,7 +180,8 @@ def _scalar_links(doc):
         _float_num_upfs, _float_num_mecs, _fractional_horizon, _fractional_drain_cap,
         _fractional_seed, _float_upf_id, _float_mec_id, _quoted_delta, _quoted_skew_entry,
         _null_headroom_factor, _scalar_upf_capacity, _scalar_qos_mix, _scalar_traffic,
-        _scalar_bandwidth_row, _scalar_thresholds, _scalar_links,
+        _scalar_bandwidth_row, _scalar_thresholds, _zero_thresholds, _list_thresholds,
+        _scalar_links,
     ],
 )
 def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
@@ -258,10 +268,29 @@ def test_any_one_field_mutation_runs_or_is_a_usage_error(path, value):
         scenario = os.path.join(tmp, "mutated.yaml")
         with open(scenario, "w", encoding="utf-8") as fh:
             yaml.safe_dump(doc, fh)
-        quiet = io.StringIO()
-        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["run", "--scenario", scenario, "--out", tmp])
     assert rc in (0, 2)
+    if rc == 2:
+        # one line naming the violation, with no Python exception text in it
+        line, = err.getvalue().splitlines()
+        assert line.startswith("invalid scenario: ")
+        for leak in ("object is not", "cannot be interpreted", "indices must be", "is not a valid"):
+            assert leak not in line
+        assert not re.search(r"\('[^']*'\)", line)
+
+
+def test_run_refuses_a_name_that_leaves_the_output_directory(tmp_path, capsys):
+    # at --out d/inner the output files of "../escaped" would land in d/
+    path = tmp_path / "escape.yaml"
+    save_scenario(make_scenario(name="../escaped", lam=2.0, horizon=3), str(path))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "d" / "inner")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: name must be ")
+    assert len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["escape.yaml"]
 
 
 @pytest.mark.parametrize("breaks", [_scalar_traffic, _scalar_bandwidth_row])

@@ -1,20 +1,27 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec.delay import projected_delay
+from upfmec.metrics import build_pair_scenario
 from upfmec.model import (
     CostVector,
+    MecSpec,
     QosClass,
+    Scenario,
     ScenarioError,
     Scheme,
     ServiceQueue,
+    TrafficSpec,
+    UpfSpec,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -88,6 +95,36 @@ def test_bandwidth_matrix_shape_and_sign():
 def test_threshold_must_be_positive():
     s = make_scenario(thresholds={QosClass.URLLC: -5.0})
     assert any("thresholds_ms[urllc]" in m for m in validate_scenario(s))
+
+
+BANDWIDTHS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.booleans(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0, 0.0, -1.0, 10**400, "1", None]),
+    st.sampled_from([np.float64(5.0), np.float64("inf"), np.float64("nan"), np.int64(3)]),
+)
+GOOD_BANDWIDTHS = st.one_of(st.floats(min_value=1e-6, max_value=1e6), st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(GOOD_BANDWIDTHS, min_size=3, max_size=3), min_size=3, max_size=3),
+    swaps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), BANDWIDTHS), max_size=2),
+)
+def test_bandwidth_entries_are_checked_one_by_one(rows, swaps):
+    # the matrix check has a C-speed path for exact ints and floats; it must
+    # agree with the per-entry test on any mix of entry types
+    for i, j, x in swaps:
+        rows[i][j] = x
+    s = make_scenario(num_upfs=3)
+    s.link_bandwidth_mbps = rows
+
+    def positive(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and 0.0 < x < math.inf
+
+    flagged = "link bandwidths must be > 0 and finite" in validate_scenario(s)
+    assert flagged == (not all(positive(x) for row in rows for x in row))
 
 
 def _set_alpha(s, x):
@@ -186,6 +223,16 @@ MALFORMED = {
         "link_bandwidth_mbps", lambda s: s.link_bandwidth_mbps.__setitem__(1, 3)
     ),
     "thresholds_ms scalar": ("thresholds_ms", lambda s: setattr(s, "thresholds_ms", 5)),
+    # the name stems the output files, so it must name a file inside --out
+    "name null": ("name", lambda s: setattr(s, "name", None)),
+    "name a number": ("name", lambda s: setattr(s, "name", 5)),
+    "name a map": ("name", lambda s: setattr(s, "name", {"a": 1})),
+    "name empty": ("name", lambda s: setattr(s, "name", "")),
+    "name a parent path": ("name", lambda s: setattr(s, "name", "../escaped")),
+    "name a nested path": ("name", lambda s: setattr(s, "name", "a/b")),
+    "name dot": ("name", lambda s: setattr(s, "name", ".")),
+    "name dot dot": ("name", lambda s: setattr(s, "name", "..")),
+    "scheme unknown": ("scheme", lambda s: setattr(s, "scheme", "fastest")),
 }
 
 
@@ -239,6 +286,65 @@ def test_load_scenario_rejects_missing_keys(tmp_path):
     p.write_text("name: x\nnum_upfs: 1\n")
     with pytest.raises(ScenarioError):
         load_scenario(str(p))
+
+
+@pytest.mark.parametrize(
+    "path, named",
+    [
+        (("name",), "name is missing"),
+        (("traffic", "skew"), "traffic.skew is missing"),
+        (("upfs", 1, "id"), "upfs[1].id is missing"),
+        (("mecs", 0, "id"), "mecs[0].id is missing"),
+    ],
+)
+def test_missing_required_key_is_named(tmp_path, path, named):
+    doc = scenario_to_dict(make_scenario())
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    del node[key]
+    p = tmp_path / "partial.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(str(p))
+    assert str(exc.value) == f"{p}: {named}"
+
+
+def fields_by_name(cls):
+    return {f.name: f for f in fields(cls)}
+
+
+def test_omitted_keys_take_the_dataclass_defaults():
+    doc = scenario_to_dict(make_scenario(process="poisson"))
+    for key in ("thresholds_ms", "headroom_factor", "drain_cap_epochs"):
+        doc.pop(key, None)
+    del doc["traffic"]["process"]
+    for entry in doc["upfs"] + doc["mecs"]:
+        del entry["bytes_per_ue"]
+    s = scenario_from_dict(doc)
+    assert s.thresholds_ms == {} and s.drain_cap_epochs is None
+    assert s.headroom_factor == fields_by_name(Scenario)["headroom_factor"].default
+    assert s.traffic.process == fields_by_name(TrafficSpec)["process"].default
+    assert {u.bytes_per_ue for u in s.upfs} == {fields_by_name(UpfSpec)["bytes_per_ue"].default}
+    assert {m.bytes_per_ue for m in s.mecs} == {fields_by_name(MecSpec)["bytes_per_ue"].default}
+    assert validate_scenario(s) == []
+
+
+def test_yaml_round_trip_of_campus5_and_a_scaled_metro(tmp_path, campus5, metro):
+    for s in (campus5, build_pair_scenario(metro, 7)):
+        path = tmp_path / f"{s.name}.yaml"
+        save_scenario(s, str(path))
+        assert load_scenario(str(path)) == s
+
+
+def test_readme_scenario_example_is_valid():
+    # the first YAML block under "Scenario files" in the README
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    s = scenario_from_dict(yaml.safe_load(block))
+    assert validate_scenario(s) == []
 
 
 @settings(max_examples=50, deadline=None)
