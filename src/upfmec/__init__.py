@@ -12,7 +12,6 @@ from .delay import (
 from .engine import EpochReport, InvariantError, RequestRow, SimulationRun, run_to_completion
 from .model import (
     CostVector,
-    Link,
     MecSpec,
     QosClass,
     RequestStatus,

@@ -19,19 +19,21 @@ a scheme chooses from ``(qos, origin_upf, run)``.  Each stage pops ids and
 stamps their columns in one loop; no per-request object is built.
 ``run.requests`` reads the columns as ``RequestRow`` tuples when asked.
 
-A link keeps its sharer count and a transit table: entry n holds the
-``d_net`` and the whole transit epochs of a transfer entering as the n-th
-sharer, computed by ``transit_entry`` the first time n is reached.  Both
-depend only on n and on values fixed for the run, so a link entry is a
-count increment and one table read.  Links are addressed by integers:
-link (i, j) of M MECs has the index (i - 1) * M + (j - 1), which sorts as
-the key (i, j) does, and each UPF's service slots carry its row of links,
-indexed by MEC id.  ``run.links`` keeps the same ``Link`` objects keyed
-(i, j) for readers outside the engine.  The ids in transit sit in a
-delivery calendar keyed by due epoch, each epoch's entries grouped by
-link index in entry order.  The link phase of an epoch takes that
-epoch's entries and delivers them in link-index order, then entry order
-on each link, which is the order in which a capped MEC fills and drops.
+A link's state is two run columns indexed by its link index: link (i, j)
+of M MECs is (i - 1) * M + (j - 1), which sorts as the key (i, j) does.
+``run.link_sharers[k]`` counts the transfers on link k now, and
+``run.link_transit[k]`` is its transit table: entry n holds the ``d_net``
+and the whole transit epochs of a transfer entering as the n-th sharer,
+computed by ``transit_entry`` the first time n is reached, from the
+scenario's bandwidth of the link and its MEC's bytes per request
+(``link_law``).  Both depend only on n and on values fixed for the run,
+so a link entry is a count increment and one table read, and a link no
+transfer crosses holds a zero and the shared empty table: no per-link
+object is built.  The ids in transit sit in a delivery calendar keyed by
+due epoch, each epoch's entries grouped by link index in entry order.
+The link phase of an epoch takes that epoch's entries and delivers them
+in link-index order, then entry order on each link, which is the order in
+which a capped MEC fills and drops.
 
 The run keeps the cost vectors the schemes read, each a
 ``model.CostVector``: ``upf_cost[q].prices[i]`` is the price of UPF i+1's
@@ -79,7 +81,7 @@ generation, completions and drops leave, or the run raises
 
 A finished run is its own record: ``run()`` and ``run_to_completion``
 return the ``SimulationRun``, and the reports read its request columns,
-epoch reports, counters and links where the run keeps them.  Each fact
+epoch reports, counters and link columns where the run keeps them.  Each fact
 has one name: ``generated`` is the number of rows, ``epoch`` the number
 of epochs run, ``residual`` the requests still in flight and
 ``truncated`` whether any are.  Each ``EpochReport``
@@ -100,7 +102,6 @@ from .delay import mec_capacity, net_delay, transit_epochs, upf_capacity
 from .model import (
     CostVector,
     InvariantError,
-    Link,
     QosClass,
     RequestStatus,
     Scenario,
@@ -178,25 +179,33 @@ def generate_arrivals(
     return origins, list(map(_QOS_LIST.__getitem__, classes))
 
 
-def transit_entry(link: Link, sharers: int, delta: float) -> Tuple[float, int]:
-    """``(d_net, transit epochs)`` of a transfer entering ``link`` as its ``sharers``-th.
+def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
+    """``net_delay``'s bytes per transfer and bandwidth (bits per ms) of link (i + 1, j + 1)."""
+    # Mbps -> bits per ms
+    return scenario.mecs[j].bytes_per_ue, scenario.link_bandwidth_mbps[i][j] * 1e3
 
-    The entry is read from the link's transit table, which this first
-    extends through ``sharers``: each new entry n is ``net_delay`` on n
-    sharers and ``transit_epochs`` of that delay, so each is checked once,
-    when it is made.  Both depend only on n, the link's bandwidth and bytes
-    and the run's epoch length ``delta``, which do not change once a
-    transfer has entered.  Entry 0, an empty link, is a placeholder that
-    no transfer reads.
+
+def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, int]:
+    """``(d_net, transit epochs)`` of a transfer entering link ``k`` as its ``sharers``-th.
+
+    The entry is read from the link's transit table ``run.link_transit[k]``,
+    which this first extends through ``sharers``: each new entry n is
+    ``net_delay`` on n sharers and ``transit_epochs`` of that delay, so each
+    is checked once, when it is made.  Both depend only on n, the link's
+    bandwidth and its MEC's bytes per request, read from the scenario, and
+    the run's epoch length, which do not change once a transfer has
+    entered.  Entry 0, an empty link, is a placeholder that no transfer
+    reads.
     """
     if sharers < 1:
         raise ValueError(f"a transfer entering a link makes >= 1 sharers, got {sharers}")
-    table = link.transit
+    table = run.link_transit[k]
     if not table:
-        link.transit = table = [None]
+        run.link_transit[k] = table = [None]
+    bytes_per_ue, bandwidth = link_law(run.scenario, *divmod(k, run.scenario.num_mecs))
     for n in range(len(table), sharers + 1):
-        d_net = net_delay(n, link.bytes_per_ue, link.bandwidth)
-        table.append((d_net, transit_epochs(d_net, delta)))
+        d_net = net_delay(n, bytes_per_ue, bandwidth)
+        table.append((d_net, transit_epochs(d_net, run.delta)))
     return table[sharers]
 
 
@@ -344,6 +353,8 @@ class SimulationRun:
     measured delays ``d_upf``, ``d_net``, ``d_mec`` and ``d_e2e`` (None until
     completed), and the projection's inputs ``pc_upf`` (None before the
     decision), ``n_share`` and ``pc_mec``.  ``requests`` reads them as rows.
+    Each link's sharer count and transit table are ``link_sharers[k]`` and
+    ``link_transit[k]``, k its link index.
     """
 
     def __init__(
@@ -367,21 +378,10 @@ class SimulationRun:
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
         self.upfs = [_build_upf(u, scenario) for u in scenario.upfs]
         self.mecs = [_build_mec(m, scenario) for m in scenario.mecs]
-        # each link keyed (i, j), and in its UPF's row, indexed by MEC id
-        # (entry 0 is unused)
-        self.links: Dict[Tuple[int, int], Link] = {}
-        self._link_rows: List[List[Optional[Link]]] = []
-        for i in range(1, scenario.num_upfs + 1):
-            row: List[Optional[Link]] = [None]
-            for j, mec in enumerate(scenario.mecs, 1):
-                # Mbps -> bits per ms
-                bw = scenario.link_bandwidth_mbps[i - 1][j - 1] * 1e3
-                self.links[(i, j)] = link = Link(bandwidth=bw, bytes_per_ue=mec.bytes_per_ue)
-                row.append(link)
-            self._link_rows.append(row)
-        # the links in key order, so that link (i, j) has the index
-        # (i - 1) * M + (j - 1): indices sort as the keys do
-        self._link_list = list(self.links.values())
+        # each link's sharer count and transit table, by link index
+        num_links = scenario.num_upfs * scenario.num_mecs
+        self.link_sharers: List[int] = [0] * num_links
+        self.link_transit: List[Sequence[Optional[Tuple[float, int]]]] = [()] * num_links
         # the delivery calendar: due epoch -> link index -> the ids on that
         # link due then, in link-entry order; requests enter links only in the
         # UPF service loop of step_epoch
@@ -416,15 +416,11 @@ class SimulationRun:
         }
         self.mec_cost = CostVector([m.price(self.delta) for m in self.mecs])
         # UPF buckets in service order (UPF-major, class-minor), each with
-        # the cost vector entry that prices it, its UPF's row of links (None
-        # for a class that ends at the UPF) and the base that a MEC id turns
-        # into a link index; link-entry order sets link sharing and MEC FCFS
-        # order
-        self._upf_slots: List[
-            Tuple[ServiceQueue, CostVector, int, Optional[List[Optional[Link]]], int]
-        ] = [
-            (u[q], self.upf_cost[q], i, self._link_rows[i] if q.uses_mec else None,
-             i * len(self.mecs) - 1)
+        # the cost vector entry that prices it and the base that a MEC id
+        # turns into a link index (None for a class that ends at the UPF);
+        # link-entry order sets link sharing and MEC FCFS order
+        self._upf_slots: List[Tuple[ServiceQueue, CostVector, int, Optional[int]]] = [
+            (u[q], self.upf_cost[q], i, i * len(self.mecs) - 1 if q.uses_mec else None)
             for i, u in enumerate(self.upfs)
             for q in QosClass
         ]
@@ -474,7 +470,7 @@ class SimulationRun:
     def refresh_costs(self) -> None:
         """Recompute every entry of the cost vectors from the current queues."""
         delta = self.delta
-        for bucket, cost, idx, _, _ in self._upf_slots:
+        for bucket, cost, idx, _ in self._upf_slots:
             cost.set(idx, bucket.price(delta))
         for j, m in enumerate(self.mecs):
             self.mec_cost.set(j, m.price(delta))
@@ -495,7 +491,8 @@ class SimulationRun:
         assigned_upf, assigned_mec = self.assigned_upf, self.assigned_mec
         delta = self.delta
         assign = self._assign
-        upfs, mecs, link_rows = self.upfs, self.mecs, self._link_rows
+        upfs, mecs = self.upfs, self.mecs
+        link_sharers, num_mecs = self.link_sharers, len(mecs)
         upf_cost, mec_cost = self.upf_cost, self.mec_cost
         mec_prices = mec_cost.prices
         pc_upf, n_share, pc_mec = self.pc_upf, self.n_share, self.pc_mec
@@ -509,7 +506,7 @@ class SimulationRun:
             pc_upf[rid] = cost.prices[upf_id - 1]
             if mec_id is not None:
                 assigned_mec[rid] = mec_id
-                n_share[rid] = link_rows[upf_id - 1][mec_id].sharers
+                n_share[rid] = link_sharers[(upf_id - 1) * num_mecs + mec_id - 1]
                 pc_mec[rid] = mec_prices[mec_id - 1]
             bucket = upfs[upf_id - 1][qos]
             if bucket.full():
@@ -534,8 +531,9 @@ class SimulationRun:
         arrival_epoch, upf_serve_epoch = self.arrival_epoch, self.upf_serve_epoch
         mec_due_epoch, calendar = self.mec_due_epoch, self._calendar
         d_upf, d_net, d_mec, d_e2e = self.d_upf, self.d_net, self.d_mec, self.d_e2e
+        link_transit = self.link_transit
         completed_now = served_upf = 0
-        for bucket, cost, idx, row, base in self._upf_slots:
+        for bucket, cost, idx, base in self._upf_slots:
             queue = bucket.queue
             if not queue:
                 continue
@@ -547,21 +545,19 @@ class SimulationRun:
                     raise _stage_error(rid, status[rid], _IN_UPF_QUEUE)
                 upf_serve_epoch[rid] = epoch
                 d_upf[rid] = du = (epoch + 1 - arrival_epoch[rid]) * delta
-                if row is not None:
-                    mec_id = assigned_mec[rid]
-                    link = row[mec_id]
+                if base is not None:
+                    k = base + assigned_mec[rid]
                     # the entering request shares the link with everything
                     # already on it: its sharers are counted after it joins
-                    link.sharers = sharers = link.sharers + 1
-                    table = link.transit
+                    link_sharers[k] = sharers = link_sharers[k] + 1
+                    table = link_transit[k]
                     d_net[rid], transit = (
                         table[sharers] if sharers < len(table)
-                        else transit_entry(link, sharers, delta)
+                        else transit_entry(self, k, sharers)
                     )
                     mec_due_epoch[rid] = due = epoch + transit
                     status[rid] = _IN_TRANSIT
                     day = calendar[due]
-                    k = base + mec_id
                     on_link = day.get(k)
                     if on_link is None:
                         day[k] = [rid]
@@ -573,7 +569,7 @@ class SimulationRun:
                     status[rid] = _COMPLETED
             cost.set(idx, bucket.price(delta))
             served_upf += n
-            if row is None:
+            if base is None:
                 completed_now += n
 
         # a transfer reaches its MEC exactly at its due epoch; deliveries go
@@ -581,10 +577,9 @@ class SimulationRun:
         # each link
         day = calendar.pop(epoch, None)
         if day is not None:
-            link_list, num_mecs = self._link_list, len(mecs)
             for k in sorted(day):
                 rids = day[k]
-                link_list[k].sharers -= len(rids)
+                link_sharers[k] -= len(rids)
                 mec = mecs[k % num_mecs]
                 mec.pending -= len(rids)
                 for rid in rids:

@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from operator import is_
@@ -25,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .delay import DelayBreakdown, net_delay
-from .engine import REPORT_CLASSES, SimulationRun, run_to_completion
+from .engine import REPORT_CLASSES, SimulationRun, link_law, run_to_completion
 from .model import (
     QosClass,
     RequestStatus,
@@ -287,6 +286,13 @@ def _sweep_task(args: Tuple[Scenario, int]) -> Tuple[Dict[QosClass, Tuple[int, i
     return hits, run.completed, run.dropped
 
 
+def _process_pool(max_workers: int):
+    """A process pool of ``max_workers``, imported here: ``multiprocessing`` is slow to import."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _max_workers() -> int:
     """UPFMEC_MAX_WORKERS (default 1): an integer >= 1, or a ValueError naming it."""
     raw = os.environ.get("UPFMEC_MAX_WORKERS", "1")
@@ -332,7 +338,7 @@ def capex_sweep(
                 tasks.append((variant, seed))
     workers = min(max_workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:
         outcomes = [_sweep_task(t) for t in tasks]
@@ -478,8 +484,8 @@ def projection(run: SimulationRun, rid: int) -> Optional[DelayBreakdown]:
 
     Composed from the inputs admission recorded in the run's columns:
     ``net_delay`` (and its checks) on the link's sharers at decision time,
-    with the link's bandwidth and bytes per request.  A request that ends
-    at the UPF has no link and no MEC stage.
+    with the scenario's bandwidth of the link and its MEC's bytes per
+    request.  A request that ends at the UPF has no link and no MEC stage.
     """
     pc_upf = run.pc_upf[rid]
     if pc_upf is None:
@@ -487,8 +493,8 @@ def projection(run: SimulationRun, rid: int) -> Optional[DelayBreakdown]:
     mec_id = run.assigned_mec[rid]
     if mec_id is None:
         return DelayBreakdown.compose(pc_upf, 0.0, run.pc_mec[rid])
-    link = run.links[(run.assigned_upf[rid], mec_id)]
-    d_net = net_delay(run.n_share[rid], link.bytes_per_ue, link.bandwidth)
+    law = link_law(run.scenario, run.assigned_upf[rid] - 1, mec_id - 1)
+    d_net = net_delay(run.n_share[rid], *law)
     return DelayBreakdown.compose(pc_upf, d_net, run.pc_mec[rid])
 
 

@@ -18,9 +18,9 @@ walk those tables, and the few rules that join fields follow in
 through ``dataclasses.fields``; a table gives one only for a key the
 dataclass declares none for (``seed``, ``scheme``, ``qos_mix`` and a missing
 bandwidth matrix).  Reading keeps a value of the wrong type or shape for
-validation to name, and refuses only a missing required key.  Validation
-runs when a run is built, not at load time, since ``run --scheme`` replaces
-the scheme after the load.
+validation to name, and refuses only a missing required key and a key no
+table lists.  Validation runs when a run is built, not at load time, since
+``run --scheme`` replaces the scheme after the load.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence
 
 import yaml
 
@@ -252,26 +252,6 @@ class ServiceQueue:
         return n
 
 
-@dataclass(slots=True)
-class Link:
-    """Directed UPF->MEC link, keyed (upf_id, mec_id) by the run.
-
-    Bandwidth is in bits per ms.  Every transfer on it carries its MEC's
-    ``bytes_per_ue``; ``sharers`` counts the transfers on it now, which the
-    run's delivery calendar holds.  ``transit`` is the link's transit
-    table: entry n is ``(d_net, transit epochs)`` of a transfer that enters
-    as the n-th sharer, made by ``engine.transit_entry`` when n is first
-    reached, so the table stays empty on a link that carries no transfer.
-    Bandwidth and bytes are fixed once a transfer has entered: the table
-    was computed from them.
-    """
-
-    bandwidth: float
-    bytes_per_ue: float
-    sharers: int = 0
-    transit: Sequence[Optional[Tuple[float, int]]] = ()
-
-
 # ---------------------------------------------------------------- scenario schema
 #
 # A table entry is a field kind: it reads its field from a document and
@@ -397,11 +377,17 @@ class _PerUpf(_Value):
 
 class _UpfByMec(_Value):
     """A row per UPF of one entry per MEC, each > 0 and finite; a flat list is
-    every UPF's row.  Another shape is message ``shape``."""
+    every UPF's row.  Another shape is message ``shape``.
+
+    The flat list is expanded only when ``num_upfs`` counts the UPF records
+    the document lists, so a wrong count is named by validation before any
+    row is built for it.
+    """
 
     def read(self, v, doc, where):
-        rows, n = _listed(v), doc.get("num_upfs")
-        if isinstance(rows, list) and rows and not isinstance(rows[0], list) and isinstance(n, int):
+        rows, n, upfs = _listed(v), doc.get("num_upfs"), doc.get("upfs")
+        if (isinstance(rows, list) and rows and not isinstance(rows[0], list)
+                and isinstance(upfs, list) and n == len(upfs)):
             return [list(rows) for _ in range(n)]
         return rows
 
@@ -455,8 +441,15 @@ class _Schema:
 
     def __init__(self, cls, *table: _Value) -> None:
         self.cls, self.table = cls, table
+        # the keys a document map may hold, a dotted key's head mapping to
+        # the keys that may sit under it
+        self.keys: dict = {}
         declared = {f.name: f for f in fields(cls)}
         for fd in table:
+            node = self.keys
+            for key in fd.path[:-1]:
+                node = node.setdefault(key, {})
+            node[fd.path[-1]] = None
             spec = declared[fd.attr]
             fd.optional = spec.default is None
             if fd.default is MISSING:
@@ -464,7 +457,16 @@ class _Schema:
                 fd.default = spec.default if factory is MISSING else factory()
 
     def read(self, doc: dict, where: str):
-        """The record a document map describes; a required key it lacks is a ScenarioError."""
+        """The record a document map describes.
+
+        A required key the map lacks, or a key no field of the table reads
+        (a misspelt key would otherwise leave its field at the default), is
+        a ScenarioError that names it.
+        """
+        unknown = list(_unknown_keys(doc, self.keys, where))
+        if unknown:
+            noun = "unknown keys" if len(unknown) > 1 else "unknown key"
+            raise ScenarioError(f"{noun} {', '.join(unknown)}")
         values = {}
         for fd in self.table:
             v = doc
@@ -500,6 +502,15 @@ class _Schema:
                     node = node.setdefault(key, {})
                 node[fd.path[-1]] = _plain(v)
         return doc
+
+
+def _unknown_keys(doc: dict, keys: dict, where: str):
+    """The labels of the keys of doc, and of maps under a dotted key's head, that keys lacks."""
+    for k, v in doc.items():
+        if k not in keys:
+            yield f"{where}{k}"
+        elif keys[k] is not None and isinstance(v, dict):
+            yield from _unknown_keys(v, keys[k], f"{where}{k}.")
 
 
 def _plain(v):
@@ -616,14 +627,24 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Inverse of scenario_to_dict; omitted optional keys take their defaults.
 
     A value of the wrong shape is kept as read, for validate_scenario to
-    list; a missing required key is a ScenarioError that names it.
+    list; a missing required key or an unknown key is a ScenarioError that
+    names it.
     """
     return _SCENARIO.read(doc, "")
 
 
 def load_scenario(path: str) -> Scenario:
+    """The scenario in a YAML file; a file that is not YAML is a one-line ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            # a parser error says where it stopped; any other error's text
+            # is joined into one line
+            mark = getattr(exc, "problem_mark", None)
+            at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ValueError(f"{path}: not valid YAML{at}: {problem}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: not a scenario document")
     try:

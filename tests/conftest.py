@@ -82,6 +82,11 @@ def bucket(sq):
     return (len(sq.queue) + sq.pending, sq.capacity, sq.capacity)
 
 
+def link_index(run, upf_id, mec_id):
+    """The index of link (upf_id, mec_id) in the run's link columns."""
+    return (upf_id - 1) * len(run.mecs) + mec_id - 1
+
+
 def decide(run, qos, origin_upf, scheme):
     """Apply a scheme to one new request as admission does, without queueing it.
 
@@ -94,7 +99,7 @@ def decide(run, qos, origin_upf, scheme):
     run.assigned_upf[rid], run.assigned_mec[rid] = upf_id, mec_id
     run.pc_upf[rid] = run.upf_cost[qos].prices[upf_id - 1]
     if mec_id is not None:
-        run.n_share[rid] = run.links[(upf_id, mec_id)].sharers
+        run.n_share[rid] = run.link_sharers[link_index(run, upf_id, mec_id)]
         run.pc_mec[rid] = run.mec_cost.prices[mec_id - 1]
     return upf_id, mec_id, projection(run, rid)
 

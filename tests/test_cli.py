@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfmec import metrics
+from upfmec import engine, metrics
 from upfmec.cli import _parse_int_list, main
 from upfmec.model import QosClass, load_scenario, save_scenario
 
@@ -68,6 +68,71 @@ def test_python_m_upfmec_runs_from_a_checkout():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: upfmec")
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only a parallel capex sweep uses the process pool; importing it costs
+    # every command about 2 MB and 15 ms
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, upfmec.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def _campus5_file(tmp_path, edit):
+    """A copy of campus5's document, edited, as a scenario file."""
+    doc = yaml.safe_load(
+        resources.files("upfmec").joinpath("scenarios/campus5.yaml").read_text(encoding="utf-8")
+    )
+    edit(doc)
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def test_misspelt_scenario_key_is_a_usage_error(tmp_path, capsys):
+    # read as its default, the misspelt factor would drop requests with exit 0
+    path = _campus5_file(tmp_path, lambda d: d.update(headroom_facter=d.pop("headroom_factor")))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid scenario: {path}: unknown key headroom_facter\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_upf_count_beyond_the_listed_records_builds_no_bandwidth_matrix(
+    tmp_path, capsys, monkeypatch
+):
+    # campus5 gives its bandwidths as one row for every UPF
+    path = _campus5_file(tmp_path, lambda d: d.update(num_upfs=300_000))
+    rows = []
+    validate = engine.validate_scenario
+
+    def recording(s):
+        rows.append(len(s.link_bandwidth_mbps))
+        return validate(s)
+
+    monkeypatch.setattr(engine, "validate_scenario", recording)
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ") and len(err.splitlines()) == 1
+    assert "link_bandwidth_mbps must be a 300000x5 matrix" in err
+    assert rows == [5]
+    assert not (tmp_path / "out").exists()
+
+
+def test_yaml_syntax_error_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("num_upfs: [1\n")
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"upfmec: error: {path}: not valid YAML ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_scenario_is_a_usage_error(tmp_path, capsys):
@@ -390,7 +455,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(metrics, "_process_pool", SerialPool)
     return sizes
 
 

@@ -129,7 +129,7 @@ def test_regular_traffic_never_touches_the_mec():
         assert r.d_net == 0.0 and r.d_mec == 0.0
         assert r.d_e2e == r.d_upf
     assert all(not any(rep.mec_queues) for rep in res.epoch_reports)
-    assert all(link.sharers == 0 for link in run.links.values())
+    assert not any(run.link_sharers)
 
 
 def test_d_net_is_in_ms_for_any_epoch_length():
@@ -316,20 +316,43 @@ def test_transit_tables_equal_fresh_transit_calls(delta):
     s.link_bandwidth_mbps = [[float(rng.uniform(1.0, 500.0)) for _ in range(3)] for _ in range(2)]
     run = SimulationRun(s)
     # a link that carries no transfer has no table
-    assert all(link.transit == () for link in run.links.values())
+    assert run.link_transit == [()] * 6
+    # link k's bytes per request (its MEC's) and bandwidth in bits per ms
+    laws = [(s.mecs[j].bytes_per_ue, s.link_bandwidth_mbps[i][j] * 1e3)
+            for i in range(2) for j in range(3)]
     top = 12
-    for link in run.links.values():
+    for k, law in enumerate(laws):
         # entries made in an arbitrary order of first use, the first at 5 sharers
         order = [5, *(int(n) for n in rng.permutation([n for n in range(1, top + 1) if n != 5]))]
         for n in order:
-            d = net_delay(n, link.bytes_per_ue, link.bandwidth)
-            assert engine.transit_entry(link, n, delta) == (d, transit_epochs(d, delta))
-    for link in run.links.values():
+            d = net_delay(n, *law)
+            assert engine.transit_entry(run, k, n) == (d, transit_epochs(d, delta))
+    # every link keeps its own table
+    for k, law in enumerate(laws):
         for n in range(1, top + 1):
-            d = net_delay(n, link.bytes_per_ue, link.bandwidth)
-            assert link.transit[n] == (d, transit_epochs(d, delta))
+            d = net_delay(n, *law)
+            assert run.link_transit[k][n] == (d, transit_epochs(d, delta))
     with pytest.raises(ValueError, match=">= 1 sharers"):
-        engine.transit_entry(run.links[(1, 1)], 0, delta)
+        engine.transit_entry(run, 0, 0)
+
+
+def test_links_no_transfer_crosses_keep_no_state(metro):
+    # at 50 pairs under bestfit_upf_mec the load lands on a few pairs, and
+    # each of the other links stays a zero count and the shared empty table
+    s = replace(build_pair_scenario(metro, 50), scheme=Scheme.BESTFIT_UPF_MEC, horizon_epochs=20)
+    run = run_to_completion(s)
+    assert not run.truncated
+    crossed = {
+        (upf_id - 1) * 50 + mec_id - 1
+        for upf_id, mec_id, due in zip(run.assigned_upf, run.assigned_mec, run.mec_due_epoch)
+        if due is not None
+    }
+    assert 0 < len(crossed) < 2500
+    assert run.link_sharers == [0] * 2500
+    idle = [run.link_transit[k] for k in range(2500) if k not in crossed]
+    assert all(table == () for table in idle)
+    assert len(set(map(id, idle))) == 1
+    assert all(len(run.link_transit[k]) > 1 for k in crossed)
 
 
 def test_horizon_zero_is_an_empty_run():
@@ -504,7 +527,7 @@ def _check_idle_credit_at_every_epoch(run: SimulationRun) -> list:
         assert all(sq.credit == 0.0 for sq in queues if not sq.queue)
         assert report.upf_queues == live_upf_queues(run)
         assert report.mec_queues == tuple(len(m.queue) for m in run.mecs)
-        on_links = sum(link.sharers for link in run.links.values())
+        on_links = sum(run.link_sharers)
         located = sum(report.upf_queues) + sum(report.mec_queues) + on_links
         assert report.in_flight == located
         epochs.append(report.epoch)

@@ -274,6 +274,52 @@ def test_bandwidth_per_mec_shorthand():
     assert s.link_bandwidth_mbps == [[100.0, 200.0, 300.0]] * 3
 
 
+def test_bandwidth_shorthand_waits_for_a_consistent_upf_count():
+    # 300,000 UPFs over 3 listed records: the flat row is kept for validation
+    # to name, not expanded to 300,000 rows
+    doc = scenario_to_dict(make_scenario(num_upfs=3))
+    doc["num_upfs"] = 300_000
+    doc["links"]["bandwidth_mbps"] = [100.0, 200.0, 300.0]
+    s = scenario_from_dict(doc)
+    assert s.link_bandwidth_mbps == [100.0, 200.0, 300.0]
+    assert any("link_bandwidth_mbps must be a 300000x3 matrix" in m for m in validate_scenario(s))
+
+
+@pytest.mark.parametrize(
+    "path, named",
+    [
+        (("headroom_facter",), "unknown key headroom_facter"),
+        (("traffic", "skw"), "unknown key traffic.skw"),
+        (("upfs", 1, "etbp"), "unknown key upfs[1].etbp"),
+        (("mecs", 0, "queue"), "unknown key mecs[0].queue"),
+        (("links", "bandwidth"), "unknown key links.bandwidth"),
+    ],
+)
+def test_unknown_key_is_named(tmp_path, path, named):
+    doc = scenario_to_dict(make_scenario())
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = 1.0
+    p = tmp_path / "misspelt.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(str(p))
+    assert str(exc.value) == f"{p}: {named}"
+
+
+def test_load_scenario_names_a_yaml_syntax_error(tmp_path):
+    p = tmp_path / "broken.yaml"
+    p.write_text("num_upfs: [1\n")
+    with pytest.raises(ValueError) as exc:
+        load_scenario(str(p))
+    assert not isinstance(exc.value, ScenarioError)
+    assert str(exc.value) == (
+        f"{p}: not valid YAML at line 2, column 1: expected ',' or ']', but got '<stream end>'"
+    )
+
+
 def test_load_scenario_rejects_non_mapping(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("- 1\n- 2\n")

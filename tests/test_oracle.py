@@ -18,7 +18,7 @@ from upfmec.oracle import (
 )
 from upfmec.schemes import assign_bestfit_upf_mec
 
-from conftest import bucket, decide, make_scenario
+from conftest import bucket, decide, link_index, make_scenario
 
 
 def random_buckets(rng: np.random.Generator, u: int):
@@ -140,9 +140,11 @@ def _oracle_inputs(run: SimulationRun, qos: QosClass):
     upf_buckets = [bucket(u[qos]) for u in run.upfs]
     mec_buckets = [bucket(m) for m in run.mecs]
     nu, nm = len(run.upfs), len(run.mecs)
-    n_share = [[run.links[(i + 1, j + 1)].sharers for j in range(nm)] for i in range(nu)]
-    bw = [[run.links[(i + 1, j + 1)].bandwidth for j in range(nm)] for i in range(nu)]
-    bytes_mec = [run.links[(1, j + 1)].bytes_per_ue for j in range(nm)]
+    n_share = [[run.link_sharers[link_index(run, i + 1, j + 1)] for j in range(nm)]
+               for i in range(nu)]
+    # Mbps -> bits per ms, as the run reads them
+    bw = [[mbps * 1e3 for mbps in row] for row in run.scenario.link_bandwidth_mbps]
+    bytes_mec = [m.bytes_per_ue for m in run.scenario.mecs]
     return upf_buckets, mec_buckets, n_share, bw, bytes_mec
 
 
@@ -164,8 +166,8 @@ def test_congested_link_exposes_the_independence_gap():
     run.upfs[1][QosClass.URLLC].queue.extend([0] * 9)
     run.mecs[0].queue.extend([0] * 9)
     # but the link toward MEC 2 is crawling while MEC 1 stays well connected
-    run.links[(1, 2)].bandwidth = 100.0
-    run.links[(1, 2)].sharers += 1
+    run.scenario.link_bandwidth_mbps[0][1] = 0.1  # 100 bits per ms
+    run.link_sharers[link_index(run, 1, 2)] += 1
     run.refresh_costs()
     _, mec_id, projected = decide(run, QosClass.URLLC, 1, assign_bestfit_upf_mec)
     assert mec_id == 2
@@ -179,7 +181,7 @@ def test_joint_optimum_never_exceeds_the_scheme_projection():
     for _ in range(50):
         run = _stuffed_run(rng)
         # perturb one link so the instances are not all uniform
-        run.links[(1, 2)].bandwidth = float(rng.integers(50, 20000))
+        run.scenario.link_bandwidth_mbps[0][1] = float(rng.integers(50, 20000)) / 1e3
         _, _, projected = decide(run, QosClass.URLLC, 1, assign_bestfit_upf_mec)
         _, _, value = pair_enumeration_optimum(*_oracle_inputs(run, QosClass.URLLC), run.delta)
         assert value <= projected.d_e2e + 1e-12
