@@ -67,10 +67,19 @@ def _parse_int_list(text: str) -> List[int]:
     return out
 
 
+def _check_seeds(flag: str, seeds: Sequence[int]) -> None:
+    """Refuse a negative seed by its flag: numpy seeds its generators from integers >= 0."""
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"{flag} must be >= 0, got {seed}")
+
+
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     if args.scheme:
         scenario = replace(scenario, scheme=Scheme(args.scheme))
+    if args.seed is not None:
+        _check_seeds("--seed", [args.seed])
     seed = args.seed if args.seed is not None else scenario.seed
     run = run_to_completion(scenario, seed=seed, drain_cap=args.drain_cap)
     report = metrics.summarize(run)
@@ -119,6 +128,7 @@ def cmd_compare(args) -> int:
     if len(set(schemes)) != len(schemes):
         raise ValueError(f"--schemes names a scheme twice: {args.schemes!r}")
     seeds = _parse_int_list(args.seeds)
+    _check_seeds("--seeds", seeds)
     if args.drain_cap is not None and args.drain_cap < 0:
         raise ValueError(f"--drain-cap must be >= 0, got {args.drain_cap}")
     out = args.out
@@ -179,6 +189,7 @@ def cmd_capex(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     pairs = _parse_int_list(args.pairs)
     seeds = _parse_int_list(args.seeds)
+    _check_seeds("--seeds", seeds)
     # the sweep checks the pair counts and the scenario before any run, and
     # writes nothing: a usage error leaves no output directory
     points = metrics.capex_sweep(scenario, pairs, seeds)
@@ -215,6 +226,7 @@ def cmd_oracle_gap(args) -> int:
         )
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    _check_seeds("--seed", [args.seed])
     rng = np.random.default_rng(args.seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -305,8 +317,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # malformed --seeds/--pairs lists, pair counts below 1, unknown or
-        # repeated --schemes, oracle-gap sizes out of bounds and a
+        # malformed --seeds/--pairs lists, negative seeds, pair counts below
+        # 1, unknown or repeated --schemes, oracle-gap sizes out of bounds, a
+        # scenario file that cannot be read or is not YAML and a
         # UPFMEC_MAX_WORKERS that is not an integer >= 1
         print(f"upfmec: error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,9 @@ from typing import NamedTuple
 class DelayBreakdown(NamedTuple):
     """End-to-end delay split into its three stages, ms.
 
-    A named tuple rather than a frozen dataclass: every admitted request
-    keeps one, and a tuple is cheaper to build and to hold.
+    The scheme's projection for one request, which ``metrics.projection``
+    composes on read from the inputs admission recorded (only the event
+    log asks); no run keeps one per request.
     """
 
     d_upf: float

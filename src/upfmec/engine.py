@@ -13,11 +13,17 @@ A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
 share the drop test, the service law and the price.
 
 A request is an id, its row in the run's record: list columns on the run
-named after the fields they hold (``run.qos[i]``, ``run.d_upf[i]``, ...),
-extended once per epoch with the epoch's arrivals.  Queues hold ids, and
-a scheme chooses from ``(qos, origin_upf, run)``.  Each stage pops ids and
-stamps their columns in one loop; no per-request object is built.
-``run.requests`` reads the columns as ``RequestRow`` tuples when asked.
+named after the fields they hold (``run.qos[i]``, ``run.upf_serve_epoch[i]``,
+...), extended once per epoch with the epoch's arrivals.  Queues hold ids,
+and a scheme chooses from ``(qos, origin_upf, run)``.  Each stage pops ids
+and stamps the epoch it serves them in one loop; no per-request object is
+built and no delay computed.  The record keeps epochs, not measured
+delays: ``stage_delay`` derives ``d_upf`` (arrival to UPF service) and
+``d_mec`` (due epoch to MEC service) from the stamps, and ``d_e2e`` is
+``(d_upf + d_net) + d_mec``, or ``d_upf`` for a class that ends at the
+UPF.  Only ``d_net``, a transit table read the stamps cannot give back,
+is a column.  ``run.requests`` reads the columns as ``RequestRow``
+tuples when asked; ``metrics`` applies the same law to whole arrays.
 
 A link's state is two run columns indexed by its link index: link (i, j)
 of M MECs is (i - 1) * M + (j - 1), which sorts as the key (i, j) does.
@@ -185,6 +191,17 @@ def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
     return scenario.mecs[j].bytes_per_ue, scenario.link_bandwidth_mbps[i][j] * 1e3
 
 
+def stage_delay(leave, enter, delta):
+    """Measured delay in ms of a stage entered at epoch ``enter`` and served at ``leave``.
+
+    The serving epoch counts, so a request served in the epoch it entered
+    took one epoch.  The epochs may be ints or numpy int arrays alike: each
+    element is converted to float and multiplied once, so both give the
+    same IEEE values.
+    """
+    return (leave + 1 - enter) * delta
+
+
 def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, int]:
     """``(d_net, transit epochs)`` of a transfer entering link ``k`` as its ``sharers``-th.
 
@@ -212,6 +229,10 @@ def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, in
 class RequestRow(NamedTuple):
     """One request of a run, read from the run's columns.
 
+    The measured delays are derived from the epoch stamps by
+    ``stage_delay``: ``d_upf`` and ``d_mec`` are 0.0 until their stage
+    serves the request, ``d_net`` 0.0 until it enters a link, and
+    ``d_e2e`` None until it completes.
     ``decision_inputs`` is ``(pc_upf, n_share, pc_mec)``, what the scheme's
     projection is composed from (see ``metrics.projection``), or None
     before the decision.
@@ -226,6 +247,7 @@ class RequestRow(NamedTuple):
     assigned_mec: Optional[int]
     upf_serve_epoch: Optional[int]
     mec_due_epoch: Optional[int]
+    mec_serve_epoch: Optional[int]
     d_upf: float
     d_net: float
     d_mec: float
@@ -251,11 +273,22 @@ class RequestRows(Sequence):
         if not 0 <= i < n:
             raise IndexError(f"request id {i} out of range for {n} requests")
         r = self._run
+        upf_serve, due, mec_serve = r.upf_serve_epoch[i], r.mec_due_epoch[i], r.mec_serve_epoch[i]
+        d_upf = 0.0 if upf_serve is None else stage_delay(upf_serve, r.arrival_epoch[i], r.delta)
+        d_net = r.d_net[i]
+        d_mec = 0.0 if mec_serve is None else stage_delay(mec_serve, due, r.delta)
+        status = r.status[i]
+        if status is not _COMPLETED:
+            d_e2e = None
+        elif mec_serve is None:
+            d_e2e = d_upf
+        else:
+            d_e2e = d_upf + d_net + d_mec
         pc_upf = r.pc_upf[i]
         return RequestRow(
-            i, r.qos[i], r.origin_upf[i], r.arrival_epoch[i], r.status[i],
-            r.assigned_upf[i], r.assigned_mec[i], r.upf_serve_epoch[i], r.mec_due_epoch[i],
-            r.d_upf[i], r.d_net[i], r.d_mec[i], r.d_e2e[i],
+            i, r.qos[i], r.origin_upf[i], r.arrival_epoch[i], status,
+            r.assigned_upf[i], r.assigned_mec[i], upf_serve, due, mec_serve,
+            d_upf, d_net, d_mec, d_e2e,
             None if pc_upf is None else (pc_upf, r.n_share[i], r.pc_mec[i]),
         )
 
@@ -348,11 +381,13 @@ class SimulationRun:
     The record keeps one row per request id (ids are 0, 1, ... in arrival
     order) in list columns named after the fields they hold: ``qos``,
     ``origin_upf``, ``arrival_epoch``, ``status``, ``assigned_upf``,
-    ``assigned_mec`` (None for a class that ends at the UPF),
-    ``upf_serve_epoch``, ``mec_due_epoch`` (None until stamped), the
-    measured delays ``d_upf``, ``d_net``, ``d_mec`` and ``d_e2e`` (None until
-    completed), and the projection's inputs ``pc_upf`` (None before the
-    decision), ``n_share`` and ``pc_mec``.  ``requests`` reads them as rows.
+    ``assigned_mec`` (None for a class that ends at the UPF), the epoch
+    stamps ``upf_serve_epoch``, ``mec_due_epoch`` and ``mec_serve_epoch``
+    (None until stamped), the link's delay ``d_net`` (0.0 until the request
+    enters a link), and the projection's inputs ``pc_upf`` (None before the
+    decision), ``n_share`` and ``pc_mec``.  ``requests`` reads them as rows,
+    with the other measured delays derived from the stamps by
+    ``stage_delay``.
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``, k its link index.
     """
@@ -368,6 +403,9 @@ class SimulationRun:
             raise ScenarioError("; ".join(violations))
         if drain_cap is not None and drain_cap < 0:
             raise ValueError(f"drain cap must be >= 0, got {drain_cap}")
+        # the scenario's seed is validated; an override is checked here
+        if seed is not None and seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.scenario = scenario
         # prices and measured delays are floats whatever the type of
         # delta_ms: a float delta gives the same values and never an int
@@ -401,10 +439,8 @@ class SimulationRun:
         self.assigned_mec: List[Optional[int]] = []
         self.upf_serve_epoch: List[Optional[int]] = []
         self.mec_due_epoch: List[Optional[int]] = []
-        self.d_upf: List[float] = []
+        self.mec_serve_epoch: List[Optional[int]] = []
         self.d_net: List[float] = []
-        self.d_mec: List[float] = []
-        self.d_e2e: List[Optional[float]] = []
         self.pc_upf: List[Optional[float]] = []
         self.n_share: List[int] = []
         self.pc_mec: List[float] = []
@@ -460,9 +496,9 @@ class SimulationRun:
         unset = [None] * n
         zeros = [0.0] * n
         for column in (self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
-                       self.mec_due_epoch, self.d_e2e, self.pc_upf):
+                       self.mec_due_epoch, self.mec_serve_epoch, self.pc_upf):
             column.extend(unset)
-        for column in (self.d_upf, self.d_net, self.d_mec, self.pc_mec):
+        for column in (self.d_net, self.pc_mec):
             column.extend(zeros)
         self.n_share.extend([0] * n)
         return first
@@ -528,10 +564,8 @@ class SimulationRun:
 
         # each stage pops its ids and checks that each is where the stage
         # holds it before stamping it: status only moves forward
-        arrival_epoch, upf_serve_epoch = self.arrival_epoch, self.upf_serve_epoch
-        mec_due_epoch, calendar = self.mec_due_epoch, self._calendar
-        d_upf, d_net, d_mec, d_e2e = self.d_upf, self.d_net, self.d_mec, self.d_e2e
-        link_transit = self.link_transit
+        upf_serve_epoch, mec_due_epoch = self.upf_serve_epoch, self.mec_due_epoch
+        d_net, link_transit, calendar = self.d_net, self.link_transit, self._calendar
         completed_now = served_upf = 0
         for bucket, cost, idx, base in self._upf_slots:
             queue = bucket.queue
@@ -544,7 +578,6 @@ class SimulationRun:
                 if status[rid] is not _IN_UPF_QUEUE:
                     raise _stage_error(rid, status[rid], _IN_UPF_QUEUE)
                 upf_serve_epoch[rid] = epoch
-                d_upf[rid] = du = (epoch + 1 - arrival_epoch[rid]) * delta
                 if base is not None:
                     k = base + assigned_mec[rid]
                     # the entering request shares the link with everything
@@ -564,8 +597,6 @@ class SimulationRun:
                     else:
                         on_link.append(rid)
                 else:
-                    # d_net and d_mec stay 0.0: d_upf + 0.0 + 0.0 is d_upf
-                    d_e2e[rid] = du
                     status[rid] = _COMPLETED
             cost.set(idx, bucket.price(delta))
             served_upf += n
@@ -595,6 +626,7 @@ class SimulationRun:
         # a MEC the link phase changed holds a queue now: a delivery joined it,
         # or a drop found it full (queue_cap >= 1); so repricing each served
         # MEC also covers the drops, which lower pending without queueing
+        mec_serve_epoch = self.mec_serve_epoch
         served_mec = 0
         for j, m in enumerate(mecs):
             queue = m.queue
@@ -606,8 +638,7 @@ class SimulationRun:
                 rid = popleft()
                 if status[rid] is not _IN_MEC_QUEUE:
                     raise _stage_error(rid, status[rid], _IN_MEC_QUEUE)
-                d_mec[rid] = dm = (epoch + 1 - mec_due_epoch[rid]) * delta
-                d_e2e[rid] = d_upf[rid] + d_net[rid] + dm
+                mec_serve_epoch[rid] = epoch
                 status[rid] = _COMPLETED
             mec_cost.set(j, m.price(delta))
             served_mec += n

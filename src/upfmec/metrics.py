@@ -4,7 +4,8 @@ Percentiles use the nearest-rank convention on the sorted sample (the
 p-th percentile is the value at index ceil(p/100 * n) - 1), so every
 reported figure is an observed delay.  Standard deviations are
 population standard deviations.  Summaries read the run's request
-columns into typed arrays of the completed requests and reduce every
+columns into typed arrays of the completed requests, derive their delays
+from the epoch stamps with the engine's ``stage_delay``, and reduce every
 slice in request-id order: a float mean or std depends on the order of
 its sample.  Emitted files follow the naming scheme
 <scenario>.<scheme>.<seed>.<report>.<ext> with stable column layouts.
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .delay import DelayBreakdown, net_delay
-from .engine import REPORT_CLASSES, SimulationRun, link_law, run_to_completion
+from .engine import REPORT_CLASSES, SimulationRun, link_law, run_to_completion, stage_delay
 from .model import (
     QosClass,
     RequestStatus,
@@ -117,7 +118,9 @@ class _Completed:
     """Typed arrays of a run's completed requests, in request-id order.
 
     ``qos`` holds class codes (``_CODE``); the MEC arrays hold only the
-    requests of the classes that use a MEC, also in id order.
+    requests of the classes that use a MEC, also in id order.  The delays
+    are the ones ``RequestRows`` reads, bit for bit: the same law on the
+    same stamps, and ``d_e2e`` summed in the same order.
     """
 
     qos: np.ndarray
@@ -142,15 +145,30 @@ def _completed(run: SimulationRun) -> _Completed:
     done, k = _done(run)
     qos = _codes(run, done, k)
     # a completed request of a class that uses a MEC was served by one
-    at_mec = _USES_MEC[qos].tobytes()
+    uses_mec = _USES_MEC[qos]
+    at_mec = uses_mec.tobytes()
     m = at_mec.count(1)
+
+    def rows(column, dtype):
+        return np.fromiter(compress(column, done), dtype, k)
+
+    def mec_rows(column, dtype):
+        return np.fromiter(compress(compress(column, done), at_mec), dtype, m)
+
+    d_upf = stage_delay(rows(run.upf_serve_epoch, np.int64), rows(run.arrival_epoch, np.int64),
+                        run.delta)
+    d_mec = stage_delay(mec_rows(run.mec_serve_epoch, np.int64),
+                        mec_rows(run.mec_due_epoch, np.int64), run.delta)
+    # a class that ends at the UPF: d_e2e is d_upf
+    d_e2e = d_upf.copy()
+    d_e2e[uses_mec] = d_upf[uses_mec] + mec_rows(run.d_net, float) + d_mec
     return _Completed(
         qos=qos,
-        upf=np.fromiter(compress(run.assigned_upf, done), np.int64, k),
-        d_upf=np.fromiter(compress(run.d_upf, done), float, k),
-        d_e2e=np.fromiter(compress(run.d_e2e, done), float, k),
-        mec=np.fromiter(compress(compress(run.assigned_mec, done), at_mec), np.int64, m),
-        d_mec=np.fromiter(compress(compress(run.d_mec, done), at_mec), float, m),
+        upf=rows(run.assigned_upf, np.int64),
+        d_upf=d_upf,
+        d_e2e=d_e2e,
+        mec=mec_rows(run.assigned_mec, np.int64),
+        d_mec=d_mec,
     )
 
 
@@ -208,10 +226,8 @@ def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
     For a run that is not summarized; ``summarize`` keeps all of them, in
     id order, as ``SummaryReport.d_e2e``.
     """
-    done, k = _done(run)
-    qos = _codes(run, done, k)
-    d_e2e = np.fromiter(compress(run.d_e2e, done), float, k)
-    return {q: d_e2e[qos == _CODE[q]] for q in QosClass}
+    c = _completed(run)
+    return {q: c.d_e2e[c.qos == _CODE[q]] for q in QosClass}
 
 
 @dataclass(frozen=True)

@@ -634,17 +634,34 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    """The scenario in a YAML file; a file that is not YAML is a one-line ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            # a parser error says where it stopped; any other error's text
-            # is joined into one line
-            mark = getattr(exc, "problem_mark", None)
-            at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
-            raise ValueError(f"{path}: not valid YAML{at}: {problem}") from None
+    """The scenario in a YAML file.
+
+    A missing file is a ``FileNotFoundError``.  A path that cannot be read
+    as a file (a directory, say), a file that is not UTF-8 text and a file
+    that is not YAML are each a one-line ValueError naming the path.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read the scenario file: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # a parser error says where it stopped; any other error's text
+        # is joined into one line
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ValueError(f"{path}: not valid YAML{at}: {problem}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: not a scenario document")
     try:

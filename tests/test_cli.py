@@ -384,6 +384,9 @@ def test_capex_rejects_a_malformed_base_before_scaling_it(tmp_path, capsys, brea
         ["compare", "--seeds", "1,1"],
         ["capex", "--scenario", "metro", "--pairs", "1-3,2"],
         ["compare", "--seeds", "1", "--drain-cap", "-5"],
+        ["run", "--scenario", "campus5", "--seed", "-1"],
+        ["compare", "--seeds", "-3"],
+        ["capex", "--scenario", "metro", "--pairs", "1", "--seeds", "-2"],
     ],
 )
 def test_malformed_lists_are_usage_errors(tmp_path, capsys, argv):
@@ -394,6 +397,47 @@ def test_malformed_lists_are_usage_errors(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("upfmec: error: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--scenario", "campus5", "--seed", "-1"], "--seed"),
+        (["compare", "--seeds", "-3"], "--seeds"),
+        (["capex", "--scenario", "metro", "--pairs", "1", "--seeds", "2,-2"], "--seeds"),
+        (["oracle-gap", "--seed", "-7"], "--seed"),
+    ],
+)
+def test_a_negative_seed_is_refused_by_its_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"upfmec: error: {flag} must be >= 0, got -")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def _a_directory(tmp_path):
+    path = tmp_path / "scenarios"
+    path.mkdir()
+    return path, "cannot read the scenario file"
+
+
+def _latin1_text(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"name: \xff\n")
+    return path, "not UTF-8 text: byte 0xff at offset 6"
+
+
+@pytest.mark.parametrize("make", [_a_directory, _latin1_text])
+def test_unreadable_scenario_file_is_a_usage_error(tmp_path, capsys, make):
+    path, reason = make(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"upfmec: error: {path}: {reason}")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

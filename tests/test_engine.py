@@ -18,8 +18,9 @@ from upfmec.engine import (
     arrival_cdfs,
     generate_arrivals,
     run_to_completion,
+    stage_delay,
 )
-from upfmec.metrics import build_pair_scenario
+from upfmec.metrics import build_pair_scenario, summarize
 from upfmec.model import QosClass, RequestStatus, Scheme, TrafficSpec
 
 from conftest import make_scenario
@@ -130,6 +131,38 @@ def test_regular_traffic_never_touches_the_mec():
         assert r.d_e2e == r.d_upf
     assert all(not any(rep.mec_queues) for rep in res.epoch_reports)
     assert not any(run.link_sharers)
+
+
+def test_stages_stamp_epochs_and_rows_derive_the_delays():
+    # a stage's delay is (leave + 1 - enter) epochs of delta: the serving epoch counts
+    s = make_scenario(
+        num_upfs=1, lam=6.0, horizon=3, qos_mix=ALL_URLLC, upf_capacity=2.0,
+        mec_capacity=1.5, bandwidth_mbps=1e6, upf_queue_cap=100, mec_queue_cap=100, delta=0.5,
+    )
+    res = run_to_completion(s)
+    done = [r for r in res.requests if r.status is RequestStatus.COMPLETED]
+    assert len(done) == res.generated
+    # the MEC queued some requests past their due epoch
+    assert max(r.mec_serve_epoch - r.mec_due_epoch for r in done) > 0
+    for r in done:
+        assert r.arrival_epoch <= r.upf_serve_epoch <= r.mec_due_epoch <= r.mec_serve_epoch
+        assert r.mec_serve_epoch < res.epoch
+        assert r.d_upf == (r.upf_serve_epoch + 1 - r.arrival_epoch) * 0.5
+        assert r.d_mec == (r.mec_serve_epoch + 1 - r.mec_due_epoch) * 0.5
+        assert r.d_e2e == r.d_upf + r.d_net + r.d_mec
+
+
+def test_stage_delay_is_one_law_for_ints_and_arrays():
+    leave, enter = [3, 7, 12, 40], [3, 2, 0, 1]
+    scalars = [stage_delay(a, b, 0.1) for a, b in zip(leave, enter)]
+    assert scalars == [0.1, 0.6000000000000001, 1.3, 4.0]
+    assert all(type(x) is float for x in scalars)
+    assert stage_delay(np.array(leave), np.array(enter), 0.1).tolist() == scalars
+
+
+def test_a_negative_seed_override_is_refused_by_name():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SimulationRun(make_scenario(), seed=-1)
 
 
 def test_d_net_is_in_ms_for_any_epoch_length():
@@ -578,17 +611,19 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         )
         for (uid, qos, _), n in upf_served.items():
             assert n <= math.ceil(run.upfs[uid - 1][qos].capacity)
-        # d_mec counts the serving epoch itself
         mec_served = Counter(
-            (r.assigned_mec, r.mec_due_epoch + round(r.d_mec / delta) - 1)
+            (r.assigned_mec, r.mec_serve_epoch)
             for r in res.requests
-            if r.status is RequestStatus.COMPLETED and r.assigned_mec is not None
+            if r.mec_serve_epoch is not None
         )
         for (mid, _), n in mec_served.items():
             assert n <= math.ceil(run.mecs[mid - 1].capacity)
 
         _assert_reports_within_caps(run)
         _assert_little_identities(run)
+        # the summary's array derivation and the rows' scalar one agree bit for bit
+        rows_e2e = [r.d_e2e for r in res.requests if r.status is RequestStatus.COMPLETED]
+        assert summarize(res).d_e2e.tolist() == rows_e2e
 
         # a drain cap that stops the run with requests in queues and on links
         truncated = run_to_completion(replace(base, scheme=scheme), drain_cap=cap)
@@ -599,17 +634,17 @@ def _assert_little_identities(run: SimulationRun) -> None:
     """Exact sample-path Little's law for each UPF bucket, each MEC and the links together.
 
     The sum over epochs of a queue's reported end-of-epoch length equals
-    the sum of the epochs its requests spent in it: d_upf / delta - 1 for
-    a request a UPF bucket served, d_mec / delta - 1 for one a MEC served,
-    and mec_due_epoch - upf_serve_epoch for one that crossed a link
-    (dropped at the MEC's door or not).  A run the drain cap stopped holds
-    requests that have not left: one still in a UPF queue counts
-    epoch - arrival_epoch, one still on a link epoch - upf_serve_epoch and
-    one still in a MEC queue epoch - mec_due_epoch.  The residences come
+    the sum of the epochs its requests spent in it: upf_serve_epoch -
+    arrival_epoch for a request a UPF bucket served, mec_serve_epoch -
+    mec_due_epoch for one a MEC served, and mec_due_epoch - upf_serve_epoch
+    for one that crossed a link (dropped at the MEC's door or not).  A run
+    the drain cap stopped holds requests that have not left: one still in
+    a UPF queue counts epoch - arrival_epoch, one still on a link epoch -
+    upf_serve_epoch and one still in a MEC queue epoch - mec_due_epoch.  The residences come
     from the run's columns, the lengths from its epoch reports, two
     records kept apart.
     """
-    delta, end = run.delta, run.epoch
+    end = run.epoch
     upf_res, mec_res, link_res = Counter(), Counter(), 0
     for rid, serve in enumerate(run.upf_serve_epoch):
         status = run.status[rid]
@@ -617,7 +652,7 @@ def _assert_little_identities(run: SimulationRun) -> None:
             if status is RequestStatus.IN_UPF_QUEUE:
                 upf_res[(run.assigned_upf[rid], run.qos[rid])] += end - run.arrival_epoch[rid]
             continue
-        upf_res[(run.assigned_upf[rid], run.qos[rid])] += round(run.d_upf[rid] / delta) - 1
+        upf_res[(run.assigned_upf[rid], run.qos[rid])] += serve - run.arrival_epoch[rid]
         due = run.mec_due_epoch[rid]
         if status is RequestStatus.IN_TRANSIT:
             link_res += end - serve
@@ -625,8 +660,8 @@ def _assert_little_identities(run: SimulationRun) -> None:
             link_res += due - serve
         if status is RequestStatus.IN_MEC_QUEUE:
             mec_res[run.assigned_mec[rid]] += end - due
-        elif status is RequestStatus.COMPLETED and run.assigned_mec[rid] is not None:
-            mec_res[run.assigned_mec[rid]] += round(run.d_mec[rid] / delta) - 1
+        elif run.mec_serve_epoch[rid] is not None:
+            mec_res[run.assigned_mec[rid]] += run.mec_serve_epoch[rid] - due
     reports = run.epoch_reports
     # the report's class order, defined here rather than read from the engine
     names = sorted(QosClass, key=lambda q: q.value)

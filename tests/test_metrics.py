@@ -33,26 +33,45 @@ from conftest import make_scenario
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
 
 
-def completed_request(d_upf: float, d_mec: float = 0.0, d_net: float = 0.0,
-                      qos: QosClass = QosClass.URLLC, upf: int = 1, mec: int = 1,
+# make_result's epoch length in ms: every stage delay is a whole number of epochs
+DELTA = 0.5
+
+
+def completed_request(upf_epochs: int, mec_epochs: int = 1, transit_epochs: int = 0,
+                      qos: QosClass = QosClass.REGULAR, upf: int = 1, mec: int = 1,
                       status: RequestStatus = RequestStatus.COMPLETED) -> dict:
-    """The record of one request that make_result writes as a row."""
+    """The record of one request that make_result writes as a row.
+
+    A regular request ends at the UPF, so its d_e2e is its d_upf,
+    upf_epochs * DELTA ms; a class that uses a MEC also spends
+    transit_epochs on its link and mec_epochs at the MEC.
+    """
     mec = mec if qos.uses_mec else None
-    return dict(qos=qos, upf=upf, mec=mec, d_upf=d_upf, d_net=d_net, d_mec=d_mec, status=status)
+    return dict(qos=qos, upf=upf, mec=mec, upf_epochs=upf_epochs, mec_epochs=mec_epochs,
+                transit_epochs=transit_epochs, status=status)
 
 
 def make_result(requests) -> SimulationRun:
-    """A finished one-epoch run whose record holds exactly these requests, in this order."""
-    run = SimulationRun(make_scenario(num_upfs=1), seed=1)
+    """A finished run whose record holds exactly these requests, in this order.
+
+    Every request arrives at epoch 0.  A completed one is stamped at the
+    epochs its stage counts give, a stage of n epochs being left at the
+    epoch n - 1 after it was entered: the serving epoch counts.
+    """
+    run = SimulationRun(make_scenario(num_upfs=1, delta=DELTA), seed=1)
     for r in requests:
         rid = run.add_requests([r["upf"]], [r["qos"]])
         run.assigned_upf[rid], run.assigned_mec[rid] = r["upf"], r["mec"]
-        run.d_upf[rid], run.d_net[rid], run.d_mec[rid] = r["d_upf"], r["d_net"], r["d_mec"]
         run.status[rid] = r["status"]
         if r["status"] is RequestStatus.COMPLETED:
-            run.d_e2e[rid] = r["d_upf"] + r["d_net"] + r["d_mec"]
+            run.upf_serve_epoch[rid] = served = r["upf_epochs"] - 1
+            if r["mec"] is not None:
+                run.d_net[rid] = r["transit_epochs"] * DELTA
+                run.mec_due_epoch[rid] = due = served + r["transit_epochs"]
+                run.mec_serve_epoch[rid] = due + r["mec_epochs"] - 1
             run.completed += 1
-    run.epoch = 1
+    stamps = [e for e in run.upf_serve_epoch + run.mec_serve_epoch if e is not None]
+    run.epoch = max(stamps, default=0) + 1
     return run
 
 
@@ -76,14 +95,14 @@ def test_nearest_rank_rejects_bad_inputs():
 
 
 def test_single_request_summary():
-    rep = summarize(make_result([completed_request(2.5)]))
-    st_ = rep.per_upf_qos[(1, QosClass.URLLC)]
+    rep = summarize(make_result([completed_request(5)]))
+    st_ = rep.per_upf_qos[(1, QosClass.REGULAR)]
     assert st_.mean == 2.5 and st_.std == 0.0 and st_.count == 1
     assert rep.e2e_overall.max == 2.5
 
 
 def test_two_request_summary_uses_population_std():
-    rep = summarize(make_result([completed_request(2.0), completed_request(4.0)]))
+    rep = summarize(make_result([completed_request(4), completed_request(8)]))
     d = rep.e2e_overall
     assert d.mean == 3.0
     assert d.std == 1.0  # population convention, not the n-1 sample form
@@ -92,22 +111,22 @@ def test_two_request_summary_uses_population_std():
 
 
 def test_summary_is_order_independent():
-    reqs = [completed_request(float(i % 7) + 1.0) for i in range(40)]
+    reqs = [completed_request(2 * (i % 7) + 2) for i in range(40)]
     a = summarize(make_result(reqs))
     b = summarize(make_result(list(reversed(reqs))))
     assert a == b
 
 
 def test_summary_skips_unfinished_requests():
-    done = completed_request(2.0)
-    pending = completed_request(0.0, status=RequestStatus.PENDING)
+    done = completed_request(4)
+    pending = completed_request(0, status=RequestStatus.PENDING)
     rep = summarize(make_result([done, pending]))
     assert rep.e2e_overall.count == 1
 
 
 def test_percentiles_are_ordered():
     rng = np.random.default_rng(3)
-    reqs = [completed_request(float(v)) for v in rng.gamma(2.0, 3.0, size=200)]
+    reqs = [completed_request(int(v)) for v in rng.integers(1, 40, size=200)]
     d = summarize(make_result(reqs)).e2e_overall
     assert d.percentiles[80.0] <= d.percentiles[95.0] <= d.percentiles[99.0] <= d.max
 
