@@ -10,7 +10,8 @@ traffic until every admitted request has completed or a drain cap is hit.
 
 A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
 ``run.upfs[i][q]``) and a MEC is one (``run.mecs[j]``), so both tiers
-share the drop test, the service law and the price.
+share the service law and the price table.  A request that finds its
+queue at ``queue_cap`` is dropped.
 
 A request is an id, its row in the run's record: list columns on the run
 named after the fields they hold (``run.qos[i]``, ``run.upf_serve_epoch[i]``,
@@ -47,14 +48,17 @@ bucket of class q and ``mec_cost.prices[j]`` that of MEC j+1, and every
 vector keeps ``best``, the index of its first minimum, through its own
 writes.  A scheme only chooses: bestfit reads ``best``, with no search
 per decision.  The vectors are priced once when the run is built and then
-repriced only where a queue changes: an admission rewrites the entries
-it touched, a UPF bucket is repriced after its service, and a MEC after
-its own service, which follows every change the link phase makes to it
-(a drop at its door lowers ``pending``, but only when its queue is
-full).  A price depends only on the queue length, ``pending`` and the
-capacity, so the vectors always equal a fresh pricing.  Code that edits
-queues or ``pending`` outside ``step_epoch`` must call ``refresh_costs()``
-before the next decision.
+repriced only where a queue changes: an admission reprices the bucket and
+the MEC it touched, a UPF bucket is repriced after its service, and a MEC
+after its own service, which follows every change the link phase makes to
+it (a drop at its door lowers ``pending``, but only when its queue is
+full).  Each repricing reads the queue's price table inline, guarded as
+``ServiceQueue.price`` reads it.  A price that did not move is not
+written: ``set`` of an equal price changes neither the prices nor
+``best``, and below capacity a price stays one epoch.  So the vectors
+always equal a fresh pricing.  Code that edits queues or ``pending``
+outside ``step_epoch`` must call ``refresh_costs()``, which writes every
+entry, before the next decision.
 
 Admission records what the scheme's projection is made of, not the
 projection: the UPF price, the chosen link's sharers and the MEC price
@@ -72,13 +76,12 @@ Values that cannot change after the run is built are checked once, not
 per request.  When the run is built, ``validate_scenario`` checks the
 epoch length and both arrival distributions, the run builds the origin
 and QoS-class CDFs each epoch draws from (``arrival_cdfs``), and each
-``ServiceQueue`` checks its capacity.  Every call still
-checks what changes: a price its queue length and ``serve`` the count it
-serves.  ``net_delay`` checks the link's sharers (counted after the
-entering request joins) and ``transit_epochs`` the transfer delay once per
-transit table entry, when the entry is made.  Each stage checks
-that an id it pops has the status of that stage, so status only moves
-forward, and raises ``InvariantError`` otherwise.
+``ServiceQueue`` checks its capacity.  ``serve`` checks the count it
+serves on every call.  ``net_delay`` checks the link's sharers (counted
+after the entering request joins) and ``transit_epochs`` the transfer
+delay once per transit table entry, when the entry is made.  Each stage
+checks that an id it pops has the status of that stage, so status only
+moves forward, and raises ``InvariantError`` otherwise.
 
 A finished run counts where its requests are: those in UPF and MEC queues
 and in the delivery calendar must number exactly the ``residual`` that
@@ -336,8 +339,7 @@ def _derived_queue_cap(scenario: Scenario, capacity: float, *offered: float) -> 
     return max(1, math.ceil(load / capacity))
 
 
-def _build_upf(spec, scenario: Scenario) -> Dict[QosClass, ServiceQueue]:
-    delta = scenario.delta_ms
+def _build_upf(spec, scenario: Scenario, delta: float) -> Dict[QosClass, ServiceQueue]:
     if spec.capacity is not None:
         capacity = dict(spec.capacity)
     else:
@@ -354,14 +356,14 @@ def _build_upf(spec, scenario: Scenario) -> Dict[QosClass, ServiceQueue]:
         queue_cap = {
             q: _derived_queue_cap(scenario, capacity[q], lam, mix[q], skew) for q in QosClass
         }
-    return {q: ServiceQueue(capacity[q], queue_cap[q]) for q in QosClass}
+    return {q: ServiceQueue(capacity[q], queue_cap[q], delta) for q in QosClass}
 
 
-def _build_mec(spec, scenario: Scenario) -> ServiceQueue:
+def _build_mec(spec, scenario: Scenario, delta: float) -> ServiceQueue:
     if spec.capacity is not None:
         capacity = float(spec.capacity)
     else:
-        capacity = mec_capacity(spec.etpb, spec.bytes_per_ue, scenario.delta_ms)
+        capacity = mec_capacity(spec.etpb, spec.bytes_per_ue, delta)
     if spec.queue_cap is not None:
         queue_cap = int(spec.queue_cap)
     else:
@@ -372,7 +374,7 @@ def _build_mec(spec, scenario: Scenario) -> ServiceQueue:
         else:
             weight = 1.0 / scenario.num_mecs
         queue_cap = _derived_queue_cap(scenario, capacity, nonreg, weight)
-    return ServiceQueue(capacity, queue_cap)
+    return ServiceQueue(capacity, queue_cap, delta)
 
 
 class SimulationRun:
@@ -414,8 +416,8 @@ class SimulationRun:
         self.rng = np.random.default_rng(self.seed)
         self._origin_cdf, self._class_cdf = arrival_cdfs(scenario.traffic)
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
-        self.upfs = [_build_upf(u, scenario) for u in scenario.upfs]
-        self.mecs = [_build_mec(m, scenario) for m in scenario.mecs]
+        self.upfs = [_build_upf(u, scenario, self.delta) for u in scenario.upfs]
+        self.mecs = [_build_mec(m, scenario, self.delta) for m in scenario.mecs]
         # each link's sharer count and transit table, by link index
         num_links = scenario.num_upfs * scenario.num_mecs
         self.link_sharers: List[int] = [0] * num_links
@@ -448,9 +450,9 @@ class SimulationRun:
         self.completed = 0
         self.dropped = 0
         self.upf_cost: Dict[QosClass, CostVector] = {
-            q: CostVector([u[q].price(self.delta) for u in self.upfs]) for q in QosClass
+            q: CostVector([u[q].price() for u in self.upfs]) for q in QosClass
         }
-        self.mec_cost = CostVector([m.price(self.delta) for m in self.mecs])
+        self.mec_cost = CostVector([m.price() for m in self.mecs])
         # UPF buckets in service order (UPF-major, class-minor), each with
         # the cost vector entry that prices it and the base that a MEC id
         # turns into a link index (None for a class that ends at the UPF);
@@ -505,11 +507,10 @@ class SimulationRun:
 
     def refresh_costs(self) -> None:
         """Recompute every entry of the cost vectors from the current queues."""
-        delta = self.delta
         for bucket, cost, idx, _ in self._upf_slots:
-            cost.set(idx, bucket.price(delta))
+            cost.set(idx, bucket.price())
         for j, m in enumerate(self.mecs):
-            self.mec_cost.set(j, m.price(delta))
+            self.mec_cost.set(j, m.price())
 
     # ------------------------------------------------------------- stepping
 
@@ -525,7 +526,6 @@ class SimulationRun:
 
         status = self.status
         assigned_upf, assigned_mec = self.assigned_upf, self.assigned_mec
-        delta = self.delta
         assign = self._assign
         upfs, mecs = self.upfs, self.mecs
         link_sharers, num_mecs = self.link_sharers, len(mecs)
@@ -545,18 +545,27 @@ class SimulationRun:
                 n_share[rid] = link_sharers[(upf_id - 1) * num_mecs + mec_id - 1]
                 pc_mec[rid] = mec_prices[mec_id - 1]
             bucket = upfs[upf_id - 1][qos]
-            if bucket.full():
+            queue = bucket.queue
+            if len(queue) >= bucket.queue_cap:
                 status[rid] = _DROPPED
                 dropped_now += 1
             else:
                 status[rid] = _IN_UPF_QUEUE
-                bucket.queue.append(rid)
-                cost.set(upf_id - 1, bucket.price(delta))
+                queue.append(rid)
+                q = len(queue) + bucket.pending
+                table = bucket.table
+                p = table[q] if 0 <= q < len(table) else bucket.fill(q)
+                if p != cost.prices[upf_id - 1]:
+                    cost.set(upf_id - 1, p)
                 admitted += 1
                 if mec_id is not None:
                     mec = mecs[mec_id - 1]
-                    mec.pending += 1
-                    mec_cost.set(mec_id - 1, mec.price(delta))
+                    mec.pending = pending = mec.pending + 1
+                    q = len(mec.queue) + pending
+                    table = mec.table
+                    p = table[q] if 0 <= q < len(table) else mec.fill(q)
+                    if p != mec_prices[mec_id - 1]:
+                        mec_cost.set(mec_id - 1, p)
         if admitted + dropped_now != len(origins):
             raise InvariantError(
                 f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(origins)}"
@@ -598,7 +607,11 @@ class SimulationRun:
                         on_link.append(rid)
                 else:
                     status[rid] = _COMPLETED
-            cost.set(idx, bucket.price(delta))
+            q = len(queue) + bucket.pending
+            table = bucket.table
+            p = table[q] if 0 <= q < len(table) else bucket.fill(q)
+            if p != cost.prices[idx]:
+                cost.set(idx, p)
             served_upf += n
             if base is None:
                 completed_now += n
@@ -613,15 +626,16 @@ class SimulationRun:
                 link_sharers[k] -= len(rids)
                 mec = mecs[k % num_mecs]
                 mec.pending -= len(rids)
+                queue, queue_cap = mec.queue, mec.queue_cap
                 for rid in rids:
                     if status[rid] is not _IN_TRANSIT:
                         raise _stage_error(rid, status[rid], _IN_TRANSIT)
-                    if mec.full():
+                    if len(queue) >= queue_cap:
                         status[rid] = _DROPPED
                         dropped_now += 1
                     else:
                         status[rid] = _IN_MEC_QUEUE
-                        mec.queue.append(rid)
+                        queue.append(rid)
 
         # a MEC the link phase changed holds a queue now: a delivery joined it,
         # or a drop found it full (queue_cap >= 1); so repricing each served
@@ -640,7 +654,11 @@ class SimulationRun:
                     raise _stage_error(rid, status[rid], _IN_MEC_QUEUE)
                 mec_serve_epoch[rid] = epoch
                 status[rid] = _COMPLETED
-            mec_cost.set(j, m.price(delta))
+            q = len(queue) + m.pending
+            table = m.table
+            p = table[q] if 0 <= q < len(table) else m.fill(q)
+            if p != mec_prices[j]:
+                mec_cost.set(j, p)
             served_mec += n
         completed_now += served_mec
 

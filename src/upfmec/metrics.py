@@ -113,63 +113,42 @@ _CODE = {q: k for k, q in enumerate(REPORT_CLASSES)}
 _USES_MEC = np.array([q.uses_mec for q in REPORT_CLASSES])
 
 
-@dataclass(frozen=True)
 class _Completed:
-    """Typed arrays of a run's completed requests, in request-id order.
+    """A run's completed requests as typed arrays, in request-id order.
 
-    ``qos`` holds class codes (``_CODE``); the MEC arrays hold only the
+    Built from the class codes (``qos``, see ``_CODE``) and the five
+    columns ``d_e2e`` is made of, and no other: ``rows`` and ``mec_rows``
+    convert any further column on demand.  The MEC arrays hold only the
     requests of the classes that use a MEC, also in id order.  The delays
     are the ones ``RequestRows`` reads, bit for bit: the same law on the
     same stamps, and ``d_e2e`` summed in the same order.
     """
 
-    qos: np.ndarray
-    upf: np.ndarray
-    d_upf: np.ndarray
-    d_e2e: np.ndarray
-    mec: np.ndarray
-    d_mec: np.ndarray
+    __slots__ = ("_done", "_k", "_at_mec", "_m", "qos", "d_upf", "d_mec", "d_e2e")
 
+    def __init__(self, run: SimulationRun) -> None:
+        done = bytes(map(is_, run.status, repeat(RequestStatus.COMPLETED)))
+        self._done, self._k = done, done.count(1)
+        self.qos = np.fromiter(map(_CODE.__getitem__, compress(run.qos, done)), np.int64, self._k)
+        # a completed request of a class that uses a MEC was served by one
+        uses_mec = _USES_MEC[self.qos]
+        self._at_mec = uses_mec.tobytes()
+        self._m = self._at_mec.count(1)
+        self.d_upf = stage_delay(self.rows(run.upf_serve_epoch), self.rows(run.arrival_epoch),
+                                 run.delta)
+        self.d_mec = stage_delay(self.mec_rows(run.mec_serve_epoch),
+                                 self.mec_rows(run.mec_due_epoch), run.delta)
+        # a class that ends at the UPF: d_e2e is d_upf
+        self.d_e2e = self.d_upf.copy()
+        self.d_e2e[uses_mec] = self.d_upf[uses_mec] + self.mec_rows(run.d_net, float) + self.d_mec
 
-def _done(run: SimulationRun) -> Tuple[bytes, int]:
-    """A 0/1 byte per request, 1 where it completed, and the number of ones."""
-    done = bytes(map(is_, run.status, repeat(RequestStatus.COMPLETED)))
-    return done, done.count(1)
+    def rows(self, column, dtype=np.int64) -> np.ndarray:
+        """The column's entries of the completed requests."""
+        return np.fromiter(compress(column, self._done), dtype, self._k)
 
-
-def _codes(run: SimulationRun, done: bytes, k: int) -> np.ndarray:
-    return np.fromiter(map(_CODE.__getitem__, compress(run.qos, done)), np.int64, k)
-
-
-def _completed(run: SimulationRun) -> _Completed:
-    done, k = _done(run)
-    qos = _codes(run, done, k)
-    # a completed request of a class that uses a MEC was served by one
-    uses_mec = _USES_MEC[qos]
-    at_mec = uses_mec.tobytes()
-    m = at_mec.count(1)
-
-    def rows(column, dtype):
-        return np.fromiter(compress(column, done), dtype, k)
-
-    def mec_rows(column, dtype):
-        return np.fromiter(compress(compress(column, done), at_mec), dtype, m)
-
-    d_upf = stage_delay(rows(run.upf_serve_epoch, np.int64), rows(run.arrival_epoch, np.int64),
-                        run.delta)
-    d_mec = stage_delay(mec_rows(run.mec_serve_epoch, np.int64),
-                        mec_rows(run.mec_due_epoch, np.int64), run.delta)
-    # a class that ends at the UPF: d_e2e is d_upf
-    d_e2e = d_upf.copy()
-    d_e2e[uses_mec] = d_upf[uses_mec] + mec_rows(run.d_net, float) + d_mec
-    return _Completed(
-        qos=qos,
-        upf=rows(run.assigned_upf, np.int64),
-        d_upf=d_upf,
-        d_e2e=d_e2e,
-        mec=mec_rows(run.assigned_mec, np.int64),
-        d_mec=d_mec,
-    )
+    def mec_rows(self, column, dtype=np.int64) -> np.ndarray:
+        """The column's entries of the completed requests of the classes that use a MEC."""
+        return np.fromiter(compress(compress(column, self._done), self._at_mec), dtype, self._m)
 
 
 def _slices(keys: np.ndarray, values: np.ndarray) -> List[Tuple[int, Stats]]:
@@ -200,13 +179,13 @@ def summarize(run: SimulationRun) -> SummaryReport:
         epochs_run=run.epoch,
         truncated=run.truncated,
     )
-    c = _completed(run)
+    c = _Completed(run)
     width = len(REPORT_CLASSES)
     report.per_upf_qos = {
         (key // width, REPORT_CLASSES[key % width]): st
-        for key, st in _slices(c.upf * width + c.qos, c.d_upf)
+        for key, st in _slices(c.rows(run.assigned_upf) * width + c.qos, c.d_upf)
     }
-    report.per_mec = dict(_slices(c.mec, c.d_mec))
+    report.per_mec = dict(_slices(c.mec_rows(run.assigned_mec), c.d_mec))
     for q in QosClass:
         sample = c.d_e2e[c.qos == _CODE[q]]
         if sample.size:
@@ -226,7 +205,7 @@ def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
     For a run that is not summarized; ``summarize`` keeps all of them, in
     id order, as ``SummaryReport.d_e2e``.
     """
-    c = _completed(run)
+    c = _Completed(run)
     return {q: c.d_e2e[c.qos == _CODE[q]] for q in QosClass}
 
 

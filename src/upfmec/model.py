@@ -5,8 +5,8 @@ compute hosts (MECs) joined by a full mesh of links.  Each UPF partitions
 its packet-processing capacity into per-QoS buckets; each MEC serves a
 single FCFS queue.  A Scenario is the static description (topology,
 capacities, traffic law); the mutable state that the engine evolves epoch
-by epoch is one ServiceQueue per UPF bucket and per MEC, so one admission
-test, one service law and one price cover both tiers.
+by epoch is one ServiceQueue per UPF bucket and per MEC, so one queue
+cap, one service law and one price table cover both tiers.
 
 Scenario files are single YAML documents.  ``load_scenario`` and
 ``save_scenario`` round-trip a Scenario losslessly.  One table per record
@@ -34,6 +34,8 @@ from itertools import chain
 from typing import Deque, Dict, List, Optional, Sequence
 
 import yaml
+
+from .delay import projected_delay
 
 
 class ScenarioError(ValueError):
@@ -200,41 +202,43 @@ class ServiceQueue:
     assigned here and admitted upstream but not yet arrived, so later
     assignment decisions see those commitments.
 
-    The capacity is checked once, when the queue is built
-    (`check_capacity`).  No code changes it afterwards, so `price` does not
-    check it again.
+    `table[q]` is the price of joining at q = ``len(queue) + pending``:
+    ``delay.projected_delay(q, capacity, capacity, delta)``, with headroom
+    = capacity because service runs after admission in every epoch, so no
+    request is in service while decisions are made.  The capacity and the
+    epoch length `delta` are fixed when the queue is built, and the
+    capacity is checked then (`check_capacity`), so an entry depends on q
+    alone: `fill` computes it, and runs the law's checks, the first time q
+    is reached, and every later price is a read.  A read sends a negative q
+    to `fill`, which rejects it, rather than index the table from its end.
     """
 
     capacity: float
     queue_cap: int
+    delta: float
     queue: Deque[int] = field(init=False, default_factory=deque)
     credit: float = field(init=False, default=0.0)
     pending: int = field(init=False, default=0)
+    table: List[float] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         check_capacity(self.capacity)
 
-    def full(self) -> bool:
-        """A request arriving now would be dropped."""
-        return len(self.queue) >= self.queue_cap
-
-    def price(self, delta: float) -> float:
-        """Projected delay of joining this queue now, ms.
-
-        ``delay.projected_delay`` with headroom = capacity: service runs
-        after admission in every epoch, so no request is in service while
-        decisions are made.  The same IEEE operations in the same order;
-        the capacity was checked when the queue was built and delta is the
-        run's validated epoch length, so only the queue length, which
-        changes, is checked here.
-        """
+    def price(self) -> float:
+        """Projected delay of joining this queue now, ms."""
         q = len(self.queue) + self.pending
+        table = self.table
+        return table[q] if 0 <= q < len(table) else self.fill(q)
+
+    def fill(self, q: int) -> float:
+        """Extend the table through entry q and return that entry."""
         if q < 0:
             raise ValueError(f"queue_len must be >= 0, got {q}")
-        c = self.capacity
-        if q < c:
-            return delta
-        return ((q + 1.0 - c) / c) * delta + delta
+        table = self.table
+        c, delta = self.capacity, self.delta
+        for n in range(len(table), q + 1):
+            table.append(projected_delay(n, c, c, delta))
+        return table[q]
 
     def serve(self) -> int:
         """This epoch's service, up to int(credit + capacity) requests: how many to pop.

@@ -500,6 +500,17 @@ def test_pending_commitments_fully_drain(metro):
     assert all(m.pending == 0 for m in run.mecs)
 
 
+def test_a_negative_queue_length_is_never_a_table_index():
+    # admission to MEC 1 makes q = 0 + (-2 + 1) = -1; the inline read must
+    # reject it, not read the table's last entry (the price of q = 0 here)
+    run = SimulationRun(make_scenario(num_upfs=1, lam=8.0), seed=1)
+    mec = run.mecs[0]
+    assert not mec.queue and mec.table == [run.delta]
+    mec.pending = -2
+    with pytest.raises(ValueError, match="queue_len must be >= 0"):
+        run.step_epoch()
+
+
 @st.composite
 def small_scenarios(draw):
     """Valid scenarios of 1-3 UPF-MEC pairs with short horizons and random sizing."""

@@ -418,31 +418,41 @@ def test_regular_is_the_only_class_bypassing_mec():
 @pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan, math.inf])
 def test_queue_capacity_is_checked_once_at_build(capacity):
     with pytest.raises(ValueError, match="capacity must be > 0 and finite"):
-        ServiceQueue(capacity, 4)
+        ServiceQueue(capacity, 4, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    queued=st.integers(0, 60),
-    pending=st.integers(0, 60),
-    capacity=st.floats(1e-3, 1e3) | st.integers(1, 40).map(float),
+    capacity=st.floats(1e-3, 1e3) | st.integers(1, 40).map(float) | st.integers(1, 40),
     delta=st.floats(1e-3, 1e3) | st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    data=st.data(),
 )
-def test_price_is_the_checked_law_at_full_headroom(queued, pending, capacity, delta):
-    # price skips the checks on values fixed at build, and computes the same bits
-    sq = ServiceQueue(capacity, 1000)
-    sq.queue.extend([None] * queued)
-    sq.pending = pending
-    expected = projected_delay(queued + pending, capacity, capacity, delta)
-    assert sq.price(delta) == expected
-    assert type(sq.price(delta)) is type(expected)
+def test_price_is_the_checked_law_at_full_headroom(capacity, delta, data):
+    # every entry is the law's own value, whatever order the table fills in;
+    # the q drawn cover both sides of ceil(c) - 1, where the law changes branch
+    sq = ServiceQueue(capacity, 1000, delta)
+    edge = math.ceil(capacity) - 1
+    near = st.integers(max(0, edge - 2), edge + 2)
+    qs = data.draw(st.lists(near | st.integers(0, 120), min_size=1, max_size=30), label="qs")
+    for q in qs:
+        pending = data.draw(st.integers(0, q), label="pending")
+        sq.queue.clear()
+        sq.queue.extend([None] * (q - pending))
+        sq.pending = pending
+        expected = projected_delay(q, capacity, capacity, delta)
+        got = sq.price()
+        assert got == expected and type(got) is float
+        assert sq.table[q] == expected and type(sq.table[q]) is float
+    assert sq.table == [projected_delay(n, capacity, capacity, delta) for n in range(max(qs) + 1)]
 
 
 def test_price_still_checks_the_queue_length():
-    sq = ServiceQueue(2.0, 4)
+    sq = ServiceQueue(2.0, 4, 1.0)
+    sq.price()
     sq.pending = -1
+    # the table holds entry 0, so an unguarded read of table[-1] would return it
     with pytest.raises(ValueError, match="queue_len must be >= 0"):
-        sq.price(1.0)
+        sq.price()
 
 
 # ------------------------------------------------------------------ cost vector
@@ -483,6 +493,29 @@ def test_cost_vector_keeps_its_first_minimum(initial, data):
         prices[i] = price
         assert cost.prices == prices
         assert cost.best == prices.index(min(prices)) == int(np.argmin(prices))
+
+
+@settings(max_examples=120, deadline=None)
+@given(initial=st.lists(PRICE, min_size=1, max_size=60), data=st.data())
+def test_cost_vector_set_of_an_equal_price_changes_nothing(initial, data):
+    # the engine skips a set whose price equals the entry's: sound only if
+    # such a set leaves the prices and best as they were
+    cost = CostVector(initial)
+    for _ in range(data.draw(st.integers(1, 20), label="updates")):
+        n, best = len(cost.prices), cost.best
+        where = data.draw(st.sampled_from(["best", "below", "above"]), label="where")
+        if where == "below" and best > 0:
+            i = data.draw(st.integers(0, best - 1), label="i")
+        elif where == "above" and best < n - 1:
+            i = data.draw(st.integers(best + 1, n - 1), label="i")
+        else:
+            i = best
+        before = list(cost.prices)
+        cost.set(i, cost.prices[i])
+        assert cost.prices == before and cost.best == best
+        # move some entry, often onto a tie with the minimum, to vary the state
+        j = data.draw(st.integers(0, n - 1), label="j")
+        cost.set(j, data.draw(st.sampled_from([min(before)]) | PRICE, label="price"))
 
 
 def test_cost_vector_has_no_write_that_skips_best():

@@ -111,7 +111,7 @@ def test_snapshots_reflect_state_in_id_order():
     stuff_upf(run, 2, QosClass.EMBB, 4)
     embb = [u[QosClass.EMBB] for u in run.upfs]
     assert [len(b.queue) for b in embb] == [0, 4, 0]
-    assert run.upf_cost[QosClass.EMBB].prices == [b.price(run.delta) for b in embb]
+    assert run.upf_cost[QosClass.EMBB].prices == [b.price() for b in embb]
     assert run.upf_cost[QosClass.EMBB].prices[1] > run.delta
     # other classes unaffected
     assert run.upf_cost[QosClass.URLLC].prices == [run.delta] * 3
