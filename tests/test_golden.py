@@ -11,11 +11,15 @@ files must say why and re-record them.
 and its analyses, and the ``oracle-gap`` table, recorded before the
 sequential heuristic placed through the engine's cost vector.
 
-``SCENARIO_GOLDEN`` pins two scenarios the bundled files never reach:
+``SCENARIO_GOLDEN`` pins three scenarios the bundled files never reach:
 campus5 with 0.5 ms epochs and every capacity scaled by 0.7 (fractional
 capacities at ``delta_ms`` != 1), and a rectangular 3 UPF x 2 MEC
-deployment over 2 ms epochs.  They were recorded before per-run
-constants were checked once at build time instead of on every price.
+deployment over 2 ms epochs, both recorded before per-run constants were
+checked once at build time instead of on every price; and metro scaled to
+one pair under ``baseline`` and stopped at its horizon
+(``drain_cap_epochs: 0``), the only pinned event log with drops at the MEC
+door and requests left in a UPF queue, on a link and in a MEC queue,
+recorded before ``events.csv`` was written from arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import pytest
 import yaml
 
 from upfmec.cli import main
+from upfmec.metrics import build_pair_scenario
 from upfmec.model import scenario_to_dict
 
 from conftest import make_scenario
@@ -165,15 +170,20 @@ def _campus5_fractional(campus5):
     return s
 
 
-def _rectangular(_campus5):
+def _rectangular(_bundled):
     """Three UPFs feeding two MECs over 2 ms epochs at fractional UPF capacity."""
     return make_scenario(
         name="rect3x2", num_upfs=3, num_mecs=2, delta=2.0, upf_capacity=1.5, lam=9.0, horizon=30
     )
 
 
+def _metro_p1_undrained(metro):
+    """metro at one pair, stopped at its horizon with requests at every stage."""
+    return replace(build_pair_scenario(metro, 1), name="metro_p1_undrained", drain_cap_epochs=0)
+
+
 SCENARIO_GOLDEN = {
-    "campus5_fractional": (_campus5_fractional, {
+    "campus5_fractional": ("campus5", _campus5_fractional, "bestfit_upf_mec", {
         "campus5_fractional.bestfit_upf_mec.1.cdf.csv":
             "874507cb0770e0c0a4e6b6ce8fe9190f5f372d83bb390a06c79d45dc6d1e4b4b",
         "campus5_fractional.bestfit_upf_mec.1.events.csv":
@@ -185,7 +195,7 @@ SCENARIO_GOLDEN = {
         "campus5_fractional.bestfit_upf_mec.1.trace.csv":
             "9e90c27e70bc3eed5030c96264eec69f5243de76e7eb3469ac17e82de22e8cd5",
     }),
-    "rect3x2": (_rectangular, {
+    "rect3x2": ("campus5", _rectangular, "bestfit_upf_mec", {
         "rect3x2.bestfit_upf_mec.1.cdf.csv":
             "e428cb0b3023e01cbbedfde8d73def304c3a1da85aef2d663b9e0514897a1b7f",
         "rect3x2.bestfit_upf_mec.1.events.csv":
@@ -197,17 +207,30 @@ SCENARIO_GOLDEN = {
         "rect3x2.bestfit_upf_mec.1.trace.csv":
             "768896dfa29f27208ef1b4a83ea6a6b359c1fa0490795e6df251ff0611086b61",
     }),
+    "metro_p1_undrained": ("metro", _metro_p1_undrained, "baseline", {
+        "metro_p1_undrained.baseline.1.cdf.csv":
+            "3686e819a5ae0ed4f0ca2871c90642bbe7f16c91ce09abb0c7e940ab7fdab161",
+        "metro_p1_undrained.baseline.1.events.csv":
+            "939cf19f46702a5cd3b1521a21b184eceb228d49d33078bcbd30c514e7fbd909",
+        "metro_p1_undrained.baseline.1.summary.csv":
+            "79ed02768b51bb82dfff48d373296d29e577a90d42e36b7cedb1072d0d4b9134",
+        "metro_p1_undrained.baseline.1.summary.json":
+            "cbfaeaf78a80f88d44c7f8a9f4342b24bd193b6ffb4deae48fd2ea7294f81152",
+        "metro_p1_undrained.baseline.1.trace.csv":
+            "abf053b248fee3253c12fe2182dce2ade555631206a4d1577342f7a335d3ec8d",
+    }),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_GOLDEN))
-def test_unbundled_scenario_outputs_match_golden_digests(tmp_path, campus5, name):
-    # epochs other than 1 ms, fractional capacities and a rectangular
-    # deployment, which neither bundled scenario reaches
-    build, golden = SCENARIO_GOLDEN[name]
+def test_unbundled_scenario_outputs_match_golden_digests(tmp_path, request, name):
+    # epochs other than 1 ms, fractional capacities, a rectangular deployment
+    # and an undrained run, which neither bundled scenario reaches
+    bundled, build, scheme, golden = SCENARIO_GOLDEN[name]
+    scenario = build(request.getfixturevalue(bundled))
     path = tmp_path / f"{name}.yaml"
-    path.write_text(yaml.safe_dump(scenario_to_dict(build(campus5)), sort_keys=False))
+    path.write_text(yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False))
     out = tmp_path / "out"
     out.mkdir()
-    argv = ["run", "--scenario", str(path), "--scheme", "bestfit_upf_mec", "--seed", "1", "--trace"]
+    argv = ["run", "--scenario", str(path), "--scheme", scheme, "--seed", "1", "--trace"]
     assert _digests(argv, out) == golden
