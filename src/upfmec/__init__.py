@@ -9,7 +9,7 @@ from .delay import (
     upf_capacity,
     worst_case_batch_delay,
 )
-from .engine import EpochReport, InvariantError, RequestRow, SimulationRun, run_to_completion
+from .engine import EpochReport, InvariantError, SimulationRun, run_to_completion
 from .model import (
     CostVector,
     MecSpec,

@@ -13,28 +13,17 @@ A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
 share the service law and the price table.  A request that finds its
 queue at ``queue_cap`` is dropped.
 
-A request is an id, its row in the run's record: list columns on the run
-named after the fields they hold (``run.qos[i]``, ``run.upf_serve_epoch[i]``,
-...), extended once per epoch with the epoch's arrivals.  Queues hold ids,
-and a scheme chooses from ``(qos, origin_upf, run)``.  Each stage pops ids
-and stamps the epoch it serves them in one loop; no per-request object is
-built and no delay computed.  The record keeps epochs, not measured
-delays: ``stage_delay`` derives ``d_upf`` (arrival to UPF service) and
-``d_mec`` (due epoch to MEC service) from the stamps, and ``d_e2e`` is
-``(d_upf + d_net) + d_mec``, or ``d_upf`` for a class that ends at the
-UPF.  Only ``d_net``, a transit table read the stamps cannot give back,
-is a column.  ``run.requests`` reads the columns as ``RequestRow``
-tuples when asked; ``metrics`` applies the same law to whole arrays.
+A request is an id, its row in the run's list columns (``SimulationRun``).
+Queues hold ids, and a scheme chooses from ``(qos, origin_upf, run)``.
+Each stage pops ids and stamps the epoch it serves them in one loop; no
+per-request object is built and no delay computed: ``metrics`` derives
+the measured delays from the stamps.
 
 A link's state is two run columns indexed by its link index: link (i, j)
 of M MECs is (i - 1) * M + (j - 1), which sorts as the key (i, j) does.
 ``run.link_sharers[k]`` counts the transfers on link k now, and
-``run.link_transit[k]`` is its transit table: entry n holds the ``d_net``
-and the whole transit epochs of a transfer entering as the n-th sharer,
-computed by ``transit_entry`` the first time n is reached, from the
-scenario's bandwidth of the link and its MEC's bytes per request
-(``link_law``).  Both depend only on n and on values fixed for the run,
-so a link entry is a count increment and one table read, and a link no
+``run.link_transit[k]`` is its transit table (``transit_entry``), so a
+link entry is a count increment and one table read, and a link no
 transfer crosses holds a zero and the shared empty table: no per-link
 object is built.  The ids in transit sit in a delivery calendar keyed by
 due epoch, each epoch's entries grouped by link index in entry order.
@@ -90,12 +79,7 @@ generation, completions and drops leave, or the run raises
 
 A finished run is its own record: ``run()`` and ``run_to_completion``
 return the ``SimulationRun``, and the reports read its request columns,
-epoch reports, counters and link columns where the run keeps them.  Each fact
-has one name: ``generated`` is the number of rows, ``epoch`` the number
-of epochs run, ``residual`` the requests still in flight and
-``truncated`` whether any are.  Each ``EpochReport``
-holds its epoch's counters and the length of every queue at the epoch's
-end, UPF buckets in ``REPORT_CLASSES`` order within each UPF, then MECs.
+epoch reports, counters and link columns where the run keeps them.
 """
 
 from __future__ import annotations
@@ -103,7 +87,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,7 +116,6 @@ REPORT_CLASSES = sorted(QosClass, key=lambda q: q.value)
 
 # the statuses the engine sets, bound once: a class attribute read on an
 # enum is a descriptor call
-_PENDING = RequestStatus.PENDING
 _IN_UPF_QUEUE = RequestStatus.IN_UPF_QUEUE
 _IN_TRANSIT = RequestStatus.IN_TRANSIT
 _IN_MEC_QUEUE = RequestStatus.IN_MEC_QUEUE
@@ -194,17 +177,6 @@ def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
     return scenario.mecs[j].bytes_per_ue, scenario.link_bandwidth_mbps[i][j] * 1e3
 
 
-def stage_delay(leave, enter, delta):
-    """Measured delay in ms of a stage entered at epoch ``enter`` and served at ``leave``.
-
-    The serving epoch counts, so a request served in the epoch it entered
-    took one epoch.  The epochs may be ints or numpy int arrays alike: each
-    element is converted to float and multiplied once, so both give the
-    same IEEE values.
-    """
-    return (leave + 1 - enter) * delta
-
-
 def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, int]:
     """``(d_net, transit epochs)`` of a transfer entering link ``k`` as its ``sharers``-th.
 
@@ -227,76 +199,6 @@ def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, in
         d_net = net_delay(n, bytes_per_ue, bandwidth)
         table.append((d_net, transit_epochs(d_net, run.delta)))
     return table[sharers]
-
-
-class RequestRow(NamedTuple):
-    """One request of a run, read from the run's columns.
-
-    The measured delays are derived from the epoch stamps by
-    ``stage_delay``: ``d_upf`` and ``d_mec`` are 0.0 until their stage
-    serves the request, ``d_net`` 0.0 until it enters a link, and
-    ``d_e2e`` None until it completes.
-    ``decision_inputs`` is ``(pc_upf, n_share, pc_mec)``, what the scheme's
-    projection is composed from (see ``metrics.projection``), or None
-    before the decision.
-    """
-
-    id: int
-    qos: QosClass
-    origin_upf: int
-    arrival_epoch: int
-    status: RequestStatus
-    assigned_upf: Optional[int]
-    assigned_mec: Optional[int]
-    upf_serve_epoch: Optional[int]
-    mec_due_epoch: Optional[int]
-    mec_serve_epoch: Optional[int]
-    d_upf: float
-    d_net: float
-    d_mec: float
-    d_e2e: Optional[float]
-    decision_inputs: Optional[Tuple[float, int, float]]
-
-
-class RequestRows(Sequence):
-    """A run's requests as read-only rows, each built from the columns when read."""
-
-    __slots__ = ("_run",)
-
-    def __init__(self, run: "SimulationRun") -> None:
-        self._run = run
-
-    def __len__(self) -> int:
-        return len(self._run.qos)
-
-    def __getitem__(self, i: int) -> RequestRow:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"request id {i} out of range for {n} requests")
-        r = self._run
-        upf_serve, due, mec_serve = r.upf_serve_epoch[i], r.mec_due_epoch[i], r.mec_serve_epoch[i]
-        d_upf = 0.0 if upf_serve is None else stage_delay(upf_serve, r.arrival_epoch[i], r.delta)
-        d_net = r.d_net[i]
-        d_mec = 0.0 if mec_serve is None else stage_delay(mec_serve, due, r.delta)
-        status = r.status[i]
-        if status is not _COMPLETED:
-            d_e2e = None
-        elif mec_serve is None:
-            d_e2e = d_upf
-        else:
-            d_e2e = d_upf + d_net + d_mec
-        pc_upf = r.pc_upf[i]
-        return RequestRow(
-            i, r.qos[i], r.origin_upf[i], r.arrival_epoch[i], status,
-            r.assigned_upf[i], r.assigned_mec[i], upf_serve, due, mec_serve,
-            d_upf, d_net, d_mec, d_e2e,
-            None if pc_upf is None else (pc_upf, r.n_share[i], r.pc_mec[i]),
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
 
 def _stage_error(rid: int, found: RequestStatus, stage: RequestStatus) -> InvariantError:
@@ -382,14 +284,13 @@ class SimulationRun:
 
     The record keeps one row per request id (ids are 0, 1, ... in arrival
     order) in list columns named after the fields they hold: ``qos``,
-    ``origin_upf``, ``arrival_epoch``, ``status``, ``assigned_upf``,
-    ``assigned_mec`` (None for a class that ends at the UPF), the epoch
-    stamps ``upf_serve_epoch``, ``mec_due_epoch`` and ``mec_serve_epoch``
-    (None until stamped), the link's delay ``d_net`` (0.0 until the request
-    enters a link), and the projection's inputs ``pc_upf`` (None before the
-    decision), ``n_share`` and ``pc_mec``.  ``requests`` reads them as rows,
-    with the other measured delays derived from the stamps by
-    ``stage_delay``.
+    ``origin_upf``, ``arrival_epoch``, ``status`` (None before the
+    decision), ``assigned_upf``, ``assigned_mec`` (None for a class that
+    ends at the UPF), the epoch stamps ``upf_serve_epoch``,
+    ``mec_due_epoch`` and ``mec_serve_epoch`` (None until stamped), the
+    link's delay ``d_net`` (None until the request enters a link), and the
+    projection's inputs ``pc_upf`` (None before the decision), ``n_share``
+    and ``pc_mec``.
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``, k its link index.
     """
@@ -436,13 +337,13 @@ class SimulationRun:
         self.qos: List[QosClass] = []
         self.origin_upf: List[int] = []
         self.arrival_epoch: List[int] = []
-        self.status: List[RequestStatus] = []
+        self.status: List[Optional[RequestStatus]] = []
         self.assigned_upf: List[Optional[int]] = []
         self.assigned_mec: List[Optional[int]] = []
         self.upf_serve_epoch: List[Optional[int]] = []
         self.mec_due_epoch: List[Optional[int]] = []
         self.mec_serve_epoch: List[Optional[int]] = []
-        self.d_net: List[float] = []
+        self.d_net: List[Optional[float]] = []
         self.pc_upf: List[Optional[float]] = []
         self.n_share: List[int] = []
         self.pc_mec: List[float] = []
@@ -482,11 +383,6 @@ class SimulationRun:
         """The drain cap ended the run with requests still in flight."""
         return self.residual > 0
 
-    @property
-    def requests(self) -> RequestRows:
-        """The requests as read-only rows in id order, built from the columns when read."""
-        return RequestRows(self)
-
     def add_requests(self, origins: List[int], classes: List[QosClass]) -> int:
         """Append one undecided row per new request, arriving now; the first new id."""
         first = len(self.qos)
@@ -494,14 +390,11 @@ class SimulationRun:
         self.qos.extend(classes)
         self.origin_upf.extend(origins)
         self.arrival_epoch.extend([self.epoch] * n)
-        self.status.extend([_PENDING] * n)
         unset = [None] * n
-        zeros = [0.0] * n
-        for column in (self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
-                       self.mec_due_epoch, self.mec_serve_epoch, self.pc_upf):
+        for column in (self.status, self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
+                       self.mec_due_epoch, self.mec_serve_epoch, self.d_net, self.pc_upf):
             column.extend(unset)
-        for column in (self.d_net, self.pc_mec):
-            column.extend(zeros)
+        self.pc_mec.extend([0.0] * n)
         self.n_share.extend([0] * n)
         return first
 

@@ -3,11 +3,12 @@
 Percentiles use the nearest-rank convention on the sorted sample (the
 p-th percentile is the value at index ceil(p/100 * n) - 1), so every
 reported figure is an observed delay.  Standard deviations are
-population standard deviations.  Summaries read the run's request
-columns into typed arrays of the completed requests, derive their delays
-from the epoch stamps with the engine's ``stage_delay``, and reduce every
-slice in request-id order: a float mean or std depends on the order of
-its sample.  Emitted files follow the naming scheme
+population standard deviations.  The run records epoch stamps, not
+measured delays: ``_Rows`` is their one derivation, on typed arrays of
+the requests a report reads, the completed ones for the summaries and
+every one for the event log.  Summaries reduce every slice in request-id
+order: a float mean or std depends on the order of its sample.  Emitted
+files follow the naming scheme
 <scenario>.<scheme>.<seed>.<report>.<ext> with stable column layouts.
 """
 
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .delay import DelayBreakdown, net_delay
-from .engine import REPORT_CLASSES, SimulationRun, link_law, run_to_completion, stage_delay
+from .engine import REPORT_CLASSES, SimulationRun, link_law, run_to_completion
 from .model import (
     QosClass,
     RequestStatus,
@@ -113,42 +114,60 @@ _CODE = {q: k for k, q in enumerate(REPORT_CLASSES)}
 _USES_MEC = np.array([q.uses_mec for q in REPORT_CLASSES])
 
 
-class _Completed:
-    """A run's completed requests as typed arrays, in request-id order.
+def stage_delay(leave, enter, delta):
+    """Measured delay in ms of a stage entered at epoch ``enter`` and served at ``leave``.
 
-    Built from the class codes (``qos``, see ``_CODE``) and the five
-    columns ``d_e2e`` is made of, and no other: ``rows`` and ``mec_rows``
-    convert any further column on demand.  The MEC arrays hold only the
-    requests of the classes that use a MEC, also in id order.  The delays
-    are the ones ``RequestRows`` reads, bit for bit: the same law on the
-    same stamps, and ``d_e2e`` summed in the same order.
+    The serving epoch counts, so a request served in the epoch it entered
+    took one epoch.  The epochs may be ints, or numpy int or float arrays
+    alike: each element is converted to float and multiplied once, so all
+    give the same IEEE values, and a nan epoch (no stamp) gives nan.
+    """
+    return (leave + 1 - enter) * delta
+
+
+class _Rows:
+    """The measured delays of a selection of a run's requests, as arrays in id order.
+
+    ``select`` holds one byte per request, 1 for a row to read, and only
+    the selected entries of a column are converted.  The stamps are read
+    as ``stamp``: ``np.int64`` where every selected row is stamped (the
+    completed ones), or float, which reads None as nan, so a delay is nan
+    where a stamp it needs is missing.  ``qos`` holds the class codes (see
+    ``_CODE``); ``d_net``, ``d_mec`` and ``mec_rows`` hold only the rows of
+    the classes that use a MEC (``uses_mec``), also in id order.  ``d_e2e``
+    is ``(d_upf + d_net) + d_mec``, or ``d_upf`` for a class that ends at
+    the UPF.
     """
 
-    __slots__ = ("_done", "_k", "_at_mec", "_m", "qos", "d_upf", "d_mec", "d_e2e")
+    __slots__ = ("_select", "_k", "_at_mec", "_m", "qos", "uses_mec",
+                 "d_upf", "d_net", "d_mec", "d_e2e")
 
-    def __init__(self, run: SimulationRun) -> None:
-        done = bytes(map(is_, run.status, repeat(RequestStatus.COMPLETED)))
-        self._done, self._k = done, done.count(1)
-        self.qos = np.fromiter(map(_CODE.__getitem__, compress(run.qos, done)), np.int64, self._k)
-        # a completed request of a class that uses a MEC was served by one
-        uses_mec = _USES_MEC[self.qos]
+    def __init__(self, run: SimulationRun, select: bytes, stamp) -> None:
+        self._select, self._k = select, select.count(1)
+        self.qos = np.fromiter(map(_CODE.__getitem__, compress(run.qos, select)), np.int64, self._k)
+        self.uses_mec = uses_mec = _USES_MEC[self.qos]
         self._at_mec = uses_mec.tobytes()
         self._m = self._at_mec.count(1)
-        self.d_upf = stage_delay(self.rows(run.upf_serve_epoch), self.rows(run.arrival_epoch),
-                                 run.delta)
-        self.d_mec = stage_delay(self.mec_rows(run.mec_serve_epoch),
-                                 self.mec_rows(run.mec_due_epoch), run.delta)
-        # a class that ends at the UPF: d_e2e is d_upf
+        self.d_upf = stage_delay(self.rows(run.upf_serve_epoch, stamp),
+                                 self.rows(run.arrival_epoch), run.delta)
+        self.d_net = self.mec_rows(run.d_net, float)
+        self.d_mec = stage_delay(self.mec_rows(run.mec_serve_epoch, stamp),
+                                 self.mec_rows(run.mec_due_epoch, stamp), run.delta)
         self.d_e2e = self.d_upf.copy()
-        self.d_e2e[uses_mec] = self.d_upf[uses_mec] + self.mec_rows(run.d_net, float) + self.d_mec
+        self.d_e2e[uses_mec] = self.d_upf[uses_mec] + self.d_net + self.d_mec
 
     def rows(self, column, dtype=np.int64) -> np.ndarray:
-        """The column's entries of the completed requests."""
-        return np.fromiter(compress(column, self._done), dtype, self._k)
+        """The column's entries of the selected requests."""
+        return np.fromiter(compress(column, self._select), dtype, self._k)
 
     def mec_rows(self, column, dtype=np.int64) -> np.ndarray:
-        """The column's entries of the completed requests of the classes that use a MEC."""
-        return np.fromiter(compress(compress(column, self._done), self._at_mec), dtype, self._m)
+        """The column's entries of the selected requests of the classes that use a MEC."""
+        return np.fromiter(compress(compress(column, self._select), self._at_mec), dtype, self._m)
+
+
+def _completed(run: SimulationRun) -> _Rows:
+    """The run's completed requests, every one stamped at each stage it crossed."""
+    return _Rows(run, bytes(map(is_, run.status, repeat(RequestStatus.COMPLETED))), np.int64)
 
 
 def _slices(keys: np.ndarray, values: np.ndarray) -> List[Tuple[int, Stats]]:
@@ -179,7 +198,7 @@ def summarize(run: SimulationRun) -> SummaryReport:
         epochs_run=run.epoch,
         truncated=run.truncated,
     )
-    c = _Completed(run)
+    c = _completed(run)
     width = len(REPORT_CLASSES)
     report.per_upf_qos = {
         (key // width, REPORT_CLASSES[key % width]): st
@@ -205,7 +224,7 @@ def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
     For a run that is not summarized; ``summarize`` keeps all of them, in
     id order, as ``SummaryReport.d_e2e``.
     """
-    c = _Completed(run)
+    c = _completed(run)
     return {q: c.d_e2e[c.qos == _CODE[q]] for q in QosClass}
 
 
@@ -508,30 +527,35 @@ def write_cdf_csv(cdf: CdfTable, path: str) -> None:
 
 
 def write_events_csv(run: SimulationRun, path: str) -> None:
-    """One row per request in id order: its record and the scheme's projection."""
+    """One row per request in id order: its record, measured delays and the scheme's projection.
+
+    A measured cell is blank until a stage stamps it: ``d_upf`` until UPF
+    service, ``d_net`` until link entry, ``d_mec`` and ``d_e2e`` until the
+    request completes.  A completed request of a class that ends at the
+    UPF spent 0.0 ms on a link and at a MEC.
+    """
     cols = [
         "id", "qos", "origin_upf", "arrival_epoch", "assigned_upf", "assigned_mec",
         "status", "d_upf_ms", "d_net_ms", "d_mec_ms", "d_e2e_ms",
         "proj_upf_ms", "proj_net_ms", "proj_mec_ms", "proj_e2e_ms",
     ]
-    completed = RequestStatus.COMPLETED
+    d = _Rows(run, b"\x01" * run.generated, float)
+    # 0.0 for a completed request of a class that ends at the UPF
+    d_net = np.where(np.isnan(d.d_e2e), np.nan, 0.0)
+    d_mec = d_net.copy()
+    d_net[d.uses_mec], d_mec[d.uses_mec] = d.d_net, d.d_mec
+    measured = [np.where(np.isnan(a), None, a).tolist() for a in (d.d_upf, d_net, d_mec, d.d_e2e)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        for r in run.requests:
-            proj = projection(run, r.id)
-            done = r.status is completed
+        for rid, (qos, origin, arrival, upf, mec, status, *delays) in enumerate(zip(
+            run.qos, run.origin_upf, run.arrival_epoch, run.assigned_upf, run.assigned_mec,
+            run.status, *measured,
+        )):
+            proj = projection(run, rid)
             w.writerow([
-                r.id, r.qos.value, r.origin_upf, r.arrival_epoch,
-                _fmt(r.assigned_upf), _fmt(r.assigned_mec), r.status.name.lower(),
-                _fmt(r.d_upf if done or r.upf_serve_epoch is not None else None),
-                _fmt(r.d_net if done or r.mec_due_epoch is not None else None),
-                _fmt(r.d_mec if done else None),
-                _fmt(r.d_e2e),
-                _fmt(proj.d_upf if proj else None),
-                _fmt(proj.d_net if proj else None),
-                _fmt(proj.d_mec if proj else None),
-                _fmt(proj.d_e2e if proj else None),
+                rid, qos.value, origin, arrival, _fmt(upf), _fmt(mec), status.name.lower(),
+                *map(_fmt, delays), *map(_fmt, proj or (None,) * 4),
             ])
 
 

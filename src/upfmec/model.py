@@ -79,12 +79,12 @@ CO_LOCATED_SCHEMES = (Scheme.BASELINE, Scheme.BESTFIT_UPF_NO_PE, Scheme.BESTFIT_
 class RequestStatus(enum.IntEnum):
     """Lifecycle of a request; transitions are monotone.
 
-    A request moves one stage at a time, PENDING to IN_UPF_QUEUE to
-    IN_TRANSIT to IN_MEC_QUEUE to COMPLETED (a ``regular`` request completes
-    at the UPF), and can end as DROPPED at admission or at the MEC's door.
+    Admission sets IN_UPF_QUEUE, and a request moves on one stage at a
+    time, to IN_TRANSIT to IN_MEC_QUEUE to COMPLETED (a ``regular`` request
+    completes at the UPF); it can end as DROPPED at admission or at the
+    MEC's door.
     """
 
-    PENDING = 0
     IN_UPF_QUEUE = 1
     IN_TRANSIT = 2
     IN_MEC_QUEUE = 3

@@ -104,19 +104,20 @@ def test_criterion_02_intermediate_scheme_reductions(campus_reports):
     )
 
 
-def _pooled_upf_qos_means(results: List[SimulationRun]) -> Dict[Tuple[int, QosClass], float]:
+def _pooled_upf_qos_means(reports) -> Dict[Tuple[int, QosClass], float]:
+    """Mean d_upf of each (UPF, QoS) slice over the runs, each run weighted by its count."""
     sums: Dict[Tuple[int, QosClass], List[float]] = {}
-    for res in results:
-        for req in res.requests:
-            if req.status is RequestStatus.COMPLETED:
-                sums.setdefault((req.assigned_upf, req.qos), []).append(req.d_upf)
-    return {k: float(np.mean(v)) for k, v in sums.items()}
+    for rep in reports:
+        for key, st in rep.per_upf_qos.items():
+            total, count = sums.setdefault(key, [0.0, 0])
+            sums[key] = [total + st.mean * st.count, count + st.count]
+    return {k: total / count for k, (total, count) in sums.items()}
 
 
-def test_criterion_03_upf_delay_slices(campus_results):
-    results, _ = campus_results
-    pair_means = _pooled_upf_qos_means(results[Scheme.BESTFIT_UPF_MEC])
-    base_means = _pooled_upf_qos_means(results[Scheme.BASELINE])
+def test_criterion_03_upf_delay_slices(campus_reports):
+    reports, _ = campus_reports
+    pair_means = _pooled_upf_qos_means(reports[Scheme.BESTFIT_UPF_MEC])
+    base_means = _pooled_upf_qos_means(reports[Scheme.BASELINE])
     worst_pair = max(pair_means.values())
     worst_base = max(base_means.values())
     hot = sum(1 for v in base_means.values() if v > 15.0)
@@ -278,7 +279,7 @@ def test_criterion_10_conservation(campus_results, metro):
     )
     terminal = (RequestStatus.COMPLETED, RequestStatus.DROPPED)
     statuses = all(
-        sum(1 for q in r.requests if q.status in terminal) == r.generated for r in runs
+        sum(1 for status in r.status if status in terminal) == r.generated for r in runs
     )
     check(
         "criterion 10 conservation",

@@ -18,15 +18,36 @@ from upfmec.engine import (
     arrival_cdfs,
     generate_arrivals,
     run_to_completion,
-    stage_delay,
 )
-from upfmec.metrics import build_pair_scenario, summarize
+from upfmec.metrics import (
+    build_pair_scenario,
+    completed_e2e,
+    stage_delay,
+    summarize,
+    write_events_csv,
+)
 from upfmec.model import QosClass, RequestStatus, Scheme, TrafficSpec
 
 from conftest import make_scenario
 
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
 ALL_REGULAR = {QosClass.URLLC: 0.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 1.0}
+
+# the run's record: one list column per field, one row per request id
+COLUMNS = (
+    "qos", "origin_upf", "arrival_epoch", "status", "assigned_upf", "assigned_mec",
+    "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch", "d_net", "pc_upf", "n_share", "pc_mec",
+)
+
+
+def measured_e2e(run, rid):
+    """Request rid's end-to-end delay in ms, from its stamps, without ``stage_delay``."""
+    delta = run.delta
+    d_upf = (run.upf_serve_epoch[rid] + 1 - run.arrival_epoch[rid]) * delta
+    if not run.qos[rid].uses_mec:
+        return d_upf
+    d_mec = (run.mec_serve_epoch[rid] + 1 - run.mec_due_epoch[rid]) * delta
+    return (d_upf + run.d_net[rid]) + d_mec
 
 
 # ------------------------------------------------------------------ arrivals
@@ -102,7 +123,8 @@ def test_request_ids_continue_across_epochs():
     run = SimulationRun(make_scenario(num_upfs=1, lam=3.0, horizon=2))
     run.step_epoch()
     run.step_epoch()
-    assert [r.id for r in run.requests] == list(range(6))
+    assert run.generated == 6
+    assert all(len(getattr(run, column)) == 6 for column in COLUMNS)
     assert run.arrival_epoch == [0, 0, 0, 1, 1, 1]
 
 
@@ -114,10 +136,13 @@ def test_single_request_crosses_both_tiers():
     s = make_scenario(num_upfs=1, lam=1.0, horizon=1, qos_mix=ALL_URLLC, bandwidth_mbps=12.0)
     res = run_to_completion(s)
     assert res.generated == res.completed == 1
-    r = res.requests[0]
-    assert r.status is RequestStatus.COMPLETED
-    assert (r.d_upf, r.d_net, r.d_mec) == (1.0, 1.0, 1.0)
-    assert r.d_e2e == 3.0
+    assert res.status == [RequestStatus.COMPLETED]
+    assert (res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch) == ([0], [1], [1])
+    rep = summarize(res)
+    assert rep.per_upf_qos[(1, QosClass.URLLC)].mean == 1.0
+    assert res.d_net == [1.0]
+    assert rep.per_mec[1].mean == 1.0
+    assert rep.d_e2e.tolist() == [3.0]
 
 
 def test_regular_traffic_never_touches_the_mec():
@@ -125,10 +150,9 @@ def test_regular_traffic_never_touches_the_mec():
     run = SimulationRun(s)
     res = run.run()
     assert res.completed == res.generated > 0
-    for r in res.requests:
-        assert r.assigned_mec is None
-        assert r.d_net == 0.0 and r.d_mec == 0.0
-        assert r.d_e2e == r.d_upf
+    unset = [None] * res.generated
+    assert res.assigned_mec == res.d_net == res.mec_due_epoch == res.mec_serve_epoch == unset
+    assert summarize(res).d_e2e.tolist() == [measured_e2e(res, rid) for rid in range(res.generated)]
     assert all(not any(rep.mec_queues) for rep in res.epoch_reports)
     assert not any(run.link_sharers)
 
@@ -140,16 +164,22 @@ def test_stages_stamp_epochs_and_rows_derive_the_delays():
         mec_capacity=1.5, bandwidth_mbps=1e6, upf_queue_cap=100, mec_queue_cap=100, delta=0.5,
     )
     res = run_to_completion(s)
-    done = [r for r in res.requests if r.status is RequestStatus.COMPLETED]
-    assert len(done) == res.generated
+    assert res.status == [RequestStatus.COMPLETED] * res.generated
+    stamps = list(
+        zip(res.arrival_epoch, res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch)
+    )
     # the MEC queued some requests past their due epoch
-    assert max(r.mec_serve_epoch - r.mec_due_epoch for r in done) > 0
-    for r in done:
-        assert r.arrival_epoch <= r.upf_serve_epoch <= r.mec_due_epoch <= r.mec_serve_epoch
-        assert r.mec_serve_epoch < res.epoch
-        assert r.d_upf == (r.upf_serve_epoch + 1 - r.arrival_epoch) * 0.5
-        assert r.d_mec == (r.mec_serve_epoch + 1 - r.mec_due_epoch) * 0.5
-        assert r.d_e2e == r.d_upf + r.d_net + r.d_mec
+    assert max(serve - due for _, _, due, serve in stamps) > 0
+    for arrival, upf_serve, due, mec_serve in stamps:
+        assert arrival <= upf_serve <= due <= mec_serve < res.epoch
+    rep = summarize(res)
+    assert rep.per_upf_qos[(1, QosClass.URLLC)].mean == np.mean(
+        [(u + 1 - a) * 0.5 for a, u, _, _ in stamps])
+    assert rep.per_mec[1].mean == np.mean([(m + 1 - due) * 0.5 for _, _, due, m in stamps])
+    assert rep.d_e2e.tolist() == [
+        ((u + 1 - a) * 0.5 + n) + (m + 1 - due) * 0.5
+        for (a, u, due, m), n in zip(stamps, res.d_net)
+    ]
 
 
 def test_stage_delay_is_one_law_for_ints_and_arrays():
@@ -172,7 +202,7 @@ def test_d_net_is_in_ms_for_any_epoch_length():
         s = make_scenario(
             num_upfs=1, lam=1.0, horizon=1, qos_mix=ALL_URLLC, bandwidth_mbps=12.0, delta=delta
         )
-        d_net[delta] = run_to_completion(s).requests[0].d_net
+        d_net[delta] = run_to_completion(s).d_net[0]
     assert d_net == {0.5: 1.0, 1.0: 1.0, 2.0: 1.0}
 
 
@@ -219,9 +249,10 @@ def test_zero_load_all_schemes_agree():
     for scheme in Scheme:
         s = make_scenario(num_upfs=2, lam=0.5, horizon=8, scheme=scheme, seed=11)
         res = run_to_completion(s)
-        results[scheme] = [(r.id, r.d_upf, r.d_net, r.d_mec, r.d_e2e) for r in res.requests]
+        results[scheme] = (res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch,
+                           res.d_net, summarize(res).d_e2e.tolist())
     baseline = results[Scheme.BASELINE]
-    assert len(baseline) == 4
+    assert len(baseline[-1]) == 4
     for scheme in Scheme:
         assert results[scheme] == baseline
 
@@ -237,9 +268,11 @@ def test_mec_overflow_drops_in_transit_requests():
     assert res.dropped > 0
     assert res.generated == res.completed + res.dropped
     assert res.residual == 0
-    dropped = [r for r in res.requests if r.status is RequestStatus.DROPPED]
-    # these were dropped at the MEC door, after crossing the link
-    assert any(r.mec_due_epoch is not None for r in dropped)
+    # some were dropped at the MEC door, after crossing the link
+    assert any(
+        st is RequestStatus.DROPPED and due is not None
+        for st, due in zip(res.status, res.mec_due_epoch)
+    )
 
 
 def test_admission_drops_when_bucket_full():
@@ -249,10 +282,10 @@ def test_admission_drops_when_bucket_full():
     )
     res = run_to_completion(s)
     assert res.dropped > 0
-    never_admitted = [
-        r for r in res.requests if r.status is RequestStatus.DROPPED and r.upf_serve_epoch is None
-    ]
-    assert never_admitted
+    assert any(
+        st is RequestStatus.DROPPED and serve is None
+        for st, serve in zip(res.status, res.upf_serve_epoch)
+    )
 
 
 def test_queues_never_exceed_their_caps(metro):
@@ -397,12 +430,8 @@ def test_identical_seed_identical_run(campus5):
     variant = replace(campus5, scheme=Scheme.BESTFIT_UPF_MEC)
     a = run_to_completion(variant, seed=3)
     b = run_to_completion(variant, seed=3)
-    key = lambda res: [
-        (r.id, r.qos, r.origin_upf, r.assigned_upf, r.assigned_mec, r.status,
-         r.d_upf, r.d_net, r.d_mec, r.d_e2e)
-        for r in res.requests
-    ]
-    assert key(a) == key(b)
+    for column in COLUMNS:
+        assert getattr(a, column) == getattr(b, column), column
     assert a.epoch_reports == b.epoch_reports
 
 
@@ -420,14 +449,35 @@ def test_baseline_hotspot_sits_on_high_skew_upfs(campus5):
 def test_completed_delays_respect_stage_minimums(campus5):
     res = run_to_completion(replace(campus5, scheme=Scheme.BESTFIT_UPF_MEC), seed=1)
     delta = campus5.delta_ms
-    for r in res.requests:
-        if r.status is not RequestStatus.COMPLETED:
+    e2e = completed_e2e(res)
+    assert sum(sample.size for sample in e2e.values()) == res.completed > 0
+    for qos, sample in e2e.items():
+        assert sample.min() >= (2 if qos.uses_mec else 1) * delta
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_upf_price_undershoots_fcfs_service_by_under_one_epoch(campus5, scheme):
+    # at integer capacity c, a request that finds q ahead is priced
+    # max(1, (q + 1) / c) epochs and served after ceil((q + 1) / c), so its
+    # measured d_upf exceeds the recorded price by 0 to (1 - 1/c) epochs; the
+    # price is a float, so the bounds allow its rounding
+    res = run_to_completion(replace(campus5, scheme=scheme), seed=1)
+    delta, tol = res.delta, 1e-9
+    errors = []
+    for qos, upf, arrival, serve, price in zip(
+        res.qos, res.assigned_upf, res.arrival_epoch, res.upf_serve_epoch, res.pc_upf
+    ):
+        if serve is None:
             continue
-        assert r.d_e2e == r.d_upf + r.d_net + r.d_mec
-        if r.qos.uses_mec:
-            assert r.d_e2e >= 2 * delta
-        else:
-            assert r.d_e2e >= delta
+        c = res.upfs[upf - 1][qos].capacity
+        assert c == int(c)
+        bound = (1.0 - 1.0 / c) * delta
+        error = (serve + 1 - arrival) * delta - price
+        assert -tol <= error <= bound + tol
+        errors.append((error, bound))
+    assert len(errors) == res.generated
+    # the bound is reached
+    assert any(abs(error - bound) <= tol and bound > 0.0 for error, bound in errors)
 
 
 def _check_costs_at_every_decision(run: SimulationRun) -> list:
@@ -468,16 +518,19 @@ def test_cost_vectors_match_fresh_snapshots(campus5, metro, pairs, scheme):
     assert len(decisions) == res.generated > 0
 
 
-def test_recorded_prices_are_floats_for_an_integer_delta():
+def test_recorded_prices_are_floats_for_an_integer_delta(tmp_path):
     # events.csv prints projections and measured delays with repr: 1.0, never 1,
     # whatever delta_ms's type
     s = make_scenario(scheme=Scheme.BESTFIT_UPF_MEC, lam=6.0, horizon=4, delta=1)
     res = run_to_completion(s)
-    inputs = [r.decision_inputs for r in res.requests]
-    assert inputs and all(type(pc_upf) is float for pc_upf, _, _ in inputs)
-    assert all(type(pc_mec) is float for _, _, pc_mec in inputs)
-    done = [r for r in res.requests if r.status is RequestStatus.COMPLETED and r.qos.uses_mec]
-    assert done and all(type(r.d_upf) is float and type(r.d_mec) is float for r in done)
+    assert res.pc_upf and all(type(pc_upf) is float for pc_upf in res.pc_upf)
+    assert all(type(pc_mec) is float for pc_mec in res.pc_mec)
+    path = tmp_path / "events.csv"
+    write_events_csv(res, str(path))
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    delays = [cell for row in rows for cell in row[header.index("d_upf_ms"):] if cell]
+    assert len(rows) == res.generated and len(delays) >= 8 * res.completed > 0
+    assert all("." in cell for cell in delays)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC])
@@ -603,38 +656,39 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         # a request entering a link shares it with itself at least
         assert all(n >= 1 for n in shares)
         # a transfer is due the whole epochs its d_net takes after UPF service
-        for r in res.requests:
-            if r.qos.uses_mec and r.upf_serve_epoch is not None:
-                assert r.mec_due_epoch == r.upf_serve_epoch + transit_epochs(r.d_net, delta)
+        link_stamps = zip(res.qos, res.upf_serve_epoch, res.mec_due_epoch, res.d_net)
+        for qos, serve, due, d_net in link_stamps:
+            if qos.uses_mec and serve is not None:
+                assert due == serve + transit_epochs(d_net, delta)
         assert len(decisions) == res.generated
         assert epochs == list(range(res.epoch))
-        status = Counter(r.status for r in res.requests)
-        assert res.generated == len(res.requests)
+        status = Counter(res.status)
+        assert all(len(getattr(res, column)) == res.generated for column in COLUMNS)
         assert res.completed == status[RequestStatus.COMPLETED]
         assert res.dropped == status[RequestStatus.DROPPED]
         assert res.residual == 0 and not res.truncated
         assert all(m.pending == 0 for m in run.mecs)
 
         upf_served = Counter(
-            (r.assigned_upf, r.qos, r.upf_serve_epoch)
-            for r in res.requests
-            if r.upf_serve_epoch is not None
+            key for key in zip(res.assigned_upf, res.qos, res.upf_serve_epoch) if key[2] is not None
         )
         for (uid, qos, _), n in upf_served.items():
             assert n <= math.ceil(run.upfs[uid - 1][qos].capacity)
         mec_served = Counter(
-            (r.assigned_mec, r.mec_serve_epoch)
-            for r in res.requests
-            if r.mec_serve_epoch is not None
+            key for key in zip(res.assigned_mec, res.mec_serve_epoch) if key[1] is not None
         )
         for (mid, _), n in mec_served.items():
             assert n <= math.ceil(run.mecs[mid - 1].capacity)
 
         _assert_reports_within_caps(run)
         _assert_little_identities(run)
-        # the summary's array derivation and the rows' scalar one agree bit for bit
-        rows_e2e = [r.d_e2e for r in res.requests if r.status is RequestStatus.COMPLETED]
-        assert summarize(res).d_e2e.tolist() == rows_e2e
+        # the summary's delays are the law on the stamps, bit for bit
+        e2e = [
+            measured_e2e(res, rid)
+            for rid, st in enumerate(res.status)
+            if st is RequestStatus.COMPLETED
+        ]
+        assert summarize(res).d_e2e.tolist() == e2e
 
         # a drain cap that stops the run with requests in queues and on links
         truncated = run_to_completion(replace(base, scheme=scheme), drain_cap=cap)

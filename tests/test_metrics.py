@@ -119,8 +119,8 @@ def test_summary_is_order_independent():
 
 def test_summary_skips_unfinished_requests():
     done = completed_request(4)
-    pending = completed_request(0, status=RequestStatus.PENDING)
-    rep = summarize(make_result([done, pending]))
+    queued = completed_request(0, status=RequestStatus.IN_UPF_QUEUE)
+    rep = summarize(make_result([done, queued]))
     assert rep.e2e_overall.count == 1
 
 
@@ -257,7 +257,7 @@ def test_writers_are_byte_stable(tmp_path):
     s = make_scenario(num_upfs=2, lam=3.0, horizon=6, upf_queue_cap=10, mec_queue_cap=10)
     result = run_to_completion(s)
     rep = summarize(result)
-    cdf = build_cdf([r.d_e2e for r in result.requests if r.status is RequestStatus.COMPLETED])
+    cdf = build_cdf(rep.d_e2e)
     points = capex_sweep(sweep_base(), [1], [1])
     for name, writer, payload in [
         ("summary.csv", write_summary_csv, rep),
