@@ -318,9 +318,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as exc:
         # malformed --seeds/--pairs lists, negative seeds, pair counts below
-        # 1, unknown or repeated --schemes, oracle-gap sizes out of bounds, a
-        # scenario file that cannot be read or is not YAML and a
-        # UPFMEC_MAX_WORKERS that is not an integer >= 1
+        # 1, unknown or repeated --schemes, oracle-gap sizes out of bounds and
+        # a scenario file that cannot be read or is not YAML
         print(f"upfmec: error: {exc}", file=sys.stderr)
         return 2
 

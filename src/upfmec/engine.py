@@ -33,21 +33,18 @@ which a capped MEC fills and drops.
 
 The run keeps the cost vectors the schemes read, each a
 ``model.CostVector``: ``upf_cost[q].prices[i]`` is the price of UPF i+1's
-bucket of class q and ``mec_cost.prices[j]`` that of MEC j+1, and every
-vector keeps ``best``, the index of its first minimum, through its own
-writes.  A scheme only chooses: bestfit reads ``best``, with no search
-per decision.  The vectors are priced once when the run is built and then
-repriced only where a queue changes: an admission reprices the bucket and
-the MEC it touched, a UPF bucket is repriced after its service, and a MEC
-after its own service, which follows every change the link phase makes to
-it (a drop at its door lowers ``pending``, but only when its queue is
-full).  Each repricing reads the queue's price table inline, guarded as
-``ServiceQueue.price`` reads it.  A price that did not move is not
-written: ``set`` of an equal price changes neither the prices nor
-``best``, and below capacity a price stays one epoch.  So the vectors
-always equal a fresh pricing.  Code that edits queues or ``pending``
-outside ``step_epoch`` must call ``refresh_costs()``, which writes every
-entry, before the next decision.
+bucket of class q and ``mec_cost.prices[j]`` that of MEC j+1.  They are
+priced once when the run is built and then repriced only where a queue
+changes: an admission reprices the bucket and the MEC it touched, a UPF
+bucket is repriced after its service, and a MEC after its own service,
+which follows every change the link phase makes to it (a drop at its door
+lowers ``pending``, but only when its queue is full).  Each repricing
+reads the queue's price table inline, guarded as ``ServiceQueue.price``
+reads it, and writes only a price that moved: a ``set`` of an equal price
+changes neither the prices nor ``best``.  So the vectors always equal a
+fresh pricing.  Code that edits queues or ``pending`` outside
+``step_epoch`` must call ``refresh_costs()``, which writes every entry,
+before the next decision.
 
 Admission records what the scheme's projection is made of, not the
 projection: the UPF price, the chosen link's sharers and the MEC price

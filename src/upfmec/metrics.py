@@ -289,34 +289,16 @@ def build_pair_scenario(base: Scenario, pairs: int) -> Scenario:
     )
 
 
-def _sweep_task(args: Tuple[Scenario, int]) -> Tuple[Dict[QosClass, Tuple[int, int]], int, int]:
-    """Run one (scenario, seed) cell; count threshold hits per QoS."""
-    scenario, seed = args
+def _sweep_cell(scenario: Scenario, seed: int) -> Tuple[Dict[QosClass, Tuple[int, int]], int, int]:
+    """Run one (scenario, seed) cell; count threshold hits per QoS.
+
+    Only counts leave it, so each run is freed before the sweep starts the next.
+    """
     run = run_to_completion(scenario, seed=seed)
     e2e = completed_e2e(run)
-    hits: Dict[QosClass, Tuple[int, int]] = {}
-    for q, thr in scenario.thresholds_ms.items():
-        hits[q] = (int(np.count_nonzero(e2e[q] < thr)), int(e2e[q].size))
+    hits = {q: (int(np.count_nonzero(e2e[q] < thr)), e2e[q].size)
+            for q, thr in scenario.thresholds_ms.items()}
     return hits, run.completed, run.dropped
-
-
-def _process_pool(max_workers: int):
-    """A process pool of ``max_workers``, imported here: ``multiprocessing`` is slow to import."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
-def _max_workers() -> int:
-    """UPFMEC_MAX_WORKERS (default 1): an integer >= 1, or a ValueError naming it."""
-    raw = os.environ.get("UPFMEC_MAX_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"UPFMEC_MAX_WORKERS must be an integer >= 1, got {raw!r}")
-    return workers
 
 
 # the CapEx comparison: the location-pinned baseline against the MEC-IA scheme
@@ -329,52 +311,31 @@ def capex_sweep(
 ) -> List[CapexPoint]:
     """Run both CapEx schemes at every pair count over the seeds and pool the results.
 
-    Results are independent of worker count; UPFMEC_MAX_WORKERS > 1
-    parallelizes the runs across at most that many processes, and never
-    more than there are runs (the pool forks all its workers at the first
-    submit).  A value that is not an integer >= 1 is a ValueError, raised
-    before any run.  The base is validated before it is scaled, under the
-    one scheme that needs no co-located MECs: the scaled deployments
-    always pair them, and each run validates its own.
+    The seeds of a cell run in order and their counts are summed.  The
+    base is validated before it is scaled, under the one scheme that needs
+    no co-located MECs: the scaled deployments always pair them, and each
+    run validates its own.
     """
     violations = validate_scenario(replace(base, scheme=Scheme.BESTFIT_UPF_MEC))
     if violations:
         raise ScenarioError("; ".join(violations))
-    max_workers = _max_workers()
-    tasks: List[Tuple[Scenario, int]] = []
-    cells: List[Tuple[int, Scheme]] = []
+    points: List[CapexPoint] = []
     for pairs in pair_counts:
         scaled = build_pair_scenario(base, pairs)
         for scheme in (CAPEX_BASELINE, CAPEX_MECIA):
-            cells.append((pairs, scheme))
             variant = replace(scaled, scheme=scheme)
+            under = dict.fromkeys(base.thresholds_ms, 0)
+            total = dict.fromkeys(base.thresholds_ms, 0)
+            completed = dropped = 0
             for seed in seeds:
-                tasks.append((variant, seed))
-    workers = min(max_workers, len(tasks))
-    if workers > 1:
-        with _process_pool(workers) as pool:
-            outcomes = list(pool.map(_sweep_task, tasks))
-    else:
-        outcomes = [_sweep_task(t) for t in tasks]
-
-    points: List[CapexPoint] = []
-    per_cell = len(seeds)
-    for idx, (pairs, scheme) in enumerate(cells):
-        chunk = outcomes[idx * per_cell : (idx + 1) * per_cell]
-        pct: Dict[QosClass, float] = {}
-        for q in base.thresholds_ms:
-            under = sum(h[q][0] for h, _, _ in chunk)
-            total = sum(h[q][1] for h, _, _ in chunk)
-            pct[q] = 100.0 * under / total if total else 0.0
-        points.append(
-            CapexPoint(
-                pairs=pairs,
-                scheme=scheme.value,
-                completed=sum(c for _, c, _ in chunk),
-                dropped=sum(d for _, _, d in chunk),
-                pct_under_threshold=pct,
-            )
-        )
+                hits, c, d = _sweep_cell(variant, seed)
+                completed += c
+                dropped += d
+                for q, (u, t) in hits.items():
+                    under[q] += u
+                    total[q] += t
+            pct = {q: 100.0 * under[q] / total[q] if total[q] else 0.0 for q in total}
+            points.append(CapexPoint(pairs, scheme.value, completed, dropped, pct))
     return points
 
 

@@ -33,16 +33,13 @@ def assign_bestfit_no_pe(qos, origin_upf, run) -> Tuple[int, Optional[int]]:
 
 
 def assign_bestfit_pe(qos, origin_upf, run) -> Tuple[int, Optional[int]]:
-    """Bestfit UPF with path extension to that UPF's co-located MEC."""
+    """Bestfit UPF with path extension to that UPF's co-located MEC.
+
+    ``validate_scenario`` admits this scheme only where num_upfs ==
+    num_mecs, so every UPF has one.
+    """
     upf_id = run.upf_cost[qos].best + 1
-    if not qos.uses_mec:
-        return upf_id, None
-    if upf_id > len(run.mecs):
-        raise ValueError(
-            f"path extension needs a MEC co-located with UPF {upf_id}, "
-            f"but only {len(run.mecs)} MECs exist"
-        )
-    return upf_id, upf_id
+    return upf_id, (upf_id if qos.uses_mec else None)
 
 
 def assign_bestfit_upf_mec(qos, origin_upf, run) -> Tuple[int, Optional[int]]:

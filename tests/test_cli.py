@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfmec import engine, metrics
+from upfmec import engine
 from upfmec.cli import _parse_int_list, main
 from upfmec.model import QosClass, load_scenario, save_scenario
 
@@ -71,8 +71,8 @@ def test_python_m_upfmec_runs_from_a_checkout():
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # only a parallel capex sweep uses the process pool; importing it costs
-    # every command about 2 MB and 15 ms
+    # no command uses multiprocessing; importing it would cost every command
+    # about 2 MB and 15 ms of start-up
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys, upfmec.cli; print('multiprocessing' in sys.modules)"
@@ -475,56 +475,6 @@ def test_capex_writes_sweep_and_analysis(tmp_path):
     assert (tmp_path / "metro.capex.csv").is_file()
     assert (tmp_path / "metro.capex_analysis.urllc.json").is_file()
     assert (tmp_path / "metro.capex_analysis.embb.json").is_file()
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swap capex's process pool for one that records max_workers and maps in this process.
-
-    A real pool forks all its workers at the first submit, so no process is
-    started here: the fake only records how many were asked for.
-    """
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(metrics, "_process_pool", SerialPool)
-    return sizes
-
-
-# 2 pair counts x 2 schemes x 1 seed = 4 runs
-CAPEX_4_RUNS = ["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "1"]
-
-
-@pytest.mark.parametrize("value,sizes", [("1", []), ("2", [2]), ("5000", [4])])
-def test_capex_workers_are_capped_at_the_number_of_runs(
-    tmp_path, monkeypatch, pool_sizes, value, sizes
-):
-    monkeypatch.setenv("UPFMEC_MAX_WORKERS", value)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(CAPEX_4_RUNS + ["--out", str(tmp_path)]) == 0
-    assert pool_sizes == sizes
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
-def test_malformed_max_workers_is_a_usage_error(tmp_path, capsys, monkeypatch, pool_sizes, value):
-    monkeypatch.setenv("UPFMEC_MAX_WORKERS", value)
-    assert main(CAPEX_4_RUNS + ["--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("upfmec: error: UPFMEC_MAX_WORKERS ")
-    assert len(err.splitlines()) == 1
-    assert pool_sizes == []
 
 
 def test_oracle_gap_reports_exact_singleton_ratios(tmp_path, capsys):

@@ -155,8 +155,7 @@ COMMAND_GOLDEN = {
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_outputs_match_golden_digests(tmp_path, monkeypatch, command):
-    monkeypatch.delenv("UPFMEC_MAX_WORKERS", raising=False)  # capex runs serially
+def test_command_outputs_match_golden_digests(tmp_path, command):
     assert _digests(COMMANDS[command], tmp_path) == COMMAND_GOLDEN[command]
 
 

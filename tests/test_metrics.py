@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import csv
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upfmec import metrics
 from upfmec.engine import SimulationRun, run_to_completion
 from upfmec.metrics import (
     CapexPoint,
@@ -16,6 +19,7 @@ from upfmec.metrics import (
     build_pair_scenario,
     capex_analysis,
     capex_sweep,
+    completed_e2e,
     percentile_nearest_rank,
     report_path,
     summarize,
@@ -51,14 +55,14 @@ def completed_request(upf_epochs: int, mec_epochs: int = 1, transit_epochs: int 
                 transit_epochs=transit_epochs, status=status)
 
 
-def make_result(requests) -> SimulationRun:
-    """A finished run whose record holds exactly these requests, in this order.
+def make_result(requests, delta: float = DELTA) -> SimulationRun:
+    """A finished run, at epochs of ``delta`` ms, holding exactly these requests in order.
 
     Every request arrives at epoch 0.  A completed one is stamped at the
     epochs its stage counts give, a stage of n epochs being left at the
     epoch n - 1 after it was entered: the serving epoch counts.
     """
-    run = SimulationRun(make_scenario(num_upfs=1, delta=DELTA), seed=1)
+    run = SimulationRun(make_scenario(num_upfs=1, delta=delta), seed=1)
     for r in requests:
         rid = run.add_requests([r["upf"]], [r["qos"]])
         run.assigned_upf[rid], run.assigned_mec[rid] = r["upf"], r["mec"]
@@ -66,7 +70,7 @@ def make_result(requests) -> SimulationRun:
         if r["status"] is RequestStatus.COMPLETED:
             run.upf_serve_epoch[rid] = served = r["upf_epochs"] - 1
             if r["mec"] is not None:
-                run.d_net[rid] = r["transit_epochs"] * DELTA
+                run.d_net[rid] = r["transit_epochs"] * delta
                 run.mec_due_epoch[rid] = due = served + r["transit_epochs"]
                 run.mec_serve_epoch[rid] = due + r["mec_epochs"] - 1
             run.completed += 1
@@ -115,6 +119,19 @@ def test_summary_is_order_independent():
     a = summarize(make_result(reqs))
     b = summarize(make_result(list(reversed(reqs))))
     assert a == b
+
+
+def test_e2e_sums_the_stages_in_order(tmp_path):
+    # at DELTA every sum is exact; at 0.1 ms the association shows
+    run = make_result([completed_request(1, mec_epochs=4, transit_epochs=1, qos=QosClass.URLLC)],
+                      delta=0.1)
+    e2e = (0.1 + 0.1) + 0.4  # d_upf, d_net, d_mec
+    assert e2e == 0.6000000000000001 != 0.1 + (0.1 + 0.4)
+    assert summarize(run).d_e2e.tolist() == [e2e]
+    assert completed_e2e(run)[QosClass.URLLC].tolist() == [e2e]
+    write_events_csv(run, str(tmp_path / "events.csv"))
+    with open(tmp_path / "events.csv", newline="") as fh:
+        assert [row["d_e2e_ms"] for row in csv.DictReader(fh)] == [repr(e2e)]
 
 
 def test_summary_skips_unfinished_requests():
@@ -211,6 +228,20 @@ def test_capex_sweep_runs_both_schemes():
 
 def test_capex_sweep_is_deterministic():
     assert capex_sweep(sweep_base(), [1, 2], [1]) == capex_sweep(sweep_base(), [1, 2], [1])
+
+
+def test_capex_sweep_frees_each_run_before_the_next(monkeypatch, metro):
+    runs = []
+
+    def run_and_watch(*args, **kwargs):
+        assert all(ref() is None for ref in runs), "a finished run is still held"
+        run = run_to_completion(*args, **kwargs)
+        runs.append(weakref.ref(run))
+        return run
+
+    monkeypatch.setattr(metrics, "run_to_completion", run_and_watch)
+    capex_sweep(metro, [1, 2], [1, 2])
+    assert len(runs) == 8
 
 
 def test_capex_sweep_counts_drops_separately():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from upfmec.delay import projected_delay
 from upfmec.metrics import build_pair_scenario
 from upfmec.model import (
+    CO_LOCATED_SCHEMES,
     CostVector,
     MecSpec,
     QosClass,
@@ -60,8 +61,9 @@ def test_alpha_violation_names_the_upf():
     assert any("upf 1" in m and "alpha" in m for m in msgs)
 
 
-def test_co_located_scheme_requires_square_topology():
-    s = make_scenario(num_upfs=2, num_mecs=1, scheme=Scheme.BASELINE)
+@pytest.mark.parametrize("scheme", CO_LOCATED_SCHEMES)
+def test_co_located_scheme_requires_square_topology(scheme):
+    s = make_scenario(num_upfs=2, num_mecs=1, scheme=scheme)
     msgs = validate_scenario(s)
     assert any("num_upfs == num_mecs" in m for m in msgs)
     # the pair scheme routes both tiers independently and allows U != M

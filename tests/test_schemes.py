@@ -166,14 +166,6 @@ def test_pe_extends_path_to_co_located_mec():
     assert mec_id == 2
 
 
-def test_pe_requires_co_located_mec():
-    run = make_run(num_upfs=3, num_mecs=2, scheme=Scheme.BESTFIT_UPF_MEC)
-    stuff_upf(run, 1, QosClass.URLLC, 20)
-    stuff_upf(run, 2, QosClass.URLLC, 20)
-    with pytest.raises(ValueError):
-        assign_bestfit_pe(*dummy(origin=1), run)
-
-
 def test_pair_scheme_chooses_both_tiers_independently():
     run = make_run(num_upfs=3)
     assert assign_bestfit_upf_mec(*dummy(origin=2), run) == (1, 1)
