@@ -74,18 +74,25 @@ def _check_seeds(flag: str, seeds: Sequence[int]) -> None:
             raise ValueError(f"{flag} must be >= 0, got {seed}")
 
 
+def _make_out(out: str) -> None:
+    """Create the --out directory; a path that cannot be one is a usage error."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {out}: {exc.strerror}") from None
+
+
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     if args.scheme:
         scenario = replace(scenario, scheme=Scheme(args.scheme))
     if args.seed is not None:
         _check_seeds("--seed", [args.seed])
-    seed = args.seed if args.seed is not None else scenario.seed
-    run = run_to_completion(scenario, seed=seed, drain_cap=args.drain_cap)
+    run = run_to_completion(scenario, seed=args.seed)
     report = metrics.summarize(run)
     out = args.out
-    os.makedirs(out, exist_ok=True)
-    name, scheme = scenario.name, scenario.scheme.value
+    _make_out(out)
+    name, scheme, seed = scenario.name, scenario.scheme.value, run.scenario.seed
     paths = []
     p = metrics.report_path(out, name, scheme, seed, "summary", "csv")
     metrics.write_summary_csv(report, p)
@@ -129,10 +136,8 @@ def cmd_compare(args) -> int:
         raise ValueError(f"--schemes names a scheme twice: {args.schemes!r}")
     seeds = _parse_int_list(args.seeds)
     _check_seeds("--seeds", seeds)
-    if args.drain_cap is not None and args.drain_cap < 0:
-        raise ValueError(f"--drain-cap must be >= 0, got {args.drain_cap}")
     out = args.out
-    os.makedirs(out, exist_ok=True)
+    _make_out(out)
     rows = []
     agg = {}
     for scheme in schemes:
@@ -140,7 +145,7 @@ def cmd_compare(args) -> int:
         pooled_e2e: List[np.ndarray] = []
         maxima, means = [], []
         for seed in seeds:
-            run = run_to_completion(variant, seed=seed, drain_cap=args.drain_cap)
+            run = run_to_completion(variant, seed=seed)
             rep = metrics.summarize(run)
             d = rep.e2e_overall
             rows.append([
@@ -194,7 +199,7 @@ def cmd_capex(args) -> int:
     # writes nothing: a usage error leaves no output directory
     points = metrics.capex_sweep(scenario, pairs, seeds)
     out = args.out
-    os.makedirs(out, exist_ok=True)
+    _make_out(out)
     csv_path = f"{out}/{scenario.name}.capex.csv"
     metrics.write_capex_csv(points, csv_path)
     print(f"wrote {csv_path}")
@@ -229,7 +234,7 @@ def cmd_oracle_gap(args) -> int:
     _check_seeds("--seed", [args.seed])
     rng = np.random.default_rng(args.seed)
     out = args.out
-    os.makedirs(out, exist_ok=True)
+    _make_out(out)
     path = f"{out}/oracle_gap.u{args.upfs}.n{args.n_max}.seed{args.seed}.csv"
     exact = 0
     worst_ratio = 1.0
@@ -277,16 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the scenario's seed")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--trace", action="store_true", help="also write per-epoch trace and event log")
-    p.add_argument("--drain-cap", type=int, help="max extra epochs after the horizon")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="run several schemes over a common seed set")
     p.add_argument("--scenario", default="campus5")
-    p.add_argument("--schemes", "--scheme", default="all",
-                   help="comma list of schemes, or 'all'")
+    p.add_argument("--schemes", default="all", help="comma list of schemes, or 'all'")
     p.add_argument("--seeds", default="1-10", help="comma list or range, e.g. 1-10")
     p.add_argument("--out", default="out")
-    p.add_argument("--drain-cap", type=int)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("capex", help="sweep deployment sizes for baseline vs load-aware")
@@ -318,8 +320,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as exc:
         # malformed --seeds/--pairs lists, negative seeds, pair counts below
-        # 1, unknown or repeated --schemes, oracle-gap sizes out of bounds and
-        # a scenario file that cannot be read or is not YAML
+        # 1, unknown or repeated --schemes, oracle-gap sizes out of bounds, an
+        # --out that cannot be a directory and a scenario file that cannot be
+        # read or is not YAML
         print(f"upfmec: error: {exc}", file=sys.stderr)
         return 2
 

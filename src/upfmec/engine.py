@@ -6,7 +6,10 @@ the queues left by the decisions before it, including same-epoch ones),
 serve the UPF buckets, move served traffic across the links, deliver
 finished transfers to their MEC queues, serve the MECs, then advance the
 clock.  After the arrival horizon the run keeps stepping without new
-traffic until every admitted request has completed or a drain cap is hit.
+traffic until every admitted request has completed or the scenario's
+drain cap (``drain_cap_epochs``, ten horizons by default) is hit.  A run
+is built from its scenario alone, so ``validate_scenario`` checks every
+setting of a run.
 
 A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
 ``run.upfs[i][q]``) and a MEC is one (``run.mecs[j]``), so both tiers
@@ -83,7 +86,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -292,26 +295,15 @@ class SimulationRun:
     ``link_transit[k]``, k its link index.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        seed: Optional[int] = None,
-        drain_cap: Optional[int] = None,
-    ) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         violations = validate_scenario(scenario)
         if violations:
             raise ScenarioError("; ".join(violations))
-        if drain_cap is not None and drain_cap < 0:
-            raise ValueError(f"drain cap must be >= 0, got {drain_cap}")
-        # the scenario's seed is validated; an override is checked here
-        if seed is not None and seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
         self.scenario = scenario
         # prices and measured delays are floats whatever the type of
         # delta_ms: a float delta gives the same values and never an int
         self.delta = float(scenario.delta_ms)
-        self.seed = scenario.seed if seed is None else seed
-        self.rng = np.random.default_rng(self.seed)
+        self.rng = np.random.default_rng(scenario.seed)
         self._origin_cdf, self._class_cdf = arrival_cdfs(scenario.traffic)
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
         self.upfs = [_build_upf(u, scenario, self.delta) for u in scenario.upfs]
@@ -325,12 +317,6 @@ class SimulationRun:
         # UPF service loop of step_epoch
         self._calendar: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
         self.epoch = 0
-        if drain_cap is not None:
-            self.drain_cap = drain_cap
-        elif scenario.drain_cap_epochs is not None:
-            self.drain_cap = scenario.drain_cap_epochs
-        else:
-            self.drain_cap = DEFAULT_DRAIN_FACTOR * max(1, scenario.horizon_epochs)
         self.qos: List[QosClass] = []
         self.origin_upf: List[int] = []
         self.arrival_epoch: List[int] = []
@@ -576,8 +562,11 @@ class SimulationRun:
         """Step through the horizon, then drain; the finished run is its own record."""
         while self.epoch < self.scenario.horizon_epochs:
             self.step_epoch(generate=True)
+        cap = self.scenario.drain_cap_epochs
+        if cap is None:
+            cap = DEFAULT_DRAIN_FACTOR * max(1, self.scenario.horizon_epochs)
         drained = 0
-        while self.residual > 0 and drained < self.drain_cap:
+        while self.residual > 0 and drained < cap:
             self.step_epoch(generate=False)
             drained += 1
         # residual is what the counters leave; count where the requests are
@@ -593,8 +582,13 @@ class SimulationRun:
         return self
 
 
-def run_to_completion(
-    scenario: Scenario, seed: Optional[int] = None, drain_cap: Optional[int] = None
-) -> SimulationRun:
-    """Simulate the scenario through its horizon plus drain and return the finished run."""
-    return SimulationRun(scenario, seed=seed, drain_cap=drain_cap).run()
+def run_to_completion(scenario: Scenario, seed: Optional[int] = None) -> SimulationRun:
+    """Simulate the scenario through its horizon plus drain and return the finished run.
+
+    A ``seed`` runs the scenario with that seed in place of its own: the
+    edited scenario is validated as a whole, so a seed is checked exactly
+    as the file's ``seed`` field is.
+    """
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)
+    return SimulationRun(scenario).run()

@@ -190,7 +190,7 @@ def summarize(run: SimulationRun) -> SummaryReport:
     report = SummaryReport(
         scenario_name=run.scenario.name,
         scheme=run.scenario.scheme.value,
-        seed=run.seed,
+        seed=run.scenario.seed,
         generated=run.generated,
         completed=run.completed,
         dropped=run.dropped,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec import engine
-from upfmec.cli import _parse_int_list, main
+from upfmec.cli import _parse_int_list, build_parser, main
 from upfmec.model import QosClass, load_scenario, save_scenario
 
 from conftest import make_scenario
@@ -379,11 +380,9 @@ def test_capex_rejects_a_malformed_base_before_scaling_it(tmp_path, capsys, brea
         ["compare", "--seeds", "x"],
         ["capex", "--scenario", "metro", "--pairs", "0"],
         ["capex", "--scenario", "metro", "--pairs", "1-2", "--seeds", "3,y"],
-        ["run", "--scenario", "campus5", "--drain-cap", "-5"],
         ["compare", "--schemes", "baseline,baseline", "--seeds", "1"],
         ["compare", "--seeds", "1,1"],
         ["capex", "--scenario", "metro", "--pairs", "1-3,2"],
-        ["compare", "--seeds", "1", "--drain-cap", "-5"],
         ["run", "--scenario", "campus5", "--seed", "-1"],
         ["compare", "--seeds", "-3"],
         ["capex", "--scenario", "metro", "--pairs", "1", "--seeds", "-2"],
@@ -416,6 +415,27 @@ def test_a_negative_seed_is_refused_by_its_flag(tmp_path, capsys, argv, flag):
     assert err.startswith(f"upfmec: error: {flag} must be >= 0, got -")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "campus5", "--seed", "1"],
+        ["compare", "--schemes", "baseline", "--seeds", "1"],
+        ["capex", "--scenario", "metro", "--pairs", "1", "--seeds", "1"],
+        ["oracle-gap", "--trials", "2"],
+    ],
+)
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, argv, under):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "out" if under else taken
+    reason = "Not a directory" if under else "File exists"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"upfmec: error: --out {out}: {reason}\n"
+    assert taken.read_text() == "keep\n"
 
 
 def _a_directory(tmp_path):
@@ -517,3 +537,26 @@ def test_run_outputs_are_reproducible(tmp_path):
     assert files == sorted(os.listdir(out_b))
     for name in files:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def _subcommand_options():
+    """Each subcommand's option strings, read from the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings} for name, p in sub.choices.items()}
+
+
+def test_readme_flags_are_options_of_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    options = _subcommand_options()
+    commands = 0
+    for line in readme.splitlines():
+        m = re.match(r"upfmec (\S+)", line)
+        if m:
+            commands += 1
+            assert m.group(1) in options, line
+            stale = set(re.findall(r"--[a-z][a-z-]*", line)) - options[m.group(1)]
+            assert not stale, line
+    assert commands >= len(options)
+    known = set().union(*options.values())
+    backticked = re.findall(r"`(--[a-z][a-z-]*)`", readme)
+    assert backticked and set(backticked) <= known

@@ -26,18 +26,13 @@ from upfmec.metrics import (
     summarize,
     write_events_csv,
 )
-from upfmec.model import QosClass, RequestStatus, Scheme, TrafficSpec
+from upfmec.model import QosClass, RequestStatus, ScenarioError, Scheme, TrafficSpec
 
 from conftest import make_scenario
+from reference_engine import COLUMNS, reference_run
 
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
 ALL_REGULAR = {QosClass.URLLC: 0.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 1.0}
-
-# the run's record: one list column per field, one row per request id
-COLUMNS = (
-    "qos", "origin_upf", "arrival_epoch", "status", "assigned_upf", "assigned_mec",
-    "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch", "d_net", "pc_upf", "n_share", "pc_mec",
-)
 
 
 def measured_e2e(run, rid):
@@ -190,9 +185,10 @@ def test_stage_delay_is_one_law_for_ints_and_arrays():
     assert stage_delay(np.array(leave), np.array(enter), 0.1).tolist() == scalars
 
 
-def test_a_negative_seed_override_is_refused_by_name():
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        SimulationRun(make_scenario(), seed=-1)
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_a_seed_override_is_checked_as_the_scenario_field(seed):
+    with pytest.raises(ScenarioError, match="^seed must be an integer >= 0"):
+        run_to_completion(make_scenario(), seed=seed)
 
 
 def test_d_net_is_in_ms_for_any_epoch_length():
@@ -289,7 +285,7 @@ def test_admission_drops_when_bucket_full():
 
 
 def test_queues_never_exceed_their_caps(metro):
-    run = SimulationRun(replace(metro, scheme=Scheme.BESTFIT_UPF_MEC), seed=2)
+    run = SimulationRun(replace(metro, scheme=Scheme.BESTFIT_UPF_MEC, seed=2))
     run.run()
     _assert_reports_within_caps(run)
 
@@ -299,7 +295,7 @@ def test_truncated_run_reports_residual():
         num_upfs=1, lam=6.0, horizon=3, qos_mix=ALL_URLLC,
         upf_capacity=1.0, upf_queue_cap=100, mec_queue_cap=100,
     )
-    res = run_to_completion(s, drain_cap=0)
+    res = run_to_completion(replace(s, drain_cap_epochs=0))
     assert res.truncated
     assert res.residual > 0
     assert res.generated == res.completed + res.dropped + res.residual
@@ -512,7 +508,7 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_cost_vectors_match_fresh_snapshots(campus5, metro, pairs, scheme):
     base = campus5 if pairs is None else build_pair_scenario(metro, pairs)
-    run = SimulationRun(replace(base, scheme=scheme), seed=2)
+    run = SimulationRun(replace(base, scheme=scheme, seed=2))
     decisions = _check_costs_at_every_decision(run)
     res = run.run()
     assert len(decisions) == res.generated > 0
@@ -535,7 +531,7 @@ def test_recorded_prices_are_floats_for_an_integer_delta(tmp_path):
 
 @pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC])
 def test_queue_series_hold_one_entry_per_epoch(metro, scheme):
-    run = SimulationRun(replace(build_pair_scenario(metro, 3), scheme=scheme), seed=1)
+    run = SimulationRun(replace(build_pair_scenario(metro, 3), scheme=scheme, seed=1))
     assert run.epoch_reports == []
     for k in range(1, 6):
         report = run.step_epoch(generate=k < 4)
@@ -547,7 +543,7 @@ def test_queue_series_hold_one_entry_per_epoch(metro, scheme):
 
 
 def test_pending_commitments_fully_drain(metro):
-    run = SimulationRun(replace(metro, scheme=Scheme.BESTFIT_UPF_MEC), seed=1)
+    run = SimulationRun(replace(metro, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     res = run.run()
     assert res.residual == 0
     assert all(m.pending == 0 for m in run.mecs)
@@ -556,7 +552,7 @@ def test_pending_commitments_fully_drain(metro):
 def test_a_negative_queue_length_is_never_a_table_index():
     # admission to MEC 1 makes q = 0 + (-2 + 1) = -1; the inline read must
     # reject it, not read the table's last entry (the price of q = 0 here)
-    run = SimulationRun(make_scenario(num_upfs=1, lam=8.0), seed=1)
+    run = SimulationRun(make_scenario(num_upfs=1, lam=8.0, seed=1))
     mec = run.mecs[0]
     assert not mec.queue and mec.table == [run.delta]
     mec.pending = -2
@@ -565,9 +561,14 @@ def test_a_negative_queue_length_is_never_a_table_index():
 
 
 @st.composite
-def small_scenarios(draw):
-    """Valid scenarios of 1-3 UPF-MEC pairs with short horizons and random sizing."""
+def small_scenarios(draw, rectangular=False):
+    """Valid scenarios of 1-3 UPF-MEC pairs with short horizons and random sizing.
+
+    ``rectangular`` draws 1-3 MECs apart from the 1-3 UPFs, under
+    ``bestfit_upf_mec``, the one scheme that accepts such a topology.
+    """
     n = draw(st.integers(1, 3))
+    num_mecs = draw(st.integers(1, 3)) if rectangular else n
 
     def dist(k):
         weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
@@ -575,6 +576,8 @@ def small_scenarios(draw):
 
     s = make_scenario(
         num_upfs=n,
+        num_mecs=num_mecs,
+        scheme=Scheme.BESTFIT_UPF_MEC if rectangular else Scheme.BASELINE,
         lam=draw(st.floats(0.0, 6.0)),
         process=draw(st.sampled_from(["poisson", "deterministic"])),
         skew=dist(n),
@@ -591,7 +594,9 @@ def small_scenarios(draw):
     for m in s.mecs:
         m.capacity = draw(st.floats(0.5, 8.0))
         m.queue_cap = draw(st.none() | st.integers(1, 8))
-    s.link_bandwidth_mbps = [[draw(st.floats(5.0, 50.0)) for _ in range(n)] for _ in range(n)]
+    s.link_bandwidth_mbps = [
+        [draw(st.floats(5.0, 50.0)) for _ in range(num_mecs)] for _ in range(n)
+    ]
     return s
 
 
@@ -645,7 +650,7 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         return net_delay(n_share, bytes_per_ue, bandwidth)
 
     for scheme in Scheme:
-        run = SimulationRun(replace(base, scheme=scheme), drain_cap=100_000)
+        run = SimulationRun(replace(base, scheme=scheme, drain_cap_epochs=100_000))
         # the incrementally repriced cost vectors equal a fresh pricing at every
         # decision, also after drops at a MEC's door and with fractional capacities
         decisions = _check_costs_at_every_decision(run)
@@ -691,8 +696,27 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         assert summarize(res).d_e2e.tolist() == e2e
 
         # a drain cap that stops the run with requests in queues and on links
-        truncated = run_to_completion(replace(base, scheme=scheme), drain_cap=cap)
+        truncated = run_to_completion(replace(base, scheme=scheme, drain_cap_epochs=cap))
         _assert_little_identities(truncated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=small_scenarios(),
+    rectangular=small_scenarios(rectangular=True),
+    cap=st.none() | st.integers(0, 3),
+)
+def test_runs_equal_the_naive_reference_engine(base, rectangular, cap):
+    # differential test: every column of the record and every epoch report,
+    # queue lengths included, equal those of tests/reference_engine.py, also
+    # on runs the drain cap stops
+    for s in [replace(base, scheme=scheme) for scheme in Scheme] + [rectangular]:
+        scenario = replace(s, drain_cap_epochs=cap)
+        run = run_to_completion(scenario)
+        columns, reports = reference_run(scenario)
+        for column in COLUMNS:
+            assert getattr(run, column) == columns[column], column
+        assert run.epoch_reports == reports
 
 
 def _assert_little_identities(run: SimulationRun) -> None:

@@ -62,7 +62,7 @@ def make_result(requests, delta: float = DELTA) -> SimulationRun:
     epochs its stage counts give, a stage of n epochs being left at the
     epoch n - 1 after it was entered: the serving epoch counts.
     """
-    run = SimulationRun(make_scenario(num_upfs=1, delta=delta), seed=1)
+    run = SimulationRun(make_scenario(num_upfs=1, delta=delta, seed=1))
     for r in requests:
         rid = run.add_requests([r["upf"]], [r["qos"]])
         run.assigned_upf[rid], run.assigned_mec[rid] = r["upf"], r["mec"]

@@ -204,6 +204,9 @@ MALFORMED = {
     "drain_cap_epochs fractional": (
         "drain_cap_epochs", lambda s: setattr(s, "drain_cap_epochs", 1.5)
     ),
+    "drain_cap_epochs negative": (
+        "drain_cap_epochs", lambda s: setattr(s, "drain_cap_epochs", -5)
+    ),
     "seed fractional": ("seed", lambda s: setattr(s, "seed", 1.5)),
     "upf id float": ("upfs must carry ids", lambda s: setattr(s.upfs[0], "id", 1.0)),
     "mec id float": ("mecs must carry ids", lambda s: setattr(s.mecs[0], "id", 1.0)),
