@@ -11,6 +11,7 @@ from .delay import (
 )
 from .engine import EpochReport, InvariantError, SimulationRun, run_to_completion
 from .model import (
+    QOS_BY_CODE,
     CostVector,
     MecSpec,
     QosClass,

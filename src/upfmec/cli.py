@@ -25,7 +25,7 @@ import numpy as np
 
 from . import metrics
 from .engine import run_to_completion
-from .model import Scenario, ScenarioError, Scheme, load_scenario
+from .model import Scenario, ScenarioError, Scheme, load_scenario, validate_scenario
 from .oracle import MAX_BATCH, MAX_UPFS, minmax_batch_optimum, sequential_heuristic_batch
 
 ALL_SCHEMES = [s.value for s in Scheme]
@@ -136,12 +136,18 @@ def cmd_compare(args) -> int:
         raise ValueError(f"--schemes names a scheme twice: {args.schemes!r}")
     seeds = _parse_int_list(args.seeds)
     _check_seeds("--seeds", seeds)
+    # every scheme's runs are checked before --out exists, so a scheme the
+    # scenario refuses leaves no output, whatever its place in the list
+    variants = [replace(scenario, scheme=Scheme(s), seed=seeds[0]) for s in schemes]
+    for variant in variants:
+        violations = validate_scenario(variant)
+        if violations:
+            raise ScenarioError("; ".join(violations))
     out = args.out
     _make_out(out)
     rows = []
     agg = {}
-    for scheme in schemes:
-        variant = replace(scenario, scheme=Scheme(scheme))
+    for scheme, variant in zip(schemes, variants):
         pooled_e2e: List[np.ndarray] = []
         maxima, means = [], []
         for seed in seeds:

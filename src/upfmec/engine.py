@@ -16,11 +16,15 @@ A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
 share the service law and the price table.  A request that finds its
 queue at ``queue_cap`` is dropped.
 
-A request is an id, its row in the run's list columns (``SimulationRun``).
-Queues hold ids, and a scheme chooses from ``(qos, origin_upf, run)``.
+A request is an id, its row in the run's 12 columns (``SimulationRun``).
+Its class is a one-byte code, its index in ``QOS_BY_CODE``: the arrival
+draw yields the code, and admission reads the class's enum, cost vector
+and buckets from one row per code, built with the run.  Queues hold ids,
+and a scheme chooses from ``(qos, origin_upf, run)``, ``qos`` the enum.
 Each stage pops ids and stamps the epoch it serves them in one loop; no
 per-request object is built and no delay computed: ``metrics`` derives
-the measured delays from the stamps.
+the measured delays from the stamps, and the arrival epochs from the
+epoch reports' arrival counts, since ids are given in arrival order.
 
 A link's state is two run columns indexed by its link index: link (i, j)
 of M MECs is (i - 1) * M + (j - 1), which sorts as the key (i, j) does.
@@ -65,10 +69,11 @@ Values that cannot change after the run is built are checked once, not
 per request.  When the run is built, ``validate_scenario`` checks the
 epoch length and both arrival distributions, the run builds the origin
 and QoS-class CDFs each epoch draws from (``arrival_cdfs``), and each
-``ServiceQueue`` checks its capacity.  ``serve`` checks the count it
-serves on every call.  ``net_delay`` checks the link's sharers (counted
-after the entering request joins) and ``transit_epochs`` the transfer
-delay once per transit table entry, when the entry is made.  Each stage
+``ServiceQueue`` checks its capacity and keeps its ceiling.  ``serve``
+checks the count it serves against that ceiling on every call.
+``net_delay`` checks the link's sharers (counted after the entering
+request joins) and ``transit_epochs`` the transfer delay once per transit
+table entry, when the entry is made.  Each stage
 checks that an id it pops has the status of that stage, so status only
 moves forward, and raises ``InvariantError`` otherwise.
 
@@ -93,6 +98,7 @@ import numpy as np
 
 from .delay import mec_capacity, net_delay, transit_epochs, upf_capacity
 from .model import (
+    QOS_BY_CODE,
     CostVector,
     InvariantError,
     QosClass,
@@ -107,8 +113,6 @@ from .model import (
 from .schemes import SCHEME_FUNCS
 
 DEFAULT_DRAIN_FACTOR = 10  # drain cap defaults to this many horizons
-
-_QOS_LIST = list(QosClass)
 
 # the order of each UPF's bucket lengths in EpochReport.upf_queues, and so of
 # trace.csv's queue columns: by class name, which is not the service order
@@ -140,7 +144,7 @@ def arrival_cdfs(traffic: TrafficSpec) -> Tuple[np.ndarray, np.ndarray]:
     the weights on every call.  ``validate_scenario`` checks both weight
     vectors.
     """
-    return _cdf(traffic.skew), _cdf([traffic.qos_mix[q] for q in _QOS_LIST])
+    return _cdf(traffic.skew), _cdf([traffic.qos_mix[q] for q in QOS_BY_CODE])
 
 
 def generate_arrivals(
@@ -149,11 +153,13 @@ def generate_arrivals(
     epoch: int,
     origin_cdf: np.ndarray,
     class_cdf: np.ndarray,
-) -> Tuple[List[int], List[QosClass]]:
-    """Draw one epoch of requests: their origin UPF ids, then their QoS classes.
+) -> Tuple[List[int], bytes]:
+    """Draw one epoch of requests: their origin UPF ids, then their QoS class codes.
 
     The count comes first, then every origin, then every class.  The CDFs
-    are ``arrival_cdfs(traffic)``.  The deterministic process emits
+    are ``arrival_cdfs(traffic)``.  A class is drawn as its index in the
+    class CDF, which is its code (``QOS_BY_CODE``), and the codes come back
+    as bytes, one per request.  The deterministic process emits
     floor((epoch+1)*rate) - floor(epoch*rate) requests so the long-run rate
     is exact even for fractional rates.
     """
@@ -165,10 +171,10 @@ def generate_arrivals(
     else:
         raise ValueError(f"unknown arrival process {traffic.process!r}")
     if count == 0:
-        return [], []
+        return [], b""
     origins = (origin_cdf.searchsorted(rng.random(count), side="right") + 1).tolist()
-    classes = class_cdf.searchsorted(rng.random(count), side="right").tolist()
-    return origins, list(map(_QOS_LIST.__getitem__, classes))
+    classes = class_cdf.searchsorted(rng.random(count), side="right").astype(np.uint8)
+    return origins, classes.tobytes()
 
 
 def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
@@ -283,14 +289,16 @@ class SimulationRun:
     """Mutable state of one simulation run, and its record once finished.
 
     The record keeps one row per request id (ids are 0, 1, ... in arrival
-    order) in list columns named after the fields they hold: ``qos``,
-    ``origin_upf``, ``arrival_epoch``, ``status`` (None before the
+    order) in 12 columns named after the fields they hold.  ``qos`` is a
+    bytearray of class codes (``QOS_BY_CODE[code]`` is the class); the
+    other 11 are lists: ``origin_upf``, ``status`` (None before the
     decision), ``assigned_upf``, ``assigned_mec`` (None for a class that
     ends at the UPF), the epoch stamps ``upf_serve_epoch``,
     ``mec_due_epoch`` and ``mec_serve_epoch`` (None until stamped), the
     link's delay ``d_net`` (None until the request enters a link), and the
     projection's inputs ``pc_upf`` (None before the decision), ``n_share``
-    and ``pc_mec``.
+    and ``pc_mec``.  No column holds the arrival epoch: the epoch reports
+    count each epoch's arrivals (``metrics.arrival_epochs``).
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``, k its link index.
     """
@@ -317,9 +325,8 @@ class SimulationRun:
         # UPF service loop of step_epoch
         self._calendar: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
         self.epoch = 0
-        self.qos: List[QosClass] = []
+        self.qos = bytearray()
         self.origin_upf: List[int] = []
-        self.arrival_epoch: List[int] = []
         self.status: List[Optional[RequestStatus]] = []
         self.assigned_upf: List[Optional[int]] = []
         self.assigned_mec: List[Optional[int]] = []
@@ -337,6 +344,14 @@ class SimulationRun:
             q: CostVector([u[q].price() for u in self.upfs]) for q in QosClass
         }
         self.mec_cost = CostVector([m.price() for m in self.mecs])
+        # what admission reads of a request's class, by class code: the class,
+        # its cost vector and that vector's prices, and per UPF index the
+        # class's bucket, the bucket's deque, queue cap and price table
+        self._admission = tuple(
+            (q, self.upf_cost[q], self.upf_cost[q].prices,
+             tuple((u[q], u[q].queue, u[q].queue_cap, u[q].table) for u in self.upfs))
+            for q in QOS_BY_CODE
+        )
         # UPF buckets in service order (UPF-major, class-minor), each with
         # the cost vector entry that prices it and the base that a MEC id
         # turns into a link index (None for a class that ends at the UPF);
@@ -366,13 +381,17 @@ class SimulationRun:
         """The drain cap ended the run with requests still in flight."""
         return self.residual > 0
 
-    def add_requests(self, origins: List[int], classes: List[QosClass]) -> int:
-        """Append one undecided row per new request, arriving now; the first new id."""
+    def add_requests(self, origins: List[int], codes: bytes) -> int:
+        """Append one undecided row per new request; the first new id.
+
+        ``codes`` holds the requests' class codes, one byte each.  The
+        epoch's report counts them as its arrivals, which is where
+        ``metrics.arrival_epochs`` reads their arrival epoch.
+        """
         first = len(self.qos)
         n = len(origins)
-        self.qos.extend(classes)
+        self.qos += codes
         self.origin_upf.extend(origins)
-        self.arrival_epoch.extend([self.epoch] * n)
         unset = [None] * n
         for column in (self.status, self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
                        self.mec_due_epoch, self.mec_serve_epoch, self.d_net, self.pc_upf):
@@ -393,46 +412,45 @@ class SimulationRun:
     def step_epoch(self, generate: bool = True) -> EpochReport:
         epoch = self.epoch
         origins: List[int] = []
-        classes: List[QosClass] = []
+        codes = b""
         if generate:
-            origins, classes = generate_arrivals(
+            origins, codes = generate_arrivals(
                 self.scenario.traffic, self.rng, epoch, self._origin_cdf, self._class_cdf
             )
-        first = self.add_requests(origins, classes)
+        first = self.add_requests(origins, codes)
 
         status = self.status
         assigned_upf, assigned_mec = self.assigned_upf, self.assigned_mec
-        assign = self._assign
-        upfs, mecs = self.upfs, self.mecs
+        assign, admission = self._assign, self._admission
+        mecs = self.mecs
         link_sharers, num_mecs = self.link_sharers, len(mecs)
-        upf_cost, mec_cost = self.upf_cost, self.mec_cost
+        mec_cost = self.mec_cost
         mec_prices = mec_cost.prices
         pc_upf, n_share, pc_mec = self.pc_upf, self.n_share, self.pc_mec
         admitted = dropped_now = 0
-        for rid, qos, origin in zip(range(first, first + len(origins)), classes, origins):
+        for rid, code, origin in zip(range(first, first + len(origins)), codes, origins):
+            qos, cost, prices, buckets = admission[code]
             upf_id, mec_id = assign(qos, origin, self)
             assigned_upf[rid] = upf_id
-            cost = upf_cost[qos]
+            i = upf_id - 1
             # the projection's inputs, recorded for dropped requests too; a
             # class that ends at the UPF keeps n_share 0 and pc_mec 0.0
-            pc_upf[rid] = cost.prices[upf_id - 1]
+            pc_upf[rid] = prices[i]
             if mec_id is not None:
                 assigned_mec[rid] = mec_id
-                n_share[rid] = link_sharers[(upf_id - 1) * num_mecs + mec_id - 1]
+                n_share[rid] = link_sharers[i * num_mecs + mec_id - 1]
                 pc_mec[rid] = mec_prices[mec_id - 1]
-            bucket = upfs[upf_id - 1][qos]
-            queue = bucket.queue
-            if len(queue) >= bucket.queue_cap:
+            bucket, queue, queue_cap, table = buckets[i]
+            if len(queue) >= queue_cap:
                 status[rid] = _DROPPED
                 dropped_now += 1
             else:
                 status[rid] = _IN_UPF_QUEUE
                 queue.append(rid)
                 q = len(queue) + bucket.pending
-                table = bucket.table
                 p = table[q] if 0 <= q < len(table) else bucket.fill(q)
-                if p != cost.prices[upf_id - 1]:
-                    cost.set(upf_id - 1, p)
+                if p != prices[i]:
+                    cost.set(i, p)
                 admitted += 1
                 if mec_id is not None:
                     mec = mecs[mec_id - 1]
@@ -458,12 +476,21 @@ class SimulationRun:
                 continue
             n = bucket.serve()
             popleft = queue.popleft
-            for _ in range(n):
-                rid = popleft()
-                if status[rid] is not _IN_UPF_QUEUE:
-                    raise _stage_error(rid, status[rid], _IN_UPF_QUEUE)
-                upf_serve_epoch[rid] = epoch
-                if base is not None:
+            if base is None:
+                # a class that ends at the UPF completes here
+                for _ in range(n):
+                    rid = popleft()
+                    if status[rid] is not _IN_UPF_QUEUE:
+                        raise _stage_error(rid, status[rid], _IN_UPF_QUEUE)
+                    upf_serve_epoch[rid] = epoch
+                    status[rid] = _COMPLETED
+                completed_now += n
+            else:
+                for _ in range(n):
+                    rid = popleft()
+                    if status[rid] is not _IN_UPF_QUEUE:
+                        raise _stage_error(rid, status[rid], _IN_UPF_QUEUE)
+                    upf_serve_epoch[rid] = epoch
                     k = base + assigned_mec[rid]
                     # the entering request shares the link with everything
                     # already on it: its sharers are counted after it joins
@@ -481,16 +508,12 @@ class SimulationRun:
                         day[k] = [rid]
                     else:
                         on_link.append(rid)
-                else:
-                    status[rid] = _COMPLETED
             q = len(queue) + bucket.pending
             table = bucket.table
             p = table[q] if 0 <= q < len(table) else bucket.fill(q)
             if p != cost.prices[idx]:
                 cost.set(idx, p)
             served_upf += n
-            if base is None:
-                completed_now += n
 
         # a transfer reaches its MEC exactly at its due epoch; deliveries go
         # in link-index order, which is link-key order, and in entry order on

@@ -28,6 +28,7 @@ import numpy as np
 from .delay import DelayBreakdown, net_delay
 from .engine import REPORT_CLASSES, SimulationRun, link_law, run_to_completion
 from .model import (
+    QOS_BY_CODE,
     QosClass,
     RequestStatus,
     Scenario,
@@ -108,10 +109,11 @@ def _dist(values: np.ndarray) -> DistSummary:
     )
 
 
-# a class's code in the completed-row arrays: its rank by name, so that
-# (UPF id, code) sorts as the summary's (UPF id, class name) slices do
-_CODE = {q: k for k, q in enumerate(REPORT_CLASSES)}
-_USES_MEC = np.array([q.uses_mec for q in REPORT_CLASSES])
+# by class code: the class's rank by name, so that (UPF id, rank) sorts as
+# the summary's (UPF id, class name) slices do; whether it uses a MEC; its name
+_RANK = np.array([REPORT_CLASSES.index(q) for q in QOS_BY_CODE])
+_USES_MEC = np.array([q.uses_mec for q in QOS_BY_CODE])
+_QOS_NAMES = [q.value for q in QOS_BY_CODE]
 
 
 def stage_delay(leave, enter, delta):
@@ -125,6 +127,15 @@ def stage_delay(leave, enter, delta):
     return (leave + 1 - enter) * delta
 
 
+def arrival_epochs(run: SimulationRun) -> np.ndarray:
+    """Each request's arrival epoch, in id order.
+
+    Ids are given in arrival order and every epoch's report counts its
+    arrivals, so epoch e's requests are the next ``arrivals`` ids.
+    """
+    return np.repeat(np.arange(run.epoch), [r.arrivals for r in run.epoch_reports])
+
+
 class _Rows:
     """The measured delays of a selection of a run's requests, as arrays in id order.
 
@@ -132,24 +143,28 @@ class _Rows:
     the selected entries of a column are converted.  The stamps are read
     as ``stamp``: ``np.int64`` where every selected row is stamped (the
     completed ones), or float, which reads None as nan, so a delay is nan
-    where a stamp it needs is missing.  ``qos`` holds the class codes (see
-    ``_CODE``); ``d_net``, ``d_mec`` and ``mec_rows`` hold only the rows of
-    the classes that use a MEC (``uses_mec``), also in id order.  ``d_e2e``
-    is ``(d_upf + d_net) + d_mec``, or ``d_upf`` for a class that ends at
-    the UPF.
+    where a stamp it needs is missing.  ``codes`` holds the class codes
+    and ``arrival`` the arrival epochs (``arrival_epochs``); ``d_net``,
+    ``d_mec`` and ``mec_rows`` hold only the rows of the classes that use
+    a MEC (``uses_mec``), also in id order.  ``d_e2e`` is
+    ``(d_upf + d_net) + d_mec``, or ``d_upf`` for a class that ends at the
+    UPF.
     """
 
-    __slots__ = ("_select", "_k", "_at_mec", "_m", "qos", "uses_mec",
+    __slots__ = ("_select", "_k", "_at_mec", "_m", "codes", "arrival", "uses_mec",
                  "d_upf", "d_net", "d_mec", "d_e2e")
 
     def __init__(self, run: SimulationRun, select: bytes, stamp) -> None:
         self._select, self._k = select, select.count(1)
-        self.qos = np.fromiter(map(_CODE.__getitem__, compress(run.qos, select)), np.int64, self._k)
-        self.uses_mec = uses_mec = _USES_MEC[self.qos]
-        self._at_mec = uses_mec.tobytes()
+        mask = np.frombuffer(select, np.bool_)
+        codes = np.frombuffer(run.qos, np.uint8)
+        self.codes = codes[mask]
+        self.arrival = arrival_epochs(run)[mask]
+        self.uses_mec = uses_mec = _USES_MEC[self.codes]
+        # the selected rows of the classes that use a MEC, one byte per request
+        self._at_mec = (mask & _USES_MEC[codes]).tobytes()
         self._m = self._at_mec.count(1)
-        self.d_upf = stage_delay(self.rows(run.upf_serve_epoch, stamp),
-                                 self.rows(run.arrival_epoch), run.delta)
+        self.d_upf = stage_delay(self.rows(run.upf_serve_epoch, stamp), self.arrival, run.delta)
         self.d_net = self.mec_rows(run.d_net, float)
         self.d_mec = stage_delay(self.mec_rows(run.mec_serve_epoch, stamp),
                                  self.mec_rows(run.mec_due_epoch, stamp), run.delta)
@@ -162,7 +177,7 @@ class _Rows:
 
     def mec_rows(self, column, dtype=np.int64) -> np.ndarray:
         """The column's entries of the selected requests of the classes that use a MEC."""
-        return np.fromiter(compress(compress(column, self._select), self._at_mec), dtype, self._m)
+        return np.fromiter(compress(column, self._at_mec), dtype, self._m)
 
 
 def _completed(run: SimulationRun) -> _Rows:
@@ -202,11 +217,11 @@ def summarize(run: SimulationRun) -> SummaryReport:
     width = len(REPORT_CLASSES)
     report.per_upf_qos = {
         (key // width, REPORT_CLASSES[key % width]): st
-        for key, st in _slices(c.rows(run.assigned_upf) * width + c.qos, c.d_upf)
+        for key, st in _slices(c.rows(run.assigned_upf) * width + _RANK[c.codes], c.d_upf)
     }
     report.per_mec = dict(_slices(c.mec_rows(run.assigned_mec), c.d_mec))
-    for q in QosClass:
-        sample = c.d_e2e[c.qos == _CODE[q]]
+    for code, q in enumerate(QOS_BY_CODE):
+        sample = c.d_e2e[c.codes == code]
         if sample.size:
             report.e2e_per_qos[q] = _dist(sample)
     if c.d_e2e.size:
@@ -225,7 +240,7 @@ def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
     id order, as ``SummaryReport.d_e2e``.
     """
     c = _completed(run)
-    return {q: c.d_e2e[c.qos == _CODE[q]] for q in QosClass}
+    return {q: c.d_e2e[c.codes == code] for code, q in enumerate(QOS_BY_CODE)}
 
 
 @dataclass(frozen=True)
@@ -240,7 +255,7 @@ def build_cdf(samples: Sequence[float]) -> CdfTable:
     """Empirical CDF of a sample; empty input gives an empty table."""
     if len(samples) == 0:
         return CdfTable((), ())
-    arr = np.sort(np.asarray(samples, dtype=float))
+    arr = np.asarray(samples, dtype=float)
     values, counts = np.unique(arr, return_counts=True)
     cum = np.cumsum(counts) / arr.size
     return CdfTable(tuple(float(v) for v in values), tuple(float(c) for c in cum))
@@ -510,12 +525,12 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
         w = csv.writer(fh)
         w.writerow(cols)
         for rid, (qos, origin, arrival, upf, mec, status, *delays) in enumerate(zip(
-            run.qos, run.origin_upf, run.arrival_epoch, run.assigned_upf, run.assigned_mec,
-            run.status, *measured,
+            map(_QOS_NAMES.__getitem__, run.qos), run.origin_upf, d.arrival.tolist(),
+            run.assigned_upf, run.assigned_mec, run.status, *measured,
         )):
             proj = projection(run, rid)
             w.writerow([
-                rid, qos.value, origin, arrival, _fmt(upf), _fmt(mec), status.name.lower(),
+                rid, qos, origin, arrival, _fmt(upf), _fmt(mec), status.name.lower(),
                 *map(_fmt, delays), *map(_fmt, proj or (None,) * 4),
             ])
 

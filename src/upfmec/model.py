@@ -62,6 +62,11 @@ class QosClass(enum.Enum):
         self.uses_mec = value != "regular"
 
 
+# a class's code is its index here, the order of the qos_mix weights each
+# epoch's class draw indexes; a run's ``qos`` column holds one code per byte
+QOS_BY_CODE = tuple(QosClass)
+
+
 class Scheme(enum.Enum):
     """Request-to-resource assignment policies."""
 
@@ -220,9 +225,12 @@ class ServiceQueue:
     credit: float = field(init=False, default=0.0)
     pending: int = field(init=False, default=0)
     table: List[float] = field(init=False, default_factory=list)
+    # ceil(capacity), the most one epoch's service may pop
+    ceiling: int = field(init=False, default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_capacity(self.capacity)
+        self.ceiling = math.ceil(self.capacity)
 
     def price(self) -> float:
         """Projected delay of joining this queue now, ms."""
@@ -245,14 +253,19 @@ class ServiceQueue:
 
         The caller pops that many ids from the head of ``queue``.  The
         credit left over carries to the next epoch only if the queue stays
-        non-empty after those pops.
+        non-empty after those pops.  More than ``ceiling`` in one epoch
+        raises ``InvariantError``.
         """
         queue_len = len(self.queue)
         credit = self.credit + self.capacity
-        n = min(queue_len, int(credit))
-        if n > math.ceil(self.capacity):
+        n = int(credit)
+        if n < queue_len:
+            self.credit = credit - n
+        else:
+            n = queue_len
+            self.credit = 0.0
+        if n > self.ceiling:
             raise InvariantError(f"served {n} over capacity {self.capacity}")
-        self.credit = credit - n if queue_len > n else 0.0
         return n
 
 

@@ -7,6 +7,7 @@ import pytest
 from upfmec.cli import _resolve_scenario
 from upfmec.metrics import projection
 from upfmec.model import (
+    QOS_BY_CODE,
     MecSpec,
     QosClass,
     Scenario,
@@ -87,6 +88,11 @@ def link_index(run, upf_id, mec_id):
     return (upf_id - 1) * len(run.mecs) + mec_id - 1
 
 
+def codes(*classes: QosClass) -> bytes:
+    """The classes' codes, as a run's ``qos`` column holds them: one byte each."""
+    return bytes(QOS_BY_CODE.index(q) for q in classes)
+
+
 def decide(run, qos, origin_upf, scheme):
     """Apply a scheme to one new request as admission does, without queueing it.
 
@@ -94,7 +100,7 @@ def decide(run, qos, origin_upf, scheme):
     and the projection's inputs as admission records them; queues and
     prices do not change.  Returns (upf_id, mec_id, the composed projection).
     """
-    rid = run.add_requests([origin_upf], [qos])
+    rid = run.add_requests([origin_upf], codes(qos))
     upf_id, mec_id = scheme(qos, origin_upf, run)
     run.assigned_upf[rid], run.assigned_mec[rid] = upf_id, mec_id
     run.pc_upf[rid] = run.upf_cost[qos].prices[upf_id - 1]

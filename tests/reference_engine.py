@@ -6,8 +6,10 @@ the delay laws of ``upfmec.delay`` and the queue sizes of a freshly built
 plainly as possible: one dict per request, a plain list per queue, every
 price computed from ``(len + pending, c)`` at each decision with a Python
 loop over the candidates, every queue served each epoch and every link
-scanned in (i, j) order.  ``reference_run(scenario)`` returns the 13
-record columns and the epoch reports, which the engine must equal.
+scanned in (i, j) order.  ``reference_run(scenario)`` returns the 12
+record columns, the epoch reports and each request's arrival epoch, which
+the engine and ``metrics.arrival_epochs`` must equal.  A class is kept as
+its code, its index in ``SERVICE_ORDER`` (``list(QosClass)``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from upfmec.engine import EpochReport, SimulationRun, arrival_cdfs, generate_arr
 from upfmec.model import QosClass, RequestStatus, Scheme
 
 COLUMNS = (
-    "qos", "origin_upf", "arrival_epoch", "status", "assigned_upf", "assigned_mec",
+    "qos", "origin_upf", "status", "assigned_upf", "assigned_mec",
     "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch", "d_net", "pc_upf", "n_share", "pc_mec",
 )
 SERVICE_ORDER = list(QosClass)
@@ -90,14 +92,15 @@ class Reference:
 
     def step(self, generate):
         e, delta = self.epoch, self.delta
-        origins, classes = (
-            generate_arrivals(self.s.traffic, self.rng, e, *self.cdfs) if generate else ([], [])
+        origins, codes = (
+            generate_arrivals(self.s.traffic, self.rng, e, *self.cdfs) if generate else ([], b"")
         )
         admitted = dropped = completed = served_upf = served_mec = 0
-        for origin, qos in zip(origins, classes):
+        for origin, code in zip(origins, codes):
+            qos = SERVICE_ORDER[code]
             i, j, pc_upf, pc_mec = self.choose(qos, origin)
             r = {
-                "qos": qos, "origin_upf": origin, "arrival_epoch": e, "assigned_upf": i + 1,
+                "qos": code, "origin_upf": origin, "arrival_epoch": e, "assigned_upf": i + 1,
                 "assigned_mec": None, "upf_serve_epoch": None, "mec_due_epoch": None,
                 "mec_serve_epoch": None, "d_net": None, "pc_upf": pc_upf, "n_share": 0,
                 "pc_mec": 0.0,
@@ -183,6 +186,12 @@ class Reference:
 
 
 def reference_run(scenario):
-    """The 13 record columns ({name: list}) and the epoch reports of a naive run of scenario."""
+    """A naive run of scenario: its 12 record columns, epoch reports and arrival epochs.
+
+    The columns are {name: list}, but ``qos`` is bytes of class codes, as
+    the engine keeps it; the arrival epochs are a list in id order.
+    """
     ref = Reference(scenario).run()
-    return {c: [r[c] for r in ref.requests] for c in COLUMNS}, ref.reports
+    columns = {c: [r[c] for r in ref.requests] for c in COLUMNS}
+    columns["qos"] = bytes(columns["qos"])
+    return columns, ref.reports, [r["arrival_epoch"] for r in ref.requests]

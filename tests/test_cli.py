@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from upfmec import engine
 from upfmec.cli import _parse_int_list, build_parser, main
-from upfmec.model import QosClass, load_scenario, save_scenario
+from upfmec.model import QosClass, Scheme, load_scenario, save_scenario
 
 from conftest import make_scenario
 
@@ -396,6 +396,30 @@ def test_malformed_lists_are_usage_errors(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("upfmec: error: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _skew_over_one(tmp_path):
+    path = tmp_path / "skew.yaml"
+    save_scenario(make_scenario(skew=[0.7, 0.5]), str(path))
+    return ["--scenario", str(path), "--schemes", "all"]
+
+
+def _co_located_scheme_last(tmp_path):
+    # bestfit_upf_mec accepts 2 UPFs and 1 MEC, baseline does not
+    path = tmp_path / "rectangular.yaml"
+    save_scenario(make_scenario(num_upfs=2, num_mecs=1, scheme=Scheme.BESTFIT_UPF_MEC), str(path))
+    return ["--scenario", str(path), "--schemes", "bestfit_upf_mec,baseline"]
+
+
+@pytest.mark.parametrize("scenario", [_skew_over_one, _co_located_scheme_last])
+def test_compare_checks_every_scheme_before_it_writes(tmp_path, capsys, scenario):
+    out = tmp_path / "out"
+    rc = main(["compare", *scenario(tmp_path), "--seeds", "1-2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

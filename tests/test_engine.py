@@ -20,26 +20,37 @@ from upfmec.engine import (
     run_to_completion,
 )
 from upfmec.metrics import (
+    arrival_epochs,
     build_pair_scenario,
     completed_e2e,
     stage_delay,
     summarize,
     write_events_csv,
 )
-from upfmec.model import QosClass, RequestStatus, ScenarioError, Scheme, TrafficSpec
+from upfmec.model import QOS_BY_CODE, QosClass, RequestStatus, ScenarioError, Scheme, TrafficSpec
 
-from conftest import make_scenario
+from conftest import codes, make_scenario
 from reference_engine import COLUMNS, reference_run
 
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
 ALL_REGULAR = {QosClass.URLLC: 0.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 1.0}
 
 
-def measured_e2e(run, rid):
-    """Request rid's end-to-end delay in ms, from its stamps, without ``stage_delay``."""
+def arrivals_by_id(run):
+    """Each request's arrival epoch, counted off the epoch reports one id at a time."""
+    return [rep.epoch for rep in run.epoch_reports for _ in range(rep.arrivals)]
+
+
+def classes_by_id(run):
+    """Each request's class, read from its code."""
+    return [QOS_BY_CODE[code] for code in run.qos]
+
+
+def measured_e2e(run, rid, arrival):
+    """Request rid's end-to-end delay in ms, from its stamps and arrival, without ``stage_delay``."""
     delta = run.delta
-    d_upf = (run.upf_serve_epoch[rid] + 1 - run.arrival_epoch[rid]) * delta
-    if not run.qos[rid].uses_mec:
+    d_upf = (run.upf_serve_epoch[rid] + 1 - arrival) * delta
+    if not QOS_BY_CODE[run.qos[rid]].uses_mec:
         return d_upf
     d_mec = (run.mec_serve_epoch[rid] + 1 - run.mec_due_epoch[rid]) * delta
     return (d_upf + run.d_net[rid]) + d_mec
@@ -50,7 +61,7 @@ def measured_e2e(run, rid):
 
 def test_zero_rate_generates_nothing():
     t = TrafficSpec(0.0, [1.0], {q: 0.25 for q in QosClass})
-    assert generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t)) == ([], [])
+    assert generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t)) == ([], b"")
 
 
 def test_deterministic_process_hits_rate_exactly():
@@ -109,7 +120,9 @@ def test_arrival_draws_equal_numpy_choice(skew, mix, count, seed):
     twin_origins = twin.choice(len(w), size=count, p=w / w.sum())
     twin_classes = twin.choice(len(m), size=count, p=m / m.sum())
     assert origins == [o + 1 for o in twin_origins]
-    assert classes == [list(QosClass)[c] for c in twin_classes]
+    # a class comes back as its code, its index in the class CDF
+    assert list(classes) == twin_classes.tolist()
+    assert [QOS_BY_CODE[c] for c in classes] == [list(QosClass)[c] for c in twin_classes]
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -120,7 +133,7 @@ def test_request_ids_continue_across_epochs():
     run.step_epoch()
     assert run.generated == 6
     assert all(len(getattr(run, column)) == 6 for column in COLUMNS)
-    assert run.arrival_epoch == [0, 0, 0, 1, 1, 1]
+    assert arrival_epochs(run).tolist() == [0, 0, 0, 1, 1, 1]
 
 
 # ------------------------------------------------------------------ stepping
@@ -147,7 +160,8 @@ def test_regular_traffic_never_touches_the_mec():
     assert res.completed == res.generated > 0
     unset = [None] * res.generated
     assert res.assigned_mec == res.d_net == res.mec_due_epoch == res.mec_serve_epoch == unset
-    assert summarize(res).d_e2e.tolist() == [measured_e2e(res, rid) for rid in range(res.generated)]
+    e2e = [measured_e2e(res, rid, a) for rid, a in enumerate(arrivals_by_id(res))]
+    assert summarize(res).d_e2e.tolist() == e2e
     assert all(not any(rep.mec_queues) for rep in res.epoch_reports)
     assert not any(run.link_sharers)
 
@@ -161,7 +175,7 @@ def test_stages_stamp_epochs_and_rows_derive_the_delays():
     res = run_to_completion(s)
     assert res.status == [RequestStatus.COMPLETED] * res.generated
     stamps = list(
-        zip(res.arrival_epoch, res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch)
+        zip(arrivals_by_id(res), res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch)
     )
     # the MEC queued some requests past their due epoch
     assert max(serve - due for _, _, due, serve in stamps) > 0
@@ -342,16 +356,16 @@ def test_deliveries_go_in_link_key_order_then_entry_order(monkeypatch):
     urllc, embb = QosClass.URLLC, QosClass.EMBB
     script = {
         # id 0 goes over (1, 1), due 1; id 1 finds UPF 1 busy and goes over (2, 1), due 2
-        0: ([1, 1], [urllc, urllc]),
+        0: ([1, 1], codes(urllc, urllc)),
         # id 2 goes over (1, 1), due 2: entered after id 1, due with it
-        1: ([1], [urllc]),
+        1: ([1], codes(urllc)),
         # UPF 1 serves its URLLC bucket before its EMBB one, so id 4 enters
         # (1, 1) before id 3, and both are due at epoch 4
-        3: ([1, 1], [embb, urllc]),
+        3: ([1, 1], codes(embb, urllc)),
     }
 
     def scripted(traffic, rng, epoch, origin_cdf, class_cdf):
-        return script.get(epoch, ([], []))
+        return script.get(epoch, ([], b""))
 
     monkeypatch.setattr(engine, "generate_arrivals", scripted)
     s = make_scenario(
@@ -461,7 +475,7 @@ def test_upf_price_undershoots_fcfs_service_by_under_one_epoch(campus5, scheme):
     delta, tol = res.delta, 1e-9
     errors = []
     for qos, upf, arrival, serve, price in zip(
-        res.qos, res.assigned_upf, res.arrival_epoch, res.upf_serve_epoch, res.pc_upf
+        classes_by_id(res), res.assigned_upf, arrivals_by_id(res), res.upf_serve_epoch, res.pc_upf
     ):
         if serve is None:
             continue
@@ -661,7 +675,7 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         # a request entering a link shares it with itself at least
         assert all(n >= 1 for n in shares)
         # a transfer is due the whole epochs its d_net takes after UPF service
-        link_stamps = zip(res.qos, res.upf_serve_epoch, res.mec_due_epoch, res.d_net)
+        link_stamps = zip(classes_by_id(res), res.upf_serve_epoch, res.mec_due_epoch, res.d_net)
         for qos, serve, due, d_net in link_stamps:
             if qos.uses_mec and serve is not None:
                 assert due == serve + transit_epochs(d_net, delta)
@@ -675,7 +689,8 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         assert all(m.pending == 0 for m in run.mecs)
 
         upf_served = Counter(
-            key for key in zip(res.assigned_upf, res.qos, res.upf_serve_epoch) if key[2] is not None
+            key for key in zip(res.assigned_upf, classes_by_id(res), res.upf_serve_epoch)
+            if key[2] is not None
         )
         for (uid, qos, _), n in upf_served.items():
             assert n <= math.ceil(run.upfs[uid - 1][qos].capacity)
@@ -689,8 +704,8 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         _assert_little_identities(run)
         # the summary's delays are the law on the stamps, bit for bit
         e2e = [
-            measured_e2e(res, rid)
-            for rid, st in enumerate(res.status)
+            measured_e2e(res, rid, arrival)
+            for rid, (st, arrival) in enumerate(zip(res.status, arrivals_by_id(res)))
             if st is RequestStatus.COMPLETED
         ]
         assert summarize(res).d_e2e.tolist() == e2e
@@ -713,35 +728,38 @@ def test_runs_equal_the_naive_reference_engine(base, rectangular, cap):
     for s in [replace(base, scheme=scheme) for scheme in Scheme] + [rectangular]:
         scenario = replace(s, drain_cap_epochs=cap)
         run = run_to_completion(scenario)
-        columns, reports = reference_run(scenario)
+        columns, reports, arrivals = reference_run(scenario)
         for column in COLUMNS:
             assert getattr(run, column) == columns[column], column
         assert run.epoch_reports == reports
+        # the one derivation of the arrival epochs, from the reports
+        assert arrival_epochs(run).tolist() == arrivals
 
 
 def _assert_little_identities(run: SimulationRun) -> None:
     """Exact sample-path Little's law for each UPF bucket, each MEC and the links together.
 
     The sum over epochs of a queue's reported end-of-epoch length equals
-    the sum of the epochs its requests spent in it: upf_serve_epoch -
-    arrival_epoch for a request a UPF bucket served, mec_serve_epoch -
+    the sum of the epochs its requests spent in it: upf_serve_epoch - the
+    arrival epoch for a request a UPF bucket served, mec_serve_epoch -
     mec_due_epoch for one a MEC served, and mec_due_epoch - upf_serve_epoch
     for one that crossed a link (dropped at the MEC's door or not).  A run
     the drain cap stopped holds requests that have not left: one still in
-    a UPF queue counts epoch - arrival_epoch, one still on a link epoch -
-    upf_serve_epoch and one still in a MEC queue epoch - mec_due_epoch.  The residences come
-    from the run's columns, the lengths from its epoch reports, two
-    records kept apart.
+    a UPF queue counts epoch - the arrival epoch, one still on a link
+    epoch - upf_serve_epoch and one still in a MEC queue epoch -
+    mec_due_epoch.  The residences come from the run's columns and the
+    reports' arrival counts, the lengths from the reports' queue lengths.
     """
     end = run.epoch
     upf_res, mec_res, link_res = Counter(), Counter(), 0
+    arrival, classes = arrivals_by_id(run), classes_by_id(run)
     for rid, serve in enumerate(run.upf_serve_epoch):
         status = run.status[rid]
         if serve is None:
             if status is RequestStatus.IN_UPF_QUEUE:
-                upf_res[(run.assigned_upf[rid], run.qos[rid])] += end - run.arrival_epoch[rid]
+                upf_res[(run.assigned_upf[rid], classes[rid])] += end - arrival[rid]
             continue
-        upf_res[(run.assigned_upf[rid], run.qos[rid])] += serve - run.arrival_epoch[rid]
+        upf_res[(run.assigned_upf[rid], classes[rid])] += serve - arrival[rid]
         due = run.mec_due_epoch[rid]
         if status is RequestStatus.IN_TRANSIT:
             link_res += end - serve

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec import metrics
-from upfmec.engine import SimulationRun, run_to_completion
+from upfmec.engine import EpochReport, SimulationRun, run_to_completion
 from upfmec.metrics import (
     CapexPoint,
     build_cdf,
@@ -32,7 +32,7 @@ from upfmec.metrics import (
 )
 from upfmec.model import QosClass, RequestStatus, Scheme
 
-from conftest import make_scenario
+from conftest import codes, make_scenario
 
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
 
@@ -58,13 +58,14 @@ def completed_request(upf_epochs: int, mec_epochs: int = 1, transit_epochs: int 
 def make_result(requests, delta: float = DELTA) -> SimulationRun:
     """A finished run, at epochs of ``delta`` ms, holding exactly these requests in order.
 
-    Every request arrives at epoch 0.  A completed one is stamped at the
-    epochs its stage counts give, a stage of n epochs being left at the
-    epoch n - 1 after it was entered: the serving epoch counts.
+    Every request arrives at epoch 0, as the run's epoch reports count
+    them.  A completed one is stamped at the epochs its stage counts give,
+    a stage of n epochs being left at the epoch n - 1 after it was
+    entered: the serving epoch counts.
     """
     run = SimulationRun(make_scenario(num_upfs=1, delta=delta, seed=1))
     for r in requests:
-        rid = run.add_requests([r["upf"]], [r["qos"]])
+        rid = run.add_requests([r["upf"]], codes(r["qos"]))
         run.assigned_upf[rid], run.assigned_mec[rid] = r["upf"], r["mec"]
         run.status[rid] = r["status"]
         if r["status"] is RequestStatus.COMPLETED:
@@ -76,6 +77,10 @@ def make_result(requests, delta: float = DELTA) -> SimulationRun:
             run.completed += 1
     stamps = [e for e in run.upf_serve_epoch + run.mec_serve_epoch if e is not None]
     run.epoch = max(stamps, default=0) + 1
+    idle = dict(admitted=0, dropped=0, served_upf=0, served_mec=0, completed=0, in_flight=0,
+                upf_queues=(0,) * len(QosClass), mec_queues=(0,))
+    run.epoch_reports = [EpochReport(e, len(requests) if e == 0 else 0, **idle)
+                         for e in range(run.epoch)]
     return run
 
 

@@ -15,6 +15,7 @@ from upfmec.metrics import build_pair_scenario
 from upfmec.model import (
     CO_LOCATED_SCHEMES,
     CostVector,
+    InvariantError,
     MecSpec,
     QosClass,
     Scenario,
@@ -458,6 +459,24 @@ def test_price_still_checks_the_queue_length():
     # the table holds entry 0, so an unguarded read of table[-1] would return it
     with pytest.raises(ValueError, match="queue_len must be >= 0"):
         sq.price()
+
+
+def test_serve_refuses_more_than_ceil_capacity():
+    # credit left at 5.0 would let a capacity-2 queue pop 7 of its 10 ids
+    sq = ServiceQueue(2.0, 20, 1.0)
+    sq.queue.extend(range(10))
+    sq.credit = 5.0
+    with pytest.raises(InvariantError, match="over capacity"):
+        sq.serve()
+
+
+def test_serve_may_pop_ceil_capacity():
+    # 3.0 + 2.5 of credit, capped by the 3 queued ids: ceil(2.5) = 3 is allowed
+    sq = ServiceQueue(2.5, 20, 1.0)
+    sq.queue.extend(range(3))
+    sq.credit = 3.0
+    assert sq.serve() == 3
+    assert sq.credit == 0.0
 
 
 # ------------------------------------------------------------------ cost vector

@@ -1,0 +1,80 @@
+"""Paired per-cell A/B of two upfmec source trees, in one process: a sizing aid.
+
+Run as ``python3 tools/ab_cells.py A/src B/src [seeds]`` (default 1-4).
+Each cell runs under both trees back to back, the first tree alternating
+from cell to cell; per cell set it prints the median B/A time ratio and
+its quartiles, for the run and for its post-processing (``completed_e2e``
+in a sweep cell, else ``summarize``).  The trees must give equal results.
+Speed claims quote ``perfbench``.
+"""
+
+import gc
+import importlib
+import statistics
+import sys
+from dataclasses import replace
+from time import perf_counter
+
+
+def load(src):
+    """The model, engine and metrics modules of the upfmec package under src."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "upfmec"]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        return [importlib.import_module(f"upfmec.{m}") for m in ("model", "engine", "metrics")]
+    finally:
+        sys.path.remove(src)
+
+
+def cell_sets(src, model, metrics):
+    """{set name: [(scenario, post-processing), ...]}, built with this tree's model."""
+    metro, campus5 = (model.load_scenario(f"{src}/upfmec/scenarios/{name}.yaml")
+                      for name in ("metro", "campus5"))
+    s, pairs = model.Scheme, metrics.build_pair_scenario
+    return {
+        "metro sweep cells": [(replace(pairs(metro, p), scheme=x), metrics.completed_e2e)
+                              for p in range(1, 11) for x in (s.BASELINE, s.BESTFIT_UPF_MEC)],
+        "metro at 50 pairs": [(replace(pairs(metro, 50), scheme=s.BESTFIT_UPF_MEC),
+                               metrics.summarize)],
+        "campus5 x 4 schemes": [(replace(campus5, scheme=x), metrics.summarize) for x in s],
+    }
+
+
+def timed(engine, seed, scenario, post):
+    """Seconds of the run and of its post-processing, and the e2e delays it gives."""
+    gc.collect()
+    t0 = perf_counter()
+    run = engine.run_to_completion(scenario, seed=seed)
+    t1 = perf_counter()
+    result = post(run)
+    t2 = perf_counter()
+    e2e = list(result.values()) if isinstance(result, dict) else [result.d_e2e]
+    return t1 - t0, t2 - t1, [v.tolist() for v in e2e]
+
+
+def main(a_src, b_src, seeds="1-4"):
+    lo, _, hi = seeds.partition("-")
+    trees = []
+    for src in (a_src, b_src):
+        model, engine, metrics = load(src)
+        trees.append((engine, cell_sets(src, model, metrics)))
+    n = 0
+    for name in trees[0][1]:
+        ratios = ([], [])
+        for seed in range(int(lo), int(hi or lo) + 1):
+            for cells in zip(trees[0][1][name], trees[1][1][name]):
+                out = {k: timed(trees[k][0], seed, *cells[k])
+                       for k in ((0, 1) if n % 2 == 0 else (1, 0))}
+                n += 1
+                if out[0][2] != out[1][2]:
+                    raise SystemExit(f"{name}, seed {seed}: the trees' results differ")
+                for phase in (0, 1):
+                    ratios[phase].append(out[1][phase] / out[0][phase])
+        for label, r in zip(("run", "post-processing"), ratios):
+            q1, med, q3 = statistics.quantiles(r, n=4)
+            print(f"{name}: {label} B/A median {med:.3f} (IQR {q1:.3f}-{q3:.3f}), {len(r)} cells")
+
+
+if __name__ == "__main__":
+    main(*sys.argv[1:])
