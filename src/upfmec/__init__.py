@@ -1,7 +1,6 @@
 """Flow-level discrete-epoch simulator of a private-5G UPF/MEC data plane."""
 
 from .delay import (
-    DelayBreakdown,
     mec_capacity,
     net_delay,
     projected_delay,

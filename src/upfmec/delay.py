@@ -10,25 +10,6 @@ ahead of it to drain at the bucket's service rate.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-
-class DelayBreakdown(NamedTuple):
-    """End-to-end delay split into its three stages, ms.
-
-    The scheme's projection for one request, which ``metrics.projection``
-    composes on read from the inputs admission recorded (only the event
-    log asks); no run keeps one per request.
-    """
-
-    d_upf: float
-    d_net: float
-    d_mec: float
-    d_e2e: float
-
-    @classmethod
-    def compose(cls, d_upf: float, d_net: float, d_mec: float) -> "DelayBreakdown":
-        return cls(d_upf, d_net, d_mec, d_upf + d_net + d_mec)
 
 
 def upf_capacity(etpb: float, bytes_per_ue: float, alpha: float, delta: float) -> float:

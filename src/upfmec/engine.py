@@ -49,15 +49,13 @@ lowers ``pending``, but only when its queue is full).  Each repricing
 reads the queue's price table inline, guarded as ``ServiceQueue.price``
 reads it, and writes only a price that moved: a ``set`` of an equal price
 changes neither the prices nor ``best``.  So the vectors always equal a
-fresh pricing.  Code that edits queues or ``pending`` outside
-``step_epoch`` must call ``refresh_costs()``, which writes every entry,
-before the next decision.
+fresh pricing.  Only ``step_epoch`` changes a run.
 
 Admission records what the scheme's projection is made of, not the
 projection: the UPF price, the chosen link's sharers and the MEC price
 at decision time (columns ``pc_upf``, ``n_share`` and ``pc_mec``).
-``metrics.projection`` composes the delay breakdown from them when
-something reads it; only the event log does.
+``metrics.projections`` derives the projected delays from them on whole
+arrays when something reads them; only the event log does.
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
 only reset it to zero) and its price cannot change, so service passes it
@@ -66,25 +64,16 @@ work left in an epoch is that test and the queue's length, which the
 epoch's report records.
 
 Values that cannot change after the run is built are checked once, not
-per request.  When the run is built, ``validate_scenario`` checks the
-epoch length and both arrival distributions, the run builds the origin
-and QoS-class CDFs each epoch draws from (``arrival_cdfs``), and each
-``ServiceQueue`` checks its capacity and keeps its ceiling.  ``serve``
-checks the count it serves against that ceiling on every call.
-``net_delay`` checks the link's sharers (counted after the entering
-request joins) and ``transit_epochs`` the transfer delay once per transit
-table entry, when the entry is made.  Each stage
-checks that an id it pops has the status of that stage, so status only
-moves forward, and raises ``InvariantError`` otherwise.
+per request: the scenario by ``validate_scenario``, each capacity by its
+``ServiceQueue`` and each link delay by ``transit_entry``, when it makes
+the table entry.  Each stage checks that an id it pops has the status of
+that stage, so status only moves forward, and raises ``InvariantError``
+otherwise.
 
 A finished run counts where its requests are: those in UPF and MEC queues
 and in the delivery calendar must number exactly the ``residual`` that
 generation, completions and drops leave, or the run raises
 ``InvariantError``.
-
-A finished run is its own record: ``run()`` and ``run_to_completion``
-return the ``SimulationRun``, and the reports read its request columns,
-epoch reports, counters and link columns where the run keeps them.
 """
 
 from __future__ import annotations
@@ -297,8 +286,10 @@ class SimulationRun:
     ``mec_due_epoch`` and ``mec_serve_epoch`` (None until stamped), the
     link's delay ``d_net`` (None until the request enters a link), and the
     projection's inputs ``pc_upf`` (None before the decision), ``n_share``
-    and ``pc_mec``.  No column holds the arrival epoch: the epoch reports
-    count each epoch's arrivals (``metrics.arrival_epochs``).
+    and ``pc_mec`` (``metrics.projections``).  No column holds the arrival
+    epoch: the epoch reports count each epoch's arrivals
+    (``metrics.arrival_epochs``).  Only ``step_epoch`` appends rows, and
+    the report of the epoch that appends them counts them.
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``, k its link index.
     """
@@ -381,32 +372,6 @@ class SimulationRun:
         """The drain cap ended the run with requests still in flight."""
         return self.residual > 0
 
-    def add_requests(self, origins: List[int], codes: bytes) -> int:
-        """Append one undecided row per new request; the first new id.
-
-        ``codes`` holds the requests' class codes, one byte each.  The
-        epoch's report counts them as its arrivals, which is where
-        ``metrics.arrival_epochs`` reads their arrival epoch.
-        """
-        first = len(self.qos)
-        n = len(origins)
-        self.qos += codes
-        self.origin_upf.extend(origins)
-        unset = [None] * n
-        for column in (self.status, self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
-                       self.mec_due_epoch, self.mec_serve_epoch, self.d_net, self.pc_upf):
-            column.extend(unset)
-        self.pc_mec.extend([0.0] * n)
-        self.n_share.extend([0] * n)
-        return first
-
-    def refresh_costs(self) -> None:
-        """Recompute every entry of the cost vectors from the current queues."""
-        for bucket, cost, idx, _ in self._upf_slots:
-            cost.set(idx, bucket.price())
-        for j, m in enumerate(self.mecs):
-            self.mec_cost.set(j, m.price())
-
     # ------------------------------------------------------------- stepping
 
     def step_epoch(self, generate: bool = True) -> EpochReport:
@@ -417,7 +382,16 @@ class SimulationRun:
             origins, codes = generate_arrivals(
                 self.scenario.traffic, self.rng, epoch, self._origin_cdf, self._class_cdf
             )
-        first = self.add_requests(origins, codes)
+        # one undecided row per new request, which this epoch's report counts
+        first = len(self.qos)
+        self.qos += codes
+        self.origin_upf.extend(origins)
+        unset = [None] * len(origins)
+        for column in (self.status, self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
+                       self.mec_due_epoch, self.mec_serve_epoch, self.d_net, self.pc_upf):
+            column.extend(unset)
+        self.n_share.extend([0] * len(origins))
+        self.pc_mec.extend([0.0] * len(origins))
 
         status = self.status
         assigned_upf, assigned_mec = self.assigned_upf, self.assigned_mec

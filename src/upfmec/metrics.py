@@ -25,10 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .delay import DelayBreakdown, net_delay
 from .engine import REPORT_CLASSES, SimulationRun, link_law, run_to_completion
 from .model import (
     QOS_BY_CODE,
+    InvariantError,
     QosClass,
     RequestStatus,
     Scenario,
@@ -114,6 +114,7 @@ def _dist(values: np.ndarray) -> DistSummary:
 _RANK = np.array([REPORT_CLASSES.index(q) for q in QOS_BY_CODE])
 _USES_MEC = np.array([q.uses_mec for q in QOS_BY_CODE])
 _QOS_NAMES = [q.value for q in QOS_BY_CODE]
+_STATUS_NAMES = {s: s.name.lower() for s in RequestStatus}
 
 
 def stage_delay(leave, enter, delta):
@@ -131,9 +132,40 @@ def arrival_epochs(run: SimulationRun) -> np.ndarray:
     """Each request's arrival epoch, in id order.
 
     Ids are given in arrival order and every epoch's report counts its
-    arrivals, so epoch e's requests are the next ``arrivals`` ids.
+    arrivals, so epoch e's requests are the next ``arrivals`` ids.  Reports
+    that count other than the run's ``generated`` rows raise
+    ``InvariantError``.
     """
-    return np.repeat(np.arange(run.epoch), [r.arrivals for r in run.epoch_reports])
+    counts = [r.arrivals for r in run.epoch_reports]
+    if sum(counts) != run.generated:
+        raise InvariantError(
+            f"epoch reports count {sum(counts)} arrivals, the run holds {run.generated} requests"
+        )
+    return np.repeat(np.arange(run.epoch), counts)
+
+
+def projections(scenario: Scenario, upf: np.ndarray, mec: np.ndarray, pc_upf: np.ndarray,
+                n_share: np.ndarray, pc_mec: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The scheme's projected delays ``(proj_upf, proj_net, proj_mec, proj_e2e)`` in ms.
+
+    The arguments are admission's columns as arrays over the same rows,
+    the assigned ids as floats (nan for none).  ``proj_net`` is
+    ``net_delay``'s law in its order of operations on ``link_law``'s bytes
+    and bandwidth, 0.0 without a MEC; ``proj_e2e`` is
+    ``(proj_upf + proj_net) + proj_mec``.  A row before its decision
+    (``pc_upf`` nan) is nan in all four.
+    """
+    law = np.array([[link_law(scenario, i, j) for j in range(scenario.num_mecs)]
+                    for i in range(scenario.num_upfs)])
+    linked = ~np.isnan(mec)
+    bytes_per_ue, bandwidth = law[upf[linked].astype(np.intp) - 1,
+                                  mec[linked].astype(np.intp) - 1].T
+    proj_net = np.zeros(len(pc_upf))
+    proj_net[linked] = n_share[linked] * bytes_per_ue * 8.0 / bandwidth
+    proj_mec = np.array(pc_mec, float)
+    undecided = np.isnan(pc_upf)
+    proj_net[undecided] = proj_mec[undecided] = np.nan
+    return pc_upf, proj_net, proj_mec, (pc_upf + proj_net) + proj_mec
 
 
 class _Rows:
@@ -469,25 +501,6 @@ def summary_to_dict(report: SummaryReport) -> dict:
     }
 
 
-def projection(run: SimulationRun, rid: int) -> Optional[DelayBreakdown]:
-    """The delay breakdown the scheme projected for request rid, None before its decision.
-
-    Composed from the inputs admission recorded in the run's columns:
-    ``net_delay`` (and its checks) on the link's sharers at decision time,
-    with the scenario's bandwidth of the link and its MEC's bytes per
-    request.  A request that ends at the UPF has no link and no MEC stage.
-    """
-    pc_upf = run.pc_upf[rid]
-    if pc_upf is None:
-        return None
-    mec_id = run.assigned_mec[rid]
-    if mec_id is None:
-        return DelayBreakdown.compose(pc_upf, 0.0, run.pc_mec[rid])
-    law = link_law(run.scenario, run.assigned_upf[rid] - 1, mec_id - 1)
-    d_net = net_delay(run.n_share[rid], *law)
-    return DelayBreakdown.compose(pc_upf, d_net, run.pc_mec[rid])
-
-
 def write_summary_json(report: SummaryReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary_to_dict(report), fh, indent=2, sort_keys=True)
@@ -508,7 +521,8 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
     A measured cell is blank until a stage stamps it: ``d_upf`` until UPF
     service, ``d_net`` until link entry, ``d_mec`` and ``d_e2e`` until the
     request completes.  A completed request of a class that ends at the
-    UPF spent 0.0 ms on a link and at a MEC.
+    UPF spent 0.0 ms on a link and at a MEC.  The projection
+    (``projections``) is blank before the decision.
     """
     cols = [
         "id", "qos", "origin_upf", "arrival_epoch", "assigned_upf", "assigned_mec",
@@ -520,19 +534,20 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
     d_net = np.where(np.isnan(d.d_e2e), np.nan, 0.0)
     d_mec = d_net.copy()
     d_net[d.uses_mec], d_mec[d.uses_mec] = d.d_net, d.d_mec
-    measured = [np.where(np.isnan(a), None, a).tolist() for a in (d.d_upf, d_net, d_mec, d.d_e2e)]
+    proj = projections(run.scenario, d.rows(run.assigned_upf, float),
+                       d.rows(run.assigned_mec, float), d.rows(run.pc_upf, float),
+                       d.rows(run.n_share), d.rows(run.pc_mec, float))
+    columns = [
+        range(run.generated), map(_QOS_NAMES.__getitem__, run.qos), run.origin_upf,
+        d.arrival.tolist(), run.assigned_upf, run.assigned_mec,
+        map(_STATUS_NAMES.__getitem__, run.status),
+        *([repr(x) if x == x else "" for x in a.tolist()]
+          for a in (d.d_upf, d_net, d_mec, d.d_e2e, *proj)),
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        for rid, (qos, origin, arrival, upf, mec, status, *delays) in enumerate(zip(
-            map(_QOS_NAMES.__getitem__, run.qos), run.origin_upf, d.arrival.tolist(),
-            run.assigned_upf, run.assigned_mec, run.status, *measured,
-        )):
-            proj = projection(run, rid)
-            w.writerow([
-                rid, qos, origin, arrival, _fmt(upf), _fmt(mec), status.name.lower(),
-                *map(_fmt, delays), *map(_fmt, proj or (None,) * 4),
-            ])
+        w.writerows(zip(*columns))
 
 
 def write_trace_csv(run: SimulationRun, path: str) -> None:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from upfmec.cli import _resolve_scenario
-from upfmec.metrics import projection
+from upfmec.metrics import projections
 from upfmec.model import (
     QOS_BY_CODE,
     MecSpec,
@@ -78,6 +80,46 @@ def make_scenario(
     )
 
 
+@st.composite
+def small_scenarios(draw, rectangular=False):
+    """Valid scenarios of 1-3 UPF-MEC pairs with short horizons and random sizing.
+
+    ``rectangular`` draws 1-3 MECs apart from the 1-3 UPFs, under
+    ``bestfit_upf_mec``, the one scheme that accepts such a topology.
+    """
+    n = draw(st.integers(1, 3))
+    num_mecs = draw(st.integers(1, 3)) if rectangular else n
+
+    def dist(k):
+        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        return [w / sum(weights) for w in weights]
+
+    s = make_scenario(
+        num_upfs=n,
+        num_mecs=num_mecs,
+        scheme=Scheme.BESTFIT_UPF_MEC if rectangular else Scheme.BASELINE,
+        lam=draw(st.floats(0.0, 6.0)),
+        process=draw(st.sampled_from(["poisson", "deterministic"])),
+        skew=dist(n),
+        qos_mix=dict(zip(QosClass, dist(4))),
+        horizon=draw(st.integers(1, 8)),
+        headroom_factor=draw(st.floats(0.1, 10.0)),
+        delta=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    for u in s.upfs:
+        u.capacity = {q: draw(st.floats(0.5, 6.0)) for q in QosClass}
+        if draw(st.booleans()):
+            u.queue_cap = {q: draw(st.integers(1, 8)) for q in QosClass}
+    for m in s.mecs:
+        m.capacity = draw(st.floats(0.5, 8.0))
+        m.queue_cap = draw(st.none() | st.integers(1, 8))
+    s.link_bandwidth_mbps = [
+        [draw(st.floats(5.0, 50.0)) for _ in range(num_mecs)] for _ in range(n)
+    ]
+    return s
+
+
 def bucket(sq):
     """The (queue_len, headroom, capacity) a queue's price is computed from, for the oracles."""
     return (len(sq.queue) + sq.pending, sq.capacity, sq.capacity)
@@ -93,21 +135,68 @@ def codes(*classes: QosClass) -> bytes:
     return bytes(QOS_BY_CODE.index(q) for q in classes)
 
 
-def decide(run, qos, origin_upf, scheme):
-    """Apply a scheme to one new request as admission does, without queueing it.
+class Projection(NamedTuple):
+    """The delays, in ms, a scheme projected for one request."""
 
-    The request becomes a row of the run's record, which holds the choice
-    and the projection's inputs as admission records them; queues and
-    prices do not change.  Returns (upf_id, mec_id, the composed projection).
+    d_upf: float
+    d_net: float
+    d_mec: float
+    d_e2e: float
+
+
+def decide(run, qos, origin_upf, scheme):
+    """Apply a scheme to one request as admission does, without recording or queueing it.
+
+    Reads the prices and the link's sharers that admission would record
+    and derives the projection from them with ``metrics.projections``, on
+    one-element arrays; the run does not change.  Returns (upf_id, mec_id,
+    the ``Projection``).
     """
-    rid = run.add_requests([origin_upf], codes(qos))
     upf_id, mec_id = scheme(qos, origin_upf, run)
-    run.assigned_upf[rid], run.assigned_mec[rid] = upf_id, mec_id
-    run.pc_upf[rid] = run.upf_cost[qos].prices[upf_id - 1]
+    n_share, pc_mec = 0, 0.0
     if mec_id is not None:
-        run.n_share[rid] = run.link_sharers[link_index(run, upf_id, mec_id)]
-        run.pc_mec[rid] = run.mec_cost.prices[mec_id - 1]
-    return upf_id, mec_id, projection(run, rid)
+        n_share = run.link_sharers[link_index(run, upf_id, mec_id)]
+        pc_mec = run.mec_cost.prices[mec_id - 1]
+    pc_upf = run.upf_cost[qos].prices[upf_id - 1]
+    columns = [np.array([upf_id], float), np.array([mec_id], float), np.array([pc_upf]),
+               np.array([n_share]), np.array([pc_mec])]
+    return upf_id, mec_id, Projection(*(a.item() for a in projections(run.scenario, *columns)))
+
+
+def reprice(run) -> None:
+    """Write every entry of the run's cost vectors from its queues now: a fresh pricing.
+
+    For tests that edit queues, ``pending`` or link sharers by hand; a
+    stepping run reprices only what it changed.
+    """
+    for q, cost in run.upf_cost.items():
+        for i, u in enumerate(run.upfs):
+            cost.set(i, u[q].price())
+    for j, m in enumerate(run.mecs):
+        run.mec_cost.set(j, m.price())
+
+
+# the columns of a new arrival's row before its decision, but qos and origin_upf
+UNDECIDED = dict(status=None, assigned_upf=None, assigned_mec=None, upf_serve_epoch=None,
+                 mec_due_epoch=None, mec_serve_epoch=None, d_net=None, pc_upf=None,
+                 n_share=0, pc_mec=0.0)
+
+
+def append_row(run, qos, origin_upf, **fields) -> int:
+    """Append one request's row to every column of the run by hand; its id.
+
+    The row holds ``fields`` (column name -> value) and is undecided in the
+    other columns.  No epoch report counts it: a run appends rows only in
+    ``step_epoch``, so the caller builds the matching reports.
+    """
+    rid = run.generated
+    run.qos += codes(qos)
+    run.origin_upf.append(origin_upf)
+    for column, unset in UNDECIDED.items():
+        getattr(run, column).append(fields.pop(column, unset))
+    if fields:
+        raise TypeError(f"not a column of the record: {sorted(fields)}")
+    return rid
 
 
 @pytest.fixture

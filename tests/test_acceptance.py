@@ -31,7 +31,7 @@ from upfmec.oracle import (
 )
 from upfmec.schemes import assign_bestfit_upf_mec
 
-from conftest import decide, link_index, make_scenario
+from conftest import decide, link_index, make_scenario, reprice
 from test_oracle import _oracle_inputs, _stuffed_run, random_buckets
 
 SEEDS = tuple(range(1, 11))
@@ -194,7 +194,7 @@ def test_criterion_06_pair_oracle():
     gap_run.mecs[0].queue.extend([0] * 9)
     gap_run.scenario.link_bandwidth_mbps[0][1] = 0.1  # 100 bits per ms
     gap_run.link_sharers[link_index(gap_run, 1, 2)] += 1
-    gap_run.refresh_costs()
+    reprice(gap_run)
     _, mec_id, projected = decide(gap_run, QosClass.URLLC, 1, assign_bestfit_upf_mec)
     i, j, value = pair_enumeration_optimum(*_oracle_inputs(gap_run, QosClass.URLLC), gap_run.delta)
     gap = projected.d_e2e - value

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec.delay import (
-    DelayBreakdown,
     mec_capacity,
     net_delay,
     projected_delay,
@@ -65,12 +64,6 @@ def test_transit_epochs_rounds_up():
     assert transit_epochs(0.8, 1.0) == 1
     assert transit_epochs(2.0, 1.0) == 2
     assert transit_epochs(2.1, 1.0) == 3
-
-
-def test_compose_sums_components():
-    b = DelayBreakdown.compose(1.0, 0.5, 2.0)
-    assert b.d_e2e == 3.5
-    assert (b.d_upf, b.d_net, b.d_mec) == (1.0, 0.5, 2.0)
 
 
 # ------------------------------------------------------------- domain errors

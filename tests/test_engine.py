@@ -29,7 +29,7 @@ from upfmec.metrics import (
 )
 from upfmec.model import QOS_BY_CODE, QosClass, RequestStatus, ScenarioError, Scheme, TrafficSpec
 
-from conftest import codes, make_scenario
+from conftest import codes, make_scenario, small_scenarios
 from reference_engine import COLUMNS, reference_run
 
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
@@ -572,46 +572,6 @@ def test_a_negative_queue_length_is_never_a_table_index():
     mec.pending = -2
     with pytest.raises(ValueError, match="queue_len must be >= 0"):
         run.step_epoch()
-
-
-@st.composite
-def small_scenarios(draw, rectangular=False):
-    """Valid scenarios of 1-3 UPF-MEC pairs with short horizons and random sizing.
-
-    ``rectangular`` draws 1-3 MECs apart from the 1-3 UPFs, under
-    ``bestfit_upf_mec``, the one scheme that accepts such a topology.
-    """
-    n = draw(st.integers(1, 3))
-    num_mecs = draw(st.integers(1, 3)) if rectangular else n
-
-    def dist(k):
-        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
-        return [w / sum(weights) for w in weights]
-
-    s = make_scenario(
-        num_upfs=n,
-        num_mecs=num_mecs,
-        scheme=Scheme.BESTFIT_UPF_MEC if rectangular else Scheme.BASELINE,
-        lam=draw(st.floats(0.0, 6.0)),
-        process=draw(st.sampled_from(["poisson", "deterministic"])),
-        skew=dist(n),
-        qos_mix=dict(zip(QosClass, dist(4))),
-        horizon=draw(st.integers(1, 8)),
-        headroom_factor=draw(st.floats(0.1, 10.0)),
-        delta=draw(st.sampled_from([0.5, 1.0, 2.0])),
-        seed=draw(st.integers(0, 2**16)),
-    )
-    for u in s.upfs:
-        u.capacity = {q: draw(st.floats(0.5, 6.0)) for q in QosClass}
-        if draw(st.booleans()):
-            u.queue_cap = {q: draw(st.integers(1, 8)) for q in QosClass}
-    for m in s.mecs:
-        m.capacity = draw(st.floats(0.5, 8.0))
-        m.queue_cap = draw(st.none() | st.integers(1, 8))
-    s.link_bandwidth_mbps = [
-        [draw(st.floats(5.0, 50.0)) for _ in range(num_mecs)] for _ in range(n)
-    ]
-    return s
 
 
 def live_upf_queues(run: SimulationRun) -> tuple:

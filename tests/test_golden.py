@@ -4,8 +4,9 @@ Criterion 09 compares two runs of one commit, and the benchmark hashes only
 summaries and CDFs; these digests also cover ``trace.csv`` and
 ``events.csv``, the only file that shows each request's projected delays.
 They were recorded before the per-request projection was stored as its
-inputs and composed on read, and a change that moves any byte of these
-files must say why and re-record them.
+inputs and derived from them on read, first per row and now on arrays, and
+a change that moves any byte of these files must say why and re-record
+them.
 
 ``COMMAND_GOLDEN`` pins the pooled ``compare`` reports, the ``capex`` sweep
 and its analyses, and the ``oracle-gap`` table, recorded before the

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec import metrics
-from upfmec.engine import EpochReport, SimulationRun, run_to_completion
+from upfmec.delay import net_delay
+from upfmec.engine import EpochReport, SimulationRun, link_law, run_to_completion
 from upfmec.metrics import (
     CapexPoint,
     build_cdf,
@@ -21,6 +22,7 @@ from upfmec.metrics import (
     capex_sweep,
     completed_e2e,
     percentile_nearest_rank,
+    projections,
     report_path,
     summarize,
     write_capex_csv,
@@ -30,9 +32,9 @@ from upfmec.metrics import (
     write_summary_json,
     write_trace_csv,
 )
-from upfmec.model import QosClass, RequestStatus, Scheme
+from upfmec.model import QOS_BY_CODE, InvariantError, QosClass, RequestStatus, Scheme
 
-from conftest import codes, make_scenario
+from conftest import append_row, make_scenario, small_scenarios
 
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
 
@@ -65,16 +67,16 @@ def make_result(requests, delta: float = DELTA) -> SimulationRun:
     """
     run = SimulationRun(make_scenario(num_upfs=1, delta=delta, seed=1))
     for r in requests:
-        rid = run.add_requests([r["upf"]], codes(r["qos"]))
-        run.assigned_upf[rid], run.assigned_mec[rid] = r["upf"], r["mec"]
-        run.status[rid] = r["status"]
+        stamps = {}
         if r["status"] is RequestStatus.COMPLETED:
-            run.upf_serve_epoch[rid] = served = r["upf_epochs"] - 1
+            stamps["upf_serve_epoch"] = served = r["upf_epochs"] - 1
             if r["mec"] is not None:
-                run.d_net[rid] = r["transit_epochs"] * delta
-                run.mec_due_epoch[rid] = due = served + r["transit_epochs"]
-                run.mec_serve_epoch[rid] = due + r["mec_epochs"] - 1
+                stamps["d_net"] = r["transit_epochs"] * delta
+                stamps["mec_due_epoch"] = due = served + r["transit_epochs"]
+                stamps["mec_serve_epoch"] = due + r["mec_epochs"] - 1
             run.completed += 1
+        append_row(run, r["qos"], r["upf"], status=r["status"], assigned_upf=r["upf"],
+                   assigned_mec=r["mec"], **stamps)
     stamps = [e for e in run.upf_serve_epoch + run.mec_serve_epoch if e is not None]
     run.epoch = max(stamps, default=0) + 1
     idle = dict(admitted=0, dropped=0, served_upf=0, served_mec=0, completed=0, in_flight=0,
@@ -157,6 +159,16 @@ def test_empty_run_yields_empty_report():
     rep = summarize(make_result([]))
     assert rep.e2e_overall is None
     assert rep.per_upf_qos == {} and rep.per_mec == {}
+
+
+def test_rows_no_report_counts_raise_a_named_error():
+    run = SimulationRun(make_scenario(lam=2.0))
+    run.step_epoch()
+    run.step_epoch()
+    append_row(run, QosClass.URLLC, 1)
+    with pytest.raises(InvariantError,
+                       match="^epoch reports count 4 arrivals, the run holds 5 requests$"):
+        summarize(run)
 
 
 def test_cdf_steps():
@@ -279,7 +291,117 @@ def test_capex_analysis_handles_degenerate_columns():
         capex_analysis([points[0]])
 
 
+# ----------------------------------------------------------------- projection
+
+
+def composed(run, rid):
+    """Request rid's projection, composed per row with ``net_delay``; None before its decision."""
+    pc_upf, mec_id, pc_mec = run.pc_upf[rid], run.assigned_mec[rid], run.pc_mec[rid]
+    if pc_upf is None:
+        return None
+    d_net = 0.0
+    if mec_id is not None:
+        law = link_law(run.scenario, run.assigned_upf[rid] - 1, mec_id - 1)
+        d_net = net_delay(run.n_share[rid], *law)
+    return pc_upf, d_net, pc_mec, (pc_upf + d_net) + pc_mec
+
+
+def run_projections(run):
+    """``projections`` on every row of the run, from its columns (None read as nan)."""
+    column = {name: np.array(getattr(run, name), float)
+              for name in ("assigned_upf", "assigned_mec", "pc_upf", "pc_mec")}
+    return projections(run.scenario, column["assigned_upf"], column["assigned_mec"],
+                       column["pc_upf"], np.array(run.n_share), column["pc_mec"])
+
+
+def assert_projections_are_the_composition(run):
+    """Every decided row equals the per-row composition bit for bit; others are nan."""
+    # rows appended by hand after the run: no decision reaches them
+    for code, origin in ((0, 1), (len(QOS_BY_CODE) - 1, run.scenario.num_upfs)):
+        append_row(run, QOS_BY_CODE[code], origin)
+    rows = np.stack(run_projections(run), axis=1)
+    for rid, row in enumerate(rows):
+        expected = composed(run, rid)
+        if expected is None:
+            assert np.isnan(row).all()
+            continue
+        assert row.tobytes() == np.array(expected).tobytes(), rid
+        if not QOS_BY_CODE[run.qos[rid]].uses_mec:
+            assert row[1] == row[2] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=small_scenarios(), rectangular=small_scenarios(rectangular=True))
+def test_projections_equal_the_per_row_composition(base, rectangular):
+    for scenario in [replace(base, scheme=scheme) for scheme in Scheme] + [rectangular]:
+        assert_projections_are_the_composition(run_to_completion(scenario))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_campus5_projections_equal_the_per_row_composition(campus5, scheme):
+    assert_projections_are_the_composition(run_to_completion(replace(campus5, scheme=scheme)))
+
+
 # ---------------------------------------------------------------- file output
+
+
+def _cell(x) -> str:
+    return "" if x is None else repr(x) if isinstance(x, float) else str(x)
+
+
+def reference_events_csv(run, path: str) -> None:
+    """``events.csv`` written one row at a time with the per-row laws and formatting."""
+    arrivals = [rep.epoch for rep in run.epoch_reports for _ in range(rep.arrivals)]
+    delta = run.delta
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow([
+            "id", "qos", "origin_upf", "arrival_epoch", "assigned_upf", "assigned_mec",
+            "status", "d_upf_ms", "d_net_ms", "d_mec_ms", "d_e2e_ms",
+            "proj_upf_ms", "proj_net_ms", "proj_mec_ms", "proj_e2e_ms",
+        ])
+        for rid, arrival in enumerate(arrivals):
+            qos, status = QOS_BY_CODE[run.qos[rid]], run.status[rid]
+            served = run.upf_serve_epoch[rid]
+            d_upf = None if served is None else (served + 1 - arrival) * delta
+            if qos.uses_mec:
+                d_net, done = run.d_net[rid], run.mec_serve_epoch[rid]
+                d_mec = None if done is None else (done + 1 - run.mec_due_epoch[rid]) * delta
+                d_e2e = None if d_mec is None else (d_upf + d_net) + d_mec
+            else:
+                d_net = d_mec = 0.0 if status is RequestStatus.COMPLETED else None
+                d_e2e = d_upf if status is RequestStatus.COMPLETED else None
+            w.writerow([
+                rid, qos.value, run.origin_upf[rid], arrival, _cell(run.assigned_upf[rid]),
+                _cell(run.assigned_mec[rid]), status.name.lower(),
+                *map(_cell, (d_upf, d_net, d_mec, d_e2e)),
+                *map(_cell, composed(run, rid) or (None,) * 4),
+            ])
+
+
+def assert_events_csv_is_the_reference(run, tmp) -> None:
+    write_events_csv(run, str(tmp / "events.csv"))
+    reference_events_csv(run, str(tmp / "reference.csv"))
+    assert (tmp / "events.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(base=small_scenarios(), rectangular=small_scenarios(rectangular=True))
+def test_events_csv_equals_the_per_row_writer(base, rectangular, tmp_path_factory):
+    # a drain cap of 0 stops the run with requests in its queues and on its links
+    tmp = tmp_path_factory.mktemp("events")
+    for s in [replace(base, scheme=scheme) for scheme in Scheme] + [rectangular]:
+        for cap in (0, 100_000):
+            assert_events_csv_is_the_reference(run_to_completion(replace(s, drain_cap_epochs=cap)),
+                                               tmp)
+
+
+def test_events_csv_equals_the_per_row_writer_on_every_status(metro, tmp_path):
+    # one pair stopped at its horizon drops at admission and at the MEC door and
+    # leaves requests in a UPF queue, on a link and in a MEC queue
+    run = run_to_completion(replace(build_pair_scenario(metro, 1), drain_cap_epochs=0))
+    assert set(run.status) == set(RequestStatus)
+    assert_events_csv_is_the_reference(run, tmp_path)
 
 
 def test_report_path_naming():

@@ -18,7 +18,7 @@ from upfmec.oracle import (
 )
 from upfmec.schemes import assign_bestfit_upf_mec
 
-from conftest import bucket, decide, link_index, make_scenario
+from conftest import bucket, decide, link_index, make_scenario, reprice
 
 
 def random_buckets(rng: np.random.Generator, u: int):
@@ -132,7 +132,7 @@ def _stuffed_run(rng: np.random.Generator) -> SimulationRun:
             # occupancy fakes: a queue's price reads only its length
             run.upfs[uid - 1][qos].queue.extend([0] * int(rng.integers(0, 15)))
         run.mecs[uid - 1].queue.extend([0] * int(rng.integers(0, 15)))
-    run.refresh_costs()
+    reprice(run)
     return run
 
 
@@ -168,7 +168,7 @@ def test_congested_link_exposes_the_independence_gap():
     # but the link toward MEC 2 is crawling while MEC 1 stays well connected
     run.scenario.link_bandwidth_mbps[0][1] = 0.1  # 100 bits per ms
     run.link_sharers[link_index(run, 1, 2)] += 1
-    run.refresh_costs()
+    reprice(run)
     _, mec_id, projected = decide(run, QosClass.URLLC, 1, assign_bestfit_upf_mec)
     assert mec_id == 2
     i, j, value = pair_enumeration_optimum(*_oracle_inputs(run, QosClass.URLLC), run.delta)

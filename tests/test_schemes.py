@@ -17,7 +17,7 @@ from upfmec.schemes import (
     assign_bestfit_upf_mec,
 )
 
-from conftest import decide, make_scenario
+from conftest import decide, make_scenario, reprice
 
 
 def make_run(**kwargs) -> SimulationRun:
@@ -35,12 +35,12 @@ def dummy(qos=QosClass.URLLC, origin=1):
 
 def stuff_upf(run: SimulationRun, upf_id: int, qos: QosClass, n: int) -> None:
     run.upfs[upf_id - 1][qos].queue.extend([0] * n)
-    run.refresh_costs()
+    reprice(run)
 
 
 def stuff_mec(run: SimulationRun, mec_id: int, n: int) -> None:
     run.mecs[mec_id - 1].queue.extend([0] * n)
-    run.refresh_costs()
+    reprice(run)
 
 
 bucket = st.tuples(
@@ -121,7 +121,7 @@ def test_mec_snapshot_counts_pending_commitments():
     run = make_run(num_upfs=2)
     stuff_mec(run, 1, 6)
     run.mecs[0].pending = 3
-    run.refresh_costs()
+    reprice(run)
     c = run.mecs[0].capacity
     # 6 queued alone fit the capacity of 8; with the 3 pending they do not
     assert run.mec_cost.prices == [projected_delay(9, c, c, run.delta), run.delta]
@@ -180,7 +180,7 @@ def test_pending_commitments_steer_later_decisions():
     assert first_mec == 1
     # mirror the engine's bookkeeping for an admitted request still upstream
     run.mecs[0].pending = int(run.mecs[0].capacity)
-    run.refresh_costs()
+    reprice(run)
     _, second_mec = assign_bestfit_upf_mec(*dummy(), run)
     assert second_mec == 2
 

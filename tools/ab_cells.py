@@ -4,14 +4,17 @@ Run as ``python3 tools/ab_cells.py A/src B/src [seeds]`` (default 1-4).
 Each cell runs under both trees back to back, the first tree alternating
 from cell to cell; per cell set it prints the median B/A time ratio and
 its quartiles, for the run and for its post-processing (``completed_e2e``
-in a sweep cell, else ``summarize``).  The trees must give equal results.
-Speed claims quote ``perfbench``.
+in a sweep cell, ``write_events_csv`` to a temporary file in the event
+log set, else ``summarize``).  The trees must give equal results: equal
+delays, or equal event log bytes.  Speed claims quote ``perfbench``.
 """
 
 import gc
 import importlib
+import os
 import statistics
 import sys
+import tempfile
 from dataclasses import replace
 from time import perf_counter
 
@@ -27,38 +30,62 @@ def load(src):
         sys.path.remove(src)
 
 
-def cell_sets(src, model, metrics):
-    """{set name: [(scenario, post-processing), ...]}, built with this tree's model."""
+def cell_sets(src, model, metrics, events_path):
+    """{set name: [(scenario, post-processing, its result), ...]}, built with this tree's model.
+
+    The result, compared between the trees, is read after the timed
+    post-processing: its delays, or the bytes of the event log it wrote.
+    """
     metro, campus5 = (model.load_scenario(f"{src}/upfmec/scenarios/{name}.yaml")
                       for name in ("metro", "campus5"))
     s, pairs = model.Scheme, metrics.build_pair_scenario
+
+    def by_class(e2e):
+        return [v.tolist() for v in e2e.values()]
+
+    def d_e2e(report):
+        return report.d_e2e.tolist()
+
+    def write_events(run):
+        metrics.write_events_csv(run, events_path)
+
+    def events(_):
+        with open(events_path, "rb") as fh:
+            return fh.read()
+
+    summary = (metrics.summarize, d_e2e)
     return {
-        "metro sweep cells": [(replace(pairs(metro, p), scheme=x), metrics.completed_e2e)
+        "metro sweep cells": [(replace(pairs(metro, p), scheme=x), metrics.completed_e2e, by_class)
                               for p in range(1, 11) for x in (s.BASELINE, s.BESTFIT_UPF_MEC)],
-        "metro at 50 pairs": [(replace(pairs(metro, 50), scheme=s.BESTFIT_UPF_MEC),
-                               metrics.summarize)],
-        "campus5 x 4 schemes": [(replace(campus5, scheme=x), metrics.summarize) for x in s],
+        "metro at 50 pairs": [(replace(pairs(metro, 50), scheme=s.BESTFIT_UPF_MEC), *summary)],
+        "campus5 x 4 schemes": [(replace(campus5, scheme=x), *summary) for x in s],
+        "event log": [(replace(campus5, scheme=s.BASELINE), write_events, events),
+                      (replace(pairs(metro, 1), drain_cap_epochs=0), write_events, events)],
     }
 
 
-def timed(engine, seed, scenario, post):
-    """Seconds of the run and of its post-processing, and the e2e delays it gives."""
+def timed(engine, seed, scenario, post, result):
+    """Seconds of the run and of its post-processing, and the result it gives."""
     gc.collect()
     t0 = perf_counter()
     run = engine.run_to_completion(scenario, seed=seed)
     t1 = perf_counter()
-    result = post(run)
+    out = post(run)
     t2 = perf_counter()
-    e2e = list(result.values()) if isinstance(result, dict) else [result.d_e2e]
-    return t1 - t0, t2 - t1, [v.tolist() for v in e2e]
+    return t1 - t0, t2 - t1, result(out)
 
 
 def main(a_src, b_src, seeds="1-4"):
+    with tempfile.TemporaryDirectory() as tmp:
+        compare(a_src, b_src, seeds, os.path.join(tmp, "events.csv"))
+
+
+def compare(a_src, b_src, seeds, events_path):
     lo, _, hi = seeds.partition("-")
     trees = []
     for src in (a_src, b_src):
         model, engine, metrics = load(src)
-        trees.append((engine, cell_sets(src, model, metrics)))
+        trees.append((engine, cell_sets(src, model, metrics, events_path)))
     n = 0
     for name in trees[0][1]:
         ratios = ([], [])
