@@ -1,13 +1,6 @@
 """Flow-level discrete-epoch simulator of a private-5G UPF/MEC data plane."""
 
-from .delay import (
-    mec_capacity,
-    net_delay,
-    projected_delay,
-    transit_epochs,
-    upf_capacity,
-    worst_case_batch_delay,
-)
+from .delay import net_delay, projected_delay, transit_epochs, worst_case_batch_delay
 from .engine import EpochReport, InvariantError, SimulationRun, run_to_completion
 from .model import (
     QOS_BY_CODE,

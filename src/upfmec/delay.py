@@ -1,4 +1,4 @@
-"""Delay and capacity arithmetic for the two-tier data plane.
+"""Delay arithmetic for the two-tier data plane.
 
 All functions are pure.  Times are milliseconds, capacities are requests
 per epoch, bandwidths are bits per ms.  The projected queueing delay is
@@ -10,24 +10,6 @@ ahead of it to drain at the bucket's service rate.
 from __future__ import annotations
 
 import math
-
-
-def upf_capacity(etpb: float, bytes_per_ue: float, alpha: float, delta: float) -> float:
-    """Requests/epoch a QoS bucket can serve, from the per-bit execution budget.
-
-    etpb is in ms per bit, bytes_per_ue in bytes, alpha the share of the
-    UPF granted to this bucket, delta the epoch length in ms.
-    """
-    if etpb <= 0.0 or bytes_per_ue <= 0.0 or delta <= 0.0:
-        raise ValueError("etpb, bytes_per_ue and delta must be > 0")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    return etpb * bytes_per_ue * 8.0 * alpha / delta
-
-
-def mec_capacity(etpb: float, bytes_per_ue: float, delta: float) -> float:
-    """Requests/epoch a MEC host can serve; the whole host is one bucket."""
-    return upf_capacity(etpb, bytes_per_ue, 1.0, delta)
 
 
 def projected_delay(queue_len: float, headroom: float, capacity: float, delta: float) -> float:

@@ -85,7 +85,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .delay import mec_capacity, net_delay, transit_epochs, upf_capacity
+from .delay import net_delay, transit_epochs
 from .model import (
     QOS_BY_CODE,
     CostVector,
@@ -96,7 +96,6 @@ from .model import (
     ScenarioError,
     ServiceQueue,
     TrafficSpec,
-    check_capacity,
     validate_scenario,
 )
 from .schemes import SCHEME_FUNCS
@@ -222,28 +221,26 @@ class EpochReport:
     mec_queues: Tuple[int, ...]
 
 
-def _derived_queue_cap(scenario: Scenario, capacity: float, *offered: float) -> int:
+def _derived_queue_cap(scenario: Scenario, capacity: float, queue: str, *offered: float) -> int:
     """A buffer of headroom_factor x the offered load over the service rate, at least 1.
 
     The offered load (requests per epoch) is the product of ``offered``,
-    multiplied in after the headroom factor, left to right.  The capacity
-    is checked before it divides.
+    multiplied in after the headroom factor, left to right.  A quotient
+    that is not finite is a ScenarioError naming ``queue``.
     """
-    check_capacity(capacity)
     load = scenario.headroom_factor
     for factor in offered:
         load *= factor
-    return max(1, math.ceil(load / capacity))
+    cap = load / capacity
+    if not cap < math.inf:
+        raise ScenarioError(
+            f"{queue}: headroom_factor x offered load / capacity is {cap}, "
+            "too large to derive a queue cap from; set queue_cap"
+        )
+    return max(1, math.ceil(cap))
 
 
 def _build_upf(spec, scenario: Scenario, delta: float) -> Dict[QosClass, ServiceQueue]:
-    if spec.capacity is not None:
-        capacity = dict(spec.capacity)
-    else:
-        capacity = {
-            q: upf_capacity(spec.etpb, spec.bytes_per_ue, spec.alpha[q], delta)
-            for q in QosClass
-        }
     if spec.queue_cap is not None:
         queue_cap = {q: int(spec.queue_cap[q]) for q in QosClass}
     else:
@@ -251,16 +248,15 @@ def _build_upf(spec, scenario: Scenario, delta: float) -> Dict[QosClass, Service
         skew = scenario.traffic.skew[spec.id - 1]
         mix = scenario.traffic.qos_mix
         queue_cap = {
-            q: _derived_queue_cap(scenario, capacity[q], lam, mix[q], skew) for q in QosClass
+            q: _derived_queue_cap(scenario, spec.capacity[q], f"upf {spec.id} {q.value} bucket",
+                                  lam, mix[q], skew)
+            for q in QosClass
         }
-    return {q: ServiceQueue(capacity[q], queue_cap[q], delta) for q in QosClass}
+    return {q: ServiceQueue(spec.capacity[q], queue_cap[q], delta) for q in QosClass}
 
 
 def _build_mec(spec, scenario: Scenario, delta: float) -> ServiceQueue:
-    if spec.capacity is not None:
-        capacity = float(spec.capacity)
-    else:
-        capacity = mec_capacity(spec.etpb, spec.bytes_per_ue, delta)
+    capacity = float(spec.capacity)
     if spec.queue_cap is not None:
         queue_cap = int(spec.queue_cap)
     else:
@@ -270,8 +266,21 @@ def _build_mec(spec, scenario: Scenario, delta: float) -> ServiceQueue:
             weight = scenario.traffic.skew[spec.id - 1]
         else:
             weight = 1.0 / scenario.num_mecs
-        queue_cap = _derived_queue_cap(scenario, capacity, nonreg, weight)
+        queue_cap = _derived_queue_cap(scenario, capacity, f"mec {spec.id}", nonreg, weight)
     return ServiceQueue(capacity, queue_cap, delta)
+
+
+def build_queues(
+    scenario: Scenario,
+) -> Tuple[List[Dict[QosClass, ServiceQueue]], List[ServiceQueue]]:
+    """The empty UPF buckets and MEC queues of a valid scenario, by id.
+
+    A queue cap the scenario leaves out is derived here, and one that
+    overflows is a ScenarioError, which validation cannot see.
+    """
+    delta = float(scenario.delta_ms)
+    return ([_build_upf(u, scenario, delta) for u in scenario.upfs],
+            [_build_mec(m, scenario, delta) for m in scenario.mecs])
 
 
 class SimulationRun:
@@ -305,8 +314,7 @@ class SimulationRun:
         self.rng = np.random.default_rng(scenario.seed)
         self._origin_cdf, self._class_cdf = arrival_cdfs(scenario.traffic)
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
-        self.upfs = [_build_upf(u, scenario, self.delta) for u in scenario.upfs]
-        self.mecs = [_build_mec(m, scenario, self.delta) for m in scenario.mecs]
+        self.upfs, self.mecs = build_queues(scenario)
         # each link's sharer count and transit table, by link index
         num_links = scenario.num_upfs * scenario.num_mecs
         self.link_sharers: List[int] = [0] * num_links

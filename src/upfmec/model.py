@@ -112,12 +112,8 @@ class UpfSpec:
     """Static description of one UPF as read from a scenario file."""
 
     id: int
-    # direct mode: requests/epoch per QoS bucket
-    capacity: Optional[Dict[QosClass, float]] = None
-    # derived mode: capacity[q] = etpb * bytes_per_ue * 8 * alpha[q] / delta
-    etpb: Optional[float] = None
-    bytes_per_ue: float = 256.0
-    alpha: Optional[Dict[QosClass, float]] = None
+    # requests/epoch per QoS bucket
+    capacity: Dict[QosClass, float]
     queue_cap: Optional[Dict[QosClass, int]] = None
 
 
@@ -126,8 +122,8 @@ class MecSpec:
     """Static description of one MEC host."""
 
     id: int
-    capacity: Optional[float] = None
-    etpb: Optional[float] = None
+    # requests/epoch
+    capacity: float
     bytes_per_ue: float = 1500.0
     queue_cap: Optional[int] = None
 
@@ -191,12 +187,6 @@ class CostVector:
                 self.best = i
 
 
-def check_capacity(capacity: float) -> None:
-    """A service rate in requests per epoch must be > 0 and finite."""
-    if not 0.0 < capacity < math.inf:
-        raise ValueError(f"capacity must be > 0 and finite, got {capacity}")
-
-
 @dataclass(slots=True)
 class ServiceQueue:
     """FCFS queue served at `capacity` requests per epoch: a UPF QoS bucket or a MEC.
@@ -212,7 +202,7 @@ class ServiceQueue:
     = capacity because service runs after admission in every epoch, so no
     request is in service while decisions are made.  The capacity and the
     epoch length `delta` are fixed when the queue is built, and the
-    capacity is checked then (`check_capacity`), so an entry depends on q
+    capacity is checked then (> 0 and finite), so an entry depends on q
     alone: `fill` computes it, and runs the law's checks, the first time q
     is reached, and every later price is a read.  A read sends a negative q
     to `fill`, which rejects it, rather than index the table from its end.
@@ -229,7 +219,8 @@ class ServiceQueue:
     ceiling: int = field(init=False, default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_capacity(self.capacity)
+        if not 0.0 < self.capacity < math.inf:
+            raise ValueError(f"capacity must be > 0 and finite, got {self.capacity}")
         self.ceiling = math.ceil(self.capacity)
 
     def price(self) -> float:
@@ -569,12 +560,7 @@ _TRAFFIC = _Schema(
 _UPF = _Schema(
     UpfSpec,
     _Value("id", lambda v: True),  # the list of UPFs checks the ids
-    _Value("bytes_per_ue", _positive, bad=_POSITIVE),
     _QosMap("capacity", _positive, shape=_COVER, bad="{f} entries must be > 0 and finite"),
-    _Value("etpb", _positive, bad=_POSITIVE),
-    _QosMap("alpha", lambda x: _positive(x) and x <= 1.0, lambda t: t <= 1.0 + 1e-9,
-            shape=_COVER, bad="{f} entries out of (0, 1]: {bad}",
-            sum="{f} sums to {total:g}, expected <= 1.0"),
     _QosMap("queue_cap", _whole, shape=_COVER, bad="{f} entries must be whole numbers >= 1"),
 )
 _MEC = _Schema(
@@ -582,7 +568,6 @@ _MEC = _Schema(
     _Value("id", lambda v: True),  # the list of MECs checks the ids
     _Value("bytes_per_ue", _positive, bad=_POSITIVE),
     _Value("capacity", _positive, bad=_POSITIVE),
-    _Value("etpb", _positive, bad=_POSITIVE),
     _Value("queue_cap", _whole, bad="{f} must be a whole number >= 1"),
 )
 _UPFS = _Records("upfs", _UPF, "upf {.id}: ", "num_upfs",
@@ -621,12 +606,6 @@ def validate_scenario(s: Scenario) -> List[str]:
     """
     v: List[str] = []
     _SCENARIO.check(s, s, "", v)
-    for u in _UPFS.records(s.upfs):
-        if u.capacity is None and (u.etpb is None or u.alpha is None):
-            v.append(f"upf {u.id}: needs capacity or (etpb, alpha) to derive it")
-    for m in _MECS.records(s.mecs):
-        if m.capacity is None and m.etpb is None:
-            v.append(f"mec {m.id}: needs capacity or etpb to derive it")
     if s.scheme in CO_LOCATED_SCHEMES and s.num_upfs != s.num_mecs:
         v.append(
             f"scheme {s.scheme.value} routes through co-located MECs and "

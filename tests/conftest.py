@@ -39,7 +39,6 @@ def make_scenario(
     delta: float = 1.0,
     seed: int = 1,
     thresholds: Optional[Dict[QosClass, float]] = None,
-    upf_bytes: float = 256.0,
     mec_bytes: float = 1500.0,
 ) -> Scenario:
     """Uniform small scenario; every knob has a sane default for unit tests."""
@@ -52,7 +51,6 @@ def make_scenario(
         UpfSpec(
             id=i + 1,
             capacity={q: upf_capacity for q in QosClass},
-            bytes_per_ue=upf_bytes,
             queue_cap=None if upf_queue_cap is None else {q: upf_queue_cap for q in QosClass},
         )
         for i in range(num_upfs)

@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from upfmec.cli import main
-from upfmec.delay import (
-    net_delay,
-    projected_delay,
-    upf_capacity,
-    worst_case_batch_delay,
-)
+from upfmec.delay import net_delay, projected_delay, worst_case_batch_delay
 from upfmec.engine import SimulationRun, run_to_completion
 from upfmec.metrics import capex_analysis, capex_sweep, summarize
 from upfmec.model import QosClass, RequestStatus, Scheme
@@ -215,9 +210,8 @@ def test_criterion_07_delay_model_values():
         projected_delay(5.0, 0.0, 2.0, 1.0),
         net_delay(10, 1500.0, 150_000.0),
         worst_case_batch_delay(3.0, 5, 0.0, 4.0),
-        upf_capacity(0.25, 2.0, 1.0, 1.0),
     )
-    want = (3.0, 1.25, 4.0, 0.8, 2.0, 4.0)
+    want = (3.0, 1.25, 4.0, 0.8, 2.0)
     ok = got == want
     check("criterion 07 delay model values", ok, f"bit-exact: {got} == {want}")
 

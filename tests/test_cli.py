@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from upfmec import engine
 from upfmec.cli import _parse_int_list, build_parser, main
-from upfmec.model import QosClass, Scheme, load_scenario, save_scenario
+from upfmec.model import Scheme, load_scenario, save_scenario
 
 from conftest import make_scenario
 
@@ -152,11 +152,11 @@ def test_invalid_scenario_is_a_usage_error(tmp_path, capsys):
 
 
 def _drop_mmtc_queue_cap(doc):
-    del doc["upfs"][0]["queue_cap"]["mmtc"]
+    doc["upfs"][0]["queue_cap"] = {"urllc": 4, "embb": 4, "regular": 4}
 
 
 def _nan_queue_cap(doc):
-    doc["upfs"][0]["queue_cap"]["urllc"] = float("nan")
+    doc["upfs"][0]["queue_cap"] = {"urllc": float("nan"), "embb": 4, "mmtc": 4, "regular": 4}
 
 
 def _inf_mec_queue_cap(doc):
@@ -239,6 +239,19 @@ def _scalar_links(doc):
     doc["links"] = 3
 
 
+# each valid, but the queue cap derived from it overflows a float
+def _tiny_upf_capacity(doc):
+    doc["upfs"][0]["capacity"]["urllc"] = 1.0e-308
+
+
+def _tiny_mec_capacity(doc):
+    doc["mecs"][0]["capacity"] = 1.0e-308
+
+
+def _huge_headroom_factor(doc):
+    doc["headroom_factor"] = 1.0e308
+
+
 @pytest.mark.parametrize(
     "breaks",
     [
@@ -247,12 +260,12 @@ def _scalar_links(doc):
         _fractional_seed, _float_upf_id, _float_mec_id, _quoted_delta, _quoted_skew_entry,
         _null_headroom_factor, _scalar_upf_capacity, _scalar_qos_mix, _scalar_traffic,
         _scalar_bandwidth_row, _scalar_thresholds, _zero_thresholds, _list_thresholds,
-        _scalar_links,
+        _scalar_links, _tiny_upf_capacity, _tiny_mec_capacity, _huge_headroom_factor,
     ],
 )
 def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
     path = tmp_path / "bad.yaml"
-    save_scenario(make_scenario(upf_queue_cap=4, mec_queue_cap=4), str(path))
+    save_scenario(make_scenario(lam=2.0), str(path))
     doc = yaml.safe_load(path.read_text())
     breaks(doc)
     path.write_text(yaml.safe_dump(doc))
@@ -264,37 +277,24 @@ def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
 
 
 @pytest.mark.parametrize(
-    "scale, tier, queue_cap",
+    "edit, queue",
     [
-        pytest.param(1e300, "upf", 4, id="1e+300"),
-        pytest.param(1e-300, "upf", 4, id="1e-300"),
-        pytest.param(1e300, "upf", None, id="1e+300-upf-derived-queue-cap"),
-        pytest.param(1e-300, "upf", None, id="1e-300-upf-derived-queue-cap"),
-        pytest.param(1e300, "mec", None, id="1e+300-mec-derived-queue-cap"),
-        pytest.param(1e-300, "mec", None, id="1e-300-mec-derived-queue-cap"),
+        pytest.param(_tiny_upf_capacity, "upf 1 urllc bucket", id="upf-capacity"),
+        pytest.param(_tiny_mec_capacity, "mec 1", id="mec-capacity"),
+        pytest.param(_huge_headroom_factor, "upf 1 urllc bucket", id="headroom"),
     ],
 )
-def test_derived_capacity_out_of_range_is_a_usage_error(tmp_path, capsys, scale, tier, queue_cap):
-    # finite, valid etpb and bytes_per_ue whose product overflows to inf or
-    # underflows to 0: the queue built from it refuses the capacity, and so
-    # does the queue cap derived from it, before dividing by it
-    s = make_scenario(lam=4.0, horizon=3, upf_queue_cap=4, mec_queue_cap=4)
-    if tier == "upf":
-        for u in s.upfs:
-            u.capacity, u.etpb, u.bytes_per_ue = None, scale, scale
-            u.alpha = {q: 0.25 for q in QosClass}
-            u.queue_cap = None if queue_cap is None else {q: queue_cap for q in QosClass}
-    else:
-        for m in s.mecs:
-            m.capacity, m.etpb, m.bytes_per_ue = None, scale, scale
-            m.queue_cap = queue_cap
-    path = tmp_path / "derived.yaml"
-    save_scenario(s, str(path))
-    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("upfmec: error: capacity must be > 0 and finite, got ")
-    assert len(err.splitlines()) == 1
+def test_derived_queue_cap_overflow_is_a_usage_error(tmp_path, capsys, edit, queue):
+    # campus5 derives every queue cap: one field edited overflows the first
+    # derived cap, which names its queue and the key that avoids the derivation
+    path = _campus5_file(tmp_path, edit)
+    for command in (["run"], ["compare", "--seeds", "1"], ["capex", "--pairs", "1", "--seeds", "1"]):
+        rc = main([*command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid scenario: {queue}: ") and len(err.splitlines()) == 1
+        assert err.endswith("set queue_cap\n")
+        assert not (tmp_path / "out").exists()
 
 
 def _field_paths(node, prefix=()):

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfmec.delay import (
-    mec_capacity,
-    net_delay,
-    projected_delay,
-    transit_epochs,
-    upf_capacity,
-    worst_case_batch_delay,
-)
+from upfmec.delay import net_delay, projected_delay, transit_epochs, worst_case_batch_delay
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 pos = st.floats(min_value=0.01, max_value=1e6, allow_nan=False)
@@ -54,11 +47,6 @@ def test_worst_case_batch_delay_values():
     assert worst_case_batch_delay(1.0, 0.0, 2.0, 4.0) == 0.0
 
 
-def test_upf_capacity_arithmetic():
-    # 0.25 ms/bit x 2 B x 8 bits/B x 1.0 / 1 ms
-    assert upf_capacity(0.25, 2.0, 1.0, 1.0) == 4.0
-
-
 def test_transit_epochs_rounds_up():
     assert transit_epochs(0.0, 1.0) == 0
     assert transit_epochs(0.8, 1.0) == 1
@@ -67,13 +55,6 @@ def test_transit_epochs_rounds_up():
 
 
 # ------------------------------------------------------------- domain errors
-
-
-def test_capacity_rejects_disabled_bucket():
-    with pytest.raises(ValueError):
-        upf_capacity(0.25, 2.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        upf_capacity(0.0, 2.0, 0.5, 1.0)
 
 
 def test_projected_delay_rejects_bad_inputs():
@@ -135,18 +116,3 @@ def test_net_delay_linear_in_share(a, b, bw):
 @given(q=nonneg, x=nonneg, dx=nonneg, h=nonneg, c=pos)
 def test_worst_case_monotone_in_batch(q, x, dx, h, c):
     assert worst_case_batch_delay(q, x + dx, h, c) >= worst_case_batch_delay(q, x, h, c) >= 0.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(etpb=pos, by=pos, alpha=st.floats(min_value=0.01, max_value=0.5))
-def test_capacity_linear_in_alpha(etpb, by, alpha):
-    assert upf_capacity(etpb, by, 2 * alpha, 1.0) == pytest.approx(
-        2 * upf_capacity(etpb, by, alpha, 1.0)
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(etpb=pos, by=pos)
-def test_mec_capacity_is_whole_host_bucket(etpb, by):
-    assert mec_capacity(etpb, by, 1.0) == upf_capacity(etpb, by, 1.0, 1.0)
-    assert mec_capacity(etpb, by, 0.5) == pytest.approx(2 * mec_capacity(etpb, by, 1.0))

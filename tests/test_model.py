@@ -23,7 +23,6 @@ from upfmec.model import (
     Scheme,
     ServiceQueue,
     TrafficSpec,
-    UpfSpec,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -53,13 +52,6 @@ def test_skew_length_mismatch():
     s.traffic.skew = [0.5, 0.3, 0.2]
     msgs = validate_scenario(s)
     assert any("skew has 3 entries" in m for m in msgs)
-
-
-def test_alpha_violation_names_the_upf():
-    s = make_scenario()
-    s.upfs[0].alpha = {q: 0.3 for q in QosClass}  # sums to 1.2
-    msgs = validate_scenario(s)
-    assert any("upf 1" in m and "alpha" in m for m in msgs)
 
 
 @pytest.mark.parametrize("scheme", CO_LOCATED_SCHEMES)
@@ -130,11 +122,6 @@ def test_bandwidth_entries_are_checked_one_by_one(rows, swaps):
     assert flagged == (not all(positive(x) for row in rows for x in row))
 
 
-def _set_alpha(s, x):
-    s.upfs[0].alpha = {q: 0.25 for q in QosClass}
-    s.upfs[0].alpha[QosClass.URLLC] = x
-
-
 def _set_upf_queue_cap(s, x):
     s.upfs[0].queue_cap = {q: 5 for q in QosClass}
     s.upfs[0].queue_cap[QosClass.URLLC] = x
@@ -150,12 +137,8 @@ FLOAT_FIELDS = {
     "traffic.skew": lambda s, x: s.traffic.skew.__setitem__(0, x),
     "traffic.qos_mix": lambda s, x: s.traffic.qos_mix.__setitem__(QosClass.EMBB, x),
     "upf 1: capacity": lambda s, x: s.upfs[0].capacity.__setitem__(QosClass.URLLC, x),
-    "upf 1: etpb": lambda s, x: setattr(s.upfs[0], "etpb", x),
-    "upf 1: alpha": _set_alpha,
-    "upf 1: bytes_per_ue": lambda s, x: setattr(s.upfs[0], "bytes_per_ue", x),
     "upf 1: queue_cap": _set_upf_queue_cap,
     "mec 1: capacity": lambda s, x: setattr(s.mecs[0], "capacity", x),
-    "mec 1: etpb": lambda s, x: setattr(s.mecs[0], "etpb", x),
     "mec 1: bytes_per_ue": lambda s, x: setattr(s.mecs[0], "bytes_per_ue", x),
     "mec 1: queue_cap": lambda s, x: setattr(s.mecs[0], "queue_cap", x),
     "link bandwidths": lambda s, x: s.link_bandwidth_mbps[0].__setitem__(1, x),
@@ -218,7 +201,6 @@ MALFORMED = {
     "qos_mix entry null": (
         "traffic.qos_mix", lambda s: s.traffic.qos_mix.__setitem__(QosClass.EMBB, None)
     ),
-    "alpha entry quoted": ("upf 1: alpha", lambda s: _set_alpha(s, "0.25")),
     "upf queue_cap quoted": ("upf 1: queue_cap", lambda s: _set_upf_queue_cap(s, "5")),
     "mec capacity bool": ("mec 1: capacity", lambda s: setattr(s.mecs[0], "capacity", True)),
     # shapes: a scalar where a map or a matrix row is expected
@@ -299,6 +281,7 @@ def test_bandwidth_shorthand_waits_for_a_consistent_upf_count():
         (("upfs", 1, "etbp"), "unknown key upfs[1].etbp"),
         (("mecs", 0, "queue"), "unknown key mecs[0].queue"),
         (("links", "bandwidth"), "unknown key links.bandwidth"),
+        (("upfs", 0, "bytes_per_ue"), "unknown key upfs[0].bytes_per_ue"),
     ],
 )
 def test_unknown_key_is_named(tmp_path, path, named):
@@ -347,6 +330,8 @@ def test_load_scenario_rejects_missing_keys(tmp_path):
         (("traffic", "skew"), "traffic.skew is missing"),
         (("upfs", 1, "id"), "upfs[1].id is missing"),
         (("mecs", 0, "id"), "mecs[0].id is missing"),
+        (("upfs", 0, "capacity"), "upfs[0].capacity is missing"),
+        (("mecs", 0, "capacity"), "mecs[0].capacity is missing"),
     ],
 )
 def test_missing_required_key_is_named(tmp_path, path, named):
@@ -372,13 +357,12 @@ def test_omitted_keys_take_the_dataclass_defaults():
     for key in ("thresholds_ms", "headroom_factor", "drain_cap_epochs"):
         doc.pop(key, None)
     del doc["traffic"]["process"]
-    for entry in doc["upfs"] + doc["mecs"]:
+    for entry in doc["mecs"]:
         del entry["bytes_per_ue"]
     s = scenario_from_dict(doc)
     assert s.thresholds_ms == {} and s.drain_cap_epochs is None
     assert s.headroom_factor == fields_by_name(Scenario)["headroom_factor"].default
     assert s.traffic.process == fields_by_name(TrafficSpec)["process"].default
-    assert {u.bytes_per_ue for u in s.upfs} == {fields_by_name(UpfSpec)["bytes_per_ue"].default}
     assert {m.bytes_per_ue for m in s.mecs} == {fields_by_name(MecSpec)["bytes_per_ue"].default}
     assert validate_scenario(s) == []
 
