@@ -218,7 +218,7 @@ def cmd_capex(args) -> int:
             json.dump(analysis, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
         gain = analysis["connectivity_gain"].get(max(analysis["pair_counts"]))
-        gain_s = f"{gain:.2f}x" if gain else "n/a"
+        gain_s = f"{gain:.2f}x" if gain is not None else "n/a"
         print(
             f"{qos.value}: breakeven at {analysis['breakeven_pairs']} pairs, "
             f"gain at {max(analysis['pair_counts'])} pairs {gain_s}"

@@ -16,28 +16,6 @@ A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
 share the service law and the price table.  A request that finds its
 queue at ``queue_cap`` is dropped.
 
-A request is an id, its row in the run's 12 columns (``SimulationRun``).
-Its class is a one-byte code, its index in ``QOS_BY_CODE``: the arrival
-draw yields the code, and admission reads the class's enum, cost vector
-and buckets from one row per code, built with the run.  Queues hold ids,
-and a scheme chooses from ``(qos, origin_upf, run)``, ``qos`` the enum.
-Each stage pops ids and stamps the epoch it serves them in one loop; no
-per-request object is built and no delay computed: ``metrics`` derives
-the measured delays from the stamps, and the arrival epochs from the
-epoch reports' arrival counts, since ids are given in arrival order.
-
-A link's state is two run columns indexed by its link index: link (i, j)
-of M MECs is (i - 1) * M + (j - 1), which sorts as the key (i, j) does.
-``run.link_sharers[k]`` counts the transfers on link k now, and
-``run.link_transit[k]`` is its transit table (``transit_entry``), so a
-link entry is a count increment and one table read, and a link no
-transfer crosses holds a zero and the shared empty table: no per-link
-object is built.  The ids in transit sit in a delivery calendar keyed by
-due epoch, each epoch's entries grouped by link index in entry order.
-The link phase of an epoch takes that epoch's entries and delivers them
-in link-index order, then entry order on each link, which is the order in
-which a capped MEC fills and drops.
-
 The run keeps the cost vectors the schemes read, each a
 ``model.CostVector``: ``upf_cost[q].prices[i]`` is the price of UPF i+1's
 bucket of class q and ``mec_cost.prices[j]`` that of MEC j+1.  They are
@@ -240,22 +218,24 @@ def _derived_queue_cap(scenario: Scenario, capacity: float, queue: str, *offered
     return max(1, math.ceil(cap))
 
 
-def _build_upf(spec, scenario: Scenario, delta: float) -> Dict[QosClass, ServiceQueue]:
+def _build_upf(i: int, spec, scenario: Scenario, delta: float) -> Dict[QosClass, ServiceQueue]:
+    """The buckets of the UPF at index i."""
     if spec.queue_cap is not None:
         queue_cap = {q: int(spec.queue_cap[q]) for q in QosClass}
     else:
         lam = scenario.traffic.mean_arrivals_per_epoch
-        skew = scenario.traffic.skew[spec.id - 1]
+        skew = scenario.traffic.skew[i]
         mix = scenario.traffic.qos_mix
         queue_cap = {
-            q: _derived_queue_cap(scenario, spec.capacity[q], f"upf {spec.id} {q.value} bucket",
+            q: _derived_queue_cap(scenario, spec.capacity[q], f"upf {i + 1} {q.value} bucket",
                                   lam, mix[q], skew)
             for q in QosClass
         }
     return {q: ServiceQueue(spec.capacity[q], queue_cap[q], delta) for q in QosClass}
 
 
-def _build_mec(spec, scenario: Scenario, delta: float) -> ServiceQueue:
+def _build_mec(j: int, spec, scenario: Scenario, delta: float) -> ServiceQueue:
+    """The queue of the MEC at index j."""
     capacity = float(spec.capacity)
     if spec.queue_cap is not None:
         queue_cap = int(spec.queue_cap)
@@ -263,24 +243,24 @@ def _build_mec(spec, scenario: Scenario, delta: float) -> ServiceQueue:
         lam = scenario.traffic.mean_arrivals_per_epoch
         nonreg = lam * (1.0 - scenario.traffic.qos_mix[QosClass.REGULAR])
         if scenario.num_mecs == scenario.num_upfs:
-            weight = scenario.traffic.skew[spec.id - 1]
+            weight = scenario.traffic.skew[j]
         else:
             weight = 1.0 / scenario.num_mecs
-        queue_cap = _derived_queue_cap(scenario, capacity, f"mec {spec.id}", nonreg, weight)
+        queue_cap = _derived_queue_cap(scenario, capacity, f"mec {j + 1}", nonreg, weight)
     return ServiceQueue(capacity, queue_cap, delta)
 
 
 def build_queues(
     scenario: Scenario,
 ) -> Tuple[List[Dict[QosClass, ServiceQueue]], List[ServiceQueue]]:
-    """The empty UPF buckets and MEC queues of a valid scenario, by id.
+    """The empty UPF buckets and MEC queues of a valid scenario, in list order.
 
     A queue cap the scenario leaves out is derived here, and one that
     overflows is a ScenarioError, which validation cannot see.
     """
     delta = float(scenario.delta_ms)
-    return ([_build_upf(u, scenario, delta) for u in scenario.upfs],
-            [_build_mec(m, scenario, delta) for m in scenario.mecs])
+    return ([_build_upf(i, u, scenario, delta) for i, u in enumerate(scenario.upfs)],
+            [_build_mec(j, m, scenario, delta) for j, m in enumerate(scenario.mecs)])
 
 
 class SimulationRun:
@@ -300,7 +280,8 @@ class SimulationRun:
     (``metrics.arrival_epochs``).  Only ``step_epoch`` appends rows, and
     the report of the epoch that appends them counts them.
     Each link's sharer count and transit table are ``link_sharers[k]`` and
-    ``link_transit[k]``, k its link index.
+    ``link_transit[k]``: link (i, j) of M MECs has index k = (i - 1) * M +
+    (j - 1), which sorts as the key (i, j) does.
     """
 
     def __init__(self, scenario: Scenario) -> None:

@@ -313,7 +313,8 @@ def build_pair_scenario(base: Scenario, pairs: int) -> Scenario:
     Capacities, bandwidths and the traffic skew repeat the base vectors;
     the skew is renormalized to sum to one.  Total offered traffic stays
     unchanged, so smaller deployments are proportionally more loaded.  The
-    copied specs share their per-QoS maps with the base scenario's.
+    scaled scenario lists the base's UPF and MEC specs themselves, each as
+    often as the cycle repeats it.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
@@ -327,11 +328,9 @@ def build_pair_scenario(base: Scenario, pairs: int) -> Scenario:
     return replace(
         base,
         name=f"{base.name}-p{pairs}",
-        num_upfs=pairs,
-        num_mecs=pairs,
         traffic=replace(base.traffic, skew=[s / total for s in raw_skew]),
-        upfs=[replace(base.upfs[i % u0], id=i + 1) for i in range(pairs)],
-        mecs=[replace(base.mecs[j % m0], id=j + 1) for j in range(pairs)],
+        upfs=[base.upfs[i % u0] for i in range(pairs)],
+        mecs=[base.mecs[j % m0] for j in range(pairs)],
         link_bandwidth_mbps=bw,
     )
 

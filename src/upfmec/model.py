@@ -15,9 +15,10 @@ document order, each with its document key, kind and violation messages;
 ``scenario_from_dict``, ``validate_scenario`` and ``scenario_to_dict`` all
 walk those tables, and the few rules that join fields follow in
 ``validate_scenario``.  Defaults live on the dataclasses and are read
-through ``dataclasses.fields``; a table gives one only for a key the
-dataclass declares none for (``seed``, ``scheme``, ``qos_mix`` and a missing
-bandwidth matrix).  Reading keeps a value of the wrong type or shape for
+through ``dataclasses.fields``; a table gives one only for a missing
+bandwidth matrix, which the dataclass requires.  A scenario lists each UPF
+and each MEC once: the counts are the lists' lengths, and a record is named
+by its position from 1.  Reading keeps a value of the wrong type or shape for
 validation to name, and refuses only a missing required key and a key no
 table lists.  Validation runs when a run is built, not at load time, since
 ``run --scheme`` replaces the scheme after the load.
@@ -103,7 +104,7 @@ class TrafficSpec:
 
     mean_arrivals_per_epoch: float
     skew: List[float]
-    qos_mix: Dict[QosClass, float]
+    qos_mix: Dict[QosClass, float] = field(default_factory=lambda: {q: 0.25 for q in QosClass})
     process: str = "poisson"  # poisson | deterministic
 
 
@@ -111,7 +112,6 @@ class TrafficSpec:
 class UpfSpec:
     """Static description of one UPF as read from a scenario file."""
 
-    id: int
     # requests/epoch per QoS bucket
     capacity: Dict[QosClass, float]
     queue_cap: Optional[Dict[QosClass, int]] = None
@@ -121,24 +121,21 @@ class UpfSpec:
 class MecSpec:
     """Static description of one MEC host."""
 
-    id: int
     # requests/epoch
     capacity: float
     bytes_per_ue: float = 1500.0
     queue_cap: Optional[int] = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scenario:
     """Complete experiment description; everything a run needs."""
 
     name: str
-    num_upfs: int
-    num_mecs: int
     delta_ms: float
     horizon_epochs: int
-    seed: int
-    scheme: Scheme
+    seed: int = 0
+    scheme: Scheme = Scheme.BASELINE
     traffic: TrafficSpec
     upfs: List[UpfSpec]
     mecs: List[MecSpec]
@@ -147,6 +144,16 @@ class Scenario:
     thresholds_ms: Dict[QosClass, float] = field(default_factory=dict)
     headroom_factor: float = 10.0
     drain_cap_epochs: Optional[int] = None
+
+    @property
+    def num_upfs(self) -> int:
+        """The number of UPFs listed; 0 while ``upfs`` holds no list, for validation to name."""
+        return len(self.upfs) if isinstance(self.upfs, list) else 0
+
+    @property
+    def num_mecs(self) -> int:
+        """The number of MECs listed; 0 while ``mecs`` holds no list, for validation to name."""
+        return len(self.mecs) if isinstance(self.mecs, list) else 0
 
 
 # ---------------------------------------------------------------- runtime state
@@ -385,18 +392,13 @@ class _PerUpf(_Value):
 
 class _UpfByMec(_Value):
     """A row per UPF of one entry per MEC, each > 0 and finite; a flat list is
-    every UPF's row.  Another shape is message ``shape``.
-
-    The flat list is expanded only when ``num_upfs`` counts the UPF records
-    the document lists, so a wrong count is named by validation before any
-    row is built for it.
-    """
+    the row of every UPF the document lists.  Another shape is message ``shape``."""
 
     def read(self, v, doc, where):
-        rows, n, upfs = _listed(v), doc.get("num_upfs"), doc.get("upfs")
+        rows, upfs = _listed(v), doc.get("upfs")
         if (isinstance(rows, list) and rows and not isinstance(rows[0], list)
-                and isinstance(upfs, list) and n == len(upfs)):
-            return [list(rows) for _ in range(n)]
+                and isinstance(upfs, list)):
+            return [list(rows) for _ in upfs]
         return rows
 
     def problems(self, v, s):
@@ -413,35 +415,45 @@ class _UpfByMec(_Value):
         return () if ok else (("bad", {}),)
 
 
-class _Records(_Value):
-    """Records of ``schema``: one map or, with ``count``, a list whose ids run
-    1..s.<count> in order, else message ``shape``.  A value that is not a map
-    is kept as read.  Record fields are labelled ``label.format(record)``."""
+class _Record(_Value):
+    """A record of ``schema``, read from a map, else message ``shape``; a value
+    that is not a map is kept as read.  Its fields are labelled ``label``."""
 
-    def __init__(self, attr, schema, label, count=None, **messages):
+    def __init__(self, attr, schema, label, **messages):
         super().__init__(attr, **messages)
-        self.schema, self.label, self.count = schema, label, count
+        self.schema, self.label = schema, label
 
     def read(self, v, doc, where):
-        if self.count is None:
-            return self.schema.read(v, where + ".") if isinstance(v, dict) else v
+        return self.schema.read(v, where + ".") if isinstance(v, dict) else v
+
+    def problems(self, v, s):
+        return () if isinstance(v, self.schema.cls) else (("shape", {}),)
+
+    def records(self, v):
+        """(label, record) of each record in v, whose own fields are checked next."""
+        return [(self.label, v)] if isinstance(v, self.schema.cls) else []
+
+
+class _Records(_Record):
+    """A non-empty list of records, else message ``shape``; an entry that is not
+    a map is kept as read.  The record at position k from 1 is labelled
+    ``label.format(k)``."""
+
+    def read(self, v, doc, where):
         rows = _listed(v)
         if not isinstance(rows, list):
             return rows
-        read = self.schema.read
-        return [read(x, f"{where}[{i}].") if isinstance(x, dict) else x for i, x in enumerate(rows)]
+        read = super().read
+        return [read(x, doc, f"{where}[{i}]") for i, x in enumerate(rows)]
 
     def problems(self, v, s):
-        if self.count is None:
-            return () if isinstance(v, self.schema.cls) else (("shape", {}),)
-        ids = [getattr(x, "id", None) for x in v] if isinstance(v, list) else None
-        ok = ids is not None and len(ids) == getattr(s, self.count) and all(map(_integer, ids))
-        return () if ok and ids == list(range(1, len(ids) + 1)) else (("shape", {}),)
+        cls = self.schema.cls
+        ok = isinstance(v, list) and v and all(isinstance(x, cls) for x in v)
+        return () if ok else (("shape", {}),)
 
     def records(self, v):
-        """The records in v, whose own fields are checked next."""
-        rows = v if self.count is not None and isinstance(v, list) else [v]
-        return [x for x in rows if isinstance(x, self.schema.cls)]
+        cls, rows = self.schema.cls, v if isinstance(v, list) else ()
+        return [(self.label.format(k), x) for k, x in enumerate(rows, 1) if isinstance(x, cls)]
 
 
 class _Schema:
@@ -495,9 +507,9 @@ class _Schema:
                 continue
             for name, args in fd.problems(v, s):
                 out.append(fd.messages[name].format(f=prefix + fd.attr, v=v, s=s, **args))
-            if isinstance(fd, _Records):
-                for r in fd.records(v):
-                    fd.schema.check(r, s, fd.label.format(r), out)
+            if isinstance(fd, _Record):
+                for label, r in fd.records(v):
+                    fd.schema.check(r, s, label, out)
 
     def write(self, obj) -> dict:
         """The document map of obj; fields holding None are left out."""
@@ -553,45 +565,37 @@ _TRAFFIC = _Schema(
     _Choice("process", {"poisson": "poisson", "deterministic": "deterministic"}, bad=_UNKNOWN),
     _PerUpf("skew", _non_negative, _sums_to_one, **_SHARES,
             shape="{f} must be a list of one share per UPF",
-            length="{f} has {n} entries, expected num_upfs={s.num_upfs}"),
-    _QosMap("qos_mix", _non_negative, _sums_to_one, default={q: 0.25 for q in QosClass},
+            length="{f} has {n} entries, expected one per UPF ({s.num_upfs})"),
+    _QosMap("qos_mix", _non_negative, _sums_to_one,
             shape="{f} must cover exactly the four QoS classes", **_SHARES),
 )
 _UPF = _Schema(
     UpfSpec,
-    _Value("id", lambda v: True),  # the list of UPFs checks the ids
     _QosMap("capacity", _positive, shape=_COVER, bad="{f} entries must be > 0 and finite"),
     _QosMap("queue_cap", _whole, shape=_COVER, bad="{f} entries must be whole numbers >= 1"),
 )
 _MEC = _Schema(
     MecSpec,
-    _Value("id", lambda v: True),  # the list of MECs checks the ids
     _Value("bytes_per_ue", _positive, bad=_POSITIVE),
     _Value("capacity", _positive, bad=_POSITIVE),
     _Value("queue_cap", _whole, bad="{f} must be a whole number >= 1"),
 )
-_UPFS = _Records("upfs", _UPF, "upf {.id}: ", "num_upfs",
-                 shape="{f} must carry ids 1..num_upfs in order")
-_MECS = _Records("mecs", _MEC, "mec {.id}: ", "num_mecs",
-                 shape="{f} must carry ids 1..num_mecs in order")
 _SCENARIO = _Schema(
     Scenario,
     # the name stems the output files, which must stay inside --out
     _Value("name", lambda v: isinstance(v, str) and v not in ("", ".", "..") and "/" not in v,
            bad="{f} must be a non-empty string without '/', and not '.' or '..'"),
-    _Value("num_upfs", _int_from(1), bad="{f} must be an integer >= 1"),
-    _Value("num_mecs", _int_from(1), bad="{f} must be an integer >= 1"),
     _Value("delta_ms", _positive, bad=_POSITIVE),
     _Value("horizon_epochs", _int_from(0), bad="{f} must be an integer >= 0"),
-    _Value("seed", _int_from(0), default=0, bad="{f} must be an integer >= 0"),
-    _Choice("scheme", {m.value: m for m in Scheme}, default=Scheme.BASELINE, bad=_UNKNOWN),
+    _Value("seed", _int_from(0), bad="{f} must be an integer >= 0"),
+    _Choice("scheme", {m.value: m for m in Scheme}, bad=_UNKNOWN),
     _Value("headroom_factor", _positive, bad=_POSITIVE),
     _Value("drain_cap_epochs", _int_from(0), bad="{f} must be an integer >= 0"),
-    _Records("traffic", _TRAFFIC, "traffic.", shape="{f} must be a map of the arrival law"),
+    _Record("traffic", _TRAFFIC, "traffic.", shape="{f} must be a map of the arrival law"),
     _QosMap("thresholds_ms", _positive, some=True, bad="{f}[{bad}] must be > 0 and finite",
             shape="{f} must be a map of QoS classes to thresholds"),
-    _UPFS,
-    _MECS,
+    _Records("upfs", _UPF, "upf {}: ", shape="{f} must be a non-empty list of UPF records"),
+    _Records("mecs", _MEC, "mec {}: ", shape="{f} must be a non-empty list of MEC records"),
     _UpfByMec("link_bandwidth_mbps", key="links.bandwidth_mbps", default=None,
               shape="{f} must be a {s.num_upfs}x{s.num_mecs} matrix (row per UPF, column per MEC)",
               bad="link bandwidths must be > 0 and finite"),
@@ -608,8 +612,8 @@ def validate_scenario(s: Scenario) -> List[str]:
     _SCENARIO.check(s, s, "", v)
     if s.scheme in CO_LOCATED_SCHEMES and s.num_upfs != s.num_mecs:
         v.append(
-            f"scheme {s.scheme.value} routes through co-located MECs and "
-            f"requires num_upfs == num_mecs (got {s.num_upfs} != {s.num_mecs})"
+            f"scheme {s.scheme.value} routes through co-located MECs and requires "
+            f"as many UPFs as MECs (got {s.num_upfs} UPFs, {s.num_mecs} MECs)"
         )
     return v
 

@@ -35,8 +35,8 @@ def assign_bestfit_no_pe(qos, origin_upf, run) -> Tuple[int, Optional[int]]:
 def assign_bestfit_pe(qos, origin_upf, run) -> Tuple[int, Optional[int]]:
     """Bestfit UPF with path extension to that UPF's co-located MEC.
 
-    ``validate_scenario`` admits this scheme only where num_upfs ==
-    num_mecs, so every UPF has one.
+    ``validate_scenario`` admits this scheme only where there are as many
+    UPFs as MECs, so every UPF has one.
     """
     upf_id = run.upf_cost[qos].best + 1
     return upf_id, (upf_id if qos.uses_mec else None)

@@ -49,20 +49,17 @@ def make_scenario(
         qos_mix = {q: 0.25 for q in QosClass}
     upfs = [
         UpfSpec(
-            id=i + 1,
             capacity={q: upf_capacity for q in QosClass},
             queue_cap=None if upf_queue_cap is None else {q: upf_queue_cap for q in QosClass},
         )
-        for i in range(num_upfs)
+        for _ in range(num_upfs)
     ]
     mecs = [
-        MecSpec(id=j + 1, capacity=mec_capacity, bytes_per_ue=mec_bytes, queue_cap=mec_queue_cap)
-        for j in range(m)
+        MecSpec(capacity=mec_capacity, bytes_per_ue=mec_bytes, queue_cap=mec_queue_cap)
+        for _ in range(m)
     ]
     return Scenario(
         name=name,
-        num_upfs=num_upfs,
-        num_mecs=m,
         delta_ms=delta,
         horizon_epochs=horizon,
         seed=seed,

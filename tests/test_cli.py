@@ -19,9 +19,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfmec import engine
+from upfmec import metrics
 from upfmec.cli import _parse_int_list, build_parser, main
-from upfmec.model import Scheme, load_scenario, save_scenario
+from upfmec.model import QosClass, Scheme, load_scenario, save_scenario
 
 from conftest import make_scenario
 
@@ -103,31 +103,9 @@ def test_misspelt_scenario_key_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_upf_count_beyond_the_listed_records_builds_no_bandwidth_matrix(
-    tmp_path, capsys, monkeypatch
-):
-    # campus5 gives its bandwidths as one row for every UPF
-    path = _campus5_file(tmp_path, lambda d: d.update(num_upfs=300_000))
-    rows = []
-    validate = engine.validate_scenario
-
-    def recording(s):
-        rows.append(len(s.link_bandwidth_mbps))
-        return validate(s)
-
-    monkeypatch.setattr(engine, "validate_scenario", recording)
-    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid scenario: ") and len(err.splitlines()) == 1
-    assert "link_bandwidth_mbps must be a 300000x5 matrix" in err
-    assert rows == [5]
-    assert not (tmp_path / "out").exists()
-
-
 def test_yaml_syntax_error_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
-    path.write_text("num_upfs: [1\n")
+    path.write_text("horizon_epochs: [1\n")
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -167,14 +145,6 @@ def _no_bandwidths(doc):
     doc["links"] = {}
 
 
-def _float_num_upfs(doc):
-    doc["num_upfs"] = 2.0
-
-
-def _float_num_mecs(doc):
-    doc["num_mecs"] = 2.0
-
-
 def _fractional_horizon(doc):
     doc["horizon_epochs"] = 2.5
 
@@ -187,14 +157,6 @@ def _fractional_seed(doc):
     doc["seed"] = 1.5
 
 
-def _float_upf_id(doc):
-    doc["upfs"][0]["id"] = 1.0
-
-
-def _float_mec_id(doc):
-    doc["mecs"][0]["id"] = 1.0
-
-
 def _quoted_delta(doc):
     doc["delta_ms"] = "1"
 
@@ -205,6 +167,28 @@ def _quoted_skew_entry(doc):
 
 def _null_headroom_factor(doc):
     doc["headroom_factor"] = None
+
+
+# the counts and ids of earlier versions, and topologies that are not lists
+# of records
+def _stale_num_upfs(doc):
+    doc["num_upfs"] = 2
+
+
+def _stale_record_id(doc):
+    doc["upfs"][0]["id"] = 1
+
+
+def _empty_upfs(doc):
+    doc["upfs"] = []
+
+
+def _scalar_upfs(doc):
+    doc["upfs"] = 5
+
+
+def _scalar_mec_record(doc):
+    doc["mecs"][1] = 3
 
 
 def _scalar_upf_capacity(doc):
@@ -256,8 +240,9 @@ def _huge_headroom_factor(doc):
     "breaks",
     [
         _drop_mmtc_queue_cap, _nan_queue_cap, _inf_mec_queue_cap, _no_bandwidths,
-        _float_num_upfs, _float_num_mecs, _fractional_horizon, _fractional_drain_cap,
-        _fractional_seed, _float_upf_id, _float_mec_id, _quoted_delta, _quoted_skew_entry,
+        _fractional_horizon, _fractional_drain_cap, _fractional_seed,
+        _stale_num_upfs, _stale_record_id, _empty_upfs, _scalar_upfs, _scalar_mec_record,
+        _quoted_delta, _quoted_skew_entry,
         _null_headroom_factor, _scalar_upf_capacity, _scalar_qos_mix, _scalar_traffic,
         _scalar_bandwidth_row, _scalar_thresholds, _zero_thresholds, _list_thresholds,
         _scalar_links, _tiny_upf_capacity, _tiny_mec_capacity, _huge_headroom_factor,
@@ -269,11 +254,12 @@ def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
     doc = yaml.safe_load(path.read_text())
     breaks(doc)
     path.write_text(yaml.safe_dump(doc))
-    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid scenario: ")
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -519,6 +505,25 @@ def test_capex_writes_sweep_and_analysis(tmp_path):
     assert (tmp_path / "metro.capex.csv").is_file()
     assert (tmp_path / "metro.capex_analysis.urllc.json").is_file()
     assert (tmp_path / "metro.capex_analysis.embb.json").is_file()
+
+
+# (baseline, MEC-IA) percent under threshold at the largest size: a gain of
+# exactly 0 prints as one; only a baseline at 0 leaves the gain undefined
+@pytest.mark.parametrize("baseline, mecia, shown", [(60.0, 0.0, "0.00x"), (0.0, 40.0, "n/a")])
+def test_capex_prints_the_gain_at_the_largest_size(
+    tmp_path, capsys, monkeypatch, baseline, mecia, shown
+):
+    points = [
+        metrics.CapexPoint(1, "baseline", 10, 0, {QosClass.URLLC: 20.0}),
+        metrics.CapexPoint(2, "baseline", 10, 0, {QosClass.URLLC: baseline}),
+        metrics.CapexPoint(1, "bestfit_upf_mec", 10, 0, {QosClass.URLLC: 0.0}),
+        metrics.CapexPoint(2, "bestfit_upf_mec", 10, 0, {QosClass.URLLC: mecia}),
+    ]
+    monkeypatch.setattr(metrics, "capex_sweep", lambda *args: points)
+    path = _campus5_file(tmp_path, lambda d: d.update(thresholds_ms={"urllc": 5.0}))
+    rc = main(["capex", "--scenario", str(path), "--pairs", "1-2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert f" gain at 2 pairs {shown}\n" in capsys.readouterr().out
 
 
 def test_oracle_gap_reports_exact_singleton_ratios(tmp_path, capsys):

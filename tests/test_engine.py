@@ -757,7 +757,7 @@ def test_explicit_queue_caps_are_honored(metro):
 def test_derived_upf_queue_cap_formula(campus5):
     run = SimulationRun(campus5)
     t = campus5.traffic
-    for u, spec in zip(run.upfs, campus5.upfs):
+    for i, (u, spec) in enumerate(zip(run.upfs, campus5.upfs)):
         for q in QosClass:
             expected = max(
                 1,
@@ -765,7 +765,7 @@ def test_derived_upf_queue_cap_formula(campus5):
                     campus5.headroom_factor
                     * t.mean_arrivals_per_epoch
                     * t.qos_mix[q]
-                    * t.skew[spec.id - 1]
+                    * t.skew[i]
                     / spec.capacity[q]
                 ),
             )
@@ -776,9 +776,9 @@ def test_derived_mec_queue_cap_uses_skew_when_co_located(campus5):
     run = SimulationRun(campus5)
     t = campus5.traffic
     nonreg = t.mean_arrivals_per_epoch * (1.0 - t.qos_mix[QosClass.REGULAR])
-    for m, spec in zip(run.mecs, campus5.mecs):
+    for j, (m, spec) in enumerate(zip(run.mecs, campus5.mecs)):
         expected = max(
-            1, math.ceil(campus5.headroom_factor * nonreg * t.skew[spec.id - 1] / spec.capacity)
+            1, math.ceil(campus5.headroom_factor * nonreg * t.skew[j] / spec.capacity)
         )
         assert m.queue_cap == expected
 

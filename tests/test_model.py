@@ -58,16 +58,9 @@ def test_skew_length_mismatch():
 def test_co_located_scheme_requires_square_topology(scheme):
     s = make_scenario(num_upfs=2, num_mecs=1, scheme=scheme)
     msgs = validate_scenario(s)
-    assert any("num_upfs == num_mecs" in m for m in msgs)
+    assert any("requires as many UPFs as MECs (got 2 UPFs, 1 MECs)" in m for m in msgs)
     # the pair scheme routes both tiers independently and allows U != M
     assert validate_scenario(replace(s, scheme=Scheme.BESTFIT_UPF_MEC)) == []
-
-
-def test_entity_ids_must_be_contiguous():
-    s = make_scenario()
-    s.upfs[0].id = 7
-    msgs = validate_scenario(s)
-    assert any("ids 1..num_upfs" in m for m in msgs)
 
 
 def test_multiple_violations_all_collected():
@@ -181,8 +174,6 @@ MALFORMED = {
         "link_bandwidth_mbps", lambda s: setattr(s, "link_bandwidth_mbps", None)
     ),
     # integer fields: a whole float or a bool is not an int
-    "num_upfs float": ("num_upfs", lambda s: setattr(s, "num_upfs", 2.0)),
-    "num_mecs float": ("num_mecs", lambda s: setattr(s, "num_mecs", 2.0)),
     "horizon_epochs fractional": ("horizon_epochs", lambda s: setattr(s, "horizon_epochs", 2.5)),
     "horizon_epochs bool": ("horizon_epochs", lambda s: setattr(s, "horizon_epochs", True)),
     "drain_cap_epochs fractional": (
@@ -192,8 +183,6 @@ MALFORMED = {
         "drain_cap_epochs", lambda s: setattr(s, "drain_cap_epochs", -5)
     ),
     "seed fractional": ("seed", lambda s: setattr(s, "seed", 1.5)),
-    "upf id float": ("upfs must carry ids", lambda s: setattr(s.upfs[0], "id", 1.0)),
-    "mec id float": ("mecs must carry ids", lambda s: setattr(s.mecs[0], "id", 1.0)),
     # number fields: a quoted number, a null or a bool is not a number
     "delta_ms quoted": ("delta_ms", lambda s: setattr(s, "delta_ms", "1")),
     "skew entry quoted": ("traffic.skew", lambda s: s.traffic.skew.__setitem__(0, "0.5")),
@@ -221,6 +210,12 @@ MALFORMED = {
     "name dot": ("name", lambda s: setattr(s, "name", ".")),
     "name dot dot": ("name", lambda s: setattr(s, "name", "..")),
     "scheme unknown": ("scheme", lambda s: setattr(s, "scheme", "fastest")),
+    # the topology: a non-empty list of records per tier
+    "upfs empty": ("upfs must be a non-empty list", lambda s: setattr(s, "upfs", [])),
+    "upfs a count": ("upfs must be a non-empty list", lambda s: setattr(s, "upfs", 2)),
+    "mec entry not a record": (
+        "mecs must be a non-empty list", lambda s: s.mecs.__setitem__(1, 3)
+    ),
 }
 
 
@@ -262,15 +257,17 @@ def test_bandwidth_per_mec_shorthand():
     assert s.link_bandwidth_mbps == [[100.0, 200.0, 300.0]] * 3
 
 
-def test_bandwidth_shorthand_waits_for_a_consistent_upf_count():
-    # 300,000 UPFs over 3 listed records: the flat row is kept for validation
-    # to name, not expanded to 300,000 rows
+def test_bandwidth_shorthand_waits_for_a_list_of_upfs():
+    # with no list of UPFs to give rows to, the flat row is kept for
+    # validation to name, beside the UPFs
     doc = scenario_to_dict(make_scenario(num_upfs=3))
-    doc["num_upfs"] = 300_000
+    doc["upfs"] = 3
     doc["links"]["bandwidth_mbps"] = [100.0, 200.0, 300.0]
     s = scenario_from_dict(doc)
     assert s.link_bandwidth_mbps == [100.0, 200.0, 300.0]
-    assert any("link_bandwidth_mbps must be a 300000x3 matrix" in m for m in validate_scenario(s))
+    msgs = validate_scenario(s)
+    assert any(m.startswith("upfs must be a non-empty list") for m in msgs)
+    assert any("link_bandwidth_mbps must be a 0x3 matrix" in m for m in msgs)
 
 
 @pytest.mark.parametrize(
@@ -282,6 +279,9 @@ def test_bandwidth_shorthand_waits_for_a_consistent_upf_count():
         (("mecs", 0, "queue"), "unknown key mecs[0].queue"),
         (("links", "bandwidth"), "unknown key links.bandwidth"),
         (("upfs", 0, "bytes_per_ue"), "unknown key upfs[0].bytes_per_ue"),
+        # a scenario's counts are its lists' lengths and a record's id its position
+        (("num_upfs",), "unknown key num_upfs"),
+        (("mecs", 1, "id"), "unknown key mecs[1].id"),
     ],
 )
 def test_unknown_key_is_named(tmp_path, path, named):
@@ -300,7 +300,7 @@ def test_unknown_key_is_named(tmp_path, path, named):
 
 def test_load_scenario_names_a_yaml_syntax_error(tmp_path):
     p = tmp_path / "broken.yaml"
-    p.write_text("num_upfs: [1\n")
+    p.write_text("horizon_epochs: [1\n")
     with pytest.raises(ValueError) as exc:
         load_scenario(str(p))
     assert not isinstance(exc.value, ScenarioError)
@@ -318,7 +318,7 @@ def test_load_scenario_rejects_non_mapping(tmp_path):
 
 def test_load_scenario_rejects_missing_keys(tmp_path):
     p = tmp_path / "partial.yaml"
-    p.write_text("name: x\nnum_upfs: 1\n")
+    p.write_text("name: x\ndelta_ms: 1.0\n")
     with pytest.raises(ScenarioError):
         load_scenario(str(p))
 
@@ -328,8 +328,8 @@ def test_load_scenario_rejects_missing_keys(tmp_path):
     [
         (("name",), "name is missing"),
         (("traffic", "skew"), "traffic.skew is missing"),
-        (("upfs", 1, "id"), "upfs[1].id is missing"),
-        (("mecs", 0, "id"), "mecs[0].id is missing"),
+        (("upfs",), "upfs is missing"),
+        (("mecs",), "mecs is missing"),
         (("upfs", 0, "capacity"), "upfs[0].capacity is missing"),
         (("mecs", 0, "capacity"), "mecs[0].capacity is missing"),
     ],
@@ -354,24 +354,33 @@ def fields_by_name(cls):
 
 def test_omitted_keys_take_the_dataclass_defaults():
     doc = scenario_to_dict(make_scenario(process="poisson"))
-    for key in ("thresholds_ms", "headroom_factor", "drain_cap_epochs"):
+    for key in ("seed", "scheme", "thresholds_ms", "headroom_factor", "drain_cap_epochs"):
         doc.pop(key, None)
     del doc["traffic"]["process"]
+    del doc["traffic"]["qos_mix"]
     for entry in doc["mecs"]:
         del entry["bytes_per_ue"]
     s = scenario_from_dict(doc)
     assert s.thresholds_ms == {} and s.drain_cap_epochs is None
-    assert s.headroom_factor == fields_by_name(Scenario)["headroom_factor"].default
+    for key in ("seed", "scheme", "headroom_factor"):
+        assert getattr(s, key) == fields_by_name(Scenario)[key].default
     assert s.traffic.process == fields_by_name(TrafficSpec)["process"].default
+    assert s.traffic.qos_mix == fields_by_name(TrafficSpec)["qos_mix"].default_factory()
     assert {m.bytes_per_ue for m in s.mecs} == {fields_by_name(MecSpec)["bytes_per_ue"].default}
     assert validate_scenario(s) == []
 
 
 def test_yaml_round_trip_of_campus5_and_a_scaled_metro(tmp_path, campus5, metro):
-    for s in (campus5, build_pair_scenario(metro, 7)):
+    # a scaled scenario lists the same spec objects at several positions; its
+    # file must still spell out every record, with no YAML alias
+    for s in (campus5, build_pair_scenario(campus5, 7), build_pair_scenario(metro, 7)):
         path = tmp_path / f"{s.name}.yaml"
         save_scenario(s, str(path))
-        assert load_scenario(str(path)) == s
+        text = path.read_text()
+        assert "&id" not in text and "*id" not in text
+        loaded = load_scenario(str(path))
+        assert loaded == s
+        assert validate_scenario(loaded) == []
 
 
 def test_readme_scenario_example_is_valid():
