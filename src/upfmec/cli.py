@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .engine import build_queues, run_to_completion
+from .engine import run_to_completion
 from .model import Scenario, ScenarioError, Scheme, load_scenario, validate_scenario
 from .oracle import MAX_BATCH, MAX_UPFS, minmax_batch_optimum, sequential_heuristic_batch
 
@@ -137,14 +137,12 @@ def cmd_compare(args) -> int:
     seeds = _parse_int_list(args.seeds)
     _check_seeds("--seeds", seeds)
     # every scheme's runs are checked before --out exists, so a scheme the
-    # scenario refuses leaves no output, whatever its place in the list; the
-    # queues, which no scheme changes, are built once to check derived caps
+    # scenario refuses leaves no output, whatever its place in the list
     variants = [replace(scenario, scheme=Scheme(s), seed=seeds[0]) for s in schemes]
     for variant in variants:
         violations = validate_scenario(variant)
         if violations:
             raise ScenarioError("; ".join(violations))
-    build_queues(variants[0])
     out = args.out
     _make_out(out)
     rows = []

@@ -9,12 +9,13 @@ clock.  After the arrival horizon the run keeps stepping without new
 traffic until every admitted request has completed or the scenario's
 drain cap (``drain_cap_epochs``, ten horizons by default) is hit.  A run
 is built from its scenario alone, so ``validate_scenario`` checks every
-setting of a run.
+setting of a run, and its ScenarioError is the only one a run raises.
 
 A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
 ``run.upfs[i][q]``) and a MEC is one (``run.mecs[j]``), so both tiers
 share the service law and the price table.  A request that finds its
-queue at ``queue_cap`` is dropped.
+queue at ``queue_cap`` is dropped; a queue whose scenario states no cap
+is unbounded (``UNBOUNDED``).
 
 The run keeps the cost vectors the schemes read, each a
 ``model.CostVector``: ``upf_cost[q].prices[i]`` is the price of UPF i+1's
@@ -57,6 +58,7 @@ generation, completions and drops leave, or the run raises
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -79,6 +81,10 @@ from .model import (
 from .schemes import SCHEME_FUNCS
 
 DEFAULT_DRAIN_FACTOR = 10  # drain cap defaults to this many horizons
+
+# the queue cap of a queue the scenario states none for: no deque grows this
+# long, so the admission test ``len(queue) >= queue_cap`` never drops there
+UNBOUNDED = sys.maxsize
 
 # the order of each UPF's bucket lengths in EpochReport.upf_queues, and so of
 # trace.csv's queue columns: by class name, which is not the service order
@@ -199,70 +205,6 @@ class EpochReport:
     mec_queues: Tuple[int, ...]
 
 
-def _derived_queue_cap(scenario: Scenario, capacity: float, queue: str, *offered: float) -> int:
-    """A buffer of headroom_factor x the offered load over the service rate, at least 1.
-
-    The offered load (requests per epoch) is the product of ``offered``,
-    multiplied in after the headroom factor, left to right.  A quotient
-    that is not finite is a ScenarioError naming ``queue``.
-    """
-    load = scenario.headroom_factor
-    for factor in offered:
-        load *= factor
-    cap = load / capacity
-    if not cap < math.inf:
-        raise ScenarioError(
-            f"{queue}: headroom_factor x offered load / capacity is {cap}, "
-            "too large to derive a queue cap from; set queue_cap"
-        )
-    return max(1, math.ceil(cap))
-
-
-def _build_upf(i: int, spec, scenario: Scenario, delta: float) -> Dict[QosClass, ServiceQueue]:
-    """The buckets of the UPF at index i."""
-    if spec.queue_cap is not None:
-        queue_cap = {q: int(spec.queue_cap[q]) for q in QosClass}
-    else:
-        lam = scenario.traffic.mean_arrivals_per_epoch
-        skew = scenario.traffic.skew[i]
-        mix = scenario.traffic.qos_mix
-        queue_cap = {
-            q: _derived_queue_cap(scenario, spec.capacity[q], f"upf {i + 1} {q.value} bucket",
-                                  lam, mix[q], skew)
-            for q in QosClass
-        }
-    return {q: ServiceQueue(spec.capacity[q], queue_cap[q], delta) for q in QosClass}
-
-
-def _build_mec(j: int, spec, scenario: Scenario, delta: float) -> ServiceQueue:
-    """The queue of the MEC at index j."""
-    capacity = float(spec.capacity)
-    if spec.queue_cap is not None:
-        queue_cap = int(spec.queue_cap)
-    else:
-        lam = scenario.traffic.mean_arrivals_per_epoch
-        nonreg = lam * (1.0 - scenario.traffic.qos_mix[QosClass.REGULAR])
-        if scenario.num_mecs == scenario.num_upfs:
-            weight = scenario.traffic.skew[j]
-        else:
-            weight = 1.0 / scenario.num_mecs
-        queue_cap = _derived_queue_cap(scenario, capacity, f"mec {j + 1}", nonreg, weight)
-    return ServiceQueue(capacity, queue_cap, delta)
-
-
-def build_queues(
-    scenario: Scenario,
-) -> Tuple[List[Dict[QosClass, ServiceQueue]], List[ServiceQueue]]:
-    """The empty UPF buckets and MEC queues of a valid scenario, in list order.
-
-    A queue cap the scenario leaves out is derived here, and one that
-    overflows is a ScenarioError, which validation cannot see.
-    """
-    delta = float(scenario.delta_ms)
-    return ([_build_upf(i, u, scenario, delta) for i, u in enumerate(scenario.upfs)],
-            [_build_mec(j, m, scenario, delta) for j, m in enumerate(scenario.mecs)])
-
-
 class SimulationRun:
     """Mutable state of one simulation run, and its record once finished.
 
@@ -295,7 +237,16 @@ class SimulationRun:
         self.rng = np.random.default_rng(scenario.seed)
         self._origin_cdf, self._class_cdf = arrival_cdfs(scenario.traffic)
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
-        self.upfs, self.mecs = build_queues(scenario)
+        # a queue whose scenario states no cap is UNBOUNDED (a stated cap is >= 1)
+        delta = self.delta
+        no_caps = dict.fromkeys(QosClass, UNBOUNDED)
+        self.upfs: List[Dict[QosClass, ServiceQueue]] = [
+            {q: ServiceQueue(u.capacity[q], int((u.queue_cap or no_caps)[q]), delta)
+             for q in QosClass}
+            for u in scenario.upfs
+        ]
+        self.mecs = [ServiceQueue(float(m.capacity), int(m.queue_cap or UNBOUNDED), delta)
+                     for m in scenario.mecs]
         # each link's sharer count and transit table, by link index
         num_links = scenario.num_upfs * scenario.num_mecs
         self.link_sharers: List[int] = [0] * num_links

@@ -360,14 +360,16 @@ def capex_sweep(
     The seeds of a cell run in order and their counts are summed.  The
     base is validated before it is scaled, under the one scheme that needs
     no co-located MECs: the scaled deployments always pair them, and each
-    run validates its own.
+    run validates its own.  Every deployment is scaled before the first
+    run, so a pair count that cannot be scaled refuses the sweep before any
+    cell runs.
     """
     violations = validate_scenario(replace(base, scheme=Scheme.BESTFIT_UPF_MEC))
     if violations:
         raise ScenarioError("; ".join(violations))
     points: List[CapexPoint] = []
-    for pairs in pair_counts:
-        scaled = build_pair_scenario(base, pairs)
+    deployments = [build_pair_scenario(base, pairs) for pairs in pair_counts]
+    for pairs, scaled in zip(pair_counts, deployments):
         for scheme in (CAPEX_BASELINE, CAPEX_MECIA):
             variant = replace(scaled, scheme=scheme)
             under = dict.fromkeys(base.thresholds_ms, 0)

@@ -6,7 +6,9 @@ its packet-processing capacity into per-QoS buckets; each MEC serves a
 single FCFS queue.  A Scenario is the static description (topology,
 capacities, traffic law); the mutable state that the engine evolves epoch
 by epoch is one ServiceQueue per UPF bucket and per MEC, so one queue
-cap, one service law and one price table cover both tiers.
+cap, one service law and one price table cover both tiers.  A queue's cap
+is the one its scenario states, and a queue it states none for is
+unbounded.
 
 Scenario files are single YAML documents.  ``load_scenario`` and
 ``save_scenario`` round-trip a Scenario losslessly.  One table per record
@@ -114,7 +116,7 @@ class UpfSpec:
 
     # requests/epoch per QoS bucket
     capacity: Dict[QosClass, float]
-    queue_cap: Optional[Dict[QosClass, int]] = None
+    queue_cap: Optional[Dict[QosClass, int]] = None  # None: unbounded
 
 
 @dataclass
@@ -124,7 +126,7 @@ class MecSpec:
     # requests/epoch
     capacity: float
     bytes_per_ue: float = 1500.0
-    queue_cap: Optional[int] = None
+    queue_cap: Optional[int] = None  # None: unbounded
 
 
 @dataclass(kw_only=True)
@@ -142,7 +144,6 @@ class Scenario:
     # bandwidth of link (upf i, mec j) in Mbps, row per UPF
     link_bandwidth_mbps: List[List[float]]
     thresholds_ms: Dict[QosClass, float] = field(default_factory=dict)
-    headroom_factor: float = 10.0
     drain_cap_epochs: Optional[int] = None
 
     @property
@@ -589,7 +590,6 @@ _SCENARIO = _Schema(
     _Value("horizon_epochs", _int_from(0), bad="{f} must be an integer >= 0"),
     _Value("seed", _int_from(0), bad="{f} must be an integer >= 0"),
     _Choice("scheme", {m.value: m for m in Scheme}, bad=_UNKNOWN),
-    _Value("headroom_factor", _positive, bad=_POSITIVE),
     _Value("drain_cap_epochs", _int_from(0), bad="{f} must be an integer >= 0"),
     _Record("traffic", _TRAFFIC, "traffic.", shape="{f} must be a map of the arrival law"),
     _QosMap("thresholds_ms", _positive, some=True, bad="{f}[{bad}] must be > 0 and finite",

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-# UPF and MEC ids are 1..n in index order (validate_scenario checks it), so a
-# cost vector index i is the id i + 1
+# a UPF or MEC id is its position in the scenario's list from 1, so a cost
+# vector index i is the id i + 1
 
 
 def assign_baseline(qos, origin_upf, run) -> Tuple[int, Optional[int]]:

@@ -35,7 +35,6 @@ def make_scenario(
     horizon: int = 4,
     upf_queue_cap: Optional[int] = None,
     mec_queue_cap: Optional[int] = None,
-    headroom_factor: float = 10.0,
     delta: float = 1.0,
     seed: int = 1,
     thresholds: Optional[Dict[QosClass, float]] = None,
@@ -71,7 +70,6 @@ def make_scenario(
         mecs=mecs,
         link_bandwidth_mbps=[[bandwidth_mbps] * m for _ in range(num_upfs)],
         thresholds_ms=thresholds or {},
-        headroom_factor=headroom_factor,
     )
 
 
@@ -98,7 +96,6 @@ def small_scenarios(draw, rectangular=False):
         skew=dist(n),
         qos_mix=dict(zip(QosClass, dist(4))),
         horizon=draw(st.integers(1, 8)),
-        headroom_factor=draw(st.floats(0.1, 10.0)),
         delta=draw(st.sampled_from([0.5, 1.0, 2.0])),
         seed=draw(st.integers(0, 2**16)),
     )

@@ -94,12 +94,12 @@ def _campus5_file(tmp_path, edit):
 
 
 def test_misspelt_scenario_key_is_a_usage_error(tmp_path, capsys):
-    # read as its default, the misspelt factor would drop requests with exit 0
-    path = _campus5_file(tmp_path, lambda d: d.update(headroom_facter=d.pop("headroom_factor")))
+    # read as its default, the misspelt cap would drain for ten horizons with exit 0
+    path = _campus5_file(tmp_path, lambda d: d.update(drain_cap_epoch=0))
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"invalid scenario: {path}: unknown key headroom_facter\n"
+    assert err == f"invalid scenario: {path}: unknown key drain_cap_epoch\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -165,12 +165,11 @@ def _quoted_skew_entry(doc):
     doc["traffic"]["skew"][0] = "0.5"
 
 
-def _null_headroom_factor(doc):
-    doc["headroom_factor"] = None
+# the keys of earlier versions, and topologies that are not lists of records
+def _stale_headroom_factor(doc):
+    doc["headroom_factor"] = 10.0
 
 
-# the counts and ids of earlier versions, and topologies that are not lists
-# of records
 def _stale_num_upfs(doc):
     doc["num_upfs"] = 2
 
@@ -223,29 +222,16 @@ def _scalar_links(doc):
     doc["links"] = 3
 
 
-# each valid, but the queue cap derived from it overflows a float
-def _tiny_upf_capacity(doc):
-    doc["upfs"][0]["capacity"]["urllc"] = 1.0e-308
-
-
-def _tiny_mec_capacity(doc):
-    doc["mecs"][0]["capacity"] = 1.0e-308
-
-
-def _huge_headroom_factor(doc):
-    doc["headroom_factor"] = 1.0e308
-
-
 @pytest.mark.parametrize(
     "breaks",
     [
         _drop_mmtc_queue_cap, _nan_queue_cap, _inf_mec_queue_cap, _no_bandwidths,
         _fractional_horizon, _fractional_drain_cap, _fractional_seed,
-        _stale_num_upfs, _stale_record_id, _empty_upfs, _scalar_upfs, _scalar_mec_record,
-        _quoted_delta, _quoted_skew_entry,
-        _null_headroom_factor, _scalar_upf_capacity, _scalar_qos_mix, _scalar_traffic,
+        _stale_headroom_factor, _stale_num_upfs, _stale_record_id, _empty_upfs, _scalar_upfs,
+        _scalar_mec_record, _quoted_delta, _quoted_skew_entry,
+        _scalar_upf_capacity, _scalar_qos_mix, _scalar_traffic,
         _scalar_bandwidth_row, _scalar_thresholds, _zero_thresholds, _list_thresholds,
-        _scalar_links, _tiny_upf_capacity, _tiny_mec_capacity, _huge_headroom_factor,
+        _scalar_links,
     ],
 )
 def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
@@ -260,27 +246,6 @@ def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
     assert err.startswith("invalid scenario: ")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "edit, queue",
-    [
-        pytest.param(_tiny_upf_capacity, "upf 1 urllc bucket", id="upf-capacity"),
-        pytest.param(_tiny_mec_capacity, "mec 1", id="mec-capacity"),
-        pytest.param(_huge_headroom_factor, "upf 1 urllc bucket", id="headroom"),
-    ],
-)
-def test_derived_queue_cap_overflow_is_a_usage_error(tmp_path, capsys, edit, queue):
-    # campus5 derives every queue cap: one field edited overflows the first
-    # derived cap, which names its queue and the key that avoids the derivation
-    path = _campus5_file(tmp_path, edit)
-    for command in (["run"], ["compare", "--seeds", "1"], ["capex", "--pairs", "1", "--seeds", "1"]):
-        rc = main([*command, "--scenario", str(path), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"invalid scenario: {queue}: ") and len(err.splitlines()) == 1
-        assert err.endswith("set queue_cap\n")
-        assert not (tmp_path / "out").exists()
 
 
 def _field_paths(node, prefix=()):
@@ -505,6 +470,24 @@ def test_capex_writes_sweep_and_analysis(tmp_path):
     assert (tmp_path / "metro.capex.csv").is_file()
     assert (tmp_path / "metro.capex_analysis.urllc.json").is_file()
     assert (tmp_path / "metro.capex_analysis.embb.json").is_file()
+
+
+def test_capex_refuses_a_pair_count_before_any_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    run_to_completion = metrics.run_to_completion
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return run_to_completion(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_to_completion", counted)
+    out = tmp_path / "out"
+    rc = main(["capex", "--scenario", "metro", "--pairs", "10,0", "--seeds", "1-3",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "upfmec: error: pairs must be >= 1, got 0\n"
+    assert runs == []
+    assert not out.exists()
 
 
 # (baseline, MEC-IA) percent under threshold at the largest size: a gain of

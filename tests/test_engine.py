@@ -13,6 +13,7 @@ from upfmec import engine
 from upfmec.delay import net_delay, projected_delay, transit_epochs
 from upfmec.engine import (
     REPORT_CLASSES,
+    UNBOUNDED,
     InvariantError,
     SimulationRun,
     arrival_cdfs,
@@ -744,7 +745,7 @@ def _assert_little_identities(run: SimulationRun) -> None:
     assert on_links == link_res
 
 
-# ------------------------------------------------------------- derived sizing
+# ------------------------------------------------------------------ queue caps
 
 
 def test_explicit_queue_caps_are_honored(metro):
@@ -754,37 +755,10 @@ def test_explicit_queue_caps_are_honored(metro):
     assert all(m.queue_cap == 70 for m in run.mecs)
 
 
-def test_derived_upf_queue_cap_formula(campus5):
-    run = SimulationRun(campus5)
-    t = campus5.traffic
-    for i, (u, spec) in enumerate(zip(run.upfs, campus5.upfs)):
-        for q in QosClass:
-            expected = max(
-                1,
-                math.ceil(
-                    campus5.headroom_factor
-                    * t.mean_arrivals_per_epoch
-                    * t.qos_mix[q]
-                    * t.skew[i]
-                    / spec.capacity[q]
-                ),
-            )
-            assert u[q].queue_cap == expected
-
-
-def test_derived_mec_queue_cap_uses_skew_when_co_located(campus5):
-    run = SimulationRun(campus5)
-    t = campus5.traffic
-    nonreg = t.mean_arrivals_per_epoch * (1.0 - t.qos_mix[QosClass.REGULAR])
-    for j, (m, spec) in enumerate(zip(run.mecs, campus5.mecs)):
-        expected = max(
-            1, math.ceil(campus5.headroom_factor * nonreg * t.skew[j] / spec.capacity)
-        )
-        assert m.queue_cap == expected
-
-
-def test_derived_mec_queue_cap_splits_evenly_otherwise():
-    s = make_scenario(num_upfs=2, num_mecs=1, scheme=Scheme.BESTFIT_UPF_MEC, lam=8.0)
-    run = SimulationRun(s)
-    nonreg = 8.0 * 0.75
-    assert run.mecs[0].queue_cap == max(1, math.ceil(10.0 * nonreg * 1.0 / 8.0))
+def test_a_queue_without_a_stated_cap_never_drops():
+    # each UPF bucket is offered five times its capacity and keeps every request
+    s = make_scenario(num_upfs=1, upf_capacity=1.0, lam=20.0, horizon=50, bandwidth_mbps=1e6)
+    run = run_to_completion(s)
+    assert run.dropped == 0
+    assert run.completed == run.generated == 1000
+    assert all(sq.queue_cap == UNBOUNDED for sq in (*run.upfs[0].values(), *run.mecs))

@@ -123,7 +123,6 @@ def _set_upf_queue_cap(s, x):
 # message prefix -> how to put a value into that float field
 FLOAT_FIELDS = {
     "delta_ms": lambda s, x: setattr(s, "delta_ms", x),
-    "headroom_factor": lambda s, x: setattr(s, "headroom_factor", x),
     "traffic.mean_arrivals_per_epoch": (
         lambda s, x: setattr(s.traffic, "mean_arrivals_per_epoch", x)
     ),
@@ -186,7 +185,6 @@ MALFORMED = {
     # number fields: a quoted number, a null or a bool is not a number
     "delta_ms quoted": ("delta_ms", lambda s: setattr(s, "delta_ms", "1")),
     "skew entry quoted": ("traffic.skew", lambda s: s.traffic.skew.__setitem__(0, "0.5")),
-    "headroom_factor null": ("headroom_factor", lambda s: setattr(s, "headroom_factor", None)),
     "qos_mix entry null": (
         "traffic.qos_mix", lambda s: s.traffic.qos_mix.__setitem__(QosClass.EMBB, None)
     ),
@@ -282,6 +280,8 @@ def test_bandwidth_shorthand_waits_for_a_list_of_upfs():
         # a scenario's counts are its lists' lengths and a record's id its position
         (("num_upfs",), "unknown key num_upfs"),
         (("mecs", 1, "id"), "unknown key mecs[1].id"),
+        # a queue is capped only where its record states a queue_cap
+        (("headroom_factor",), "unknown key headroom_factor"),
     ],
 )
 def test_unknown_key_is_named(tmp_path, path, named):
@@ -354,7 +354,7 @@ def fields_by_name(cls):
 
 def test_omitted_keys_take_the_dataclass_defaults():
     doc = scenario_to_dict(make_scenario(process="poisson"))
-    for key in ("seed", "scheme", "thresholds_ms", "headroom_factor", "drain_cap_epochs"):
+    for key in ("seed", "scheme", "thresholds_ms", "drain_cap_epochs"):
         doc.pop(key, None)
     del doc["traffic"]["process"]
     del doc["traffic"]["qos_mix"]
@@ -362,7 +362,7 @@ def test_omitted_keys_take_the_dataclass_defaults():
         del entry["bytes_per_ue"]
     s = scenario_from_dict(doc)
     assert s.thresholds_ms == {} and s.drain_cap_epochs is None
-    for key in ("seed", "scheme", "headroom_factor"):
+    for key in ("seed", "scheme"):
         assert getattr(s, key) == fields_by_name(Scenario)[key].default
     assert s.traffic.process == fields_by_name(TrafficSpec)["process"].default
     assert s.traffic.qos_mix == fields_by_name(TrafficSpec)["qos_mix"].default_factory()
@@ -396,10 +396,9 @@ def test_readme_scenario_example_is_valid():
 @given(
     lam=st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
     cap=st.floats(min_value=0.001, max_value=1e3, allow_nan=False),
-    hf=st.floats(min_value=0.001, max_value=1e3, allow_nan=False),
 )
-def test_dict_round_trip_preserves_floats(lam, cap, hf):
-    s = make_scenario(lam=lam, upf_capacity=cap, headroom_factor=hf)
+def test_dict_round_trip_preserves_floats(lam, cap):
+    s = make_scenario(lam=lam, upf_capacity=cap)
     assert scenario_from_dict(scenario_to_dict(s)) == s
 
 

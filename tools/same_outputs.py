@@ -3,13 +3,13 @@
 Run as ``python3 tools/same_outputs.py A/src B/src``.  Under each tree, in
 a fresh interpreter that imports upfmec from it, this runs ``run --trace``
 on campus5 and metro under each of the four schemes with seeds 1-3,
-``compare --scenario campus5 --seeds 1-4`` and ``capex --scenario metro
---pairs 1-10 --seeds 1-2``, each command into a directory of its own, and
-keeps the command's standard output, with that directory's path cut out,
-beside its files.  A bundled scenario is read from each tree's own
-package.  Every file that differs between the trees, or that one tree
-lacks, is printed, and the exit status is then 1; it is 0 when all are
-equal.
+``compare --scenario campus5 --seeds 1-4``, and ``capex --pairs 1-10
+--seeds 1-2`` on metro and on campus5, each command into a directory of
+its own, and keeps the command's standard output, with that directory's
+path cut out, beside its files.  A bundled scenario is read from each
+tree's own package.  Every file that differs between the trees, or that
+one tree lacks, is printed, and the exit status is then 1; it is 0 when
+all are equal.
 """
 
 import filecmp
@@ -27,7 +27,8 @@ COMMANDS = {
     for name in ("campus5", "metro") for scheme in SCHEMES for seed in (1, 2, 3)
 }
 COMMANDS["compare.campus5"] = ["compare", "--scenario", "campus5", "--seeds", "1-4"]
-COMMANDS["capex.metro"] = ["capex", "--scenario", "metro", "--pairs", "1-10", "--seeds", "1-2"]
+for name in ("metro", "campus5"):
+    COMMANDS[f"capex.{name}"] = ["capex", "--scenario", name, "--pairs", "1-10", "--seeds", "1-2"]
 
 # runs in the tree's interpreter: argv[1] maps directory names to commands,
 # argv[2] is the directory they go under
