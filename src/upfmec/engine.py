@@ -30,11 +30,12 @@ reads it, and writes only a price that moved: a ``set`` of an equal price
 changes neither the prices nor ``best``.  So the vectors always equal a
 fresh pricing.  Only ``step_epoch`` changes a run.
 
-Admission records what the scheme's projection is made of, not the
-projection: the UPF price, the chosen link's sharers and the MEC price
-at decision time (columns ``pc_upf``, ``n_share`` and ``pc_mec``).
-``metrics.projections`` derives the projected delays from them on whole
-arrays when something reads them; only the event log does.
+Admission records only the decision (``status``, ``assigned_upf`` and
+``assigned_mec``), not what the scheme's projection was made of: the
+phase order, FIFO queues and ids in arrival order let
+``metrics.decision_inputs`` derive the prices and the link's sharers a
+decision read from the stamps and the price tables, on whole arrays,
+when something reads them; only the event log does.
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
 only reset it to zero) and its price cannot change, so service passes it
@@ -209,18 +210,18 @@ class SimulationRun:
     """Mutable state of one simulation run, and its record once finished.
 
     The record keeps one row per request id (ids are 0, 1, ... in arrival
-    order) in 12 columns named after the fields they hold.  ``qos`` is a
+    order) in 9 columns named after the fields they hold.  ``qos`` is a
     bytearray of class codes (``QOS_BY_CODE[code]`` is the class); the
-    other 11 are lists: ``origin_upf``, ``status`` (None before the
+    other 8 are lists: ``origin_upf``, ``status`` (None before the
     decision), ``assigned_upf``, ``assigned_mec`` (None for a class that
     ends at the UPF), the epoch stamps ``upf_serve_epoch``,
-    ``mec_due_epoch`` and ``mec_serve_epoch`` (None until stamped), the
-    link's delay ``d_net`` (None until the request enters a link), and the
-    projection's inputs ``pc_upf`` (None before the decision), ``n_share``
-    and ``pc_mec`` (``metrics.projections``).  No column holds the arrival
-    epoch: the epoch reports count each epoch's arrivals
-    (``metrics.arrival_epochs``).  Only ``step_epoch`` appends rows, and
-    the report of the epoch that appends them counts them.
+    ``mec_due_epoch`` and ``mec_serve_epoch`` (None until stamped), and
+    the link's delay ``d_net`` (None until the request enters a link).
+    No column holds the arrival epoch, nor what a decision read: the epoch
+    reports count each epoch's arrivals (``metrics.arrival_epochs``), and
+    ``metrics.decision_inputs`` derives the rest.  Only ``step_epoch``
+    appends rows, and the report of the epoch that appends them counts
+    them.
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``: link (i, j) of M MECs has index k = (i - 1) * M +
     (j - 1), which sorts as the key (i, j) does.
@@ -265,9 +266,6 @@ class SimulationRun:
         self.mec_due_epoch: List[Optional[int]] = []
         self.mec_serve_epoch: List[Optional[int]] = []
         self.d_net: List[Optional[float]] = []
-        self.pc_upf: List[Optional[float]] = []
-        self.n_share: List[int] = []
-        self.pc_mec: List[float] = []
         self.epoch_reports: List[EpochReport] = []
         self.completed = 0
         self.dropped = 0
@@ -328,32 +326,22 @@ class SimulationRun:
         self.origin_upf.extend(origins)
         unset = [None] * len(origins)
         for column in (self.status, self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
-                       self.mec_due_epoch, self.mec_serve_epoch, self.d_net, self.pc_upf):
+                       self.mec_due_epoch, self.mec_serve_epoch, self.d_net):
             column.extend(unset)
-        self.n_share.extend([0] * len(origins))
-        self.pc_mec.extend([0.0] * len(origins))
 
         status = self.status
         assigned_upf, assigned_mec = self.assigned_upf, self.assigned_mec
         assign, admission = self._assign, self._admission
         mecs = self.mecs
-        link_sharers, num_mecs = self.link_sharers, len(mecs)
         mec_cost = self.mec_cost
         mec_prices = mec_cost.prices
-        pc_upf, n_share, pc_mec = self.pc_upf, self.n_share, self.pc_mec
         admitted = dropped_now = 0
         for rid, code, origin in zip(range(first, first + len(origins)), codes, origins):
             qos, cost, prices, buckets = admission[code]
             upf_id, mec_id = assign(qos, origin, self)
             assigned_upf[rid] = upf_id
+            assigned_mec[rid] = mec_id
             i = upf_id - 1
-            # the projection's inputs, recorded for dropped requests too; a
-            # class that ends at the UPF keeps n_share 0 and pc_mec 0.0
-            pc_upf[rid] = prices[i]
-            if mec_id is not None:
-                assigned_mec[rid] = mec_id
-                n_share[rid] = link_sharers[i * num_mecs + mec_id - 1]
-                pc_mec[rid] = mec_prices[mec_id - 1]
             bucket, queue, queue_cap, table = buckets[i]
             if len(queue) >= queue_cap:
                 status[rid] = _DROPPED
@@ -383,6 +371,7 @@ class SimulationRun:
         # holds it before stamping it: status only moves forward
         upf_serve_epoch, mec_due_epoch = self.upf_serve_epoch, self.mec_due_epoch
         d_net, link_transit, calendar = self.d_net, self.link_transit, self._calendar
+        link_sharers, num_mecs = self.link_sharers, len(mecs)
         completed_now = served_upf = 0
         for bucket, cost, idx, base in self._upf_slots:
             queue = bucket.queue

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -144,16 +144,126 @@ def arrival_epochs(run: SimulationRun) -> np.ndarray:
     return np.repeat(np.arange(run.epoch), counts)
 
 
+def _count_below(key: np.ndarray, at: np.ndarray, qkey: np.ndarray,
+                 qat: np.ndarray) -> np.ndarray:
+    """For each query, how many items have its key and an ``at`` below its ``qat``.
+
+    Keys and query times are ints >= 0.  An item time at or past every
+    query's counts for none, so it is capped there, which keeps the
+    composite ``key * width + at`` in one sorted array.  Queries sorted by
+    ``(qkey, qat)`` search it fastest.
+    """
+    width = int(qat.max(initial=0)) + 1
+    items = np.sort(key * width + np.minimum(at, width - 1).astype(np.int64))
+    base = qkey * width
+    return items.searchsorted(base + qat) - items.searchsorted(base)
+
+
+def _held(key: np.ndarray, arrival: np.ndarray, joined: np.ndarray, join_at: np.ndarray,
+          query_at: np.ndarray, left: np.ndarray, leave_at: np.ndarray) -> np.ndarray:
+    """For each row, how many rows of its key it found joined and not yet left.
+
+    All arrays but ``join_at`` and ``leave_at`` are over the rows in id
+    order.  The rows ``joined`` joined at ``join_at``, before a row whose
+    ``query_at`` is above that; the rows ``left`` left at epochs
+    ``leave_at``, before a row that arrived at a later epoch.  The
+    queries go in (key, id) order, which also sorts them by (key, time)
+    for ``_count_below``: ids and arrival epochs only grow with the id.
+    """
+    order = np.argsort(key * len(key) + np.arange(len(key)))
+    qkey = key[order]
+    held = np.empty(len(key), np.int64)
+    held[order] = (_count_below(key[joined], join_at, qkey, query_at[order])
+                   - _count_below(key[left], leave_at, qkey, arrival[order]))
+    return held
+
+
+def _priced(tables: Sequence[List[float]], key: np.ndarray, level: np.ndarray,
+            rows: np.ndarray, where: str) -> np.ndarray:
+    """Entry ``level`` of the price table ``tables[key]`` for each of the ``rows``.
+
+    A level outside its table raises ``InvariantError``, as
+    ``ServiceQueue`` never reads a table from its end.
+    """
+    lengths = np.fromiter(map(len, tables), np.intp, len(tables))
+    outside = (level < 0) | (level >= lengths[key])
+    if outside.any():
+        k = int(outside.argmax())
+        raise InvariantError(
+            f"request {rows[k]}: derived {where} queue length {level[k]} outside its "
+            f"price table of {lengths[key[k]]} entries"
+        )
+    flat = np.fromiter(chain.from_iterable(tables), float, int(lengths.sum()))
+    return flat[(lengths.cumsum() - lengths)[key] + level]
+
+
+def decision_inputs(run: SimulationRun) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What each request's decision read: ``(pc_upf, n_share, pc_mec)``, arrays in id order.
+
+    Admission records only the decision.  An epoch runs admission, UPF
+    service, delivery and MEC service in that order, queues are FIFO and
+    ids follow arrival order, so the queues a request decided in epoch e
+    (``arrival_epochs``) met follow from the stamps:
+
+    - its UPF bucket held the rows admitted to it with a smaller id, less
+      those it served before e, and ``pc_upf`` is that length's entry of
+      the bucket's price table (an admission drop is a dropped row with
+      no ``upf_serve_epoch``);
+    - its MEC held, queued or pending, the rows admitted upstream for it
+      with a smaller id, less those that left it before e: at their
+      ``mec_serve_epoch``, or at their ``mec_due_epoch`` if dropped at its
+      door; ``pc_mec`` is that length's entry of the MEC's table;
+    - ``n_share`` counts the rows on its link, those with
+      ``upf_serve_epoch < e <= mec_due_epoch``.
+
+    A class that ends at the UPF reads ``n_share`` 0 and ``pc_mec`` 0.0.
+    """
+    n = run.generated
+    arrival = arrival_epochs(run)
+    codes = np.frombuffer(run.qos, np.uint8)
+    upf = np.fromiter(run.assigned_upf, np.intp, n) - 1
+    served = np.fromiter(run.upf_serve_epoch, float, n)
+    dropped = np.fromiter(map(is_, run.status, repeat(RequestStatus.DROPPED)), np.bool_, n)
+    was_served = ~np.isnan(served)
+    admitted = was_served | ~dropped
+    bucket, ids = upf * len(QOS_BY_CODE) + codes, np.arange(n)
+    level = _held(bucket, arrival, admitted, np.flatnonzero(admitted), ids,
+                  was_served, served[was_served])
+    pc_upf = _priced([u[q].table for u in run.upfs for q in QOS_BY_CODE], bucket, level, ids,
+                     "UPF bucket")
+
+    # the rows of the classes that use a MEC, numbered 0, 1, ... in id order
+    at_mec = _USES_MEC[codes]
+    rows = np.flatnonzero(at_mec)
+    select, count = at_mec.tobytes(), len(rows)
+    mec = np.fromiter(compress(run.assigned_mec, select), np.intp, count) - 1
+    due = np.fromiter(compress(run.mec_due_epoch, select), float, count)
+    left = np.fromiter(compress(run.mec_serve_epoch, select), float, count)
+    door = dropped[at_mec] & ~np.isnan(due)
+    left[door] = due[door]
+    has_left = ~np.isnan(left)
+    arrival, admitted, served = arrival[at_mec], admitted[at_mec], served[at_mec]
+    level = _held(mec, arrival, admitted, np.flatnonzero(admitted), np.arange(count),
+                  has_left, left[has_left])
+    pc_mec = np.zeros(n)
+    pc_mec[rows] = _priced([m.table for m in run.mecs], mec, level, rows, "MEC")
+
+    crossed = ~np.isnan(served)
+    n_share = np.zeros(n, np.int64)
+    n_share[rows] = _held(upf[rows] * run.scenario.num_mecs + mec, arrival, crossed,
+                          served[crossed], arrival, crossed, due[crossed])
+    return pc_upf, n_share, pc_mec
+
+
 def projections(scenario: Scenario, upf: np.ndarray, mec: np.ndarray, pc_upf: np.ndarray,
                 n_share: np.ndarray, pc_mec: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The scheme's projected delays ``(proj_upf, proj_net, proj_mec, proj_e2e)`` in ms.
 
-    The arguments are admission's columns as arrays over the same rows,
-    the assigned ids as floats (nan for none).  ``proj_net`` is
-    ``net_delay``'s law in its order of operations on ``link_law``'s bytes
-    and bandwidth, 0.0 without a MEC; ``proj_e2e`` is
-    ``(proj_upf + proj_net) + proj_mec``.  A row before its decision
-    (``pc_upf`` nan) is nan in all four.
+    The arguments are arrays over the same rows: the assigned ids as
+    floats (nan for none) and what the decision read
+    (``decision_inputs``).  ``proj_net`` is ``net_delay``'s law in its
+    order of operations on ``link_law``'s bytes and bandwidth, 0.0 without
+    a MEC; ``proj_e2e`` is ``(proj_upf + proj_net) + proj_mec``.
     """
     law = np.array([[link_law(scenario, i, j) for j in range(scenario.num_mecs)]
                     for i in range(scenario.num_upfs)])
@@ -163,8 +273,6 @@ def projections(scenario: Scenario, upf: np.ndarray, mec: np.ndarray, pc_upf: np
     proj_net = np.zeros(len(pc_upf))
     proj_net[linked] = n_share[linked] * bytes_per_ue * 8.0 / bandwidth
     proj_mec = np.array(pc_mec, float)
-    undecided = np.isnan(pc_upf)
-    proj_net[undecided] = proj_mec[undecided] = np.nan
     return pc_upf, proj_net, proj_mec, (pc_upf + proj_net) + proj_mec
 
 
@@ -516,14 +624,25 @@ def write_cdf_csv(cdf: CdfTable, path: str) -> None:
             w.writerow([_fmt(v), _fmt(p)])
 
 
+def _cells(column: np.ndarray):
+    """A float column's cells: ``repr`` of each value, blank for nan.
+
+    Each distinct bit pattern is formatted once, then looked up per row:
+    most columns repeat few values.
+    """
+    patterns, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = [repr(x) if x == x else "" for x in patterns.view(np.float64).tolist()]
+    return map(text.__getitem__, inverse.tolist())
+
+
 def write_events_csv(run: SimulationRun, path: str) -> None:
     """One row per request in id order: its record, measured delays and the scheme's projection.
 
     A measured cell is blank until a stage stamps it: ``d_upf`` until UPF
     service, ``d_net`` until link entry, ``d_mec`` and ``d_e2e`` until the
     request completes.  A completed request of a class that ends at the
-    UPF spent 0.0 ms on a link and at a MEC.  The projection
-    (``projections``) is blank before the decision.
+    UPF spent 0.0 ms on a link and at a MEC.  The projection is
+    ``projections`` of ``decision_inputs``.
     """
     cols = [
         "id", "qos", "origin_upf", "arrival_epoch", "assigned_upf", "assigned_mec",
@@ -536,14 +655,12 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
     d_mec = d_net.copy()
     d_net[d.uses_mec], d_mec[d.uses_mec] = d.d_net, d.d_mec
     proj = projections(run.scenario, d.rows(run.assigned_upf, float),
-                       d.rows(run.assigned_mec, float), d.rows(run.pc_upf, float),
-                       d.rows(run.n_share), d.rows(run.pc_mec, float))
+                       d.rows(run.assigned_mec, float), *decision_inputs(run))
     columns = [
         range(run.generated), map(_QOS_NAMES.__getitem__, run.qos), run.origin_upf,
         d.arrival.tolist(), run.assigned_upf, run.assigned_mec,
         map(_STATUS_NAMES.__getitem__, run.status),
-        *([repr(x) if x == x else "" for x in a.tolist()]
-          for a in (d.d_upf, d_net, d_mec, d.d_e2e, *proj)),
+        *map(_cells, (d.d_upf, d_net, d_mec, d.d_e2e, *proj)),
     ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -4,8 +4,8 @@ Each scheme is called with a request's QoS class, its origin UPF id and
 the run.  It reads the run's cost vectors (the projected delay of joining
 every UPF bucket of the request's class, and every MEC, now) and only
 chooses: it returns a plain ``(upf_id, mec_id)`` tuple, ``mec_id`` None
-for a class that ends at the UPF.  The engine applies the choice, records
-the inputs of the scheme's projection and keeps the vectors current.
+for a class that ends at the UPF.  The engine applies and records the
+choice and keeps the vectors current.
 Decisions never mutate state.  A bestfit choice is the vector's ``best``,
 the first minimum the vector keeps itself, so ties break toward the lowest
 index and results are deterministic for identical states.

@@ -139,8 +139,9 @@ class Projection(NamedTuple):
 def decide(run, qos, origin_upf, scheme):
     """Apply a scheme to one request as admission does, without recording or queueing it.
 
-    Reads the prices and the link's sharers that admission would record
-    and derives the projection from them with ``metrics.projections``, on
+    Reads the prices and the link's sharers the decision reads now
+    (``metrics.decision_inputs`` derives them for a finished run) and
+    derives the projection from them with ``metrics.projections``, on
     one-element arrays; the run does not change.  Returns (upf_id, mec_id,
     the ``Projection``).
     """
@@ -170,8 +171,7 @@ def reprice(run) -> None:
 
 # the columns of a new arrival's row before its decision, but qos and origin_upf
 UNDECIDED = dict(status=None, assigned_upf=None, assigned_mec=None, upf_serve_epoch=None,
-                 mec_due_epoch=None, mec_serve_epoch=None, d_net=None, pc_upf=None,
-                 n_share=0, pc_mec=0.0)
+                 mec_due_epoch=None, mec_serve_epoch=None, d_net=None)
 
 
 def append_row(run, qos, origin_upf, **fields) -> int:

@@ -6,10 +6,12 @@ the delay laws of ``upfmec.delay`` and the queue sizes of a freshly built
 plainly as possible: one dict per request, a plain list per queue, every
 price computed from ``(len + pending, c)`` at each decision with a Python
 loop over the candidates, every queue served each epoch and every link
-scanned in (i, j) order.  ``reference_run(scenario)`` returns the 12
-record columns, the epoch reports and each request's arrival epoch, which
-the engine and ``metrics.arrival_epochs`` must equal.  A class is kept as
-its code, its index in ``SERVICE_ORDER`` (``list(QosClass)``).
+scanned in (i, j) order.  ``reference_run(scenario)`` returns the 9
+record columns, the 3 inputs each decision read, recorded when it was
+made, the epoch reports and each request's arrival epoch, which the
+engine, ``metrics.decision_inputs`` and ``metrics.arrival_epochs`` must
+equal.  A class is kept as its code, its index in ``SERVICE_ORDER``
+(``list(QosClass)``).
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from upfmec.model import QosClass, RequestStatus, Scheme
 
 COLUMNS = (
     "qos", "origin_upf", "status", "assigned_upf", "assigned_mec",
-    "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch", "d_net", "pc_upf", "n_share", "pc_mec",
+    "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch", "d_net",
 )
+# what each decision read: the UPF price, the chosen link's sharers, the MEC price
+INPUTS = ("pc_upf", "n_share", "pc_mec")
 SERVICE_ORDER = list(QosClass)
 REPORT_ORDER = sorted(QosClass, key=lambda q: q.value)
 
@@ -186,12 +190,13 @@ class Reference:
 
 
 def reference_run(scenario):
-    """A naive run of scenario: its 12 record columns, epoch reports and arrival epochs.
+    """A naive run of scenario: its record columns and decision inputs, reports and arrivals.
 
-    The columns are {name: list}, but ``qos`` is bytes of class codes, as
-    the engine keeps it; the arrival epochs are a list in id order.
+    The columns are {name: list} over ``COLUMNS`` and ``INPUTS``, but
+    ``qos`` is bytes of class codes, as the engine keeps it; the arrival
+    epochs are a list in id order.
     """
     ref = Reference(scenario).run()
-    columns = {c: [r[c] for r in ref.requests] for c in COLUMNS}
+    columns = {c: [r[c] for r in ref.requests] for c in COLUMNS + INPUTS}
     columns["qos"] = bytes(columns["qos"])
     return columns, ref.reports, [r["arrival_epoch"] for r in ref.requests]

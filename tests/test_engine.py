@@ -24,6 +24,7 @@ from upfmec.metrics import (
     arrival_epochs,
     build_pair_scenario,
     completed_e2e,
+    decision_inputs,
     stage_delay,
     summarize,
     write_events_csv,
@@ -31,7 +32,7 @@ from upfmec.metrics import (
 from upfmec.model import QOS_BY_CODE, QosClass, RequestStatus, ScenarioError, Scheme, TrafficSpec
 
 from conftest import codes, make_scenario, small_scenarios
-from reference_engine import COLUMNS, reference_run
+from reference_engine import COLUMNS, INPUTS, reference_run
 
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
 ALL_REGULAR = {QosClass.URLLC: 0.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 1.0}
@@ -470,13 +471,14 @@ def test_completed_delays_respect_stage_minimums(campus5):
 def test_upf_price_undershoots_fcfs_service_by_under_one_epoch(campus5, scheme):
     # at integer capacity c, a request that finds q ahead is priced
     # max(1, (q + 1) / c) epochs and served after ceil((q + 1) / c), so its
-    # measured d_upf exceeds the recorded price by 0 to (1 - 1/c) epochs; the
-    # price is a float, so the bounds allow its rounding
+    # measured d_upf exceeds the price its decision read by 0 to (1 - 1/c)
+    # epochs; the price is a float, so the bounds allow its rounding
     res = run_to_completion(replace(campus5, scheme=scheme), seed=1)
     delta, tol = res.delta, 1e-9
     errors = []
+    prices = decision_inputs(res)[0].tolist()
     for qos, upf, arrival, serve, price in zip(
-        classes_by_id(res), res.assigned_upf, arrivals_by_id(res), res.upf_serve_epoch, res.pc_upf
+        classes_by_id(res), res.assigned_upf, arrivals_by_id(res), res.upf_serve_epoch, prices
     ):
         if serve is None:
             continue
@@ -534,13 +536,13 @@ def test_recorded_prices_are_floats_for_an_integer_delta(tmp_path):
     # whatever delta_ms's type
     s = make_scenario(scheme=Scheme.BESTFIT_UPF_MEC, lam=6.0, horizon=4, delta=1)
     res = run_to_completion(s)
-    assert res.pc_upf and all(type(pc_upf) is float for pc_upf in res.pc_upf)
-    assert all(type(pc_mec) is float for pc_mec in res.pc_mec)
     path = tmp_path / "events.csv"
     write_events_csv(res, str(path))
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
     delays = [cell for row in rows for cell in row[header.index("d_upf_ms"):] if cell]
     assert len(rows) == res.generated and len(delays) >= 8 * res.completed > 0
+    # every request's projection is printed, whatever became of the request
+    assert all(all(row[header.index("proj_upf_ms"):]) for row in rows)
     assert all("." in cell for cell in delays)
 
 
@@ -687,14 +689,33 @@ def test_runs_equal_the_naive_reference_engine(base, rectangular, cap):
     # queue lengths included, equal those of tests/reference_engine.py, also
     # on runs the drain cap stops
     for s in [replace(base, scheme=scheme) for scheme in Scheme] + [rectangular]:
-        scenario = replace(s, drain_cap_epochs=cap)
-        run = run_to_completion(scenario)
-        columns, reports, arrivals = reference_run(scenario)
-        for column in COLUMNS:
-            assert getattr(run, column) == columns[column], column
-        assert run.epoch_reports == reports
-        # the one derivation of the arrival epochs, from the reports
-        assert arrival_epochs(run).tolist() == arrivals
+        assert_run_is_the_reference(replace(s, drain_cap_epochs=cap))
+
+
+def test_mec_door_drops_equal_the_naive_reference_engine(campus5):
+    # MECs capped at 5 drop transfers at their door, which leave the MEC's
+    # count at their due epoch, not at a service stamp
+    scenario = replace(campus5, mecs=[replace(m, queue_cap=5) for m in campus5.mecs])
+    run = assert_run_is_the_reference(scenario)
+    door = [due for st, due in zip(run.status, run.mec_due_epoch)
+            if st is RequestStatus.DROPPED and due is not None]
+    assert len(door) > 100
+
+
+def assert_run_is_the_reference(scenario) -> SimulationRun:
+    """The engine's run of scenario equals the naive reference's; the run."""
+    run = run_to_completion(scenario)
+    columns, reports, arrivals = reference_run(scenario)
+    for column in COLUMNS:
+        assert getattr(run, column) == columns[column], column
+    # what each decision read, derived from the stamps and price tables,
+    # equals what the reference recorded when it decided, bit for bit
+    for name, derived in zip(INPUTS, decision_inputs(run)):
+        assert derived.tobytes() == np.array(columns[name], derived.dtype).tobytes(), name
+    assert run.epoch_reports == reports
+    # the one derivation of the arrival epochs, from the reports
+    assert arrival_epochs(run).tolist() == arrivals
+    return run
 
 
 def _assert_little_identities(run: SimulationRun) -> None:

@@ -21,6 +21,7 @@ from upfmec.metrics import (
     capex_analysis,
     capex_sweep,
     completed_e2e,
+    decision_inputs,
     percentile_nearest_rank,
     projections,
     report_path,
@@ -166,9 +167,10 @@ def test_rows_no_report_counts_raise_a_named_error():
     run.step_epoch()
     run.step_epoch()
     append_row(run, QosClass.URLLC, 1)
-    with pytest.raises(InvariantError,
-                       match="^epoch reports count 4 arrivals, the run holds 5 requests$"):
-        summarize(run)
+    for derivation in (summarize, decision_inputs):
+        with pytest.raises(InvariantError,
+                           match="^epoch reports count 4 arrivals, the run holds 5 requests$"):
+            derivation(run)
 
 
 def test_cdf_steps():
@@ -294,38 +296,24 @@ def test_capex_analysis_handles_degenerate_columns():
 # ----------------------------------------------------------------- projection
 
 
-def composed(run, rid):
-    """Request rid's projection, composed per row with ``net_delay``; None before its decision."""
-    pc_upf, mec_id, pc_mec = run.pc_upf[rid], run.assigned_mec[rid], run.pc_mec[rid]
-    if pc_upf is None:
-        return None
-    d_net = 0.0
+def composed(run, inputs, rid):
+    """Request rid's projection, composed per row with ``net_delay`` from ``decision_inputs``."""
+    pc_upf, n_share, pc_mec = (column[rid].item() for column in inputs)
+    d_net, mec_id = 0.0, run.assigned_mec[rid]
     if mec_id is not None:
         law = link_law(run.scenario, run.assigned_upf[rid] - 1, mec_id - 1)
-        d_net = net_delay(run.n_share[rid], *law)
+        d_net = net_delay(n_share, *law)
     return pc_upf, d_net, pc_mec, (pc_upf + d_net) + pc_mec
 
 
-def run_projections(run):
-    """``projections`` on every row of the run, from its columns (None read as nan)."""
-    column = {name: np.array(getattr(run, name), float)
-              for name in ("assigned_upf", "assigned_mec", "pc_upf", "pc_mec")}
-    return projections(run.scenario, column["assigned_upf"], column["assigned_mec"],
-                       column["pc_upf"], np.array(run.n_share), column["pc_mec"])
-
-
 def assert_projections_are_the_composition(run):
-    """Every decided row equals the per-row composition bit for bit; others are nan."""
-    # rows appended by hand after the run: no decision reaches them
-    for code, origin in ((0, 1), (len(QOS_BY_CODE) - 1, run.scenario.num_upfs)):
-        append_row(run, QOS_BY_CODE[code], origin)
-    rows = np.stack(run_projections(run), axis=1)
+    """``projections`` of every row equals the per-row composition bit for bit."""
+    inputs = decision_inputs(run)
+    # the assigned ids as floats, None read as nan
+    upf, mec = (np.array(getattr(run, name), float) for name in ("assigned_upf", "assigned_mec"))
+    rows = np.stack(projections(run.scenario, upf, mec, *inputs), axis=1)
     for rid, row in enumerate(rows):
-        expected = composed(run, rid)
-        if expected is None:
-            assert np.isnan(row).all()
-            continue
-        assert row.tobytes() == np.array(expected).tobytes(), rid
+        assert row.tobytes() == np.array(composed(run, inputs, rid)).tobytes(), rid
         if not QOS_BY_CODE[run.qos[rid]].uses_mec:
             assert row[1] == row[2] == 0.0
 
@@ -348,6 +336,26 @@ def test_campus5_projections_equal_the_per_row_composition(campus5, metro, schem
     assert_projections_are_the_composition(run_to_completion(scenario))
 
 
+@pytest.mark.parametrize("stamps, message", [
+    # request 1 served one epoch before it arrived: its bucket held -1 requests
+    ({1: 0}, "request 1: derived UPF bucket queue length -1 outside its price table of 2 entries"),
+    # requests 0 and 1 served only at epoch 2: request 2 met a queue of 2,
+    # a length the bucket never priced
+    ({0: 2, 1: 2}, "request 2: derived UPF bucket queue length 2 outside its price table "
+                   "of 2 entries"),
+])
+def test_a_derived_length_outside_its_price_table_raises_a_named_error(stamps, message):
+    # one regular request per epoch, each served in the epoch it arrives
+    regular = dict.fromkeys(QosClass, 0.0) | {QosClass.REGULAR: 1.0}
+    run = run_to_completion(make_scenario(num_upfs=1, lam=1.0, horizon=3, qos_mix=regular))
+    assert run.upf_serve_epoch == [0, 1, 2]
+    assert len(run.upfs[0][QosClass.REGULAR].table) == 2
+    for rid, epoch in stamps.items():
+        run.upf_serve_epoch[rid] = epoch
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        decision_inputs(run)
+
+
 # ---------------------------------------------------------------- file output
 
 
@@ -358,7 +366,7 @@ def _cell(x) -> str:
 def reference_events_csv(run, path: str) -> None:
     """``events.csv`` written one row at a time with the per-row laws and formatting."""
     arrivals = [rep.epoch for rep in run.epoch_reports for _ in range(rep.arrivals)]
-    delta = run.delta
+    delta, inputs = run.delta, decision_inputs(run)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([
@@ -381,7 +389,7 @@ def reference_events_csv(run, path: str) -> None:
                 rid, qos.value, run.origin_upf[rid], arrival, _cell(run.assigned_upf[rid]),
                 _cell(run.assigned_mec[rid]), status.name.lower(),
                 *map(_cell, (d_upf, d_net, d_mec, d_e2e)),
-                *map(_cell, composed(run, rid) or (None,) * 4),
+                *map(_cell, composed(run, inputs, rid)),
             ])
 
 

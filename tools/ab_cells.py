@@ -60,7 +60,9 @@ def cell_sets(src, model, metrics, events_path):
         "metro at 50 pairs": [(replace(pairs(metro, 50), scheme=s.BESTFIT_UPF_MEC), *summary)],
         "campus5 x 4 schemes": [(replace(campus5, scheme=x), *summary) for x in s],
         "event log": [(replace(campus5, scheme=s.BASELINE), write_events, events),
-                      (replace(pairs(metro, 1), drain_cap_epochs=0), write_events, events)],
+                      (replace(pairs(metro, 1), drain_cap_epochs=0), write_events, events),
+                      (replace(pairs(metro, 50), scheme=s.BESTFIT_UPF_MEC), write_events,
+                       events)],
     }
 
 
