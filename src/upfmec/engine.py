@@ -17,18 +17,18 @@ share the service law and the price table.  A request that finds its
 queue at ``queue_cap`` is dropped; a queue whose scenario states no cap
 is unbounded (``UNBOUNDED``).
 
-The run keeps the cost vectors the schemes read, each a
-``model.CostVector``: ``upf_cost[q].prices[i]`` is the price of UPF i+1's
-bucket of class q and ``mec_cost.prices[j]`` that of MEC j+1.  They are
-priced once when the run is built and then repriced only where a queue
-changes: an admission reprices the bucket and the MEC it touched, a UPF
-bucket is repriced after its service, and a MEC after its own service,
-which follows every change the link phase makes to it (a drop at its door
-lowers ``pending``, but only when its queue is full).  Each repricing
-reads the queue's price table inline, guarded as ``ServiceQueue.price``
-reads it, and writes only a price that moved: a ``set`` of an equal price
-changes neither the prices nor ``best``.  So the vectors always equal a
-fresh pricing.  Only ``step_epoch`` changes a run.
+The run keeps the cost vectors its scheme reads (``schemes.SCHEMES``),
+each a ``model.CostVector``: ``upf_cost[q].prices[i]`` prices UPF i+1's
+bucket of class q and ``mec_cost.prices[j]`` MEC j+1 (None where unread:
+``baseline`` keeps neither, ``bestfit_upf_mec`` both, the other bestfits
+``upf_cost``).  A kept vector is priced when the run is built and then
+repriced only where a queue changes: an admission reprices the bucket and
+the MEC it touched, a UPF bucket is repriced after its service, and a MEC
+after its own service, which follows every change the link phase makes
+to it (a drop at its door lowers ``pending``, but only when its queue is
+full).  A repricing reads the table inline, guarded as ``price`` reads it,
+and writes only a moved price: a kept vector equals a fresh pricing.  MEC
+``pending`` is counted under every scheme.  Only ``step_epoch`` changes a run.
 
 Admission records only the decision (``status``, ``assigned_upf`` and
 ``assigned_mec``), not what the scheme's projection was made of: the
@@ -79,7 +79,7 @@ from .model import (
     TrafficSpec,
     validate_scenario,
 )
-from .schemes import SCHEME_FUNCS
+from .schemes import SCHEME_FUNCS, SCHEMES
 
 DEFAULT_DRAIN_FACTOR = 10  # drain cap defaults to this many horizons
 
@@ -238,6 +238,7 @@ class SimulationRun:
         self.rng = np.random.default_rng(scenario.seed)
         self._origin_cdf, self._class_cdf = arrival_cdfs(scenario.traffic)
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
+        _, reads_upf, reads_mec = SCHEMES[scenario.scheme.value]
         # a queue whose scenario states no cap is UNBOUNDED (a stated cap is >= 1)
         delta = self.delta
         no_caps = dict.fromkeys(QosClass, UNBOUNDED)
@@ -269,15 +270,16 @@ class SimulationRun:
         self.epoch_reports: List[EpochReport] = []
         self.completed = 0
         self.dropped = 0
-        self.upf_cost: Dict[QosClass, CostVector] = {
-            q: CostVector([u[q].price() for u in self.upfs]) for q in QosClass
+        self.upf_cost: Dict[QosClass, Optional[CostVector]] = {
+            q: CostVector([u[q].price() for u in self.upfs]) if reads_upf else None
+            for q in QosClass
         }
-        self.mec_cost = CostVector([m.price() for m in self.mecs])
+        self.mec_cost = CostVector([m.price() for m in self.mecs]) if reads_mec else None
         # what admission reads of a request's class, by class code: the class,
-        # its cost vector and that vector's prices, and per UPF index the
+        # its cost vector and prices (None if unread), and per UPF index the
         # class's bucket, the bucket's deque, queue cap and price table
         self._admission = tuple(
-            (q, self.upf_cost[q], self.upf_cost[q].prices,
+            (q, self.upf_cost[q], self.upf_cost[q] and self.upf_cost[q].prices,
              tuple((u[q], u[q].queue, u[q].queue_cap, u[q].table) for u in self.upfs))
             for q in QOS_BY_CODE
         )
@@ -285,7 +287,7 @@ class SimulationRun:
         # the cost vector entry that prices it and the base that a MEC id
         # turns into a link index (None for a class that ends at the UPF);
         # link-entry order sets link sharing and MEC FCFS order
-        self._upf_slots: List[Tuple[ServiceQueue, CostVector, int, Optional[int]]] = [
+        self._upf_slots: List[Tuple[ServiceQueue, Optional[CostVector], int, Optional[int]]] = [
             (u[q], self.upf_cost[q], i, i * len(self.mecs) - 1 if q.uses_mec else None)
             for i, u in enumerate(self.upfs)
             for q in QosClass
@@ -334,7 +336,7 @@ class SimulationRun:
         assign, admission = self._assign, self._admission
         mecs = self.mecs
         mec_cost = self.mec_cost
-        mec_prices = mec_cost.prices
+        mec_prices = mec_cost and mec_cost.prices
         admitted = dropped_now = 0
         for rid, code, origin in zip(range(first, first + len(origins)), codes, origins):
             qos, cost, prices, buckets = admission[code]
@@ -349,19 +351,21 @@ class SimulationRun:
             else:
                 status[rid] = _IN_UPF_QUEUE
                 queue.append(rid)
-                q = len(queue) + bucket.pending
-                p = table[q] if 0 <= q < len(table) else bucket.fill(q)
-                if p != prices[i]:
-                    cost.set(i, p)
+                if cost is not None:
+                    q = len(queue) + bucket.pending
+                    p = table[q] if 0 <= q < len(table) else bucket.fill(q)
+                    if p != prices[i]:
+                        cost.set(i, p)
                 admitted += 1
                 if mec_id is not None:
                     mec = mecs[mec_id - 1]
                     mec.pending = pending = mec.pending + 1
-                    q = len(mec.queue) + pending
-                    table = mec.table
-                    p = table[q] if 0 <= q < len(table) else mec.fill(q)
-                    if p != mec_prices[mec_id - 1]:
-                        mec_cost.set(mec_id - 1, p)
+                    if mec_cost is not None:
+                        q = len(mec.queue) + pending
+                        table = mec.table
+                        p = table[q] if 0 <= q < len(table) else mec.fill(q)
+                        if p != mec_prices[mec_id - 1]:
+                            mec_cost.set(mec_id - 1, p)
         if admitted + dropped_now != len(origins):
             raise InvariantError(
                 f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(origins)}"
@@ -411,11 +415,12 @@ class SimulationRun:
                         day[k] = [rid]
                     else:
                         on_link.append(rid)
-            q = len(queue) + bucket.pending
-            table = bucket.table
-            p = table[q] if 0 <= q < len(table) else bucket.fill(q)
-            if p != cost.prices[idx]:
-                cost.set(idx, p)
+            if cost is not None:
+                q = len(queue) + bucket.pending
+                table = bucket.table
+                p = table[q] if 0 <= q < len(table) else bucket.fill(q)
+                if p != cost.prices[idx]:
+                    cost.set(idx, p)
             served_upf += n
 
         # a transfer reaches its MEC exactly at its due epoch; deliveries go
@@ -456,11 +461,12 @@ class SimulationRun:
                     raise _stage_error(rid, status[rid], _IN_MEC_QUEUE)
                 mec_serve_epoch[rid] = epoch
                 status[rid] = _COMPLETED
-            q = len(queue) + m.pending
-            table = m.table
-            p = table[q] if 0 <= q < len(table) else m.fill(q)
-            if p != mec_prices[j]:
-                mec_cost.set(j, p)
+            if mec_cost is not None:
+                q = len(queue) + m.pending
+                table = m.table
+                p = table[q] if 0 <= q < len(table) else m.fill(q)
+                if p != mec_prices[j]:
+                    mec_cost.set(j, p)
             served_mec += n
         completed_now += served_mec
 

@@ -34,6 +34,7 @@ from .model import (
     Scenario,
     ScenarioError,
     Scheme,
+    ServiceQueue,
     validate_scenario,
 )
 
@@ -178,22 +179,18 @@ def _held(key: np.ndarray, arrival: np.ndarray, joined: np.ndarray, join_at: np.
     return held
 
 
-def _priced(tables: Sequence[List[float]], key: np.ndarray, level: np.ndarray,
+def _priced(queues: Sequence[ServiceQueue], key: np.ndarray, level: np.ndarray,
             rows: np.ndarray, where: str) -> np.ndarray:
-    """Entry ``level`` of the price table ``tables[key]`` for each of the ``rows``.
-
-    A level outside its table raises ``InvariantError``, as
-    ``ServiceQueue`` never reads a table from its end.
-    """
-    lengths = np.fromiter(map(len, tables), np.intp, len(tables))
-    outside = (level < 0) | (level >= lengths[key])
-    if outside.any():
-        k = int(outside.argmax())
-        raise InvariantError(
-            f"request {rows[k]}: derived {where} queue length {level[k]} outside its "
-            f"price table of {lengths[key[k]]} entries"
-        )
-    flat = np.fromiter(chain.from_iterable(tables), float, int(lengths.sum()))
+    """Entry ``level`` of ``queues[key]``'s price table, filled that far, for each row."""
+    if level.min(initial=0) < 0:
+        k = int(level.argmin())
+        raise InvariantError(f"request {rows[k]}: derived {where} queue length {level[k]} below 0")
+    top = np.zeros(len(queues), np.int64)
+    np.maximum.at(top, key, level)
+    for sq, t in zip(queues, top.tolist()):
+        sq.fill(t)
+    lengths = np.fromiter((len(sq.table) for sq in queues), np.intp, len(queues))
+    flat = np.fromiter(chain.from_iterable(sq.table for sq in queues), float, int(lengths.sum()))
     return flat[(lengths.cumsum() - lengths)[key] + level]
 
 
@@ -207,8 +204,8 @@ def decision_inputs(run: SimulationRun) -> Tuple[np.ndarray, np.ndarray, np.ndar
 
     - its UPF bucket held the rows admitted to it with a smaller id, less
       those it served before e, and ``pc_upf`` is that length's entry of
-      the bucket's price table (an admission drop is a dropped row with
-      no ``upf_serve_epoch``);
+      the bucket's price table (an admission drop, a dropped row with no
+      ``upf_serve_epoch``, met it at its ``queue_cap``, an admitted row below);
     - its MEC held, queued or pending, the rows admitted upstream for it
       with a smaller id, less those that left it before e: at their
       ``mec_serve_epoch``, or at their ``mec_due_epoch`` if dropped at its
@@ -229,8 +226,14 @@ def decision_inputs(run: SimulationRun) -> Tuple[np.ndarray, np.ndarray, np.ndar
     bucket, ids = upf * len(QOS_BY_CODE) + codes, np.arange(n)
     level = _held(bucket, arrival, admitted, np.flatnonzero(admitted), ids,
                   was_served, served[was_served])
-    pc_upf = _priced([u[q].table for u in run.upfs for q in QOS_BY_CODE], bucket, level, ids,
-                     "UPF bucket")
+    buckets = [u[q] for u in run.upfs for q in QOS_BY_CODE]
+    pc_upf = _priced(buckets, bucket, level, ids, "UPF bucket")
+    cap = np.array([b.queue_cap for b in buckets], np.int64)[bucket]
+    broken = np.where(admitted, level >= cap, level != cap)
+    if broken.any():
+        k = int(broken.argmax())
+        raise InvariantError(f"request {k}: derived UPF bucket queue length {level[k]} breaks its "
+                             f"queue cap of {cap[k]} ({'admitted' if admitted[k] else 'dropped'})")
 
     # the rows of the classes that use a MEC, numbered 0, 1, ... in id order
     at_mec = _USES_MEC[codes]
@@ -246,7 +249,7 @@ def decision_inputs(run: SimulationRun) -> Tuple[np.ndarray, np.ndarray, np.ndar
     level = _held(mec, arrival, admitted, np.flatnonzero(admitted), np.arange(count),
                   has_left, left[has_left])
     pc_mec = np.zeros(n)
-    pc_mec[rows] = _priced([m.table for m in run.mecs], mec, level, rows, "MEC")
+    pc_mec[rows] = _priced(run.mecs, mec, level, rows, "MEC")
 
     crossed = ~np.isnan(served)
     n_share = np.zeros(n, np.int64)

@@ -5,7 +5,8 @@ the run.  It reads the run's cost vectors (the projected delay of joining
 every UPF bucket of the request's class, and every MEC, now) and only
 chooses: it returns a plain ``(upf_id, mec_id)`` tuple, ``mec_id`` None
 for a class that ends at the UPF.  The engine applies and records the
-choice and keeps the vectors current.
+choice and keeps current the vectors the scheme reads (``SCHEMES``):
+``baseline`` none, ``bestfit_upf_mec`` both, the other two the UPF's.
 Decisions never mutate state.  A bestfit choice is the vector's ``best``,
 the first minimum the vector keeps itself, so ties break toward the lowest
 index and results are deterministic for identical states.
@@ -47,9 +48,12 @@ def assign_bestfit_upf_mec(qos, origin_upf, run) -> Tuple[int, Optional[int]]:
     return run.upf_cost[qos].best + 1, (run.mec_cost.best + 1 if qos.uses_mec else None)
 
 
-SCHEME_FUNCS = {
-    "baseline": assign_baseline,
-    "bestfit_upf_no_pe": assign_bestfit_no_pe,
-    "bestfit_upf_pe": assign_bestfit_pe,
-    "bestfit_upf_mec": assign_bestfit_upf_mec,
+# each scheme's function and whether it reads the UPF and the MEC cost vectors
+SCHEMES = {
+    "baseline": (assign_baseline, False, False),
+    "bestfit_upf_no_pe": (assign_bestfit_no_pe, True, False),
+    "bestfit_upf_pe": (assign_bestfit_pe, True, False),
+    "bestfit_upf_mec": (assign_bestfit_upf_mec, True, True),
 }
+# the functions alone, which a run calls through (perfbench's tracer wraps them)
+SCHEME_FUNCS = {name: fn for name, (fn, _, _) in SCHEMES.items()}

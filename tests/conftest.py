@@ -87,15 +87,19 @@ def small_scenarios(draw, rectangular=False):
         weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
         return [w / sum(weights) for w in weights]
 
+    # about half the scenarios load MECs of small capacity and cap for at
+    # least 4 epochs, so that transfers drop at a MEC's door and later
+    # decisions at that MEC read the drop
+    tight = draw(st.booleans())
     s = make_scenario(
         num_upfs=n,
         num_mecs=num_mecs,
         scheme=Scheme.BESTFIT_UPF_MEC if rectangular else Scheme.BASELINE,
-        lam=draw(st.floats(0.0, 6.0)),
+        lam=draw(st.floats(3.0 if tight else 0.0, 6.0)),
         process=draw(st.sampled_from(["poisson", "deterministic"])),
         skew=dist(n),
         qos_mix=dict(zip(QosClass, dist(4))),
-        horizon=draw(st.integers(1, 8)),
+        horizon=draw(st.integers(4 if tight else 1, 8)),
         delta=draw(st.sampled_from([0.5, 1.0, 2.0])),
         seed=draw(st.integers(0, 2**16)),
     )
@@ -104,8 +108,8 @@ def small_scenarios(draw, rectangular=False):
         if draw(st.booleans()):
             u.queue_cap = {q: draw(st.integers(1, 8)) for q in QosClass}
     for m in s.mecs:
-        m.capacity = draw(st.floats(0.5, 8.0))
-        m.queue_cap = draw(st.none() | st.integers(1, 8))
+        m.capacity = draw(st.floats(0.5, 2.0 if tight else 8.0))
+        m.queue_cap = draw(st.integers(1, 3) if tight else st.none() | st.integers(1, 8))
     s.link_bandwidth_mbps = [
         [draw(st.floats(5.0, 50.0)) for _ in range(num_mecs)] for _ in range(n)
     ]
@@ -142,31 +146,36 @@ def decide(run, qos, origin_upf, scheme):
     Reads the prices and the link's sharers the decision reads now
     (``metrics.decision_inputs`` derives them for a finished run) and
     derives the projection from them with ``metrics.projections``, on
-    one-element arrays; the run does not change.  Returns (upf_id, mec_id,
-    the ``Projection``).
+    one-element arrays; the run does not change.  A tier whose cost vector
+    the run does not keep is priced from its queue (``ServiceQueue.price``).
+    Returns (upf_id, mec_id, the ``Projection``).
     """
     upf_id, mec_id = scheme(qos, origin_upf, run)
     n_share, pc_mec = 0, 0.0
     if mec_id is not None:
         n_share = run.link_sharers[link_index(run, upf_id, mec_id)]
-        pc_mec = run.mec_cost.prices[mec_id - 1]
-    pc_upf = run.upf_cost[qos].prices[upf_id - 1]
+        pc_mec = (run.mecs[mec_id - 1].price() if run.mec_cost is None
+                  else run.mec_cost.prices[mec_id - 1])
+    pc_upf = (run.upfs[upf_id - 1][qos].price() if run.upf_cost[qos] is None
+              else run.upf_cost[qos].prices[upf_id - 1])
     columns = [np.array([upf_id], float), np.array([mec_id], float), np.array([pc_upf]),
                np.array([n_share]), np.array([pc_mec])]
     return upf_id, mec_id, Projection(*(a.item() for a in projections(run.scenario, *columns)))
 
 
 def reprice(run) -> None:
-    """Write every entry of the run's cost vectors from its queues now: a fresh pricing.
+    """Write every entry of the cost vectors the run keeps from its queues now: a fresh pricing.
 
     For tests that edit queues, ``pending`` or link sharers by hand; a
     stepping run reprices only what it changed.
     """
     for q, cost in run.upf_cost.items():
-        for i, u in enumerate(run.upfs):
-            cost.set(i, u[q].price())
-    for j, m in enumerate(run.mecs):
-        run.mec_cost.set(j, m.price())
+        if cost is not None:
+            for i, u in enumerate(run.upfs):
+                cost.set(i, u[q].price())
+    if run.mec_cost is not None:
+        for j, m in enumerate(run.mecs):
+            run.mec_cost.set(j, m.price())
 
 
 # the columns of a new arrival's row before its decision, but qos and origin_upf

@@ -29,7 +29,17 @@ from upfmec.metrics import (
     summarize,
     write_events_csv,
 )
-from upfmec.model import QOS_BY_CODE, QosClass, RequestStatus, ScenarioError, Scheme, TrafficSpec
+from upfmec.model import (
+    QOS_BY_CODE,
+    CostVector,
+    QosClass,
+    RequestStatus,
+    ScenarioError,
+    Scheme,
+    ServiceQueue,
+    TrafficSpec,
+)
+from upfmec.schemes import SCHEMES
 
 from conftest import codes, make_scenario, small_scenarios
 from reference_engine import COLUMNS, INPUTS, reference_run
@@ -496,18 +506,21 @@ def test_upf_price_undershoots_fcfs_service_by_under_one_epoch(campus5, scheme):
 def _check_costs_at_every_decision(run: SimulationRun) -> list:
     """Make every decision of the run first check the cost vectors against a fresh pricing.
 
-    The fresh prices come from the checked law ``projected_delay`` with
-    headroom = capacity, not from ``ServiceQueue.price``, which is the
-    code under test.
+    The run keeps exactly the vectors its scheme declares it reads
+    (``SCHEMES``), and each decision checks those.  The fresh prices come
+    from the checked law ``projected_delay`` with headroom = capacity, not
+    from ``ServiceQueue.price``, which is the code under test.
     """
     decisions = []
     assign = run._assign
+    _, reads_upf, reads_mec = SCHEMES[run.scenario.scheme.value]
+    kept = {cost is not None for cost in run.upf_cost.values()}, run.mec_cost is not None
+    assert kept == ({reads_upf}, reads_mec)
 
     def checked(qos, origin_upf, run_):
-        for cost, queues in (
-            (run.upf_cost[qos], [u[qos] for u in run.upfs]),
-            (run.mec_cost, run.mecs),
-        ):
+        tiers = [(run.upf_cost[qos], [u[qos] for u in run.upfs])] if reads_upf else []
+        tiers += [(run.mec_cost, run.mecs)] if reads_mec else []
+        for cost, queues in tiers:
             prices = [
                 projected_delay(len(q.queue) + q.pending, q.capacity, q.capacity, run.delta)
                 for q in queues
@@ -559,6 +572,28 @@ def test_queue_series_hold_one_entry_per_epoch(metro, scheme):
     assert any(any(rep.upf_queues) for rep in run.epoch_reports)
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_run_reprices_only_the_tiers_its_scheme_reads(campus5, scheme, monkeypatch):
+    # baseline reprices nothing once built, the UPF-only bestfits never a MEC
+    run = SimulationRun(replace(campus5, scheme=scheme, horizon_epochs=20, seed=1))
+    calls = Counter()
+    cost_set, fill = CostVector.set, ServiceQueue.fill
+
+    def counted_set(cost, i, price):
+        calls["mec" if cost is run.mec_cost else "upf"] += 1
+        cost_set(cost, i, price)
+
+    def counted_fill(queue, q):
+        calls["mec" if any(queue is m for m in run.mecs) else "upf"] += 1
+        return fill(queue, q)
+
+    monkeypatch.setattr(CostVector, "set", counted_set)
+    monkeypatch.setattr(ServiceQueue, "fill", counted_fill)
+    run.run()
+    _, reads_upf, reads_mec = SCHEMES[scheme.value]
+    assert (calls["upf"] > 0, calls["mec"] > 0) == (reads_upf, reads_mec)
+
+
 def test_pending_commitments_fully_drain(metro):
     run = SimulationRun(replace(metro, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     res = run.run()
@@ -568,8 +603,10 @@ def test_pending_commitments_fully_drain(metro):
 
 def test_a_negative_queue_length_is_never_a_table_index():
     # admission to MEC 1 makes q = 0 + (-2 + 1) = -1; the inline read must
-    # reject it, not read the table's last entry (the price of q = 0 here)
-    run = SimulationRun(make_scenario(num_upfs=1, lam=8.0, seed=1))
+    # reject it, not read the table's last entry (the price of q = 0 here);
+    # only a scheme that reads the MEC vector reprices MEC 1
+    run = SimulationRun(make_scenario(num_upfs=1, lam=8.0, seed=1,
+                                      scheme=Scheme.BESTFIT_UPF_MEC))
     mec = run.mecs[0]
     assert not mec.queue and mec.table == [run.delta]
     mec.pending = -2

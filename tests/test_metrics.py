@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import re
 import weakref
 from dataclasses import replace
 
@@ -338,22 +339,40 @@ def test_campus5_projections_equal_the_per_row_composition(campus5, metro, schem
 
 @pytest.mark.parametrize("stamps, message", [
     # request 1 served one epoch before it arrived: its bucket held -1 requests
-    ({1: 0}, "request 1: derived UPF bucket queue length -1 outside its price table of 2 entries"),
+    ({1: 0}, "request 1: derived UPF bucket queue length -1 below 0"),
     # requests 0 and 1 served only at epoch 2: request 2 met a queue of 2,
-    # a length the bucket never priced
-    ({0: 2, 1: 2}, "request 2: derived UPF bucket queue length 2 outside its price table "
-                   "of 2 entries"),
+    # where its bucket's cap of 2 drops, yet it was admitted
+    ({0: 2, 1: 2}, "request 2: derived UPF bucket queue length 2 breaks its queue cap of 2 "
+                   "(admitted)"),
 ])
 def test_a_derived_length_outside_its_price_table_raises_a_named_error(stamps, message):
-    # one regular request per epoch, each served in the epoch it arrives
-    regular = dict.fromkeys(QosClass, 0.0) | {QosClass.REGULAR: 1.0}
-    run = run_to_completion(make_scenario(num_upfs=1, lam=1.0, horizon=3, qos_mix=regular))
-    assert run.upf_serve_epoch == [0, 1, 2]
-    assert len(run.upfs[0][QosClass.REGULAR].table) == 2
+    run = _one_regular_request_per_epoch()
     for rid, epoch in stamps.items():
         run.upf_serve_epoch[rid] = epoch
-    with pytest.raises(InvariantError, match=f"^{message}$"):
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
         decision_inputs(run)
+
+
+def test_an_admission_drop_below_its_queue_cap_raises_a_named_error():
+    # request 2 recorded as dropped at admission, where it met an empty bucket
+    run = _one_regular_request_per_epoch()
+    run.status[2], run.upf_serve_epoch[2] = RequestStatus.DROPPED, None
+    message = "request 2: derived UPF bucket queue length 0 breaks its queue cap of 2 (dropped)"
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        decision_inputs(run)
+
+
+def _one_regular_request_per_epoch():
+    """A baseline run of one regular request per epoch, each served in the epoch it arrives.
+
+    Its one bucket has a stated cap of 2, and ``baseline`` prices nothing,
+    so the bucket's price table is empty until ``decision_inputs`` fills it.
+    """
+    regular = dict.fromkeys(QosClass, 0.0) | {QosClass.REGULAR: 1.0}
+    run = run_to_completion(make_scenario(num_upfs=1, lam=1.0, horizon=3, qos_mix=regular,
+                                          upf_queue_cap=2))
+    assert run.upf_serve_epoch == [0, 1, 2] and run.upfs[0][QosClass.REGULAR].table == []
+    return run
 
 
 # ---------------------------------------------------------------- file output

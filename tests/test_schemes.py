@@ -11,6 +11,7 @@ from upfmec.model import CostVector, QosClass, Scheme
 from upfmec.oracle import sequential_heuristic_batch
 from upfmec.schemes import (
     SCHEME_FUNCS,
+    SCHEMES,
     assign_baseline,
     assign_bestfit_no_pe,
     assign_bestfit_pe,
@@ -216,4 +217,17 @@ def test_pair_scheme_dominates_pe_under_uniform_links():
 
 
 def test_scheme_registry_matches_enum():
-    assert set(SCHEME_FUNCS) == {s.value for s in Scheme}
+    assert set(SCHEMES) == {s.value for s in Scheme}
+    assert SCHEME_FUNCS == {name: fn for name, (fn, _, _) in SCHEMES.items()}
+
+
+@pytest.mark.parametrize("scheme, reader", [
+    (Scheme.BASELINE, assign_bestfit_no_pe),
+    (Scheme.BESTFIT_UPF_PE, assign_bestfit_upf_mec),
+])
+def test_a_run_keeps_no_vector_its_scheme_does_not_read(scheme, reader):
+    # so a scheme that read a tier it did not declare would fail at its first
+    # decision, not read prices that nothing keeps current
+    run = make_run(num_upfs=2, scheme=scheme)
+    with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'best'"):
+        reader(*dummy(), run)
