@@ -23,32 +23,26 @@ bucket of class q and ``mec_cost.prices[j]`` MEC j+1 (None where unread:
 ``baseline`` keeps neither, ``bestfit_upf_mec`` both, the other bestfits
 ``upf_cost``).  A kept vector is priced when the run is built and then
 repriced only where a queue changes: an admission reprices the bucket and
-the MEC it touched, a UPF bucket is repriced after its service, and a MEC
-after its own service, which follows every change the link phase makes
-to it (a drop at its door lowers ``pending``, but only when its queue is
-full).  A repricing reads the table inline, guarded as ``price`` reads it,
-and writes only a moved price: a kept vector equals a fresh pricing.  MEC
-``pending`` is counted under every scheme.  Only ``step_epoch`` changes a run.
+the MEC it touched, and each queue is repriced after its service, which
+for a MEC follows every change the link phase makes to it (a drop at its
+door lowers ``pending``, but only when its queue is full).  A repricing
+reads the table inline, a MEC at ``len(queue) + pending`` and a UPF
+bucket at ``len(queue)`` (only MECs count ``pending``, under every
+scheme), and writes only a moved price: a kept vector equals a fresh
+pricing.  Only ``step_epoch`` changes a run.
 
-Admission records only the decision (``status``, ``assigned_upf`` and
-``assigned_mec``), not what the scheme's projection was made of: the
-phase order, FIFO queues and ids in arrival order let
-``metrics.decision_inputs`` derive the prices and the link's sharers a
-decision read from the stamps and the price tables, on whole arrays,
-when something reads them; only the event log does.
+A request's record holds its decision (``assigned_upf``,
+``assigned_mec``), the epoch stamps of the stages it crossed and ``drop``,
+not its status nor what the scheme's projection read: the phase order,
+FIFO queues and ids in arrival order let ``metrics`` derive both when
+something reads them (``request_status``, ``decision_inputs``).
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
 only reset it to zero) and its price cannot change, so service passes it
-after one emptiness test and never calls ``serve`` on it.  The per-queue
-work left in an epoch is that test and the queue's length, which the
-epoch's report records.
-
-Values that cannot change after the run is built are checked once, not
-per request: the scenario by ``validate_scenario``, each capacity by its
-``ServiceQueue`` and each link delay by ``transit_entry``, when it makes
-the table entry.  Each stage checks that an id it pops has the status of
-that stage, so status only moves forward, and raises ``InvariantError``
-otherwise.
+after one emptiness test.  The values that cannot change after the run
+is built are checked once: the scenario by ``validate_scenario``, each
+capacity by its ``ServiceQueue`` and each link delay by
+``transit_entry``, when it makes the table entry.
 
 A finished run counts where its requests are: those in UPF and MEC queues
 and in the delivery calendar must number exactly the ``residual`` that
@@ -72,7 +66,6 @@ from .model import (
     CostVector,
     InvariantError,
     QosClass,
-    RequestStatus,
     Scenario,
     ScenarioError,
     ServiceQueue,
@@ -90,14 +83,6 @@ UNBOUNDED = sys.maxsize
 # the order of each UPF's bucket lengths in EpochReport.upf_queues, and so of
 # trace.csv's queue columns: by class name, which is not the service order
 REPORT_CLASSES = sorted(QosClass, key=lambda q: q.value)
-
-# the statuses the engine sets, bound once: a class attribute read on an
-# enum is a descriptor call
-_IN_UPF_QUEUE = RequestStatus.IN_UPF_QUEUE
-_IN_TRANSIT = RequestStatus.IN_TRANSIT
-_IN_MEC_QUEUE = RequestStatus.IN_MEC_QUEUE
-_COMPLETED = RequestStatus.COMPLETED
-_DROPPED = RequestStatus.DROPPED
 
 
 def _cdf(weights) -> np.ndarray:
@@ -180,12 +165,6 @@ def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, in
     return table[sharers]
 
 
-def _stage_error(rid: int, found: RequestStatus, stage: RequestStatus) -> InvariantError:
-    return InvariantError(
-        f"request {rid}: status {found.name} where the run holds it {stage.name}"
-    )
-
-
 @dataclass
 class EpochReport:
     """Counters for one simulated epoch and its queue lengths at the epoch's end.
@@ -210,18 +189,15 @@ class SimulationRun:
     """Mutable state of one simulation run, and its record once finished.
 
     The record keeps one row per request id (ids are 0, 1, ... in arrival
-    order) in 9 columns named after the fields they hold.  ``qos`` is a
-    bytearray of class codes (``QOS_BY_CODE[code]`` is the class); the
-    other 8 are lists: ``origin_upf``, ``status`` (None before the
-    decision), ``assigned_upf``, ``assigned_mec`` (None for a class that
-    ends at the UPF), the epoch stamps ``upf_serve_epoch``,
-    ``mec_due_epoch`` and ``mec_serve_epoch`` (None until stamped), and
-    the link's delay ``d_net`` (None until the request enters a link).
-    No column holds the arrival epoch, nor what a decision read: the epoch
-    reports count each epoch's arrivals (``metrics.arrival_epochs``), and
-    ``metrics.decision_inputs`` derives the rest.  Only ``step_epoch``
-    appends rows, and the report of the epoch that appends them counts
-    them.
+    order) in 9 columns named after the fields they hold: the bytearrays
+    ``qos`` (class codes: ``QOS_BY_CODE[code]`` is the class) and ``drop``
+    (1 where the request was dropped), and the lists ``origin_upf``,
+    ``assigned_upf``, ``assigned_mec`` (None for a class that ends at the
+    UPF), the epoch stamps ``upf_serve_epoch``, ``mec_due_epoch`` and
+    ``mec_serve_epoch`` (None until stamped), and the link's delay
+    ``d_net`` (None until the request enters a link).  Only ``step_epoch``
+    appends rows, and its epoch's report counts them: no column holds the
+    arrival epoch (``metrics.arrival_epochs``).
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``: link (i, j) of M MECs has index k = (i - 1) * M +
     (j - 1), which sorts as the key (i, j) does.
@@ -258,9 +234,8 @@ class SimulationRun:
         # UPF service loop of step_epoch
         self._calendar: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
         self.epoch = 0
-        self.qos = bytearray()
+        self.qos, self.drop = bytearray(), bytearray()
         self.origin_upf: List[int] = []
-        self.status: List[Optional[RequestStatus]] = []
         self.assigned_upf: List[Optional[int]] = []
         self.assigned_mec: List[Optional[int]] = []
         self.upf_serve_epoch: List[Optional[int]] = []
@@ -325,13 +300,14 @@ class SimulationRun:
         # one undecided row per new request, which this epoch's report counts
         first = len(self.qos)
         self.qos += codes
+        self.drop += bytes(len(origins))
         self.origin_upf.extend(origins)
         unset = [None] * len(origins)
-        for column in (self.status, self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
+        for column in (self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
                        self.mec_due_epoch, self.mec_serve_epoch, self.d_net):
             column.extend(unset)
 
-        status = self.status
+        drop = self.drop
         assigned_upf, assigned_mec = self.assigned_upf, self.assigned_mec
         assign, admission = self._assign, self._admission
         mecs = self.mecs
@@ -346,14 +322,13 @@ class SimulationRun:
             i = upf_id - 1
             bucket, queue, queue_cap, table = buckets[i]
             if len(queue) >= queue_cap:
-                status[rid] = _DROPPED
+                drop[rid] = 1
                 dropped_now += 1
             else:
-                status[rid] = _IN_UPF_QUEUE
                 queue.append(rid)
                 if cost is not None:
-                    q = len(queue) + bucket.pending
-                    p = table[q] if 0 <= q < len(table) else bucket.fill(q)
+                    q = len(queue)
+                    p = table[q] if q < len(table) else bucket.fill(q)
                     if p != prices[i]:
                         cost.set(i, p)
                 admitted += 1
@@ -371,8 +346,6 @@ class SimulationRun:
                 f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(origins)}"
             )
 
-        # each stage pops its ids and checks that each is where the stage
-        # holds it before stamping it: status only moves forward
         upf_serve_epoch, mec_due_epoch = self.upf_serve_epoch, self.mec_due_epoch
         d_net, link_transit, calendar = self.d_net, self.link_transit, self._calendar
         link_sharers, num_mecs = self.link_sharers, len(mecs)
@@ -386,17 +359,11 @@ class SimulationRun:
             if base is None:
                 # a class that ends at the UPF completes here
                 for _ in range(n):
-                    rid = popleft()
-                    if status[rid] is not _IN_UPF_QUEUE:
-                        raise _stage_error(rid, status[rid], _IN_UPF_QUEUE)
-                    upf_serve_epoch[rid] = epoch
-                    status[rid] = _COMPLETED
+                    upf_serve_epoch[popleft()] = epoch
                 completed_now += n
             else:
                 for _ in range(n):
                     rid = popleft()
-                    if status[rid] is not _IN_UPF_QUEUE:
-                        raise _stage_error(rid, status[rid], _IN_UPF_QUEUE)
                     upf_serve_epoch[rid] = epoch
                     k = base + assigned_mec[rid]
                     # the entering request shares the link with everything
@@ -408,7 +375,6 @@ class SimulationRun:
                         else transit_entry(self, k, sharers)
                     )
                     mec_due_epoch[rid] = due = epoch + transit
-                    status[rid] = _IN_TRANSIT
                     day = calendar[due]
                     on_link = day.get(k)
                     if on_link is None:
@@ -416,9 +382,9 @@ class SimulationRun:
                     else:
                         on_link.append(rid)
             if cost is not None:
-                q = len(queue) + bucket.pending
+                q = len(queue)
                 table = bucket.table
-                p = table[q] if 0 <= q < len(table) else bucket.fill(q)
+                p = table[q] if q < len(table) else bucket.fill(q)
                 if p != cost.prices[idx]:
                     cost.set(idx, p)
             served_upf += n
@@ -435,13 +401,10 @@ class SimulationRun:
                 mec.pending -= len(rids)
                 queue, queue_cap = mec.queue, mec.queue_cap
                 for rid in rids:
-                    if status[rid] is not _IN_TRANSIT:
-                        raise _stage_error(rid, status[rid], _IN_TRANSIT)
                     if len(queue) >= queue_cap:
-                        status[rid] = _DROPPED
+                        drop[rid] = 1
                         dropped_now += 1
                     else:
-                        status[rid] = _IN_MEC_QUEUE
                         queue.append(rid)
 
         # a MEC the link phase changed holds a queue now: a delivery joined it,
@@ -456,11 +419,7 @@ class SimulationRun:
             n = m.serve()
             popleft = queue.popleft
             for _ in range(n):
-                rid = popleft()
-                if status[rid] is not _IN_MEC_QUEUE:
-                    raise _stage_error(rid, status[rid], _IN_MEC_QUEUE)
-                mec_serve_epoch[rid] = epoch
-                status[rid] = _COMPLETED
+                mec_serve_epoch[popleft()] = epoch
             if mec_cost is not None:
                 q = len(queue) + m.pending
                 table = m.table

@@ -3,10 +3,10 @@
 Percentiles use the nearest-rank convention on the sorted sample (the
 p-th percentile is the value at index ceil(p/100 * n) - 1), so every
 reported figure is an observed delay.  Standard deviations are
-population standard deviations.  The run records epoch stamps, not
-measured delays: ``_Rows`` is their one derivation, on typed arrays of
-the requests a report reads, the completed ones for the summaries and
-every one for the event log.  Summaries reduce every slice in request-id
+population standard deviations.  The run records epoch stamps and drop
+flags, not statuses or delays: ``request_status`` and ``_Rows`` derive
+them on typed arrays, for the completed requests in the summaries and
+every one in the event log.  Summaries reduce every slice in request-id
 order: a float mean or std depends on the order of its sample.  Emitted
 files follow the naming scheme
 <scenario>.<scheme>.<seed>.<report>.<ext> with stable column layouts.
@@ -19,8 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, repeat
-from operator import is_
+from itertools import chain, compress, pairwise
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -145,6 +144,46 @@ def arrival_epochs(run: SimulationRun) -> np.ndarray:
     return np.repeat(np.arange(run.epoch), counts)
 
 
+# a request's epochs in stage order (_stamps gives the last three), and the status values
+_STAMPS = ("arrival_epoch", "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch")
+_IN_UPF_QUEUE, _IN_TRANSIT, _IN_MEC_QUEUE, _COMPLETED, _DROPPED = map(np.uint8, RequestStatus)
+
+
+def _stamps(run: SimulationRun) -> Tuple[np.ndarray, ...]:
+    """Every request's epoch stamps, as float arrays in id order; an unstamped stamp is nan."""
+    return tuple(np.fromiter(getattr(run, c), float, run.generated) for c in _STAMPS[1:])
+
+
+def request_status(run: SimulationRun, stamps: Optional[tuple] = None) -> np.ndarray:
+    """Each request's ``RequestStatus`` value, in id order, read off its stamps.
+
+    DROPPED where ``drop`` is set; else COMPLETED where ``mec_serve_epoch``
+    is stamped, or ``upf_serve_epoch`` for a class that ends at the UPF;
+    else IN_UPF_QUEUE without an ``upf_serve_epoch``; else IN_TRANSIT if
+    ``mec_due_epoch`` is ``run.epoch`` or later, since a transfer is
+    delivered exactly at its due epoch; else IN_MEC_QUEUE.  A stamp earlier
+    than the stamp of the stage before it raises ``InvariantError``.
+    """
+    stamps = _stamps(run) if stamps is None else stamps
+    for (before, early), (stage, late) in pairwise(zip(_STAMPS, (arrival_epochs(run), *stamps))):
+        broken = late < early
+        if broken.any():
+            k = int(broken.argmax())
+            raise InvariantError(f"request {k}: {stage} {late[k]:g} before its {before} "
+                                 f"{early[k]:g}")
+    served, due, done = stamps
+    served = ~np.isnan(served)
+    ends_at_upf = ~_USES_MEC.take(np.frombuffer(run.qos, np.uint8))
+    status = np.full(run.generated, _IN_MEC_QUEUE)
+    # each rule sets its value where it holds, over the rules before it; the
+    # uint8 sums wrap, so status + holds * (value - status) is exact
+    for holds, value in ((due >= run.epoch, _IN_TRANSIT), (~served, _IN_UPF_QUEUE),
+                         (~np.isnan(done) | (served & ends_at_upf), _COMPLETED),
+                         (np.frombuffer(run.drop, np.bool_), _DROPPED)):
+        status += holds * (value - status)
+    return status
+
+
 def _count_below(key: np.ndarray, at: np.ndarray, qkey: np.ndarray,
                  qat: np.ndarray) -> np.ndarray:
     """For each query, how many items have its key and an ``at`` below its ``qat``.
@@ -194,7 +233,7 @@ def _priced(queues: Sequence[ServiceQueue], key: np.ndarray, level: np.ndarray,
     return flat[(lengths.cumsum() - lengths)[key] + level]
 
 
-def decision_inputs(run: SimulationRun) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def decision_inputs(run: SimulationRun, stamps: Optional[tuple] = None) -> Tuple[np.ndarray, ...]:
     """What each request's decision read: ``(pc_upf, n_share, pc_mec)``, arrays in id order.
 
     Admission records only the decision.  An epoch runs admission, UPF
@@ -216,11 +255,11 @@ def decision_inputs(run: SimulationRun) -> Tuple[np.ndarray, np.ndarray, np.ndar
     A class that ends at the UPF reads ``n_share`` 0 and ``pc_mec`` 0.0.
     """
     n = run.generated
+    served, due, left = _stamps(run) if stamps is None else stamps
     arrival = arrival_epochs(run)
     codes = np.frombuffer(run.qos, np.uint8)
     upf = np.fromiter(run.assigned_upf, np.intp, n) - 1
-    served = np.fromiter(run.upf_serve_epoch, float, n)
-    dropped = np.fromiter(map(is_, run.status, repeat(RequestStatus.DROPPED)), np.bool_, n)
+    dropped = np.frombuffer(run.drop, np.bool_)
     was_served = ~np.isnan(served)
     admitted = was_served | ~dropped
     bucket, ids = upf * len(QOS_BY_CODE) + codes, np.arange(n)
@@ -238,10 +277,9 @@ def decision_inputs(run: SimulationRun) -> Tuple[np.ndarray, np.ndarray, np.ndar
     # the rows of the classes that use a MEC, numbered 0, 1, ... in id order
     at_mec = _USES_MEC[codes]
     rows = np.flatnonzero(at_mec)
-    select, count = at_mec.tobytes(), len(rows)
-    mec = np.fromiter(compress(run.assigned_mec, select), np.intp, count) - 1
-    due = np.fromiter(compress(run.mec_due_epoch, select), float, count)
-    left = np.fromiter(compress(run.mec_serve_epoch, select), float, count)
+    count = len(rows)
+    mec = np.fromiter(compress(run.assigned_mec, at_mec.tobytes()), np.intp, count) - 1
+    due, left = due[at_mec], left[at_mec]
     door = dropped[at_mec] & ~np.isnan(due)
     left[door] = due[door]
     has_left = ~np.isnan(left)
@@ -280,39 +318,43 @@ def projections(scenario: Scenario, upf: np.ndarray, mec: np.ndarray, pc_upf: np
 
 
 class _Rows:
-    """The measured delays of a selection of a run's requests, as arrays in id order.
+    """The measured delays of the completed requests of a run, or of all, as arrays in id order.
 
-    ``select`` holds one byte per request, 1 for a row to read, and only
-    the selected entries of a column are converted.  The stamps are read
-    as ``stamp``: ``np.int64`` where every selected row is stamped (the
-    completed ones), or float, which reads None as nan, so a delay is nan
-    where a stamp it needs is missing.  ``codes`` holds the class codes
-    and ``arrival`` the arrival epochs (``arrival_epochs``); ``d_net``,
-    ``d_mec`` and ``mec_rows`` hold only the rows of the classes that use
-    a MEC (``uses_mec``), also in id order.  ``d_e2e`` is
-    ``(d_upf + d_net) + d_mec``, or ``d_upf`` for a class that ends at the
-    UPF.
+    A delay is nan where a stamp it needs is missing.  ``codes`` holds the
+    class codes and ``arrival`` the arrival epochs; ``d_net``, ``d_mec``
+    and ``mec_rows`` hold only the rows of the classes that use a MEC
+    (``uses_mec``).  ``d_e2e`` is ``(d_upf + d_net) + d_mec``, or ``d_upf``
+    for a class that ends at the UPF.  Over all requests it also keeps
+    their ``stamps`` and ``status``.
     """
 
-    __slots__ = ("_select", "_k", "_at_mec", "_m", "codes", "arrival", "uses_mec",
-                 "d_upf", "d_net", "d_mec", "d_e2e")
+    __slots__ = ("_select", "_k", "_at_mec", "_m", "stamps", "status", "codes", "arrival",
+                 "uses_mec", "d_upf", "d_net", "d_mec", "d_e2e")
 
-    def __init__(self, run: SimulationRun, select: bytes, stamp) -> None:
-        self._select, self._k = select, select.count(1)
-        mask = np.frombuffer(select, np.bool_)
+    def __init__(self, run: SimulationRun, completed: bool) -> None:
+        served, due, done = _stamps(run)
+        status = request_status(run, (served, due, done))
+        if not completed:
+            # the event log also prints the status and derives the decisions' inputs
+            self.stamps, self.status = (served, due, done), status
+        mask = status == _COMPLETED if completed else np.ones(run.generated, np.bool_)
         codes = np.frombuffer(run.qos, np.uint8)
-        self.codes = codes[mask]
-        self.arrival = arrival_epochs(run)[mask]
-        self.uses_mec = uses_mec = _USES_MEC[self.codes]
-        # the selected rows of the classes that use a MEC, one byte per request
-        self._at_mec = (mask & _USES_MEC[codes]).tobytes()
-        self._m = self._at_mec.count(1)
-        self.d_upf = stage_delay(self.rows(run.upf_serve_epoch, stamp), self.arrival, run.delta)
+        at_mec = mask & _USES_MEC.take(codes)
+        self._select, self._k = mask.tobytes(), int(np.count_nonzero(mask))
+        self._at_mec, self._m = at_mec.tobytes(), int(np.count_nonzero(at_mec))
+        # np.compress takes rows faster than a mask index; rebinding a stamp
+        # array to its rows frees the whole-run array, a report's peak memory
+        self.codes, self.uses_mec = codes.compress(mask), at_mec.compress(mask)
+        served = served.compress(mask)
+        due, done = due.compress(at_mec), done.compress(at_mec)
+        self.arrival = arrival_epochs(run).compress(mask)
+        self.d_upf = stage_delay(served, self.arrival, run.delta)
+        self.d_mec = stage_delay(done, due, run.delta)
+        del served, due, done
         self.d_net = self.mec_rows(run.d_net, float)
-        self.d_mec = stage_delay(self.mec_rows(run.mec_serve_epoch, stamp),
-                                 self.mec_rows(run.mec_due_epoch, stamp), run.delta)
         self.d_e2e = self.d_upf.copy()
-        self.d_e2e[uses_mec] = self.d_upf[uses_mec] + self.d_net + self.d_mec
+        linked = np.flatnonzero(self.uses_mec)
+        self.d_e2e[linked] = self.d_upf[linked] + self.d_net + self.d_mec
 
     def rows(self, column, dtype=np.int64) -> np.ndarray:
         """The column's entries of the selected requests."""
@@ -321,11 +363,6 @@ class _Rows:
     def mec_rows(self, column, dtype=np.int64) -> np.ndarray:
         """The column's entries of the selected requests of the classes that use a MEC."""
         return np.fromiter(compress(column, self._at_mec), dtype, self._m)
-
-
-def _completed(run: SimulationRun) -> _Rows:
-    """The run's completed requests, every one stamped at each stage it crossed."""
-    return _Rows(run, bytes(map(is_, run.status, repeat(RequestStatus.COMPLETED))), np.int64)
 
 
 def _slices(keys: np.ndarray, values: np.ndarray) -> List[Tuple[int, Stats]]:
@@ -356,7 +393,7 @@ def summarize(run: SimulationRun) -> SummaryReport:
         epochs_run=run.epoch,
         truncated=run.truncated,
     )
-    c = _completed(run)
+    c = _Rows(run, completed=True)
     width = len(REPORT_CLASSES)
     report.per_upf_qos = {
         (key // width, REPORT_CLASSES[key % width]): st
@@ -382,7 +419,7 @@ def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
     For a run that is not summarized; ``summarize`` keeps all of them, in
     id order, as ``SummaryReport.d_e2e``.
     """
-    c = _completed(run)
+    c = _Rows(run, completed=True)
     return {q: c.d_e2e[c.codes == code] for code, q in enumerate(QOS_BY_CODE)}
 
 
@@ -652,17 +689,17 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
         "status", "d_upf_ms", "d_net_ms", "d_mec_ms", "d_e2e_ms",
         "proj_upf_ms", "proj_net_ms", "proj_mec_ms", "proj_e2e_ms",
     ]
-    d = _Rows(run, b"\x01" * run.generated, float)
+    d = _Rows(run, completed=False)
     # 0.0 for a completed request of a class that ends at the UPF
     d_net = np.where(np.isnan(d.d_e2e), np.nan, 0.0)
     d_mec = d_net.copy()
     d_net[d.uses_mec], d_mec[d.uses_mec] = d.d_net, d.d_mec
     proj = projections(run.scenario, d.rows(run.assigned_upf, float),
-                       d.rows(run.assigned_mec, float), *decision_inputs(run))
+                       d.rows(run.assigned_mec, float), *decision_inputs(run, d.stamps))
     columns = [
         range(run.generated), map(_QOS_NAMES.__getitem__, run.qos), run.origin_upf,
         d.arrival.tolist(), run.assigned_upf, run.assigned_mec,
-        map(_STATUS_NAMES.__getitem__, run.status),
+        map(_STATUS_NAMES.__getitem__, d.status.tolist()),
         *map(_cells, (d.d_upf, d_net, d_mec, d.d_e2e, *proj)),
     ]
     with open(path, "w", newline="", encoding="utf-8") as fh:

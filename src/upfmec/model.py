@@ -85,11 +85,11 @@ CO_LOCATED_SCHEMES = (Scheme.BASELINE, Scheme.BESTFIT_UPF_NO_PE, Scheme.BESTFIT_
 
 
 class RequestStatus(enum.IntEnum):
-    """Lifecycle of a request; transitions are monotone.
+    """The stage a request's stamps place it in (``metrics.request_status``).
 
-    Admission sets IN_UPF_QUEUE, and a request moves on one stage at a
-    time, to IN_TRANSIT to IN_MEC_QUEUE to COMPLETED (a ``regular`` request
-    completes at the UPF); it can end as DROPPED at admission or at the
+    A request waits IN_UPF_QUEUE until UPF service, is IN_TRANSIT until
+    its due epoch and IN_MEC_QUEUE until MEC service, then COMPLETED (a
+    ``regular`` request at the UPF), or DROPPED at admission or at the
     MEC's door.
     """
 
@@ -201,9 +201,10 @@ class ServiceQueue:
 
     `queue` holds request ids, the rows of the run's record.  `credit`
     carries a fractional capacity across epochs while the queue stays
-    non-empty.  `pending` (non-zero only for a MEC) counts requests
-    assigned here and admitted upstream but not yet arrived, so later
-    assignment decisions see those commitments.
+    non-empty.  `pending` counts requests assigned here and admitted
+    upstream but not yet arrived, so later assignment decisions see those
+    commitments; only a MEC counts them, so the engine prices a UPF bucket
+    at ``len(queue)``.
 
     `table[q]` is the price of joining at q = ``len(queue) + pending``:
     ``delay.projected_delay(q, capacity, capacity, delta)``, with headroom

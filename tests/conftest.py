@@ -178,20 +178,22 @@ def reprice(run) -> None:
             run.mec_cost.set(j, m.price())
 
 
-# the columns of a new arrival's row before its decision, but qos and origin_upf
-UNDECIDED = dict(status=None, assigned_upf=None, assigned_mec=None, upf_serve_epoch=None,
+# the list columns of a new arrival's row before its decision, but origin_upf
+UNDECIDED = dict(assigned_upf=None, assigned_mec=None, upf_serve_epoch=None,
                  mec_due_epoch=None, mec_serve_epoch=None, d_net=None)
 
 
-def append_row(run, qos, origin_upf, **fields) -> int:
+def append_row(run, qos, origin_upf, drop=False, **fields) -> int:
     """Append one request's row to every column of the run by hand; its id.
 
-    The row holds ``fields`` (column name -> value) and is undecided in the
-    other columns.  No epoch report counts it: a run appends rows only in
-    ``step_epoch``, so the caller builds the matching reports.
+    The row holds ``fields`` (list column name -> value) and ``drop``, and
+    is undecided in the other columns.  No epoch report counts it: a run
+    appends rows only in ``step_epoch``, so the caller builds the matching
+    reports.
     """
     rid = run.generated
     run.qos += codes(qos)
+    run.drop.append(drop)
     run.origin_upf.append(origin_upf)
     for column, unset in UNDECIDED.items():
         getattr(run, column).append(fields.pop(column, unset))

@@ -6,12 +6,13 @@ the delay laws of ``upfmec.delay`` and the queue sizes of a freshly built
 plainly as possible: one dict per request, a plain list per queue, every
 price computed from ``(len + pending, c)`` at each decision with a Python
 loop over the candidates, every queue served each epoch and every link
-scanned in (i, j) order.  ``reference_run(scenario)`` returns the 9
-record columns, the 3 inputs each decision read, recorded when it was
+scanned in (i, j) order.  Each request keeps its own status, set as it
+moves.  ``reference_run(scenario)`` returns the 9 record columns, each
+request's status, the 3 inputs each decision read, recorded when it was
 made, the epoch reports and each request's arrival epoch, which the
-engine, ``metrics.decision_inputs`` and ``metrics.arrival_epochs`` must
-equal.  A class is kept as its code, its index in ``SERVICE_ORDER``
-(``list(QosClass)``).
+engine, ``metrics.request_status``, ``metrics.decision_inputs`` and
+``metrics.arrival_epochs`` must equal.  A class is kept as its code, its
+index in ``SERVICE_ORDER`` (``list(QosClass)``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from upfmec.engine import EpochReport, SimulationRun, arrival_cdfs, generate_arr
 from upfmec.model import QosClass, RequestStatus, Scheme
 
 COLUMNS = (
-    "qos", "origin_upf", "status", "assigned_upf", "assigned_mec",
+    "qos", "drop", "origin_upf", "assigned_upf", "assigned_mec",
     "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch", "d_net",
 )
 # what each decision read: the UPF price, the chosen link's sharers, the MEC price
@@ -190,13 +191,16 @@ class Reference:
 
 
 def reference_run(scenario):
-    """A naive run of scenario: its record columns and decision inputs, reports and arrivals.
+    """A naive run of scenario: its columns, statuses and decision inputs, reports and arrivals.
 
-    The columns are {name: list} over ``COLUMNS`` and ``INPUTS``, but
-    ``qos`` is bytes of class codes, as the engine keeps it; the arrival
-    epochs are a list in id order.
+    The columns are {name: list} over ``COLUMNS``, ``"status"`` and
+    ``INPUTS``, but ``qos`` is bytes of class codes and ``drop`` bytes of
+    flags, as the engine keeps them; the arrival epochs are a list in id
+    order.
     """
     ref = Reference(scenario).run()
-    columns = {c: [r[c] for r in ref.requests] for c in COLUMNS + INPUTS}
+    names = [c for c in COLUMNS if c != "drop"] + ["status", *INPUTS]
+    columns = {c: [r[c] for r in ref.requests] for c in names}
     columns["qos"] = bytes(columns["qos"])
+    columns["drop"] = bytes(s is RequestStatus.DROPPED for s in columns["status"])
     return columns, ref.reports, [r["arrival_epoch"] for r in ref.requests]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from upfmec.metrics import (
     build_pair_scenario,
     completed_e2e,
     decision_inputs,
+    request_status,
     stage_delay,
     summarize,
     write_events_csv,
@@ -156,7 +158,7 @@ def test_single_request_crosses_both_tiers():
     s = make_scenario(num_upfs=1, lam=1.0, horizon=1, qos_mix=ALL_URLLC, bandwidth_mbps=12.0)
     res = run_to_completion(s)
     assert res.generated == res.completed == 1
-    assert res.status == [RequestStatus.COMPLETED]
+    assert request_status(res).tolist() == [RequestStatus.COMPLETED]
     assert (res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch) == ([0], [1], [1])
     rep = summarize(res)
     assert rep.per_upf_qos[(1, QosClass.URLLC)].mean == 1.0
@@ -185,7 +187,7 @@ def test_stages_stamp_epochs_and_rows_derive_the_delays():
         mec_capacity=1.5, bandwidth_mbps=1e6, upf_queue_cap=100, mec_queue_cap=100, delta=0.5,
     )
     res = run_to_completion(s)
-    assert res.status == [RequestStatus.COMPLETED] * res.generated
+    assert request_status(res).tolist() == [RequestStatus.COMPLETED] * res.generated
     stamps = list(
         zip(arrivals_by_id(res), res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch)
     )
@@ -291,10 +293,7 @@ def test_mec_overflow_drops_in_transit_requests():
     assert res.generated == res.completed + res.dropped
     assert res.residual == 0
     # some were dropped at the MEC door, after crossing the link
-    assert any(
-        st is RequestStatus.DROPPED and due is not None
-        for st, due in zip(res.status, res.mec_due_epoch)
-    )
+    assert any(drop and due is not None for drop, due in zip(res.drop, res.mec_due_epoch))
 
 
 def test_admission_drops_when_bucket_full():
@@ -304,10 +303,7 @@ def test_admission_drops_when_bucket_full():
     )
     res = run_to_completion(s)
     assert res.dropped > 0
-    assert any(
-        st is RequestStatus.DROPPED and serve is None
-        for st, serve in zip(res.status, res.upf_serve_epoch)
-    )
+    assert any(drop and serve is None for drop, serve in zip(res.drop, res.upf_serve_epoch))
 
 
 def test_queues_never_exceed_their_caps(metro):
@@ -340,24 +336,29 @@ def test_a_request_lost_behind_the_engine_breaks_conservation():
         run.run()
 
 
-@pytest.mark.parametrize("stage", ["upf", "link", "mec"])
-def test_a_status_set_past_its_stage_breaks_the_step(stage):
-    # after two epochs each stage holds ids that the next epoch moves on
+@pytest.mark.parametrize("stage, before", [
+    ("upf_serve_epoch", "arrival_epoch"),
+    ("mec_due_epoch", "upf_serve_epoch"),
+    ("mec_serve_epoch", "mec_due_epoch"),
+], ids=["upf", "link", "mec"])
+def test_a_stamp_out_of_stage_order_breaks_the_derivation(stage, before, tmp_path):
+    # the last request, hand-edited to be served at its UPF before it
+    # arrived, due at its MEC before its UPF served it, or served at its MEC
+    # before its transfer was due; every reader of the status refuses it
     s = make_scenario(
         num_upfs=1, lam=6.0, horizon=4, qos_mix=ALL_URLLC, upf_capacity=3.0,
         mec_capacity=1.0, bandwidth_mbps=1e6, upf_queue_cap=100, mec_queue_cap=100,
     )
-    run = SimulationRun(s)
-    run.step_epoch()
-    run.step_epoch()
-    rid = {
-        "upf": run.upfs[0][QosClass.URLLC].queue[0],
-        "link": run.status.index(RequestStatus.IN_TRANSIT),
-        "mec": run.mecs[0].queue[0],
-    }[stage]
-    run.status[rid] = RequestStatus.COMPLETED
-    with pytest.raises(InvariantError, match=f"request {rid}: status COMPLETED"):
-        run.step_epoch()
+    run = run_to_completion(s)
+    rid = run.generated - 1
+    early = arrivals_by_id(run)[rid] if before == "arrival_epoch" else getattr(run, before)[rid]
+    getattr(run, stage)[rid] = early - 1
+    message = f"request {rid}: {stage} {early - 1} before its {before} {early}"
+    readers = [request_status, summarize, completed_e2e,
+               lambda r: write_events_csv(r, str(tmp_path / "events.csv"))]
+    for read in readers:
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            read(run)
 
 
 def test_deliveries_go_in_link_key_order_then_entry_order(monkeypatch):
@@ -390,8 +391,7 @@ def test_deliveries_go_in_link_key_order_then_entry_order(monkeypatch):
     assert run.mec_due_epoch == [1, 2, 2, 4, 4]
     # at epoch 2, link (1, 1) delivers id 2 before link (2, 1) delivers id 1,
     # which entered first; at epoch 4, id 4 goes before id 3 on one link
-    dropped = [rid for rid, st in enumerate(run.status) if st is RequestStatus.DROPPED]
-    assert dropped == [1, 3]
+    assert [rid for rid, drop in enumerate(run.drop) if drop] == [1, 3]
     assert run.completed == 3
 
 
@@ -681,7 +681,7 @@ def test_invariants_hold_on_random_scenarios(base, cap):
                 assert due == serve + transit_epochs(d_net, delta)
         assert len(decisions) == res.generated
         assert epochs == list(range(res.epoch))
-        status = Counter(res.status)
+        status = Counter(request_status(res).tolist())
         assert all(len(getattr(res, column)) == res.generated for column in COLUMNS)
         assert res.completed == status[RequestStatus.COMPLETED]
         assert res.dropped == status[RequestStatus.DROPPED]
@@ -705,8 +705,8 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         # the summary's delays are the law on the stamps, bit for bit
         e2e = [
             measured_e2e(res, rid, arrival)
-            for rid, (st, arrival) in enumerate(zip(res.status, arrivals_by_id(res)))
-            if st is RequestStatus.COMPLETED
+            for rid, (st, arrival) in enumerate(zip(request_status(res), arrivals_by_id(res)))
+            if st == RequestStatus.COMPLETED
         ]
         assert summarize(res).d_e2e.tolist() == e2e
 
@@ -719,14 +719,16 @@ def test_invariants_hold_on_random_scenarios(base, cap):
 @given(
     base=small_scenarios(),
     rectangular=small_scenarios(rectangular=True),
-    cap=st.none() | st.integers(0, 3),
+    cap=st.integers(1, 3),
 )
 def test_runs_equal_the_naive_reference_engine(base, rectangular, cap):
-    # differential test: every column of the record and every epoch report,
-    # queue lengths included, equal those of tests/reference_engine.py, also
-    # on runs the drain cap stops
+    # differential test: every column of the record, every derived status and
+    # every epoch report, queue lengths included, equal those of
+    # tests/reference_engine.py, on drained runs and on runs the drain cap
+    # stops at the horizon (cap 0) or after it
     for s in [replace(base, scheme=scheme) for scheme in Scheme] + [rectangular]:
-        assert_run_is_the_reference(replace(s, drain_cap_epochs=cap))
+        for drain_cap in (None, 0, cap):
+            assert_run_is_the_reference(replace(s, drain_cap_epochs=drain_cap))
 
 
 def test_mec_door_drops_equal_the_naive_reference_engine(campus5):
@@ -734,9 +736,20 @@ def test_mec_door_drops_equal_the_naive_reference_engine(campus5):
     # count at their due epoch, not at a service stamp
     scenario = replace(campus5, mecs=[replace(m, queue_cap=5) for m in campus5.mecs])
     run = assert_run_is_the_reference(scenario)
-    door = [due for st, due in zip(run.status, run.mec_due_epoch)
-            if st is RequestStatus.DROPPED and due is not None]
-    assert len(door) > 100
+    assert _drops_by_site(run)[1] > 100
+
+
+def _drops_by_site(run: SimulationRun) -> tuple:
+    """The run's drops at admission and at a MEC's door, counted off the derived status.
+
+    An admission drop never left its UPF queue, a door drop crossed its
+    link; together they are every drop the run and its reports count.
+    """
+    dropped = request_status(run) == RequestStatus.DROPPED
+    admission = int((dropped & np.array([s is None for s in run.upf_serve_epoch], bool)).sum())
+    door = int((dropped & np.array([d is not None for d in run.mec_due_epoch], bool)).sum())
+    assert admission + door == run.dropped == sum(rep.dropped for rep in run.epoch_reports)
+    return admission, door
 
 
 def assert_run_is_the_reference(scenario) -> SimulationRun:
@@ -745,6 +758,9 @@ def assert_run_is_the_reference(scenario) -> SimulationRun:
     columns, reports, arrivals = reference_run(scenario)
     for column in COLUMNS:
         assert getattr(run, column) == columns[column], column
+    # the status read off the stamps is the one the reference kept per row
+    assert request_status(run).tolist() == columns["status"]
+    _drops_by_site(run)
     # what each decision read, derived from the stamps and price tables,
     # equals what the reference recorded when it decided, bit for bit
     for name, derived in zip(INPUTS, decision_inputs(run)):
@@ -772,19 +788,20 @@ def _assert_little_identities(run: SimulationRun) -> None:
     end = run.epoch
     upf_res, mec_res, link_res = Counter(), Counter(), 0
     arrival, classes = arrivals_by_id(run), classes_by_id(run)
+    statuses = request_status(run).tolist()
     for rid, serve in enumerate(run.upf_serve_epoch):
-        status = run.status[rid]
+        status = statuses[rid]
         if serve is None:
-            if status is RequestStatus.IN_UPF_QUEUE:
+            if status == RequestStatus.IN_UPF_QUEUE:
                 upf_res[(run.assigned_upf[rid], classes[rid])] += end - arrival[rid]
             continue
         upf_res[(run.assigned_upf[rid], classes[rid])] += serve - arrival[rid]
         due = run.mec_due_epoch[rid]
-        if status is RequestStatus.IN_TRANSIT:
+        if status == RequestStatus.IN_TRANSIT:
             link_res += end - serve
         elif due is not None:
             link_res += due - serve
-        if status is RequestStatus.IN_MEC_QUEUE:
+        if status == RequestStatus.IN_MEC_QUEUE:
             mec_res[run.assigned_mec[rid]] += end - due
         elif run.mec_serve_epoch[rid] is not None:
             mec_res[run.assigned_mec[rid]] += run.mec_serve_epoch[rid] - due

@@ -26,6 +26,7 @@ from upfmec.metrics import (
     percentile_nearest_rank,
     projections,
     report_path,
+    request_status,
     summarize,
     write_capex_csv,
     write_cdf_csv,
@@ -65,7 +66,8 @@ def make_result(requests, delta: float = DELTA) -> SimulationRun:
     Every request arrives at epoch 0, as the run's epoch reports count
     them.  A completed one is stamped at the epochs its stage counts give,
     a stage of n epochs being left at the epoch n - 1 after it was
-    entered: the serving epoch counts.
+    entered: the serving epoch counts.  Any other is unstamped, a dropped
+    one with its ``drop`` flag set.
     """
     run = SimulationRun(make_scenario(num_upfs=1, delta=delta, seed=1))
     for r in requests:
@@ -77,8 +79,9 @@ def make_result(requests, delta: float = DELTA) -> SimulationRun:
                 stamps["mec_due_epoch"] = due = served + r["transit_epochs"]
                 stamps["mec_serve_epoch"] = due + r["mec_epochs"] - 1
             run.completed += 1
-        append_row(run, r["qos"], r["upf"], status=r["status"], assigned_upf=r["upf"],
-                   assigned_mec=r["mec"], **stamps)
+        run.dropped += r["status"] is RequestStatus.DROPPED
+        append_row(run, r["qos"], r["upf"], drop=r["status"] is RequestStatus.DROPPED,
+                   assigned_upf=r["upf"], assigned_mec=r["mec"], **stamps)
     stamps = [e for e in run.upf_serve_epoch + run.mec_serve_epoch if e is not None]
     run.epoch = max(stamps, default=0) + 1
     idle = dict(admitted=0, dropped=0, served_upf=0, served_mec=0, completed=0, in_flight=0,
@@ -146,8 +149,11 @@ def test_e2e_sums_the_stages_in_order(tmp_path):
 def test_summary_skips_unfinished_requests():
     done = completed_request(4)
     queued = completed_request(0, status=RequestStatus.IN_UPF_QUEUE)
-    rep = summarize(make_result([done, queued]))
-    assert rep.e2e_overall.count == 1
+    dropped = completed_request(0, status=RequestStatus.DROPPED)
+    run = make_result([done, queued, dropped])
+    assert request_status(run).tolist() == [RequestStatus.COMPLETED, RequestStatus.IN_UPF_QUEUE,
+                                            RequestStatus.DROPPED]
+    assert summarize(run).e2e_overall.count == 1
 
 
 def test_percentiles_are_ordered():
@@ -356,7 +362,7 @@ def test_a_derived_length_outside_its_price_table_raises_a_named_error(stamps, m
 def test_an_admission_drop_below_its_queue_cap_raises_a_named_error():
     # request 2 recorded as dropped at admission, where it met an empty bucket
     run = _one_regular_request_per_epoch()
-    run.status[2], run.upf_serve_epoch[2] = RequestStatus.DROPPED, None
+    run.drop[2], run.upf_serve_epoch[2] = 1, None
     message = "request 2: derived UPF bucket queue length 0 breaks its queue cap of 2 (dropped)"
     with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
         decision_inputs(run)
@@ -382,6 +388,19 @@ def _cell(x) -> str:
     return "" if x is None else repr(x) if isinstance(x, float) else str(x)
 
 
+def row_status(run, rid: int) -> RequestStatus:
+    """Request rid's status, read off its own row and ``run.epoch`` alone."""
+    if run.drop[rid]:
+        return RequestStatus.DROPPED
+    served, due = run.upf_serve_epoch[rid], run.mec_due_epoch[rid]
+    if run.mec_serve_epoch[rid] is not None or (
+            served is not None and not QOS_BY_CODE[run.qos[rid]].uses_mec):
+        return RequestStatus.COMPLETED
+    if served is None:
+        return RequestStatus.IN_UPF_QUEUE
+    return RequestStatus.IN_TRANSIT if due >= run.epoch else RequestStatus.IN_MEC_QUEUE
+
+
 def reference_events_csv(run, path: str) -> None:
     """``events.csv`` written one row at a time with the per-row laws and formatting."""
     arrivals = [rep.epoch for rep in run.epoch_reports for _ in range(rep.arrivals)]
@@ -394,7 +413,7 @@ def reference_events_csv(run, path: str) -> None:
             "proj_upf_ms", "proj_net_ms", "proj_mec_ms", "proj_e2e_ms",
         ])
         for rid, arrival in enumerate(arrivals):
-            qos, status = QOS_BY_CODE[run.qos[rid]], run.status[rid]
+            qos, status = QOS_BY_CODE[run.qos[rid]], row_status(run, rid)
             served = run.upf_serve_epoch[rid]
             d_upf = None if served is None else (served + 1 - arrival) * delta
             if qos.uses_mec:
@@ -433,7 +452,7 @@ def test_events_csv_equals_the_per_row_writer_on_every_status(metro, tmp_path):
     # one pair stopped at its horizon drops at admission and at the MEC door and
     # leaves requests in a UPF queue, on a link and in a MEC queue
     run = run_to_completion(replace(build_pair_scenario(metro, 1), drain_cap_epochs=0))
-    assert set(run.status) == set(RequestStatus)
+    assert {row_status(run, rid) for rid in range(run.generated)} == set(RequestStatus)
     assert_events_csv_is_the_reference(run, tmp_path)
 
 

@@ -3,12 +3,13 @@
 Run as ``python3 tools/ab_cells.py A/src B/src [seeds]`` (default 1-4).
 Each cell runs under both trees back to back, the first tree alternating
 from cell to cell; per cell set it prints the median B/A time ratio and
-its quartiles, for the run and for its post-processing (``completed_e2e``
+its quartiles, for the run, for its post-processing (``completed_e2e``
 in a sweep cell, ``write_events_csv`` to a temporary file in the event
-log set, else ``summarize``).  The metro sweep and campus5 sets are one
-per scheme.  The campus5 and 50-pair sets hold one cell per seed, so
-their quartiles need more seeds than the default (1-16, say) to be
-steady.  The trees must give equal results: equal delays, or equal event
+log set, else ``summarize``) and for the two together, the sum that
+``perfbench``'s ``us_per_req`` sees.  The metro sweep and campus5 sets
+are one per scheme.  The campus5 and 50-pair sets hold one cell per
+seed, so their quartiles need more seeds than the default (1-16, say) to
+be steady.  The trees must give equal results: equal delays, or equal event
 log bytes.  Speed claims quote ``perfbench``.
 """
 
@@ -95,7 +96,7 @@ def compare(a_src, b_src, seeds, events_path):
         trees.append((engine, cell_sets(src, model, metrics, events_path)))
     n = 0
     for name in trees[0][1]:
-        ratios = ([], [])
+        ratios = ([], [], [])
         for seed in range(int(lo), int(hi or lo) + 1):
             for cells in zip(trees[0][1][name], trees[1][1][name]):
                 out = {k: timed(trees[k][0], seed, *cells[k])
@@ -105,7 +106,8 @@ def compare(a_src, b_src, seeds, events_path):
                     raise SystemExit(f"{name}, seed {seed}: the trees' results differ")
                 for phase in (0, 1):
                     ratios[phase].append(out[1][phase] / out[0][phase])
-        for label, r in zip(("run", "post-processing"), ratios):
+                ratios[2].append(sum(out[1][:2]) / sum(out[0][:2]))
+        for label, r in zip(("run", "post-processing", "run + post-processing"), ratios):
             q1, med, q3 = statistics.quantiles(r, n=4)
             print(f"{name}: {label} B/A median {med:.3f} (IQR {q1:.3f}-{q3:.3f}), {len(r)} cells")
 
