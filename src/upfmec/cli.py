@@ -152,7 +152,7 @@ def cmd_compare(args) -> int:
         maxima, means = [], []
         for seed in seeds:
             run = run_to_completion(variant, seed=seed)
-            rep = metrics.summarize(run)
+            rep = metrics.summarize_head(run)
             d = rep.e2e_overall
             rows.append([
                 scheme, seed, rep.generated, rep.completed, rep.dropped,

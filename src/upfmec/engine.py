@@ -341,10 +341,6 @@ class SimulationRun:
                         p = table[q] if 0 <= q < len(table) else mec.fill(q)
                         if p != mec_prices[mec_id - 1]:
                             mec_cost.set(mec_id - 1, p)
-        if admitted + dropped_now != len(origins):
-            raise InvariantError(
-                f"epoch {epoch}: admissions {admitted}+{dropped_now} != arrivals {len(origins)}"
-            )
 
         upf_serve_epoch, mec_due_epoch = self.upf_serve_epoch, self.mec_due_epoch
         d_net, link_transit, calendar = self.d_net, self.link_transit, self._calendar

@@ -61,8 +61,8 @@ class DistSummary:
 
 
 @dataclass
-class SummaryReport:
-    """Per-run delay statistics, broken down by entity and QoS."""
+class SummaryHead:
+    """All of a run's summary but its tables: counts, overall e2e delays and queue peaks."""
 
     scenario_name: str
     scheme: str
@@ -73,15 +73,21 @@ class SummaryReport:
     residual: int
     epochs_run: int
     truncated: bool
-    per_upf_qos: Dict[Tuple[int, QosClass], Stats] = field(default_factory=dict)
-    per_mec: Dict[int, Stats] = field(default_factory=dict)
-    e2e_overall: Optional[DistSummary] = None
-    e2e_per_qos: Dict[QosClass, DistSummary] = field(default_factory=dict)
-    peak_upf_queue: int = 0
-    peak_mec_queue: int = 0
+    e2e_overall: Optional[DistSummary]
+    peak_upf_queue: int
+    peak_mec_queue: int
     # the completed requests' end-to-end delays in id order, which the CDF
     # reports read; not a statistic, so not compared, printed or serialized
-    d_e2e: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False, repr=False)
+    d_e2e: np.ndarray = field(compare=False, repr=False)
+
+
+@dataclass
+class SummaryReport(SummaryHead):
+    """Per-run delay statistics, broken down by entity and QoS."""
+
+    per_upf_qos: Dict[Tuple[int, QosClass], Stats] = field(default_factory=dict)
+    per_mec: Dict[int, Stats] = field(default_factory=dict)
+    e2e_per_qos: Dict[QosClass, DistSummary] = field(default_factory=dict)
 
 
 def percentile_nearest_rank(sorted_samples: Sequence[float], p: float) -> float:
@@ -365,24 +371,34 @@ class _Rows:
         return np.fromiter(compress(column, self._at_mec), dtype, self._m)
 
 
-def _slices(keys: np.ndarray, values: np.ndarray) -> List[Tuple[int, Stats]]:
-    """Stats of the values of each distinct key, in ascending key order.
+def _slices(keys: np.ndarray, values: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """The values of each distinct key, in ascending key order; keys are ints >= 0.
 
     A stable sort keeps each slice in request-id order, the order its mean
-    and std are reduced in: both depend on the order of the sample.
+    and std are reduced in: both depend on the order of the sample.  It
+    sorts the keys as the narrowest integer type that holds them, where
+    numpy's stable sort is a radix sort; the permutation is the same.
     """
     if keys.size == 0:
         return []
+    keys = keys.astype(np.min_scalar_type(int(keys.max())), copy=False)
     order = np.argsort(keys, kind="stable")
     keys, values = keys[order], values[order]
     bounds = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
     starts, ends = [0, *bounds], [*bounds, int(keys.size)]
-    return [(int(keys[a]), _stats(values[a:b])) for a, b in zip(starts, ends)]
+    return [(int(keys[a]), values[a:b]) for a, b in zip(starts, ends)]
 
 
-def summarize(run: SimulationRun) -> SummaryReport:
-    """Reduce a finished run to its delay statistics (measured delays, completed requests)."""
-    report = SummaryReport(
+def summarize_head(run: SimulationRun, rows: Optional[_Rows] = None) -> SummaryHead:
+    """Reduce a finished run to its counts, overall end-to-end delays and queue peaks.
+
+    This is all ``compare`` writes of a run.  ``rows`` are the run's
+    completed rows (``_Rows``), if derived already: ``summarize`` adds its
+    tables from the same delays.
+    """
+    c = _Rows(run, completed=True) if rows is None else rows
+    epochs = run.epoch_reports
+    return SummaryHead(
         scenario_name=run.scenario.name,
         scheme=run.scenario.scheme.value,
         seed=run.scenario.seed,
@@ -392,25 +408,25 @@ def summarize(run: SimulationRun) -> SummaryReport:
         residual=run.residual,
         epochs_run=run.epoch,
         truncated=run.truncated,
+        e2e_overall=_dist(c.d_e2e) if c.d_e2e.size else None,
+        peak_upf_queue=max((max(e.upf_queues) for e in epochs), default=0),
+        peak_mec_queue=max((max(e.mec_queues) for e in epochs), default=0),
+        d_e2e=c.d_e2e,
     )
+
+
+def summarize(run: SimulationRun) -> SummaryReport:
+    """Reduce a finished run to its delay statistics (measured delays, completed requests)."""
     c = _Rows(run, completed=True)
     width = len(REPORT_CLASSES)
-    report.per_upf_qos = {
-        (key // width, REPORT_CLASSES[key % width]): st
-        for key, st in _slices(c.rows(run.assigned_upf) * width + _RANK[c.codes], c.d_upf)
-    }
-    report.per_mec = dict(_slices(c.mec_rows(run.assigned_mec), c.d_mec))
-    for code, q in enumerate(QOS_BY_CODE):
-        sample = c.d_e2e[c.codes == code]
-        if sample.size:
-            report.e2e_per_qos[q] = _dist(sample)
-    if c.d_e2e.size:
-        report.e2e_overall = _dist(c.d_e2e)
-    report.d_e2e = c.d_e2e
-    epochs = run.epoch_reports
-    report.peak_upf_queue = max((max(e.upf_queues) for e in epochs), default=0)
-    report.peak_mec_queue = max((max(e.mec_queues) for e in epochs), default=0)
-    return report
+    upf_keys = c.rows(run.assigned_upf) * width + _RANK[c.codes]
+    return SummaryReport(
+        **vars(summarize_head(run, c)),
+        per_upf_qos={(key // width, REPORT_CLASSES[key % width]): _stats(v)
+                     for key, v in _slices(upf_keys, c.d_upf)},
+        per_mec={key: _stats(v) for key, v in _slices(c.mec_rows(run.assigned_mec), c.d_mec)},
+        e2e_per_qos={QOS_BY_CODE[code]: _dist(v) for code, v in _slices(c.codes, c.d_e2e)},
+    )
 
 
 def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
@@ -420,7 +436,8 @@ def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
     id order, as ``SummaryReport.d_e2e``.
     """
     c = _Rows(run, completed=True)
-    return {q: c.d_e2e[c.codes == code] for code, q in enumerate(QOS_BY_CODE)}
+    by_code = dict(_slices(c.codes, c.d_e2e))
+    return {q: by_code.get(code, np.empty(0)) for code, q in enumerate(QOS_BY_CODE)}
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec import metrics
-from upfmec.cli import _parse_int_list, build_parser, main
+from upfmec.cli import ALL_SCHEMES, _parse_int_list, build_parser, main
+from upfmec.engine import run_to_completion
 from upfmec.model import QosClass, Scheme, load_scenario, save_scenario
 
 from conftest import make_scenario
@@ -459,6 +461,43 @@ def test_compare_writes_pooled_table(tmp_path):
     schemes = {r[0] for r in rows[1:] if r}
     assert {"baseline", "bestfit_upf_mec"} <= schemes
     assert (tmp_path / "campus5.baseline.pooled.cdf.csv").is_file()
+
+
+@pytest.mark.parametrize("case", ["campus5", "metro-p1-undrained"])
+def test_compare_rows_are_what_summarize_reports(tmp_path, campus5, metro, case):
+    if case == "campus5":
+        scenario, ref = campus5, "campus5"
+    else:
+        scenario = replace(metrics.build_pair_scenario(metro, 1), drain_cap_epochs=0)
+        ref = str(tmp_path / "metro-p1.yaml")
+        save_scenario(scenario, ref)
+    assert main(["compare", "--scenario", ref, "--seeds", "1", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{scenario.name}.compare.pooled.summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    per_seed = rows[1:rows.index([])]
+    assert [r[0] for r in per_seed] == ALL_SCHEMES
+    for scheme, seed, *row in per_seed:
+        run = run_to_completion(replace(scenario, scheme=Scheme(scheme)), seed=int(seed))
+        assert run.truncated == (case != "campus5")
+        rep = metrics.summarize(run)
+        d = rep.e2e_overall
+        assert row == [str(rep.generated), str(rep.completed), str(rep.dropped), repr(d.max),
+                       repr(d.percentiles[99.0]), repr(d.mean), str(rep.peak_upf_queue),
+                       str(rep.peak_mec_queue)]
+
+
+def test_compare_builds_no_summary_tables(tmp_path, monkeypatch):
+    calls = dict.fromkeys(("_slices", "_dist"), 0)
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(metrics, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(metrics, name, counted)
+    rc = main(["compare", "--scenario", "campus5", "--schemes", "baseline,bestfit_upf_mec",
+               "--seeds", "1-2", "--out", str(tmp_path)])
+    assert rc == 0
+    # one overall distribution per run, and no per-UPF, per-MEC or per-class table
+    assert calls == {"_slices": 0, "_dist": 4}
 
 
 def test_capex_writes_sweep_and_analysis(tmp_path):

@@ -190,6 +190,42 @@ def test_cdf_empty():
     assert build_cdf([]) == build_cdf(())
 
 
+def reference_slices(keys, values):
+    """Each distinct key's values, split by a stable argsort of the keys as int64."""
+    order = np.argsort(keys.astype(np.int64), kind="stable")
+    keys, values = keys[order], values[order]
+    bounds = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    starts, ends = [0, *bounds], [*bounds, int(keys.size)]
+    return [(int(keys[a]), values[a:b]) for a, b in zip(starts, ends)] if keys.size else []
+
+
+def reference_by_code(codes, values):
+    """Each class code's values, gathered by a boolean mask."""
+    return {code: values[codes == code] for code in range(len(QOS_BY_CODE))
+            if (codes == code).any()}
+
+
+def as_bytes(slices):
+    return [(key, v.tobytes()) for key, v in slices]
+
+
+# keys on both sides of the uint8, uint16 and uint32 bounds, often repeated
+SLICE_KEYS = (st.integers(0, 3) | st.integers(250, 260) | st.integers(65530, 65540)
+              | st.integers(2**32 - 3, 2**32 + 3) | st.integers(0, 2**40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(SLICE_KEYS, max_size=60), data=st.data())
+def test_slices_equal_the_int64_sort_and_the_mask_split_bit_for_bit(keys, data):
+    values = np.array(data.draw(st.lists(st.floats(), min_size=len(keys), max_size=len(keys))),
+                      float)
+    keys = np.array(keys, np.int64)
+    assert as_bytes(metrics._slices(keys, values)) == as_bytes(reference_slices(keys, values))
+    codes = (keys % len(QOS_BY_CODE)).astype(np.uint8)
+    assert (as_bytes(metrics._slices(codes, values))
+            == as_bytes(reference_by_code(codes, values).items()))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
 def test_cdf_is_a_distribution(samples):

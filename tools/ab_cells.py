@@ -1,35 +1,47 @@
-"""Paired per-cell A/B of two upfmec source trees, in one process: a sizing aid.
+"""Paired per-cell and per-command A/B of two upfmec source trees, in one process: a sizing aid.
 
 Run as ``python3 tools/ab_cells.py A/src B/src [seeds]`` (default 1-4).
 Each cell runs under both trees back to back, the first tree alternating
 from cell to cell; per cell set it prints the median B/A time ratio and
 its quartiles, for the run, for its post-processing (``completed_e2e``
 in a sweep cell, ``write_events_csv`` to a temporary file in the event
-log set, else ``summarize``) and for the two together, the sum that
-``perfbench``'s ``us_per_req`` sees.  The metro sweep and campus5 sets
-are one per scheme.  The campus5 and 50-pair sets hold one cell per
-seed, so their quartiles need more seeds than the default (1-16, say) to
-be steady.  The trees must give equal results: equal delays, or equal event
-log bytes.  Speed claims quote ``perfbench``.
+log set, else ``summarize``) and for the two together.  The metro sweep
+and campus5 sets are one per scheme.  The campus5 and 50-pair sets hold
+one cell per seed, so their quartiles need more seeds than the default
+(1-16, say) to be steady.  The trees must give equal results: equal
+delays, or equal event log bytes.
+
+A cell times only the run and its one post-processing call, so the two
+command sets time whole ``upfmec`` commands, the units ``perfbench``
+times for ``campus_compare`` and ``metro_capex``: per seed s, ``compare``
+on campus5 under every scheme with seeds s to s+3, and ``capex`` on metro
+at 1-10 pairs with seed s.  Each command writes into an empty directory,
+and the two trees must write the same files, byte for byte.  Speed
+claims quote ``perfbench``.
 """
 
+import contextlib
 import gc
 import importlib
+import io
 import os
+import shutil
 import statistics
 import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 from time import perf_counter
 
 
 def load(src):
-    """The model, engine and metrics modules of the upfmec package under src."""
+    """The model, engine, metrics and cli modules of the upfmec package under src."""
     for name in [m for m in sys.modules if m.split(".")[0] == "upfmec"]:
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
-        return [importlib.import_module(f"upfmec.{m}") for m in ("model", "engine", "metrics")]
+        return [importlib.import_module(f"upfmec.{m}")
+                for m in ("model", "engine", "metrics", "cli")]
     finally:
         sys.path.remove(src)
 
@@ -72,6 +84,17 @@ def cell_sets(src, model, metrics, events_path):
     }
 
 
+def command_sets(src):
+    """{set name: command for a seed}: the scenario files are this tree's own."""
+    scenarios = f"{src}/upfmec/scenarios"
+    return {
+        "compare command": lambda seed: ["compare", "--scenario", f"{scenarios}/campus5.yaml",
+                                         "--schemes", "all", "--seeds", f"{seed}-{seed + 3}"],
+        "capex command": lambda seed: ["capex", "--scenario", f"{scenarios}/metro.yaml",
+                                       "--pairs", "1-10", "--seeds", str(seed)],
+    }
+
+
 def timed(engine, seed, scenario, post, result):
     """Seconds of the run and of its post-processing, and the result it gives."""
     gc.collect()
@@ -83,33 +106,65 @@ def timed(engine, seed, scenario, post, result):
     return t1 - t0, t2 - t1, result(out)
 
 
+def timed_command(cli, argv, out):
+    """Seconds of the command, run into the empty directory out, and the files it wrote."""
+    shutil.rmtree(out, ignore_errors=True)
+    gc.collect()
+    with contextlib.redirect_stdout(io.StringIO()):
+        t0 = perf_counter()
+        rc = cli.main([*argv, "--out", out])
+        t1 = perf_counter()
+    if rc != 0:
+        raise SystemExit(f"upfmec {' '.join(argv)}: exit status {rc}")
+    return t1 - t0, {p.name: p.read_bytes() for p in Path(out).iterdir()}
+
+
 def main(a_src, b_src, seeds="1-4"):
     with tempfile.TemporaryDirectory() as tmp:
-        compare(a_src, b_src, seeds, os.path.join(tmp, "events.csv"))
+        compare(a_src, b_src, seeds, tmp)
 
 
-def compare(a_src, b_src, seeds, events_path):
+def print_ratios(name, label, r):
+    q1, med, q3 = statistics.quantiles(r, n=4)
+    print(f"{name}: {label} B/A median {med:.3f} (IQR {q1:.3f}-{q3:.3f}), {len(r)} cells")
+
+
+def compare(a_src, b_src, seeds, tmp):
     lo, _, hi = seeds.partition("-")
+    seeds = range(int(lo), int(hi or lo) + 1)
+    events_path, out = os.path.join(tmp, "events.csv"), os.path.join(tmp, "out")
     trees = []
     for src in (a_src, b_src):
-        model, engine, metrics = load(src)
-        trees.append((engine, cell_sets(src, model, metrics, events_path)))
+        model, engine, metrics, cli = load(src)
+        trees.append((engine, cli, cell_sets(src, model, metrics, events_path), command_sets(src)))
     n = 0
-    for name in trees[0][1]:
+
+    def paired(time_tree):
+        """time_tree(k) of both trees k, the first alternating from call to call."""
+        nonlocal n
+        n += 1
+        return {k: time_tree(k) for k in ((0, 1) if n % 2 else (1, 0))}
+
+    for name in trees[0][2]:
         ratios = ([], [], [])
-        for seed in range(int(lo), int(hi or lo) + 1):
-            for cells in zip(trees[0][1][name], trees[1][1][name]):
-                out = {k: timed(trees[k][0], seed, *cells[k])
-                       for k in ((0, 1) if n % 2 == 0 else (1, 0))}
-                n += 1
-                if out[0][2] != out[1][2]:
+        for seed in seeds:
+            for cells in zip(trees[0][2][name], trees[1][2][name]):
+                res = paired(lambda k: timed(trees[k][0], seed, *cells[k]))
+                if res[0][2] != res[1][2]:
                     raise SystemExit(f"{name}, seed {seed}: the trees' results differ")
                 for phase in (0, 1):
-                    ratios[phase].append(out[1][phase] / out[0][phase])
-                ratios[2].append(sum(out[1][:2]) / sum(out[0][:2]))
+                    ratios[phase].append(res[1][phase] / res[0][phase])
+                ratios[2].append(sum(res[1][:2]) / sum(res[0][:2]))
         for label, r in zip(("run", "post-processing", "run + post-processing"), ratios):
-            q1, med, q3 = statistics.quantiles(r, n=4)
-            print(f"{name}: {label} B/A median {med:.3f} (IQR {q1:.3f}-{q3:.3f}), {len(r)} cells")
+            print_ratios(name, label, r)
+    for name in trees[0][3]:
+        ratios = []
+        for seed in seeds:
+            res = paired(lambda k: timed_command(trees[k][1], trees[k][3][name](seed), out))
+            if res[0][1] != res[1][1]:
+                raise SystemExit(f"{name}, seed {seed}: the trees' output files differ")
+            ratios.append(res[1][0] / res[0][0])
+        print_ratios(name, "whole command", ratios)
 
 
 if __name__ == "__main__":
