@@ -35,7 +35,7 @@ A request's record holds its decision (``assigned_upf``,
 ``assigned_mec``), the epoch stamps of the stages it crossed and ``drop``,
 not its status nor what the scheme's projection read: the phase order,
 FIFO queues and ids in arrival order let ``metrics`` derive both when
-something reads them (``request_status``, ``decision_inputs``).
+something reads them (``RunView.status``, ``decision_inputs``).
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
 only reset it to zero) and its price cannot change, so service passes it
@@ -197,7 +197,7 @@ class SimulationRun:
     ``mec_serve_epoch`` (None until stamped), and the link's delay
     ``d_net`` (None until the request enters a link).  Only ``step_epoch``
     appends rows, and its epoch's report counts them: no column holds the
-    arrival epoch (``metrics.arrival_epochs``).
+    arrival epoch (``metrics.RunView.arrival``).
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``: link (i, j) of M MECs has index k = (i - 1) * M +
     (j - 1), which sorts as the key (i, j) does.

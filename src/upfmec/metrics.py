@@ -4,11 +4,10 @@ Percentiles use the nearest-rank convention on the sorted sample (the
 p-th percentile is the value at index ceil(p/100 * n) - 1), so every
 reported figure is an observed delay.  Standard deviations are
 population standard deviations.  The run records epoch stamps and drop
-flags, not statuses or delays: ``request_status`` and ``_Rows`` derive
-them on typed arrays, for the completed requests in the summaries and
-every one in the event log.  Summaries reduce every slice in request-id
-order: a float mean or std depends on the order of its sample.  Emitted
-files follow the naming scheme
+flags, not statuses or delays: every report reads them off one
+``RunView`` of the run, which converts each column once.  Summaries
+reduce every slice in request-id order: a float mean or std depends on
+the order of its sample.  Emitted files follow the naming scheme
 <scenario>.<scheme>.<seed>.<report>.<ext> with stable column layouts.
 """
 
@@ -19,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, compress, pairwise
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -134,60 +134,82 @@ def stage_delay(leave, enter, delta):
     return (leave + 1 - enter) * delta
 
 
-def arrival_epochs(run: SimulationRun) -> np.ndarray:
-    """Each request's arrival epoch, in id order.
-
-    Ids are given in arrival order and every epoch's report counts its
-    arrivals, so epoch e's requests are the next ``arrivals`` ids.  Reports
-    that count other than the run's ``generated`` rows raise
-    ``InvariantError``.
-    """
-    counts = [r.arrivals for r in run.epoch_reports]
-    if sum(counts) != run.generated:
-        raise InvariantError(
-            f"epoch reports count {sum(counts)} arrivals, the run holds {run.generated} requests"
-        )
-    return np.repeat(np.arange(run.epoch), counts)
-
-
-# a request's epochs in stage order (_stamps gives the last three), and the status values
+# a request's epochs in stage order, and the status values
 _STAMPS = ("arrival_epoch", "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch")
 _IN_UPF_QUEUE, _IN_TRANSIT, _IN_MEC_QUEUE, _COMPLETED, _DROPPED = map(np.uint8, RequestStatus)
 
 
-def _stamps(run: SimulationRun) -> Tuple[np.ndarray, ...]:
-    """Every request's epoch stamps, as float arrays in id order; an unstamped stamp is nan."""
-    return tuple(np.fromiter(getattr(run, c), float, run.generated) for c in _STAMPS[1:])
+class RunView:
+    """A finished run's record as arrays in id order: what every report reads.
 
-
-def request_status(run: SimulationRun, stamps: Optional[tuple] = None) -> np.ndarray:
-    """Each request's ``RequestStatus`` value, in id order, read off its stamps.
-
-    DROPPED where ``drop`` is set; else COMPLETED where ``mec_serve_epoch``
-    is stamped, or ``upf_serve_epoch`` for a class that ends at the UPF;
-    else IN_UPF_QUEUE without an ``upf_serve_epoch``; else IN_TRANSIT if
-    ``mec_due_epoch`` is ``run.epoch`` or later, since a transfer is
-    delivered exactly at its due epoch; else IN_MEC_QUEUE.  A stamp earlier
-    than the stamp of the stage before it raises ``InvariantError``.
+    Built once per reading, it converts each column once: the class
+    ``codes``, the ``uses_mec`` and ``dropped`` masks, the ``arrival``
+    epochs (epoch e's requests are the next ``arrivals`` ids of its
+    report), the stamps ``upf_serve``, ``mec_due`` and ``mec_serve`` as
+    floats (nan where unset), the ``served`` mask of UPF service, the
+    ``status`` and the ``completed`` mask; the assigned ids when first read.
+    The status is DROPPED where ``drop`` is set; else COMPLETED where
+    ``mec_serve_epoch`` is stamped, or ``upf_serve_epoch`` for a class that
+    ends at the UPF; else IN_UPF_QUEUE without an ``upf_serve_epoch``; else
+    IN_TRANSIT if ``mec_due_epoch`` is ``run.epoch`` or later (a transfer
+    is delivered exactly at its due epoch); else IN_MEC_QUEUE.  Reports
+    that count other than ``generated`` rows, and a stamp earlier than the
+    stamp of the stage before it, raise ``InvariantError`` here.
     """
-    stamps = _stamps(run) if stamps is None else stamps
-    for (before, early), (stage, late) in pairwise(zip(_STAMPS, (arrival_epochs(run), *stamps))):
-        broken = late < early
-        if broken.any():
-            k = int(broken.argmax())
-            raise InvariantError(f"request {k}: {stage} {late[k]:g} before its {before} "
-                                 f"{early[k]:g}")
-    served, due, done = stamps
-    served = ~np.isnan(served)
-    ends_at_upf = ~_USES_MEC.take(np.frombuffer(run.qos, np.uint8))
-    status = np.full(run.generated, _IN_MEC_QUEUE)
-    # each rule sets its value where it holds, over the rules before it; the
-    # uint8 sums wrap, so status + holds * (value - status) is exact
-    for holds, value in ((due >= run.epoch, _IN_TRANSIT), (~served, _IN_UPF_QUEUE),
-                         (~np.isnan(done) | (served & ends_at_upf), _COMPLETED),
-                         (np.frombuffer(run.drop, np.bool_), _DROPPED)):
-        status += holds * (value - status)
-    return status
+
+    def __init__(self, run: SimulationRun) -> None:
+        self.run, n = run, run.generated
+        self.codes = np.frombuffer(run.qos, np.uint8)
+        self.uses_mec = uses_mec = _USES_MEC.take(self.codes)
+        self.dropped = np.frombuffer(run.drop, np.bool_)
+        counts = [r.arrivals for r in run.epoch_reports]
+        if sum(counts) != n:
+            raise InvariantError(f"epoch reports count {sum(counts)} arrivals, "
+                                 f"the run holds {n} requests")
+        self.arrival = np.repeat(np.arange(run.epoch), counts)
+        stamps = tuple(np.fromiter(getattr(run, c), float, n) for c in _STAMPS[1:])
+        for (before, early), (stage, late) in pairwise(zip(_STAMPS, (self.arrival, *stamps))):
+            broken = late < early
+            if broken.any():
+                k = int(broken.argmax())
+                raise InvariantError(f"request {k}: {stage} {late[k]:g} before its {before} "
+                                     f"{early[k]:g}")
+        self.upf_serve, self.mec_due, self.mec_serve = stamps
+        self.served = served = ~np.isnan(self.upf_serve)
+        status = np.full(n, _IN_MEC_QUEUE)
+        # each rule sets its value where it holds, over the rules before it; the
+        # uint8 sums wrap, so status + holds * (value - status) is exact
+        for holds, value in ((self.mec_due >= run.epoch, _IN_TRANSIT), (~served, _IN_UPF_QUEUE),
+                             (~np.isnan(self.mec_serve) | (served & ~uses_mec), _COMPLETED),
+                             (self.dropped, _DROPPED)):
+            status += holds * (value - status)
+        self.status, self.completed = status, status == _COMPLETED
+
+    # the assigned ids, converted on first read: every request's UPF, and the
+    # MEC of each request of a class that uses one (``uses_mec``), in id order
+    upf_ids = cached_property(lambda self: np.fromiter(
+        self.run.assigned_upf, np.intp, self.run.generated))
+    mec_ids = cached_property(lambda self: np.fromiter(compress(
+        self.run.assigned_mec, self.uses_mec.tobytes()), np.intp, self.uses_mec.sum()))
+
+    def delays(self, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The measured delays ``(d_upf, d_net, d_mec, d_e2e)`` in ms where mask ``rows`` is set.
+
+        A delay is nan where a stamp it needs is missing.  A served request
+        of a class that ends at the UPF spent 0.0 ms on a link and at a MEC,
+        so ``d_e2e`` is ``(d_upf + d_net) + d_mec`` for every class.  Each
+        call converts the ``d_net`` of its rows that use a MEC.
+        """
+        delta, linked = self.run.delta, rows & self.uses_mec
+        d_upf = stage_delay(self.upf_serve.compress(rows), self.arrival.compress(rows), delta)
+        # 0.0 where served and nan before, for a class that ends at the UPF
+        d_net = d_upf * 0.0
+        d_mec = d_net.copy()
+        at = np.flatnonzero(linked.compress(rows))
+        d_net[at] = np.fromiter(compress(self.run.d_net, linked.tobytes()), float, len(at))
+        d_mec[at] = stage_delay(self.mec_serve.compress(linked), self.mec_due.compress(linked),
+                                delta)
+        return d_upf, d_net, d_mec, (d_upf + d_net) + d_mec
 
 
 def _count_below(key: np.ndarray, at: np.ndarray, qkey: np.ndarray,
@@ -209,9 +231,9 @@ def _held(key: np.ndarray, arrival: np.ndarray, joined: np.ndarray, join_at: np.
           query_at: np.ndarray, left: np.ndarray, leave_at: np.ndarray) -> np.ndarray:
     """For each row, how many rows of its key it found joined and not yet left.
 
-    All arrays but ``join_at`` and ``leave_at`` are over the rows in id
-    order.  The rows ``joined`` joined at ``join_at``, before a row whose
-    ``query_at`` is above that; the rows ``left`` left at epochs
+    ``key``, ``arrival`` and ``query_at`` are over the rows in id order.
+    The rows at indices ``joined`` joined at ``join_at``, before a row whose
+    ``query_at`` is above that; the rows at indices ``left`` left at epochs
     ``leave_at``, before a row that arrived at a later epoch.  The
     queries go in (key, id) order, which also sorts them by (key, time)
     for ``_count_below``: ids and arrival epochs only grow with the id.
@@ -219,8 +241,8 @@ def _held(key: np.ndarray, arrival: np.ndarray, joined: np.ndarray, join_at: np.
     order = np.argsort(key * len(key) + np.arange(len(key)))
     qkey = key[order]
     held = np.empty(len(key), np.int64)
-    held[order] = (_count_below(key[joined], join_at, qkey, query_at[order])
-                   - _count_below(key[left], leave_at, qkey, arrival[order]))
+    held[order] = (_count_below(key.take(joined), join_at, qkey, query_at[order])
+                   - _count_below(key.take(left), leave_at, qkey, arrival[order]))
     return held
 
 
@@ -239,13 +261,13 @@ def _priced(queues: Sequence[ServiceQueue], key: np.ndarray, level: np.ndarray,
     return flat[(lengths.cumsum() - lengths)[key] + level]
 
 
-def decision_inputs(run: SimulationRun, stamps: Optional[tuple] = None) -> Tuple[np.ndarray, ...]:
+def decision_inputs(view: RunView) -> Tuple[np.ndarray, ...]:
     """What each request's decision read: ``(pc_upf, n_share, pc_mec)``, arrays in id order.
 
     Admission records only the decision.  An epoch runs admission, UPF
     service, delivery and MEC service in that order, queues are FIFO and
     ids follow arrival order, so the queues a request decided in epoch e
-    (``arrival_epochs``) met follow from the stamps:
+    (its ``arrival``) met follow from the stamps:
 
     - its UPF bucket held the rows admitted to it with a smaller id, less
       those it served before e, and ``pc_upf`` is that length's entry of
@@ -260,17 +282,13 @@ def decision_inputs(run: SimulationRun, stamps: Optional[tuple] = None) -> Tuple
 
     A class that ends at the UPF reads ``n_share`` 0 and ``pc_mec`` 0.0.
     """
-    n = run.generated
-    served, due, left = _stamps(run) if stamps is None else stamps
-    arrival = arrival_epochs(run)
-    codes = np.frombuffer(run.qos, np.uint8)
-    upf = np.fromiter(run.assigned_upf, np.intp, n) - 1
-    dropped = np.frombuffer(run.drop, np.bool_)
-    was_served = ~np.isnan(served)
-    admitted = was_served | ~dropped
-    bucket, ids = upf * len(QOS_BY_CODE) + codes, np.arange(n)
-    level = _held(bucket, arrival, admitted, np.flatnonzero(admitted), ids,
-                  was_served, served[was_served])
+    run, n = view.run, view.run.generated
+    arrival, served, upf = view.arrival, view.served, view.upf_ids - 1
+    admitted = served | ~view.dropped
+    bucket, ids = upf * len(QOS_BY_CODE) + view.codes, np.arange(n)
+    joined, was_served = np.flatnonzero(admitted), np.flatnonzero(served)
+    level = _held(bucket, arrival, joined, joined, ids, was_served,
+                  view.upf_serve.take(was_served))
     buckets = [u[q] for u in run.upfs for q in QOS_BY_CODE]
     pc_upf = _priced(buckets, bucket, level, ids, "UPF bucket")
     cap = np.array([b.queue_cap for b in buckets], np.int64)[bucket]
@@ -281,24 +299,23 @@ def decision_inputs(run: SimulationRun, stamps: Optional[tuple] = None) -> Tuple
                              f"queue cap of {cap[k]} ({'admitted' if admitted[k] else 'dropped'})")
 
     # the rows of the classes that use a MEC, numbered 0, 1, ... in id order
-    at_mec = _USES_MEC[codes]
-    rows = np.flatnonzero(at_mec)
-    count = len(rows)
-    mec = np.fromiter(compress(run.assigned_mec, at_mec.tobytes()), np.intp, count) - 1
-    due, left = due[at_mec], left[at_mec]
-    door = dropped[at_mec] & ~np.isnan(due)
-    left[door] = due[door]
-    has_left = ~np.isnan(left)
-    arrival, admitted, served = arrival[at_mec], admitted[at_mec], served[at_mec]
-    level = _held(mec, arrival, admitted, np.flatnonzero(admitted), np.arange(count),
-                  has_left, left[has_left])
+    rows = np.flatnonzero(view.uses_mec)
+    mec = view.mec_ids - 1
+    arrival, admitted, served, due = (a.take(rows) for a in (arrival, admitted, served,
+                                                            view.mec_due))
+    # a row dropped at its MEC's door left it at its due epoch
+    left = np.where(view.dropped.take(rows) & ~np.isnan(due), due, view.mec_serve.take(rows))
+    joined, has_left = np.flatnonzero(admitted), np.flatnonzero(~np.isnan(left))
+    level = _held(mec, arrival, joined, joined, np.arange(len(rows)), has_left,
+                  left.take(has_left))
     pc_mec = np.zeros(n)
     pc_mec[rows] = _priced(run.mecs, mec, level, rows, "MEC")
 
-    crossed = ~np.isnan(served)
+    crossed = np.flatnonzero(served)
     n_share = np.zeros(n, np.int64)
-    n_share[rows] = _held(upf[rows] * run.scenario.num_mecs + mec, arrival, crossed,
-                          served[crossed], arrival, crossed, due[crossed])
+    n_share[rows] = _held(upf.take(rows) * run.scenario.num_mecs + mec, arrival, crossed,
+                          view.upf_serve.take(rows.take(crossed)), arrival, crossed,
+                          due.take(crossed))
     return pc_upf, n_share, pc_mec
 
 
@@ -306,8 +323,8 @@ def projections(scenario: Scenario, upf: np.ndarray, mec: np.ndarray, pc_upf: np
                 n_share: np.ndarray, pc_mec: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The scheme's projected delays ``(proj_upf, proj_net, proj_mec, proj_e2e)`` in ms.
 
-    The arguments are arrays over the same rows: the assigned ids as
-    floats (nan for none) and what the decision read
+    The arguments are arrays over the same rows: the assigned ids (a MEC's
+    as a float, nan for none) and what the decision read
     (``decision_inputs``).  ``proj_net`` is ``net_delay``'s law in its
     order of operations on ``link_law``'s bytes and bandwidth, 0.0 without
     a MEC; ``proj_e2e`` is ``(proj_upf + proj_net) + proj_mec``.
@@ -321,54 +338,6 @@ def projections(scenario: Scenario, upf: np.ndarray, mec: np.ndarray, pc_upf: np
     proj_net[linked] = n_share[linked] * bytes_per_ue * 8.0 / bandwidth
     proj_mec = np.array(pc_mec, float)
     return pc_upf, proj_net, proj_mec, (pc_upf + proj_net) + proj_mec
-
-
-class _Rows:
-    """The measured delays of the completed requests of a run, or of all, as arrays in id order.
-
-    A delay is nan where a stamp it needs is missing.  ``codes`` holds the
-    class codes and ``arrival`` the arrival epochs; ``d_net``, ``d_mec``
-    and ``mec_rows`` hold only the rows of the classes that use a MEC
-    (``uses_mec``).  ``d_e2e`` is ``(d_upf + d_net) + d_mec``, or ``d_upf``
-    for a class that ends at the UPF.  Over all requests it also keeps
-    their ``stamps`` and ``status``.
-    """
-
-    __slots__ = ("_select", "_k", "_at_mec", "_m", "stamps", "status", "codes", "arrival",
-                 "uses_mec", "d_upf", "d_net", "d_mec", "d_e2e")
-
-    def __init__(self, run: SimulationRun, completed: bool) -> None:
-        served, due, done = _stamps(run)
-        status = request_status(run, (served, due, done))
-        if not completed:
-            # the event log also prints the status and derives the decisions' inputs
-            self.stamps, self.status = (served, due, done), status
-        mask = status == _COMPLETED if completed else np.ones(run.generated, np.bool_)
-        codes = np.frombuffer(run.qos, np.uint8)
-        at_mec = mask & _USES_MEC.take(codes)
-        self._select, self._k = mask.tobytes(), int(np.count_nonzero(mask))
-        self._at_mec, self._m = at_mec.tobytes(), int(np.count_nonzero(at_mec))
-        # np.compress takes rows faster than a mask index; rebinding a stamp
-        # array to its rows frees the whole-run array, a report's peak memory
-        self.codes, self.uses_mec = codes.compress(mask), at_mec.compress(mask)
-        served = served.compress(mask)
-        due, done = due.compress(at_mec), done.compress(at_mec)
-        self.arrival = arrival_epochs(run).compress(mask)
-        self.d_upf = stage_delay(served, self.arrival, run.delta)
-        self.d_mec = stage_delay(done, due, run.delta)
-        del served, due, done
-        self.d_net = self.mec_rows(run.d_net, float)
-        self.d_e2e = self.d_upf.copy()
-        linked = np.flatnonzero(self.uses_mec)
-        self.d_e2e[linked] = self.d_upf[linked] + self.d_net + self.d_mec
-
-    def rows(self, column, dtype=np.int64) -> np.ndarray:
-        """The column's entries of the selected requests."""
-        return np.fromiter(compress(column, self._select), dtype, self._k)
-
-    def mec_rows(self, column, dtype=np.int64) -> np.ndarray:
-        """The column's entries of the selected requests of the classes that use a MEC."""
-        return np.fromiter(compress(column, self._at_mec), dtype, self._m)
 
 
 def _slices(keys: np.ndarray, values: np.ndarray) -> List[Tuple[int, np.ndarray]]:
@@ -389,15 +358,7 @@ def _slices(keys: np.ndarray, values: np.ndarray) -> List[Tuple[int, np.ndarray]
     return [(int(keys[a]), values[a:b]) for a, b in zip(starts, ends)]
 
 
-def summarize_head(run: SimulationRun, rows: Optional[_Rows] = None) -> SummaryHead:
-    """Reduce a finished run to its counts, overall end-to-end delays and queue peaks.
-
-    This is all ``compare`` writes of a run.  ``rows`` are the run's
-    completed rows (``_Rows``), if derived already: ``summarize`` adds its
-    tables from the same delays.
-    """
-    c = _Rows(run, completed=True) if rows is None else rows
-    epochs = run.epoch_reports
+def _head(run: SimulationRun, d_e2e: np.ndarray) -> SummaryHead:
     return SummaryHead(
         scenario_name=run.scenario.name,
         scheme=run.scenario.scheme.value,
@@ -408,24 +369,35 @@ def summarize_head(run: SimulationRun, rows: Optional[_Rows] = None) -> SummaryH
         residual=run.residual,
         epochs_run=run.epoch,
         truncated=run.truncated,
-        e2e_overall=_dist(c.d_e2e) if c.d_e2e.size else None,
-        peak_upf_queue=max((max(e.upf_queues) for e in epochs), default=0),
-        peak_mec_queue=max((max(e.mec_queues) for e in epochs), default=0),
-        d_e2e=c.d_e2e,
+        e2e_overall=_dist(d_e2e) if d_e2e.size else None,
+        peak_upf_queue=max((max(e.upf_queues) for e in run.epoch_reports), default=0),
+        peak_mec_queue=max((max(e.mec_queues) for e in run.epoch_reports), default=0),
+        d_e2e=d_e2e,
     )
+
+
+def summarize_head(run: SimulationRun) -> SummaryHead:
+    """Reduce a finished run to what ``compare`` writes of it: ``summarize`` without its tables."""
+    view = RunView(run)
+    return _head(run, view.delays(view.completed)[3])
 
 
 def summarize(run: SimulationRun) -> SummaryReport:
     """Reduce a finished run to its delay statistics (measured delays, completed requests)."""
-    c = _Rows(run, completed=True)
-    width = len(REPORT_CLASSES)
-    upf_keys = c.rows(run.assigned_upf) * width + _RANK[c.codes]
+    view = RunView(run)
+    rows = view.completed
+    d_upf, _, d_mec, d_e2e = view.delays(rows)
+    codes, width = view.codes.compress(rows), len(REPORT_CLASSES)
+    upf_keys = view.upf_ids.compress(rows) * width + _RANK[codes]
+    # the MEC of each completed request of a class that uses one, and its d_mec
+    mec_keys = view.mec_ids.compress(rows.compress(view.uses_mec))
+    d_mec = d_mec.compress(_USES_MEC.take(codes))
     return SummaryReport(
-        **vars(summarize_head(run, c)),
+        **vars(_head(run, d_e2e)),
         per_upf_qos={(key // width, REPORT_CLASSES[key % width]): _stats(v)
-                     for key, v in _slices(upf_keys, c.d_upf)},
-        per_mec={key: _stats(v) for key, v in _slices(c.mec_rows(run.assigned_mec), c.d_mec)},
-        e2e_per_qos={QOS_BY_CODE[code]: _dist(v) for code, v in _slices(c.codes, c.d_e2e)},
+                     for key, v in _slices(upf_keys, d_upf)},
+        per_mec={key: _stats(v) for key, v in _slices(mec_keys, d_mec)},
+        e2e_per_qos={QOS_BY_CODE[code]: _dist(v) for code, v in _slices(codes, d_e2e)},
     )
 
 
@@ -435,8 +407,8 @@ def completed_e2e(run: SimulationRun) -> Dict[QosClass, np.ndarray]:
     For a run that is not summarized; ``summarize`` keeps all of them, in
     id order, as ``SummaryReport.d_e2e``.
     """
-    c = _Rows(run, completed=True)
-    by_code = dict(_slices(c.codes, c.d_e2e))
+    view = RunView(run)
+    by_code = dict(_slices(view.codes.compress(view.completed), view.delays(view.completed)[3]))
     return {q: by_code.get(code, np.empty(0)) for code, q in enumerate(QOS_BY_CODE)}
 
 
@@ -695,10 +667,9 @@ def _cells(column: np.ndarray):
 def write_events_csv(run: SimulationRun, path: str) -> None:
     """One row per request in id order: its record, measured delays and the scheme's projection.
 
-    A measured cell is blank until a stage stamps it: ``d_upf`` until UPF
-    service, ``d_net`` until link entry, ``d_mec`` and ``d_e2e`` until the
-    request completes.  A completed request of a class that ends at the
-    UPF spent 0.0 ms on a link and at a MEC.  The projection is
+    A measured cell (``RunView.delays``) is blank until a stage stamps it:
+    ``d_upf`` until UPF service, ``d_net`` until link entry, ``d_mec`` and
+    ``d_e2e`` until the request completes.  The projection is
     ``projections`` of ``decision_inputs``.
     """
     cols = [
@@ -706,18 +677,15 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
         "status", "d_upf_ms", "d_net_ms", "d_mec_ms", "d_e2e_ms",
         "proj_upf_ms", "proj_net_ms", "proj_mec_ms", "proj_e2e_ms",
     ]
-    d = _Rows(run, completed=False)
-    # 0.0 for a completed request of a class that ends at the UPF
-    d_net = np.where(np.isnan(d.d_e2e), np.nan, 0.0)
-    d_mec = d_net.copy()
-    d_net[d.uses_mec], d_mec[d.uses_mec] = d.d_net, d.d_mec
-    proj = projections(run.scenario, d.rows(run.assigned_upf, float),
-                       d.rows(run.assigned_mec, float), *decision_inputs(run, d.stamps))
+    view = RunView(run)
+    mec = np.full(run.generated, np.nan)
+    mec[view.uses_mec] = view.mec_ids
+    proj = projections(run.scenario, view.upf_ids, mec, *decision_inputs(view))
     columns = [
         range(run.generated), map(_QOS_NAMES.__getitem__, run.qos), run.origin_upf,
-        d.arrival.tolist(), run.assigned_upf, run.assigned_mec,
-        map(_STATUS_NAMES.__getitem__, d.status.tolist()),
-        *map(_cells, (d.d_upf, d_net, d_mec, d.d_e2e, *proj)),
+        view.arrival.tolist(), run.assigned_upf, run.assigned_mec,
+        map(_STATUS_NAMES.__getitem__, view.status.tolist()),
+        *map(_cells, (*view.delays(np.ones(run.generated, np.bool_)), *proj)),
     ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -85,7 +85,7 @@ CO_LOCATED_SCHEMES = (Scheme.BASELINE, Scheme.BESTFIT_UPF_NO_PE, Scheme.BESTFIT_
 
 
 class RequestStatus(enum.IntEnum):
-    """The stage a request's stamps place it in (``metrics.request_status``).
+    """The stage a request's stamps place it in (``metrics.RunView.status``).
 
     A request waits IN_UPF_QUEUE until UPF service, is IN_TRANSIT until
     its due epoch and IN_MEC_QUEUE until MEC service, then COMPLETED (a

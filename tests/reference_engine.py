@@ -10,9 +10,9 @@ scanned in (i, j) order.  Each request keeps its own status, set as it
 moves.  ``reference_run(scenario)`` returns the 9 record columns, each
 request's status, the 3 inputs each decision read, recorded when it was
 made, the epoch reports and each request's arrival epoch, which the
-engine, ``metrics.request_status``, ``metrics.decision_inputs`` and
-``metrics.arrival_epochs`` must equal.  A class is kept as its code, its
-index in ``SERVICE_ORDER`` (``list(QosClass)``).
+engine, a ``metrics.RunView`` of its run (``status`` and ``arrival``) and
+``metrics.decision_inputs`` of that view must equal.  A class is kept as
+its code, its index in ``SERVICE_ORDER`` (``list(QosClass)``).
 """
 
 from __future__ import annotations

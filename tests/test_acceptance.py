@@ -17,7 +17,7 @@ import pytest
 from upfmec.cli import main
 from upfmec.delay import net_delay, projected_delay, worst_case_batch_delay
 from upfmec.engine import SimulationRun, run_to_completion
-from upfmec.metrics import capex_analysis, capex_sweep, request_status, summarize
+from upfmec.metrics import RunView, capex_analysis, capex_sweep, summarize
 from upfmec.model import QosClass, RequestStatus, Scheme
 from upfmec.oracle import (
     minmax_batch_optimum,
@@ -272,7 +272,7 @@ def test_criterion_10_conservation(campus_results, metro):
         for r in runs
     )
     terminal = (RequestStatus.COMPLETED, RequestStatus.DROPPED)
-    statuses = all(np.isin(request_status(r), terminal).all() for r in runs)
+    statuses = all(np.isin(RunView(r).status, terminal).all() for r in runs)
     check(
         "criterion 10 conservation",
         ok and statuses,

@@ -22,13 +22,13 @@ from upfmec.engine import (
     run_to_completion,
 )
 from upfmec.metrics import (
-    arrival_epochs,
+    RunView,
     build_pair_scenario,
     completed_e2e,
     decision_inputs,
-    request_status,
     stage_delay,
     summarize,
+    summarize_head,
     write_events_csv,
 )
 from upfmec.model import (
@@ -147,7 +147,7 @@ def test_request_ids_continue_across_epochs():
     run.step_epoch()
     assert run.generated == 6
     assert all(len(getattr(run, column)) == 6 for column in COLUMNS)
-    assert arrival_epochs(run).tolist() == [0, 0, 0, 1, 1, 1]
+    assert RunView(run).arrival.tolist() == [0, 0, 0, 1, 1, 1]
 
 
 # ------------------------------------------------------------------ stepping
@@ -158,7 +158,7 @@ def test_single_request_crosses_both_tiers():
     s = make_scenario(num_upfs=1, lam=1.0, horizon=1, qos_mix=ALL_URLLC, bandwidth_mbps=12.0)
     res = run_to_completion(s)
     assert res.generated == res.completed == 1
-    assert request_status(res).tolist() == [RequestStatus.COMPLETED]
+    assert RunView(res).status.tolist() == [RequestStatus.COMPLETED]
     assert (res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch) == ([0], [1], [1])
     rep = summarize(res)
     assert rep.per_upf_qos[(1, QosClass.URLLC)].mean == 1.0
@@ -187,7 +187,7 @@ def test_stages_stamp_epochs_and_rows_derive_the_delays():
         mec_capacity=1.5, bandwidth_mbps=1e6, upf_queue_cap=100, mec_queue_cap=100, delta=0.5,
     )
     res = run_to_completion(s)
-    assert request_status(res).tolist() == [RequestStatus.COMPLETED] * res.generated
+    assert RunView(res).status.tolist() == [RequestStatus.COMPLETED] * res.generated
     stamps = list(
         zip(arrivals_by_id(res), res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch)
     )
@@ -344,7 +344,7 @@ def test_a_request_lost_behind_the_engine_breaks_conservation():
 def test_a_stamp_out_of_stage_order_breaks_the_derivation(stage, before, tmp_path):
     # the last request, hand-edited to be served at its UPF before it
     # arrived, due at its MEC before its UPF served it, or served at its MEC
-    # before its transfer was due; every reader of the status refuses it
+    # before its transfer was due; every reader of the record refuses it
     s = make_scenario(
         num_upfs=1, lam=6.0, horizon=4, qos_mix=ALL_URLLC, upf_capacity=3.0,
         mec_capacity=1.0, bandwidth_mbps=1e6, upf_queue_cap=100, mec_queue_cap=100,
@@ -354,7 +354,8 @@ def test_a_stamp_out_of_stage_order_breaks_the_derivation(stage, before, tmp_pat
     early = arrivals_by_id(run)[rid] if before == "arrival_epoch" else getattr(run, before)[rid]
     getattr(run, stage)[rid] = early - 1
     message = f"request {rid}: {stage} {early - 1} before its {before} {early}"
-    readers = [request_status, summarize, completed_e2e,
+    readers = [RunView, summarize, summarize_head, completed_e2e,
+               lambda r: decision_inputs(RunView(r)),
                lambda r: write_events_csv(r, str(tmp_path / "events.csv"))]
     for read in readers:
         with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
@@ -486,7 +487,7 @@ def test_upf_price_undershoots_fcfs_service_by_under_one_epoch(campus5, scheme):
     res = run_to_completion(replace(campus5, scheme=scheme), seed=1)
     delta, tol = res.delta, 1e-9
     errors = []
-    prices = decision_inputs(res)[0].tolist()
+    prices = decision_inputs(RunView(res))[0].tolist()
     for qos, upf, arrival, serve, price in zip(
         classes_by_id(res), res.assigned_upf, arrivals_by_id(res), res.upf_serve_epoch, prices
     ):
@@ -681,7 +682,7 @@ def test_invariants_hold_on_random_scenarios(base, cap):
                 assert due == serve + transit_epochs(d_net, delta)
         assert len(decisions) == res.generated
         assert epochs == list(range(res.epoch))
-        status = Counter(request_status(res).tolist())
+        status = Counter(RunView(res).status.tolist())
         assert all(len(getattr(res, column)) == res.generated for column in COLUMNS)
         assert res.completed == status[RequestStatus.COMPLETED]
         assert res.dropped == status[RequestStatus.DROPPED]
@@ -705,7 +706,7 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         # the summary's delays are the law on the stamps, bit for bit
         e2e = [
             measured_e2e(res, rid, arrival)
-            for rid, (st, arrival) in enumerate(zip(request_status(res), arrivals_by_id(res)))
+            for rid, (st, arrival) in enumerate(zip(RunView(res).status, arrivals_by_id(res)))
             if st == RequestStatus.COMPLETED
         ]
         assert summarize(res).d_e2e.tolist() == e2e
@@ -745,7 +746,7 @@ def _drops_by_site(run: SimulationRun) -> tuple:
     An admission drop never left its UPF queue, a door drop crossed its
     link; together they are every drop the run and its reports count.
     """
-    dropped = request_status(run) == RequestStatus.DROPPED
+    dropped = RunView(run).status == RequestStatus.DROPPED
     admission = int((dropped & np.array([s is None for s in run.upf_serve_epoch], bool)).sum())
     door = int((dropped & np.array([d is not None for d in run.mec_due_epoch], bool)).sum())
     assert admission + door == run.dropped == sum(rep.dropped for rep in run.epoch_reports)
@@ -759,15 +760,15 @@ def assert_run_is_the_reference(scenario) -> SimulationRun:
     for column in COLUMNS:
         assert getattr(run, column) == columns[column], column
     # the status read off the stamps is the one the reference kept per row
-    assert request_status(run).tolist() == columns["status"]
+    assert RunView(run).status.tolist() == columns["status"]
     _drops_by_site(run)
     # what each decision read, derived from the stamps and price tables,
     # equals what the reference recorded when it decided, bit for bit
-    for name, derived in zip(INPUTS, decision_inputs(run)):
+    for name, derived in zip(INPUTS, decision_inputs(RunView(run))):
         assert derived.tobytes() == np.array(columns[name], derived.dtype).tobytes(), name
     assert run.epoch_reports == reports
     # the one derivation of the arrival epochs, from the reports
-    assert arrival_epochs(run).tolist() == arrivals
+    assert RunView(run).arrival.tolist() == arrivals
     return run
 
 
@@ -788,7 +789,7 @@ def _assert_little_identities(run: SimulationRun) -> None:
     end = run.epoch
     upf_res, mec_res, link_res = Counter(), Counter(), 0
     arrival, classes = arrivals_by_id(run), classes_by_id(run)
-    statuses = request_status(run).tolist()
+    statuses = RunView(run).status.tolist()
     for rid, serve in enumerate(run.upf_serve_epoch):
         status = statuses[rid]
         if serve is None:

@@ -17,6 +17,7 @@ from upfmec.delay import net_delay
 from upfmec.engine import EpochReport, SimulationRun, link_law, run_to_completion
 from upfmec.metrics import (
     CapexPoint,
+    RunView,
     build_cdf,
     build_pair_scenario,
     capex_analysis,
@@ -26,8 +27,8 @@ from upfmec.metrics import (
     percentile_nearest_rank,
     projections,
     report_path,
-    request_status,
     summarize,
+    summarize_head,
     write_capex_csv,
     write_cdf_csv,
     write_events_csv,
@@ -151,7 +152,7 @@ def test_summary_skips_unfinished_requests():
     queued = completed_request(0, status=RequestStatus.IN_UPF_QUEUE)
     dropped = completed_request(0, status=RequestStatus.DROPPED)
     run = make_result([done, queued, dropped])
-    assert request_status(run).tolist() == [RequestStatus.COMPLETED, RequestStatus.IN_UPF_QUEUE,
+    assert RunView(run).status.tolist() == [RequestStatus.COMPLETED, RequestStatus.IN_UPF_QUEUE,
                                             RequestStatus.DROPPED]
     assert summarize(run).e2e_overall.count == 1
 
@@ -174,7 +175,7 @@ def test_rows_no_report_counts_raise_a_named_error():
     run.step_epoch()
     run.step_epoch()
     append_row(run, QosClass.URLLC, 1)
-    for derivation in (summarize, decision_inputs):
+    for derivation in (RunView, summarize):
         with pytest.raises(InvariantError,
                            match="^epoch reports count 4 arrivals, the run holds 5 requests$"):
             derivation(run)
@@ -351,7 +352,7 @@ def composed(run, inputs, rid):
 
 def assert_projections_are_the_composition(run):
     """``projections`` of every row equals the per-row composition bit for bit."""
-    inputs = decision_inputs(run)
+    inputs = decision_inputs(RunView(run))
     # the assigned ids as floats, None read as nan
     upf, mec = (np.array(getattr(run, name), float) for name in ("assigned_upf", "assigned_mec"))
     rows = np.stack(projections(run.scenario, upf, mec, *inputs), axis=1)
@@ -380,8 +381,9 @@ def test_campus5_projections_equal_the_per_row_composition(campus5, metro, schem
 
 
 @pytest.mark.parametrize("stamps, message", [
-    # request 1 served one epoch before it arrived: its bucket held -1 requests
-    ({1: 0}, "request 1: derived UPF bucket queue length -1 below 0"),
+    # request 1 served one epoch before it arrived: the view's stage-order
+    # guard refuses it before its bucket's length (-1) is derived
+    ({1: 0}, "request 1: upf_serve_epoch 0 before its arrival_epoch 1"),
     # requests 0 and 1 served only at epoch 2: request 2 met a queue of 2,
     # where its bucket's cap of 2 drops, yet it was admitted
     ({0: 2, 1: 2}, "request 2: derived UPF bucket queue length 2 breaks its queue cap of 2 "
@@ -392,7 +394,21 @@ def test_a_derived_length_outside_its_price_table_raises_a_named_error(stamps, m
     for rid, epoch in stamps.items():
         run.upf_serve_epoch[rid] = epoch
     with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
-        decision_inputs(run)
+        decision_inputs(RunView(run))
+
+
+def test_a_stamp_past_an_unset_one_reaches_the_below_zero_length_check():
+    # the stage-order guard compares only stamps that are set, so requests 2
+    # and 3, hand-edited to leave their MEC at epoch 0 with no due epoch,
+    # pass it; request 1 then found its MEC holding 1 - 2 requests
+    run = run_to_completion(make_scenario(num_upfs=1, lam=1.0, horizon=4, qos_mix=ALL_URLLC,
+                                          bandwidth_mbps=1e6))
+    assert run.upf_serve_epoch == [0, 1, 2, 3] and run.mec_serve_epoch == [1, 2, 3, 4]
+    for rid in (2, 3):
+        run.mec_due_epoch[rid], run.mec_serve_epoch[rid] = None, 0
+    view = RunView(run)
+    with pytest.raises(InvariantError, match="^request 1: derived MEC queue length -1 below 0$"):
+        decision_inputs(view)
 
 
 def test_an_admission_drop_below_its_queue_cap_raises_a_named_error():
@@ -401,7 +417,7 @@ def test_an_admission_drop_below_its_queue_cap_raises_a_named_error():
     run.drop[2], run.upf_serve_epoch[2] = 1, None
     message = "request 2: derived UPF bucket queue length 0 breaks its queue cap of 2 (dropped)"
     with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
-        decision_inputs(run)
+        decision_inputs(RunView(run))
 
 
 def _one_regular_request_per_epoch():
@@ -440,7 +456,7 @@ def row_status(run, rid: int) -> RequestStatus:
 def reference_events_csv(run, path: str) -> None:
     """``events.csv`` written one row at a time with the per-row laws and formatting."""
     arrivals = [rep.epoch for rep in run.epoch_reports for _ in range(rep.arrivals)]
-    delta, inputs = run.delta, decision_inputs(run)
+    delta, inputs = run.delta, decision_inputs(RunView(run))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([
@@ -490,6 +506,41 @@ def test_events_csv_equals_the_per_row_writer_on_every_status(metro, tmp_path):
     run = run_to_completion(replace(build_pair_scenario(metro, 1), drain_cap_epochs=0))
     assert {row_status(run, rid) for rid in range(run.generated)} == set(RequestStatus)
     assert_events_csv_is_the_reference(run, tmp_path)
+
+
+class CountedColumn(list):
+    """A list column that counts how often it is iterated."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+LIST_COLUMNS = ("origin_upf", "assigned_upf", "assigned_mec", "upf_serve_epoch",
+                "mec_due_epoch", "mec_serve_epoch", "d_net")
+
+
+@pytest.mark.parametrize("report", [summarize, summarize_head, completed_e2e, write_events_csv],
+                         ids=lambda report: report.__name__)
+def test_a_report_converts_each_list_column_at_most_once(metro, tmp_path, report):
+    # one pair stopped at its horizon holds requests at every status
+    run = run_to_completion(replace(build_pair_scenario(metro, 1), drain_cap_epochs=0))
+    for name in LIST_COLUMNS:
+        setattr(run, name, CountedColumn(getattr(run, name)))
+    printed = ()
+    if report is write_events_csv:
+        # the event log prints these three columns as recorded, beside what it converts
+        printed = ("origin_upf", "assigned_upf", "assigned_mec")
+        report(run, str(tmp_path / "events.csv"))
+    else:
+        report(run)
+    iterations = {name: getattr(run, name).iterations for name in LIST_COLUMNS}
+    assert iterations == {name: min(iterations[name], 1 + (name in printed))
+                          for name in LIST_COLUMNS}
 
 
 def test_report_path_naming():
