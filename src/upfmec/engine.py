@@ -1,15 +1,17 @@
 """Discrete-epoch flow simulation of the UPF/MEC data plane.
 
-Every epoch runs the same fixed order: generate arrivals, admit them one
-at a time through the configured assignment scheme (each decision sees
-the queues left by the decisions before it, including same-epoch ones),
-serve the UPF buckets, move served traffic across the links, deliver
-finished transfers to their MEC queues, serve the MECs, then advance the
-clock.  After the arrival horizon the run keeps stepping without new
-traffic until every admitted request has completed or the scenario's
-drain cap (``drain_cap_epochs``, ten horizons by default) is hit.  A run
-is built from its scenario alone, so ``validate_scenario`` checks every
-setting of a run, and its ScenarioError is the only one a run raises.
+A run draws the arrivals of its whole horizon when it is built
+(``generate_arrivals``).  Every epoch then runs the same fixed order: take
+the epoch's arrivals, admit them one at a time through the configured
+assignment scheme (each decision sees the queues left by the decisions
+before it, including same-epoch ones), serve the UPF buckets, move served
+traffic across the links, deliver finished transfers to their MEC queues,
+serve the MECs, then advance the clock.  After the arrival horizon the run
+keeps stepping without new traffic until every admitted request has
+completed or the scenario's drain cap (``drain_cap_epochs``, ten horizons
+by default) is hit.  A run is built from its scenario alone, so
+``validate_scenario`` checks every setting of a run, and its ScenarioError
+is the only one a run raises.
 
 A UPF is a dict of one ``model.ServiceQueue`` per QoS class (bucket
 ``run.upfs[i][q]``) and a MEC is one (``run.mecs[j]``), so both tiers
@@ -29,7 +31,11 @@ door lowers ``pending``, but only when its queue is full).  A repricing
 reads the table inline, a MEC at ``len(queue) + pending`` and a UPF
 bucket at ``len(queue)`` (only MECs count ``pending``, under every
 scheme), and writes only a moved price: a kept vector equals a fresh
-pricing.  Only ``step_epoch`` changes a run.
+pricing.  Each write is one of the vector's two monotone writes, since a
+price table never falls as its queue grows: an admission joins the queue
+its scheme chose, the vector's best, so it is ``raise_best``; a served
+queue, or a MEC whose door drops lowered ``pending``, only got shorter, so
+it is ``lower``.  Only ``step_epoch`` changes a run.
 
 A request's record holds its decision (``assigned_upf``,
 ``assigned_mec``), the epoch stamps of the stages it crossed and ``drop``,
@@ -56,6 +62,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,11 +103,11 @@ def _cdf(weights) -> np.ndarray:
 def arrival_cdfs(traffic: TrafficSpec) -> Tuple[np.ndarray, np.ndarray]:
     """The origin CDF (over UPFs) and the QoS-class CDF of the arrivals.
 
-    ``cdf.searchsorted(rng.random(count), side="right")`` on one of them
-    draws exactly what ``rng.choice(len(w), size=count, p=w / w.sum())``
-    draws, from the same stream, without re-checking and re-normalising
-    the weights on every call.  ``validate_scenario`` checks both weight
-    vectors.
+    ``cdf.searchsorted(u, side="right")`` on one of them, for uniforms
+    ``u`` from ``rng.random``, draws exactly what ``rng.choice(len(w),
+    size=len(u), p=w / w.sum())`` draws from the same stream, without
+    re-checking and re-normalising the weights on every call.
+    ``validate_scenario`` checks both weight vectors.
     """
     return _cdf(traffic.skew), _cdf([traffic.qos_mix[q] for q in QOS_BY_CODE])
 
@@ -108,31 +115,42 @@ def arrival_cdfs(traffic: TrafficSpec) -> Tuple[np.ndarray, np.ndarray]:
 def generate_arrivals(
     traffic: TrafficSpec,
     rng: np.random.Generator,
-    epoch: int,
+    horizon: int,
     origin_cdf: np.ndarray,
     class_cdf: np.ndarray,
-) -> Tuple[List[int], bytes]:
-    """Draw one epoch of requests: their origin UPF ids, then their QoS class codes.
+) -> Tuple[List[int], List[int], bytes]:
+    """Draw the requests of epochs 0..horizon-1: each epoch's count, then every origin and class.
 
-    The count comes first, then every origin, then every class.  The CDFs
-    are ``arrival_cdfs(traffic)``.  A class is drawn as its index in the
-    class CDF, which is its code (``QOS_BY_CODE``), and the codes come back
-    as bytes, one per request.  The deterministic process emits
+    The stream is the one per-epoch ``rng.choice`` draws make: each epoch
+    takes its count, then one uniform per origin, then one per class,
+    before the next epoch's count.  The CDFs are ``arrival_cdfs(traffic)``,
+    and each is searched once for the whole horizon.  Returns the counts by
+    epoch, the origin UPF ids and the QoS class codes (as bytes, one per
+    request), both in arrival order: epoch e's requests follow those of
+    the epochs before it.  A class is drawn as its index in the class CDF,
+    which is its code (``QOS_BY_CODE``).  The deterministic process emits
     floor((epoch+1)*rate) - floor(epoch*rate) requests so the long-run rate
     is exact even for fractional rates.
     """
     lam = traffic.mean_arrivals_per_epoch
-    if traffic.process == "poisson":
-        count = int(rng.poisson(lam))
-    elif traffic.process == "deterministic":
-        count = int(math.floor((epoch + 1) * lam) - math.floor(epoch * lam))
-    else:
+    if traffic.process not in ("poisson", "deterministic"):
         raise ValueError(f"unknown arrival process {traffic.process!r}")
-    if count == 0:
-        return [], b""
-    origins = (origin_cdf.searchsorted(rng.random(count), side="right") + 1).tolist()
-    classes = class_cdf.searchsorted(rng.random(count), side="right").astype(np.uint8)
-    return origins, classes.tobytes()
+    poisson = traffic.process == "poisson"
+    counts: List[int] = []
+    origin_u, class_u = [np.empty(0)], [np.empty(0)]
+    for epoch in range(horizon):
+        if poisson:
+            count = int(rng.poisson(lam))
+        else:
+            count = int(math.floor((epoch + 1) * lam) - math.floor(epoch * lam))
+        counts.append(count)
+        if count:
+            u = rng.random(2 * count)
+            origin_u.append(u[:count])
+            class_u.append(u[count:])
+    origins = (origin_cdf.searchsorted(np.concatenate(origin_u), side="right") + 1).tolist()
+    classes = class_cdf.searchsorted(np.concatenate(class_u), side="right").astype(np.uint8)
+    return counts, origins, classes.tobytes()
 
 
 def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
@@ -211,8 +229,12 @@ class SimulationRun:
         # prices and measured delays are floats whatever the type of
         # delta_ms: a float delta gives the same values and never an int
         self.delta = float(scenario.delta_ms)
-        self.rng = np.random.default_rng(scenario.seed)
-        self._origin_cdf, self._class_cdf = arrival_cdfs(scenario.traffic)
+        # the horizon's arrivals, drawn once: epoch e's requests are
+        # _origins[k] and _codes[k] for k in range(_starts[e], _starts[e + 1])
+        counts, self._origins, self._codes = generate_arrivals(
+            scenario.traffic, np.random.default_rng(scenario.seed), scenario.horizon_epochs,
+            *arrival_cdfs(scenario.traffic))
+        self._starts = list(accumulate(counts, initial=0))
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
         _, reads_upf, reads_mec = SCHEMES[scenario.scheme.value]
         # a queue whose scenario states no cap is UNBOUNDED (a stated cap is >= 1)
@@ -290,13 +312,16 @@ class SimulationRun:
     # ------------------------------------------------------------- stepping
 
     def step_epoch(self, generate: bool = True) -> EpochReport:
+        """Simulate one epoch, with the arrivals drawn for it if ``generate``; its report.
+
+        An epoch at or past the horizon has no arrivals drawn.
+        """
         epoch = self.epoch
         origins: List[int] = []
         codes = b""
-        if generate:
-            origins, codes = generate_arrivals(
-                self.scenario.traffic, self.rng, epoch, self._origin_cdf, self._class_cdf
-            )
+        if generate and epoch < len(self._starts) - 1:
+            start, end = self._starts[epoch], self._starts[epoch + 1]
+            origins, codes = self._origins[start:end], self._codes[start:end]
         # one undecided row per new request, which this epoch's report counts
         first = len(self.qos)
         self.qos += codes
@@ -330,7 +355,7 @@ class SimulationRun:
                     q = len(queue)
                     p = table[q] if q < len(table) else bucket.fill(q)
                     if p != prices[i]:
-                        cost.set(i, p)
+                        cost.raise_best(p)
                 admitted += 1
                 if mec_id is not None:
                     mec = mecs[mec_id - 1]
@@ -340,7 +365,7 @@ class SimulationRun:
                         table = mec.table
                         p = table[q] if 0 <= q < len(table) else mec.fill(q)
                         if p != mec_prices[mec_id - 1]:
-                            mec_cost.set(mec_id - 1, p)
+                            mec_cost.raise_best(p)
 
         upf_serve_epoch, mec_due_epoch = self.upf_serve_epoch, self.mec_due_epoch
         d_net, link_transit, calendar = self.d_net, self.link_transit, self._calendar
@@ -382,7 +407,7 @@ class SimulationRun:
                 table = bucket.table
                 p = table[q] if q < len(table) else bucket.fill(q)
                 if p != cost.prices[idx]:
-                    cost.set(idx, p)
+                    cost.lower(idx, p)
             served_upf += n
 
         # a transfer reaches its MEC exactly at its due epoch; deliveries go
@@ -395,13 +420,16 @@ class SimulationRun:
                 link_sharers[k] -= len(rids)
                 mec = mecs[k % num_mecs]
                 mec.pending -= len(rids)
-                queue, queue_cap = mec.queue, mec.queue_cap
-                for rid in rids:
-                    if len(queue) >= queue_cap:
+                queue = mec.queue
+                room = mec.queue_cap - len(queue)
+                if room >= len(rids):
+                    queue.extend(rids)
+                else:
+                    # the first room ids fill the queue, the rest find it full
+                    queue.extend(rids[:room])
+                    for rid in rids[room:]:
                         drop[rid] = 1
-                        dropped_now += 1
-                    else:
-                        queue.append(rid)
+                    dropped_now += len(rids) - room
 
         # a MEC the link phase changed holds a queue now: a delivery joined it,
         # or a drop found it full (queue_cap >= 1); so repricing each served
@@ -421,7 +449,7 @@ class SimulationRun:
                 table = m.table
                 p = table[q] if 0 <= q < len(table) else m.fill(q)
                 if p != mec_prices[j]:
-                    mec_cost.set(j, p)
+                    mec_cost.lower(j, p)
             served_mec += n
         completed_now += served_mec
 
@@ -449,6 +477,8 @@ class SimulationRun:
         """Step through the horizon, then drain; the finished run is its own record."""
         while self.epoch < self.scenario.horizon_epochs:
             self.step_epoch(generate=True)
+        # the horizon's draws are spent
+        self._origins, self._codes = [], b""
         cap = self.scenario.drain_cap_epochs
         if cap is None:
             cap = DEFAULT_DRAIN_FACTOR * max(1, self.scenario.horizon_epochs)

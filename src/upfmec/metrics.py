@@ -174,6 +174,11 @@ class RunView:
                 k = int(broken.argmax())
                 raise InvariantError(f"request {k}: {stage} {late[k]:g} before its {before} "
                                      f"{early[k]:g}")
+            # nan compares false, so a stamp set after an unset one is its own check
+            skipped = np.isnan(early) > np.isnan(late)
+            if skipped.any():
+                k = int(skipped.argmax())
+                raise InvariantError(f"request {k}: {stage} {late[k]:g} without its {before}")
         self.upf_serve, self.mec_due, self.mec_serve = stamps
         self.served = served = ~np.isnan(self.upf_serve)
         status = np.full(n, _IN_MEC_QUEUE)

@@ -168,10 +168,12 @@ class CostVector:
     """Prices of a row of queues that keeps the index of its first minimum.
 
     ``best`` is always ``prices.index(min(prices))``, the index numpy's
-    ``argmin`` would return: the lowest index wins a tie.  Every write goes
-    through ``set``, which keeps ``best`` exact for any sequence of point
-    updates and rescans only when the best entry's price rises.  A bucket's
-    price stays at one epoch until the bucket fills, so rescans are rare.
+    ``argmin`` would return: the lowest index wins a tie.  A run makes two
+    writes only, and each keeps ``best`` exact without a general update:
+    ``raise_best`` writes the best entry and rescans, since a bestfit
+    admission joins the best queue, whose price cannot fall; ``lower``
+    writes any entry with a price no higher than its own, as service and a
+    drop at a MEC's door shorten a queue, so only that entry can become best.
     """
 
     __slots__ = ("prices", "best")
@@ -180,19 +182,20 @@ class CostVector:
         self.prices: List[float] = list(prices)
         self.best = self.prices.index(min(self.prices))
 
-    def set(self, i: int, price: float) -> None:
+    def raise_best(self, price: float) -> None:
+        """Write the best entry's new price, no lower than its old one."""
         prices = self.prices
+        prices[self.best] = price
+        self.best = prices.index(min(prices))
+
+    def lower(self, i: int, price: float) -> None:
+        """Write entry i's new price, no higher than its old one."""
+        prices = self.prices
+        prices[i] = price
         best = self.best
-        if i == best:
-            rose = price > prices[i]
-            prices[i] = price
-            if rose:
-                self.best = prices.index(min(prices))
-        else:
-            prices[i] = price
-            low = prices[best]
-            if price < low or (price == low and i < best):
-                self.best = i
+        low = prices[best]
+        if price < low or (price == low and i < best):
+            self.best = i
 
 
 @dataclass(slots=True)

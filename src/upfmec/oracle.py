@@ -104,7 +104,7 @@ def sequential_heuristic_batch(
         idx = cost.best
         counts[idx] += 1
         working[idx][0] += 1.0
-        cost.set(idx, projected_delay(*working[idx], 1.0))
+        cost.raise_best(projected_delay(*working[idx], 1.0))
     return tuple(counts), _batch_worst_case(counts, buckets)
 
 

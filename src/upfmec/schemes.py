@@ -9,7 +9,9 @@ choice and keeps current the vectors the scheme reads (``SCHEMES``):
 ``baseline`` none, ``bestfit_upf_mec`` both, the other two the UPF's.
 Decisions never mutate state.  A bestfit choice is the vector's ``best``,
 the first minimum the vector keeps itself, so ties break toward the lowest
-index and results are deterministic for identical states.
+index and results are deterministic for identical states.  Every scheme
+picks the best of each vector it reads: the engine's admission relies on
+it, since it writes the joined entry with ``CostVector.raise_best``.
 ``oracle.sequential_heuristic_batch`` places through a ``CostVector`` of
 its own, so ``oracle-gap`` scores this same choice.
 """

@@ -169,13 +169,11 @@ def reprice(run) -> None:
     For tests that edit queues, ``pending`` or link sharers by hand; a
     stepping run reprices only what it changed.
     """
-    for q, cost in run.upf_cost.items():
+    tiers = [(cost, [u[q] for u in run.upfs]) for q, cost in run.upf_cost.items()]
+    for cost, queues in tiers + [(run.mec_cost, run.mecs)]:
         if cost is not None:
-            for i, u in enumerate(run.upfs):
-                cost.set(i, u[q].price())
-    if run.mec_cost is not None:
-        for j, m in enumerate(run.mecs):
-            run.mec_cost.set(j, m.price())
+            # in place: the run's admission and service tables hold the vector
+            cost.__init__([sq.price() for sq in queues])
 
 
 # the list columns of a new arrival's row before its decision, but origin_upf

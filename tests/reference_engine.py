@@ -1,9 +1,11 @@
 """A naive reference simulator of the engine's documented semantics, for differential tests.
 
-It shares only the arrival draws (``arrival_cdfs``, ``generate_arrivals``),
-the delay laws of ``upfmec.delay`` and the queue sizes of a freshly built
-``SimulationRun`` with the engine.  Everything else is written again as
-plainly as possible: one dict per request, a plain list per queue, every
+It shares only the delay laws of ``upfmec.delay`` and the queue sizes of a
+freshly built ``SimulationRun`` with the engine.  Everything else is
+written again as plainly as possible: each epoch of the horizon draws its
+own arrivals from a generator seeded with the scenario's seed (the count,
+then the origins, then the classes, each with ``rng.choice`` on the
+normalised weights), one dict per request, a plain list per queue, every
 price computed from ``(len + pending, c)`` at each decision with a Python
 loop over the candidates, every queue served each epoch and every link
 scanned in (i, j) order.  Each request keeps its own status, set as it
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from upfmec.delay import net_delay, projected_delay, transit_epochs
-from upfmec.engine import EpochReport, SimulationRun, arrival_cdfs, generate_arrivals
+from upfmec.engine import EpochReport, SimulationRun
 from upfmec.model import QosClass, RequestStatus, Scheme
 
 COLUMNS = (
@@ -71,7 +73,6 @@ class Reference:
         self.s = scenario
         self.delta = float(scenario.delta_ms)
         self.rng = np.random.default_rng(scenario.seed)
-        self.cdfs = arrival_cdfs(scenario.traffic)
         self.upfs = [{q: Queue(u[q].capacity, u[q].queue_cap) for q in QosClass} for u in built.upfs]
         self.mecs = [Queue(m.capacity, m.queue_cap) for m in built.mecs]
         # (i, j) -> [sharers, [(request, due epoch), ...] in entry order]
@@ -95,11 +96,23 @@ class Reference:
                 j = origin - 1
         return i, j, upf_prices[i], (None if j is None else mec_prices[j])
 
+    def arrivals(self):
+        """This epoch's origin UPF ids and class codes, drawn from the run's generator."""
+        t, e = self.s.traffic, self.epoch
+        if t.process == "poisson":
+            count = int(self.rng.poisson(t.mean_arrivals_per_epoch))
+        else:
+            count = math.floor((e + 1) * t.mean_arrivals_per_epoch) - math.floor(
+                e * t.mean_arrivals_per_epoch)
+        skew = np.array(t.skew, float)
+        mix = np.array([t.qos_mix[q] for q in SERVICE_ORDER], float)
+        origins = self.rng.choice(len(skew), size=count, p=skew / skew.sum()) + 1
+        codes = self.rng.choice(len(mix), size=count, p=mix / mix.sum())
+        return origins.tolist(), codes.tolist()
+
     def step(self, generate):
         e, delta = self.epoch, self.delta
-        origins, codes = (
-            generate_arrivals(self.s.traffic, self.rng, e, *self.cdfs) if generate else ([], b"")
-        )
+        origins, codes = self.arrivals() if generate else ([], [])
         admitted = dropped = completed = served_upf = served_mec = 0
         for origin, code in zip(origins, codes):
             qos = SERVICE_ORDER[code]

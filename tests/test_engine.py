@@ -74,32 +74,32 @@ def measured_e2e(run, rid, arrival):
 
 
 def test_zero_rate_generates_nothing():
-    t = TrafficSpec(0.0, [1.0], {q: 0.25 for q in QosClass})
-    assert generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t)) == ([], b"")
+    for process in ("poisson", "deterministic"):
+        t = TrafficSpec(0.0, [1.0], {q: 0.25 for q in QosClass}, process=process)
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        assert generate_arrivals(t, rng, 5, *arrival_cdfs(t)) == ([0] * 5, [], b"")
+        assert rng.bit_generator.state == before
 
 
 def test_deterministic_process_hits_rate_exactly():
     t = TrafficSpec(1.5, [1.0], {q: 0.25 for q in QosClass}, process="deterministic")
-    rng = np.random.default_rng(1)
-    counts = [len(generate_arrivals(t, rng, e, *arrival_cdfs(t))[0]) for e in range(100)]
-    assert sum(counts) == 150
+    counts, origins, classes = generate_arrivals(t, np.random.default_rng(1), 100, *arrival_cdfs(t))
+    assert sum(counts) == len(origins) == len(classes) == 150
     assert counts[:4] == [1, 2, 1, 2]
 
 
 def test_same_seed_same_stream():
     t = TrafficSpec(5.0, [0.3, 0.7], {q: 0.25 for q in QosClass})
-    a = generate_arrivals(t, np.random.default_rng(3), 0, *arrival_cdfs(t))
-    b = generate_arrivals(t, np.random.default_rng(3), 0, *arrival_cdfs(t))
-    assert a == b and len(a[0]) > 0
+    a = generate_arrivals(t, np.random.default_rng(3), 3, *arrival_cdfs(t))
+    b = generate_arrivals(t, np.random.default_rng(3), 3, *arrival_cdfs(t))
+    assert a == b and len(a[1]) > 0
 
 
 def test_origin_frequencies_follow_skew():
     skew = [0.13, 0.24, 0.30, 0.15, 0.18]
     t = TrafficSpec(50.0, skew, {q: 0.25 for q in QosClass}, process="deterministic")
-    rng = np.random.default_rng(7)
-    origins = []
-    for e in range(400):
-        origins.extend(generate_arrivals(t, rng, e, *arrival_cdfs(t))[0])
+    origins = generate_arrivals(t, np.random.default_rng(7), 400, *arrival_cdfs(t))[1]
     freq = np.bincount(origins, minlength=6)[1:] / len(origins)
     assert np.allclose(freq, skew, atol=0.02)
 
@@ -107,7 +107,7 @@ def test_origin_frequencies_follow_skew():
 def test_unknown_process_rejected():
     t = TrafficSpec(1.0, [1.0], {q: 0.25 for q in QosClass}, process="burst")
     with pytest.raises(ValueError):
-        generate_arrivals(t, np.random.default_rng(1), 0, *arrival_cdfs(t))
+        generate_arrivals(t, np.random.default_rng(1), 1, *arrival_cdfs(t))
 
 
 def weights(min_size, max_size):
@@ -129,15 +129,60 @@ def test_arrival_draws_equal_numpy_choice(skew, mix, count, seed):
     # silently moving every output
     t = TrafficSpec(float(count), skew, dict(zip(QosClass, mix)), process="deterministic")
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    origins, classes = generate_arrivals(t, rng, 0, *arrival_cdfs(t))
+    counts, origins, classes = generate_arrivals(t, rng, 1, *arrival_cdfs(t))
     w, m = np.asarray(skew), np.asarray(mix)
     twin_origins = twin.choice(len(w), size=count, p=w / w.sum())
     twin_classes = twin.choice(len(m), size=count, p=m / m.sum())
+    assert counts == [count]
     assert origins == [o + 1 for o in twin_origins]
     # a class comes back as its code, its index in the class CDF
     assert list(classes) == twin_classes.tolist()
     assert [QOS_BY_CODE[c] for c in classes] == [list(QosClass)[c] for c in twin_classes]
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    skew=weights(1, 6),
+    mix=weights(4, 4),
+    lam=st.just(0.0) | st.floats(0.0, 4.0),
+    process=st.sampled_from(["poisson", "deterministic"]),
+    horizon=st.integers(0, 30),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_a_runs_draw_equals_its_epochs_drawn_in_turn(skew, mix, lam, process, horizon, seed):
+    # the whole horizon drawn at once is the stream of per-epoch draws: each
+    # epoch's count, then its origins, then its classes, as rng.choice
+    # makes them; low rates give epochs without requests
+    t = TrafficSpec(lam, skew, dict(zip(QosClass, mix)), process=process)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts, origins, classes = generate_arrivals(t, rng, horizon, *arrival_cdfs(t))
+    w, m = np.asarray(skew), np.asarray(mix)
+    twin_counts, twin_origins, twin_classes = [], [], []
+    for e in range(horizon):
+        if process == "poisson":
+            count = int(twin.poisson(lam))
+        else:
+            count = math.floor((e + 1) * lam) - math.floor(e * lam)
+        twin_counts.append(count)
+        twin_origins += (twin.choice(len(w), size=count, p=w / w.sum()) + 1).tolist()
+        twin_classes += twin.choice(len(m), size=count, p=m / m.sum()).tolist()
+    assert counts == twin_counts
+    assert origins == twin_origins
+    assert list(classes) == twin_classes
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("generate_at", [range(6), range(3)], ids=["always", "to_horizon"])
+def test_only_epochs_before_the_horizon_have_arrivals(generate_at):
+    # the run draws the horizon's 3 epochs once; a later epoch, even one
+    # stepped with generate, has none, and the draws are the run's alone
+    s = make_scenario(num_upfs=1, lam=2.0, horizon=3, process="poisson", seed=5)
+    twin = generate_arrivals(s.traffic, np.random.default_rng(5), 3, *arrival_cdfs(s.traffic))
+    run = SimulationRun(s)
+    arrivals = [run.step_epoch(generate=e in generate_at).arrivals for e in range(6)]
+    assert arrivals == twin[0] + [0, 0, 0]
+    assert (run.origin_upf, bytes(run.qos)) == twin[1:]
 
 
 def test_request_ids_continue_across_epochs():
@@ -336,24 +381,31 @@ def test_a_request_lost_behind_the_engine_breaks_conservation():
         run.run()
 
 
-@pytest.mark.parametrize("stage, before", [
-    ("upf_serve_epoch", "arrival_epoch"),
-    ("mec_due_epoch", "upf_serve_epoch"),
-    ("mec_serve_epoch", "mec_due_epoch"),
-], ids=["upf", "link", "mec"])
-def test_a_stamp_out_of_stage_order_breaks_the_derivation(stage, before, tmp_path):
+@pytest.mark.parametrize("stage, before, unset", [
+    ("upf_serve_epoch", "arrival_epoch", False),
+    ("mec_due_epoch", "upf_serve_epoch", False),
+    ("mec_serve_epoch", "mec_due_epoch", False),
+    ("mec_due_epoch", "upf_serve_epoch", True),
+    ("mec_serve_epoch", "mec_due_epoch", True),
+], ids=["upf", "link", "mec", "link_unset", "mec_unset"])
+def test_a_stamp_out_of_stage_order_breaks_the_derivation(stage, before, unset, tmp_path):
     # the last request, hand-edited to be served at its UPF before it
     # arrived, due at its MEC before its UPF served it, or served at its MEC
-    # before its transfer was due; every reader of the record refuses it
+    # before its transfer was due, or with the stamp before its stage's
+    # unset; every reader of the record refuses it
     s = make_scenario(
         num_upfs=1, lam=6.0, horizon=4, qos_mix=ALL_URLLC, upf_capacity=3.0,
         mec_capacity=1.0, bandwidth_mbps=1e6, upf_queue_cap=100, mec_queue_cap=100,
     )
     run = run_to_completion(s)
     rid = run.generated - 1
-    early = arrivals_by_id(run)[rid] if before == "arrival_epoch" else getattr(run, before)[rid]
-    getattr(run, stage)[rid] = early - 1
-    message = f"request {rid}: {stage} {early - 1} before its {before} {early}"
+    if unset:
+        getattr(run, before)[rid] = None
+        message = f"request {rid}: {stage} {getattr(run, stage)[rid]} without its {before}"
+    else:
+        early = arrivals_by_id(run)[rid] if before == "arrival_epoch" else getattr(run, before)[rid]
+        getattr(run, stage)[rid] = early - 1
+        message = f"request {rid}: {stage} {early - 1} before its {before} {early}"
     readers = [RunView, summarize, summarize_head, completed_e2e,
                lambda r: decision_inputs(RunView(r)),
                lambda r: write_events_csv(r, str(tmp_path / "events.csv"))]
@@ -378,8 +430,10 @@ def test_deliveries_go_in_link_key_order_then_entry_order(monkeypatch):
         3: ([1, 1], codes(embb, urllc)),
     }
 
-    def scripted(traffic, rng, epoch, origin_cdf, class_cdf):
-        return script.get(epoch, ([], b""))
+    def scripted(traffic, rng, horizon, origin_cdf, class_cdf):
+        epochs = [script.get(e, ([], b"")) for e in range(horizon)]
+        return ([len(o) for o, _ in epochs], [o for os, _ in epochs for o in os],
+                b"".join(c for _, c in epochs))
 
     monkeypatch.setattr(engine, "generate_arrivals", scripted)
     s = make_scenario(
@@ -545,6 +599,32 @@ def test_cost_vectors_match_fresh_snapshots(campus5, metro, pairs, scheme):
     assert len(decisions) == res.generated > 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(base=small_scenarios(), rectangular=small_scenarios(rectangular=True))
+def test_cost_vector_writes_keep_their_premises_on_random_scenarios(base, rectangular):
+    # admission raises only a vector's best entry and service only lowers an
+    # entry, with fractional capacities, caps and drops at a MEC's door too;
+    # the vectors then equal a fresh pricing at every decision
+    raise_best, lower = CostVector.raise_best, CostVector.lower
+
+    def checked_raise_best(cost, price):
+        assert price >= cost.prices[cost.best]
+        raise_best(cost, price)
+
+    def checked_lower(cost, i, price):
+        assert price <= cost.prices[i]
+        lower(cost, i, price)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CostVector, "raise_best", checked_raise_best)
+        mp.setattr(CostVector, "lower", checked_lower)
+        for s in [replace(base, scheme=scheme) for scheme in Scheme] + [rectangular]:
+            run = SimulationRun(replace(s, drain_cap_epochs=100_000))
+            decisions = _check_costs_at_every_decision(run)
+            res = run.run()
+            assert len(decisions) == res.generated
+
+
 def test_recorded_prices_are_floats_for_an_integer_delta(tmp_path):
     # events.csv prints projections and measured delays with repr: 1.0, never 1,
     # whatever delta_ms's type
@@ -578,17 +658,22 @@ def test_a_run_reprices_only_the_tiers_its_scheme_reads(campus5, scheme, monkeyp
     # baseline reprices nothing once built, the UPF-only bestfits never a MEC
     run = SimulationRun(replace(campus5, scheme=scheme, horizon_epochs=20, seed=1))
     calls = Counter()
-    cost_set, fill = CostVector.set, ServiceQueue.fill
+    raise_best, lower, fill = CostVector.raise_best, CostVector.lower, ServiceQueue.fill
 
-    def counted_set(cost, i, price):
+    def counted_raise_best(cost, price):
         calls["mec" if cost is run.mec_cost else "upf"] += 1
-        cost_set(cost, i, price)
+        raise_best(cost, price)
+
+    def counted_lower(cost, i, price):
+        calls["mec" if cost is run.mec_cost else "upf"] += 1
+        lower(cost, i, price)
 
     def counted_fill(queue, q):
         calls["mec" if any(queue is m for m in run.mecs) else "upf"] += 1
         return fill(queue, q)
 
-    monkeypatch.setattr(CostVector, "set", counted_set)
+    monkeypatch.setattr(CostVector, "raise_best", counted_raise_best)
+    monkeypatch.setattr(CostVector, "lower", counted_lower)
     monkeypatch.setattr(ServiceQueue, "fill", counted_fill)
     run.run()
     _, reads_upf, reads_mec = SCHEMES[scheme.value]

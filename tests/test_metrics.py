@@ -397,18 +397,18 @@ def test_a_derived_length_outside_its_price_table_raises_a_named_error(stamps, m
         decision_inputs(RunView(run))
 
 
-def test_a_stamp_past_an_unset_one_reaches_the_below_zero_length_check():
-    # the stage-order guard compares only stamps that are set, so requests 2
-    # and 3, hand-edited to leave their MEC at epoch 0 with no due epoch,
-    # pass it; request 1 then found its MEC holding 1 - 2 requests
+def test_a_stamp_past_an_unset_one_is_refused_before_any_length_is_derived():
+    # requests 2 and 3, hand-edited to leave their MEC at epoch 0 with no due
+    # epoch, would make request 1 find its MEC holding 1 - 2 requests; the
+    # view's stage-order guard refuses the first of them
     run = run_to_completion(make_scenario(num_upfs=1, lam=1.0, horizon=4, qos_mix=ALL_URLLC,
                                           bandwidth_mbps=1e6))
     assert run.upf_serve_epoch == [0, 1, 2, 3] and run.mec_serve_epoch == [1, 2, 3, 4]
     for rid in (2, 3):
         run.mec_due_epoch[rid], run.mec_serve_epoch[rid] = None, 0
-    view = RunView(run)
-    with pytest.raises(InvariantError, match="^request 1: derived MEC queue length -1 below 0$"):
-        decision_inputs(view)
+    with pytest.raises(InvariantError,
+                       match="^request 2: mec_serve_epoch 0 without its mec_due_epoch$"):
+        RunView(run)
 
 
 def test_an_admission_drop_below_its_queue_cap_raises_a_named_error():

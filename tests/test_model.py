@@ -477,14 +477,23 @@ def test_serve_may_pop_ceil_capacity():
 PRICE = st.integers(0, 6).map(float)
 
 
-@settings(max_examples=120, deadline=None)
-@given(initial=st.lists(PRICE, min_size=1, max_size=60), data=st.data())
-def test_cost_vector_keeps_its_first_minimum(initial, data):
-    cost = CostVector(initial)
-    prices = list(initial)
-    assert cost.best == prices.index(min(prices))
-    for _ in range(data.draw(st.integers(1, 40), label="updates")):
-        n, best = len(prices), cost.best
+def _write(cost, prices, data):
+    """Make one of a run's two writes, drawn with frequent ties, on cost and on the plain prices.
+
+    ``raise_best`` gives the best entry a price no lower than its own,
+    ``lower`` any entry one no higher than its own: a copy of another
+    entry's price (the minimum's often), or a step of a few units.
+    """
+    n, best = len(prices), cost.best
+    if data.draw(st.booleans(), label="raise"):
+        i = best
+        how = data.draw(st.sampled_from(["copy", "step"]), label="how")
+        if how == "copy":
+            price = prices[data.draw(st.integers(0, n - 1), label="from")]
+        else:
+            price = prices[i] + data.draw(PRICE, label="by")
+        cost.raise_best(price)
+    else:
         where = data.draw(st.sampled_from(["best", "below", "above", "any"]), label="where")
         if where == "best":
             i = best
@@ -494,44 +503,46 @@ def test_cost_vector_keeps_its_first_minimum(initial, data):
             i = data.draw(st.integers(best + 1, n - 1), label="i")
         else:
             i = data.draw(st.integers(0, n - 1), label="i")
-        how = data.draw(st.sampled_from(["rise", "fall", "tie", "copy", "any"]), label="how")
-        if how == "rise":
-            price = prices[i] + data.draw(PRICE.filter(bool), label="by")
-        elif how == "fall":
-            price = prices[i] - data.draw(PRICE.filter(bool), label="by")
-        elif how == "tie":
+        how = data.draw(st.sampled_from(["tie", "copy", "step"]), label="how")
+        if how == "tie":
             price = min(prices)
         elif how == "copy":
-            price = prices[data.draw(st.integers(0, n - 1), label="from")]
+            price = min(prices[i], prices[data.draw(st.integers(0, n - 1), label="from")])
         else:
-            price = data.draw(PRICE, label="price")
-        cost.set(i, price)
-        prices[i] = price
+            price = prices[i] - data.draw(PRICE, label="by")
+        cost.lower(i, price)
+    prices[i] = price
+
+
+@settings(max_examples=120, deadline=None)
+@given(initial=st.lists(PRICE, min_size=1, max_size=60), data=st.data())
+def test_cost_vector_keeps_its_first_minimum(initial, data):
+    cost = CostVector(initial)
+    prices = list(initial)
+    assert cost.best == prices.index(min(prices))
+    for _ in range(data.draw(st.integers(1, 40), label="updates")):
+        _write(cost, prices, data)
         assert cost.prices == prices
         assert cost.best == prices.index(min(prices)) == int(np.argmin(prices))
 
 
 @settings(max_examples=120, deadline=None)
 @given(initial=st.lists(PRICE, min_size=1, max_size=60), data=st.data())
-def test_cost_vector_set_of_an_equal_price_changes_nothing(initial, data):
-    # the engine skips a set whose price equals the entry's: sound only if
-    # such a set leaves the prices and best as they were
+def test_cost_vector_write_of_an_equal_price_changes_nothing(initial, data):
+    # the engine skips a write whose price equals the entry's: sound only if
+    # such a write leaves the prices and best as they were
     cost = CostVector(initial)
+    prices = list(initial)
     for _ in range(data.draw(st.integers(1, 20), label="updates")):
-        n, best = len(cost.prices), cost.best
-        where = data.draw(st.sampled_from(["best", "below", "above"]), label="where")
-        if where == "below" and best > 0:
-            i = data.draw(st.integers(0, best - 1), label="i")
-        elif where == "above" and best < n - 1:
-            i = data.draw(st.integers(best + 1, n - 1), label="i")
-        else:
-            i = best
-        before = list(cost.prices)
-        cost.set(i, cost.prices[i])
+        n, best = len(prices), cost.best
+        before = list(prices)
+        cost.raise_best(prices[best])
         assert cost.prices == before and cost.best == best
-        # move some entry, often onto a tie with the minimum, to vary the state
-        j = data.draw(st.integers(0, n - 1), label="j")
-        cost.set(j, data.draw(st.sampled_from([min(before)]) | PRICE, label="price"))
+        i = data.draw(st.integers(0, n - 1), label="i")
+        cost.lower(i, prices[i])
+        assert cost.prices == before and cost.best == best
+        # make some write, often onto a tie with the minimum, to vary the state
+        _write(cost, prices, data)
 
 
 def test_cost_vector_has_no_write_that_skips_best():

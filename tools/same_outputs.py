@@ -4,12 +4,16 @@ Run as ``python3 tools/same_outputs.py A/src B/src``.  Under each tree, in
 a fresh interpreter that imports upfmec from it, this runs ``run --trace``
 on campus5 and metro under each of the four schemes with seeds 1-3,
 ``compare --scenario campus5 --seeds 1-4``, and ``capex --pairs 1-10
---seeds 1-2`` on metro and on campus5, each command into a directory of
-its own, and keeps the command's standard output, with that directory's
-path cut out, beside its files.  A bundled scenario is read from each
-tree's own package.  Every file that differs between the trees, or that
-one tree lacks, is printed, and the exit status is then 1; it is 0 when
-all are equal.
+--seeds 1-2`` on metro and on campus5, and ``run --trace`` under
+``bestfit_upf_mec`` on two edits of campus5 that no bundled scenario
+covers: deterministic arrivals, and a 300-epoch horizon (epochs past 256
+are past CPython's small-int cache).  Each command goes into a directory
+of its own, and the command's standard output, with that directory's path
+cut out, is kept beside its files.  A bundled scenario is read from each
+tree's own package; the two edits are written as YAML from A's campus5
+into the temporary directory, once for both trees.  Every file that
+differs between the trees, or that one tree lacks, is printed, and the
+exit status is then 1; it is 0 when all are equal.
 """
 
 import filecmp
@@ -20,6 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 SCHEMES = ("baseline", "bestfit_upf_no_pe", "bestfit_upf_pe", "bestfit_upf_mec")
 COMMANDS = {
     f"run.{name}.{scheme}.{seed}": ["run", "--scenario", name, "--scheme", scheme,
@@ -29,6 +35,11 @@ COMMANDS = {
 COMMANDS["compare.campus5"] = ["compare", "--scenario", "campus5", "--seeds", "1-4"]
 for name in ("metro", "campus5"):
     COMMANDS[f"capex.{name}"] = ["capex", "--scenario", name, "--pairs", "1-10", "--seeds", "1-2"]
+# campus5 edits: scenario name -> (section or None, key, value)
+EDITS = {
+    "campus5_deterministic": ("traffic", "process", "deterministic"),
+    "campus5_h300": (None, "horizon_epochs", 300),
+}
 
 # runs in the tree's interpreter: argv[1] maps directory names to commands,
 # argv[2] is the directory they go under
@@ -47,10 +58,25 @@ for label, command in json.loads(sys.argv[1]).items():
 """
 
 
-def write_outputs(src: Path, out: Path) -> None:
-    """Run every command under the upfmec package in src, writing into out."""
+def write_edits(src: Path, into: Path) -> dict:
+    """Write each of ``EDITS`` as a scenario file under into; the commands that run them."""
+    base = (src / "upfmec" / "scenarios" / "campus5.yaml").read_text()
+    commands = {}
+    for name, (section, key, value) in EDITS.items():
+        doc = yaml.safe_load(base)
+        (doc[section] if section else doc)[key] = value
+        doc["name"] = name
+        path = into / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        commands[f"run.{name}"] = ["run", "--scenario", str(path), "--scheme",
+                                   "bestfit_upf_mec", "--trace"]
+    return commands
+
+
+def write_outputs(src: Path, commands: dict, out: Path) -> None:
+    """Run the commands under the upfmec package in src, writing into out."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", RUNNER, json.dumps(COMMANDS), str(out)],
+    subprocess.run([sys.executable, "-c", RUNNER, json.dumps(commands), str(out)],
                    env=env, check=True)
 
 
@@ -68,13 +94,14 @@ def main(a_src: str, b_src: str) -> int:
         if not (src / "upfmec" / "__init__.py").is_file():
             raise SystemExit(f"{src}: no upfmec package here")
     with tempfile.TemporaryDirectory() as tmp:
+        commands = COMMANDS | write_edits(trees[0], Path(tmp))
         outs = [Path(tmp, side) for side in ("a", "b")]
         for src, out in zip(trees, outs):
-            write_outputs(src, out)
+            write_outputs(src, commands, out)
         files, diffs = differing(*outs)
     for rel in diffs:
         print(f"differs: {rel}")
-    print(f"{len(diffs)} of {len(files)} files differ, over {len(COMMANDS)} commands")
+    print(f"{len(diffs)} of {len(files)} files differ, over {len(commands)} commands")
     return 1 if diffs else 0
 
 
