@@ -38,10 +38,12 @@ queue, or a MEC whose door drops lowered ``pending``, only got shorter, so
 it is ``lower``.  Only ``step_epoch`` changes a run.
 
 A request's record holds its decision (``assigned_upf``,
-``assigned_mec``), the epoch stamps of the stages it crossed and ``drop``,
-not its status nor what the scheme's projection read: the phase order,
-FIFO queues and ids in arrival order let ``metrics`` derive both when
-something reads them (``RunView.status``, ``decision_inputs``).
+``assigned_mec``), the epochs at which the UPF and the MEC served it, its
+link delay ``d_net`` and ``drop``, not its status, its due epoch nor what
+the scheme's projection read: the phase order, FIFO queues, ids in
+arrival order and the transit law let ``metrics`` derive them when
+something reads them (``RunView.status``, ``RunView.mec_due``,
+``decision_inputs``).
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
 only reset it to zero) and its price cannot change, so service passes it
@@ -82,6 +84,9 @@ from .model import (
 from .schemes import SCHEME_FUNCS, SCHEMES
 
 DEFAULT_DRAIN_FACTOR = 10  # drain cap defaults to this many horizons
+
+# an unset stamp or d_net: one object, so an unset row costs no float of its own
+UNSET = math.nan
 
 # the queue cap of a queue the scenario states none for: no deque grows this
 # long, so the admission test ``len(queue) >= queue_cap`` never drops there
@@ -207,15 +212,18 @@ class SimulationRun:
     """Mutable state of one simulation run, and its record once finished.
 
     The record keeps one row per request id (ids are 0, 1, ... in arrival
-    order) in 9 columns named after the fields they hold: the bytearrays
+    order) in 8 columns named after the fields they hold: the bytearrays
     ``qos`` (class codes: ``QOS_BY_CODE[code]`` is the class) and ``drop``
     (1 where the request was dropped), and the lists ``origin_upf``,
     ``assigned_upf``, ``assigned_mec`` (None for a class that ends at the
-    UPF), the epoch stamps ``upf_serve_epoch``, ``mec_due_epoch`` and
-    ``mec_serve_epoch`` (None until stamped), and the link's delay
-    ``d_net`` (None until the request enters a link).  Only ``step_epoch``
-    appends rows, and its epoch's report counts them: no column holds the
-    arrival epoch (``metrics.RunView.arrival``).
+    UPF), the epoch stamps ``upf_serve_epoch`` and ``mec_serve_epoch``
+    (floats, one object per epoch) and the link's delay ``d_net``; a stamp
+    or ``d_net`` not yet set is ``UNSET``.  ``qos``, ``drop`` and
+    ``origin_upf`` grow as ``step_epoch`` takes each epoch's arrivals, and
+    its epoch's report counts them, so their length is ``generated``; the
+    other five are sized for the whole horizon's draws when the run is
+    built, and only their first ``generated`` rows are requests.  No
+    column holds the arrival epoch or the due epoch (``metrics.RunView``).
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``: link (i, j) of M MECs has index k = (i - 1) * M +
     (j - 1), which sorts as the key (i, j) does.
@@ -258,12 +266,13 @@ class SimulationRun:
         self.epoch = 0
         self.qos, self.drop = bytearray(), bytearray()
         self.origin_upf: List[int] = []
-        self.assigned_upf: List[Optional[int]] = []
-        self.assigned_mec: List[Optional[int]] = []
-        self.upf_serve_epoch: List[Optional[int]] = []
-        self.mec_due_epoch: List[Optional[int]] = []
-        self.mec_serve_epoch: List[Optional[int]] = []
-        self.d_net: List[Optional[float]] = []
+        # the undecided columns, one row per request the horizon draws
+        rows = self._starts[-1]
+        self.assigned_upf: List[Optional[int]] = [None] * rows
+        self.assigned_mec: List[Optional[int]] = [None] * rows
+        self.upf_serve_epoch: List[float] = [UNSET] * rows
+        self.mec_serve_epoch: List[float] = [UNSET] * rows
+        self.d_net: List[float] = [UNSET] * rows
         self.epoch_reports: List[EpochReport] = []
         self.completed = 0
         self.dropped = 0
@@ -322,15 +331,13 @@ class SimulationRun:
         if generate and epoch < len(self._starts) - 1:
             start, end = self._starts[epoch], self._starts[epoch + 1]
             origins, codes = self._origins[start:end], self._codes[start:end]
-        # one undecided row per new request, which this epoch's report counts
+        # one row per new request, which this epoch's report counts
         first = len(self.qos)
         self.qos += codes
         self.drop += bytes(len(origins))
         self.origin_upf.extend(origins)
-        unset = [None] * len(origins)
-        for column in (self.assigned_upf, self.assigned_mec, self.upf_serve_epoch,
-                       self.mec_due_epoch, self.mec_serve_epoch, self.d_net):
-            column.extend(unset)
+        # the epoch's one stamp object
+        stamp = float(epoch)
 
         drop = self.drop
         assigned_upf, assigned_mec = self.assigned_upf, self.assigned_mec
@@ -367,7 +374,7 @@ class SimulationRun:
                         if p != mec_prices[mec_id - 1]:
                             mec_cost.raise_best(p)
 
-        upf_serve_epoch, mec_due_epoch = self.upf_serve_epoch, self.mec_due_epoch
+        upf_serve_epoch = self.upf_serve_epoch
         d_net, link_transit, calendar = self.d_net, self.link_transit, self._calendar
         link_sharers, num_mecs = self.link_sharers, len(mecs)
         completed_now = served_upf = 0
@@ -380,12 +387,12 @@ class SimulationRun:
             if base is None:
                 # a class that ends at the UPF completes here
                 for _ in range(n):
-                    upf_serve_epoch[popleft()] = epoch
+                    upf_serve_epoch[popleft()] = stamp
                 completed_now += n
             else:
                 for _ in range(n):
                     rid = popleft()
-                    upf_serve_epoch[rid] = epoch
+                    upf_serve_epoch[rid] = stamp
                     k = base + assigned_mec[rid]
                     # the entering request shares the link with everything
                     # already on it: its sharers are counted after it joins
@@ -395,8 +402,7 @@ class SimulationRun:
                         table[sharers] if sharers < len(table)
                         else transit_entry(self, k, sharers)
                     )
-                    mec_due_epoch[rid] = due = epoch + transit
-                    day = calendar[due]
+                    day = calendar[epoch + transit]
                     on_link = day.get(k)
                     if on_link is None:
                         day[k] = [rid]
@@ -443,7 +449,7 @@ class SimulationRun:
             n = m.serve()
             popleft = queue.popleft
             for _ in range(n):
-                mec_serve_epoch[popleft()] = epoch
+                mec_serve_epoch[popleft()] = stamp
             if mec_cost is not None:
                 q = len(queue) + m.pending
                 table = m.table

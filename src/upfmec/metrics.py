@@ -145,16 +145,20 @@ class RunView:
     Built once per reading, it converts each column once: the class
     ``codes``, the ``uses_mec`` and ``dropped`` masks, the ``arrival``
     epochs (epoch e's requests are the next ``arrivals`` ids of its
-    report), the stamps ``upf_serve``, ``mec_due`` and ``mec_serve`` as
-    floats (nan where unset), the ``served`` mask of UPF service, the
-    ``status`` and the ``completed`` mask; the assigned ids when first read.
+    report), the stamps ``upf_serve`` and ``mec_serve`` and the link delay
+    ``d_net`` as floats (nan where unset), the ``served`` mask of UPF
+    service, the ``status`` and the ``completed`` mask; the assigned ids
+    when first read.  The due epoch ``mec_due`` is derived, not recorded:
+    ``upf_serve + ceil(d_net / delta)``, the IEEE operations of
+    ``transit_epochs``, so it equals the epoch the engine delivered at.
     The status is DROPPED where ``drop`` is set; else COMPLETED where
     ``mec_serve_epoch`` is stamped, or ``upf_serve_epoch`` for a class that
     ends at the UPF; else IN_UPF_QUEUE without an ``upf_serve_epoch``; else
-    IN_TRANSIT if ``mec_due_epoch`` is ``run.epoch`` or later (a transfer
-    is delivered exactly at its due epoch); else IN_MEC_QUEUE.  Reports
-    that count other than ``generated`` rows, and a stamp earlier than the
-    stamp of the stage before it, raise ``InvariantError`` here.
+    IN_TRANSIT if ``mec_due`` is ``run.epoch`` or later (a transfer is
+    delivered exactly at its due epoch); else IN_MEC_QUEUE.  Reports that
+    count other than ``generated`` rows, a stamp earlier than the stamp of
+    the stage before it, and a stamp (or a ``d_net``, for the due epoch)
+    set where the stage before it is not, raise ``InvariantError`` here.
     """
 
     def __init__(self, run: SimulationRun) -> None:
@@ -167,19 +171,25 @@ class RunView:
             raise InvariantError(f"epoch reports count {sum(counts)} arrivals, "
                                  f"the run holds {n} requests")
         self.arrival = np.repeat(np.arange(run.epoch), counts)
-        stamps = tuple(np.fromiter(getattr(run, c), float, n) for c in _STAMPS[1:])
-        for (before, early), (stage, late) in pairwise(zip(_STAMPS, (self.arrival, *stamps))):
+        self.upf_serve, self.d_net, self.mec_serve = (
+            np.fromiter(column, float, n)
+            for column in (run.upf_serve_epoch, run.d_net, run.mec_serve_epoch))
+        self.mec_due = self.upf_serve + np.ceil(self.d_net / run.delta)
+        stamps = (self.arrival, self.upf_serve, self.mec_due, self.mec_serve)
+        for (before, early), (stage, late) in pairwise(zip(_STAMPS, stamps)):
             broken = late < early
             if broken.any():
                 k = int(broken.argmax())
                 raise InvariantError(f"request {k}: {stage} {late[k]:g} before its {before} "
                                      f"{early[k]:g}")
-            # nan compares false, so a stamp set after an unset one is its own check
+            # nan compares false, so a stamp set after an unset one is its own
+            # check; the due epoch is set where d_net is
+            if late is self.mec_due:
+                stage, late = "d_net", self.d_net
             skipped = np.isnan(early) > np.isnan(late)
             if skipped.any():
                 k = int(skipped.argmax())
                 raise InvariantError(f"request {k}: {stage} {late[k]:g} without its {before}")
-        self.upf_serve, self.mec_due, self.mec_serve = stamps
         self.served = served = ~np.isnan(self.upf_serve)
         status = np.full(n, _IN_MEC_QUEUE)
         # each rule sets its value where it holds, over the rules before it; the
@@ -202,8 +212,7 @@ class RunView:
 
         A delay is nan where a stamp it needs is missing.  A served request
         of a class that ends at the UPF spent 0.0 ms on a link and at a MEC,
-        so ``d_e2e`` is ``(d_upf + d_net) + d_mec`` for every class.  Each
-        call converts the ``d_net`` of its rows that use a MEC.
+        so ``d_e2e`` is ``(d_upf + d_net) + d_mec`` for every class.
         """
         delta, linked = self.run.delta, rows & self.uses_mec
         d_upf = stage_delay(self.upf_serve.compress(rows), self.arrival.compress(rows), delta)
@@ -211,7 +220,7 @@ class RunView:
         d_net = d_upf * 0.0
         d_mec = d_net.copy()
         at = np.flatnonzero(linked.compress(rows))
-        d_net[at] = np.fromiter(compress(self.run.d_net, linked.tobytes()), float, len(at))
+        d_net[at] = self.d_net.compress(linked)
         d_mec[at] = stage_delay(self.mec_serve.compress(linked), self.mec_due.compress(linked),
                                 delta)
         return d_upf, d_net, d_mec, (d_upf + d_net) + d_mec
@@ -251,12 +260,8 @@ def _held(key: np.ndarray, arrival: np.ndarray, joined: np.ndarray, join_at: np.
     return held
 
 
-def _priced(queues: Sequence[ServiceQueue], key: np.ndarray, level: np.ndarray,
-            rows: np.ndarray, where: str) -> np.ndarray:
-    """Entry ``level`` of ``queues[key]``'s price table, filled that far, for each row."""
-    if level.min(initial=0) < 0:
-        k = int(level.argmin())
-        raise InvariantError(f"request {rows[k]}: derived {where} queue length {level[k]} below 0")
+def _priced(queues: Sequence[ServiceQueue], key: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Entry ``level`` (>= 0) of ``queues[key]``'s price table, filled that far, for each row."""
     top = np.zeros(len(queues), np.int64)
     np.maximum.at(top, key, level)
     for sq, t in zip(queues, top.tolist()):
@@ -280,10 +285,14 @@ def decision_inputs(view: RunView) -> Tuple[np.ndarray, ...]:
       ``upf_serve_epoch``, met it at its ``queue_cap``, an admitted row below);
     - its MEC held, queued or pending, the rows admitted upstream for it
       with a smaller id, less those that left it before e: at their
-      ``mec_serve_epoch``, or at their ``mec_due_epoch`` if dropped at its
-      door; ``pc_mec`` is that length's entry of the MEC's table;
+      ``mec_serve_epoch``, or at their due epoch (``mec_due``) if dropped
+      at its door; ``pc_mec`` is that length's entry of the MEC's table;
     - ``n_share`` counts the rows on its link, those with
-      ``upf_serve_epoch < e <= mec_due_epoch``.
+      ``upf_serve_epoch < e <= mec_due``.
+
+    A row that left before e arrived before e, so it also joined before
+    the row deciding then: no derived length is below 0 once the view's
+    stage-order guard has passed.
 
     A class that ends at the UPF reads ``n_share`` 0 and ``pc_mec`` 0.0.
     """
@@ -295,7 +304,7 @@ def decision_inputs(view: RunView) -> Tuple[np.ndarray, ...]:
     level = _held(bucket, arrival, joined, joined, ids, was_served,
                   view.upf_serve.take(was_served))
     buckets = [u[q] for u in run.upfs for q in QOS_BY_CODE]
-    pc_upf = _priced(buckets, bucket, level, ids, "UPF bucket")
+    pc_upf = _priced(buckets, bucket, level)
     cap = np.array([b.queue_cap for b in buckets], np.int64)[bucket]
     broken = np.where(admitted, level >= cap, level != cap)
     if broken.any():
@@ -314,7 +323,7 @@ def decision_inputs(view: RunView) -> Tuple[np.ndarray, ...]:
     level = _held(mec, arrival, joined, joined, np.arange(len(rows)), has_left,
                   left.take(has_left))
     pc_mec = np.zeros(n)
-    pc_mec[rows] = _priced(run.mecs, mec, level, rows, "MEC")
+    pc_mec[rows] = _priced(run.mecs, mec, level)
 
     crossed = np.flatnonzero(served)
     n_share = np.zeros(n, np.int64)
@@ -682,15 +691,15 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
         "status", "d_upf_ms", "d_net_ms", "d_mec_ms", "d_e2e_ms",
         "proj_upf_ms", "proj_net_ms", "proj_mec_ms", "proj_e2e_ms",
     ]
-    view = RunView(run)
-    mec = np.full(run.generated, np.nan)
+    view, n = RunView(run), run.generated
+    mec = np.full(n, np.nan)
     mec[view.uses_mec] = view.mec_ids
     proj = projections(run.scenario, view.upf_ids, mec, *decision_inputs(view))
     columns = [
-        range(run.generated), map(_QOS_NAMES.__getitem__, run.qos), run.origin_upf,
-        view.arrival.tolist(), run.assigned_upf, run.assigned_mec,
+        range(n), map(_QOS_NAMES.__getitem__, run.qos), run.origin_upf,
+        view.arrival.tolist(), run.assigned_upf[:n], run.assigned_mec[:n],
         map(_STATUS_NAMES.__getitem__, view.status.tolist()),
-        *map(_cells, (*view.delays(np.ones(run.generated, np.bool_)), *proj)),
+        *map(_cells, (*view.delays(np.ones(n, np.bool_)), *proj)),
     ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

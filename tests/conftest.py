@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from upfmec.cli import _resolve_scenario
-from upfmec.metrics import projections
+from upfmec.engine import UNSET
+from upfmec.metrics import RunView, projections
 from upfmec.model import (
     QOS_BY_CODE,
     MecSpec,
@@ -176,28 +177,45 @@ def reprice(run) -> None:
             cost.__init__([sq.price() for sq in queues])
 
 
-# the list columns of a new arrival's row before its decision, but origin_upf
-UNDECIDED = dict(assigned_upf=None, assigned_mec=None, upf_serve_epoch=None,
-                 mec_due_epoch=None, mec_serve_epoch=None, d_net=None)
+# the columns a run sizes for its horizon when it is built, and what each row
+# holds until the request is decided and stamped
+UNDECIDED = dict(assigned_upf=None, assigned_mec=None, upf_serve_epoch=UNSET,
+                 mec_serve_epoch=UNSET, d_net=UNSET)
 
 
 def append_row(run, qos, origin_upf, drop=False, **fields) -> int:
-    """Append one request's row to every column of the run by hand; its id.
+    """Write one request's row into every column of the run by hand; its id.
 
-    The row holds ``fields`` (list column name -> value) and ``drop``, and
-    is undecided in the other columns.  No epoch report counts it: a run
-    appends rows only in ``step_epoch``, so the caller builds the matching
-    reports.
+    The row holds ``fields`` (column name -> value) and ``drop``, and is
+    undecided in the other columns.  It is row ``generated`` of the columns
+    the run sized when it was built, which grow by one where they hold no
+    such row.  No epoch report counts it: a run adds rows only in
+    ``step_epoch``, so the caller builds the matching reports.
     """
     rid = run.generated
     run.qos += codes(qos)
     run.drop.append(drop)
     run.origin_upf.append(origin_upf)
     for column, unset in UNDECIDED.items():
-        getattr(run, column).append(fields.pop(column, unset))
+        values = getattr(run, column)
+        if len(values) == rid:
+            values.append(unset)
+        values[rid] = fields.pop(column, unset)
     if fields:
         raise TypeError(f"not a column of the record: {sorted(fields)}")
     return rid
+
+
+def recorded(run, column: str) -> list:
+    """A column's rows of the run's requests, as a list, an unset value (nan) read as None.
+
+    ``mec_due_epoch`` reads the due epoch ``metrics.RunView`` derives.
+    """
+    if column == "mec_due_epoch":
+        values = RunView(run).mec_due.tolist()
+    else:
+        values = list(getattr(run, column)[:run.generated])
+    return [None if v != v else v for v in values]
 
 
 @pytest.fixture

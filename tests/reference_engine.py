@@ -9,11 +9,12 @@ normalised weights), one dict per request, a plain list per queue, every
 price computed from ``(len + pending, c)`` at each decision with a Python
 loop over the candidates, every queue served each epoch and every link
 scanned in (i, j) order.  Each request keeps its own status, set as it
-moves.  ``reference_run(scenario)`` returns the 9 record columns, each
-request's status, the 3 inputs each decision read, recorded when it was
-made, the epoch reports and each request's arrival epoch, which the
-engine, a ``metrics.RunView`` of its run (``status`` and ``arrival``) and
-``metrics.decision_inputs`` of that view must equal.  A class is kept as
+moves, and its own due epoch, set when it enters its link.
+``reference_run(scenario)`` returns the 8 record columns, each request's
+status and due epoch, the 3 inputs each decision read, recorded when it
+was made, the epoch reports and each request's arrival epoch, which the
+engine, a ``metrics.RunView`` of its run (``status``, ``mec_due`` and
+``arrival``) and ``metrics.decision_inputs`` of that view must equal.  A class is kept as
 its code, its index in ``SERVICE_ORDER`` (``list(QosClass)``).
 """
 
@@ -29,7 +30,7 @@ from upfmec.model import QosClass, RequestStatus, Scheme
 
 COLUMNS = (
     "qos", "drop", "origin_upf", "assigned_upf", "assigned_mec",
-    "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch", "d_net",
+    "upf_serve_epoch", "mec_serve_epoch", "d_net",
 )
 # what each decision read: the UPF price, the chosen link's sharers, the MEC price
 INPUTS = ("pc_upf", "n_share", "pc_mec")
@@ -206,13 +207,13 @@ class Reference:
 def reference_run(scenario):
     """A naive run of scenario: its columns, statuses and decision inputs, reports and arrivals.
 
-    The columns are {name: list} over ``COLUMNS``, ``"status"`` and
-    ``INPUTS``, but ``qos`` is bytes of class codes and ``drop`` bytes of
+    The columns are {name: list} over ``COLUMNS``, ``"status"``,
+    ``"mec_due_epoch"`` and ``INPUTS``, but ``qos`` is bytes of class codes and ``drop`` bytes of
     flags, as the engine keeps them; the arrival epochs are a list in id
     order.
     """
     ref = Reference(scenario).run()
-    names = [c for c in COLUMNS if c != "drop"] + ["status", *INPUTS]
+    names = [c for c in COLUMNS if c != "drop"] + ["status", "mec_due_epoch", *INPUTS]
     columns = {c: [r[c] for r in ref.requests] for c in names}
     columns["qos"] = bytes(columns["qos"])
     columns["drop"] = bytes(s is RequestStatus.DROPPED for s in columns["status"])

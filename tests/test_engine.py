@@ -15,6 +15,7 @@ from upfmec.delay import net_delay, projected_delay, transit_epochs
 from upfmec.engine import (
     REPORT_CLASSES,
     UNBOUNDED,
+    UNSET,
     InvariantError,
     SimulationRun,
     arrival_cdfs,
@@ -43,7 +44,7 @@ from upfmec.model import (
 )
 from upfmec.schemes import SCHEMES
 
-from conftest import codes, make_scenario, small_scenarios
+from conftest import codes, make_scenario, recorded, small_scenarios
 from reference_engine import COLUMNS, INPUTS, reference_run
 
 ALL_URLLC = {QosClass.URLLC: 1.0, QosClass.EMBB: 0.0, QosClass.MMTC: 0.0, QosClass.REGULAR: 0.0}
@@ -61,13 +62,18 @@ def classes_by_id(run):
 
 
 def measured_e2e(run, rid, arrival):
-    """Request rid's end-to-end delay in ms, from its stamps and arrival, without ``stage_delay``."""
+    """Request rid's end-to-end delay in ms, from its stamps and arrival, without ``stage_delay``.
+
+    Its due epoch is its UPF serve stamp plus ``transit_epochs`` of its ``d_net``.
+    """
     delta = run.delta
-    d_upf = (run.upf_serve_epoch[rid] + 1 - arrival) * delta
+    served = run.upf_serve_epoch[rid]
+    d_upf = (served + 1 - arrival) * delta
     if not QOS_BY_CODE[run.qos[rid]].uses_mec:
         return d_upf
-    d_mec = (run.mec_serve_epoch[rid] + 1 - run.mec_due_epoch[rid]) * delta
-    return (d_upf + run.d_net[rid]) + d_mec
+    d_net = run.d_net[rid]
+    d_mec = (run.mec_serve_epoch[rid] + 1 - (served + transit_epochs(d_net, delta))) * delta
+    return (d_upf + d_net) + d_mec
 
 
 # ------------------------------------------------------------------ arrivals
@@ -195,6 +201,65 @@ def test_request_ids_continue_across_epochs():
     assert RunView(run).arrival.tolist() == [0, 0, 0, 1, 1, 1]
 
 
+# the columns a run sizes for its horizon's draws when it is built
+SIZED = ("assigned_upf", "assigned_mec", "upf_serve_epoch", "mec_serve_epoch", "d_net")
+
+
+def test_undecided_columns_are_sized_when_the_run_is_built(campus5):
+    # one undecided row per request the horizon draws, from the start, and
+    # the run writes into those same lists to its end
+    run = SimulationRun(replace(campus5, scheme=Scheme.BESTFIT_UPF_MEC, horizon_epochs=20))
+    rows = run._starts[-1]
+    assert rows > 0 and run.generated == 0
+    columns = {column: getattr(run, column) for column in SIZED}
+    assert all(len(values) == rows for values in columns.values())
+    assert columns["assigned_upf"] == columns["assigned_mec"] == [None] * rows
+    assert all(v is UNSET for c in ("upf_serve_epoch", "mec_serve_epoch", "d_net")
+               for v in columns[c])
+    run.run()
+    assert run.generated == rows and not run.truncated
+    assert all(getattr(run, column) is values for column, values in columns.items())
+
+
+def test_an_epoch_stepped_without_its_draws_keeps_ids_contiguous(metro):
+    # epochs 1 and 3 lie inside the horizon but take no arrivals: the ids of
+    # epochs 0, 2 and 4 follow each other, and the rows the skipped draws
+    # were sized for stay undecided past the last id
+    run = SimulationRun(replace(build_pair_scenario(metro, 3), seed=1))
+    steps = [True, False, True, False, True]
+    counts = [run._starts[e + 1] - run._starts[e] if generate else 0
+              for e, generate in enumerate(steps)]
+    codes_drawn = [run._codes[run._starts[e]:run._starts[e + 1]] if generate else b""
+                   for e, generate in enumerate(steps)]
+    for generate in steps:
+        run.step_epoch(generate=generate)
+    n = sum(counts)
+    assert run.generated == n > 0 and counts[1::2] == [0, 0]
+    assert [rep.arrivals for rep in run.epoch_reports] == counts
+    assert bytes(run.qos) == b"".join(codes_drawn)
+    assert None not in run.assigned_upf[:n]
+    assert run.assigned_upf[n:] == [None] * (run._starts[-1] - n) != []
+    view = RunView(run)
+    assert view.arrival.tolist() == [e for e, count in enumerate(counts) for _ in range(count)]
+    for array in (view.codes, view.upf_serve, view.d_net, view.mec_serve, view.mec_due,
+                  view.status, view.upf_ids):
+        assert len(array) == n
+    assert len(view.mec_ids) == int(view.uses_mec.sum())
+
+
+def test_a_stamp_is_its_epochs_one_float_past_the_small_int_cache(campus5):
+    # a stamp costs one float object per epoch, never one per request, also
+    # past epoch 256; an unset stamp or d_net is the one UNSET object
+    run = run_to_completion(replace(campus5, horizon_epochs=300), seed=1)
+    assert run.epoch > 300 and not run.truncated
+    stamps = [v for c in ("upf_serve_epoch", "mec_serve_epoch") for v in getattr(run, c)]
+    is_set = [v for v in stamps if v is not UNSET]
+    assert len(is_set) > run.generated
+    assert all(type(v) is float and v == int(v) for v in is_set)
+    assert len(set(map(id, is_set))) <= run.epoch
+    assert all(v is UNSET or v == v for v in run.d_net)
+
+
 # ------------------------------------------------------------------ stepping
 
 
@@ -204,10 +269,11 @@ def test_single_request_crosses_both_tiers():
     res = run_to_completion(s)
     assert res.generated == res.completed == 1
     assert RunView(res).status.tolist() == [RequestStatus.COMPLETED]
-    assert (res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch) == ([0], [1], [1])
+    stamps = ("upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch")
+    assert [recorded(res, c) for c in stamps] == [[0], [1], [1]]
     rep = summarize(res)
     assert rep.per_upf_qos[(1, QosClass.URLLC)].mean == 1.0
-    assert res.d_net == [1.0]
+    assert recorded(res, "d_net") == [1.0]
     assert rep.per_mec[1].mean == 1.0
     assert rep.d_e2e.tolist() == [3.0]
 
@@ -218,7 +284,8 @@ def test_regular_traffic_never_touches_the_mec():
     res = run.run()
     assert res.completed == res.generated > 0
     unset = [None] * res.generated
-    assert res.assigned_mec == res.d_net == res.mec_due_epoch == res.mec_serve_epoch == unset
+    for column in ("assigned_mec", "d_net", "mec_due_epoch", "mec_serve_epoch"):
+        assert recorded(res, column) == unset, column
     e2e = [measured_e2e(res, rid, a) for rid, a in enumerate(arrivals_by_id(res))]
     assert summarize(res).d_e2e.tolist() == e2e
     assert all(not any(rep.mec_queues) for rep in res.epoch_reports)
@@ -233,9 +300,8 @@ def test_stages_stamp_epochs_and_rows_derive_the_delays():
     )
     res = run_to_completion(s)
     assert RunView(res).status.tolist() == [RequestStatus.COMPLETED] * res.generated
-    stamps = list(
-        zip(arrivals_by_id(res), res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch)
-    )
+    stamps = list(zip(arrivals_by_id(res), *(recorded(res, c) for c in (
+        "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch"))))
     # the MEC queued some requests past their due epoch
     assert max(serve - due for _, _, due, serve in stamps) > 0
     for arrival, upf_serve, due, mec_serve in stamps:
@@ -246,7 +312,7 @@ def test_stages_stamp_epochs_and_rows_derive_the_delays():
     assert rep.per_mec[1].mean == np.mean([(m + 1 - due) * 0.5 for _, _, due, m in stamps])
     assert rep.d_e2e.tolist() == [
         ((u + 1 - a) * 0.5 + n) + (m + 1 - due) * 0.5
-        for (a, u, due, m), n in zip(stamps, res.d_net)
+        for (a, u, due, m), n in zip(stamps, recorded(res, "d_net"), strict=True)
     ]
 
 
@@ -318,8 +384,9 @@ def test_zero_load_all_schemes_agree():
     for scheme in Scheme:
         s = make_scenario(num_upfs=2, lam=0.5, horizon=8, scheme=scheme, seed=11)
         res = run_to_completion(s)
-        results[scheme] = (res.upf_serve_epoch, res.mec_due_epoch, res.mec_serve_epoch,
-                           res.d_net, summarize(res).d_e2e.tolist())
+        results[scheme] = (*(recorded(res, c) for c in (
+            "upf_serve_epoch", "mec_due_epoch", "mec_serve_epoch", "d_net")),
+            summarize(res).d_e2e.tolist())
     baseline = results[Scheme.BASELINE]
     assert len(baseline[-1]) == 4
     for scheme in Scheme:
@@ -338,7 +405,8 @@ def test_mec_overflow_drops_in_transit_requests():
     assert res.generated == res.completed + res.dropped
     assert res.residual == 0
     # some were dropped at the MEC door, after crossing the link
-    assert any(drop and due is not None for drop, due in zip(res.drop, res.mec_due_epoch))
+    assert any(drop and due is not None
+               for drop, due in zip(res.drop, recorded(res, "mec_due_epoch")))
 
 
 def test_admission_drops_when_bucket_full():
@@ -348,7 +416,8 @@ def test_admission_drops_when_bucket_full():
     )
     res = run_to_completion(s)
     assert res.dropped > 0
-    assert any(drop and serve is None for drop, serve in zip(res.drop, res.upf_serve_epoch))
+    assert any(drop and serve is None
+               for drop, serve in zip(res.drop, recorded(res, "upf_serve_epoch")))
 
 
 def test_queues_never_exceed_their_caps(metro):
@@ -381,31 +450,38 @@ def test_a_request_lost_behind_the_engine_breaks_conservation():
         run.run()
 
 
-@pytest.mark.parametrize("stage, before, unset", [
-    ("upf_serve_epoch", "arrival_epoch", False),
-    ("mec_due_epoch", "upf_serve_epoch", False),
-    ("mec_serve_epoch", "mec_due_epoch", False),
-    ("mec_due_epoch", "upf_serve_epoch", True),
-    ("mec_serve_epoch", "mec_due_epoch", True),
-], ids=["upf", "link", "mec", "link_unset", "mec_unset"])
-def test_a_stamp_out_of_stage_order_breaks_the_derivation(stage, before, unset, tmp_path):
+@pytest.mark.parametrize("case", ["upf", "link", "mec", "link_unset", "mec_unset"])
+def test_a_stamp_out_of_stage_order_breaks_the_derivation(case, tmp_path):
     # the last request, hand-edited to be served at its UPF before it
-    # arrived, due at its MEC before its UPF served it, or served at its MEC
-    # before its transfer was due, or with the stamp before its stage's
-    # unset; every reader of the record refuses it
+    # arrived, due at its MEC before its UPF served it (a d_net of minus one
+    # epoch), or served at its MEC before its transfer was due, or with a
+    # d_net but no UPF serve stamp, or a MEC serve stamp but no d_net and so
+    # no due epoch; every reader of the record refuses it
     s = make_scenario(
         num_upfs=1, lam=6.0, horizon=4, qos_mix=ALL_URLLC, upf_capacity=3.0,
         mec_capacity=1.0, bandwidth_mbps=1e6, upf_queue_cap=100, mec_queue_cap=100,
     )
     run = run_to_completion(s)
     rid = run.generated - 1
-    if unset:
-        getattr(run, before)[rid] = None
-        message = f"request {rid}: {stage} {getattr(run, stage)[rid]} without its {before}"
+    arrival, due = arrivals_by_id(run)[rid], RunView(run).mec_due[rid]
+    served, d_net, done = (getattr(run, c)[rid] for c in ("upf_serve_epoch", "d_net",
+                                                            "mec_serve_epoch"))
+    if case == "upf":
+        run.upf_serve_epoch[rid] = arrival - 1
+        message = f"upf_serve_epoch {arrival - 1:g} before its arrival_epoch {arrival:g}"
+    elif case == "link":
+        run.d_net[rid] = -run.delta
+        message = f"mec_due_epoch {served - 1:g} before its upf_serve_epoch {served:g}"
+    elif case == "mec":
+        run.mec_serve_epoch[rid] = due - 1
+        message = f"mec_serve_epoch {due - 1:g} before its mec_due_epoch {due:g}"
+    elif case == "link_unset":
+        run.upf_serve_epoch[rid] = UNSET
+        message = f"d_net {d_net:g} without its upf_serve_epoch"
     else:
-        early = arrivals_by_id(run)[rid] if before == "arrival_epoch" else getattr(run, before)[rid]
-        getattr(run, stage)[rid] = early - 1
-        message = f"request {rid}: {stage} {early - 1} before its {before} {early}"
+        run.d_net[rid] = UNSET
+        message = f"mec_serve_epoch {done:g} without its mec_due_epoch"
+    message = f"request {rid}: {message}"
     readers = [RunView, summarize, summarize_head, completed_e2e,
                lambda r: decision_inputs(RunView(r)),
                lambda r: write_events_csv(r, str(tmp_path / "events.csv"))]
@@ -443,7 +519,7 @@ def test_deliveries_go_in_link_key_order_then_entry_order(monkeypatch):
     s.link_bandwidth_mbps = [[1000.0, 1000.0], [16.0, 1000.0]]
     run = run_to_completion(s)
     assert run.assigned_upf == [1, 2, 1, 1, 1]
-    assert run.mec_due_epoch == [1, 2, 2, 4, 4]
+    assert recorded(run, "mec_due_epoch") == [1, 2, 2, 4, 4]
     # at epoch 2, link (1, 1) delivers id 2 before link (2, 1) delivers id 1,
     # which entered first; at epoch 4, id 4 goes before id 3 on one link
     assert [rid for rid, drop in enumerate(run.drop) if drop] == [1, 3]
@@ -487,7 +563,8 @@ def test_links_no_transfer_crosses_keep_no_state(metro):
     assert not run.truncated
     crossed = {
         (upf_id - 1) * 50 + mec_id - 1
-        for upf_id, mec_id, due in zip(run.assigned_upf, run.assigned_mec, run.mec_due_epoch)
+        for upf_id, mec_id, due in zip(run.assigned_upf, run.assigned_mec,
+                                       recorded(run, "mec_due_epoch"))
         if due is not None
     }
     assert 0 < len(crossed) < 2500
@@ -543,7 +620,8 @@ def test_upf_price_undershoots_fcfs_service_by_under_one_epoch(campus5, scheme):
     errors = []
     prices = decision_inputs(RunView(res))[0].tolist()
     for qos, upf, arrival, serve, price in zip(
-        classes_by_id(res), res.assigned_upf, arrivals_by_id(res), res.upf_serve_epoch, prices
+        classes_by_id(res), res.assigned_upf, arrivals_by_id(res),
+        recorded(res, "upf_serve_epoch"), prices
     ):
         if serve is None:
             continue
@@ -761,7 +839,8 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         # a request entering a link shares it with itself at least
         assert all(n >= 1 for n in shares)
         # a transfer is due the whole epochs its d_net takes after UPF service
-        link_stamps = zip(classes_by_id(res), res.upf_serve_epoch, res.mec_due_epoch, res.d_net)
+        link_stamps = zip(classes_by_id(res), *(recorded(res, c) for c in (
+            "upf_serve_epoch", "mec_due_epoch", "d_net")))
         for qos, serve, due, d_net in link_stamps:
             if qos.uses_mec and serve is not None:
                 assert due == serve + transit_epochs(d_net, delta)
@@ -775,13 +854,15 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         assert all(m.pending == 0 for m in run.mecs)
 
         upf_served = Counter(
-            key for key in zip(res.assigned_upf, classes_by_id(res), res.upf_serve_epoch)
+            key for key in zip(res.assigned_upf, classes_by_id(res),
+                               recorded(res, "upf_serve_epoch"))
             if key[2] is not None
         )
         for (uid, qos, _), n in upf_served.items():
             assert n <= math.ceil(run.upfs[uid - 1][qos].capacity)
         mec_served = Counter(
-            key for key in zip(res.assigned_mec, res.mec_serve_epoch) if key[1] is not None
+            key for key in zip(res.assigned_mec, recorded(res, "mec_serve_epoch"))
+            if key[1] is not None
         )
         for (mid, _), n in mec_served.items():
             assert n <= math.ceil(run.mecs[mid - 1].capacity)
@@ -820,9 +901,22 @@ def test_runs_equal_the_naive_reference_engine(base, rectangular, cap):
 def test_mec_door_drops_equal_the_naive_reference_engine(campus5):
     # MECs capped at 5 drop transfers at their door, which leave the MEC's
     # count at their due epoch, not at a service stamp
-    scenario = replace(campus5, mecs=[replace(m, queue_cap=5) for m in campus5.mecs])
-    run = assert_run_is_the_reference(scenario)
+    run = assert_run_is_the_reference(_door_capped(campus5))
     assert _drops_by_site(run)[1] > 100
+    assert not run.truncated
+
+
+@pytest.mark.parametrize("drain_cap", [0, 1, 3])
+def test_truncated_door_drops_equal_the_naive_reference_engine(campus5, drain_cap):
+    # a drain cap stops the run with transfers still on their links, where
+    # the derived due epoch decides IN_TRANSIT against IN_MEC_QUEUE
+    run = assert_run_is_the_reference(replace(_door_capped(campus5), drain_cap_epochs=drain_cap))
+    assert (RunView(run).status == RequestStatus.IN_TRANSIT).any()
+
+
+def _door_capped(campus5):
+    """campus5 with every MEC's queue capped at 5."""
+    return replace(campus5, mecs=[replace(m, queue_cap=5) for m in campus5.mecs])
 
 
 def _drops_by_site(run: SimulationRun) -> tuple:
@@ -831,9 +925,10 @@ def _drops_by_site(run: SimulationRun) -> tuple:
     An admission drop never left its UPF queue, a door drop crossed its
     link; together they are every drop the run and its reports count.
     """
-    dropped = RunView(run).status == RequestStatus.DROPPED
-    admission = int((dropped & np.array([s is None for s in run.upf_serve_epoch], bool)).sum())
-    door = int((dropped & np.array([d is not None for d in run.mec_due_epoch], bool)).sum())
+    view = RunView(run)
+    dropped = view.status == RequestStatus.DROPPED
+    admission = int((dropped & np.isnan(view.upf_serve)).sum())
+    door = int((dropped & ~np.isnan(view.mec_due)).sum())
     assert admission + door == run.dropped == sum(rep.dropped for rep in run.epoch_reports)
     return admission, door
 
@@ -843,9 +938,13 @@ def assert_run_is_the_reference(scenario) -> SimulationRun:
     run = run_to_completion(scenario)
     columns, reports, arrivals = reference_run(scenario)
     for column in COLUMNS:
-        assert getattr(run, column) == columns[column], column
-    # the status read off the stamps is the one the reference kept per row
+        assert recorded(run, column) == list(columns[column]), column
+    # the status read off the stamps is the one the reference kept per row,
+    # and the due epoch derived from d_net the one it set at link entry, bit
+    # for bit (an unset one is nan)
     assert RunView(run).status.tolist() == columns["status"]
+    due = np.array(columns["mec_due_epoch"], float)
+    assert RunView(run).mec_due.tobytes() == due.tobytes()
     _drops_by_site(run)
     # what each decision read, derived from the stamps and price tables,
     # equals what the reference recorded when it decided, bit for bit
@@ -862,35 +961,37 @@ def _assert_little_identities(run: SimulationRun) -> None:
 
     The sum over epochs of a queue's reported end-of-epoch length equals
     the sum of the epochs its requests spent in it: upf_serve_epoch - the
-    arrival epoch for a request a UPF bucket served, mec_serve_epoch -
-    mec_due_epoch for one a MEC served, and mec_due_epoch - upf_serve_epoch
+    arrival epoch for a request a UPF bucket served, mec_serve_epoch - the
+    due epoch for one a MEC served, and the due epoch - upf_serve_epoch
     for one that crossed a link (dropped at the MEC's door or not).  A run
     the drain cap stopped holds requests that have not left: one still in
     a UPF queue counts epoch - the arrival epoch, one still on a link
-    epoch - upf_serve_epoch and one still in a MEC queue epoch -
-    mec_due_epoch.  The residences come from the run's columns and the
-    reports' arrival counts, the lengths from the reports' queue lengths.
+    epoch - upf_serve_epoch and one still in a MEC queue epoch - the due
+    epoch.  The residences come from the run's columns, the due epochs
+    ``RunView`` derives and the reports' arrival counts, the lengths from
+    the reports' queue lengths.
     """
     end = run.epoch
     upf_res, mec_res, link_res = Counter(), Counter(), 0
     arrival, classes = arrivals_by_id(run), classes_by_id(run)
     statuses = RunView(run).status.tolist()
-    for rid, serve in enumerate(run.upf_serve_epoch):
+    dues, mec_serves = recorded(run, "mec_due_epoch"), recorded(run, "mec_serve_epoch")
+    for rid, serve in enumerate(recorded(run, "upf_serve_epoch")):
         status = statuses[rid]
         if serve is None:
             if status == RequestStatus.IN_UPF_QUEUE:
                 upf_res[(run.assigned_upf[rid], classes[rid])] += end - arrival[rid]
             continue
         upf_res[(run.assigned_upf[rid], classes[rid])] += serve - arrival[rid]
-        due = run.mec_due_epoch[rid]
+        due = dues[rid]
         if status == RequestStatus.IN_TRANSIT:
             link_res += end - serve
         elif due is not None:
             link_res += due - serve
         if status == RequestStatus.IN_MEC_QUEUE:
             mec_res[run.assigned_mec[rid]] += end - due
-        elif run.mec_serve_epoch[rid] is not None:
-            mec_res[run.assigned_mec[rid]] += run.mec_serve_epoch[rid] - due
+        elif mec_serves[rid] is not None:
+            mec_res[run.assigned_mec[rid]] += mec_serves[rid] - due
     reports = run.epoch_reports
     # the report's class order, defined here rather than read from the engine
     names = sorted(QosClass, key=lambda q: q.value)

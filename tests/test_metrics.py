@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec import metrics
-from upfmec.delay import net_delay
-from upfmec.engine import EpochReport, SimulationRun, link_law, run_to_completion
+from upfmec.delay import net_delay, transit_epochs
+from upfmec.engine import UNSET, EpochReport, SimulationRun, link_law, run_to_completion
 from upfmec.metrics import (
     CapexPoint,
     RunView,
@@ -67,8 +67,9 @@ def make_result(requests, delta: float = DELTA) -> SimulationRun:
     Every request arrives at epoch 0, as the run's epoch reports count
     them.  A completed one is stamped at the epochs its stage counts give,
     a stage of n epochs being left at the epoch n - 1 after it was
-    entered: the serving epoch counts.  Any other is unstamped, a dropped
-    one with its ``drop`` flag set.
+    entered: the serving epoch counts.  Its link takes ``transit_epochs``
+    epochs of delta, so it is due that many epochs after UPF service.  Any
+    other is unstamped, a dropped one with its ``drop`` flag set.
     """
     run = SimulationRun(make_scenario(num_upfs=1, delta=delta, seed=1))
     for r in requests:
@@ -76,14 +77,15 @@ def make_result(requests, delta: float = DELTA) -> SimulationRun:
         if r["status"] is RequestStatus.COMPLETED:
             stamps["upf_serve_epoch"] = served = r["upf_epochs"] - 1
             if r["mec"] is not None:
-                stamps["d_net"] = r["transit_epochs"] * delta
-                stamps["mec_due_epoch"] = due = served + r["transit_epochs"]
+                stamps["d_net"] = d_net = r["transit_epochs"] * delta
+                assert transit_epochs(d_net, delta) == r["transit_epochs"]
+                due = served + r["transit_epochs"]
                 stamps["mec_serve_epoch"] = due + r["mec_epochs"] - 1
             run.completed += 1
         run.dropped += r["status"] is RequestStatus.DROPPED
         append_row(run, r["qos"], r["upf"], drop=r["status"] is RequestStatus.DROPPED,
                    assigned_upf=r["upf"], assigned_mec=r["mec"], **stamps)
-    stamps = [e for e in run.upf_serve_epoch + run.mec_serve_epoch if e is not None]
+    stamps = [e for e in run.upf_serve_epoch + run.mec_serve_epoch if e is not UNSET]
     run.epoch = max(stamps, default=0) + 1
     idle = dict(admitted=0, dropped=0, served_upf=0, served_mec=0, completed=0, in_flight=0,
                 upf_queues=(0,) * len(QosClass), mec_queues=(0,))
@@ -398,14 +400,14 @@ def test_a_derived_length_outside_its_price_table_raises_a_named_error(stamps, m
 
 
 def test_a_stamp_past_an_unset_one_is_refused_before_any_length_is_derived():
-    # requests 2 and 3, hand-edited to leave their MEC at epoch 0 with no due
-    # epoch, would make request 1 find its MEC holding 1 - 2 requests; the
+    # requests 2 and 3, hand-edited to leave their MEC at epoch 0 with no
+    # d_net and so no due epoch, would make request 1 find its MEC holding 1 - 2 requests; the
     # view's stage-order guard refuses the first of them
     run = run_to_completion(make_scenario(num_upfs=1, lam=1.0, horizon=4, qos_mix=ALL_URLLC,
                                           bandwidth_mbps=1e6))
     assert run.upf_serve_epoch == [0, 1, 2, 3] and run.mec_serve_epoch == [1, 2, 3, 4]
     for rid in (2, 3):
-        run.mec_due_epoch[rid], run.mec_serve_epoch[rid] = None, 0
+        run.d_net[rid], run.mec_serve_epoch[rid] = UNSET, 0.0
     with pytest.raises(InvariantError,
                        match="^request 2: mec_serve_epoch 0 without its mec_due_epoch$"):
         RunView(run)
@@ -414,7 +416,7 @@ def test_a_stamp_past_an_unset_one_is_refused_before_any_length_is_derived():
 def test_an_admission_drop_below_its_queue_cap_raises_a_named_error():
     # request 2 recorded as dropped at admission, where it met an empty bucket
     run = _one_regular_request_per_epoch()
-    run.drop[2], run.upf_serve_epoch[2] = 1, None
+    run.drop[2], run.upf_serve_epoch[2] = 1, UNSET
     message = "request 2: derived UPF bucket queue length 0 breaks its queue cap of 2 (dropped)"
     with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
         decision_inputs(RunView(run))
@@ -440,13 +442,23 @@ def _cell(x) -> str:
     return "" if x is None else repr(x) if isinstance(x, float) else str(x)
 
 
+def row_stamps(run, rid: int) -> tuple:
+    """Request rid's ``(upf_serve_epoch, d_net, due epoch, mec_serve_epoch)``, None where unset.
+
+    The due epoch is the UPF serve stamp plus ``transit_epochs`` of ``d_net``.
+    """
+    served, d_net, done = (None if v != v else v for v in (
+        run.upf_serve_epoch[rid], run.d_net[rid], run.mec_serve_epoch[rid]))
+    due = None if d_net is None else served + transit_epochs(d_net, run.delta)
+    return served, d_net, due, done
+
+
 def row_status(run, rid: int) -> RequestStatus:
     """Request rid's status, read off its own row and ``run.epoch`` alone."""
     if run.drop[rid]:
         return RequestStatus.DROPPED
-    served, due = run.upf_serve_epoch[rid], run.mec_due_epoch[rid]
-    if run.mec_serve_epoch[rid] is not None or (
-            served is not None and not QOS_BY_CODE[run.qos[rid]].uses_mec):
+    served, _, due, done = row_stamps(run, rid)
+    if done is not None or (served is not None and not QOS_BY_CODE[run.qos[rid]].uses_mec):
         return RequestStatus.COMPLETED
     if served is None:
         return RequestStatus.IN_UPF_QUEUE
@@ -466,11 +478,10 @@ def reference_events_csv(run, path: str) -> None:
         ])
         for rid, arrival in enumerate(arrivals):
             qos, status = QOS_BY_CODE[run.qos[rid]], row_status(run, rid)
-            served = run.upf_serve_epoch[rid]
+            served, d_net, due, done = row_stamps(run, rid)
             d_upf = None if served is None else (served + 1 - arrival) * delta
             if qos.uses_mec:
-                d_net, done = run.d_net[rid], run.mec_serve_epoch[rid]
-                d_mec = None if done is None else (done + 1 - run.mec_due_epoch[rid]) * delta
+                d_mec = None if done is None else (done + 1 - due) * delta
                 d_e2e = None if d_mec is None else (d_upf + d_net) + d_mec
             else:
                 d_net = d_mec = 0.0 if status is RequestStatus.COMPLETED else None
@@ -521,7 +532,7 @@ class CountedColumn(list):
 
 
 LIST_COLUMNS = ("origin_upf", "assigned_upf", "assigned_mec", "upf_serve_epoch",
-                "mec_due_epoch", "mec_serve_epoch", "d_net")
+                "mec_serve_epoch", "d_net")
 
 
 @pytest.mark.parametrize("report", [summarize, summarize_head, completed_e2e, write_events_csv],

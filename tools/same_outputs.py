@@ -5,12 +5,14 @@ a fresh interpreter that imports upfmec from it, this runs ``run --trace``
 on campus5 and metro under each of the four schemes with seeds 1-3,
 ``compare --scenario campus5 --seeds 1-4``, and ``capex --pairs 1-10
 --seeds 1-2`` on metro and on campus5, and ``run --trace`` under
-``bestfit_upf_mec`` on two edits of campus5 that no bundled scenario
-covers: deterministic arrivals, and a 300-epoch horizon (epochs past 256
-are past CPython's small-int cache).  Each command goes into a directory
+``bestfit_upf_mec`` on three edits of campus5 that no bundled scenario
+covers: deterministic arrivals, a 300-epoch horizon (epochs past 256
+are past CPython's small-int cache), and a drain cap of 0, which stops
+the run at its horizon with requests in UPF queues, on links and in MEC
+queues.  Each command goes into a directory
 of its own, and the command's standard output, with that directory's path
 cut out, is kept beside its files.  A bundled scenario is read from each
-tree's own package; the two edits are written as YAML from A's campus5
+tree's own package; the edits are written as YAML from A's campus5
 into the temporary directory, once for both trees.  Every file that
 differs between the trees, or that one tree lacks, is printed, and the
 exit status is then 1; it is 0 when all are equal.
@@ -39,6 +41,7 @@ for name in ("metro", "campus5"):
 EDITS = {
     "campus5_deterministic": ("traffic", "process", "deterministic"),
     "campus5_h300": (None, "horizon_epochs", 300),
+    "campus5_undrained": (None, "drain_cap_epochs", 0),
 }
 
 # runs in the tree's interpreter: argv[1] maps directory names to commands,
