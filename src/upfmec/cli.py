@@ -93,23 +93,16 @@ def cmd_run(args) -> int:
     out = args.out
     _make_out(out)
     name, scheme, seed = scenario.name, scenario.scheme.value, run.scenario.seed
-    paths = []
-    p = metrics.report_path(out, name, scheme, seed, "summary", "csv")
-    metrics.write_summary_csv(report, p)
-    paths.append(p)
-    p = metrics.report_path(out, name, scheme, seed, "summary", "json")
-    metrics.write_summary_json(report, p)
-    paths.append(p)
-    p = metrics.report_path(out, name, scheme, seed, "cdf", "csv")
-    metrics.write_cdf_csv(metrics.build_cdf(report.d_e2e), p)
-    paths.append(p)
+    reports = [("summary", "csv", metrics.write_summary_csv, report),
+               ("summary", "json", metrics.write_summary_json, report),
+               ("cdf", "csv", metrics.write_cdf_csv, metrics.build_cdf(report.d_e2e))]
     if args.trace:
-        p = metrics.report_path(out, name, scheme, seed, "trace", "csv")
-        metrics.write_trace_csv(run, p)
-        paths.append(p)
-        p = metrics.report_path(out, name, scheme, seed, "events", "csv")
-        metrics.write_events_csv(run, p)
-        paths.append(p)
+        reports += [("trace", "csv", metrics.write_trace_csv, run),
+                    ("events", "csv", metrics.write_events_csv, run)]
+    paths = []
+    for kind, ext, write, source in reports:
+        paths.append(metrics.report_path(out, name, scheme, seed, kind, ext))
+        write(source, paths[-1])
     print(
         f"{name} scheme={scheme} seed={seed}: generated={run.generated} "
         f"completed={run.completed} dropped={run.dropped} "

@@ -123,19 +123,19 @@ def generate_arrivals(
     horizon: int,
     origin_cdf: np.ndarray,
     class_cdf: np.ndarray,
-) -> Tuple[List[int], List[int], bytes]:
+) -> Tuple[List[int], List[int], bytearray]:
     """Draw the requests of epochs 0..horizon-1: each epoch's count, then every origin and class.
 
     The stream is the one per-epoch ``rng.choice`` draws make: each epoch
     takes its count, then one uniform per origin, then one per class,
     before the next epoch's count.  The CDFs are ``arrival_cdfs(traffic)``,
     and each is searched once for the whole horizon.  Returns the counts by
-    epoch, the origin UPF ids and the QoS class codes (as bytes, one per
-    request), both in arrival order: epoch e's requests follow those of
-    the epochs before it.  A class is drawn as its index in the class CDF,
-    which is its code (``QOS_BY_CODE``).  The deterministic process emits
-    floor((epoch+1)*rate) - floor(epoch*rate) requests so the long-run rate
-    is exact even for fractional rates.
+    epoch, the origin UPF ids and the QoS class codes (a bytearray, one
+    byte per request), both in arrival order: epoch e's requests follow
+    those of the epochs before it.  A class is drawn as its index in the
+    class CDF, which is its code (``QOS_BY_CODE``).  The deterministic
+    process emits floor((epoch+1)*rate) - floor(epoch*rate) requests so the
+    long-run rate is exact even for fractional rates.
     """
     lam = traffic.mean_arrivals_per_epoch
     if traffic.process not in ("poisson", "deterministic"):
@@ -155,7 +155,7 @@ def generate_arrivals(
             class_u.append(u[count:])
     origins = (origin_cdf.searchsorted(np.concatenate(origin_u), side="right") + 1).tolist()
     classes = class_cdf.searchsorted(np.concatenate(class_u), side="right").astype(np.uint8)
-    return counts, origins, classes.tobytes()
+    return counts, origins, bytearray(classes)
 
 
 def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
@@ -218,12 +218,13 @@ class SimulationRun:
     ``assigned_upf``, ``assigned_mec`` (None for a class that ends at the
     UPF), the epoch stamps ``upf_serve_epoch`` and ``mec_serve_epoch``
     (floats, one object per epoch) and the link's delay ``d_net``; a stamp
-    or ``d_net`` not yet set is ``UNSET``.  ``qos``, ``drop`` and
-    ``origin_upf`` grow as ``step_epoch`` takes each epoch's arrivals, and
-    its epoch's report counts them, so their length is ``generated``; the
-    other five are sized for the whole horizon's draws when the run is
-    built, and only their first ``generated`` rows are requests.  No
-    column holds the arrival epoch or the due epoch (``metrics.RunView``).
+    or ``d_net`` not yet set is ``UNSET``.  From when the run is built,
+    every column has one row per request the horizon draws: ``qos`` and
+    ``origin_upf`` are the draws themselves (``generate_arrivals``) and the
+    other six are sized to match.  ``generated`` counts the requests that
+    have arrived, as the epoch reports do; only the first ``generated``
+    rows are read.  No column holds the arrival epoch or the due epoch
+    (``metrics.RunView``).
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``: link (i, j) of M MECs has index k = (i - 1) * M +
     (j - 1), which sorts as the key (i, j) does.
@@ -237,12 +238,13 @@ class SimulationRun:
         # prices and measured delays are floats whatever the type of
         # delta_ms: a float delta gives the same values and never an int
         self.delta = float(scenario.delta_ms)
-        # the horizon's arrivals, drawn once: epoch e's requests are
-        # _origins[k] and _codes[k] for k in range(_starts[e], _starts[e + 1])
-        counts, self._origins, self._codes = generate_arrivals(
+        # the horizon's arrivals, drawn once, are the record's origin_upf and
+        # qos: epoch e's requests are ids _starts[e] to _starts[e + 1] - 1
+        counts, self.origin_upf, self.qos = generate_arrivals(
             scenario.traffic, np.random.default_rng(scenario.seed), scenario.horizon_epochs,
             *arrival_cdfs(scenario.traffic))
         self._starts = list(accumulate(counts, initial=0))
+        self.generated = 0
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
         _, reads_upf, reads_mec = SCHEMES[scenario.scheme.value]
         # a queue whose scenario states no cap is UNBOUNDED (a stated cap is >= 1)
@@ -264,10 +266,9 @@ class SimulationRun:
         # UPF service loop of step_epoch
         self._calendar: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
         self.epoch = 0
-        self.qos, self.drop = bytearray(), bytearray()
-        self.origin_upf: List[int] = []
         # the undecided columns, one row per request the horizon draws
         rows = self._starts[-1]
+        self.drop = bytearray(rows)
         self.assigned_upf: List[Optional[int]] = [None] * rows
         self.assigned_mec: List[Optional[int]] = [None] * rows
         self.upf_serve_epoch: List[float] = [UNSET] * rows
@@ -304,14 +305,9 @@ class SimulationRun:
         self._mec_deques = [m.queue for m in self.mecs]
 
     @property
-    def generated(self) -> int:
-        """Requests generated so far: the rows of the record."""
-        return len(self.qos)
-
-    @property
     def residual(self) -> int:
         """Requests generated and neither completed nor dropped: still in flight."""
-        return len(self.qos) - self.completed - self.dropped
+        return self.generated - self.completed - self.dropped
 
     @property
     def truncated(self) -> bool:
@@ -320,22 +316,17 @@ class SimulationRun:
 
     # ------------------------------------------------------------- stepping
 
-    def step_epoch(self, generate: bool = True) -> EpochReport:
-        """Simulate one epoch, with the arrivals drawn for it if ``generate``; its report.
+    def step_epoch(self) -> EpochReport:
+        """Simulate one epoch; its report.
 
-        An epoch at or past the horizon has no arrivals drawn.
+        An epoch before the horizon takes the requests drawn for it, the
+        next ids of the record, and advances ``generated`` past them; an
+        epoch at or past the horizon has none.
         """
         epoch = self.epoch
-        origins: List[int] = []
-        codes = b""
-        if generate and epoch < len(self._starts) - 1:
-            start, end = self._starts[epoch], self._starts[epoch + 1]
-            origins, codes = self._origins[start:end], self._codes[start:end]
-        # one row per new request, which this epoch's report counts
-        first = len(self.qos)
-        self.qos += codes
-        self.drop += bytes(len(origins))
-        self.origin_upf.extend(origins)
+        first = end = self.generated
+        if epoch < len(self._starts) - 1:
+            self.generated = end = self._starts[epoch + 1]
         # the epoch's one stamp object
         stamp = float(epoch)
 
@@ -346,7 +337,8 @@ class SimulationRun:
         mec_cost = self.mec_cost
         mec_prices = mec_cost and mec_cost.prices
         admitted = dropped_now = 0
-        for rid, code, origin in zip(range(first, first + len(origins)), codes, origins):
+        for rid, code, origin in zip(range(first, end), self.qos[first:end],
+                                     self.origin_upf[first:end]):
             qos, cost, prices, buckets = admission[code]
             upf_id, mec_id = assign(qos, origin, self)
             assigned_upf[rid] = upf_id
@@ -463,7 +455,7 @@ class SimulationRun:
         self.dropped += dropped_now
         report = EpochReport(
             epoch=epoch,
-            arrivals=len(origins),
+            arrivals=end - first,
             admitted=admitted,
             dropped=dropped_now,
             served_upf=served_upf,
@@ -481,17 +473,12 @@ class SimulationRun:
 
     def run(self) -> SimulationRun:
         """Step through the horizon, then drain; the finished run is its own record."""
-        while self.epoch < self.scenario.horizon_epochs:
-            self.step_epoch(generate=True)
-        # the horizon's draws are spent
-        self._origins, self._codes = [], b""
+        horizon = self.scenario.horizon_epochs
         cap = self.scenario.drain_cap_epochs
         if cap is None:
-            cap = DEFAULT_DRAIN_FACTOR * max(1, self.scenario.horizon_epochs)
-        drained = 0
-        while self.residual > 0 and drained < cap:
-            self.step_epoch(generate=False)
-            drained += 1
+            cap = DEFAULT_DRAIN_FACTOR * max(1, horizon)
+        while self.epoch < horizon or (self.residual and self.epoch < horizon + cap):
+            self.step_epoch()
         # residual is what the counters leave; count where the requests are
         located = sum(map(len, self._upf_deques)) + sum(map(len, self._mec_deques))
         located += sum(len(rids) for day in self._calendar.values() for rids in day.values())

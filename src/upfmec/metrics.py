@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -96,7 +95,9 @@ def percentile_nearest_rank(sorted_samples: Sequence[float], p: float) -> float:
         raise ValueError("empty sample")
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {p}")
-    idx = max(0, math.ceil(p / 100.0 * len(sorted_samples)) - 1)
+    # the rank ceil(p / 100 * n) in integers, p read to 9 decimals: the float
+    # product can land just above an integer (99.9 / 100 * 1000)
+    idx = max(0, -(-round(p * 10**9) * len(sorted_samples) // 10**11) - 1)
     return sorted_samples[idx]
 
 
@@ -163,9 +164,9 @@ class RunView:
 
     def __init__(self, run: SimulationRun) -> None:
         self.run, n = run, run.generated
-        self.codes = np.frombuffer(run.qos, np.uint8)
+        self.codes = np.frombuffer(run.qos, np.uint8, n)
         self.uses_mec = uses_mec = _USES_MEC.take(self.codes)
-        self.dropped = np.frombuffer(run.drop, np.bool_)
+        self.dropped = np.frombuffer(run.drop, np.bool_, n)
         counts = [r.arrivals for r in run.epoch_reports]
         if sum(counts) != n:
             raise InvariantError(f"epoch reports count {sum(counts)} arrivals, "
@@ -549,26 +550,17 @@ def capex_analysis(points: Sequence[CapexPoint], qos: QosClass = QosClass.URLLC)
     sizes = sorted(set(base_pts) & set(mec_pts))
     if not sizes:
         raise ValueError("no common pair counts between the two schemes")
-    gains = {}
-    for k in sizes:
-        b = base_pts[k].pct_under_threshold.get(qos, 0.0)
-        m = mec_pts[k].pct_under_threshold.get(qos, 0.0)
-        gains[k] = (m / b) if b > 0.0 else None
-    k_max = sizes[-1]
-    target = base_pts[k_max].pct_under_threshold.get(qos, 0.0)
-    breakeven = None
-    for k in sizes:
-        if mec_pts[k].pct_under_threshold.get(qos, 0.0) >= target:
-            breakeven = k
-            break
+    base_pct = {k: base_pts[k].pct_under_threshold.get(qos, 0.0) for k in sizes}
+    mec_pct = {k: mec_pts[k].pct_under_threshold.get(qos, 0.0) for k in sizes}
+    target = base_pct[sizes[-1]]
     return {
         "qos": qos.value,
         "pair_counts": sizes,
-        "baseline_pct": {k: base_pts[k].pct_under_threshold.get(qos, 0.0) for k in sizes},
-        "mecia_pct": {k: mec_pts[k].pct_under_threshold.get(qos, 0.0) for k in sizes},
-        "connectivity_gain": gains,
+        "baseline_pct": base_pct,
+        "mecia_pct": mec_pct,
+        "connectivity_gain": {k: mec_pct[k] / b if b > 0.0 else None for k, b in base_pct.items()},
         "baseline_pct_at_max": target,
-        "breakeven_pairs": breakeven,
+        "breakeven_pairs": next((k for k in sizes if mec_pct[k] >= target), None),
     }
 
 
@@ -696,7 +688,7 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
     mec[view.uses_mec] = view.mec_ids
     proj = projections(run.scenario, view.upf_ids, mec, *decision_inputs(view))
     columns = [
-        range(n), map(_QOS_NAMES.__getitem__, run.qos), run.origin_upf,
+        range(n), map(_QOS_NAMES.__getitem__, run.qos[:n]), run.origin_upf[:n],
         view.arrival.tolist(), run.assigned_upf[:n], run.assigned_mec[:n],
         map(_STATUS_NAMES.__getitem__, view.status.tolist()),
         *map(_cells, (*view.delays(np.ones(n, np.bool_)), *proj)),

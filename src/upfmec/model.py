@@ -637,12 +637,31 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return _SCENARIO.read(doc, "")
 
 
+class _ScenarioLoader(yaml.SafeLoader):
+    """``yaml.safe_load``'s loader, refusing a key given twice in one mapping
+    (PyYAML keeps the last value: the file would run on one of the two)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # a merge key (<<) and an unhashable key are the base loader's to read
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise ScenarioError(
+                    f"key {key} given twice, again at line {key_node.start_mark.line + 1}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_scenario(path: str) -> Scenario:
     """The scenario in a YAML file.
 
     A missing file is a ``FileNotFoundError``.  A path that cannot be read
     as a file (a directory, say), a file that is not UTF-8 text and a file
-    that is not YAML are each a one-line ValueError naming the path.
+    that is not YAML are each a one-line ValueError naming the path; a key
+    given twice in one mapping is a ScenarioError naming the path.
     """
     try:
         with open(path, "rb") as fh:
@@ -658,7 +677,9 @@ def load_scenario(path: str) -> Scenario:
             f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
         ) from None
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, _ScenarioLoader)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     except yaml.YAMLError as exc:
         # a parser error says where it stopped; any other error's text
         # is joined into one line

@@ -186,23 +186,25 @@ UNDECIDED = dict(assigned_upf=None, assigned_mec=None, upf_serve_epoch=UNSET,
 def append_row(run, qos, origin_upf, drop=False, **fields) -> int:
     """Write one request's row into every column of the run by hand; its id.
 
-    The row holds ``fields`` (column name -> value) and ``drop``, and is
-    undecided in the other columns.  It is row ``generated`` of the columns
-    the run sized when it was built, which grow by one where they hold no
-    such row.  No epoch report counts it: a run adds rows only in
-    ``step_epoch``, so the caller builds the matching reports.
+    The row holds ``qos``, ``origin_upf``, ``drop`` and ``fields`` (column
+    name -> value), and is undecided in the other columns.  It is row
+    ``generated`` of the columns the run sized when it was built, which
+    grow by one where they hold no such row, and ``generated`` counts it.
+    No epoch report counts it: a run adds rows only in ``step_epoch``, so
+    the caller builds the matching reports.
     """
+    unknown = fields.keys() - UNDECIDED.keys()
+    if unknown:
+        raise TypeError(f"not a column of the record: {sorted(unknown)}")
     rid = run.generated
-    run.qos += codes(qos)
-    run.drop.append(drop)
-    run.origin_upf.append(origin_upf)
-    for column, unset in UNDECIDED.items():
+    row = dict(UNDECIDED, qos=codes(qos)[0], origin_upf=origin_upf, drop=drop, **fields)
+    for column, value in row.items():
         values = getattr(run, column)
         if len(values) == rid:
-            values.append(unset)
-        values[rid] = fields.pop(column, unset)
-    if fields:
-        raise TypeError(f"not a column of the record: {sorted(fields)}")
+            values.append(value)
+        else:
+            values[rid] = value
+    run.generated = rid + 1
     return rid
 
 

@@ -105,6 +105,18 @@ def test_misspelt_scenario_key_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_key_given_twice_is_a_usage_error(tmp_path, capsys):
+    # read as PyYAML reads it, the second delta_ms would run with exit 0
+    path = _campus5_file(tmp_path, lambda d: None)
+    path.write_text(path.read_text() + "delta_ms: 5.0\n")
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid scenario: {path}: key delta_ms given twice, again at line ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_yaml_syntax_error_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("horizon_epochs: [1\n")

@@ -137,10 +137,10 @@ def test_arrival_draws_equal_numpy_choice(skew, mix, count, seed):
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     counts, origins, classes = generate_arrivals(t, rng, 1, *arrival_cdfs(t))
     w, m = np.asarray(skew), np.asarray(mix)
-    twin_origins = twin.choice(len(w), size=count, p=w / w.sum())
+    twin_origin_upf = twin.choice(len(w), size=count, p=w / w.sum())
     twin_classes = twin.choice(len(m), size=count, p=m / m.sum())
     assert counts == [count]
-    assert origins == [o + 1 for o in twin_origins]
+    assert origins == [o + 1 for o in twin_origin_upf]
     # a class comes back as its code, its index in the class CDF
     assert list(classes) == twin_classes.tolist()
     assert [QOS_BY_CODE[c] for c in classes] == [list(QosClass)[c] for c in twin_classes]
@@ -164,29 +164,28 @@ def test_a_runs_draw_equals_its_epochs_drawn_in_turn(skew, mix, lam, process, ho
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     counts, origins, classes = generate_arrivals(t, rng, horizon, *arrival_cdfs(t))
     w, m = np.asarray(skew), np.asarray(mix)
-    twin_counts, twin_origins, twin_classes = [], [], []
+    twin_counts, twin_origin_upf, twin_classes = [], [], []
     for e in range(horizon):
         if process == "poisson":
             count = int(twin.poisson(lam))
         else:
             count = math.floor((e + 1) * lam) - math.floor(e * lam)
         twin_counts.append(count)
-        twin_origins += (twin.choice(len(w), size=count, p=w / w.sum()) + 1).tolist()
+        twin_origin_upf += (twin.choice(len(w), size=count, p=w / w.sum()) + 1).tolist()
         twin_classes += twin.choice(len(m), size=count, p=m / m.sum()).tolist()
     assert counts == twin_counts
-    assert origins == twin_origins
+    assert origins == twin_origin_upf
     assert list(classes) == twin_classes
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-@pytest.mark.parametrize("generate_at", [range(6), range(3)], ids=["always", "to_horizon"])
-def test_only_epochs_before_the_horizon_have_arrivals(generate_at):
-    # the run draws the horizon's 3 epochs once; a later epoch, even one
-    # stepped with generate, has none, and the draws are the run's alone
+def test_only_epochs_before_the_horizon_have_arrivals():
+    # the run draws the horizon's 3 epochs once; a later epoch has none, and
+    # the draws are the run's alone
     s = make_scenario(num_upfs=1, lam=2.0, horizon=3, process="poisson", seed=5)
     twin = generate_arrivals(s.traffic, np.random.default_rng(5), 3, *arrival_cdfs(s.traffic))
     run = SimulationRun(s)
-    arrivals = [run.step_epoch(generate=e in generate_at).arrivals for e in range(6)]
+    arrivals = [run.step_epoch().arrivals for _ in range(6)]
     assert arrivals == twin[0] + [0, 0, 0]
     assert (run.origin_upf, bytes(run.qos)) == twin[1:]
 
@@ -201,18 +200,18 @@ def test_request_ids_continue_across_epochs():
     assert RunView(run).arrival.tolist() == [0, 0, 0, 1, 1, 1]
 
 
-# the columns a run sizes for its horizon's draws when it is built
-SIZED = ("assigned_upf", "assigned_mec", "upf_serve_epoch", "mec_serve_epoch", "d_net")
-
-
 def test_undecided_columns_are_sized_when_the_run_is_built(campus5):
-    # one undecided row per request the horizon draws, from the start, and
-    # the run writes into those same lists to its end
+    # every column has one row per request the horizon draws, from the start:
+    # qos and origin_upf hold the draws, the others are undecided, and the
+    # run writes into those same objects to its end
     run = SimulationRun(replace(campus5, scheme=Scheme.BESTFIT_UPF_MEC, horizon_epochs=20))
     rows = run._starts[-1]
     assert rows > 0 and run.generated == 0
-    columns = {column: getattr(run, column) for column in SIZED}
+    columns = {column: getattr(run, column) for column in COLUMNS}
     assert all(len(values) == rows for values in columns.values())
+    assert set(columns["qos"]) <= set(range(len(QOS_BY_CODE)))
+    assert set(columns["origin_upf"]) <= set(range(1, campus5.num_upfs + 1))
+    assert columns["drop"] == bytearray(rows)
     assert columns["assigned_upf"] == columns["assigned_mec"] == [None] * rows
     assert all(v is UNSET for c in ("upf_serve_epoch", "mec_serve_epoch", "d_net")
                for v in columns[c])
@@ -221,30 +220,28 @@ def test_undecided_columns_are_sized_when_the_run_is_built(campus5):
     assert all(getattr(run, column) is values for column, values in columns.items())
 
 
-def test_an_epoch_stepped_without_its_draws_keeps_ids_contiguous(metro):
-    # epochs 1 and 3 lie inside the horizon but take no arrivals: the ids of
-    # epochs 0, 2 and 4 follow each other, and the rows the skipped draws
-    # were sized for stay undecided past the last id
+def test_a_built_run_holds_its_draws_once(metro, monkeypatch):
+    # the origins and class codes generate_arrivals returns are the record's
+    # origin_upf and qos themselves, and no attribute of the run outside the
+    # record holds a copy of them, before or after it runs
+    drawn = []
+
+    def kept(*args):
+        drawn.append(generate_arrivals(*args))
+        return drawn[-1]
+
+    def copies(run):
+        return [name for name, value in vars(run).items()
+                if name not in COLUMNS and isinstance(value, (list, bytes, bytearray))
+                and (value == origins or value == classes)]
+
+    monkeypatch.setattr(engine, "generate_arrivals", kept)
     run = SimulationRun(replace(build_pair_scenario(metro, 3), seed=1))
-    steps = [True, False, True, False, True]
-    counts = [run._starts[e + 1] - run._starts[e] if generate else 0
-              for e, generate in enumerate(steps)]
-    codes_drawn = [run._codes[run._starts[e]:run._starts[e + 1]] if generate else b""
-                   for e, generate in enumerate(steps)]
-    for generate in steps:
-        run.step_epoch(generate=generate)
-    n = sum(counts)
-    assert run.generated == n > 0 and counts[1::2] == [0, 0]
-    assert [rep.arrivals for rep in run.epoch_reports] == counts
-    assert bytes(run.qos) == b"".join(codes_drawn)
-    assert None not in run.assigned_upf[:n]
-    assert run.assigned_upf[n:] == [None] * (run._starts[-1] - n) != []
-    view = RunView(run)
-    assert view.arrival.tolist() == [e for e, count in enumerate(counts) for _ in range(count)]
-    for array in (view.codes, view.upf_serve, view.d_net, view.mec_serve, view.mec_due,
-                  view.status, view.upf_ids):
-        assert len(array) == n
-    assert len(view.mec_ids) == int(view.uses_mec.sum())
+    [(counts, origins, classes)] = drawn
+    assert run.origin_upf is origins and run.qos is classes and copies(run) == []
+    run.run()
+    assert run.origin_upf is origins and run.qos is classes and copies(run) == []
+    assert run.generated == len(origins) == len(classes) == sum(counts) > 0
 
 
 def test_a_stamp_is_its_epochs_one_float_past_the_small_int_cache(campus5):
@@ -720,10 +717,11 @@ def test_recorded_prices_are_floats_for_an_integer_delta(tmp_path):
 
 @pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC])
 def test_queue_series_hold_one_entry_per_epoch(metro, scheme):
-    run = SimulationRun(replace(build_pair_scenario(metro, 3), scheme=scheme, seed=1))
+    run = SimulationRun(replace(build_pair_scenario(metro, 3), scheme=scheme, seed=1,
+                                horizon_epochs=3))
     assert run.epoch_reports == []
     for k in range(1, 6):
-        report = run.step_epoch(generate=k < 4)
+        report = run.step_epoch()
         assert len(run.epoch_reports) == k and run.epoch_reports[-1] is report
         assert report.upf_queues == live_upf_queues(run)
         assert report.mec_queues == tuple(len(m.queue) for m in run.mecs)
@@ -801,8 +799,8 @@ def _check_idle_credit_at_every_epoch(run: SimulationRun) -> list:
     step = run.step_epoch
     queues = [b for u in run.upfs for b in u.values()] + run.mecs
 
-    def checked(generate=True):
-        report = step(generate)
+    def checked():
+        report = step()
         # service skips empty queues, which is exact only while they hold no credit
         assert all(sq.credit == 0.0 for sq in queues if not sq.queue)
         assert report.upf_queues == live_upf_queues(run)

@@ -3,9 +3,11 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 import re
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from upfmec import metrics
 from upfmec.delay import net_delay, transit_epochs
 from upfmec.engine import UNSET, EpochReport, SimulationRun, link_law, run_to_completion
 from upfmec.metrics import (
+    PERCENTILES,
     CapexPoint,
     RunView,
     build_cdf,
@@ -102,6 +105,18 @@ def test_nearest_rank_percentiles():
     assert percentile_nearest_rank([2.0, 4.0], 80.0) == 4.0
     assert percentile_nearest_rank([2.0, 4.0], 100.0) == 4.0
     assert percentile_nearest_rank([7.0], 99.0) == 7.0
+
+
+def test_nearest_rank_is_exact_where_the_float_product_overshoots():
+    # 99.9 / 100.0 * 1000 is just above 999 in floats: the rank is 999, not 1000
+    assert percentile_nearest_rank(range(1000), 99.9) == 998
+
+
+@pytest.mark.parametrize("p", PERCENTILES)
+def test_nearest_rank_equals_exact_decimal_arithmetic(p):
+    exact = Fraction(str(p)) / 100
+    for n in range(1, 5001):
+        assert percentile_nearest_rank(range(n), p) == max(0, math.ceil(exact * n) - 1)
 
 
 def test_nearest_rank_rejects_bad_inputs():

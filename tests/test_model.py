@@ -309,6 +309,28 @@ def test_load_scenario_names_a_yaml_syntax_error(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "after, repeat, line",
+    [
+        # safe_load keeps the last value, so each file would run on one of the two
+        ("delta_ms: 1.0\n", "delta_ms: 2.0\n", 3),
+        ("  process: deterministic\n", "  process: poisson\n", 9),
+        ("    urllc: 0.25\n", "    urllc: 0.75\n", 14),
+        ("- bytes_per_ue: 1500.0\n", "  bytes_per_ue: 9000.0\n", 31),
+    ],
+    ids=["top", "traffic", "qos_mix", "mecs"],
+)
+def test_load_scenario_refuses_a_key_given_twice(tmp_path, after, repeat, line):
+    text = yaml.safe_dump(scenario_to_dict(make_scenario()), sort_keys=False)
+    assert after in text
+    p = tmp_path / "twice.yaml"
+    p.write_text(text.replace(after, after + repeat, 1))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(str(p))
+    key = repeat.strip(" -\n").split(":")[0]
+    assert str(exc.value) == f"{p}: key {key} given twice, again at line {line}"
+
+
 def test_load_scenario_rejects_non_mapping(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("- 1\n- 2\n")
