@@ -179,14 +179,17 @@ def test_a_runs_draw_equals_its_epochs_drawn_in_turn(skew, mix, lam, process, ho
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def test_only_epochs_before_the_horizon_have_arrivals():
-    # the run draws the horizon's 3 epochs once; a later epoch has none, and
-    # the draws are the run's alone
+@pytest.mark.parametrize("stepped", [6, 3], ids=["always", "to_horizon"])
+def test_only_epochs_before_the_horizon_have_arrivals(stepped):
+    # the run draws the horizon's 3 epochs once; an epoch stepped past the
+    # horizon has none, and the draws are the run's alone, whether the run
+    # stops at the horizon or steps on past it
     s = make_scenario(num_upfs=1, lam=2.0, horizon=3, process="poisson", seed=5)
     twin = generate_arrivals(s.traffic, np.random.default_rng(5), 3, *arrival_cdfs(s.traffic))
     run = SimulationRun(s)
-    arrivals = [run.step_epoch().arrivals for _ in range(6)]
-    assert arrivals == twin[0] + [0, 0, 0]
+    arrivals = [run.step_epoch().arrivals for _ in range(stepped)]
+    assert arrivals == (twin[0] + [0, 0, 0])[:stepped]
+    assert run.generated == sum(twin[0])
     assert (run.origin_upf, bytes(run.qos)) == twin[1:]
 
 
