@@ -46,11 +46,19 @@ something reads them (``RunView.status``, ``RunView.mec_due``,
 ``decision_inputs``).
 
 Idle queues are skipped: an empty queue holds no credit (``serve`` would
-only reset it to zero) and its price cannot change, so service passes it
-after one emptiness test.  The values that cannot change after the run
-is built are checked once: the scenario by ``validate_scenario``, each
-capacity by its ``ServiceQueue`` and each link delay by
-``transit_entry``, when it makes the table entry.
+only reset it to zero) and its price cannot change, so each service loop
+takes only the non-empty queues, picked in C by ``itertools.compress``
+over the queues' deques.  The pick is lazy, and serving one queue
+changes no other queue of its tier, so it sees each queue as the loop
+reaches it.  An epoch's Python-level work thus follows the busy queues:
+no line runs once per idle queue.  The longest queue left after any
+epoch's service is kept as ``peak_upf_queue`` and ``peak_mec_queue``;
+an epoch keeps no snapshot of its queues
+(``metrics.RunView.queue_lengths`` derives every end-of-epoch length
+from the record).  The values that cannot change after the run is built
+are checked once: the scenario by ``validate_scenario``, each capacity
+by its ``ServiceQueue`` and each link delay by ``transit_entry``, when
+it makes the table entry.
 
 A finished run counts where its requests are: those in UPF and MEC queues
 and in the delivery calendar must number exactly the ``residual`` that
@@ -64,7 +72,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,10 +99,6 @@ UNSET = math.nan
 # the queue cap of a queue the scenario states none for: no deque grows this
 # long, so the admission test ``len(queue) >= queue_cap`` never drops there
 UNBOUNDED = sys.maxsize
-
-# the order of each UPF's bucket lengths in EpochReport.upf_queues, and so of
-# trace.csv's queue columns: by class name, which is not the service order
-REPORT_CLASSES = sorted(QosClass, key=lambda q: q.value)
 
 
 def _cdf(weights) -> np.ndarray:
@@ -190,10 +194,10 @@ def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, in
 
 @dataclass
 class EpochReport:
-    """Counters for one simulated epoch and its queue lengths at the epoch's end.
+    """Counters for one simulated epoch.
 
-    ``upf_queues`` is UPF-major, each UPF's buckets in ``REPORT_CLASSES``
-    order; ``mec_queues`` is in MEC id order.
+    It holds no queue lengths: the record fixes each queue's length at
+    every epoch's end (``metrics.RunView.queue_lengths``).
     """
 
     epoch: int
@@ -204,8 +208,6 @@ class EpochReport:
     served_mec: int
     completed: int
     in_flight: int
-    upf_queues: Tuple[int, ...]
-    mec_queues: Tuple[int, ...]
 
 
 class SimulationRun:
@@ -227,7 +229,11 @@ class SimulationRun:
     (``metrics.RunView``).
     Each link's sharer count and transit table are ``link_sharers[k]`` and
     ``link_transit[k]``: link (i, j) of M MECs has index k = (i - 1) * M +
-    (j - 1), which sorts as the key (i, j) does.
+    (j - 1), which sorts as the key (i, j) does.  ``peak_upf_queue`` and
+    ``peak_mec_queue`` are the longest UPF bucket and MEC queue left after
+    any epoch's service so far (0 before any): a queue the epoch does not
+    serve is empty, and nothing after its service changes a queue in the
+    epoch, so they are the largest end-of-epoch lengths.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -277,6 +283,7 @@ class SimulationRun:
         self.epoch_reports: List[EpochReport] = []
         self.completed = 0
         self.dropped = 0
+        self.peak_upf_queue = self.peak_mec_queue = 0
         self.upf_cost: Dict[QosClass, Optional[CostVector]] = {
             q: CostVector([u[q].price() for u in self.upfs]) if reads_upf else None
             for q in QosClass
@@ -299,9 +306,11 @@ class SimulationRun:
             for i, u in enumerate(self.upfs)
             for q in QosClass
         ]
-        # the deques (a ServiceQueue keeps its own for life) whose lengths each
-        # epoch's report records, in the report's order
-        self._upf_deques = [u[q].queue for u in self.upfs for q in REPORT_CLASSES]
+        # MECs in service order, each with its index; and each UPF slot's and
+        # MEC's deque (a ServiceQueue keeps its own for life), true while it
+        # holds a request, so compress(slots, deques) picks the ones to serve
+        self._mec_slots = list(enumerate(self.mecs))
+        self._slot_deques = [bucket.queue for bucket, *_ in self._upf_slots]
         self._mec_deques = [m.queue for m in self.mecs]
 
     @property
@@ -370,10 +379,9 @@ class SimulationRun:
         d_net, link_transit, calendar = self.d_net, self.link_transit, self._calendar
         link_sharers, num_mecs = self.link_sharers, len(mecs)
         completed_now = served_upf = 0
-        for bucket, cost, idx, base in self._upf_slots:
+        peak = self.peak_upf_queue
+        for bucket, cost, idx, base in compress(self._upf_slots, self._slot_deques):
             queue = bucket.queue
-            if not queue:
-                continue
             n = bucket.serve()
             popleft = queue.popleft
             if base is None:
@@ -400,13 +408,16 @@ class SimulationRun:
                         day[k] = [rid]
                     else:
                         on_link.append(rid)
+            q = len(queue)
+            if q > peak:
+                peak = q
             if cost is not None:
-                q = len(queue)
                 table = bucket.table
                 p = table[q] if q < len(table) else bucket.fill(q)
                 if p != cost.prices[idx]:
                     cost.lower(idx, p)
             served_upf += n
+        self.peak_upf_queue = peak
 
         # a transfer reaches its MEC exactly at its due epoch; deliveries go
         # in link-index order, which is link-key order, and in entry order on
@@ -434,21 +445,24 @@ class SimulationRun:
         # MEC also covers the drops, which lower pending without queueing
         mec_serve_epoch = self.mec_serve_epoch
         served_mec = 0
-        for j, m in enumerate(mecs):
+        peak = self.peak_mec_queue
+        for j, m in compress(self._mec_slots, self._mec_deques):
             queue = m.queue
-            if not queue:
-                continue
             n = m.serve()
             popleft = queue.popleft
             for _ in range(n):
                 mec_serve_epoch[popleft()] = stamp
+            left = len(queue)
+            if left > peak:
+                peak = left
             if mec_cost is not None:
-                q = len(queue) + m.pending
+                q = left + m.pending
                 table = m.table
                 p = table[q] if 0 <= q < len(table) else m.fill(q)
                 if p != mec_prices[j]:
                     mec_cost.lower(j, p)
             served_mec += n
+        self.peak_mec_queue = peak
         completed_now += served_mec
 
         self.completed += completed_now
@@ -462,8 +476,6 @@ class SimulationRun:
             served_mec=served_mec,
             completed=completed_now,
             in_flight=self.residual,
-            upf_queues=tuple(map(len, self._upf_deques)),
-            mec_queues=tuple(map(len, self._mec_deques)),
         )
         self.epoch_reports.append(report)
         self.epoch += 1
@@ -480,7 +492,7 @@ class SimulationRun:
         while self.epoch < horizon or (self.residual and self.epoch < horizon + cap):
             self.step_epoch()
         # residual is what the counters leave; count where the requests are
-        located = sum(map(len, self._upf_deques)) + sum(map(len, self._mec_deques))
+        located = sum(map(len, self._slot_deques)) + sum(map(len, self._mec_deques))
         located += sum(len(rids) for day in self._calendar.values() for rids in day.values())
         if located != self.residual:
             raise InvariantError(

@@ -16,14 +16,15 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import chain, compress, pairwise
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import REPORT_CLASSES, SimulationRun, link_law, run_to_completion
+from .engine import EpochReport, SimulationRun, link_law, run_to_completion
 from .model import (
     QOS_BY_CODE,
     InvariantError,
@@ -37,6 +38,10 @@ from .model import (
 )
 
 PERCENTILES = (50.0, 80.0, 95.0, 99.0, 99.9)
+
+# the order of each UPF's buckets in the reports (the summary's slices and
+# trace.csv's queue columns): by class name, which is not the service order
+REPORT_CLASSES = sorted(QosClass, key=lambda q: q.value)
 
 
 @dataclass(frozen=True)
@@ -226,6 +231,45 @@ class RunView:
                                 delta)
         return d_upf, d_net, d_mec, (d_upf + d_net) + d_mec
 
+    def queue_lengths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every queue's length at each epoch's end: ``(upf, mec)``, int matrices.
+
+        ``upf`` has one row per epoch run and one column per UPF bucket,
+        UPF-major with each UPF's buckets in ``REPORT_CLASSES`` order;
+        ``mec`` has one column per MEC, in id order.  The record fixes them:
+        an admitted row joins its bucket at its arrival epoch and leaves it
+        at its ``upf_serve_epoch``; a row its link delivered (``d_net`` set,
+        due before ``run.epoch``, not dropped at the MEC's door) joins its
+        MEC at ``mec_due`` and leaves it at its ``mec_serve_epoch``.  A
+        length is the joins less the leaves up to that epoch's end.
+        """
+        epochs = self.run.epoch
+        admitted = self.served | ~self.dropped
+        bucket = (self.upf_ids - 1) * len(REPORT_CLASSES) + _RANK.take(self.codes)
+        upf = _lengths(epochs, len(self.run.upfs) * len(REPORT_CLASSES),
+                       bucket.compress(admitted), self.arrival.compress(admitted),
+                       bucket.compress(self.served), self.upf_serve.compress(self.served))
+        linked = self.uses_mec
+        due, mec_serve = self.mec_due.compress(linked), self.mec_serve.compress(linked)
+        delivered = ~self.dropped.compress(linked) & (due < epochs)
+        left = ~np.isnan(mec_serve)
+        mec = self.mec_ids - 1
+        return upf, _lengths(epochs, len(self.run.mecs), mec.compress(delivered),
+                             due.compress(delivered), mec.compress(left), mec_serve.compress(left))
+
+
+def _lengths(epochs: int, width: int, key: np.ndarray, join_at: np.ndarray,
+             leave_key: np.ndarray, leave_at: np.ndarray) -> np.ndarray:
+    """(epochs x width) queue lengths: items of each key joined and not yet left, by epoch's end.
+
+    The items at ``key`` joined at epochs ``join_at``, those at
+    ``leave_key`` left at ``leave_at``; the epochs may be floats.
+    """
+    size = epochs * width
+    moved = (np.bincount(join_at.astype(np.intp) * width + key, minlength=size)
+             - np.bincount(leave_at.astype(np.intp) * width + leave_key, minlength=size))
+    return moved.reshape(epochs, width).cumsum(axis=0)
+
 
 def _count_below(key: np.ndarray, at: np.ndarray, qkey: np.ndarray,
                  qat: np.ndarray) -> np.ndarray:
@@ -385,8 +429,8 @@ def _head(run: SimulationRun, d_e2e: np.ndarray) -> SummaryHead:
         epochs_run=run.epoch,
         truncated=run.truncated,
         e2e_overall=_dist(d_e2e) if d_e2e.size else None,
-        peak_upf_queue=max((max(e.upf_queues) for e in run.epoch_reports), default=0),
-        peak_mec_queue=max((max(e.mec_queues) for e in run.epoch_reports), default=0),
+        peak_upf_queue=run.peak_upf_queue,
+        peak_mec_queue=run.peak_mec_queue,
         d_e2e=d_e2e,
     )
 
@@ -700,20 +744,22 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
 
 
 def write_trace_csv(run: SimulationRun, path: str) -> None:
-    """Per-epoch counters and end-of-epoch queue lengths, one row per EpochReport."""
+    """One row per epoch: its ``EpochReport`` counters, then every queue's length at its end.
+
+    The lengths are ``RunView.queue_lengths``, derived from the record.
+    """
+    counters = [f.name for f in fields(EpochReport)]
     cols = (
-        ["epoch", "arrivals", "admitted", "dropped", "served_upf", "served_mec",
-         "completed", "in_flight"]
+        counters
         + [f"upf{i}.{q.value}.queue" for i in range(1, len(run.upfs) + 1) for q in REPORT_CLASSES]
         + [f"mec{j}.queue" for j in range(1, len(run.mecs) + 1)]
     )
+    rows = np.array(list(map(attrgetter(*counters), run.epoch_reports)),
+                    np.int64).reshape(-1, len(counters))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        for rep in run.epoch_reports:
-            w.writerow([rep.epoch, rep.arrivals, rep.admitted, rep.dropped,
-                        rep.served_upf, rep.served_mec, rep.completed, rep.in_flight,
-                        *rep.upf_queues, *rep.mec_queues])
+        w.writerows(np.hstack([rows, *RunView(run).queue_lengths()]).tolist())
 
 
 def write_capex_csv(points: Sequence[CapexPoint], path: str) -> None:

@@ -12,10 +12,12 @@ scanned in (i, j) order.  Each request keeps its own status, set as it
 moves, and its own due epoch, set when it enters its link.
 ``reference_run(scenario)`` returns the 8 record columns, each request's
 status and due epoch, the 3 inputs each decision read, recorded when it
-was made, the epoch reports and each request's arrival epoch, which the
-engine, a ``metrics.RunView`` of its run (``status``, ``mec_due`` and
-``arrival``) and ``metrics.decision_inputs`` of that view must equal.  A class is kept as
-its code, its index in ``SERVICE_ORDER`` (``list(QosClass)``).
+was made, the epoch reports, each request's arrival epoch and the
+queue lengths read off the live queues at each epoch's end, which the
+engine, a ``metrics.RunView`` of its run (``status``, ``mec_due``,
+``arrival`` and ``queue_lengths``) and ``metrics.decision_inputs`` of
+that view must equal.  A class is kept as its code, its index in
+``SERVICE_ORDER`` (``list(QosClass)``).
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class Reference:
         # (i, j) -> [sharers, [(request, due epoch), ...] in entry order]
         self.links = {(i, j): [0, []] for i in range(len(self.upfs)) for j in range(len(self.mecs))}
         self.requests, self.reports = [], []
+        # each epoch's end-of-epoch queue lengths, as the reports order them
+        self.upf_lengths, self.mec_lengths = [], []
         self.epoch = self.completed = self.dropped = 0
 
     def choose(self, qos, origin):
@@ -186,9 +190,9 @@ class Reference:
             epoch=e, arrivals=len(origins), admitted=admitted, dropped=dropped,
             served_upf=served_upf, served_mec=served_mec, completed=completed,
             in_flight=len(self.requests) - self.completed - self.dropped,
-            upf_queues=tuple(len(u[q].items) for u in self.upfs for q in REPORT_ORDER),
-            mec_queues=tuple(len(m.items) for m in self.mecs),
         ))
+        self.upf_lengths.append([len(u[q].items) for u in self.upfs for q in REPORT_ORDER])
+        self.mec_lengths.append([len(m.items) for m in self.mecs])
         self.epoch += 1
 
     def run(self):
@@ -205,16 +209,18 @@ class Reference:
 
 
 def reference_run(scenario):
-    """A naive run of scenario: its columns, statuses and decision inputs, reports and arrivals.
+    """A naive run of scenario: its columns, reports, arrivals and end-of-epoch queue lengths.
 
     The columns are {name: list} over ``COLUMNS``, ``"status"``,
     ``"mec_due_epoch"`` and ``INPUTS``, but ``qos`` is bytes of class codes and ``drop`` bytes of
     flags, as the engine keeps them; the arrival epochs are a list in id
-    order.
+    order; the queue lengths are ``(upf, mec)``, one list per epoch, each
+    in the order of ``RunView.queue_lengths``' columns.
     """
     ref = Reference(scenario).run()
     names = [c for c in COLUMNS if c != "drop"] + ["status", "mec_due_epoch", *INPUTS]
     columns = {c: [r[c] for r in ref.requests] for c in names}
     columns["qos"] = bytes(columns["qos"])
     columns["drop"] = bytes(s is RequestStatus.DROPPED for s in columns["status"])
-    return columns, ref.reports, [r["arrival_epoch"] for r in ref.requests]
+    return (columns, ref.reports, [r["arrival_epoch"] for r in ref.requests],
+            (ref.upf_lengths, ref.mec_lengths))

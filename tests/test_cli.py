@@ -5,6 +5,7 @@ import contextlib
 import copy
 import csv
 import io
+import json
 import math
 import os
 import re
@@ -53,6 +54,28 @@ def test_run_with_trace_writes_event_log(tmp_path):
     assert rc == 0
     assert (tmp_path / "campus5.bestfit_upf_mec.1.trace.csv").is_file()
     assert (tmp_path / "campus5.bestfit_upf_mec.1.events.csv").is_file()
+
+
+@pytest.mark.parametrize("horizon", [0, 3], ids=["horizon_0", "zero_traffic"])
+def test_run_trace_of_a_run_without_requests_writes_zero_queue_rows(tmp_path, horizon):
+    # no request arrives: trace.csv holds its header and one all-zero row per
+    # epoch (none at horizon 0), and both queue peaks are 0
+    scenario = make_scenario(name="idle", num_upfs=2, lam=0.0, horizon=horizon)
+    upf, mec = metrics.RunView(run_to_completion(scenario)).queue_lengths()
+    assert upf.shape == (horizon, 8) and mec.shape == (horizon, 2)
+    assert not (upf.any() or mec.any())
+    path = tmp_path / "idle.yaml"
+    save_scenario(scenario, str(path))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out), "--trace"]) == 0
+    with open(out / "idle.baseline.1.trace.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    classes = ("embb", "mmtc", "regular", "urllc")
+    assert header[8:] == ([f"upf{i}.{q}.queue" for i in (1, 2) for q in classes]
+                          + ["mec1.queue", "mec2.queue"])
+    assert rows == [[str(e)] + ["0"] * 17 for e in range(horizon)]
+    summary = json.loads((out / "idle.baseline.1.summary.json").read_text())
+    assert summary["peak_upf_queue"] == summary["peak_mec_queue"] == 0
 
 
 def test_run_accepts_scenario_files(tmp_path):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from upfmec import engine
 from upfmec.delay import net_delay, projected_delay, transit_epochs
 from upfmec.engine import (
-    REPORT_CLASSES,
     UNBOUNDED,
     UNSET,
     InvariantError,
@@ -23,6 +22,7 @@ from upfmec.engine import (
     run_to_completion,
 )
 from upfmec.metrics import (
+    REPORT_CLASSES,
     RunView,
     build_pair_scenario,
     completed_e2e,
@@ -288,7 +288,7 @@ def test_regular_traffic_never_touches_the_mec():
         assert recorded(res, column) == unset, column
     e2e = [measured_e2e(res, rid, a) for rid, a in enumerate(arrivals_by_id(res))]
     assert summarize(res).d_e2e.tolist() == e2e
-    assert all(not any(rep.mec_queues) for rep in res.epoch_reports)
+    assert not RunView(res).queue_lengths()[1].any() and res.peak_mec_queue == 0
     assert not any(run.link_sharers)
 
 
@@ -349,7 +349,9 @@ def test_burst_leaves_excess_queued():
     report = run.step_epoch()
     assert report.arrivals == 7 and report.admitted == 7
     assert report.served_upf == 4
-    assert report.upf_queues[REPORT_CLASSES.index(QosClass.URLLC)] == 3
+    assert len(run.upfs[0][QosClass.URLLC].queue) == 3 == run.peak_upf_queue
+    upf, _ = RunView(run).queue_lengths()
+    assert upf.tolist() == [[3 if q is QosClass.URLLC else 0 for q in REPORT_CLASSES]]
 
 
 @pytest.mark.parametrize(
@@ -423,7 +425,7 @@ def test_admission_drops_when_bucket_full():
 def test_queues_never_exceed_their_caps(metro):
     run = SimulationRun(replace(metro, scheme=Scheme.BESTFIT_UPF_MEC, seed=2))
     run.run()
-    _assert_reports_within_caps(run)
+    _assert_lengths_within_caps(run)
 
 
 def test_truncated_run_reports_residual():
@@ -591,11 +593,9 @@ def test_identical_seed_identical_run(campus5):
 
 def test_baseline_hotspot_sits_on_high_skew_upfs(campus5):
     res = run_to_completion(campus5, seed=1)
-    k = len(REPORT_CLASSES)
-    peak_by_upf = {
-        uid: max(max(rep.upf_queues[(uid - 1) * k : uid * k]) for rep in res.epoch_reports)
-        for uid in range(1, 6)
-    }
+    upf, _ = RunView(res).queue_lengths()
+    by_upf = upf.reshape(res.epoch, 5, len(REPORT_CLASSES))
+    peak_by_upf = {uid: int(by_upf[:, uid - 1].max()) for uid in range(1, 6)}
     hottest = max(peak_by_upf, key=peak_by_upf.get)
     assert hottest in (2, 3)
 
@@ -720,16 +720,22 @@ def test_recorded_prices_are_floats_for_an_integer_delta(tmp_path):
 
 @pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC])
 def test_queue_series_hold_one_entry_per_epoch(metro, scheme):
+    # the lengths derived from the record of an unfinished run, after each
+    # epoch, hold one row per epoch and end with the live queues' lengths
     run = SimulationRun(replace(build_pair_scenario(metro, 3), scheme=scheme, seed=1,
                                 horizon_epochs=3))
     assert run.epoch_reports == []
+    live = ([], [])
     for k in range(1, 6):
         report = run.step_epoch()
         assert len(run.epoch_reports) == k and run.epoch_reports[-1] is report
-        assert report.upf_queues == live_upf_queues(run)
-        assert report.mec_queues == tuple(len(m.queue) for m in run.mecs)
+        for rows, lengths in zip(live, live_lengths(run)):
+            rows.append(lengths)
+        upf, mec = RunView(run).queue_lengths()
+        assert (upf.tolist(), mec.tolist()) == live
+        assert (run.peak_upf_queue, run.peak_mec_queue) == (upf.max(), mec.max())
     # the lengths compared were not all zero
-    assert any(any(rep.upf_queues) for rep in run.epoch_reports)
+    assert upf.any()
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -779,26 +785,27 @@ def test_a_negative_queue_length_is_never_a_table_index():
         run.step_epoch()
 
 
-def live_upf_queues(run: SimulationRun) -> tuple:
-    """The UPF bucket lengths now, UPF-major with each UPF's classes sorted by name."""
+def live_lengths(run: SimulationRun) -> tuple:
+    """The queue lengths now: ``(upf, mec)`` lists, the UPF's UPF-major with classes by name."""
     names = sorted(QosClass, key=lambda q: q.value)
-    return tuple(len(u[q].queue) for u in run.upfs for q in names)
+    return [len(u[q].queue) for u in run.upfs for q in names], [len(m.queue) for m in run.mecs]
 
 
-def _assert_reports_within_caps(run: SimulationRun) -> None:
+def _assert_lengths_within_caps(run: SimulationRun) -> None:
+    upf, mec = RunView(run).queue_lengths()
     caps = [u[q].queue_cap for u in run.upfs for q in REPORT_CLASSES]
-    for rep in run.epoch_reports:
-        assert all(n <= cap for n, cap in zip(rep.upf_queues, caps, strict=True))
-        assert all(n <= m.queue_cap for n, m in zip(rep.mec_queues, run.mecs, strict=True))
+    assert (upf <= np.array(caps)).all()
+    assert (mec <= np.array([m.queue_cap for m in run.mecs])).all()
 
 
-def _check_idle_credit_at_every_epoch(run: SimulationRun) -> list:
+def _check_idle_credit_at_every_epoch(run: SimulationRun) -> tuple:
     """Make every epoch of the run end by checking its report and the credit of empty queues.
 
-    The report's queue lengths must be the live ones, and its ``in_flight``
-    exactly the requests those queues and the links hold.
+    The report's ``in_flight`` must be exactly the requests the queues and
+    the links hold.  Returns the epochs stepped and the live queue lengths
+    at each one's end, ``(upf, mec)`` lists of rows.
     """
-    epochs = []
+    epochs, lengths = [], ([], [])
     step = run.step_epoch
     queues = [b for u in run.upfs for b in u.values()] + run.mecs
 
@@ -806,16 +813,15 @@ def _check_idle_credit_at_every_epoch(run: SimulationRun) -> list:
         report = step()
         # service skips empty queues, which is exact only while they hold no credit
         assert all(sq.credit == 0.0 for sq in queues if not sq.queue)
-        assert report.upf_queues == live_upf_queues(run)
-        assert report.mec_queues == tuple(len(m.queue) for m in run.mecs)
-        on_links = sum(run.link_sharers)
-        located = sum(report.upf_queues) + sum(report.mec_queues) + on_links
-        assert report.in_flight == located
+        upf, mec = live_lengths(run)
+        assert report.in_flight == sum(upf) + sum(mec) + sum(run.link_sharers)
+        lengths[0].append(upf)
+        lengths[1].append(mec)
         epochs.append(report.epoch)
         return report
 
     run.step_epoch = checked
-    return epochs
+    return epochs, lengths
 
 
 @settings(max_examples=50, deadline=None)
@@ -833,7 +839,7 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         # the incrementally repriced cost vectors equal a fresh pricing at every
         # decision, also after drops at a MEC's door and with fractional capacities
         decisions = _check_costs_at_every_decision(run)
-        epochs = _check_idle_credit_at_every_epoch(run)
+        epochs, lengths = _check_idle_credit_at_every_epoch(run)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "net_delay", counted_net_delay)
             res = run.run()
@@ -868,7 +874,9 @@ def test_invariants_hold_on_random_scenarios(base, cap):
         for (mid, _), n in mec_served.items():
             assert n <= math.ceil(run.mecs[mid - 1].capacity)
 
-        _assert_reports_within_caps(run)
+        # the lengths derived from the record are the live ones, epoch by epoch
+        _assert_lengths_are(RunView(res), lengths)
+        _assert_lengths_within_caps(run)
         _assert_little_identities(run)
         # the summary's delays are the law on the stamps, bit for bit
         e2e = [
@@ -890,10 +898,10 @@ def test_invariants_hold_on_random_scenarios(base, cap):
     cap=st.integers(1, 3),
 )
 def test_runs_equal_the_naive_reference_engine(base, rectangular, cap):
-    # differential test: every column of the record, every derived status and
-    # every epoch report, queue lengths included, equal those of
-    # tests/reference_engine.py, on drained runs and on runs the drain cap
-    # stops at the horizon (cap 0) or after it
+    # differential test: every column of the record, every derived status,
+    # every epoch report and every derived end-of-epoch queue length equal
+    # those of tests/reference_engine.py, on drained runs and on runs the
+    # drain cap stops at the horizon (cap 0) or after it
     for s in [replace(base, scheme=scheme) for scheme in Scheme] + [rectangular]:
         for drain_cap in (None, 0, cap):
             assert_run_is_the_reference(replace(s, drain_cap_epochs=drain_cap))
@@ -937,7 +945,7 @@ def _drops_by_site(run: SimulationRun) -> tuple:
 def assert_run_is_the_reference(scenario) -> SimulationRun:
     """The engine's run of scenario equals the naive reference's; the run."""
     run = run_to_completion(scenario)
-    columns, reports, arrivals = reference_run(scenario)
+    columns, reports, arrivals, lengths = reference_run(scenario)
     for column in COLUMNS:
         assert recorded(run, column) == list(columns[column]), column
     # the status read off the stamps is the one the reference kept per row,
@@ -954,7 +962,34 @@ def assert_run_is_the_reference(scenario) -> SimulationRun:
     assert run.epoch_reports == reports
     # the one derivation of the arrival epochs, from the reports
     assert RunView(run).arrival.tolist() == arrivals
+    _assert_lengths_are(RunView(run), lengths)
     return run
+
+
+def _assert_lengths_are(view: RunView, lengths) -> None:
+    """The view's derived queue lengths are ``lengths``, and their maxima the run's peaks."""
+    upf, mec = view.queue_lengths()
+    assert upf.shape == (view.run.epoch, 4 * len(view.run.upfs))
+    assert mec.shape == (view.run.epoch, len(view.run.mecs))
+    assert (upf.tolist(), mec.tolist()) == tuple(lengths)
+    peaks = (view.run.peak_upf_queue, view.run.peak_mec_queue)
+    assert peaks == (upf.max(initial=0), mec.max(initial=0))
+
+
+@pytest.mark.parametrize("stamp", ["upf_serve", "mec_serve"])
+@pytest.mark.parametrize("drain_cap", [None, 2])
+def test_a_leave_epoch_off_by_one_fails_the_differential(campus5, stamp, drain_cap):
+    # the differential catches a derivation whose rows leave a queue one
+    # epoch late: every stamp before the last epoch moves one epoch on
+    scenario = replace(_door_capped(campus5), drain_cap_epochs=drain_cap)
+    run = run_to_completion(scenario)
+    *_, lengths = reference_run(scenario)
+    view = RunView(run)
+    _assert_lengths_are(view, lengths)
+    leave = getattr(view, stamp)
+    setattr(view, stamp, np.where(leave < run.epoch - 1, leave + 1, leave))
+    with pytest.raises(AssertionError):
+        _assert_lengths_are(view, lengths)
 
 
 def _assert_little_identities(run: SimulationRun) -> None:
@@ -970,7 +1005,7 @@ def _assert_little_identities(run: SimulationRun) -> None:
     epoch - upf_serve_epoch and one still in a MEC queue epoch - the due
     epoch.  The residences come from the run's columns, the due epochs
     ``RunView`` derives and the reports' arrival counts, the lengths from
-    the reports' queue lengths.
+    ``RunView.queue_lengths``.
     """
     end = run.epoch
     upf_res, mec_res, link_res = Counter(), Counter(), 0
@@ -993,19 +1028,16 @@ def _assert_little_identities(run: SimulationRun) -> None:
             mec_res[run.assigned_mec[rid]] += end - due
         elif mec_serves[rid] is not None:
             mec_res[run.assigned_mec[rid]] += mec_serves[rid] - due
-    reports = run.epoch_reports
-    # the report's class order, defined here rather than read from the engine
+    upf, mec = RunView(run).queue_lengths()
+    # the lengths' class order, defined here rather than read from metrics
     names = sorted(QosClass, key=lambda q: q.value)
     for i in range(len(run.upfs)):
         for c, qos in enumerate(names):
-            col = i * len(names) + c
-            assert sum(rep.upf_queues[col] for rep in reports) == upf_res[(i + 1, qos)]
+            assert upf[:, i * len(names) + c].sum() == upf_res[(i + 1, qos)]
     for j in range(len(run.mecs)):
-        assert sum(rep.mec_queues[j] for rep in reports) == mec_res[j + 1]
-    on_links = sum(
-        rep.in_flight - sum(rep.upf_queues) - sum(rep.mec_queues) for rep in reports
-    )
-    assert on_links == link_res
+        assert mec[:, j].sum() == mec_res[j + 1]
+    in_flight = sum(rep.in_flight for rep in run.epoch_reports)
+    assert in_flight - upf.sum() - mec.sum() == link_res
 
 
 # ------------------------------------------------------------------ queue caps

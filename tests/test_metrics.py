@@ -90,8 +90,7 @@ def make_result(requests, delta: float = DELTA) -> SimulationRun:
                    assigned_upf=r["upf"], assigned_mec=r["mec"], **stamps)
     stamps = [e for e in run.upf_serve_epoch + run.mec_serve_epoch if e is not UNSET]
     run.epoch = max(stamps, default=0) + 1
-    idle = dict(admitted=0, dropped=0, served_upf=0, served_mec=0, completed=0, in_flight=0,
-                upf_queues=(0,) * len(QosClass), mec_queues=(0,))
+    idle = dict(admitted=0, dropped=0, served_upf=0, served_mec=0, completed=0, in_flight=0)
     run.epoch_reports = [EpochReport(e, len(requests) if e == 0 else 0, **idle)
                          for e in range(run.epoch)]
     return run

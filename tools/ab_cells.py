@@ -4,12 +4,13 @@ Run as ``python3 tools/ab_cells.py A/src B/src [seeds]`` (default 1-4).
 Each cell runs under both trees back to back, the first tree alternating
 from cell to cell; per cell set it prints the median B/A time ratio and
 its quartiles, for the run, for its post-processing (``completed_e2e``
-in a sweep cell, ``write_events_csv`` to a temporary file in the event
-log set, else ``summarize``) and for the two together.  The metro sweep
-and campus5 sets are one per scheme.  The campus5 and 50-pair sets hold
-one cell per seed, so their quartiles need more seeds than the default
-(1-16, say) to be steady.  The trees must give equal results: equal
-delays, or equal event log bytes.
+in a sweep cell, ``write_events_csv`` or ``write_trace_csv`` to a
+temporary file in the event log and trace sets, else ``summarize``) and
+for the two together.  The metro sweep and campus5 sets are one per
+scheme.  The campus5, 50-pair and trace sets hold one cell per seed, so
+their quartiles need more seeds than the default (1-16, say) to be
+steady.  The trees must give equal results: equal delays, or equal bytes
+of the file written.
 
 A cell times only the run and its one post-processing call, so the two
 command sets time whole ``upfmec`` commands, the units ``perfbench``
@@ -50,7 +51,7 @@ def cell_sets(src, model, metrics, events_path):
     """{set name: [(scenario, post-processing, its result), ...]}, built with this tree's model.
 
     The result, compared between the trees, is read after the timed
-    post-processing: its delays, or the bytes of the event log it wrote.
+    post-processing: its delays, or the bytes of the file it wrote.
     """
     metro, campus5 = (model.load_scenario(f"{src}/upfmec/scenarios/{name}.yaml")
                       for name in ("metro", "campus5"))
@@ -64,6 +65,9 @@ def cell_sets(src, model, metrics, events_path):
 
     def write_events(run):
         metrics.write_events_csv(run, events_path)
+
+    def write_trace(run):
+        metrics.write_trace_csv(run, events_path)
 
     def events(_):
         with open(events_path, "rb") as fh:
@@ -81,6 +85,9 @@ def cell_sets(src, model, metrics, events_path):
                       (replace(pairs(metro, 1), drain_cap_epochs=0), write_events, events),
                       (replace(pairs(metro, 50), scheme=s.BESTFIT_UPF_MEC), write_events,
                        events)],
+        "trace, campus5, baseline": [(replace(campus5, scheme=s.BASELINE), write_trace, events)],
+        "trace, metro at 50 pairs": [
+            (replace(pairs(metro, 50), scheme=s.BESTFIT_UPF_MEC), write_trace, events)],
     }
 
 
