@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 from typing import List, Optional, Sequence
 
@@ -89,7 +90,9 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         _check_seeds("--seed", [args.seed])
     run = run_to_completion(scenario, seed=args.seed)
-    report = metrics.summarize(run)
+    # one view of the finished run serves every report read from it
+    view = metrics.RunView(run)
+    report = metrics.summarize(run, view)
     out = args.out
     _make_out(out)
     name, scheme, seed = scenario.name, scenario.scheme.value, run.scenario.seed
@@ -97,8 +100,8 @@ def cmd_run(args) -> int:
                ("summary", "json", metrics.write_summary_json, report),
                ("cdf", "csv", metrics.write_cdf_csv, metrics.build_cdf(report.d_e2e))]
     if args.trace:
-        reports += [("trace", "csv", metrics.write_trace_csv, run),
-                    ("events", "csv", metrics.write_events_csv, run)]
+        reports += [("trace", "csv", partial(metrics.write_trace_csv, view=view), run),
+                    ("events", "csv", partial(metrics.write_events_csv, view=view), run)]
     paths = []
     for kind, ext, write, source in reports:
         paths.append(metrics.report_path(out, name, scheme, seed, kind, ext))

@@ -35,7 +35,10 @@ pricing.  Each write is one of the vector's two monotone writes, since a
 price table never falls as its queue grows: an admission joins the queue
 its scheme chose, the vector's best, so it is ``raise_best``; a served
 queue, or a MEC whose door drops lowered ``pending``, only got shorter, so
-it is ``lower``.  Only ``step_epoch`` changes a run.
+it is ``lower``.  Each vector's floor is the run's ``delta``, the price of
+a queue below its headroom and the least any queue can have, so raising
+a best priced at ``delta`` moves best to the next entry at ``delta``, if
+one is left, without a rescan.  Only ``step_epoch`` changes a run.
 
 A request's record holds its decision (``assigned_upf``,
 ``assigned_mec``), the epochs at which the UPF and the MEC served it, its
@@ -115,10 +118,40 @@ def arrival_cdfs(traffic: TrafficSpec) -> Tuple[np.ndarray, np.ndarray]:
     ``cdf.searchsorted(u, side="right")`` on one of them, for uniforms
     ``u`` from ``rng.random``, draws exactly what ``rng.choice(len(w),
     size=len(u), p=w / w.sum())`` draws from the same stream, without
-    re-checking and re-normalising the weights on every call.
-    ``validate_scenario`` checks both weight vectors.
+    re-checking and re-normalising the weights on every call
+    (``lookup`` gives that index).  ``validate_scenario`` checks both
+    weight vectors.
     """
     return _cdf(traffic.skew), _cdf([traffic.qos_mix[q] for q in QOS_BY_CODE])
+
+
+def lookup(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for uniforms below ``cdf[-1]``, without a branch per key.
+
+    That index counts the CDF entries <= u.  ``_cdf`` makes the last entry
+    exactly 1.0 and every uniform from ``rng.random`` is below it, so only
+    the K - 1 inner edges can count; an edge equal to u counts, and so does
+    each of a run of equal edges (zero weights).  The inner edges, padded
+    with +inf to P - 1 entries for the power of two P >= K, are searched
+    at a fixed depth: each of the log2(P) levels halves the step s and
+    adds s wherever the edge s - 1 past the current count is <= u, one
+    ``take``, one compare and one add over the whole array.  Before the
+    level of step s a count is a multiple of 2s no larger than P - 2s, so
+    every edge read is one of the P - 1; a padded edge never counts, so no
+    count passes K - 1.  The counts are in the narrowest unsigned type
+    that holds K.
+    """
+    k = len(cdf)
+    index = np.min_scalar_type(k).type
+    size = 1 << (k - 1).bit_length()
+    edges = np.full(size - 1, np.inf)
+    edges[:k - 1] = cdf[:-1]
+    counts = np.zeros(len(u), index)
+    step = size >> 1
+    while step:
+        counts += (edges[step - 1:].take(counts) <= u) * index(step)
+        step >>= 1
+    return counts
 
 
 def generate_arrivals(
@@ -133,7 +166,8 @@ def generate_arrivals(
     The stream is the one per-epoch ``rng.choice`` draws make: each epoch
     takes its count, then one uniform per origin, then one per class,
     before the next epoch's count.  The CDFs are ``arrival_cdfs(traffic)``,
-    and each is searched once for the whole horizon.  Returns the counts by
+    and each is searched once for the whole horizon, by ``lookup``, which
+    gives exactly ``cdf.searchsorted(u, side="right")``.  Returns the counts by
     epoch, the origin UPF ids and the QoS class codes (a bytearray, one
     byte per request), both in arrival order: epoch e's requests follow
     those of the epochs before it.  A class is drawn as its index in the
@@ -157,9 +191,8 @@ def generate_arrivals(
             u = rng.random(2 * count)
             origin_u.append(u[:count])
             class_u.append(u[count:])
-    origins = (origin_cdf.searchsorted(np.concatenate(origin_u), side="right") + 1).tolist()
-    classes = class_cdf.searchsorted(np.concatenate(class_u), side="right").astype(np.uint8)
-    return counts, origins, bytearray(classes)
+    origins = (lookup(origin_cdf, np.concatenate(origin_u)) + 1).tolist()
+    return counts, origins, bytearray(lookup(class_cdf, np.concatenate(class_u)))
 
 
 def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
@@ -285,10 +318,10 @@ class SimulationRun:
         self.dropped = 0
         self.peak_upf_queue = self.peak_mec_queue = 0
         self.upf_cost: Dict[QosClass, Optional[CostVector]] = {
-            q: CostVector([u[q].price() for u in self.upfs]) if reads_upf else None
+            q: CostVector([u[q].price() for u in self.upfs], delta) if reads_upf else None
             for q in QosClass
         }
-        self.mec_cost = CostVector([m.price() for m in self.mecs]) if reads_mec else None
+        self.mec_cost = CostVector([m.price() for m in self.mecs], delta) if reads_mec else None
         # what admission reads of a request's class, by class code: the class,
         # its cost vector and prices (None if unread), and per UPF index the
         # class's bucket, the bucket's deque, queue cap and price table

@@ -441,9 +441,13 @@ def summarize_head(run: SimulationRun) -> SummaryHead:
     return _head(run, view.delays(view.completed)[3])
 
 
-def summarize(run: SimulationRun) -> SummaryReport:
-    """Reduce a finished run to its delay statistics (measured delays, completed requests)."""
-    view = RunView(run)
+def summarize(run: SimulationRun, view: Optional[RunView] = None) -> SummaryReport:
+    """Reduce a finished run to its delay statistics (measured delays, completed requests).
+
+    ``view`` is the run's ``RunView`` if the caller built one already.
+    """
+    if view is None:
+        view = RunView(run)
     rows = view.completed
     d_upf, _, d_mec, d_e2e = view.delays(rows)
     codes, width = view.codes.compress(rows), len(REPORT_CLASSES)
@@ -714,20 +718,23 @@ def _cells(column: np.ndarray):
     return map(text.__getitem__, inverse.tolist())
 
 
-def write_events_csv(run: SimulationRun, path: str) -> None:
+def write_events_csv(run: SimulationRun, path: str, view: Optional[RunView] = None) -> None:
     """One row per request in id order: its record, measured delays and the scheme's projection.
 
     A measured cell (``RunView.delays``) is blank until a stage stamps it:
     ``d_upf`` until UPF service, ``d_net`` until link entry, ``d_mec`` and
     ``d_e2e`` until the request completes.  The projection is
-    ``projections`` of ``decision_inputs``.
+    ``projections`` of ``decision_inputs``.  ``view`` is the run's
+    ``RunView`` if the caller built one already.
     """
     cols = [
         "id", "qos", "origin_upf", "arrival_epoch", "assigned_upf", "assigned_mec",
         "status", "d_upf_ms", "d_net_ms", "d_mec_ms", "d_e2e_ms",
         "proj_upf_ms", "proj_net_ms", "proj_mec_ms", "proj_e2e_ms",
     ]
-    view, n = RunView(run), run.generated
+    if view is None:
+        view = RunView(run)
+    n = run.generated
     mec = np.full(n, np.nan)
     mec[view.uses_mec] = view.mec_ids
     proj = projections(run.scenario, view.upf_ids, mec, *decision_inputs(view))
@@ -743,11 +750,14 @@ def write_events_csv(run: SimulationRun, path: str) -> None:
         w.writerows(zip(*columns))
 
 
-def write_trace_csv(run: SimulationRun, path: str) -> None:
+def write_trace_csv(run: SimulationRun, path: str, view: Optional[RunView] = None) -> None:
     """One row per epoch: its ``EpochReport`` counters, then every queue's length at its end.
 
-    The lengths are ``RunView.queue_lengths``, derived from the record.
+    The lengths are ``RunView.queue_lengths``, derived from the record;
+    ``view`` is the run's ``RunView`` if the caller built one already.
     """
+    if view is None:
+        view = RunView(run)
     counters = [f.name for f in fields(EpochReport)]
     cols = (
         counters
@@ -759,7 +769,7 @@ def write_trace_csv(run: SimulationRun, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        w.writerows(np.hstack([rows, *RunView(run).queue_lengths()]).tolist())
+        w.writerows(np.hstack([rows, *view.queue_lengths()]).tolist())
 
 
 def write_capex_csv(points: Sequence[CapexPoint], path: str) -> None:

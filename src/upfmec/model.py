@@ -174,28 +174,57 @@ class CostVector:
     admission joins the best queue, whose price cannot fall; ``lower``
     writes any entry with a price no higher than its own, as service and a
     drop at a MEC's door shorten a queue, so only that entry can become best.
+
+    ``floor`` is the lowest price any entry can take, and the constructor
+    refuses a price below it (or NaN).  A queue's price is
+    ``projected_delay``, which is δ below the headroom and δ plus a
+    non-negative term above it, in IEEE arithmetic too, so a run's floor is
+    its δ.  ``at_floor`` is ``prices[best] == floor``; it can change only
+    where ``best`` does, so it is kept there: at build, in ``lower`` when
+    the lowered entry takes best, and in ``raise_best``.  A raise of a best
+    at the floor is then a search for the next floor tie: ``best`` is the
+    first minimum, so every entry before it is priced above the floor, and
+    the new best is the first floor entry at or after it, if one is left.
+    Only when the last floor entry leaves, or best was above the floor
+    already, is the rescan a full ``min``; such a raise leaves
+    ``at_floor`` False, since a raise makes no floor entry.  Reading the
+    flag, not comparing ``prices[best]`` with the floor, keeps a raise from
+    above the floor as cheap as the rescan alone.
     """
 
-    __slots__ = ("prices", "best")
+    __slots__ = ("prices", "best", "floor", "at_floor")
 
-    def __init__(self, prices: Sequence[float]) -> None:
+    def __init__(self, prices: Sequence[float], floor: float) -> None:
         self.prices: List[float] = list(prices)
+        if not all(p >= floor for p in self.prices):
+            raise ValueError(f"a price is below the floor {floor} or NaN: {self.prices}")
+        self.floor = floor
         self.best = self.prices.index(min(self.prices))
+        self.at_floor = self.prices[self.best] == floor
 
     def raise_best(self, price: float) -> None:
         """Write the best entry's new price, no lower than its old one."""
         prices = self.prices
         prices[self.best] = price
-        self.best = prices.index(min(prices))
+        if not self.at_floor:
+            self.best = prices.index(min(prices))
+        elif self.floor in prices:
+            # the first floor entry: best itself (an equal price) or one after it
+            self.best = prices.index(self.floor, self.best)
+        else:
+            self.at_floor = False
+            self.best = prices.index(min(prices))
 
     def lower(self, i: int, price: float) -> None:
         """Write entry i's new price, no higher than its old one."""
         prices = self.prices
-        prices[i] = price
         best = self.best
+        # read before the write, so that lowering best itself takes best again
         low = prices[best]
+        prices[i] = price
         if price < low or (price == low and i < best):
             self.best = i
+            self.at_floor = price == self.floor
 
 
 @dataclass(slots=True)

@@ -98,7 +98,7 @@ def sequential_heuristic_batch(
     if not buckets:
         raise ValueError("no buckets to place on")
     working = [list(b) for b in buckets]
-    cost = CostVector([projected_delay(*b, 1.0) for b in working])
+    cost = CostVector([projected_delay(*b, 1.0) for b in working], 1.0)
     counts = [0] * len(buckets)
     for _ in range(n):
         idx = cost.best

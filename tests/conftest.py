@@ -174,7 +174,7 @@ def reprice(run) -> None:
     for cost, queues in tiers + [(run.mec_cost, run.mecs)]:
         if cost is not None:
             # in place: the run's admission and service tables hold the vector
-            cost.__init__([sq.price() for sq in queues])
+            cost.__init__([sq.price() for sq in queues], run.delta)
 
 
 # the columns a run sizes for its horizon when it is built, and what each row

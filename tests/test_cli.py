@@ -56,6 +56,21 @@ def test_run_with_trace_writes_event_log(tmp_path):
     assert (tmp_path / "campus5.bestfit_upf_mec.1.events.csv").is_file()
 
 
+def test_run_with_trace_builds_one_view_of_its_run(tmp_path, monkeypatch):
+    # the summary, the trace and the event log all read the one view
+    built = []
+
+    class Counted(metrics.RunView):
+        def __init__(self, run):
+            built.append(run)
+            super().__init__(run)
+
+    monkeypatch.setattr(metrics, "RunView", Counted)
+    assert main(["run", "--scenario", "campus5", "--seed", "1", "--out", str(tmp_path),
+                 "--trace"]) == 0
+    assert len(built) == 1 and len(list(tmp_path.iterdir())) == 5
+
+
 @pytest.mark.parametrize("horizon", [0, 3], ids=["horizon_0", "zero_traffic"])
 def test_run_trace_of_a_run_without_requests_writes_zero_queue_rows(tmp_path, horizon):
     # no request arrives: trace.csv holds its header and one all-zero row per

@@ -78,6 +78,8 @@ def measured_e2e(run, rid, arrival):
 
 # ------------------------------------------------------------------ arrivals
 
+MIX = {q: 0.25 for q in QosClass}
+
 
 def test_zero_rate_generates_nothing():
     for process in ("poisson", "deterministic"):
@@ -133,6 +135,34 @@ def test_arrival_draws_equal_numpy_choice(skew, mix, count, seed):
     # the per-run CDFs draw what rng.choice draws, origins first, from the
     # same stream; a numpy whose choice changes fails here instead of
     # silently moving every output
+    _assert_draws_equal_numpy_choice(skew, mix, count, seed)
+
+
+@pytest.mark.parametrize("upfs", [255, 256, 257])
+def test_arrival_draws_equal_numpy_choice_across_the_index_types_edge(upfs):
+    # the lookup counts in the narrowest type that holds the UPF count: one
+    # byte through 255 UPFs, two from 256; every seventh UPF has no weight,
+    # so repeated edges sit on both sides of the edge too
+    skew = [0.0 if i % 7 == 3 else 1.0 + i % 5 for i in range(upfs)]
+    assert engine.lookup(arrival_cdfs(TrafficSpec(1.0, skew, MIX))[0],
+                         np.zeros(1)).dtype.itemsize == (1 if upfs < 256 else 2)
+    for seed in range(3):
+        _assert_draws_equal_numpy_choice(skew, [1.0, 0.0, 2.0, 3.0], 3000, seed)
+
+
+def test_lookup_counts_an_edge_equal_to_the_uniform():
+    # zero weights repeat an edge, and the first entry is 0.0 when the first
+    # weight is 0; a uniform of exactly 0.0 or exactly an edge counts every
+    # edge equal to it, as searchsorted(side="right") does
+    for weights in ([0.0, 1.0, 0.0, 0.0, 2.0, 1.0, 0.0], [1.0, 0.0, 0.0, 3.0], [0.0, 0.0, 5.0],
+                    [1.0], [2.0, 0.0], [1.0] * 9):
+        cdf = arrival_cdfs(TrafficSpec(1.0, weights, MIX))[0]
+        u = np.array([0.0, *cdf[cdf < 1.0], *np.nextafter(cdf[cdf < 1.0], 0.0)])
+        assert engine.lookup(cdf, u).tolist() == cdf.searchsorted(u, side="right").tolist()
+
+
+def _assert_draws_equal_numpy_choice(skew, mix, count, seed):
+    """One epoch of ``count`` requests draws what ``rng.choice`` draws from the same seed."""
     t = TrafficSpec(float(count), skew, dict(zip(QosClass, mix)), process="deterministic")
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     counts, origins, classes = generate_arrivals(t, rng, 1, *arrival_cdfs(t))
@@ -660,6 +690,7 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
             ]
             assert cost.prices == prices
             assert cost.best == prices.index(min(prices))
+            assert cost.at_floor == (min(prices) == run.delta)
         decisions.append((qos, origin_upf))
         return assign(qos, origin_upf, run_)
 

@@ -497,6 +497,8 @@ def test_serve_may_pop_ceil_capacity():
 
 # few distinct prices, so that exact ties are common
 PRICE = st.integers(0, 6).map(float)
+# a floor no price reaches, so that every raise rescans the whole vector
+NO_FLOOR = -math.inf
 
 
 def _write(cost, prices, data):
@@ -504,7 +506,8 @@ def _write(cost, prices, data):
 
     ``raise_best`` gives the best entry a price no lower than its own,
     ``lower`` any entry one no higher than its own: a copy of another
-    entry's price (the minimum's often), or a step of a few units.
+    entry's price (the minimum's often), or a step of a few units that
+    stops at the vector's floor.
     """
     n, best = len(prices), cost.best
     if data.draw(st.booleans(), label="raise"):
@@ -531,7 +534,7 @@ def _write(cost, prices, data):
         elif how == "copy":
             price = min(prices[i], prices[data.draw(st.integers(0, n - 1), label="from")])
         else:
-            price = prices[i] - data.draw(PRICE, label="by")
+            price = max(prices[i] - data.draw(PRICE, label="by"), cost.floor)
         cost.lower(i, price)
     prices[i] = price
 
@@ -539,7 +542,7 @@ def _write(cost, prices, data):
 @settings(max_examples=120, deadline=None)
 @given(initial=st.lists(PRICE, min_size=1, max_size=60), data=st.data())
 def test_cost_vector_keeps_its_first_minimum(initial, data):
-    cost = CostVector(initial)
+    cost = CostVector(initial, NO_FLOOR)
     prices = list(initial)
     assert cost.best == prices.index(min(prices))
     for _ in range(data.draw(st.integers(1, 40), label="updates")):
@@ -553,7 +556,7 @@ def test_cost_vector_keeps_its_first_minimum(initial, data):
 def test_cost_vector_write_of_an_equal_price_changes_nothing(initial, data):
     # the engine skips a write whose price equals the entry's: sound only if
     # such a write leaves the prices and best as they were
-    cost = CostVector(initial)
+    cost = CostVector(initial, NO_FLOOR)
     prices = list(initial)
     for _ in range(data.draw(st.integers(1, 20), label="updates")):
         n, best = len(prices), cost.best
@@ -567,8 +570,46 @@ def test_cost_vector_write_of_an_equal_price_changes_nothing(initial, data):
         _write(cost, prices, data)
 
 
+@settings(max_examples=150, deadline=None)
+@given(floor=st.sampled_from([0.0, 1.0, 2.5]), data=st.data())
+def test_cost_vector_keeps_at_floor_where_best_moves(floor, data):
+    # about half the prices sit exactly at the floor, so a raise of best
+    # mostly moves it to the next floor tie, and now and then lifts the last
+    # floor entry, after which a lower can bring the floor back
+    price = st.just(floor) | PRICE.map(lambda p: floor + p)
+    initial = data.draw(st.lists(price, min_size=1, max_size=40), label="initial")
+    cost = CostVector(initial, floor)
+    prices = list(initial)
+
+    def check():
+        assert cost.prices == prices
+        assert cost.best == prices.index(min(prices))
+        assert cost.at_floor == (prices[cost.best] == floor)
+
+    check()
+    for _ in range(data.draw(st.integers(1, 40), label="updates")):
+        if data.draw(st.booleans(), label="equal"):
+            # the writes the engine skips: an entry's own price, on best and on any
+            cost.raise_best(prices[cost.best])
+            check()
+            i = data.draw(st.integers(0, len(prices) - 1), label="i")
+            cost.lower(i, prices[i])
+            check()
+        _write(cost, prices, data)
+        check()
+
+
+def test_cost_vector_refuses_a_price_below_its_floor():
+    for prices in ([1.0, 0.5], [1.0, math.nan], [-math.inf]):
+        with pytest.raises(ValueError, match="below the floor"):
+            CostVector(prices, 1.0)
+    cost = CostVector([2.0, 1.0, 1.0], 1.0)
+    assert (cost.best, cost.at_floor) == (1, True)
+    assert not CostVector([2.0, 1.5], 1.0).at_floor
+
+
 def test_cost_vector_has_no_write_that_skips_best():
-    cost = CostVector([2.0, 1.0])
+    cost = CostVector([2.0, 1.0], 1.0)
     with pytest.raises(TypeError):
         cost[0] = 0.0
     assert not hasattr(cost, "__dict__")

@@ -85,7 +85,7 @@ def test_singleton_is_always_chosen():
 
 def test_empty_snapshot_rejected():
     with pytest.raises(ValueError):
-        CostVector([])
+        CostVector([], 1.0)
     with pytest.raises(ValueError):
         sequential_heuristic_batch(1, [])
 
@@ -94,7 +94,7 @@ def test_empty_snapshot_rejected():
 @given(buckets=st.lists(bucket, min_size=1, max_size=6))
 def test_bestfit_matches_exhaustive_min(buckets):
     costs = [projected_delay(*b, 1.0) for b in buckets]
-    cost = CostVector(costs)
+    cost = CostVector(costs, 1.0)
     assert cost.best == costs.index(min(costs))
     assert first_choice(buckets) == cost.best
 
@@ -103,7 +103,7 @@ def test_bestfit_matches_exhaustive_min(buckets):
 @given(buckets=st.lists(bucket, min_size=1, max_size=6), k=st.floats(0.1, 100.0))
 def test_argmin_invariant_under_common_scaling(buckets, k):
     # both branches scale linearly with delta, so the chosen index cannot move
-    scaled = CostVector([projected_delay(*b, k) for b in buckets])
+    scaled = CostVector([projected_delay(*b, k) for b in buckets], k)
     assert first_choice(buckets) == scaled.best
 
 

@@ -6,19 +6,21 @@ from cell to cell; per cell set it prints the median B/A time ratio and
 its quartiles, for the run, for its post-processing (``completed_e2e``
 in a sweep cell, ``write_events_csv`` or ``write_trace_csv`` to a
 temporary file in the event log and trace sets, else ``summarize``) and
-for the two together.  The metro sweep and campus5 sets are one per
-scheme.  The campus5, 50-pair and trace sets hold one cell per seed, so
-their quartiles need more seeds than the default (1-16, say) to be
-steady.  The trees must give equal results: equal delays, or equal bytes
-of the file written.
+for the two together.  The campus5 sets are one per scheme; the metro
+sweep sets are one per scheme and pair band, 1-4 and 5-10 pairs, so that
+a gain at one band cannot hide a loss at the other.  The campus5,
+50-pair and trace sets hold one cell per seed, so their quartiles need
+more seeds than the default (1-16, say) to be steady.  The trees must
+give equal results: equal delays, or equal bytes of the file written.
 
-A cell times only the run and its one post-processing call, so the two
-command sets time whole ``upfmec`` commands, the units ``perfbench``
-times for ``campus_compare`` and ``metro_capex``: per seed s, ``compare``
+A cell times only the run and its one post-processing call, so the
+command sets time whole ``upfmec`` commands: the units ``perfbench``
+times for ``campus_compare`` and ``metro_capex`` (per seed s, ``compare``
 on campus5 under every scheme with seeds s to s+3, and ``capex`` on metro
-at 1-10 pairs with seed s.  Each command writes into an empty directory,
-and the two trees must write the same files, byte for byte.  Speed
-claims quote ``perfbench``.
+at 1-10 pairs with seed s), and ``run --trace`` on campus5 under
+``bestfit_upf_mec`` with seed s, which writes every report of one run.
+Each command writes into an empty directory, and the two trees must
+write the same files, byte for byte.  Speed claims quote ``perfbench``.
 """
 
 import contextlib
@@ -74,10 +76,12 @@ def cell_sets(src, model, metrics, events_path):
             return fh.read()
 
     summary = (metrics.summarize, d_e2e)
-    # one set per scheme: the schemes price different tiers, so their ratios differ
-    sweep = {f"metro sweep cells, {x.value}": [
-        (replace(pairs(metro, p), scheme=x), metrics.completed_e2e, by_class) for p in range(1, 11)
-    ] for x in (s.BASELINE, s.BESTFIT_UPF_MEC)}
+    # one set per scheme and pair band: the schemes price different tiers,
+    # and a change can gain at 5-10 pairs while it loses at 1-4
+    sweep = {f"metro sweep cells, {x.value}, {lo}-{hi} pairs": [
+        (replace(pairs(metro, p), scheme=x), metrics.completed_e2e, by_class)
+        for p in range(lo, hi + 1)
+    ] for x in (s.BASELINE, s.BESTFIT_UPF_MEC) for lo, hi in ((1, 4), (5, 10))}
     campus = {f"campus5, {x.value}": [(replace(campus5, scheme=x), *summary)] for x in s}
     return sweep | campus | {
         "metro at 50 pairs": [(replace(pairs(metro, 50), scheme=s.BESTFIT_UPF_MEC), *summary)],
@@ -99,6 +103,9 @@ def command_sets(src):
                                          "--schemes", "all", "--seeds", f"{seed}-{seed + 3}"],
         "capex command": lambda seed: ["capex", "--scenario", f"{scenarios}/metro.yaml",
                                        "--pairs", "1-10", "--seeds", str(seed)],
+        "run --trace command": lambda seed: ["run", "--scenario", f"{scenarios}/campus5.yaml",
+                                             "--scheme", "bestfit_upf_mec", "--seed", str(seed),
+                                             "--trace"],
     }
 
 

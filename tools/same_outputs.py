@@ -3,8 +3,10 @@
 Run as ``python3 tools/same_outputs.py A/src B/src``.  Under each tree, in
 a fresh interpreter that imports upfmec from it, this runs ``run --trace``
 on campus5 and metro under each of the four schemes with seeds 1-3,
-``compare --scenario campus5 --seeds 1-4``, and ``capex --pairs 1-10
---seeds 1-2`` on metro and on campus5, and ``run --trace`` under
+``compare --scenario campus5 --seeds 1-4``, ``capex --pairs 1-10
+--seeds 1-2`` on metro and on campus5, ``capex --pairs 25,50 --seeds
+1-2`` on metro (the widest deployments, where most bestfit raises move
+to the next floor tie), and ``run --trace`` under
 ``bestfit_upf_mec`` on three edits of campus5 that no bundled scenario
 covers: deterministic arrivals, a 300-epoch horizon (epochs past 256
 are past CPython's small-int cache), and a drain cap of 0, which stops
@@ -37,6 +39,7 @@ COMMANDS = {
 COMMANDS["compare.campus5"] = ["compare", "--scenario", "campus5", "--seeds", "1-4"]
 for name in ("metro", "campus5"):
     COMMANDS[f"capex.{name}"] = ["capex", "--scenario", name, "--pairs", "1-10", "--seeds", "1-2"]
+COMMANDS["capex.metro.wide"] = ["capex", "--scenario", "metro", "--pairs", "25,50", "--seeds", "1-2"]
 # campus5 edits: scenario name -> (section or None, key, value)
 EDITS = {
     "campus5_deterministic": ("traffic", "process", "deterministic"),
