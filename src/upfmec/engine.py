@@ -23,21 +23,23 @@ The run keeps the cost vectors its scheme reads (``schemes.SCHEMES``),
 each a ``model.CostVector``: ``upf_cost[q].prices[i]`` prices UPF i+1's
 bucket of class q and ``mec_cost.prices[j]`` MEC j+1 (None where unread:
 ``baseline`` keeps neither, ``bestfit_upf_mec`` both, the other bestfits
-``upf_cost``).  A kept vector is priced when the run is built and then
-repriced only where a queue changes: an admission reprices the bucket and
-the MEC it touched, and each queue is repriced after its service, which
-for a MEC follows every change the link phase makes to it (a drop at its
-door lowers ``pending``, but only when its queue is full).  A repricing
-reads the table inline, a MEC at ``len(queue) + pending`` and a UPF
-bucket at ``len(queue)`` (only MECs count ``pending``, under every
-scheme), and writes only a moved price: a kept vector equals a fresh
-pricing.  Each write is one of the vector's two monotone writes, since a
-price table never falls as its queue grows: an admission joins the queue
-its scheme chose, the vector's best, so it is ``raise_best``; a served
-queue, or a MEC whose door drops lowered ``pending``, only got shorter, so
-it is ``lower``.  Each vector's floor is the run's ``delta``, the price of
-a queue below its headroom and the least any queue can have, so raising
-a best priced at ``delta`` moves best to the next entry at ``delta``, if
+``upf_cost``).  Admission hands a scheme the request's class's
+``upf_cost`` and ``mec_cost``, and nothing else of the run.  A kept
+vector is priced when the run is built and then repriced only where a
+queue changes: an admission reprices the bucket and the MEC it touched,
+and each queue is repriced after its service, which for a MEC follows
+every change the link phase makes to it (a drop at its door lowers
+``pending``, but only when its queue is full).  A repricing reads the
+table inline, a MEC at ``len(queue) + pending`` and a UPF bucket at
+``len(queue)`` (only MECs count ``pending``, under every scheme), and
+writes only a moved price: a kept vector equals a fresh pricing.  Each
+write is one of the vector's two monotone writes, since a price table
+never falls as its queue grows: an admission joins the queue its scheme
+chose, the vector's best, so it is ``raise_best``; a served queue, or a
+MEC whose door drops lowered ``pending``, only got shorter, so it is
+``lower``.  Each vector's floor is the run's ``delta``, the price of a
+queue below its headroom and the least any queue can have, so raising a
+best priced at ``delta`` moves best to the next entry at ``delta``, if
 one is left, without a rescan.  Only ``step_epoch`` changes a run.
 
 A request's record holds its decision (``assigned_upf``,
@@ -105,24 +107,17 @@ UNBOUNDED = sys.maxsize
 
 
 def _cdf(weights) -> np.ndarray:
-    """Cumulative distribution of the weights, built as ``Generator.choice`` builds it."""
+    """Cumulative distribution of the weights, built as ``Generator.choice`` builds it.
+
+    ``cdf.searchsorted(u, side="right")`` on it, for uniforms ``u`` from
+    ``rng.random``, draws exactly what ``rng.choice(len(w), size=len(u),
+    p=w / w.sum())`` draws from the same stream (``lookup`` gives that
+    index).  ``validate_scenario`` checks the weights.
+    """
     w = np.asarray(weights, dtype=float)
     cdf = (w / w.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf
-
-
-def arrival_cdfs(traffic: TrafficSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """The origin CDF (over UPFs) and the QoS-class CDF of the arrivals.
-
-    ``cdf.searchsorted(u, side="right")`` on one of them, for uniforms
-    ``u`` from ``rng.random``, draws exactly what ``rng.choice(len(w),
-    size=len(u), p=w / w.sum())`` draws from the same stream, without
-    re-checking and re-normalising the weights on every call
-    (``lookup`` gives that index).  ``validate_scenario`` checks both
-    weight vectors.
-    """
-    return _cdf(traffic.skew), _cdf([traffic.qos_mix[q] for q in QOS_BY_CODE])
 
 
 def lookup(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -155,18 +150,15 @@ def lookup(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def generate_arrivals(
-    traffic: TrafficSpec,
-    rng: np.random.Generator,
-    horizon: int,
-    origin_cdf: np.ndarray,
-    class_cdf: np.ndarray,
+    traffic: TrafficSpec, rng: np.random.Generator, horizon: int
 ) -> Tuple[List[int], List[int], bytearray]:
     """Draw the requests of epochs 0..horizon-1: each epoch's count, then every origin and class.
 
     The stream is the one per-epoch ``rng.choice`` draws make: each epoch
     takes its count, then one uniform per origin, then one per class,
-    before the next epoch's count.  The CDFs are ``arrival_cdfs(traffic)``,
-    and each is searched once for the whole horizon, by ``lookup``, which
+    before the next epoch's count.  The origin CDF (over UPFs, from the
+    skew) and the class CDF (from the QoS mix) are each built once by
+    ``_cdf`` and searched once for the whole horizon, by ``lookup``, which
     gives exactly ``cdf.searchsorted(u, side="right")``.  Returns the counts by
     epoch, the origin UPF ids and the QoS class codes (a bytearray, one
     byte per request), both in arrival order: epoch e's requests follow
@@ -191,8 +183,9 @@ def generate_arrivals(
             u = rng.random(2 * count)
             origin_u.append(u[:count])
             class_u.append(u[count:])
-    origins = (lookup(origin_cdf, np.concatenate(origin_u)) + 1).tolist()
-    return counts, origins, bytearray(lookup(class_cdf, np.concatenate(class_u)))
+    origins = lookup(_cdf(traffic.skew), np.concatenate(origin_u)) + 1
+    classes = lookup(_cdf([traffic.qos_mix[q] for q in QOS_BY_CODE]), np.concatenate(class_u))
+    return counts, origins.tolist(), bytearray(classes)
 
 
 def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
@@ -280,8 +273,7 @@ class SimulationRun:
         # the horizon's arrivals, drawn once, are the record's origin_upf and
         # qos: epoch e's requests are ids _starts[e] to _starts[e + 1] - 1
         counts, self.origin_upf, self.qos = generate_arrivals(
-            scenario.traffic, np.random.default_rng(scenario.seed), scenario.horizon_epochs,
-            *arrival_cdfs(scenario.traffic))
+            scenario.traffic, np.random.default_rng(scenario.seed), scenario.horizon_epochs)
         self._starts = list(accumulate(counts, initial=0))
         self.generated = 0
         self._assign = SCHEME_FUNCS[scenario.scheme.value]
@@ -382,7 +374,7 @@ class SimulationRun:
         for rid, code, origin in zip(range(first, end), self.qos[first:end],
                                      self.origin_upf[first:end]):
             qos, cost, prices, buckets = admission[code]
-            upf_id, mec_id = assign(qos, origin, self)
+            upf_id, mec_id = assign(qos, origin, cost, mec_cost)
             assigned_upf[rid] = upf_id
             assigned_mec[rid] = mec_id
             i = upf_id - 1

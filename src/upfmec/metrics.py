@@ -511,16 +511,20 @@ def build_pair_scenario(base: Scenario, pairs: int) -> Scenario:
     """Scale the deployment to `pairs` UPF-MEC pairs, cycling the base patterns.
 
     Capacities, bandwidths and the traffic skew repeat the base vectors;
-    the skew is renormalized to sum to one.  Total offered traffic stays
-    unchanged, so smaller deployments are proportionally more loaded.  The
-    scaled scenario lists the base's UPF and MEC specs themselves, each as
-    often as the cycle repeats it.
+    the skew is renormalized to sum to one, so a pair count whose UPFs all
+    have a share of 0 is refused.  Total offered traffic stays unchanged,
+    so smaller deployments are proportionally more loaded.  The scaled
+    scenario lists the base's UPF and MEC specs themselves, each as often
+    as the cycle repeats it.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     u0, m0 = base.num_upfs, base.num_mecs
     raw_skew = [base.traffic.skew[i % u0] for i in range(pairs)]
     total = sum(raw_skew)
+    if total == 0:
+        raise ValueError(
+            f"pairs {pairs}: every UPF of the {pairs}-pair deployment has a skew share of 0")
     bw = [
         [base.link_bandwidth_mbps[i % u0][j % m0] for j in range(pairs)]
         for i in range(pairs)

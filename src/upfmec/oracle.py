@@ -1,8 +1,9 @@
 """Exhaustive reference optimizers for cross-checking the heuristics.
 
-These enumerate tiny instances only and refuse anything bigger: the batch
-placement walks every composition of n requests over the UPF buckets and
-the pair search walks every (UPF, MEC) combination.  Both break ties
+The batch placement walks every composition of n requests over the UPF
+buckets, so it enumerates tiny instances only and refuses anything bigger;
+the pair search walks every (UPF, MEC) combination, O(U·M), at any
+deployment size.  Both break ties
 toward the lowest-indexed buckets, the same preference the sequential
 bestfit rule has, so the two agree exactly on single-request instances.
 
@@ -23,7 +24,6 @@ Bucket = Tuple[float, float, float]
 
 MAX_BATCH = 12
 MAX_UPFS = 5
-MAX_PAIRS = 100
 
 
 class OracleBoundError(ValueError):
@@ -125,8 +125,6 @@ def pair_enumeration_optimum(
     nu, nm = len(upf_buckets), len(mec_buckets)
     if nu == 0 or nm == 0:
         raise ValueError("need at least one UPF and one MEC")
-    if nu * nm > MAX_PAIRS:
-        raise OracleBoundError(f"{nu}x{nm} pairs exceed enumeration bound {MAX_PAIRS}")
     pc_upf = [projected_delay(*b, delta) for b in upf_buckets]
     pc_mec = [projected_delay(*b, delta) for b in mec_buckets]
     best_i = best_j = 0

@@ -151,7 +151,7 @@ def decide(run, qos, origin_upf, scheme):
     the run does not keep is priced from its queue (``ServiceQueue.price``).
     Returns (upf_id, mec_id, the ``Projection``).
     """
-    upf_id, mec_id = scheme(qos, origin_upf, run)
+    upf_id, mec_id = scheme(qos, origin_upf, run.upf_cost[qos], run.mec_cost)
     n_share, pc_mec = 0, 0.0
     if mec_id is not None:
         n_share = run.link_sharers[link_index(run, upf_id, mec_id)]

@@ -579,6 +579,28 @@ def test_capex_refuses_a_pair_count_before_any_run(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_capex_refuses_a_pair_count_whose_upfs_draw_no_traffic(tmp_path, capsys, monkeypatch):
+    # campus5 runs with its first UPF idle, but one pair of it would draw nothing
+    runs = []
+    run_to_completion = metrics.run_to_completion
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return run_to_completion(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_to_completion", counted)
+    skew = [0.0, 0.24, 0.30, 0.15, 0.31]
+    path = _campus5_file(tmp_path, lambda d: d["traffic"].update(skew=skew))
+    out = tmp_path / "out"
+    rc = main(["capex", "--scenario", str(path), "--pairs", "2,1", "--seeds", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "upfmec: error: pairs 1: every UPF of the 1-pair deployment has a skew share of 0\n")
+    assert runs == []
+    assert not out.exists()
+
+
 # (baseline, MEC-IA) percent under threshold at the largest size: a gain of
 # exactly 0 prints as one; only a baseline at 0 leaves the gain undefined
 @pytest.mark.parametrize("baseline, mecia, shown", [(60.0, 0.0, "0.00x"), (0.0, 40.0, "n/a")])

@@ -17,7 +17,6 @@ from upfmec.engine import (
     UNSET,
     InvariantError,
     SimulationRun,
-    arrival_cdfs,
     generate_arrivals,
     run_to_completion,
 )
@@ -78,36 +77,34 @@ def measured_e2e(run, rid, arrival):
 
 # ------------------------------------------------------------------ arrivals
 
-MIX = {q: 0.25 for q in QosClass}
-
 
 def test_zero_rate_generates_nothing():
     for process in ("poisson", "deterministic"):
         t = TrafficSpec(0.0, [1.0], {q: 0.25 for q in QosClass}, process=process)
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
-        assert generate_arrivals(t, rng, 5, *arrival_cdfs(t)) == ([0] * 5, [], b"")
+        assert generate_arrivals(t, rng, 5) == ([0] * 5, [], b"")
         assert rng.bit_generator.state == before
 
 
 def test_deterministic_process_hits_rate_exactly():
     t = TrafficSpec(1.5, [1.0], {q: 0.25 for q in QosClass}, process="deterministic")
-    counts, origins, classes = generate_arrivals(t, np.random.default_rng(1), 100, *arrival_cdfs(t))
+    counts, origins, classes = generate_arrivals(t, np.random.default_rng(1), 100)
     assert sum(counts) == len(origins) == len(classes) == 150
     assert counts[:4] == [1, 2, 1, 2]
 
 
 def test_same_seed_same_stream():
     t = TrafficSpec(5.0, [0.3, 0.7], {q: 0.25 for q in QosClass})
-    a = generate_arrivals(t, np.random.default_rng(3), 3, *arrival_cdfs(t))
-    b = generate_arrivals(t, np.random.default_rng(3), 3, *arrival_cdfs(t))
+    a = generate_arrivals(t, np.random.default_rng(3), 3)
+    b = generate_arrivals(t, np.random.default_rng(3), 3)
     assert a == b and len(a[1]) > 0
 
 
 def test_origin_frequencies_follow_skew():
     skew = [0.13, 0.24, 0.30, 0.15, 0.18]
     t = TrafficSpec(50.0, skew, {q: 0.25 for q in QosClass}, process="deterministic")
-    origins = generate_arrivals(t, np.random.default_rng(7), 400, *arrival_cdfs(t))[1]
+    origins = generate_arrivals(t, np.random.default_rng(7), 400)[1]
     freq = np.bincount(origins, minlength=6)[1:] / len(origins)
     assert np.allclose(freq, skew, atol=0.02)
 
@@ -115,7 +112,7 @@ def test_origin_frequencies_follow_skew():
 def test_unknown_process_rejected():
     t = TrafficSpec(1.0, [1.0], {q: 0.25 for q in QosClass}, process="burst")
     with pytest.raises(ValueError):
-        generate_arrivals(t, np.random.default_rng(1), 1, *arrival_cdfs(t))
+        generate_arrivals(t, np.random.default_rng(1), 1)
 
 
 def weights(min_size, max_size):
@@ -144,8 +141,7 @@ def test_arrival_draws_equal_numpy_choice_across_the_index_types_edge(upfs):
     # byte through 255 UPFs, two from 256; every seventh UPF has no weight,
     # so repeated edges sit on both sides of the edge too
     skew = [0.0 if i % 7 == 3 else 1.0 + i % 5 for i in range(upfs)]
-    assert engine.lookup(arrival_cdfs(TrafficSpec(1.0, skew, MIX))[0],
-                         np.zeros(1)).dtype.itemsize == (1 if upfs < 256 else 2)
+    assert engine.lookup(engine._cdf(skew), np.zeros(1)).dtype.itemsize == (1 if upfs < 256 else 2)
     for seed in range(3):
         _assert_draws_equal_numpy_choice(skew, [1.0, 0.0, 2.0, 3.0], 3000, seed)
 
@@ -156,7 +152,7 @@ def test_lookup_counts_an_edge_equal_to_the_uniform():
     # edge equal to it, as searchsorted(side="right") does
     for weights in ([0.0, 1.0, 0.0, 0.0, 2.0, 1.0, 0.0], [1.0, 0.0, 0.0, 3.0], [0.0, 0.0, 5.0],
                     [1.0], [2.0, 0.0], [1.0] * 9):
-        cdf = arrival_cdfs(TrafficSpec(1.0, weights, MIX))[0]
+        cdf = engine._cdf(weights)
         u = np.array([0.0, *cdf[cdf < 1.0], *np.nextafter(cdf[cdf < 1.0], 0.0)])
         assert engine.lookup(cdf, u).tolist() == cdf.searchsorted(u, side="right").tolist()
 
@@ -165,7 +161,7 @@ def _assert_draws_equal_numpy_choice(skew, mix, count, seed):
     """One epoch of ``count`` requests draws what ``rng.choice`` draws from the same seed."""
     t = TrafficSpec(float(count), skew, dict(zip(QosClass, mix)), process="deterministic")
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    counts, origins, classes = generate_arrivals(t, rng, 1, *arrival_cdfs(t))
+    counts, origins, classes = generate_arrivals(t, rng, 1)
     w, m = np.asarray(skew), np.asarray(mix)
     twin_origin_upf = twin.choice(len(w), size=count, p=w / w.sum())
     twin_classes = twin.choice(len(m), size=count, p=m / m.sum())
@@ -192,7 +188,7 @@ def test_a_runs_draw_equals_its_epochs_drawn_in_turn(skew, mix, lam, process, ho
     # makes them; low rates give epochs without requests
     t = TrafficSpec(lam, skew, dict(zip(QosClass, mix)), process=process)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    counts, origins, classes = generate_arrivals(t, rng, horizon, *arrival_cdfs(t))
+    counts, origins, classes = generate_arrivals(t, rng, horizon)
     w, m = np.asarray(skew), np.asarray(mix)
     twin_counts, twin_origin_upf, twin_classes = [], [], []
     for e in range(horizon):
@@ -215,7 +211,7 @@ def test_only_epochs_before_the_horizon_have_arrivals(stepped):
     # horizon has none, and the draws are the run's alone, whether the run
     # stops at the horizon or steps on past it
     s = make_scenario(num_upfs=1, lam=2.0, horizon=3, process="poisson", seed=5)
-    twin = generate_arrivals(s.traffic, np.random.default_rng(5), 3, *arrival_cdfs(s.traffic))
+    twin = generate_arrivals(s.traffic, np.random.default_rng(5), 3)
     run = SimulationRun(s)
     arrivals = [run.step_epoch().arrivals for _ in range(stepped)]
     assert arrivals == (twin[0] + [0, 0, 0])[:stepped]
@@ -538,7 +534,7 @@ def test_deliveries_go_in_link_key_order_then_entry_order(monkeypatch):
         3: ([1, 1], codes(embb, urllc)),
     }
 
-    def scripted(traffic, rng, horizon, origin_cdf, class_cdf):
+    def scripted(traffic, rng, horizon):
         epochs = [script.get(e, ([], b"")) for e in range(horizon)]
         return ([len(o) for o, _ in epochs], [o for os, _ in epochs for o in os],
                 b"".join(c for _, c in epochs))
@@ -680,7 +676,9 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
     kept = {cost is not None for cost in run.upf_cost.values()}, run.mec_cost is not None
     assert kept == ({reads_upf}, reads_mec)
 
-    def checked(qos, origin_upf, run_):
+    def checked(qos, origin_upf, upf_cost, mec_cost):
+        # admission hands the scheme the run's own vectors, None where unkept
+        assert upf_cost is run.upf_cost[qos] and mec_cost is run.mec_cost
         tiers = [(run.upf_cost[qos], [u[qos] for u in run.upfs])] if reads_upf else []
         tiers += [(run.mec_cost, run.mecs)] if reads_mec else []
         for cost, queues in tiers:
@@ -692,7 +690,7 @@ def _check_costs_at_every_decision(run: SimulationRun) -> list:
             assert cost.best == prices.index(min(prices))
             assert cost.at_floor == (min(prices) == run.delta)
         decisions.append((qos, origin_upf))
-        return assign(qos, origin_upf, run_)
+        return assign(qos, origin_upf, upf_cost, mec_cost)
 
     run._assign = checked
     return decisions

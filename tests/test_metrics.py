@@ -285,6 +285,18 @@ def test_pair_counts_must_be_positive(campus5):
         build_pair_scenario(campus5, 0)
 
 
+def test_a_pair_count_whose_upfs_draw_no_traffic_is_refused(campus5):
+    # the first two UPFs have no share: scaling to 1 or 2 pairs leaves no skew
+    # to renormalise, while 3 pairs and the full cycle still draw traffic
+    base = replace(campus5, traffic=replace(campus5.traffic, skew=[0.0, 0.0, 0.3, 0.3, 0.4]))
+    for pairs in (1, 2):
+        with pytest.raises(ValueError, match=f"^pairs {pairs}: every UPF of the "
+                                             f"{pairs}-pair deployment has a skew share of 0$"):
+            build_pair_scenario(base, pairs)
+    assert build_pair_scenario(base, 3).traffic.skew == [0.0, 0.0, 1.0]
+    assert build_pair_scenario(base, 7).traffic.skew[5:] == [0.0, 0.0]
+
+
 # ----------------------------------------------------------------- capex sweep
 
 

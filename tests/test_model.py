@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from upfmec.delay import projected_delay
 from upfmec.metrics import build_pair_scenario
 from upfmec.model import (
-    CO_LOCATED_SCHEMES,
     CostVector,
     InvariantError,
     MecSpec,
@@ -29,6 +28,7 @@ from upfmec.model import (
     scenario_to_dict,
     validate_scenario,
 )
+from upfmec.schemes import SCHEMES
 
 from conftest import make_scenario
 
@@ -54,13 +54,18 @@ def test_skew_length_mismatch():
     assert any("skew has 3 entries" in m for m in msgs)
 
 
-@pytest.mark.parametrize("scheme", CO_LOCATED_SCHEMES)
+@pytest.mark.parametrize("scheme", [Scheme(name) for name in SCHEMES])
 def test_co_located_scheme_requires_square_topology(scheme):
+    # exactly the schemes that read no MEC vector name their MEC by a UPF id
+    # and refuse U != M; a scheme that reads it routes both tiers independently
     s = make_scenario(num_upfs=2, num_mecs=1, scheme=scheme)
     msgs = validate_scenario(s)
-    assert any("requires as many UPFs as MECs (got 2 UPFs, 1 MECs)" in m for m in msgs)
-    # the pair scheme routes both tiers independently and allows U != M
-    assert validate_scenario(replace(s, scheme=Scheme.BESTFIT_UPF_MEC)) == []
+    if SCHEMES[scheme.value][2]:
+        assert msgs == []
+    else:
+        assert msgs == [f"scheme {scheme.value} routes through co-located MECs and requires "
+                        "as many UPFs as MECs (got 2 UPFs, 1 MECs)"]
+    assert validate_scenario(make_scenario(num_upfs=2, num_mecs=2, scheme=scheme)) == []
 
 
 def test_multiple_violations_all_collected():

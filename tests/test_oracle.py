@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfmec.engine import SimulationRun
+from upfmec.metrics import build_pair_scenario
 from upfmec.model import QosClass, Scheme
 from upfmec.oracle import (
     MAX_BATCH,
-    MAX_PAIRS,
     MAX_UPFS,
     OracleBoundError,
     minmax_batch_optimum,
@@ -115,16 +117,6 @@ def test_single_pair_is_the_only_choice():
     assert value > 0.0
 
 
-def test_pair_bound_is_refused():
-    upfs = [(0.0, 1.0, 1.0)] * 11
-    mecs = [(0.0, 1.0, 1.0)] * 10
-    n_share = [[0] * 10 for _ in range(11)]
-    bw = [[1000.0] * 10 for _ in range(11)]
-    with pytest.raises(OracleBoundError):
-        pair_enumeration_optimum(upfs, mecs, n_share, bw, [1500.0] * 10, 1.0)
-    assert 11 * 10 > MAX_PAIRS
-
-
 def _stuffed_run(rng: np.random.Generator) -> SimulationRun:
     run = SimulationRun(make_scenario(num_upfs=3, scheme=Scheme.BESTFIT_UPF_MEC, seed=1))
     for uid in (1, 2, 3):
@@ -185,3 +177,19 @@ def test_joint_optimum_never_exceeds_the_scheme_projection():
         _, _, projected = decide(run, QosClass.URLLC, 1, assign_bestfit_upf_mec)
         _, _, value = pair_enumeration_optimum(*_oracle_inputs(run, QosClass.URLLC), run.delta)
         assert value <= projected.d_e2e + 1e-12
+
+
+def test_joint_optimum_never_exceeds_the_scheme_projection_at_50_pairs(metro):
+    # the pair search has no size bound: on the widest deployment a run
+    # steps, with the MEC commitments and links its own decisions loaded,
+    # the joint optimum is never above what the pair scheme projects
+    run = SimulationRun(replace(build_pair_scenario(metro, 50), scheme=Scheme.BESTFIT_UPF_MEC,
+                                seed=1))
+    for _ in range(8):
+        run.step_epoch()
+    assert any(m.pending for m in run.mecs) and any(run.link_sharers)
+    for qos in (QosClass.URLLC, QosClass.EMBB, QosClass.MMTC):
+        for origin in (1, 17, 50):
+            _, _, projected = decide(run, qos, origin, assign_bestfit_upf_mec)
+            _, _, value = pair_enumeration_optimum(*_oracle_inputs(run, qos), run.delta)
+            assert value <= projected.d_e2e + 1e-12

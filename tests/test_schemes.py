@@ -31,6 +31,11 @@ def dummy(qos=QosClass.URLLC, origin=1):
     return qos, origin
 
 
+def choose(fn, run, qos, origin):
+    """A scheme's choice for one request, given the vectors admission gives it: the run's."""
+    return fn(qos, origin, run.upf_cost[qos], run.mec_cost)
+
+
 # occupancy fakes: a queue's price reads only its length, never its ids
 
 
@@ -61,7 +66,7 @@ def first_choice(buckets) -> int:
 
 def test_tie_breaks_to_lowest_index():
     run = make_run(num_upfs=3)
-    assert assign_bestfit_upf_mec(*dummy(origin=3), run) == (1, 1)
+    assert choose(assign_bestfit_upf_mec, run, *dummy(origin=3)) == (1, 1)
     assert run.upf_cost[QosClass.URLLC].prices[0] == run.delta
     assert first_choice([(0.0, 2.0, 2.0)] * 3) == 0
 
@@ -70,7 +75,7 @@ def test_empty_bucket_beats_saturated_peers():
     run = make_run(num_upfs=3)
     stuff_upf(run, 1, QosClass.URLLC, 5)
     stuff_upf(run, 3, QosClass.URLLC, 6)
-    upf_id, _ = assign_bestfit_upf_mec(*dummy(origin=1), run)
+    upf_id, _ = choose(assign_bestfit_upf_mec, run, *dummy(origin=1))
     assert upf_id == 2 and run.upf_cost[QosClass.URLLC].prices[1] == run.delta
     assert first_choice([(5.0, 0.0, 2.0), (0.0, 4.0, 4.0), (6.0, 0.0, 3.0)]) == 1
 
@@ -79,7 +84,7 @@ def test_singleton_is_always_chosen():
     run = make_run(num_upfs=1)
     stuff_upf(run, 1, QosClass.URLLC, 99)
     stuff_mec(run, 1, 99)
-    assert assign_bestfit_upf_mec(*dummy(), run) == (1, 1)
+    assert choose(assign_bestfit_upf_mec, run, *dummy()) == (1, 1)
     assert first_choice([(99.0, 0.0, 1.0)]) == 0
 
 
@@ -134,13 +139,13 @@ def test_mec_snapshot_counts_pending_commitments():
 
 def test_baseline_pins_to_origin():
     run = make_run(num_upfs=3, scheme=Scheme.BASELINE)
-    assert assign_baseline(*dummy(origin=3), run) == (3, 3)
+    assert choose(assign_baseline, run, *dummy(origin=3)) == (3, 3)
 
 
 def test_baseline_ignores_load():
     run = make_run(num_upfs=3, scheme=Scheme.BASELINE)
     stuff_upf(run, 3, QosClass.URLLC, 50)
-    upf_id, _ = assign_baseline(*dummy(origin=3), run)
+    upf_id, _ = choose(assign_baseline, run, *dummy(origin=3))
     assert upf_id == 3
 
 
@@ -156,33 +161,33 @@ def test_regular_requests_carry_no_mec():
 def test_no_pe_moves_upf_but_keeps_origin_mec():
     run = make_run(num_upfs=3)
     stuff_upf(run, 3, QosClass.URLLC, 20)
-    assert assign_bestfit_no_pe(*dummy(origin=3), run) == (1, 3)
+    assert choose(assign_bestfit_no_pe, run, *dummy(origin=3)) == (1, 3)
 
 
 def test_pe_extends_path_to_co_located_mec():
     run = make_run(num_upfs=3)
     stuff_upf(run, 1, QosClass.URLLC, 20)
-    upf_id, mec_id = assign_bestfit_pe(*dummy(origin=1), run)
+    upf_id, mec_id = choose(assign_bestfit_pe, run, *dummy(origin=1))
     assert upf_id == 2
     assert mec_id == 2
 
 
 def test_pair_scheme_chooses_both_tiers_independently():
     run = make_run(num_upfs=3)
-    assert assign_bestfit_upf_mec(*dummy(origin=2), run) == (1, 1)
+    assert choose(assign_bestfit_upf_mec, run, *dummy(origin=2)) == (1, 1)
     stuff_upf(run, 1, QosClass.URLLC, 20)
     stuff_mec(run, 1, 30)
-    assert assign_bestfit_upf_mec(*dummy(origin=2), run) == (2, 2)
+    assert choose(assign_bestfit_upf_mec, run, *dummy(origin=2)) == (2, 2)
 
 
 def test_pending_commitments_steer_later_decisions():
     run = make_run(num_upfs=2)
-    _, first_mec = assign_bestfit_upf_mec(*dummy(), run)
+    _, first_mec = choose(assign_bestfit_upf_mec, run, *dummy())
     assert first_mec == 1
     # mirror the engine's bookkeeping for an admitted request still upstream
     run.mecs[0].pending = int(run.mecs[0].capacity)
     reprice(run)
-    _, second_mec = assign_bestfit_upf_mec(*dummy(), run)
+    _, second_mec = choose(assign_bestfit_upf_mec, run, *dummy())
     assert second_mec == 2
 
 
@@ -198,8 +203,8 @@ def test_decisions_are_deterministic():
     for r in runs:
         stuff_upf(r, 2, QosClass.URLLC, 5)
         stuff_mec(r, 1, 4)
-    a = assign_bestfit_upf_mec(*dummy(), runs[0])
-    b = assign_bestfit_upf_mec(*dummy(), runs[1])
+    a = choose(assign_bestfit_upf_mec, runs[0], *dummy())
+    b = choose(assign_bestfit_upf_mec, runs[1], *dummy())
     assert a == b
 
 
@@ -221,6 +226,26 @@ def test_scheme_registry_matches_enum():
     assert SCHEME_FUNCS == {name: fn for name, (fn, _, _) in SCHEMES.items()}
 
 
+@pytest.mark.parametrize("name", SCHEMES)
+@pytest.mark.parametrize("qos", list(QosClass))
+def test_a_scheme_decides_on_the_vectors_it_declares_alone(name, qos):
+    # given None for every vector it does not declare, a scheme still
+    # decides: it reads nothing else of the run's state
+    fn, reads_upf, reads_mec = SCHEMES[name]
+    run = make_run(num_upfs=3)
+    stuff_upf(run, 1, qos, 20)
+    stuff_mec(run, 1, 30)
+    stuff_mec(run, 2, 30)
+    upf_cost = run.upf_cost[qos] if reads_upf else None
+    mec_cost = run.mec_cost if reads_mec else None
+    upf_id, mec_id = fn(qos, 1, upf_cost, mec_cost)
+    assert upf_id in (1, 2, 3)
+    assert mec_id in ((1, 2, 3) if qos.uses_mec else (None,))
+    # a bestfit leaves the loaded UPF 1, and only the pair scheme finds the idle MEC 3
+    assert (upf_id != 1) == reads_upf
+    assert (mec_id == 3) == (qos.uses_mec and reads_mec)
+
+
 @pytest.mark.parametrize("scheme, reader", [
     (Scheme.BASELINE, assign_bestfit_no_pe),
     (Scheme.BESTFIT_UPF_PE, assign_bestfit_upf_mec),
@@ -230,4 +255,4 @@ def test_a_run_keeps_no_vector_its_scheme_does_not_read(scheme, reader):
     # decision, not read prices that nothing keeps current
     run = make_run(num_upfs=2, scheme=scheme)
     with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'best'"):
-        reader(*dummy(), run)
+        choose(reader, run, *dummy())

@@ -6,7 +6,9 @@ on campus5 and metro under each of the four schemes with seeds 1-3,
 ``compare --scenario campus5 --seeds 1-4``, ``capex --pairs 1-10
 --seeds 1-2`` on metro and on campus5, ``capex --pairs 25,50 --seeds
 1-2`` on metro (the widest deployments, where most bestfit raises move
-to the next floor tie), and ``run --trace`` under
+to the next floor tie), ``oracle-gap`` with its defaults and at the
+enumeration bounds (``--upfs 5 --n-max 12 --trials 100 --seed 1``),
+and ``run --trace`` under
 ``bestfit_upf_mec`` on three edits of campus5 that no bundled scenario
 covers: deterministic arrivals, a 300-epoch horizon (epochs past 256
 are past CPython's small-int cache), and a drain cap of 0, which stops
@@ -40,6 +42,9 @@ COMMANDS["compare.campus5"] = ["compare", "--scenario", "campus5", "--seeds", "1
 for name in ("metro", "campus5"):
     COMMANDS[f"capex.{name}"] = ["capex", "--scenario", name, "--pairs", "1-10", "--seeds", "1-2"]
 COMMANDS["capex.metro.wide"] = ["capex", "--scenario", "metro", "--pairs", "25,50", "--seeds", "1-2"]
+COMMANDS["oracle-gap"] = ["oracle-gap"]
+COMMANDS["oracle-gap.bounds"] = ["oracle-gap", "--upfs", "5", "--n-max", "12", "--trials", "100",
+                                 "--seed", "1"]
 # campus5 edits: scenario name -> (section or None, key, value)
 EDITS = {
     "campus5_deterministic": ("traffic", "process", "deterministic"),
