@@ -77,6 +77,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -194,6 +195,13 @@ def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
     return scenario.mecs[j].bytes_per_ue, scenario.link_bandwidth_mbps[i][j] * 1e3
 
 
+@lru_cache(maxsize=256)
+def transit_table(bytes_per_ue: float, bandwidth: float,
+                  delta: float) -> List[Optional[Tuple[float, int]]]:
+    """A link law's one transit table; entry 0, no sharer, is a placeholder no transfer reads."""
+    return [None]
+
+
 def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, int]:
     """``(d_net, transit epochs)`` of a transfer entering link ``k`` as its ``sharers``-th.
 
@@ -201,17 +209,16 @@ def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, in
     which this first extends through ``sharers``: each new entry n is
     ``net_delay`` on n sharers and ``transit_epochs`` of that delay, so each
     is checked once, when it is made.  Both depend only on n, the link's
-    bandwidth and its MEC's bytes per request, read from the scenario, and
-    the run's epoch length, which do not change once a transfer has
-    entered.  Entry 0, an empty link, is a placeholder that no transfer
-    reads.
+    ``link_law`` and the run's epoch length, so the table is that law's
+    (``transit_table``) for the life of the process, which a run takes at
+    the link's first transfer.
     """
     if sharers < 1:
         raise ValueError(f"a transfer entering a link makes >= 1 sharers, got {sharers}")
+    bytes_per_ue, bandwidth = link_law(run.scenario, *divmod(k, run.scenario.num_mecs))
     table = run.link_transit[k]
     if not table:
-        run.link_transit[k] = table = [None]
-    bytes_per_ue, bandwidth = link_law(run.scenario, *divmod(k, run.scenario.num_mecs))
+        run.link_transit[k] = table = transit_table(bytes_per_ue, bandwidth, run.delta)
     for n in range(len(table), sharers + 1):
         d_net = net_delay(n, bytes_per_ue, bandwidth)
         table.append((d_net, transit_epochs(d_net, run.delta)))

@@ -18,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import chain, compress, pairwise
+from itertools import chain, compress, islice, pairwise
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -311,8 +311,11 @@ def _priced(queues: Sequence[ServiceQueue], key: np.ndarray, level: np.ndarray) 
     np.maximum.at(top, key, level)
     for sq, t in zip(queues, top.tolist()):
         sq.fill(t)
-    lengths = np.fromiter((len(sq.table) for sq in queues), np.intp, len(queues))
-    flat = np.fromiter(chain.from_iterable(sq.table for sq in queues), float, int(lengths.sum()))
+    # a table is its law's, and other runs may have filled it far past these
+    # levels: each is read through its top level only
+    lengths = top + 1
+    tables = map(islice, (sq.table for sq in queues), lengths.tolist())
+    flat = np.fromiter(chain.from_iterable(tables), float, int(lengths.sum()))
     return flat[(lengths.cumsum() - lengths)[key] + level]
 
 

@@ -33,6 +33,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 from itertools import chain
 from typing import Deque, Dict, List, Optional, Sequence
 
@@ -227,6 +228,12 @@ class CostVector:
             self.at_floor = price == self.floor
 
 
+@lru_cache(maxsize=256)
+def price_table(capacity: float, delta: float) -> List[float]:
+    """The law ``(capacity, delta)``'s one price table; only ``ServiceQueue.fill`` extends it."""
+    return []
+
+
 @dataclass(slots=True)
 class ServiceQueue:
     """FCFS queue served at `capacity` requests per epoch: a UPF QoS bucket or a MEC.
@@ -234,19 +241,18 @@ class ServiceQueue:
     `queue` holds request ids, the rows of the run's record.  `credit`
     carries a fractional capacity across epochs while the queue stays
     non-empty.  `pending` counts requests assigned here and admitted
-    upstream but not yet arrived, so later assignment decisions see those
-    commitments; only a MEC counts them, so the engine prices a UPF bucket
-    at ``len(queue)``.
+    upstream but not yet arrived, so later decisions see them; only a MEC
+    counts them, so the engine prices a UPF bucket at ``len(queue)``.
 
     `table[q]` is the price of joining at q = ``len(queue) + pending``:
     ``delay.projected_delay(q, capacity, capacity, delta)``, with headroom
     = capacity because service runs after admission in every epoch, so no
-    request is in service while decisions are made.  The capacity and the
-    epoch length `delta` are fixed when the queue is built, and the
-    capacity is checked then (> 0 and finite), so an entry depends on q
-    alone: `fill` computes it, and runs the law's checks, the first time q
-    is reached, and every later price is a read.  A read sends a negative q
-    to `fill`, which rejects it, rather than index the table from its end.
+    request is in service while decisions are made.  The capacity (checked
+    > 0 and finite) and the epoch length `delta` are fixed at build, so the
+    table is their law's (``price_table``) for the life of the process.
+    `fill` makes entry q, a float, with the law's checks, when a queue of
+    the law first reaches q; every later price is a read.  A negative q
+    goes to `fill`, which rejects it, rather than index the table's end.
     """
 
     capacity: float
@@ -255,7 +261,7 @@ class ServiceQueue:
     queue: Deque[int] = field(init=False, default_factory=deque)
     credit: float = field(init=False, default=0.0)
     pending: int = field(init=False, default=0)
-    table: List[float] = field(init=False, default_factory=list)
+    table: List[float] = field(init=False)
     # ceil(capacity), the most one epoch's service may pop
     ceiling: int = field(init=False, default=0, repr=False, compare=False)
 
@@ -263,6 +269,7 @@ class ServiceQueue:
         if not 0.0 < self.capacity < math.inf:
             raise ValueError(f"capacity must be > 0 and finite, got {self.capacity}")
         self.ceiling = math.ceil(self.capacity)
+        self.table = price_table(self.capacity, self.delta)
 
     def price(self) -> float:
         """Projected delay of joining this queue now, ms."""
@@ -275,7 +282,7 @@ class ServiceQueue:
         if q < 0:
             raise ValueError(f"queue_len must be >= 0, got {q}")
         table = self.table
-        c, delta = self.capacity, self.delta
+        c, delta = float(self.capacity), float(self.delta)
         for n in range(len(table), q + 1):
             table.append(projected_delay(n, c, c, delta))
         return table[q]

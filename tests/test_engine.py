@@ -40,6 +40,7 @@ from upfmec.model import (
     Scheme,
     ServiceQueue,
     TrafficSpec,
+    price_table,
 )
 from upfmec.schemes import SCHEMES
 
@@ -603,6 +604,71 @@ def test_links_no_transfer_crosses_keep_no_state(metro):
     assert all(len(run.link_transit[k]) > 1 for k in crossed)
 
 
+def _bestfit_upf_mec_runs(campus5, metro):
+    """campus5 and metro at one pair under ``bestfit_upf_mec``: every tier priced, links crossed."""
+    return [replace(campus5, scheme=Scheme.BESTFIT_UPF_MEC),
+            replace(build_pair_scenario(metro, 1), scheme=Scheme.BESTFIT_UPF_MEC)]
+
+
+def test_a_second_run_of_a_scenario_makes_no_table_entry(campus5, metro, monkeypatch):
+    # price and transit tables are their laws' for the life of the process,
+    # so a rerun reads every price and transit the first run made
+    price_table.cache_clear()
+    engine.transit_table.cache_clear()
+    calls = Counter()
+    fill, law = ServiceQueue.fill, engine.net_delay
+
+    def counted_fill(queue, q):
+        calls["fill"] += len(queue.table) <= q
+        return fill(queue, q)
+
+    def counted_net_delay(*args):
+        calls["net_delay"] += 1
+        return law(*args)
+
+    monkeypatch.setattr(ServiceQueue, "fill", counted_fill)
+    monkeypatch.setattr(engine, "net_delay", counted_net_delay)
+    scenarios = _bestfit_upf_mec_runs(campus5, metro)
+    for s in scenarios:
+        run_to_completion(s)
+    assert calls["fill"] > 0 and calls["net_delay"] > 0
+    calls.clear()
+    for s in scenarios:
+        run = run_to_completion(s)
+        assert any(d is not UNSET for d in run.d_net)
+    assert calls == Counter()
+
+
+def test_records_are_the_same_cold_and_warm(campus5, metro):
+    price_table.cache_clear()
+    engine.transit_table.cache_clear()
+    scenarios = _bestfit_upf_mec_runs(campus5, metro)
+    cold = [run_to_completion(s) for s in scenarios]
+
+    def tables(run):
+        queues = [b for u in run.upfs for b in u.values()] + run.mecs
+        return [sq.table for sq in queues] + [t for t in run.link_transit if t]
+
+    reached = [list(map(len, tables(run))) for run in cold]
+    # runs of the same laws at three times the load, with no queue caps,
+    # lengthen the tables
+    for s in scenarios:
+        rate = 3 * s.traffic.mean_arrivals_per_epoch
+        run_to_completion(replace(
+            s, seed=s.seed + 1, traffic=replace(s.traffic, mean_arrivals_per_epoch=rate),
+            upfs=[replace(u, queue_cap=None) for u in s.upfs],
+            mecs=[replace(m, queue_cap=None) for m in s.mecs]))
+    for run, lengths in zip(cold, reached):
+        grown = [len(t) > n for t, n in zip(tables(run), lengths)]
+        assert sum(grown) > len(grown) // 2
+    warm = [run_to_completion(s) for s in scenarios]
+    for a, b in zip(cold, warm):
+        for column in COLUMNS:
+            assert getattr(a, column) == getattr(b, column), column
+        assert a.epoch_reports == b.epoch_reports
+        assert repr(summarize(a)) == repr(summarize(b))
+
+
 def test_horizon_zero_is_an_empty_run():
     res = run_to_completion(make_scenario(lam=5.0, horizon=0))
     assert res.generated == 0 and res.epoch == 0 and not res.truncated
@@ -803,12 +869,13 @@ def test_pending_commitments_fully_drain(metro):
 
 def test_a_negative_queue_length_is_never_a_table_index():
     # admission to MEC 1 makes q = 0 + (-2 + 1) = -1; the inline read must
-    # reject it, not read the table's last entry (the price of q = 0 here);
-    # only a scheme that reads the MEC vector reprices MEC 1
+    # reject it, not read the table's last entry, which is a price: pricing
+    # MEC 1 at build made entry 0, and other runs of its law may have made
+    # more; only a scheme that reads the MEC vector reprices MEC 1
     run = SimulationRun(make_scenario(num_upfs=1, lam=8.0, seed=1,
                                       scheme=Scheme.BESTFIT_UPF_MEC))
     mec = run.mecs[0]
-    assert not mec.queue and mec.table == [run.delta]
+    assert not mec.queue and mec.table[0] == run.delta
     mec.pending = -2
     with pytest.raises(ValueError, match="queue_len must be >= 0"):
         run.step_epoch()

@@ -39,7 +39,14 @@ from upfmec.metrics import (
     write_summary_json,
     write_trace_csv,
 )
-from upfmec.model import QOS_BY_CODE, InvariantError, QosClass, RequestStatus, Scheme
+from upfmec.model import (
+    QOS_BY_CODE,
+    InvariantError,
+    QosClass,
+    RequestStatus,
+    Scheme,
+    price_table,
+)
 
 from conftest import append_row, make_scenario, small_scenarios
 
@@ -408,6 +415,20 @@ def test_campus5_projections_equal_the_per_row_composition(campus5, metro, schem
     assert_projections_are_the_composition(run_to_completion(scenario))
 
 
+@pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.BESTFIT_UPF_MEC])
+def test_decision_inputs_ignore_table_entries_past_the_run(campus5, scheme):
+    # a price table is its law's, so other runs may have made entries far
+    # past the levels this run met: the derived inputs read the same
+    price_table.cache_clear()
+    run = run_to_completion(replace(campus5, scheme=scheme))
+    cold = decision_inputs(RunView(run))
+    for sq in [b for u in run.upfs for b in u.values()] + run.mecs:
+        sq.fill(len(sq.table) + 500)
+    warm = decision_inputs(RunView(run))
+    for a, b in zip(cold, warm):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("stamps, message", [
     # request 1 served one epoch before it arrived: the view's stage-order
     # guard refuses it before its bucket's length (-1) is derived
@@ -452,8 +473,10 @@ def _one_regular_request_per_epoch():
     """A baseline run of one regular request per epoch, each served in the epoch it arrives.
 
     Its one bucket has a stated cap of 2, and ``baseline`` prices nothing,
-    so the bucket's price table is empty until ``decision_inputs`` fills it.
+    so, run after the price tables are cleared, the bucket's price table is
+    empty until ``decision_inputs`` fills it.
     """
+    price_table.cache_clear()
     regular = dict.fromkeys(QosClass, 0.0) | {QosClass.REGULAR: 1.0}
     run = run_to_completion(make_scenario(num_upfs=1, lam=1.0, horizon=3, qos_mix=regular,
                                           upf_queue_cap=2))

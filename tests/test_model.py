@@ -23,6 +23,7 @@ from upfmec.model import (
     ServiceQueue,
     TrafficSpec,
     load_scenario,
+    price_table,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -453,8 +454,9 @@ def test_queue_capacity_is_checked_once_at_build(capacity):
     data=st.data(),
 )
 def test_price_is_the_checked_law_at_full_headroom(capacity, delta, data):
-    # every entry is the law's own value, whatever order the table fills in;
-    # the q drawn cover both sides of ceil(c) - 1, where the law changes branch
+    # every entry is the law's own value, whatever order the table fills in
+    # and whatever earlier examples of the law made; the q drawn cover both
+    # sides of ceil(c) - 1, where the law changes branch
     sq = ServiceQueue(capacity, 1000, delta)
     edge = math.ceil(capacity) - 1
     near = st.integers(max(0, edge - 2), edge + 2)
@@ -468,7 +470,25 @@ def test_price_is_the_checked_law_at_full_headroom(capacity, delta, data):
         got = sq.price()
         assert got == expected and type(got) is float
         assert sq.table[q] == expected and type(sq.table[q]) is float
-    assert sq.table == [projected_delay(n, capacity, capacity, delta) for n in range(max(qs) + 1)]
+    assert len(sq.table) > max(qs) and all(type(p) is float for p in sq.table)
+    assert sq.table == [projected_delay(n, capacity, capacity, delta)
+                        for n in range(len(sq.table))]
+
+
+def test_a_law_shares_one_price_table_of_floats():
+    # capacity 5 and 5.0 are one law, so their queues share its one table;
+    # its entries are the law's floats whichever queue made them, an int
+    # epoch length included
+    price_table.cache_clear()
+    a, b = ServiceQueue(5, 10, 1), ServiceQueue(5.0, 3, 1.0)
+    assert a.table is b.table is price_table(5.0, 1.0)
+    assert ServiceQueue(5.0, 10, 0.5).table is not a.table
+    a.fill(8)
+    b.fill(12)
+    assert a.table == [projected_delay(n, 5.0, 5.0, 1.0) for n in range(len(a.table))]
+    assert len(a.table) > 12 and all(type(p) is float for p in a.table)
+    # the memo of tables is bounded
+    assert price_table.cache_info().maxsize is not None
 
 
 def test_price_still_checks_the_queue_length():
