@@ -29,18 +29,19 @@ vector is priced when the run is built and then repriced only where a
 queue changes: an admission reprices the bucket and the MEC it touched,
 and each queue is repriced after its service, which for a MEC follows
 every change the link phase makes to it (a drop at its door lowers
-``pending``, but only when its queue is full).  A repricing reads the
-table inline, a MEC at ``len(queue) + pending`` and a UPF bucket at
-``len(queue)`` (only MECs count ``pending``, under every scheme), and
-writes only a moved price: a kept vector equals a fresh pricing.  Each
-write is one of the vector's two monotone writes, since a price table
-never falls as its queue grows: an admission joins the queue its scheme
-chose, the vector's best, so it is ``raise_best``; a served queue, or a
-MEC whose door drops lowered ``pending``, only got shorter, so it is
-``lower``.  Each vector's floor is the run's ``delta``, the price of a
-queue below its headroom and the least any queue can have, so raising a
-best priced at ``delta`` moves best to the next entry at ``delta``, if
-one is left, without a rescan.  Only ``step_epoch`` changes a run.
+``pending``, but only when its queue is full).  A repricing is one
+subscript of the table, a MEC at ``len(queue) + pending`` and a UPF
+bucket at ``len(queue)`` (only MECs count ``pending``, under every
+scheme), and writes only a moved price: a kept vector equals a fresh
+pricing.  Each write is one of the vector's two monotone writes, since a
+price table never falls as its queue grows: an admission joins the queue
+its scheme chose, the vector's best, so it is ``raise_best``; a served
+queue, or a MEC whose door drops lowered ``pending``, only got shorter,
+so it is ``lower``.  Each vector's floor is the run's ``delta``, the
+price of a queue below its headroom and the least any queue can have, so
+raising a best priced at ``delta`` moves best to the next entry at
+``delta``, if one is left, without a rescan.  Only ``step_epoch``
+changes a run.
 
 A request's record holds its decision (``assigned_upf``,
 ``assigned_mec``), the epochs at which the UPF and the MEC served it, its
@@ -62,8 +63,8 @@ an epoch keeps no snapshot of its queues
 (``metrics.RunView.queue_lengths`` derives every end-of-epoch length
 from the record).  The values that cannot change after the run is built
 are checked once: the scenario by ``validate_scenario``, each capacity
-by its ``ServiceQueue`` and each link delay by ``transit_entry``, when
-it makes the table entry.
+by its ``ServiceQueue`` and each link delay by its law in
+``transit_table``, when it makes the table entry.
 
 A finished run counts where its requests are: those in UPF and MEC queues
 and in the delivery calendar must number exactly the ``residual`` that
@@ -79,7 +80,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate, compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,6 +89,7 @@ from .model import (
     QOS_BY_CODE,
     CostVector,
     InvariantError,
+    LawTable,
     QosClass,
     Scenario,
     ScenarioError,
@@ -196,33 +198,15 @@ def link_law(scenario: Scenario, i: int, j: int) -> Tuple[float, float]:
 
 
 @lru_cache(maxsize=256)
-def transit_table(bytes_per_ue: float, bandwidth: float,
-                  delta: float) -> List[Optional[Tuple[float, int]]]:
-    """A link law's one transit table; entry 0, no sharer, is a placeholder no transfer reads."""
-    return [None]
-
-
-def transit_entry(run: "SimulationRun", k: int, sharers: int) -> Tuple[float, int]:
-    """``(d_net, transit epochs)`` of a transfer entering link ``k`` as its ``sharers``-th.
-
-    The entry is read from the link's transit table ``run.link_transit[k]``,
-    which this first extends through ``sharers``: each new entry n is
-    ``net_delay`` on n sharers and ``transit_epochs`` of that delay, so each
-    is checked once, when it is made.  Both depend only on n, the link's
-    ``link_law`` and the run's epoch length, so the table is that law's
-    (``transit_table``) for the life of the process, which a run takes at
-    the link's first transfer.
-    """
-    if sharers < 1:
-        raise ValueError(f"a transfer entering a link makes >= 1 sharers, got {sharers}")
-    bytes_per_ue, bandwidth = link_law(run.scenario, *divmod(k, run.scenario.num_mecs))
-    table = run.link_transit[k]
-    if not table:
-        run.link_transit[k] = table = transit_table(bytes_per_ue, bandwidth, run.delta)
-    for n in range(len(table), sharers + 1):
+def transit_table(bytes_per_ue: float, bandwidth: float, delta: float) -> LawTable:
+    """A link law's one transit table: ``net_delay`` on n >= 1 sharers and its transit epochs."""
+    def law(n: int) -> Tuple[float, int]:
+        if n < 1:
+            raise ValueError(f"a transfer entering a link makes >= 1 sharers, got {n}")
         d_net = net_delay(n, bytes_per_ue, bandwidth)
-        table.append((d_net, transit_epochs(d_net, run.delta)))
-    return table[sharers]
+        return d_net, transit_epochs(d_net, delta)
+
+    return LawTable(law)
 
 
 @dataclass
@@ -260,9 +244,10 @@ class SimulationRun:
     have arrived, as the epoch reports do; only the first ``generated``
     rows are read.  No column holds the arrival epoch or the due epoch
     (``metrics.RunView``).
-    Each link's sharer count and transit table are ``link_sharers[k]`` and
-    ``link_transit[k]``: link (i, j) of M MECs has index k = (i - 1) * M +
-    (j - 1), which sorts as the key (i, j) does.  ``peak_upf_queue`` and
+    Each link's sharer count and transit table (None until its first
+    transfer) are ``link_sharers[k]`` and ``link_transit[k]``: link (i, j)
+    of M MECs has index k = (i - 1) * M + (j - 1), which sorts as the key
+    (i, j) does.  ``peak_upf_queue`` and
     ``peak_mec_queue`` are the longest UPF bucket and MEC queue left after
     any epoch's service so far (0 before any): a queue the epoch does not
     serve is empty, and nothing after its service changes a queue in the
@@ -298,7 +283,7 @@ class SimulationRun:
         # each link's sharer count and transit table, by link index
         num_links = scenario.num_upfs * scenario.num_mecs
         self.link_sharers: List[int] = [0] * num_links
-        self.link_transit: List[Sequence[Optional[Tuple[float, int]]]] = [()] * num_links
+        self.link_transit: List[Optional[LawTable]] = [None] * num_links
         # the delivery calendar: due epoch -> link index -> the ids on that
         # link due then, in link-entry order; requests enter links only in the
         # UPF service loop of step_epoch
@@ -323,10 +308,10 @@ class SimulationRun:
         self.mec_cost = CostVector([m.price() for m in self.mecs], delta) if reads_mec else None
         # what admission reads of a request's class, by class code: the class,
         # its cost vector and prices (None if unread), and per UPF index the
-        # class's bucket, the bucket's deque, queue cap and price table
+        # class's bucket's deque, queue cap and price table
         self._admission = tuple(
             (q, self.upf_cost[q], self.upf_cost[q] and self.upf_cost[q].prices,
-             tuple((u[q], u[q].queue, u[q].queue_cap, u[q].table) for u in self.upfs))
+             tuple((u[q].queue, u[q].queue_cap, u[q].table) for u in self.upfs))
             for q in QOS_BY_CODE
         )
         # UPF buckets in service order (UPF-major, class-minor), each with
@@ -385,15 +370,14 @@ class SimulationRun:
             assigned_upf[rid] = upf_id
             assigned_mec[rid] = mec_id
             i = upf_id - 1
-            bucket, queue, queue_cap, table = buckets[i]
+            queue, queue_cap, table = buckets[i]
             if len(queue) >= queue_cap:
                 drop[rid] = 1
                 dropped_now += 1
             else:
                 queue.append(rid)
                 if cost is not None:
-                    q = len(queue)
-                    p = table[q] if q < len(table) else bucket.fill(q)
+                    p = table[len(queue)]
                     if p != prices[i]:
                         cost.raise_best(p)
                 admitted += 1
@@ -401,9 +385,7 @@ class SimulationRun:
                     mec = mecs[mec_id - 1]
                     mec.pending = pending = mec.pending + 1
                     if mec_cost is not None:
-                        q = len(mec.queue) + pending
-                        table = mec.table
-                        p = table[q] if 0 <= q < len(table) else mec.fill(q)
+                        p = mec.table[len(mec.queue) + pending]
                         if p != mec_prices[mec_id - 1]:
                             mec_cost.raise_best(p)
 
@@ -430,10 +412,11 @@ class SimulationRun:
                     # already on it: its sharers are counted after it joins
                     link_sharers[k] = sharers = link_sharers[k] + 1
                     table = link_transit[k]
-                    d_net[rid], transit = (
-                        table[sharers] if sharers < len(table)
-                        else transit_entry(self, k, sharers)
-                    )
+                    if table is None:
+                        # the link's first transfer binds its law's table
+                        link_transit[k] = table = transit_table(
+                            *link_law(self.scenario, *divmod(k, num_mecs)), self.delta)
+                    d_net[rid], transit = table[sharers]
                     day = calendar[epoch + transit]
                     on_link = day.get(k)
                     if on_link is None:
@@ -444,8 +427,7 @@ class SimulationRun:
             if q > peak:
                 peak = q
             if cost is not None:
-                table = bucket.table
-                p = table[q] if q < len(table) else bucket.fill(q)
+                p = bucket.table[q]
                 if p != cost.prices[idx]:
                     cost.lower(idx, p)
             served_upf += n
@@ -488,9 +470,7 @@ class SimulationRun:
             if left > peak:
                 peak = left
             if mec_cost is not None:
-                q = left + m.pending
-                table = m.table
-                p = table[q] if 0 <= q < len(table) else m.fill(q)
+                p = m.table[left + m.pending]
                 if p != mec_prices[j]:
                     mec_cost.lower(j, p)
             served_mec += n

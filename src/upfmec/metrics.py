@@ -18,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import chain, compress, islice, pairwise
+from itertools import chain, compress, pairwise
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -306,15 +306,15 @@ def _held(key: np.ndarray, arrival: np.ndarray, joined: np.ndarray, join_at: np.
 
 
 def _priced(queues: Sequence[ServiceQueue], key: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Entry ``level`` (>= 0) of ``queues[key]``'s price table, filled that far, for each row."""
+    """Entry ``level`` (>= 0) of ``queues[key]``'s price table for each row.
+
+    Each table is read through its queue's top level only: other runs of
+    its law may have made entries past it.
+    """
     top = np.zeros(len(queues), np.int64)
     np.maximum.at(top, key, level)
-    for sq, t in zip(queues, top.tolist()):
-        sq.fill(t)
-    # a table is its law's, and other runs may have filled it far past these
-    # levels: each is read through its top level only
     lengths = top + 1
-    tables = map(islice, (sq.table for sq in queues), lengths.tolist())
+    tables = (map(sq.table.__getitem__, range(n)) for sq, n in zip(queues, lengths.tolist()))
     flat = np.fromiter(chain.from_iterable(tables), float, int(lengths.sum()))
     return flat[(lengths.cumsum() - lengths)[key] + level]
 

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from itertools import chain
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 import yaml
 
@@ -228,10 +228,29 @@ class CostVector:
             self.at_floor = price == self.floor
 
 
+class LawTable(dict):
+    """A law's values by key, each made by the law when first read.
+
+    ``table[n]`` is ``law(n)``: a missing key runs the law, which checks
+    its argument, and stores what it returns, so a refused key leaves no
+    entry and every later read of a stored one is a dict lookup.
+    """
+
+    __slots__ = ("law",)
+
+    def __init__(self, law: Callable[[int], Any]) -> None:
+        self.law = law
+
+    def __missing__(self, n: int) -> Any:
+        self[n] = value = self.law(n)
+        return value
+
+
 @lru_cache(maxsize=256)
-def price_table(capacity: float, delta: float) -> List[float]:
-    """The law ``(capacity, delta)``'s one price table; only ``ServiceQueue.fill`` extends it."""
-    return []
+def price_table(capacity: float, delta: float) -> LawTable:
+    """The law ``(capacity, delta)``'s one price table: ``projected_delay(q, c, c, delta)`` by q."""
+    c, delta = float(capacity), float(delta)
+    return LawTable(lambda q: projected_delay(q, c, c, delta))
 
 
 @dataclass(slots=True)
@@ -250,9 +269,9 @@ class ServiceQueue:
     request is in service while decisions are made.  The capacity (checked
     > 0 and finite) and the epoch length `delta` are fixed at build, so the
     table is their law's (``price_table``) for the life of the process.
-    `fill` makes entry q, a float, with the law's checks, when a queue of
-    the law first reaches q; every later price is a read.  A negative q
-    goes to `fill`, which rejects it, rather than index the table's end.
+    The table makes entry q, a float, with the law's checks, when a queue
+    of the law is first priced at q; every later price is a lookup.  The
+    law refuses a negative q, so it makes no entry.
     """
 
     capacity: float
@@ -261,7 +280,7 @@ class ServiceQueue:
     queue: Deque[int] = field(init=False, default_factory=deque)
     credit: float = field(init=False, default=0.0)
     pending: int = field(init=False, default=0)
-    table: List[float] = field(init=False)
+    table: LawTable = field(init=False)
     # ceil(capacity), the most one epoch's service may pop
     ceiling: int = field(init=False, default=0, repr=False, compare=False)
 
@@ -273,19 +292,7 @@ class ServiceQueue:
 
     def price(self) -> float:
         """Projected delay of joining this queue now, ms."""
-        q = len(self.queue) + self.pending
-        table = self.table
-        return table[q] if 0 <= q < len(table) else self.fill(q)
-
-    def fill(self, q: int) -> float:
-        """Extend the table through entry q and return that entry."""
-        if q < 0:
-            raise ValueError(f"queue_len must be >= 0, got {q}")
-        table = self.table
-        c, delta = float(self.capacity), float(self.delta)
-        for n in range(len(table), q + 1):
-            table.append(projected_delay(n, c, c, delta))
-        return table[q]
+        return self.table[len(self.queue) + self.pending]
 
     def serve(self) -> int:
         """This epoch's service, up to int(credit + capacity) requests: how many to pop.

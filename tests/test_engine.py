@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfmec import engine
+from upfmec import engine, model
 from upfmec.delay import net_delay, projected_delay, transit_epochs
 from upfmec.engine import (
     UNBOUNDED,
@@ -38,7 +38,6 @@ from upfmec.model import (
     RequestStatus,
     ScenarioError,
     Scheme,
-    ServiceQueue,
     TrafficSpec,
     price_table,
 )
@@ -558,35 +557,86 @@ def test_deliveries_go_in_link_key_order_then_entry_order(monkeypatch):
 @pytest.mark.parametrize("delta", [0.37, 0.5, 1.0, 2.0])
 def test_transit_tables_equal_fresh_transit_calls(delta):
     rng = np.random.default_rng(int(delta * 100))
-    s = make_scenario(num_upfs=2, num_mecs=3, scheme=Scheme.BESTFIT_UPF_MEC, delta=delta)
+    s = make_scenario(num_upfs=2, num_mecs=3, scheme=Scheme.BESTFIT_UPF_MEC, delta=delta,
+                      lam=6.0, process="poisson")
     for m in s.mecs:
         m.bytes_per_ue = float(rng.uniform(64.0, 9000.0))
     s.link_bandwidth_mbps = [[float(rng.uniform(1.0, 500.0)) for _ in range(3)] for _ in range(2)]
+    engine.transit_table.cache_clear()
     run = SimulationRun(s)
     # a link that carries no transfer has no table
-    assert run.link_transit == [()] * 6
+    assert run.link_transit == [None] * 6
     # link k's bytes per request (its MEC's) and bandwidth in bits per ms
     laws = [(s.mecs[j].bytes_per_ue, s.link_bandwidth_mbps[i][j] * 1e3)
             for i in range(2) for j in range(3)]
+    assert laws == [engine.link_law(s, *divmod(k, 3)) for k in range(6)]
+    tables = [engine.transit_table(*law, run.delta) for law in laws]
     top = 12
-    for k, law in enumerate(laws):
+    for table, law in zip(tables, laws):
         # entries made in an arbitrary order of first use, the first at 5 sharers
         order = [5, *(int(n) for n in rng.permutation([n for n in range(1, top + 1) if n != 5]))]
         for n in order:
             d = net_delay(n, *law)
-            assert engine.transit_entry(run, k, n) == (d, transit_epochs(d, delta))
-    # every link keeps its own table
-    for k, law in enumerate(laws):
+            assert table[n] == (d, transit_epochs(d, delta))
+    # every link law keeps its own table
+    assert len(set(map(id, tables))) == 6
+    for table, law in zip(tables, laws):
+        assert sorted(table) == list(range(1, top + 1))
         for n in range(1, top + 1):
             d = net_delay(n, *law)
-            assert run.link_transit[k][n] == (d, transit_epochs(d, delta))
+            assert table[n] == (d, transit_epochs(d, delta))
     with pytest.raises(ValueError, match=">= 1 sharers"):
-        engine.transit_entry(run, 0, 0)
+        tables[0][0]
+    # a run binds each crossed link to its law's table at its first transfer
+    run.run()
+    assert any(run.link_transit)
+    assert all(t is None or t is tables[k] for k, t in enumerate(run.link_transit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.floats(1e-3, 1e3) | st.integers(1, 40),
+    delta=st.floats(1e-3, 1e3) | st.sampled_from([0.37, 1, 1.0, 2.0]),
+    bytes_per_ue=st.floats(1.0, 1e4),
+    bandwidth=st.floats(1.0, 1e6),
+    levels=st.lists(st.integers(-3, 60), min_size=1, max_size=40),
+    sharers=st.lists(st.integers(-2, 60), min_size=1, max_size=40),
+)
+def test_a_fresh_table_reads_its_law_at_every_key(capacity, delta, bytes_per_ue, bandwidth,
+                                                  levels, sharers):
+    # fresh tables, outside their memos, read in a random key order with
+    # repeats: each read is the law called directly, bit for bit and in
+    # type, and a refused key raises the law's error and makes no entry
+    prices = price_table.__wrapped__(capacity, delta)
+    transits = engine.transit_table.__wrapped__(bytes_per_ue, bandwidth, delta)
+    c, d = float(capacity), float(delta)
+    for q in levels:
+        size = len(prices)
+        if q < 0:
+            with pytest.raises(ValueError, match="queue_len and headroom must be >= 0"):
+                prices[q]
+            assert len(prices) == size
+        else:
+            got = prices[q]
+            assert type(got) is float and got.hex() == projected_delay(q, c, c, d).hex()
+    for n in sharers:
+        size = len(transits)
+        if n < 1:
+            with pytest.raises(ValueError, match=">= 1 sharers"):
+                transits[n]
+            assert len(transits) == size
+        else:
+            d_net, epochs = transits[n]
+            want = net_delay(n, bytes_per_ue, bandwidth)
+            assert type(d_net) is float and d_net.hex() == want.hex()
+            assert type(epochs) is int and epochs == transit_epochs(want, delta)
+    assert prices.keys() == {q for q in levels if q >= 0}
+    assert transits.keys() == {n for n in sharers if n >= 1}
 
 
 def test_links_no_transfer_crosses_keep_no_state(metro):
     # at 50 pairs under bestfit_upf_mec the load lands on a few pairs, and
-    # each of the other links stays a zero count and the shared empty table
+    # each of the other links stays a zero count with no table
     s = replace(build_pair_scenario(metro, 50), scheme=Scheme.BESTFIT_UPF_MEC, horizon_epochs=20)
     run = run_to_completion(s)
     assert not run.truncated
@@ -598,10 +648,8 @@ def test_links_no_transfer_crosses_keep_no_state(metro):
     }
     assert 0 < len(crossed) < 2500
     assert run.link_sharers == [0] * 2500
-    idle = [run.link_transit[k] for k in range(2500) if k not in crossed]
-    assert all(table == () for table in idle)
-    assert len(set(map(id, idle))) == 1
-    assert all(len(run.link_transit[k]) > 1 for k in crossed)
+    assert all(run.link_transit[k] is None for k in range(2500) if k not in crossed)
+    assert all(len(run.link_transit[k]) >= 1 for k in crossed)
 
 
 def _bestfit_upf_mec_runs(campus5, metro):
@@ -616,22 +664,22 @@ def test_a_second_run_of_a_scenario_makes_no_table_entry(campus5, metro, monkeyp
     price_table.cache_clear()
     engine.transit_table.cache_clear()
     calls = Counter()
-    fill, law = ServiceQueue.fill, engine.net_delay
+    price_law, link_law = model.projected_delay, engine.net_delay
 
-    def counted_fill(queue, q):
-        calls["fill"] += len(queue.table) <= q
-        return fill(queue, q)
+    def counted_projected_delay(*args):
+        calls["projected_delay"] += 1
+        return price_law(*args)
 
     def counted_net_delay(*args):
         calls["net_delay"] += 1
-        return law(*args)
+        return link_law(*args)
 
-    monkeypatch.setattr(ServiceQueue, "fill", counted_fill)
+    monkeypatch.setattr(model, "projected_delay", counted_projected_delay)
     monkeypatch.setattr(engine, "net_delay", counted_net_delay)
     scenarios = _bestfit_upf_mec_runs(campus5, metro)
     for s in scenarios:
         run_to_completion(s)
-    assert calls["fill"] > 0 and calls["net_delay"] > 0
+    assert calls["projected_delay"] > 0 and calls["net_delay"] > 0
     calls.clear()
     for s in scenarios:
         run = run_to_completion(s)
@@ -647,7 +695,7 @@ def test_records_are_the_same_cold_and_warm(campus5, metro):
 
     def tables(run):
         queues = [b for u in run.upfs for b in u.values()] + run.mecs
-        return [sq.table for sq in queues] + [t for t in run.link_transit if t]
+        return [sq.table for sq in queues] + [t for t in run.link_transit if t is not None]
 
     reached = [list(map(len, tables(run))) for run in cold]
     # runs of the same laws at three times the load, with no queue caps,
@@ -835,10 +883,16 @@ def test_queue_series_hold_one_entry_per_epoch(metro, scheme):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_a_run_reprices_only_the_tiers_its_scheme_reads(campus5, scheme, monkeypatch):
-    # baseline reprices nothing once built, the UPF-only bestfits never a MEC
+    # baseline reprices nothing once built, the UPF-only bestfits never a MEC;
+    # with the price tables cleared, a tier repriced past its build-time
+    # lengths calls its law, told apart by capacity (campus5's UPF buckets
+    # and MECs share none)
+    price_table.cache_clear()
     run = SimulationRun(replace(campus5, scheme=scheme, horizon_epochs=20, seed=1))
+    mec_capacities = {m.capacity for m in run.mecs}
+    assert mec_capacities.isdisjoint(b.capacity for u in run.upfs for b in u.values())
     calls = Counter()
-    raise_best, lower, fill = CostVector.raise_best, CostVector.lower, ServiceQueue.fill
+    raise_best, lower, law = CostVector.raise_best, CostVector.lower, model.projected_delay
 
     def counted_raise_best(cost, price):
         calls["mec" if cost is run.mec_cost else "upf"] += 1
@@ -848,16 +902,17 @@ def test_a_run_reprices_only_the_tiers_its_scheme_reads(campus5, scheme, monkeyp
         calls["mec" if cost is run.mec_cost else "upf"] += 1
         lower(cost, i, price)
 
-    def counted_fill(queue, q):
-        calls["mec" if any(queue is m for m in run.mecs) else "upf"] += 1
-        return fill(queue, q)
+    def counted_projected_delay(q, headroom, capacity, delta):
+        calls["mec law" if capacity in mec_capacities else "upf law"] += 1
+        return law(q, headroom, capacity, delta)
 
     monkeypatch.setattr(CostVector, "raise_best", counted_raise_best)
     monkeypatch.setattr(CostVector, "lower", counted_lower)
-    monkeypatch.setattr(ServiceQueue, "fill", counted_fill)
+    monkeypatch.setattr(model, "projected_delay", counted_projected_delay)
     run.run()
     _, reads_upf, reads_mec = SCHEMES[scheme.value]
     assert (calls["upf"] > 0, calls["mec"] > 0) == (reads_upf, reads_mec)
+    assert (calls["upf law"] > 0, calls["mec law"] > 0) == (reads_upf, reads_mec)
 
 
 def test_pending_commitments_fully_drain(metro):
@@ -868,17 +923,18 @@ def test_pending_commitments_fully_drain(metro):
 
 
 def test_a_negative_queue_length_is_never_a_table_index():
-    # admission to MEC 1 makes q = 0 + (-2 + 1) = -1; the inline read must
-    # reject it, not read the table's last entry, which is a price: pricing
-    # MEC 1 at build made entry 0, and other runs of its law may have made
-    # more; only a scheme that reads the MEC vector reprices MEC 1
+    # admission to MEC 1 makes q = 0 + (-2 + 1) = -1; the table's law must
+    # refuse it and make no entry: pricing MEC 1 at build made entry 0, and
+    # other runs of its law may have made more; only a scheme that reads
+    # the MEC vector reprices MEC 1
     run = SimulationRun(make_scenario(num_upfs=1, lam=8.0, seed=1,
                                       scheme=Scheme.BESTFIT_UPF_MEC))
     mec = run.mecs[0]
     assert not mec.queue and mec.table[0] == run.delta
     mec.pending = -2
-    with pytest.raises(ValueError, match="queue_len must be >= 0"):
+    with pytest.raises(ValueError, match="queue_len and headroom must be >= 0"):
         run.step_epoch()
+    assert -1 not in mec.table
 
 
 def live_lengths(run: SimulationRun) -> tuple:

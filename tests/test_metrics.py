@@ -423,7 +423,8 @@ def test_decision_inputs_ignore_table_entries_past_the_run(campus5, scheme):
     run = run_to_completion(replace(campus5, scheme=scheme))
     cold = decision_inputs(RunView(run))
     for sq in [b for u in run.upfs for b in u.values()] + run.mecs:
-        sq.fill(len(sq.table) + 500)
+        for q in range(max(sq.table, default=0) + 500):
+            sq.table[q]
     warm = decision_inputs(RunView(run))
     for a, b in zip(cold, warm):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -473,14 +474,14 @@ def _one_regular_request_per_epoch():
     """A baseline run of one regular request per epoch, each served in the epoch it arrives.
 
     Its one bucket has a stated cap of 2, and ``baseline`` prices nothing,
-    so, run after the price tables are cleared, the bucket's price table is
-    empty until ``decision_inputs`` fills it.
+    so, run after the price tables are cleared, the bucket's price table
+    holds no entry until ``decision_inputs`` reads it.
     """
     price_table.cache_clear()
     regular = dict.fromkeys(QosClass, 0.0) | {QosClass.REGULAR: 1.0}
     run = run_to_completion(make_scenario(num_upfs=1, lam=1.0, horizon=3, qos_mix=regular,
                                           upf_queue_cap=2))
-    assert run.upf_serve_epoch == [0, 1, 2] and run.upfs[0][QosClass.REGULAR].table == []
+    assert run.upf_serve_epoch == [0, 1, 2] and not run.upfs[0][QosClass.REGULAR].table
     return run
 
 

@@ -470,9 +470,9 @@ def test_price_is_the_checked_law_at_full_headroom(capacity, delta, data):
         got = sq.price()
         assert got == expected and type(got) is float
         assert sq.table[q] == expected and type(sq.table[q]) is float
-    assert len(sq.table) > max(qs) and all(type(p) is float for p in sq.table)
-    assert sq.table == [projected_delay(n, capacity, capacity, delta)
-                        for n in range(len(sq.table))]
+    assert set(qs) <= sq.table.keys()
+    assert all(type(p) is float and p == projected_delay(n, capacity, capacity, delta)
+               for n, p in sq.table.items())
 
 
 def test_a_law_shares_one_price_table_of_floats():
@@ -483,10 +483,12 @@ def test_a_law_shares_one_price_table_of_floats():
     a, b = ServiceQueue(5, 10, 1), ServiceQueue(5.0, 3, 1.0)
     assert a.table is b.table is price_table(5.0, 1.0)
     assert ServiceQueue(5.0, 10, 0.5).table is not a.table
-    a.fill(8)
-    b.fill(12)
-    assert a.table == [projected_delay(n, 5.0, 5.0, 1.0) for n in range(len(a.table))]
-    assert len(a.table) > 12 and all(type(p) is float for p in a.table)
+    for sq, top in ((a, 8), (b, 12)):
+        for q in range(top + 1):
+            sq.pending = q
+            sq.price()
+    assert a.table == {n: projected_delay(n, 5.0, 5.0, 1.0) for n in range(13)}
+    assert all(type(p) is float for p in a.table.values())
     # the memo of tables is bounded
     assert price_table.cache_info().maxsize is not None
 
@@ -495,9 +497,11 @@ def test_price_still_checks_the_queue_length():
     sq = ServiceQueue(2.0, 4, 1.0)
     sq.price()
     sq.pending = -1
-    # the table holds entry 0, so an unguarded read of table[-1] would return it
-    with pytest.raises(ValueError, match="queue_len must be >= 0"):
+    # the table holds entry 0; its law refuses -1 and makes no entry
+    size = len(sq.table)
+    with pytest.raises(ValueError, match="queue_len and headroom must be >= 0"):
         sq.price()
+    assert -1 not in sq.table and len(sq.table) == size
 
 
 def test_serve_refuses_more_than_ceil_capacity():

@@ -9,11 +9,15 @@ on campus5 and metro under each of the four schemes with seeds 1-3,
 to the next floor tie), ``oracle-gap`` with its defaults and at the
 enumeration bounds (``--upfs 5 --n-max 12 --trials 100 --seed 1``),
 and ``run --trace`` under
-``bestfit_upf_mec`` on three edits of campus5 that no bundled scenario
-covers: deterministic arrivals, a 300-epoch horizon (epochs past 256
-are past CPython's small-int cache), and a drain cap of 0, which stops
-the run at its horizon with requests in UPF queues, on links and in MEC
-queues.  Each command goes into a directory
+``baseline`` and ``bestfit_upf_mec`` on four edits of campus5 that no
+bundled scenario covers: deterministic arrivals, a 300-epoch horizon
+(epochs past 256 are past CPython's small-int cache), a drain cap of 0,
+which stops the run at its horizon with requests in UPF queues, on links
+and in MEC queues, and an epoch length of 0.37 ms, where prices scale
+with it and transits round up past one epoch (every other command runs
+at 1 ms).  ``baseline`` prices no queue while it runs, so its traces'
+projections come from ``metrics`` alone.  That makes 38 commands and
+214 files.  Each command goes into a directory
 of its own, and the command's standard output, with that directory's path
 cut out, is kept beside its files.  A bundled scenario is read from each
 tree's own package; the edits are written as YAML from A's campus5
@@ -50,6 +54,7 @@ EDITS = {
     "campus5_deterministic": ("traffic", "process", "deterministic"),
     "campus5_h300": (None, "horizon_epochs", 300),
     "campus5_undrained": (None, "drain_cap_epochs", 0),
+    "campus5_delta037": (None, "delta_ms", 0.37),
 }
 
 # runs in the tree's interpreter: argv[1] maps directory names to commands,
@@ -79,8 +84,9 @@ def write_edits(src: Path, into: Path) -> dict:
         doc["name"] = name
         path = into / f"{name}.yaml"
         path.write_text(yaml.safe_dump(doc, sort_keys=False))
-        commands[f"run.{name}"] = ["run", "--scenario", str(path), "--scheme",
-                                   "bestfit_upf_mec", "--trace"]
+        for scheme in ("baseline", "bestfit_upf_mec"):
+            commands[f"run.{name}.{scheme}"] = ["run", "--scenario", str(path), "--scheme",
+                                                scheme, "--trace"]
     return commands
 
 
