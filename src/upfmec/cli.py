@@ -69,10 +69,14 @@ def _parse_int_list(text: str) -> List[int]:
 
 
 def _check_seeds(flag: str, seeds: Sequence[int]) -> None:
-    """Refuse a negative seed by its flag: numpy seeds its generators from integers >= 0."""
+    """Refuse a seed by its flag unless 0 <= seed < 2**64: numpy seeds its
+    generators from integers >= 0, and a seed stems report file names, which
+    at 20 digits stay within the file system's 255 bytes."""
     for seed in seeds:
         if seed < 0:
             raise ValueError(f"{flag} must be >= 0, got {seed}")
+        if seed >= 2**64:
+            raise ValueError(f"{flag} must be below 2**64, got {seed}")
 
 
 def _make_out(out: str) -> None:
@@ -321,7 +325,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # malformed --seeds/--pairs lists, negative seeds, pair counts below
+        # malformed --seeds/--pairs lists, seeds out of range, pair counts below
         # 1, unknown or repeated --schemes, oracle-gap sizes out of bounds, an
         # --out that cannot be a directory and a scenario file that cannot be
         # read or is not YAML

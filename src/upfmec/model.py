@@ -11,29 +11,22 @@ is the one its scenario states, and a queue it states none for is
 unbounded.
 
 Scenario files are single YAML documents.  ``load_scenario`` and
-``save_scenario`` round-trip a Scenario losslessly.  One table per record
-type (``_SCENARIO``, ``_TRAFFIC``, ``_UPF``, ``_MEC``) lists its fields in
-document order, each with its document key, kind and violation messages;
-``scenario_from_dict``, ``validate_scenario`` and ``scenario_to_dict`` all
-walk those tables, and the few rules that join fields follow in
-``validate_scenario``.  Defaults live on the dataclasses and are read
-through ``dataclasses.fields``; a table gives one only for a missing
-bandwidth matrix, which the dataclass requires.  A scenario lists each UPF
+``save_scenario`` round-trip a Scenario losslessly.  A scenario lists each UPF
 and each MEC once: the counts are the lists' lengths, and a record is named
 by its position from 1.  Reading keeps a value of the wrong type or shape for
-validation to name, and refuses only a missing required key and a key no
-table lists.  Validation runs when a run is built, not at load time, since
+validation to name, and refuses only a missing required key and an
+unknown key.  Validation runs when a run is built, not at load time, since
 ``run --scheme`` replaces the scheme after the load.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
+import os
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
@@ -315,14 +308,11 @@ class ServiceQueue:
         return n
 
 
-# ---------------------------------------------------------------- scenario schema
-#
-# A table entry is a field kind: it reads its field from a document and
-# names the messages its value violates.  _Schema walks a table to read,
-# check or write a record.
+# ---------------------------------------------------------------- scenario files
 
 _QOS_BY_NAME = {q.value: q for q in QosClass}
 _QOS_SET = frozenset(QosClass)
+_SCHEME_BY_NAME = {m.value: m for m in Scheme}
 
 
 def _number(x) -> bool:
@@ -340,9 +330,9 @@ def _non_negative(x) -> bool:
     return _number(x) and 0.0 <= x < math.inf
 
 
-def _integer(x) -> bool:
-    """x is an int; bools and whole floats such as 5.0 are not."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _count(x) -> bool:
+    """x is an int >= 0; bools and whole floats such as 5.0 are not."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _whole(x) -> bool:
@@ -355,230 +345,114 @@ def _listed(v):
     return list(v) if isinstance(v, (list, str, dict)) else v
 
 
-class _Value:
-    """A field holding a plain value that must pass ``ok``, else message ``bad``.
-
-    ``key`` is the dotted document path where it differs from ``attr``;
-    ``default`` serves a field whose dataclass declares none.  Messages are
-    templates given the label ``f``, the value ``v``, the scenario ``s`` and
-    the problem's arguments.  A kind with entries checks each with ``ok``
-    (message ``bad``, {bad} naming those that fail) and a sum of numbers
-    with ``total`` (message ``sum``, {total}).
-    """
-
-    def __init__(self, attr, ok=None, total=None, key=None, default=MISSING, **messages):
-        self.attr, self.ok, self.total, self.messages = attr, ok, total, messages
-        self.path = (key or attr).split(".")
-        self.default, self.optional = default, False  # bound by _Schema
-
-    def read(self, v, doc, where):
-        """The value held for document value v; MISSING stands for the default."""
-        return v
-
-    def problems(self, v, s):
-        """(message name, format arguments) of each violation of v."""
-        return () if self.ok(v) else (("bad", {}),)
-
-    def entries(self, values, names):
-        """Problems of the entries values, named by names: each passes ok, their sum total."""
-        out = []
-        if not all(map(self.ok, values)):
-            bad = [str(n) for n, x in zip(names, values) if not self.ok(x)]
-            out.append(("bad", {"bad": ", ".join(bad)}))
-        if self.total and all(map(_number, values)) and not self.total(sum(values)):
-            out.append(("sum", {"total": sum(values)}))
-        return out
+# Readers take a document value, the map that holds it and its label, and
+# keep a value of the wrong shape as it is, for validation to name.
 
 
-class _Choice(_Value):
-    """One of the values of the map ``ok``, read from its name; else message ``bad`` ({names})."""
-
-    def read(self, v, doc, where):
-        return self.ok.get(v, v) if isinstance(v, str) else v
-
-    def problems(self, v, s):
-        return () if v in self.ok.values() else (("bad", {"names": "|".join(self.ok)}),)
+def _qos_keyed(v, doc, where):
+    """A map keyed by QoS class names as one keyed by the classes; null is the default."""
+    if v is None:
+        return MISSING
+    return {_QOS_BY_NAME.get(k, k): x for k, x in v.items()} if isinstance(v, dict) else v
 
 
-class _QosMap(_Value):
-    """Entries keyed by QoS class, all four or, if ``some``, any of them; a null
-    reads as the default.  Another shape is message ``shape``."""
-
-    def __init__(self, attr, ok, total=None, some=False, **kwargs):
-        super().__init__(attr, ok, total, **kwargs)
-        self.some = some
-
-    def read(self, v, doc, where):
-        if v is None:
-            return MISSING
-        return {_QOS_BY_NAME.get(k, k): x for k, x in v.items()} if isinstance(v, dict) else v
-
-    def problems(self, v, s):
-        if not isinstance(v, dict) or not (
-            v.keys() <= _QOS_SET if self.some else v.keys() == _QOS_SET
-        ):
-            return (("shape", {}),)
-        if self.total is None and all(map(self.ok, v.values())):
-            return ()
-        present = [q for q in QosClass if q in v]
-        return self.entries([v[q] for q in present], [q.value for q in present])
+def _scheme(v, doc, where):
+    return _SCHEME_BY_NAME.get(v, v) if isinstance(v, str) else v
 
 
-class _PerUpf(_Value):
-    """A list of one entry per UPF: message ``shape`` if not a list, ``length`` ({n})."""
-
-    def read(self, v, doc, where):
-        return _listed(v)
-
-    def problems(self, v, s):
-        if not isinstance(v, list):
-            return (("shape", {}),)
-        if len(v) != s.num_upfs:
-            return (("length", {"n": len(v)}),)
-        return self.entries(v, range(len(v)))
+def _record(cls, v, doc, where):
+    return _read(cls, v, where + ".") if isinstance(v, dict) else v
 
 
-class _UpfByMec(_Value):
-    """A row per UPF of one entry per MEC, each > 0 and finite; a flat list is
-    the row of every UPF the document lists.  Another shape is message ``shape``."""
-
-    def read(self, v, doc, where):
-        rows, upfs = _listed(v), doc.get("upfs")
-        if (isinstance(rows, list) and rows and not isinstance(rows[0], list)
-                and isinstance(upfs, list)):
-            return [list(rows) for _ in upfs]
+def _records(cls, v, doc, where):
+    """A list of records, the one at position i labelled ``where[i]``."""
+    rows = _listed(v)
+    if not isinstance(rows, list):
         return rows
-
-    def problems(self, v, s):
-        if not isinstance(v, list) or len(v) != s.num_upfs or any(
-            not isinstance(row, list) or len(row) != s.num_mecs for row in v
-        ):
-            return (("shape", {}),)
-        entries = list(chain.from_iterable(v))
-        # all(map(_positive, entries)) at C speed when every entry is an exact int or float
-        if set(map(type, entries)) <= {int, float}:
-            ok = all(map((0.0).__lt__, entries)) and all(map(math.inf.__gt__, entries))
-        else:
-            ok = all(map(_positive, entries))
-        return () if ok else (("bad", {}),)
+    return [_record(cls, x, doc, f"{where}[{i}]") for i, x in enumerate(rows)]
 
 
-class _Record(_Value):
-    """A record of ``schema``, read from a map, else message ``shape``; a value
-    that is not a map is kept as read.  Its fields are labelled ``label``."""
-
-    def __init__(self, attr, schema, label, **messages):
-        super().__init__(attr, **messages)
-        self.schema, self.label = schema, label
-
-    def read(self, v, doc, where):
-        return self.schema.read(v, where + ".") if isinstance(v, dict) else v
-
-    def problems(self, v, s):
-        return () if isinstance(v, self.schema.cls) else (("shape", {}),)
-
-    def records(self, v):
-        """(label, record) of each record in v, whose own fields are checked next."""
-        return [(self.label, v)] if isinstance(v, self.schema.cls) else []
+def _matrix(v, doc, where):
+    """A row per UPF; a flat list is the row of every UPF the document lists."""
+    rows, upfs = _listed(v), doc.get("upfs")
+    if isinstance(rows, list) and rows and not isinstance(rows[0], list) and isinstance(upfs, list):
+        return [list(rows) for _ in upfs]
+    return rows
 
 
-class _Records(_Record):
-    """A non-empty list of records, else message ``shape``; an entry that is not
-    a map is kept as read.  The record at position k from 1 is labelled
-    ``label.format(k)``."""
-
-    def read(self, v, doc, where):
-        rows = _listed(v)
-        if not isinstance(rows, list):
-            return rows
-        read = super().read
-        return [read(x, doc, f"{where}[{i}]") for i, x in enumerate(rows)]
-
-    def problems(self, v, s):
-        cls = self.schema.cls
-        ok = isinstance(v, list) and v and all(isinstance(x, cls) for x in v)
-        return () if ok else (("shape", {}),)
-
-    def records(self, v):
-        cls, rows = self.schema.cls, v if isinstance(v, list) else ()
-        return [(self.label.format(k), x) for k, x in enumerate(rows, 1) if isinstance(x, cls)]
-
-
-class _Schema:
-    """The table of one dataclass's fields, bound to the defaults the dataclass declares."""
-
-    def __init__(self, cls, *table: _Value) -> None:
-        self.cls, self.table = cls, table
-        # the keys a document map may hold, a dotted key's head mapping to
-        # the keys that may sit under it
-        self.keys: dict = {}
-        declared = {f.name: f for f in fields(cls)}
-        for fd in table:
-            node = self.keys
-            for key in fd.path[:-1]:
-                node = node.setdefault(key, {})
-            node[fd.path[-1]] = None
-            spec = declared[fd.attr]
-            fd.optional = spec.default is None
-            if fd.default is MISSING:
-                factory = spec.default_factory
-                fd.default = spec.default if factory is MISSING else factory()
-
-    def read(self, doc: dict, where: str):
-        """The record a document map describes.
-
-        A required key the map lacks, or a key no field of the table reads
-        (a misspelt key would otherwise leave its field at the default), is
-        a ScenarioError that names it.
-        """
-        unknown = list(_unknown_keys(doc, self.keys, where))
-        if unknown:
-            noun = "unknown keys" if len(unknown) > 1 else "unknown key"
-            raise ScenarioError(f"{noun} {', '.join(unknown)}")
-        values = {}
-        for fd in self.table:
-            v = doc
-            for key in fd.path:
-                v = v.get(key, MISSING) if isinstance(v, dict) else MISSING
-            if v is not MISSING:
-                v = fd.read(v, doc, where + fd.attr)
-            if v is MISSING and fd.default is MISSING:
-                raise ScenarioError(f"{where}{'.'.join(fd.path)} is missing")
-            values[fd.attr] = copy.deepcopy(fd.default) if v is MISSING else v
-        return self.cls(**values)
-
-    def check(self, obj, s, prefix: str, out: List[str]) -> None:
-        """Append the violations of obj's fields to out, labelled behind prefix."""
-        for fd in self.table:
-            v = getattr(obj, fd.attr)
-            if v is None and fd.optional:
-                continue
-            for name, args in fd.problems(v, s):
-                out.append(fd.messages[name].format(f=prefix + fd.attr, v=v, s=s, **args))
-            if isinstance(fd, _Record):
-                for label, r in fd.records(v):
-                    fd.schema.check(r, s, label, out)
-
-    def write(self, obj) -> dict:
-        """The document map of obj; fields holding None are left out."""
-        doc: dict = {}
-        for fd in self.table:
-            v = getattr(obj, fd.attr)
-            if v is not None:
-                node = doc
-                for key in fd.path[:-1]:
-                    node = node.setdefault(key, {})
-                node[fd.path[-1]] = _plain(v)
-        return doc
+# Each record's document keys in document order, each with the function that
+# reads its value or None, which keeps it as it is.  A dotted key lies under
+# a map, and an absent one reads as null.
+_KEYS: Dict[type, Dict[str, Optional[Callable]]] = {
+    TrafficSpec: {"mean_arrivals_per_epoch": None, "process": None,
+                  "skew": lambda v, doc, where: _listed(v), "qos_mix": _qos_keyed},
+    UpfSpec: {"capacity": _qos_keyed, "queue_cap": _qos_keyed},
+    MecSpec: {"bytes_per_ue": None, "capacity": None, "queue_cap": None},
+}
+_KEYS[Scenario] = {
+    "name": None, "delta_ms": None, "horizon_epochs": None, "seed": None, "scheme": _scheme,
+    "drain_cap_epochs": None, "traffic": partial(_record, TrafficSpec),
+    "thresholds_ms": _qos_keyed, "upfs": partial(_records, UpfSpec),
+    "mecs": partial(_records, MecSpec), "links.bandwidth_mbps": _matrix,
+}
+# the field a key holds, where its name differs
+_FIELD = {"links.bandwidth_mbps": "link_bandwidth_mbps"}
+# the keys a record's map may hold: its keys' heads
+_HEADS = {cls: {key.partition(".")[0] for key in keys} for cls, keys in _KEYS.items()}
+# the fields the dataclass gives no default, looked up once per class
+_REQUIRED = {
+    cls: {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    for cls in _KEYS
+}
 
 
-def _unknown_keys(doc: dict, keys: dict, where: str):
-    """The labels of the keys of doc, and of maps under a dotted key's head, that keys lacks."""
+def _read(cls, doc: dict, where: str):
+    """The record of class cls that a document map describes.
+
+    A required key the map lacks, or a key its table does not list (a
+    misspelt key would otherwise leave its field at the default), is a
+    ScenarioError that names it.  An omitted key takes the dataclass's
+    default.
+    """
+    keys = _KEYS[cls]
+    unknown = []
     for k, v in doc.items():
-        if k not in keys:
-            yield f"{where}{k}"
-        elif keys[k] is not None and isinstance(v, dict):
-            yield from _unknown_keys(v, keys[k], f"{where}{k}.")
+        if k not in _HEADS[cls]:
+            unknown.append(f"{where}{k}")
+        elif k not in keys and isinstance(v, dict):
+            # the map a dotted key lies under
+            unknown += [f"{where}{k}.{sub}" for sub in v if f"{k}.{sub}" not in keys]
+    if unknown:
+        noun = "unknown keys" if len(unknown) > 1 else "unknown key"
+        raise ScenarioError(f"{noun} {', '.join(unknown)}")
+    record = {}
+    for key, read in keys.items():
+        head, _, sub = key.partition(".")
+        v = doc.get(head, MISSING)
+        if sub:
+            v = v.get(sub) if isinstance(v, dict) else None
+        if v is not MISSING and read:
+            v = read(v, doc, where + key)
+        attr = _FIELD.get(key, key)
+        if v is not MISSING:
+            record[attr] = v
+        elif attr in _REQUIRED[cls]:
+            raise ScenarioError(f"{where}{key} is missing")
+    return cls(**record)
+
+
+def _write(record) -> dict:
+    """The document map of a record; fields holding None are left out."""
+    doc: dict = {}
+    for key in _KEYS[type(record)]:
+        v = getattr(record, _FIELD.get(key, key))
+        if v is not None:
+            head, _, sub = key.partition(".")
+            if sub:
+                doc.setdefault(head, {})[sub] = _plain(v)
+            else:
+                doc[key] = _plain(v)
+    return doc
 
 
 def _plain(v):
@@ -589,76 +463,130 @@ def _plain(v):
         return {q.value: v[q] for q in QosClass if q in v}
     if isinstance(v, enum.Enum):
         return v.value
-    return _SCHEMAS[type(v)].write(v) if type(v) in _SCHEMAS else v
+    return _write(v) if type(v) in _KEYS else v
 
 
-def _sums_to_one(total) -> bool:
-    """A sum of shares is 1 to within 1e-6."""
-    return math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6)
+def _covers(m, some: bool = False) -> bool:
+    """m is a map keyed by all four QoS classes or, if some, by any of them."""
+    return isinstance(m, dict) and (m.keys() <= _QOS_SET if some else m.keys() == _QOS_SET)
 
 
-def _int_from(k: int):
-    """The test for an int >= k."""
-    return lambda x: _integer(x) and x >= k
+def _shares(out: List[str], label: str, shares: list) -> None:
+    """Append what breaks the shares rule: each >= 0 and finite, summing to 1 within 1e-6."""
+    if not all(map(_non_negative, shares)):
+        out.append(f"{label} has negative, non-finite or non-numeric entries")
+    if all(map(_number, shares)) and not math.isclose(sum(shares), 1.0, rel_tol=0.0, abs_tol=1e-6):
+        out.append(f"{label} sums to {sum(shares):g}, expected 1.0")
 
 
-_UNKNOWN = "{f} {v!r} unknown ({names})"
-_POSITIVE = "{f} must be > 0 and finite"
-_COVER = "{f} must cover all four QoS classes"
-_SHARES = {"bad": "{f} has negative, non-finite or non-numeric entries",
-           "sum": "{f} sums to {total:g}, expected 1.0"}
-_TRAFFIC = _Schema(
-    TrafficSpec,
-    _Value("mean_arrivals_per_epoch", _non_negative, bad="{f} must be >= 0 and finite"),
-    _Choice("process", {"poisson": "poisson", "deterministic": "deterministic"}, bad=_UNKNOWN),
-    _PerUpf("skew", _non_negative, _sums_to_one, **_SHARES,
-            shape="{f} must be a list of one share per UPF",
-            length="{f} has {n} entries, expected one per UPF ({s.num_upfs})"),
-    _QosMap("qos_mix", _non_negative, _sums_to_one,
-            shape="{f} must cover exactly the four QoS classes", **_SHARES),
-)
-_UPF = _Schema(
-    UpfSpec,
-    _QosMap("capacity", _positive, shape=_COVER, bad="{f} entries must be > 0 and finite"),
-    _QosMap("queue_cap", _whole, shape=_COVER, bad="{f} entries must be whole numbers >= 1"),
-)
-_MEC = _Schema(
-    MecSpec,
-    _Value("bytes_per_ue", _positive, bad=_POSITIVE),
-    _Value("capacity", _positive, bad=_POSITIVE),
-    _Value("queue_cap", _whole, bad="{f} must be a whole number >= 1"),
-)
-_SCENARIO = _Schema(
-    Scenario,
-    # the name stems the output files, which must stay inside --out
-    _Value("name", lambda v: isinstance(v, str) and v not in ("", ".", "..") and "/" not in v,
-           bad="{f} must be a non-empty string without '/', and not '.' or '..'"),
-    _Value("delta_ms", _positive, bad=_POSITIVE),
-    _Value("horizon_epochs", _int_from(0), bad="{f} must be an integer >= 0"),
-    _Value("seed", _int_from(0), bad="{f} must be an integer >= 0"),
-    _Choice("scheme", {m.value: m for m in Scheme}, bad=_UNKNOWN),
-    _Value("drain_cap_epochs", _int_from(0), bad="{f} must be an integer >= 0"),
-    _Record("traffic", _TRAFFIC, "traffic.", shape="{f} must be a map of the arrival law"),
-    _QosMap("thresholds_ms", _positive, some=True, bad="{f}[{bad}] must be > 0 and finite",
-            shape="{f} must be a map of QoS classes to thresholds"),
-    _Records("upfs", _UPF, "upf {}: ", shape="{f} must be a non-empty list of UPF records"),
-    _Records("mecs", _MEC, "mec {}: ", shape="{f} must be a non-empty list of MEC records"),
-    _UpfByMec("link_bandwidth_mbps", key="links.bandwidth_mbps", default=None,
-              shape="{f} must be a {s.num_upfs}x{s.num_mecs} matrix (row per UPF, column per MEC)",
-              bad="link bandwidths must be > 0 and finite"),
-)
-_SCHEMAS = {schema.cls: schema for schema in (_TRAFFIC, _UPF, _MEC, _SCENARIO)}
+def _each_record(out: List[str], rows, cls, noun: str) -> list:
+    """(label, record) of each record in rows, after appending what breaks the
+    record-list rule: rows is a non-empty list of records.  The record at
+    position k from 1 is labelled ``"<noun> k: "``."""
+    if not (isinstance(rows, list) and rows and all(isinstance(x, cls) for x in rows)):
+        out.append(f"{noun}s must be a non-empty list of {noun.upper()} records")
+    rows = rows if isinstance(rows, list) else ()
+    return [(f"{noun} {k}: ", x) for k, x in enumerate(rows, 1) if isinstance(x, cls)]
 
 
 def validate_scenario(s: Scenario) -> List[str]:
     """Return the full list of violated invariants; empty means valid.
 
-    The tables give each field's own rules; the rules that join fields
-    follow.  A scheme that reads no MEC cost vector (``SCHEMES``) names its
-    MEC by a UPF id, so it needs as many UPFs as MECs.
+    Fields are checked in document order, a record's own fields after it.
+    The name and the seed stem the report files: at most 200 bytes of name
+    and a seed below 2**64 keep every file name within 255 bytes, the
+    longest adding ``.bestfit_upf_no_pe.<20 digits>.summary.json``.  A
+    scheme that reads no MEC cost vector (``SCHEMES``) names its MEC by a
+    UPF id, so it needs as many UPFs as MECs.
     """
     v: List[str] = []
-    _SCENARIO.check(s, s, "", v)
+    name = s.name
+    if not (isinstance(name, str) and name not in ("", ".", "..") and "/" not in name):
+        # the name stems the output files, which must stay inside --out
+        v.append("name must be a non-empty string without '/', and not '.' or '..'")
+    elif "\0" in name:
+        v.append("name must not hold a NUL character")
+    else:
+        try:
+            size = len(os.fsencode(name))
+        except UnicodeEncodeError:
+            v.append("name must be encodable as a file name")
+        else:
+            if size > 200:
+                v.append(f"name is {size} bytes as a file name, at most 200 allowed")
+    if not _positive(s.delta_ms):
+        v.append("delta_ms must be > 0 and finite")
+    if not _count(s.horizon_epochs):
+        v.append("horizon_epochs must be an integer >= 0")
+    if not _count(s.seed):
+        v.append("seed must be an integer >= 0")
+    elif s.seed >= 2**64:
+        v.append("seed must be below 2**64")
+    if not isinstance(s.scheme, Scheme):
+        v.append(f"scheme {s.scheme!r} unknown ({'|'.join(_SCHEME_BY_NAME)})")
+    if s.drain_cap_epochs is not None and not _count(s.drain_cap_epochs):
+        v.append("drain_cap_epochs must be an integer >= 0")
+
+    t = s.traffic
+    if not isinstance(t, TrafficSpec):
+        v.append("traffic must be a map of the arrival law")
+    else:
+        if not _non_negative(t.mean_arrivals_per_epoch):
+            v.append("traffic.mean_arrivals_per_epoch must be >= 0 and finite")
+        if t.process not in ("poisson", "deterministic"):
+            v.append(f"traffic.process {t.process!r} unknown (poisson|deterministic)")
+        if not isinstance(t.skew, list):
+            v.append("traffic.skew must be a list of one share per UPF")
+        elif len(t.skew) != s.num_upfs:
+            v.append(f"traffic.skew has {len(t.skew)} entries, expected one per UPF ({s.num_upfs})")
+        else:
+            _shares(v, "traffic.skew", t.skew)
+        if not _covers(t.qos_mix):
+            v.append("traffic.qos_mix must cover exactly the four QoS classes")
+        else:
+            _shares(v, "traffic.qos_mix", [t.qos_mix[q] for q in QosClass])
+
+    thresholds = s.thresholds_ms
+    if not _covers(thresholds, some=True):
+        v.append("thresholds_ms must be a map of QoS classes to thresholds")
+    else:
+        bad = [q.value for q in QosClass if q in thresholds and not _positive(thresholds[q])]
+        if bad:
+            v.append(f"thresholds_ms[{', '.join(bad)}] must be > 0 and finite")
+
+    for at, u in _each_record(v, s.upfs, UpfSpec, "upf"):
+        if not _covers(u.capacity):
+            v.append(f"{at}capacity must cover all four QoS classes")
+        elif not all(map(_positive, u.capacity.values())):
+            v.append(f"{at}capacity entries must be > 0 and finite")
+        if u.queue_cap is not None and not _covers(u.queue_cap):
+            v.append(f"{at}queue_cap must cover all four QoS classes")
+        elif u.queue_cap is not None and not all(map(_whole, u.queue_cap.values())):
+            v.append(f"{at}queue_cap entries must be whole numbers >= 1")
+    for at, m in _each_record(v, s.mecs, MecSpec, "mec"):
+        if not _positive(m.bytes_per_ue):
+            v.append(f"{at}bytes_per_ue must be > 0 and finite")
+        if not _positive(m.capacity):
+            v.append(f"{at}capacity must be > 0 and finite")
+        if m.queue_cap is not None and not _whole(m.queue_cap):
+            v.append(f"{at}queue_cap must be a whole number >= 1")
+
+    rows = s.link_bandwidth_mbps
+    if not isinstance(rows, list) or len(rows) != s.num_upfs or any(
+        not isinstance(row, list) or len(row) != s.num_mecs for row in rows
+    ):
+        v.append(f"link_bandwidth_mbps must be a {s.num_upfs}x{s.num_mecs} matrix "
+                 "(row per UPF, column per MEC)")
+    else:
+        entries = list(chain.from_iterable(rows))
+        # all(map(_positive, entries)) at C speed when every entry is an exact int or float
+        if set(map(type, entries)) <= {int, float}:
+            ok = all(map((0.0).__lt__, entries)) and all(map(math.inf.__gt__, entries))
+        else:
+            ok = all(map(_positive, entries))
+        if not ok:
+            v.append("link bandwidths must be > 0 and finite")
+
     if (isinstance(s.scheme, Scheme) and not SCHEMES[s.scheme.value][2]
             and s.num_upfs != s.num_mecs):
         v.append(
@@ -670,7 +598,7 @@ def validate_scenario(s: Scenario) -> List[str]:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Plain-dict form of a scenario, ready for YAML emission; None fields are left out."""
-    return _SCENARIO.write(s)
+    return _write(s)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -680,7 +608,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     list; a missing required key or an unknown key is a ScenarioError that
     names it.
     """
-    return _SCENARIO.read(doc, "")
+    return _read(Scenario, doc, "")
 
 
 class _ScenarioLoader(yaml.SafeLoader):

@@ -20,6 +20,19 @@ from upfmec.model import (
 )
 
 
+def field_paths(node, prefix=()):
+    """Key path of every field nested in a loaded YAML document, maps and lists alike."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
 def make_scenario(
     *,
     name: str = "tiny",

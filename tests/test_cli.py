@@ -26,7 +26,7 @@ from upfmec.cli import ALL_SCHEMES, _parse_int_list, build_parser, main
 from upfmec.engine import run_to_completion
 from upfmec.model import QosClass, Scheme, load_scenario, save_scenario
 
-from conftest import make_scenario
+from conftest import field_paths, make_scenario
 
 
 def test_parse_int_list_forms():
@@ -300,31 +300,30 @@ def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys, breaks):
     assert not (tmp_path / "out").exists()
 
 
-def _field_paths(node, prefix=()):
-    """Key path of every field nested in a loaded YAML document, maps and lists alike."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _field_paths(child, prefix + (key,))
+def _bundled_doc(name):
+    """A bundled scenario's document, cut to 3 epochs."""
+    doc = yaml.safe_load(
+        resources.files("upfmec").joinpath(f"scenarios/{name}.yaml").read_text(encoding="utf-8")
+    )
+    doc["horizon_epochs"] = 3
+    return doc
 
 
-CAMPUS5_DOC = yaml.safe_load(
-    resources.files("upfmec").joinpath("scenarios/campus5.yaml").read_text(encoding="utf-8")
-)
-CAMPUS5_DOC["horizon_epochs"] = 3
+# campus5 states no queue_cap; metro states one for every UPF bucket and MEC
+BUNDLED_DOCS = {name: _bundled_doc(name) for name in ("campus5", "metro")}
 DELETE = object()
 FIELD_VALUES = [None, True, 0, -1, 2.5, "x", "1", [], [1], {}, {"a": 1}, math.nan, DELETE]
 
 
-@settings(max_examples=100, deadline=None)
-@given(path=st.sampled_from(list(_field_paths(CAMPUS5_DOC))), value=st.sampled_from(FIELD_VALUES))
-def test_any_one_field_mutation_runs_or_is_a_usage_error(path, value):
-    doc = copy.deepcopy(CAMPUS5_DOC)
+@settings(max_examples=200, deadline=None)
+@given(
+    where=st.sampled_from([(name, path) for name, doc in BUNDLED_DOCS.items()
+                           for path in field_paths(doc)]),
+    value=st.sampled_from(FIELD_VALUES),
+)
+def test_any_one_field_mutation_runs_or_is_a_usage_error(where, value):
+    name, path = where
+    doc = copy.deepcopy(BUNDLED_DOCS[name])
     *parents, key = path
     node = doc
     for k in parents:
@@ -442,6 +441,56 @@ def test_a_negative_seed_is_refused_by_its_flag(tmp_path, capsys, argv, flag):
     assert err.startswith(f"upfmec: error: {flag} must be >= 0, got -")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--scenario", "campus5", "--seed", "9" * 240], "--seed"),
+        (["compare", "--seeds", str(2**64)], "--seeds"),
+        (["capex", "--scenario", "metro", "--pairs", "1", "--seeds", f"1,{2**64}"], "--seeds"),
+        (["oracle-gap", "--seed", "9" * 240], "--seed"),
+    ],
+    ids=["run", "compare", "capex", "oracle-gap"],
+)
+def test_a_seed_that_cannot_stem_a_report_file_is_refused_by_its_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"upfmec: error: {flag} must be below 2**64, got ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, seed, named",
+    [
+        ("n" * 300, 1, "name is 300 bytes as a file name, at most 200 allowed"),
+        ("a\0b", 1, "name must not hold a NUL character"),
+        ("tiny", 10**240, "seed must be below 2**64"),
+    ],
+    ids=["name_300_bytes", "name_nul", "seed_240_digits"],
+)
+def test_a_scenario_whose_name_or_seed_cannot_stem_a_report_file_is_a_usage_error(
+    tmp_path, capsys, name, seed, named
+):
+    path = tmp_path / "stem.yaml"
+    save_scenario(make_scenario(name=name, seed=seed, lam=2.0, horizon=3), str(path))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid scenario: {named}\n"
+    assert not out.exists()
+
+
+def test_the_longest_name_and_seed_write_every_report(tmp_path, capsys):
+    # the longest report name adds 52 bytes: .bestfit_upf_no_pe.<20 digits>.summary.json
+    path = tmp_path / "longest.yaml"
+    save_scenario(make_scenario(name="n" * 200, lam=2.0, horizon=3), str(path))
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(path), "--scheme", "bestfit_upf_no_pe",
+            "--seed", str(2**64 - 1), "--trace", "--out", str(out)]
+    assert main(argv) == 0
+    assert max(len(p.name) for p in out.iterdir()) == 252
 
 
 @pytest.mark.parametrize(

@@ -21,24 +21,34 @@ one pair under ``baseline`` and stopped at its horizon
 (``drain_cap_epochs: 0``), the only pinned event log with drops at the MEC
 door and requests left in a UPF queue, on a link and in a MEC queue,
 recorded before ``events.csv`` was written from arrays.
+
+``SCENARIO_OUTCOME_GOLDEN`` pins what reading, validating and writing make
+of every one-field mutation of campus5's and metro's documents: each of
+their 182 field paths, deleted or set to each value of ``MUTATIONS``,
+gives the read error, or the violations and the document written back.  It was
+recorded before the scenario reader was rewritten as plain code.  No
+value is a name or a seed too long to stem a report file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
+import math
 import os
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 import yaml
 
 from upfmec.cli import main
 from upfmec.metrics import build_pair_scenario
-from upfmec.model import scenario_to_dict
+from upfmec.model import ScenarioError, scenario_from_dict, scenario_to_dict, validate_scenario
 
-from conftest import make_scenario
+from conftest import field_paths, make_scenario
 
 SCHEMES = ("baseline", "bestfit_upf_no_pe", "bestfit_upf_pe", "bestfit_upf_mec")
 CELLS = [("campus5", k) for k in SCHEMES] + [("metro", "baseline"), ("metro", "bestfit_upf_mec")]
@@ -234,3 +244,52 @@ def test_unbundled_scenario_outputs_match_golden_digests(tmp_path, request, name
     out.mkdir()
     argv = ["run", "--scenario", str(path), "--scheme", scheme, "--seed", "1", "--trace"]
     assert _digests(argv, out) == golden
+
+
+DELETE = object()
+MUTATIONS = [
+    DELETE, None, True, 0, -1, 1, 2.5, 1e300, math.nan, math.inf, -math.inf,
+    "x", "1", "..", "a/b", "deterministic", "bestfit_upf_mec",
+    [], [1], [0.5, 0.5], {}, {"a": 1}, {"urllc": 1.0},
+    {"urllc": 1, "embb": 1, "mmtc": 1, "regular": 1},
+]
+
+SCENARIO_OUTCOME_GOLDEN = {
+    "campus5":
+        "faeccb33b927e13f7cab90c1233ea4a5eb4753588a9b9c241a479658b9bf16ec",
+    "metro":
+        "da62c2249a8224486771bde38bfe1f2c4ea7d1295eae9d878e6992291f1fcbfe",
+}
+
+
+def _outcome(doc) -> str:
+    try:
+        s = scenario_from_dict(doc)
+    except ScenarioError as exc:
+        return f"read: {exc}"
+    return repr((validate_scenario(s), scenario_to_dict(s)))
+
+
+def _outcomes_digest(name: str) -> str:
+    """sha256 of the outcome of every one-field mutation of the bundled document name."""
+    base = yaml.safe_load(resources.files("upfmec").joinpath(f"scenarios/{name}.yaml").read_text())
+    h = hashlib.sha256()
+    for path in field_paths(base):
+        for value in MUTATIONS:
+            doc = copy.deepcopy(base)
+            *parents, key = path
+            node = doc
+            for k in parents:
+                node = node[k]
+            if value is DELETE:
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(value)
+            shown = "deleted" if value is DELETE else repr(value)
+            h.update(f"{path!r} {shown}: {_outcome(doc)}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_OUTCOME_GOLDEN))
+def test_scenario_outcomes_match_golden_digest(name):
+    assert _outcomes_digest(name) == SCENARIO_OUTCOME_GOLDEN[name]

@@ -69,6 +69,32 @@ def test_co_located_scheme_requires_square_topology(scheme):
     assert validate_scenario(make_scenario(num_upfs=2, num_mecs=2, scheme=scheme)) == []
 
 
+@pytest.mark.parametrize(
+    "name, seed, named",
+    [
+        ("n" * 300, 1, "name is 300 bytes as a file name, at most 200 allowed"),
+        ("\u00e9" * 101, 1, "name is 202 bytes as a file name, at most 200 allowed"),
+        ("a\0b", 1, "name must not hold a NUL character"),
+        ("\ud800", 1, "name must be encodable as a file name"),
+        ("tiny", 2**64, "seed must be below 2**64"),
+        ("tiny", 10**240, "seed must be below 2**64"),
+        # a name refused before keeps its message
+        ("/" + "\0" * 300, 1, "name must be a non-empty string without '/', and not '.' or '..'"),
+    ],
+    ids=["300_bytes", "202_bytes_of_101_chars", "nul", "lone_surrogate", "seed_2_64", "seed_240_digits",
+         "refused_before"],
+)
+def test_a_name_or_seed_that_cannot_stem_a_report_file_is_refused(name, seed, named):
+    assert validate_scenario(make_scenario(name=name, seed=seed)) == [named]
+
+
+@pytest.mark.parametrize("name", ["n" * 200, "\u00e9" * 100, "\udc80" * 200],
+                         ids=["ascii", "two_byte_chars", "surrogate_escapes"])
+def test_the_longest_name_and_seed_are_valid(name):
+    # a surrogate escape stands for one undecodable byte, as os.fsencode gives it
+    assert validate_scenario(make_scenario(name=name, seed=2**64 - 1)) == []
+
+
 def test_multiple_violations_all_collected():
     s = make_scenario(skew=[0.7, 0.5])
     s.mecs[0].capacity = -1.0
@@ -288,6 +314,8 @@ def test_bandwidth_shorthand_waits_for_a_list_of_upfs():
         (("mecs", 1, "id"), "unknown key mecs[1].id"),
         # a queue is capped only where its record states a queue_cap
         (("headroom_factor",), "unknown key headroom_factor"),
+        # a dotted key lies under its map, never at the top level
+        (("links.bandwidth_mbps",), "unknown key links.bandwidth_mbps"),
     ],
 )
 def test_unknown_key_is_named(tmp_path, path, named):
